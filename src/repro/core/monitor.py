@@ -23,7 +23,7 @@ monitors through the :class:`~repro.core.registry.MonitorRegistry`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class PairPaths:
     never recomputes it): the equal-cost path list, the path -> position
     lookup, the switch query set, the link-id CSR over the *monitored*
     paths (same-ToR length-1 paths carry no switch-switch link and are
-    excluded), and the per-link local-row adjacency the registry uses to
-    map dirty links back to CSR rows.
+    excluded), and the transposed CSR — link -> local monitored rows —
+    the registry uses to map dirty links back to CSR rows.
     """
 
     paths: List[SwitchPath]
@@ -75,50 +75,50 @@ class PairPaths:
     monitored: np.ndarray
     csr_indices: np.ndarray
     csr_indptr: np.ndarray
-    #: ``(link id, local monitored-row indices)`` pairs, ascending link id.
-    link_rows: List[Tuple[int, np.ndarray]] = field(repr=False)
+    #: distinct link ids of the CSR, ascending; link ``link_ids[k]`` is
+    #: crossed by local rows ``link_rows[link_indptr[k]:link_indptr[k + 1]]``
+    #: (ascending within each link).
+    link_ids: np.ndarray = field(repr=False)
+    link_indptr: np.ndarray = field(repr=False)
+    link_rows: np.ndarray = field(repr=False)
 
 
 def index_pair_paths(network: Network, src_tor: str, dst_tor: str) -> PairPaths:
-    """Build the :class:`PairPaths` description of one ToR pair."""
+    """Build the :class:`PairPaths` description of one ToR pair.
+
+    One pass over the topology's cached path list interns every hop (a
+    ToR-to-ToR path crosses switch-switch links only, so no hop is
+    dropped); the link -> rows transpose is one stable argsort over the
+    CSR.
+    """
     paths = network.topology.equal_cost_paths(src_tor, dst_tor)
-    path_link_ids = [
-        network.index_switch_path(path) if len(path) > 1 else None
-        for path in paths
-    ]
-    monitored = np.array(
-        [i for i, ids in enumerate(path_link_ids) if ids is not None],
-        dtype=np.intp,
+    monitored_paths = [path for path in paths if len(path) > 1]
+    nrows = len(monitored_paths)
+    monitored = np.fromiter(
+        (i for i, path in enumerate(paths) if len(path) > 1), dtype=np.intp, count=nrows
     )
-    monitored_ids = [path_link_ids[int(i)] for i in monitored]
-    if monitored_ids:
-        lengths = np.fromiter(
-            (ids.size for ids in monitored_ids),
-            dtype=np.intp,
-            count=len(monitored_ids),
-        )
-        csr_indptr = np.zeros(len(monitored_ids) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=csr_indptr[1:])
-        csr_indices = np.concatenate(monitored_ids)
-    else:
-        csr_indptr = np.zeros(1, dtype=np.intp)
-        csr_indices = np.empty(0, dtype=np.intp)
-    by_link: Dict[int, List[int]] = {}
-    for local, ids in enumerate(monitored_ids):
-        for link_id in ids.tolist():
-            by_link.setdefault(link_id, []).append(local)
-    link_rows = [
-        (link_id, np.array(rows, dtype=np.intp))
-        for link_id, rows in sorted(by_link.items())
-    ]
+    lengths = np.fromiter(
+        (len(path) - 1 for path in monitored_paths), dtype=np.intp, count=nrows
+    )
+    csr_indices = network.link_index.index_links(
+        hop for path in monitored_paths for hop in zip(path, path[1:])
+    )
+    row_of = np.repeat(np.arange(nrows, dtype=np.intp), lengths)
+    csr_indptr = np.zeros(nrows + 1, dtype=np.intp)
+    np.cumsum(lengths, out=csr_indptr[1:])
+    order = np.argsort(csr_indices, kind="stable")
+    by_link = csr_indices[order]
+    firsts = np.flatnonzero(np.diff(by_link, prepend=-1))
     return PairPaths(
         paths=paths,
-        path_index_map={tuple(p): i for i, p in enumerate(paths)},
+        path_index_map={path: i for i, path in enumerate(paths)},
         query_switches=switches_to_query(network.topology, src_tor, dst_tor),
         monitored=monitored,
         csr_indices=csr_indices,
         csr_indptr=csr_indptr,
-        link_rows=link_rows,
+        link_ids=by_link[firsts],
+        link_indptr=np.append(firsts, by_link.size),
+        link_rows=row_of[order],
     )
 
 

@@ -34,7 +34,8 @@ steady-state rebuild-free.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from collections import defaultdict
+from typing import TYPE_CHECKING, DefaultDict, Dict, List, Tuple
 
 import numpy as np
 
@@ -74,9 +75,10 @@ class MonitorRegistry:
         self._row_eleph = np.zeros(256, dtype=np.int64)
         self._nrows = 0
         self._nnz = 0
-        #: link id -> list of global-row-id arrays crossing it (one array
-        #: appended per pair registration; reset at compaction).
-        self._link_rows: Dict[int, List[np.ndarray]] = {}
+        #: link id -> list of global-row-id arrays crossing it (one view
+        #: per pair registration, into that pair's shifted
+        #: :attr:`PairPaths.link_rows`; reset at compaction).
+        self._link_rows: DefaultDict[int, List[np.ndarray]] = defaultdict(list)
         #: link-id arrays reported dirty since the last refresh.
         self._pending_links: List[np.ndarray] = []
         #: explicit dirty row ranges (freshly appended pairs).
@@ -157,8 +159,12 @@ class MonitorRegistry:
         self._nrows += rows
         self._nnz += nnz
         self._span[pair] = (start, rows)
-        for link_id, local_rows in pp.link_rows:
-            self._link_rows.setdefault(link_id, []).append(local_rows + start)
+        # One shift for the whole pair; each link gets a view into it.
+        global_rows = pp.link_rows + start
+        bounds = pp.link_indptr.tolist()
+        link_rows = self._link_rows
+        for k, link_id in enumerate(pp.link_ids.tolist()):
+            link_rows[link_id].append(global_rows[bounds[k] : bounds[k + 1]])
         if rows:
             self._pending_rows.append(np.arange(start, start + rows, dtype=np.intp))
 
@@ -179,7 +185,7 @@ class MonitorRegistry:
         live = [(pair, self._interned[pair]) for pair, span in self._span.items()
                 if self._refs.get(pair, 0) > 0]
         self._span = {}
-        self._link_rows = {}
+        self._link_rows = defaultdict(list)
         self._pending_links = []
         self._pending_rows = []
         self._nrows = 0

@@ -80,14 +80,15 @@ class Scheduler(abc.ABC):
         host's own access link is down) — the flow is then placed and
         simply stalls until the failure heals, as real traffic would.
         """
-        network = self.ctx.network
-        topo = self.ctx.topology
+        failed = self.ctx.network.failed_links
         paths = self.paths_between(src, dst)
-        if not network.failed_links:
+        if not failed:
             return paths
-        alive = [
-            p for p in paths if network.path_alive(topo.host_path(src, dst, p))
-        ]
+        # Both access cables are on every path: test them once, then only
+        # the switch hops (``failed`` holds both directions of a cable).
+        if (src, paths[0][0]) in failed or (paths[0][-1], dst) in failed:
+            return paths
+        alive = [p for p in paths if failed.isdisjoint(zip(p, p[1:]))]
         return alive if alive else paths
 
     def evacuate_failed_link(self, u: str, v: str, pick) -> int:

@@ -71,6 +71,11 @@ class Topology:
     nodes: Dict[str, Node] = field(default_factory=dict)
     _adj: Dict[str, List[str]] = field(default_factory=dict)
     _links: Dict[Tuple[str, str], Link] = field(default_factory=dict)
+    #: kind -> node names, memoized by :meth:`nodes_of_kind` and dropped
+    #: by :meth:`add_node`.
+    _kind_cache: Dict[NodeKind, List[str]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # -- construction ------------------------------------------------------
 
@@ -80,6 +85,7 @@ class Topology:
             raise TopologyError(f"duplicate node {node.name!r}")
         self.nodes[node.name] = node
         self._adj[node.name] = []
+        self._kind_cache.clear()
 
     def add_link(self, u: str, v: str, bandwidth_bps: float, delay_s: float = 0.0001) -> None:
         """Add a full-duplex cable between existing nodes ``u`` and ``v``."""
@@ -136,8 +142,12 @@ class Topology:
             yield (link.v, link.u)
 
     def nodes_of_kind(self, kind: NodeKind) -> List[str]:
-        """Names of all nodes of one kind."""
-        return [n.name for n in self.nodes.values() if n.kind is kind]
+        """Names of all nodes of one kind (memoized; returns a copy)."""
+        cached = self._kind_cache.get(kind)
+        if cached is None:
+            cached = [n.name for n in self.nodes.values() if n.kind is kind]
+            self._kind_cache[kind] = cached
+        return list(cached)
 
     def hosts(self) -> List[str]:
         """All host names."""

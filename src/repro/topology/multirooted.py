@@ -30,6 +30,9 @@ SwitchPath = Tuple[str, ...]
 #: A downhill chain (core, agg, tor) along which prefixes are allocated.
 Chain = Tuple[str, str, str]
 
+#: layer (hosts 0 .. cores 3) -> the node kind living there.
+_KIND_AT_LAYER = {kind.layer: kind for kind in NodeKind}
+
 
 class MultiRootedTopology(Topology):
     """Base class for fat-tree, Clos, and 3-tier topologies."""
@@ -61,25 +64,23 @@ class MultiRootedTopology(Topology):
 
     def up_neighbors(self, name: str) -> List[str]:
         """Neighbors one layer above ``name`` (memoized; returns a copy)."""
-        cached = self._up_cache.get(name)
-        if cached is None:
-            layer = self.node(name).kind.layer
-            cached = [
-                n for n in self.neighbors(name) if self.node(n).kind.layer == layer + 1
-            ]
-            self._up_cache[name] = cached
-        return list(cached)
+        return list(self._layer_neighbors(name, +1, self._up_cache))
 
     def down_neighbors(self, name: str) -> List[str]:
         """Neighbors one layer below ``name`` (memoized; returns a copy)."""
-        cached = self._down_cache.get(name)
+        return list(self._layer_neighbors(name, -1, self._down_cache))
+
+    def _layer_neighbors(
+        self, name: str, step: int, cache: Dict[str, List[str]]
+    ) -> List[str]:
+        """The memoized neighbor list itself; callers must not mutate it."""
+        cached = cache.get(name)
         if cached is None:
-            layer = self.node(name).kind.layer
-            cached = [
-                n for n in self.neighbors(name) if self.node(n).kind.layer == layer - 1
-            ]
-            self._down_cache[name] = cached
-        return list(cached)
+            kind = _KIND_AT_LAYER.get(self.node(name).kind.layer + step)
+            nodes = self.nodes
+            cached = [n for n in self.neighbors(name) if nodes[n].kind is kind]
+            cache[name] = cached
+        return cached
 
     def tor_of(self, host: str) -> str:
         """The ToR switch a host hangs off (hosts are single-homed)."""
@@ -154,17 +155,25 @@ class MultiRootedTopology(Topology):
     def _compute_paths(self, src_tor: str, dst_tor: str) -> List[SwitchPath]:
         if src_tor == dst_tor:
             return [(src_tor,)]
-        src_aggs = sorted(self.up_neighbors(src_tor))
-        dst_aggs = set(self.up_neighbors(dst_tor))
-        common = [a for a in src_aggs if a in dst_aggs]
+        up = self._up_cache
+        src_aggs = sorted(self._layer_neighbors(src_tor, +1, up))
+        dst_aggs = sorted(self._layer_neighbors(dst_tor, +1, up))
+        dst_set = set(dst_aggs)
+        common = [a for a in src_aggs if a in dst_set]
         if common:
             return [(src_tor, agg, dst_tor) for agg in common]
+        # Walk down from the destination side once: each core's aggs above
+        # dst_tor, ascending — the order a sorted scan of the core's whole
+        # downlink list would meet them in.
+        descents: Dict[str, List[str]] = {}
+        for agg_down in dst_aggs:
+            for core in self._layer_neighbors(agg_down, +1, up):
+                descents.setdefault(core, []).append(agg_down)
         paths: List[SwitchPath] = []
         for agg_up in src_aggs:
-            for core in sorted(self.up_neighbors(agg_up)):
-                for agg_down in sorted(self.down_neighbors(core)):
-                    if agg_down in dst_aggs:
-                        paths.append((src_tor, agg_up, core, agg_down, dst_tor))
+            for core in sorted(self._layer_neighbors(agg_up, +1, up)):
+                for agg_down in descents.get(core, ()):
+                    paths.append((src_tor, agg_up, core, agg_down, dst_tor))
         if not paths:
             raise TopologyError(f"no up-down path between {src_tor!r} and {dst_tor!r}")
         return paths

@@ -76,6 +76,12 @@ class TestAllocationErrors:
         with pytest.raises(AddressingError):
             fattree4_addressing.addresses_of("agg_0_0")
 
+    def test_unknown_host_address_count(self, fattree4_addressing):
+        with pytest.raises(AddressingError):
+            fattree4_addressing.num_addresses_per_host("agg_0_0")
+        with pytest.raises(AddressingError):
+            fattree4_addressing.num_addresses_per_host("ghost")
+
     def test_unallocated_address(self, fattree4_addressing):
         with pytest.raises(AddressingError):
             fattree4_addressing.owner_of(1)

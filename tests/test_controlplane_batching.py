@@ -24,7 +24,7 @@ from repro.core.monitor import index_pair_paths
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import FlowComponent, Network
-from repro.topology import FatTree
+from repro.topology import ClosNetwork, FatTree
 from repro.validation.oracles import (
     check_controlplane_equivalence,
     compare_controlplane_results,
@@ -154,6 +154,79 @@ class TestMonitorRegistry:
         revived.refresh()
         assert revived.state_eleph[0] == 1
         assert flow.active
+
+
+def per_path_pair_paths(net, src_tor, dst_tor):
+    """The per-path, per-link build ``index_pair_paths`` replaced."""
+    paths = net.topology.equal_cost_paths(src_tor, dst_tor)
+    path_link_ids = [
+        net.index_switch_path(path) if len(path) > 1 else None for path in paths
+    ]
+    monitored = [i for i, ids in enumerate(path_link_ids) if ids is not None]
+    monitored_ids = [path_link_ids[i] for i in monitored]
+    indptr = np.zeros(len(monitored_ids) + 1, dtype=np.intp)
+    np.cumsum([ids.size for ids in monitored_ids], out=indptr[1:])
+    indices = (
+        np.concatenate(monitored_ids) if monitored_ids else np.empty(0, dtype=np.intp)
+    )
+    by_link = {}
+    for local, ids in enumerate(monitored_ids):
+        for link_id in ids.tolist():
+            by_link.setdefault(link_id, []).append(local)
+    return paths, monitored, indices, indptr, sorted(by_link.items())
+
+
+class TestPairInterning:
+    @pytest.mark.parametrize(
+        "topology, src_tor, dst_tor",
+        [
+            (FatTree(p=4), "tor_0_0", "tor_0_0"),  # same ToR
+            (FatTree(p=4), "tor_0_0", "tor_0_1"),  # intra-pod
+            (FatTree(p=4), "tor_0_0", "tor_1_0"),  # inter-pod
+            (FatTree(p=8), "tor_3_1", "tor_3_2"),
+            (FatTree(p=8), "tor_2_3", "tor_5_0"),
+            (ClosNetwork(d_i=4, d_a=4, hosts_per_tor=2), "tor_0", "tor_1"),
+            (ClosNetwork(d_i=4, d_a=4, hosts_per_tor=2), "tor_0", "tor_3"),
+        ],
+    )
+    def test_matches_per_path_build(self, topology, src_tor, dst_tor):
+        net = Network(topology)
+        pp = index_pair_paths(net, src_tor, dst_tor)
+        paths, monitored, indices, indptr, by_link = per_path_pair_paths(
+            net, src_tor, dst_tor
+        )
+        assert pp.paths == paths
+        assert pp.path_index_map == {path: i for i, path in enumerate(paths)}
+        assert pp.monitored.tolist() == monitored
+        np.testing.assert_array_equal(pp.csr_indices, indices)
+        np.testing.assert_array_equal(pp.csr_indptr, indptr)
+        bounds = pp.link_indptr.tolist()
+        transposed = [
+            (link_id, pp.link_rows[bounds[k] : bounds[k + 1]].tolist())
+            for k, link_id in enumerate(pp.link_ids.tolist())
+        ]
+        assert transposed == by_link
+        for array in (pp.monitored, pp.csr_indices, pp.csr_indptr,
+                      pp.link_ids, pp.link_indptr, pp.link_rows):
+            assert array.dtype == np.intp
+
+    def test_registry_link_rows_cover_every_pair(self):
+        net = make_network(p=8)
+        registry = MonitorRegistry(net)
+        pairs = [("tor_0_0", "tor_1_0"), ("tor_0_0", "tor_0_1"), ("tor_2_1", "tor_5_3")]
+        expected = {}
+        for src_tor, dst_tor in pairs:
+            pp = registry.register(src_tor, dst_tor)
+            start, _ = registry._span[(src_tor, dst_tor)]
+            for local in range(pp.monitored.size):
+                lo, hi = pp.csr_indptr[local], pp.csr_indptr[local + 1]
+                for link_id in pp.csr_indices[lo:hi].tolist():
+                    expected.setdefault(link_id, []).append(start + local)
+        got = {
+            link_id: np.concatenate(chunks).tolist()
+            for link_id, chunks in registry._link_rows.items()
+        }
+        assert got == expected
 
 
 class TestAlgorithm1TieBreaks:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
@@ -59,6 +61,37 @@ class TestSchedulerInterface:
         scheduler = FirstPathScheduler()
         scheduler.attach(ctx)
         assert scheduler.control_message_bytes() == 0.0
+
+
+class TestAliveFilter:
+    """``alive_paths`` tests the access cables once and then only switch
+    hops; ``Network.path_alive`` over the full host path is the reference."""
+
+    TOPO = FatTree(p=4, link_bandwidth_bps=100 * MBPS)
+    CABLES = sorted(link.endpoints() for link in TOPO.links())
+    HOSTS = sorted(TOPO.hosts())
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_path_alive_filter(self, data):
+        network = Network(self.TOPO)
+        scheduler = FirstPathScheduler()
+        scheduler.attach(
+            SchedulerContext(
+                network=network, codec=None, rng=np.random.default_rng(0)
+            )
+        )
+        for u, v in data.draw(st.sets(st.sampled_from(self.CABLES), max_size=8)):
+            network.fail_link(u, v)
+        for _ in range(4):
+            src = data.draw(st.sampled_from(self.HOSTS))
+            dst = data.draw(st.sampled_from([h for h in self.HOSTS if h != src]))
+            paths = scheduler.paths_between(src, dst)
+            reference = [
+                p for p in paths
+                if network.path_alive(self.TOPO.host_path(src, dst, p))
+            ]
+            assert scheduler.alive_paths(src, dst) == (reference or paths)
 
 
 class TestEncodeAndVerify:

@@ -87,6 +87,15 @@ class TestTopologyQueries:
         assert topo.hosts() == ["h0"]
         assert sorted(topo.switches()) == ["a0", "t0"]
 
+    def test_kind_memo_follows_add_node(self):
+        topo = tiny_topology()
+        hosts = topo.hosts()
+        hosts.append("mutated")  # callers get a copy, not the memo
+        assert topo.hosts() == ["h0"]
+        topo.add_node(Node("h1", NodeKind.HOST))
+        assert topo.hosts() == ["h0", "h1"]
+        assert topo.nodes_of_kind(NodeKind.AGG) == ["a0"]
+
     def test_path_links_validates_adjacency(self):
         topo = tiny_topology()
         assert topo.path_links(("h0", "t0", "a0")) == (("h0", "t0"), ("t0", "a0"))

@@ -21,8 +21,7 @@ exactly its links' ``(capacity, failed, elephant-count)`` entries, and
 every mutation of those entries marks the link dirty — so serving an
 unmarked row from cache replays the identical float arithmetic.
 
-Structure lifecycle mirrors :class:`~repro.simulator.components.
-FlowLinkComponents`: pair *registration* appends rows to the stacked CSR
+Structure lifecycle: pair *registration* appends rows to the stacked CSR
 (amortized geometric growth) and *release* only drops a refcount; rows of
 fully released pairs stay in place — still refreshed, never served — until
 released rows reach half the structure, when a compaction epoch rebuilds

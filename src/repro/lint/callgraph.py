@@ -539,7 +539,7 @@ class OwnershipAnalysis:
                             f"{fn.name} calls shared-structure mutator "
                             f"{call.name}() inside a component round ({origin}); "
                             "per-component code must not touch global "
-                            "registry/engine/partition structures",
+                            "registry/engine structures",
                         )
             if fn.name not in MERGE_POINTS:
                 for attr, node in fn.dirty_reads:

@@ -24,8 +24,8 @@ module asserts uniqueness at import. Deliberately **not** registered:
 
 * ``Network._cap_array`` — the fuzz harness's ``--inject-bug`` corrupts
   it on purpose; guarding it would make the negative control impossible;
-* ``FlowLinkComponents._size`` / ``FlowStore._free`` — generic names
-  that collide across classes and are only ever touched by their owner;
+* ``FlowStore._free`` — a generic name that collides across classes and
+  is only ever touched by its owner;
 * ``MonitorRegistry.mark_links_dirty`` is not a shared mutator: it only
   appends dirty marks (commutative, order-free), the sanctioned
   dirty-producer pattern, like ``FlowLinkComponents.attach``/``detach``.
@@ -64,7 +64,7 @@ COMPONENT_SCOPED: Tuple[str, ...] = (
 
 #: The declared merge points: the only functions through which
 #: cross-component dirty state may be consumed (``consume_dirty`` pops
-#: the dirty-root set; ``scatter_link_loads`` is the ordered accumulation
+#: the dirty-link set; ``scatter_link_loads`` is the ordered accumulation
 #: that merges per-component rates into the persistent load array).
 MERGE_POINTS: Tuple[str, ...] = ("consume_dirty", "scatter_link_loads")
 
@@ -75,11 +75,9 @@ MERGE_POINTS: Tuple[str, ...] = ("consume_dirty", "scatter_link_loads")
 BOUNDARIES: Tuple[str, ...] = ("_request_realloc",)
 
 #: Method names whose call sites mutate globally shared structures: the
-#: component-partition epoch rebuild, the event heap, and the monitor
-#: registry's CSR layout. RACE003 flags any call to these from
-#: component-scoped code.
+#: event heap and the monitor registry's CSR layout. RACE003 flags any
+#: call to these from component-scoped code.
 SHARED_MUTATOR_METHODS: Tuple[str, ...] = (
-    "rebuild",
     "schedule_at",
     "schedule_in",
     "reschedule",
@@ -187,6 +185,7 @@ OWNERSHIP: Tuple[SharedState, ...] = (
     _network("_total_array", "global", True, "_adjust_link_counts"),
     _network("_eleph_array", "global", True, "_adjust_link_counts"),
     _network("_failed_mask", "global", True, "fail_link", "restore_link"),
+    _network("_failed_ids", "global", False, "fail_link", "restore_link"),
     _network(
         "_retired_link_ids",
         "dirty",
@@ -215,26 +214,19 @@ OWNERSHIP: Tuple[SharedState, ...] = (
     _column("elephant", "is_elephant"),
     _column("live"),
     _column("monitored_path", "monitored_path_index"),
-    # "component_id" here is the Flow property setter: every caller
-    # below funnels through it, and the runtime sanitizer wraps it.
-    _column("component_id", "component_id", "start_flow", "reroute_flow", "rebuild"),
     _column("path_switches", "reroute_flow"),
-    # -- FlowLinkComponents union-find (the component partition itself) ----
+    # -- FlowLinkComponents link <-> flow index (the component structure) --
     _owned(
-        "FlowLinkComponents", "repro.simulator.components", "_parent",
-        "partitioned", "find", "_union", "rebuild",
+        "FlowLinkComponents", "repro.simulator.components", "_link_flows",
+        "partitioned", "attach", "detach",
     ),
     _owned(
-        "FlowLinkComponents", "repro.simulator.components", "_flow_sets",
-        "partitioned", "_union", "_attach_links", "detach", "rebuild",
+        "FlowLinkComponents", "repro.simulator.components", "_flow_links",
+        "partitioned", "attach", "detach",
     ),
     _owned(
-        "FlowLinkComponents", "repro.simulator.components", "_dirty",
-        "dirty", "attach", "detach", "_union", "consume_dirty", "rebuild",
-    ),
-    _owned(
-        "FlowLinkComponents", "repro.simulator.components", "departures",
-        "partitioned", "detach", "rebuild",
+        "FlowLinkComponents", "repro.simulator.components", "_dirty_links",
+        "dirty", "attach", "detach", "consume_dirty", "discard_dirty",
     ),
     # -- MonitorRegistry CSR (global control-plane cache) ------------------
     _owned(

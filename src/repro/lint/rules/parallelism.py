@@ -12,7 +12,7 @@ Together they make component-parallel control-plane rounds a checked
 contract: if ``dard lint`` is clean, every function reachable from
 ``COMPONENT_SCOPED`` roots writes only state whose ``writers`` tuple
 names it, consumes cross-component dirty state only at the declared
-merge points, and never mutates the global registry/engine/partition
+merge points, and never mutates the global registry/engine
 structures mid-round. ``--parallel-safety-report`` serializes the same
 analysis as a purity certificate, and the runtime sanitizer
 (:mod:`repro.validation.sanitizer`) enforces the identical table under
@@ -97,16 +97,15 @@ class DirtyCrossComponentRead(_AnalysisRule):
 class SharedStructureMutation(_AnalysisRule):
     """Mutation of globally shared structures inside a component round.
 
-    Calls to the registered shared-structure mutators (partition
-    ``rebuild``, event-engine scheduling, monitor-registry CSR
-    maintenance) from code reachable from a per-component round mutate
-    state every component shares; hoist them to the serial phase around
-    the round (as ``_reallocate`` does for the epoch rebuild).
+    Calls to the registered shared-structure mutators (event-engine
+    scheduling, monitor-registry CSR maintenance) from code reachable
+    from a per-component round mutate state every component shares;
+    hoist them to the serial phase around the round.
     """
 
     code = "RACE003"
     name = "shared-structure-mutation-in-round"
-    description = "registry/engine/partition structure mutated inside a component round"
+    description = "registry/engine structure mutated inside a component round"
 
 
 @register

@@ -6,28 +6,25 @@ cross): progressive filling's arithmetic on a link only ever reads and
 writes state of demands crossing that link, so water-filling each
 component in isolation produces bit-identical rates to one global fill
 (see DESIGN.md "Component decomposition"). :class:`FlowLinkComponents`
-maintains that partition online so the network can re-fill **only the
+indexes that graph online so the network can re-fill **only the
 components a membership change touched**.
 
-The structure is a union-find over dense link ids (the network's
-:class:`~repro.simulator.linkindex.LinkIndex` universe) with a flow-id
-set attached to each live root:
+The structure is an exact adjacency index over dense link ids (the
+network's :class:`~repro.simulator.linkindex.LinkIndex` universe):
 
-* **attach** (flow start / reroute landing) unions the flow's links into
-  one component and marks its root dirty;
-* **detach** (flow completion / reroute leaving) removes the flow from
-  its root's set and marks the root dirty — the union structure itself is
-  *not* split, so after departures a "component" may over-approximate the
-  true partition. Over-approximation is safe (re-filling extra demands is
-  still exact) but erodes the incremental win, so departures are counted
-  and the owner periodically calls :meth:`rebuild` — the
-  rebuild-on-departure *epoch* rule;
-* **consume_dirty** pops the dirty set, yielding every flow that must be
-  re-water-filled this round.
+* ``_link_flows`` maps each link carrying at least one live flow to the
+  set of those flows (links that carry none have no entry);
+* ``_flow_links`` maps each live flow to its unique link ids;
+* **attach** (flow start / reroute landing) and **detach** (completion /
+  reroute leaving) add or remove one flow's entries and mark its links
+  dirty;
+* **consume_dirty** walks the index from the dirty links and returns
+  exactly the live flows of the components those links belong to now.
 
-Dirty marks survive unions: merging two roots moves the absorbed root's
-dirty mark (and flow set) onto the surviving root, so the dirty set only
-ever names live roots.
+Components are never stored, only walked, so a departure that
+disconnects a component splits it at once: the next walk from either
+side stops at the gap. The walk costs O(links + flows) of the components
+it returns, which the refill of those same flows pays anyway.
 """
 
 from __future__ import annotations
@@ -38,183 +35,131 @@ __all__ = ["FlowLinkComponents"]
 
 
 class FlowLinkComponents:
-    """Union-find over link ids with per-component flow sets + dirty marks."""
+    """Exact link -> live-flows index with dirty link marks."""
 
-    __slots__ = ("_parent", "_size", "_flow_sets", "_dirty", "departures")
+    __slots__ = ("_link_flows", "_flow_links", "_dirty_links")
 
-    def __init__(self, num_links: int) -> None:
-        self._parent: List[int] = list(range(num_links))
-        self._size: List[int] = [1] * num_links
-        #: live root -> ids of flows attached to that component. Roots with
-        #: no flows have no entry, so ``len(_flow_sets)`` is the live
-        #: component count.
-        self._flow_sets: Dict[int, Set[int]] = {}
-        #: roots invalidated since the last :meth:`consume_dirty`.
-        self._dirty: Set[int] = set()
-        #: detaches since the last :meth:`rebuild`; the owner uses this to
-        #: decide when the over-approximated partition is worth recomputing.
-        self.departures = 0
-
-    # -- union-find core -----------------------------------------------------
-
-    def find(self, link_id: int) -> int:
-        """Root of the component containing ``link_id`` (path-compressing)."""
-        parent = self._parent
-        root = link_id
-        while parent[root] != root:
-            root = parent[root]
-        while parent[link_id] != root:
-            parent[link_id], link_id = root, parent[link_id]
-        return root
-
-    def find_roots(self, link_ids: Iterable[int]) -> List[int]:
-        """Component root per link id, in order (path-compressing).
-
-        The parallel backend's partition step: one representative link per
-        demand in, one root per demand out — demands sharing a root must
-        ride the same worker bucket so every link's accumulation order
-        stays serial (see ``repro.simulator.parallel``). The union
-        structure may over-approximate after departures; over-merged roots
-        just make buckets coarser, never incorrect.
-        """
-        return [self.find(int(link_id)) for link_id in link_ids]
-
-    def _union(self, a: int, b: int) -> int:
-        """Merge two distinct roots; returns the surviving root.
-
-        Union by size; the absorbed root's flow set merges small-into-large
-        and its dirty mark (if any) transfers to the survivor.
-        """
-        if self._size[a] < self._size[b]:
-            a, b = b, a
-        self._parent[b] = a
-        self._size[a] += self._size[b]
-        absorbed = self._flow_sets.pop(b, None)
-        if absorbed is not None:
-            surviving = self._flow_sets.get(a)
-            if surviving is None:
-                self._flow_sets[a] = absorbed
-            elif len(surviving) < len(absorbed):
-                absorbed.update(surviving)
-                self._flow_sets[a] = absorbed
-            else:
-                surviving.update(absorbed)
-        if b in self._dirty:
-            self._dirty.discard(b)
-            self._dirty.add(a)
-        return a
-
-    def _attach_links(self, flow_id: int, link_ids: Iterable[int]) -> int:
-        """Union a flow's links into one component and record membership."""
-        it = iter(link_ids)
-        root = self.find(next(it))
-        for link_id in it:
-            other = self.find(link_id)
-            if other != root:
-                root = self._union(root, other)
-        self._flow_sets.setdefault(root, set()).add(flow_id)
-        return root
+    def __init__(self) -> None:
+        #: link id -> ids of the live flows crossing it (no empty entries).
+        self._link_flows: Dict[int, Set[int]] = {}
+        #: live flow id -> its unique link ids.
+        self._flow_links: Dict[int, List[int]] = {}
+        #: links whose flow set changed since the last :meth:`consume_dirty`.
+        self._dirty_links: Set[int] = set()
 
     # -- membership events ---------------------------------------------------
 
-    def attach(self, flow_id: int, link_ids: Any) -> int:
-        """A flow landed on these links; its component becomes dirty.
+    def attach(self, flow_id: int, link_ids: Any) -> None:
+        """A flow landed on these links; their components become dirty.
 
         ``link_ids`` is the flow's sorted unique link-id array (every
-        component of a striped flow included — striping conservatively
-        merges the strands' components, which is an over-approximation the
-        exactness argument tolerates). Returns the component root at
-        attach time (advisory: later unions may absorb it — the network
-        records it as ``Flow.component_id`` grouping telemetry).
+        component of a striped flow included, so the strands' links join
+        one component — coarser than the demands need, never finer).
         """
-        root = self._attach_links(flow_id, link_ids.tolist())
-        self._dirty.add(root)
-        return root
+        links = link_ids.tolist()
+        self._flow_links[flow_id] = links
+        link_flows = self._link_flows
+        for link in links:
+            members = link_flows.get(link)
+            if members is None:
+                link_flows[link] = {flow_id}
+            else:
+                members.add(flow_id)
+        self._dirty_links.update(links)
 
-    def detach(self, flow_id: int, link_ids: Any) -> None:
-        """A flow left these links; its component becomes dirty.
-
-        The union structure keeps the (possibly now disconnected) merge —
-        splits only happen at the next :meth:`rebuild` epoch.
-        """
-        root = self.find(int(link_ids[0]))
-        members = self._flow_sets.get(root)
-        if members is not None:
+    def detach(self, flow_id: int) -> None:
+        """A flow left its links; whatever remains of them becomes dirty."""
+        links = self._flow_links.pop(flow_id)
+        link_flows = self._link_flows
+        for link in links:
+            members = link_flows[link]
             members.discard(flow_id)
             if not members:
-                del self._flow_sets[root]
-        self._dirty.add(root)
-        self.departures += 1
+                del link_flows[link]
+        self._dirty_links.update(links)
 
-    # -- dirty-set consumption -----------------------------------------------
+    # -- component walks -----------------------------------------------------
+
+    def _walk(self, start: int, links: Set[int], flows: Set[int]) -> List[int]:
+        """Add ``start``'s component to ``links`` and ``flows``.
+
+        ``start`` must carry a live flow and must not be in ``links`` yet.
+        Returns the component's links in visit order.
+        """
+        link_flows = self._link_flows
+        flow_links = self._flow_links
+        links.add(start)
+        reached = [start]
+        visited = 0
+        while visited < len(reached):
+            for flow_id in link_flows[reached[visited]]:
+                if flow_id not in flows:
+                    flows.add(flow_id)
+                    for link in flow_links[flow_id]:
+                        if link not in links:
+                            links.add(link)
+                            reached.append(link)
+            visited += 1
+        return reached
 
     def consume_dirty(self) -> Tuple[int, List[int]]:
-        """Pop the dirty set: ``(live components touched, sorted flow ids)``.
+        """Pop the dirty set: ``(components touched, sorted flow ids)``.
 
-        ``flow ids`` is every flow in any dirty component, ascending —
-        ascending order matches the network's flow-dict iteration order, so
-        a dirty-only CSR preserves the full assembly's per-link arithmetic
-        sequence (the bit-exactness requirement). Dirty roots whose flows
-        all departed contribute no flows and are not counted as touched.
+        ``flow ids`` is every live flow of every component a dirty link
+        belongs to, ascending — ascending order matches the network's
+        flow-dict iteration order, so a dirty-only CSR preserves the full
+        assembly's per-link arithmetic sequence (the bit-exactness
+        requirement). Dirty links that no longer carry a flow contribute
+        nothing and count as no component.
         """
-        dirty = self._dirty
-        self._dirty = set()
+        dirty = self._dirty_links
+        self._dirty_links = set()
+        link_flows = self._link_flows
+        links: Set[int] = set()
+        flows: Set[int] = set()
         touched = 0
-        flow_ids: Set[int] = set()
-        for root in sorted(dirty):
-            members = self._flow_sets.get(root)
-            if members:
+        for link in sorted(dirty):
+            if link not in links and link in link_flows:
                 touched += 1
-                flow_ids.update(members)
-        return touched, sorted(flow_ids)
+                self._walk(link, links, flows)
+        return touched, sorted(flows)
 
-    @property
-    def dirty_count(self) -> int:
-        """Dirty roots currently pending (testing/telemetry convenience)."""
-        return len(self._dirty)
+    def discard_dirty(self) -> None:
+        """Forget the dirty marks: a full fill has just re-rated every flow."""
+        self._dirty_links = set()
 
-    @property
-    def live_components(self) -> int:
-        """Number of components currently carrying at least one flow."""
-        return len(self._flow_sets)
+    def find_roots(self, link_ids: Iterable[int]) -> List[int]:
+        """Component label per link id, in order.
 
-    # -- epochs ----------------------------------------------------------------
-
-    def rebuild(self, flows: Iterable[Any]) -> None:
-        """Recompute the partition from scratch over the live flows.
-
-        Starts a fresh epoch: resets the union structure, re-attaches every
-        flow (splitting any departure-stale merges), clears the dirty set
-        and the departure counter. Called by the network after every full
-        fill and whenever :attr:`departures` crosses its epoch threshold.
+        The parallel backend's partition step: one representative link per
+        demand in, one label per demand out — demands sharing a label must
+        ride the same worker bucket so every link's accumulation order
+        stays serial (see ``repro.simulator.parallel``). A component's
+        label is its smallest link id; a link carrying no flow is its own
+        label.
         """
-        num_links = len(self._parent)
-        self._parent = list(range(num_links))
-        self._size = [1] * num_links
-        self._flow_sets = {}
-        self._dirty = set()
-        self.departures = 0
-        for flow in flows:
-            flow.component_id = self._attach_links(
-                flow.flow_id, flow.unique_link_ids.tolist()
-            )
+        label: Dict[int, int] = {}
+        flows: Set[int] = set()
+        roots: List[int] = []
+        for link in link_ids:
+            root = label.get(link)
+            if root is None:
+                if link in self._link_flows:
+                    members = self._walk(link, set(), flows)
+                    root = min(members)
+                    for member in members:
+                        label[member] = root
+                else:
+                    root = label[link] = link
+            roots.append(root)
+        return roots
 
     # -- introspection (invariant checks, tests) -------------------------------
 
-    def membership_audit(self) -> Tuple[Set[int], int]:
-        """``(union of all flow sets, total memberships)`` for auditing.
+    def link_flows(self) -> Dict[int, Set[int]]:
+        """A copy of the link -> live-flows index, for audits and tests."""
+        return {link: set(members) for link, members in self._link_flows.items()}
 
-        A healthy structure has ``total memberships == len(union)`` (no
-        flow in two components) and the union equal to the network's live
-        flow-id set.
-        """
-        tracked: Set[int] = set()
-        total = 0
-        for members in self._flow_sets.values():
-            tracked.update(members)
-            total += len(members)
-        return tracked, total
-
-    def component_flow_sets(self) -> List[frozenset]:
-        """The live components' flow-id sets (test introspection)."""
-        return [frozenset(members) for members in self._flow_sets.values()]
+    def flow_links(self) -> Dict[int, List[int]]:
+        """A copy of the flow -> unique-links index, for audits and tests."""
+        return {flow_id: list(links) for flow_id, links in self._flow_links.items()}

@@ -113,7 +113,7 @@ class Flow:
         self.path_history: List[Tuple[str, ...]] = (
             list(path_history) if path_history is not None else []
         )
-        #: per-component link-id arrays over the owning network's
+        #: per-component link-id lists over the owning network's
         #: LinkIndex, computed once at start/reroute and reused by every
         #: hot path (set by the Network; ``None`` for flows never attached
         #: to one).
@@ -130,7 +130,6 @@ class Flow:
         self._path_switches = path_switches
         self._monitored_path_index = monitored_path_index
         self._end_time = end_time
-        self._component_id: Optional[int] = None
         if not self.components:
             raise SimulationError(f"flow {self.flow_id} has no components")
         if self.src != self.components[0].path[0] or self.dst != self.components[0].path[-1]:
@@ -171,9 +170,6 @@ class Flow:
         store.monitored_path[row] = (
             -1 if self._monitored_path_index is None else self._monitored_path_index
         )
-        store.component_id[row] = (
-            -1 if self._component_id is None else self._component_id
-        )
         store.path_switches[row] = self._path_switches
         self._store = store
         self._row = row
@@ -197,8 +193,6 @@ class Flow:
         self._monitored_path_index = None if monitored < 0 else monitored
         end = float(store.end_time[row])
         self._end_time = None if math.isnan(end) else end
-        component = int(store.component_id[row])
-        self._component_id = None if component < 0 else component
         self._store = None
         self._row = -1
 
@@ -324,29 +318,6 @@ class Flow:
             self._end_time = value
         else:
             store.end_time[self._row] = math.nan if value is None else value
-
-    @property
-    def component_id(self) -> Optional[int]:
-        """Advisory flow-link component root recorded at attach/rebuild.
-
-        Written by :class:`~repro.simulator.components.FlowLinkComponents`
-        bookkeeping; later unions may retire the recorded root, so treat
-        it as a hint (grouping telemetry), never as an exact partition key.
-        ``None`` for flows outside an incremental-realloc network.
-        """
-        store = self._store
-        if store is None:
-            return self._component_id
-        root = int(store.component_id[self._row])
-        return None if root < 0 else root
-
-    @component_id.setter
-    def component_id(self, value: Optional[int]) -> None:
-        store = self._store
-        if store is None:
-            self._component_id = value
-        else:
-            store.component_id[self._row] = -1 if value is None else value
 
     # -- derived views ------------------------------------------------------------
 

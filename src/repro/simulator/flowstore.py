@@ -68,7 +68,6 @@ _COLUMN_SPECS: Tuple[Tuple[str, type, float], ...] = (
     ("elephant", np.bool_, False),
     ("live", np.bool_, False),
     ("monitored_path", np.int64, -1),
-    ("component_id", np.int64, -1),
     ("path_switches", np.int64, 0),
 )
 
@@ -98,7 +97,6 @@ class FlowStore:
     elephant: np.ndarray
     live: np.ndarray
     monitored_path: np.ndarray
-    component_id: np.ndarray
     path_switches: np.ndarray
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:

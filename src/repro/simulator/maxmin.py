@@ -13,13 +13,33 @@ weight 1.0.
 The allocator runs after every flow arrival/completion/reroute, so it is
 the simulator's hot loop. The fast path is :func:`maxmin_allocate_indexed`:
 demands arrive as CSR-style integer arrays over a persistent
-:class:`~repro.simulator.linkindex.LinkIndex`, and the progressive-filling
-loop is fully vectorized — bottleneck search is one ``argmin`` over the
-link arrays and each freeze round's capacity/weight updates are batched
-``np.add.at`` scatters, with no per-demand Python loop. The string-keyed
+:class:`~repro.simulator.linkindex.LinkIndex`. The string-keyed
 :func:`maxmin_allocate` signature survives as a thin wrapper that interns
 links per call, and :func:`maxmin_allocate_reference` preserves the
 pre-index implementation verbatim as the equivalence/benchmark baseline.
+
+Start regime. Progressive filling runs in one of two regimes, and each
+fill picks where it starts by its demand count alone:
+
+* **Vectorized rounds** (:func:`_vectorized_fill`, fills of
+  :data:`_HEAP_START_DEMANDS` demands or more): bottleneck search is one
+  ``argmin`` over the link arrays and each round's capacity/weight
+  updates are batched ``np.add.at`` scatters. A round costs O(L) numpy
+  work plus ~100 µs of fixed setup per call, which pays off when a
+  round freezes a whole symmetric tie batch of demands. Once rounds stop
+  batching, the fill hands its state to the heap loop.
+* **The lazy heap** (:func:`_progressive_fill_tail`): O(log L) Python
+  work per freeze and no O(L) passes. Small fills — the incremental
+  reallocator's typical dirty component holds a handful of flows — enter
+  it at round 0 (:func:`_heap_fill`, state built from the CSR in
+  O(nnz)), skipping the vectorized setup entirely.
+
+Both regimes freeze the same exact tie batch per round, members in
+ascending demand order, with the same float operations per link, so the
+start regime changes neither rates nor ``iterations``: the choice is a
+cost model, not a semantic switch. Starting every fill on the heap loses
+on large fills, where one vectorized round freezes hundreds of tied
+demands at once.
 
 Demands are assumed loop-free (no demand crosses the same directed link
 twice) — true for every path the topology generators emit.
@@ -49,6 +69,10 @@ _EPSILON = 1e-9
 _TAIL_SWITCH_ROUNDS = 4
 _SMALL_ROUND = 8
 
+#: Start-regime switch: fills of fewer demands than this run on the lazy
+#: heap from round 0 (see the module docstring).
+_HEAP_START_DEMANDS = 64
+
 
 def maxmin_allocate_indexed(
     indices: np.ndarray,
@@ -56,7 +80,7 @@ def maxmin_allocate_indexed(
     weights: np.ndarray,
     capacities: np.ndarray,
 ) -> Tuple[np.ndarray, int]:
-    """Vectorized progressive filling over pre-indexed demands.
+    """Progressive filling over pre-indexed demands.
 
     ``indices``/``indptr`` are a CSR encoding of the demand x link
     incidence: demand ``j`` crosses link ids
@@ -64,8 +88,14 @@ def maxmin_allocate_indexed(
     ``capacities`` is the dense per-link-id capacity array (links not
     crossed by any demand are ignored). Returns ``(rates, iterations)``
     where ``rates`` is the per-demand allocation in bits/s and
-    ``iterations`` counts filling rounds (one per saturated bottleneck) —
-    the number the network's :meth:`perf_stats` telemetry accumulates.
+    ``iterations`` counts filling rounds (one per saturated bottleneck
+    batch) — the number the network's :meth:`perf_stats` telemetry
+    accumulates.
+
+    Fills of fewer than :data:`_HEAP_START_DEMANDS` demands run on the
+    lazy heap from round 0 (:func:`_heap_fill`); larger ones start
+    vectorized (:func:`_vectorized_fill`). Both produce bit-identical
+    rates and iteration counts (see the module docstring).
 
     Inputs are trusted (the wrapper and the network validate at indexing
     time); an infeasible state still raises :class:`SimulationError`.
@@ -73,6 +103,68 @@ def maxmin_allocate_indexed(
     n = int(indptr.shape[0]) - 1
     if n <= 0:
         return np.zeros(0, dtype=float), 0
+    if n < _HEAP_START_DEMANDS:
+        return _heap_fill(indices, indptr, weights, capacities)
+    return _vectorized_fill(indices, indptr, weights, capacities)
+
+
+def _heap_fill(
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    weights: np.ndarray,
+    capacities: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """The whole fill on the lazy heap, with its state built in O(nnz).
+
+    Links are renumbered densely in order of first appearance, so a fill
+    over a few links of a large capacity array never walks the rest of
+    it. The heap loop is indifferent to link numbering: a round freezes
+    its whole tie batch, members in ascending demand order, whichever
+    tied link pops first. Each link's live weight accumulates in
+    ascending demand order, the order ``np.add.at`` uses in
+    :func:`_vectorized_fill`.
+    """
+    n = int(indptr.shape[0]) - 1
+    flat = indices.tolist()
+    ptr = indptr.tolist()
+    wts = weights.tolist()
+    caps = capacities[indices].astype(float, copy=False).tolist()
+    local: Dict[int, int] = {}
+    rem: List[float] = []
+    lw: List[float] = []
+    members: List[List[int]] = []
+    for j in range(n):
+        wj = wts[j]
+        for pos in range(ptr[j], ptr[j + 1]):
+            k = local.get(flat[pos])
+            if k is None:
+                k = local[flat[pos]] = len(rem)
+                rem.append(caps[pos])
+                lw.append(0.0)
+                members.append([])
+            lw[k] += wj
+            members[k].append(j)
+            flat[pos] = k
+    members_flat: List[int] = []
+    members_ptr = [0]
+    for link_members in members:
+        members_flat.extend(link_members)
+        members_ptr.append(len(members_flat))
+    out = [0.0] * n
+    iterations = _progressive_fill_tail(
+        rem, lw, flat, ptr, wts, members_flat, members_ptr, [True] * n, out, n, 0
+    )
+    return np.array(out, dtype=float), iterations
+
+
+def _vectorized_fill(
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    weights: np.ndarray,
+    capacities: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """Vectorized rounds first, the lazy heap once rounds stop batching."""
+    n = int(indptr.shape[0]) - 1
     num_links = int(capacities.shape[0])
 
     # Demand owning each nonzero, and the link -> member-demands CSR
@@ -150,47 +242,58 @@ def maxmin_allocate_indexed(
             np.maximum(remaining, 0.0, out=remaining)
             small_rounds = small_rounds + 1 if members.size < _SMALL_ROUND else 0
             if small_rounds >= _TAIL_SWITCH_ROUNDS and unfrozen > 0:
-                return _progressive_fill_tail(
-                    remaining,
-                    live_weight,
-                    indices,
-                    indptr,
-                    weights,
-                    link_members,
-                    link_ptr,
-                    rates,
-                    active,
+                out = rates.tolist()
+                iterations = _progressive_fill_tail(
+                    remaining.tolist(),
+                    live_weight.tolist(),
+                    indices.tolist(),
+                    indptr.tolist(),
+                    weights.tolist(),
+                    link_members.tolist(),
+                    link_ptr.tolist(),
+                    active.tolist(),
+                    out,
                     unfrozen,
                     iterations,
                 )
+                rates[:] = out
+                return rates, iterations
 
     return rates, iterations
 
 
 def _progressive_fill_tail(
-    remaining: np.ndarray,
-    live_weight: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    weights: np.ndarray,
-    link_members: np.ndarray,
-    link_ptr: np.ndarray,
-    rates: np.ndarray,
-    active: np.ndarray,
+    rem: List[float],
+    lw: List[float],
+    flat: List[int],
+    ptr: List[int],
+    wts: List[float],
+    members_flat: List[int],
+    members_ptr: List[int],
+    act: List[bool],
+    out: List[float],
     unfrozen: int,
     iterations: int,
-) -> Tuple[np.ndarray, int]:
-    """Finish progressive filling with a lazy-deletion min-heap.
+) -> int:
+    """Progressive filling with a lazy-deletion min-heap, in place.
 
-    Takes over mid-fill when rounds stop batching (every remaining
-    bottleneck has a distinct share, freezing one or two demands each).
+    The one heap loop, entered at round 0 by :func:`_heap_fill` or
+    mid-fill by :func:`_vectorized_fill` once its rounds stop batching.
+    State is plain lists: per-link remaining capacity ``rem`` and live
+    weight ``lw``, the demand -> links CSR ``flat``/``ptr``, per-demand
+    weights ``wts``, the link -> member-demands CSR
+    ``members_flat``/``members_ptr`` (ascending demand order per link),
+    and the per-demand ``act`` flags and rates ``out``, which it updates.
+    Returns the running ``iterations`` count.
+
     Shares are monotone: freezing a demand never lowers any other link's
     share (share' = s_l + w * (s_l - s) / (lw - w) >= s_l since s is the
     round minimum), so a heap entry's key is always <= the link's current
     share and a stale pop can simply be re-pushed with the refreshed key.
     Each pop/freeze touches O(path length * log L) Python-level work with
-    no O(L) array passes — cheaper than numpy dispatch at this regime's
-    one-demand-per-round granularity.
+    no O(L) array passes — cheaper than numpy dispatch when rounds freeze
+    one or two demands each, or when the whole fill is a handful of
+    demands.
 
     Each round pops a verified-fresh bottleneck, then drains every other
     link whose *refreshed* share ties it exactly (a popped key <= the
@@ -209,16 +312,6 @@ def _progressive_fill_tail(
     reach the tail depends on global round structure, so the perturbation
     would differ between a combined fill and its decomposition.
     """
-    rem = remaining.tolist()
-    lw = live_weight.tolist()
-    flat = indices.tolist()
-    ptr = indptr.tolist()
-    wts = weights.tolist()
-    members_flat = link_members.tolist()
-    members_ptr = link_ptr.tolist()
-    act = active.tolist()
-    out = rates.tolist()
-
     heap = [(rem[b] / lw[b], b) for b in range(len(lw)) if lw[b] > _EPSILON]
     heapq.heapify(heap)
     while unfrozen > 0:
@@ -276,9 +369,7 @@ def _progressive_fill_tail(
         for link in tied:
             rem[link] = 0.0
             lw[link] = 0.0
-
-    rates[:] = out
-    return rates, iterations
+    return iterations
 
 
 def _intern_demands(

@@ -19,7 +19,7 @@ Performance architecture (see DESIGN.md): every directed link is interned
 to a dense integer id by a :class:`~repro.simulator.linkindex.LinkIndex`
 built once per network. Capacities, delays, failure state, flow counters,
 and utilizations live in numpy arrays indexed by link id; each flow's
-components are indexed to link-id arrays exactly once at start/reroute and
+components are indexed to link ids exactly once at start/reroute and
 reused by counter updates, reallocation, reordering estimates, and
 invariant checks. The reallocator hands the allocator pre-built CSR demand
 arrays, so the per-event hot path never hashes a ``(str, str)`` link key.
@@ -29,14 +29,15 @@ Incremental reallocation (the default; see DESIGN.md "Component
 decomposition"): max-min allocation decomposes exactly across connected
 components of the flow-link incidence graph, so each coalesced realloc
 re-water-fills only the components invalidated since the last one —
-tracked by a :class:`~repro.simulator.components.FlowLinkComponents`
-union-find — and splices the new rates into the persistent per-link load
-array. Failure transitions and departure epochs fall back to a full fill
-(which also rebuilds the partition). Rates, loads, utilizations, FCTs, and
-the event sequence are bit-identical to full reallocation; only the
-``filling_iterations`` count differs (per-component fills count symmetric
-cross-component ties as separate rounds). Construct with
-``incremental_realloc=False`` to force the full fill every round.
+found by walking an exact link -> live-flows index
+(:class:`~repro.simulator.components.FlowLinkComponents`) from the links
+whose flow sets changed — and splices the new rates into the persistent
+per-link load array. Failure transitions fall back to a full fill. Rates,
+loads, utilizations, FCTs, and the event sequence are bit-identical to
+full reallocation; only the ``filling_iterations`` count differs
+(per-component fills count symmetric cross-component ties as separate
+rounds). Construct with ``incremental_realloc=False`` to force the full
+fill every round.
 
 Monitoring queries are vectorized the same way: :meth:`batch_path_state`
 evaluates every monitored path's bottleneck BoNF in one pass over the
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -97,14 +98,6 @@ from repro.simulator.maxmin import (
 from repro.simulator.reordering import reordering_retx_fraction_indexed
 
 _BYTES_EPSILON = 1.0  # flows within one byte of done are done
-
-#: Departure-epoch rule: a dirty refill triggers a partition rebuild once
-#: departures since the last rebuild reach ``min(MAX, max(MIN, live // 2))``
-#: — rarely enough to amortize the O(flows x path length) rebuild, often
-#: enough that departure-stale merges cannot silently grow components back
-#: toward a global fill.
-_EPOCH_MIN_DEPARTURES = 16
-_EPOCH_MAX_DEPARTURES = 256
 
 Listener = Callable[[Flow], None]
 
@@ -222,14 +215,17 @@ class Network:
         self._util_array = np.zeros(num_links, dtype=float)
         self._peak_util_array = np.zeros(num_links, dtype=float)
         self._failed_mask = np.zeros(num_links, dtype=bool)
+        #: ids of the failed directed links: the refills' dead-demand test
+        #: (``isdisjoint`` against a demand's link-id list).
+        self._failed_ids: Set[int] = set()
         #: persistent per-link allocated load (bits/s). Full fills rewrite
         #: it wholesale; dirty fills zero and re-scatter only the touched
         #: component's links (bit-exact either way, see scatter_link_loads).
         self._load_array = np.zeros(num_links, dtype=float)
 
-        #: live flow-link component partition (None = full fills only).
+        #: live flow-link incidence index (None = full fills only).
         self._components: Optional[FlowLinkComponents] = (
-            FlowLinkComponents(num_links) if self.incremental_realloc else None
+            FlowLinkComponents() if self.incremental_realloc else None
         )
         #: the next _reallocate must run the full fill: set initially, and
         #: by fail/restore (failure transitions change which demands are
@@ -306,8 +302,6 @@ class Network:
         self._stat_realloc_incremental = 0
         self._stat_realloc_subset = 0
         self._stat_components_touched = 0
-        self._stat_components_live = 0
-        self._stat_component_rebuilds = 0
         self._stat_flows_rerated = 0
         self._stat_flows_preserved = 0
         self._stat_events_rescheduled = 0
@@ -363,9 +357,7 @@ class Network:
         self.flows[flow.flow_id] = flow
         self._adjust_link_counts(flow, +1)
         if self._components is not None:
-            flow.component_id = self._components.attach(
-                flow.flow_id, flow.unique_link_ids
-            )
+            self._components.attach(flow.flow_id, flow.unique_link_ids)
         self._stat_flows_started += 1
         if self.elephant_detector is None:
             self.engine.schedule_in(
@@ -400,7 +392,7 @@ class Network:
         if self._components is not None:
             # The old links' component is dirty (this flow's load leaves it)
             # and the old link ids must be zeroed out of the load array.
-            self._components.detach(flow.flow_id, flow.unique_link_ids)
+            self._components.detach(flow.flow_id)
             self._retired_link_ids.append(flow.unique_link_ids)
         flow.components = list(components)
         self._index_components(flow)
@@ -411,9 +403,7 @@ class Network:
         self.flow_store.rate_bps[flow.store_row] = 0.0
         self._adjust_link_counts(flow, +1)
         if self._components is not None:
-            flow.component_id = self._components.attach(
-                flow.flow_id, flow.unique_link_ids
-            )
+            self._components.attach(flow.flow_id, flow.unique_link_ids)
         self._stat_reroutes += 1
         if count_switch:
             flow.path_switches += 1
@@ -461,8 +451,9 @@ class Network:
         logger.info("t=%.2f link %s <-> %s failed", self.now, u, v)
         self.failed_links.add((u, v))
         self.failed_links.add((v, u))
-        self._failed_mask[self.link_index.id_of((u, v))] = True
-        self._failed_mask[self.link_index.id_of((v, u))] = True
+        ids = (self.link_index.id_of((u, v)), self.link_index.id_of((v, u)))
+        self._failed_mask[list(ids)] = True
+        self._failed_ids.update(ids)
         # Reallocate synchronously: a dead cable must carry nothing from
         # this instant, not from the next event-loop turn. Failure
         # transitions change which demands are excluded fabric-wide, so the
@@ -482,8 +473,9 @@ class Network:
         logger.info("t=%.2f link %s <-> %s restored", self.now, u, v)
         self.failed_links.discard((u, v))
         self.failed_links.discard((v, u))
-        self._failed_mask[self.link_index.id_of((u, v))] = False
-        self._failed_mask[self.link_index.id_of((v, u))] = False
+        ids = (self.link_index.id_of((u, v)), self.link_index.id_of((v, u)))
+        self._failed_mask[list(ids)] = False
+        self._failed_ids.difference_update(ids)
         self._force_full = True
         self._stat_realloc_sync += 1
         self._reallocate()
@@ -678,12 +670,10 @@ class Network:
         * ``realloc_full`` / ``realloc_incremental`` — fills that ran
           globally vs dirty-component-scoped (they sum to
           ``realloc_calls``);
-        * ``realloc_subset`` — incremental fills that touched a *strict*
-          subset of the live components (the locality win);
-        * ``components_touched`` / ``components_live`` — dirty vs live
-          component totals summed over incremental fills;
-        * ``component_rebuilds`` — partition rebuilds (one per full fill
-          plus departure epochs);
+        * ``realloc_subset`` — incremental fills that re-rated fewer flows
+          than were live (the locality win);
+        * ``components_touched`` — exact flow-link components re-filled,
+          summed over incremental fills;
         * ``flows_rerated`` / ``flows_preserved`` — flows re-water-filled
           vs left untouched, summed over incremental fills;
         * ``events_rescheduled`` / ``events_preserved`` — completion-event
@@ -732,8 +722,6 @@ class Network:
             "realloc_incremental": self._stat_realloc_incremental,
             "realloc_subset": self._stat_realloc_subset,
             "components_touched": self._stat_components_touched,
-            "components_live": self._stat_components_live,
-            "component_rebuilds": self._stat_component_rebuilds,
             "flows_rerated": self._stat_flows_rerated,
             "flows_preserved": self._stat_flows_preserved,
             "events_rescheduled": self._stat_events_rescheduled,
@@ -808,6 +796,8 @@ class Network:
         expected_total = np.zeros(num_links, dtype=np.int64)
         expected_eleph = np.zeros(num_links, dtype=np.int64)
         load = np.zeros(num_links, dtype=float)
+        #: flow id -> unique link ids, recounted from the component paths.
+        recount_links: Dict[int, List[int]] = {}
         for flow in self.flows.values():
             flow_ids: List[np.ndarray] = []
             for component, rate in zip(flow.components, flow.component_rates):
@@ -815,6 +805,7 @@ class Network:
                 flow_ids.append(ids)
                 load[ids] += rate
             unique = np.unique(np.concatenate(flow_ids)) if flow_ids else np.empty(0, np.intp)
+            recount_links[flow.flow_id] = unique.tolist()
             expected_total[unique] += 1
             if flow.is_elephant:
                 expected_eleph[unique] += 1
@@ -858,15 +849,7 @@ class Network:
                 link=self.link_index.links[bad],
             )
         if self._components is not None:
-            tracked, memberships = self._components.membership_audit()
-            live = set(self.flows)
-            if tracked != live or memberships != len(live):
-                raise InvariantViolation(
-                    "component-membership",
-                    f"{memberships} memberships over {len(tracked)} tracked flows "
-                    f"vs {len(live)} live (missing {sorted(live - tracked)[:5]}, "
-                    f"stale {sorted(tracked - live)[:5]})",
-                )
+            self._audit_component_index(self._components, recount_links)
         for flow in self.flows.values():
             if flow.remaining_bytes < 0:
                 raise InvariantViolation(
@@ -921,14 +904,56 @@ class Network:
         for hook in tuple(self.invariant_hooks):
             hook(self)
 
+    def _audit_component_index(
+        self, comps: FlowLinkComponents, recount_links: Dict[int, List[int]]
+    ) -> None:
+        """Check the link -> flows index against a recount of the live flows.
+
+        ``recount_links`` maps each live flow to its unique link ids,
+        re-derived from its component paths. Each live flow must be listed
+        on exactly those links, with no stale flow ids and no empty link
+        entries, and the index's own flow -> links map must agree.
+        """
+        expected: Dict[int, Set[int]] = {}
+        for flow_id, links in recount_links.items():
+            for link in links:
+                expected.setdefault(link, set()).add(flow_id)
+        indexed = comps.link_flows()
+        if indexed != expected:
+            link = min(
+                lid for lid in expected.keys() | indexed.keys()
+                if indexed.get(lid) != expected.get(lid)
+            )
+            got, want = indexed.get(link, set()), expected.get(link, set())
+            raise InvariantViolation(
+                "component-index",
+                f"index lists flows {sorted(got)[:5]} where the live flows are "
+                f"{sorted(want)[:5]} (stale {sorted(got - want)[:5]}, "
+                f"missing {sorted(want - got)[:5]})",
+                link=self.link_index.links[link],
+            )
+        flow_links = comps.flow_links()
+        if flow_links != recount_links:
+            flow_id = min(
+                fid for fid in flow_links.keys() | recount_links.keys()
+                if flow_links.get(fid) != recount_links.get(fid)
+            )
+            raise InvariantViolation(
+                "component-index",
+                f"indexed links {flow_links.get(flow_id)} != recount "
+                f"{recount_links.get(flow_id)}",
+                flow_id=flow_id,
+            )
+
     # -- internals --------------------------------------------------------------
 
     def _index_components(self, flow: Flow) -> None:
-        """Validate a flow's components and cache their link-id arrays.
+        """Validate a flow's components and cache their link ids.
 
         Runs exactly once per start/reroute; every later hot path
         (counter scatter, CSR assembly, reordering estimate) reuses the
-        arrays cached here.
+        per-component link-id lists and the unique link-id array cached
+        here.
         """
         component_ids: List[np.ndarray] = []
         for component in flow.components:
@@ -938,7 +963,7 @@ class Network:
                     f"{flow.src!r} to {flow.dst!r}"
                 )
             component_ids.append(self.link_index.index_links(component.links()))
-        flow.component_link_ids = component_ids
+        flow.component_link_ids = [ids.tolist() for ids in component_ids]
         if len(component_ids) == 1:
             flow.unique_link_ids = np.unique(component_ids[0])
         else:
@@ -1026,21 +1051,20 @@ class Network:
 
     def _assemble_demands(
         self, flows: Sequence[Flow]
-    ) -> Tuple[List[np.ndarray], List[float], List[Tuple[Flow, int]]]:
-        """Per-component (link-id arrays, weights, owners) of live demands.
+    ) -> Tuple[List[List[int]], List[float], List[Tuple[Flow, int]]]:
+        """Per-component (link-id lists, weights, owners) of live demands.
 
         Components crossing a failed link are skipped — they carry nothing
         until rerouted. Shared by the full fill, the dirty refill, and
         :meth:`demand_csr`, so the three can never drift apart.
         """
-        component_ids: List[np.ndarray] = []
+        component_ids: List[List[int]] = []
         weights: List[float] = []
         owners: List[Tuple[Flow, int]] = []
-        any_failed = bool(self.failed_links)
-        failed_mask = self._failed_mask
+        failed = self._failed_ids
         for flow in flows:
             for idx, ids in enumerate(flow.component_link_ids):
-                if any_failed and failed_mask[ids].any():
+                if failed and not failed.isdisjoint(ids):
                     continue  # dead component: carries nothing until rerouted
                 component_ids.append(ids)
                 weights.append(flow.components[idx].weight)
@@ -1064,13 +1088,13 @@ class Network:
         np.add.at(self.flow_store.rate_bps, owner_rows, rates)
 
     @staticmethod
-    def _build_csr(component_ids: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        n = len(component_ids)
-        lengths = np.fromiter((ids.size for ids in component_ids), dtype=np.intp, count=n)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.concatenate(component_ids)
-        return indices, indptr
+    def _build_csr(component_ids: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+        flat: List[int] = []
+        bounds = [0]
+        for ids in component_ids:
+            flat.extend(ids)
+            bounds.append(len(flat))
+        return np.array(flat, dtype=np.intp), np.array(bounds, dtype=np.intp)
 
     def demand_csr(
         self,
@@ -1102,18 +1126,6 @@ class Network:
             self._refill_full()
         else:
             self._refill_dirty()
-            # Departure epoch: the union structure only over-approximates
-            # across detaches; rebuild before stale merges erode the
-            # locality win. Lives here, not in _refill_dirty: the rebuild
-            # mutates the shared partition, and the refill itself must stay
-            # component-pure (RACE003) for component-parallel rounds.
-            comps = self._components
-            if comps.departures >= min(
-                _EPOCH_MAX_DEPARTURES,
-                max(_EPOCH_MIN_DEPARTURES, len(self.flows) // 2),
-            ):
-                comps.rebuild(self.flows.values())
-                self._stat_component_rebuilds += 1
         self._stat_realloc_calls += 1
         self._stat_realloc_time_s += perf_counter() - started  # dardlint: disable=DET002
         self._schedule_next_completion()
@@ -1173,21 +1185,22 @@ class Network:
         self._stat_realloc_full += 1
         comps = self._components
         if comps is not None:
-            # A full fill leaves nothing dirty and resets the epoch.
-            comps.rebuild(self.flows.values())
+            # A full fill leaves nothing dirty.
+            comps.discard_dirty()
             self._retired_link_ids.clear()
-            self._stat_component_rebuilds += 1
             self._force_full = False
 
     def _refill_dirty(self) -> None:
         """Water-fill only the components invalidated since the last fill.
 
         Exact by component decomposition (see DESIGN.md): every demand of a
-        dirty component is re-filled against the links' full capacities
-        (compacted to the touched ids — ``np.unique`` preserves relative
-        order, so bottleneck selection and heap tie-breaking are unchanged),
-        while untouched components keep their rates, loads, utilizations,
-        and reordering fractions bit-for-bit.
+        dirty component — exactly the live flows connected to a link whose
+        flow set changed — is re-filled against the links' full capacities,
+        read from ``_cap_array`` on every fill (compacted to the touched
+        ids — ``np.unique`` preserves relative order, so bottleneck
+        selection and heap tie-breaking are unchanged), while untouched
+        components keep their rates, loads, utilizations, and reordering
+        fractions bit-for-bit.
         """
         comps = self._components
         touched, dirty_flow_ids = comps.consume_dirty()
@@ -1260,17 +1273,12 @@ class Network:
             elif dirty_rows is not None:
                 store.retx_fraction[dirty_rows] = 0.0
                 store.goodput_factor[dirty_rows] = 1.0
-        live = comps.live_components
         self._stat_realloc_incremental += 1
         self._stat_components_touched += touched
-        self._stat_components_live += live
-        if touched < live:
+        if len(dirty_flows) < len(flows):
             self._stat_realloc_subset += 1
         self._stat_flows_rerated += len(dirty_flows)
         self._stat_flows_preserved += len(flows) - len(dirty_flows)
-        # (The departure-epoch rebuild used to live here; it moved to
-        # _reallocate so this method stays component-pure — see the
-        # ownership table in repro.lint.ownership.)
 
     def _schedule_next_completion(self) -> None:
         old_handle = self._completion_handle
@@ -1358,7 +1366,7 @@ class Network:
             flow.end_time = self.now
             self._adjust_link_counts(flow, -1)
             if self._components is not None:
-                self._components.detach(flow.flow_id, flow.unique_link_ids)
+                self._components.detach(flow.flow_id)
                 self._retired_link_ids.append(flow.unique_link_ids)
             if flow.is_elephant:
                 self._current_elephants -= 1

@@ -97,14 +97,14 @@ def _spread_fraction(
 
 def reordering_retx_fraction_indexed(
     rates: Sequence[float],
-    component_link_ids: Sequence[np.ndarray],
+    component_link_ids: Sequence[Sequence[int]],
     link_delays: np.ndarray,
     link_utils: np.ndarray,
     beta: float = BETA,
 ) -> float:
     """Array-backed fast path of :func:`reordering_retx_fraction`.
 
-    Takes the per-component link-id arrays a network caches at
+    Takes the per-component link-id lists a network caches at
     start/reroute time plus its dense per-link delay and utilization
     arrays; per-path delay estimates become vectorized gathers instead of
     per-link dict lookups.

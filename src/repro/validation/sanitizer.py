@@ -16,9 +16,7 @@ latent race into a deterministic, attributable crash under
 
 The wrapper set is *derived from the ownership table*, not hand-listed:
 every writer name of a ``runtime_guarded`` entry is resolved against the
-Flow property setters, then FlowStore, then Network. Names that resolve
-to none of those (e.g. ``rebuild``, whose column writes flow through the
-wrapped ``component_id`` setter) need no wrapper of their own.
+Flow property setters, then FlowStore, then Network.
 
 Wrappers are installed on the *classes* (FlowStore uses ``__slots__``,
 so per-instance patching is impossible) and are refcounted: instances
@@ -158,8 +156,7 @@ def _install_wrappers() -> None:
         if callable(network_member):
             _INSTALLED.append((Network, name, network_member))
             setattr(Network, name, _wrap(network_member, _network_lookup))
-        # Writers resolving to none of the three (e.g. rebuild) mutate
-        # columns only through the wrapped Flow setters — nothing to do.
+        # A writer resolving to none of the three has nothing to wrap.
 
 
 def _remove_wrappers() -> None:

@@ -1,12 +1,13 @@
 """RACE003 bad fixture: shared-structure mutation inside a component round.
 
-``rebuild`` re-partitions the union-find every component shares; calling
-it from a component-scoped root mutates global structure mid-round.
+``_compact`` re-lays the monitor registry's CSR every component reads;
+calling it from a component-scoped root mutates global structure
+mid-round.
 """
 
 
-class EpochRunner:
+class CompactingRound:
     """Minimal shape for the rule: only the names matter."""
 
     def _refill_dirty(self, flows):
-        self._partition.rebuild(flows)
+        self._registry._compact()

@@ -1,16 +1,16 @@
-"""RACE003 good fixture: the epoch rebuild hoisted to the serial caller.
+"""RACE003 good fixture: the registry compaction hoisted to the serial caller.
 
 ``_reallocate`` is not component-scoped, so mutating the shared
-partition there (after the round returns) is the sanctioned pattern.
+registry there (after the round returns) is the sanctioned pattern.
 """
 
 
-class EpochKeeper:
+class CompactingKeeper:
     """Minimal shape for the rule: only the names matter."""
 
     def _reallocate(self, flows):
         self._refill_dirty(flows)
-        self._partition.rebuild(flows)
+        self._registry._compact()
 
     def _refill_dirty(self, flows):
         self._pending_total = len(flows)

@@ -226,7 +226,6 @@ class TestNetworkIntegration:
         net.engine.run_until(0.1)
         row = flow.store_row
         assert float(net.flow_store.rate_bps[row]) == sum(flow.component_rates)
-        assert flow.component_id is not None
         net.check_invariants()
 
     def test_view_identity_after_reroute_and_retx_penalty(self, net):

@@ -13,6 +13,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.units import MB, MBPS
 from repro.experiments.runner import ScenarioConfig, run_scenario
@@ -142,48 +144,152 @@ class TestTelemetry:
 
 class TestComponentStructure:
     def test_attach_detach_membership(self):
-        comps = FlowLinkComponents(6)
+        comps = FlowLinkComponents()
         comps.attach(1, np.array([0, 1], dtype=np.intp))
         comps.attach(2, np.array([3, 4], dtype=np.intp))
-        assert comps.live_components == 2
-        tracked, memberships = comps.membership_audit()
-        assert tracked == {1, 2} and memberships == 2
-        # A flow spanning both merges them.
+        assert comps.consume_dirty() == (2, [1, 2])
+        # A flow spanning both joins them into one component.
         comps.attach(3, np.array([1, 3], dtype=np.intp))
-        assert comps.live_components == 1
-        comps.detach(3, np.array([1, 3], dtype=np.intp))
-        # Detach never splits: the merged component persists until rebuild.
-        assert comps.live_components == 1
-        assert comps.departures == 1
+        assert comps.consume_dirty() == (1, [1, 2, 3])
+        # Its departure disconnects them again, at once: the links it left
+        # now belong to two components.
+        comps.detach(3)
+        assert comps.consume_dirty() == (2, [1, 2])
+        assert comps.link_flows() == {0: {1}, 1: {1}, 3: {2}, 4: {2}}
+        assert comps.flow_links() == {1: [0, 1], 2: [3, 4]}
 
     def test_consume_dirty_returns_component_flows(self):
-        comps = FlowLinkComponents(4)
+        comps = FlowLinkComponents()
         comps.attach(7, np.array([0, 1], dtype=np.intp))
         comps.attach(8, np.array([2, 3], dtype=np.intp))
         touched, flow_ids = comps.consume_dirty()
         assert touched == 2 and flow_ids == [7, 8]
         # Consuming clears the dirty set.
         assert comps.consume_dirty() == (0, [])
+        # Only the component a change touches comes back.
+        comps.attach(9, np.array([1, 5], dtype=np.intp))
+        assert comps.consume_dirty() == (1, [7, 9])
+        # Links a departure leaves empty name no component.
+        comps.detach(8)
+        assert comps.consume_dirty() == (0, [])
+        assert 2 not in comps.link_flows() and 3 not in comps.link_flows()
 
-    def test_epoch_rebuild_restores_exact_partition(self):
+    def test_find_roots_labels_exact_components(self):
+        comps = FlowLinkComponents()
+        comps.attach(1, np.array([2, 5], dtype=np.intp))
+        comps.attach(2, np.array([5, 7], dtype=np.intp))
+        comps.attach(3, np.array([4, 6], dtype=np.intp))
+        # Smallest link id labels a component; an unused link labels itself.
+        assert comps.find_roots([7, 6, 2, 9]) == [2, 4, 2, 9]
+        comps.detach(2)
+        assert comps.find_roots([7, 5]) == [7, 2]
+
+    def test_departure_splits_a_live_network_component(self):
         net, flows = _stride_network()
+        topo = net.topology
+        # A bridge flow shares the first flow's source access link and the
+        # second flow's destination access link, joining them.
+        src, dst = "h_0_0_0", "h_3_0_0"
+        path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[0]
+        bridge = net.start_flow(src, dst, 1e6, [FlowComponent(topo.host_path(src, dst, path))])
         comps = net._components
-        assert comps.live_components == 2
-        # Reroute merges nothing here, but departures accumulate; force
-        # the epoch threshold and verify the next dirty fill rebuilds.
-        comps.departures = 10_000
-        rebuilds = net.perf_stats()["component_rebuilds"]
-        net.start_flow(
-            "h_0_0_1", "h_0_1_1",
-            8e6,
-            [FlowComponent(net.topology.host_path(
-                "h_0_0_1", "h_0_1_1",
-                net.topology.equal_cost_paths("tor_0_0", "tor_0_1")[0],
-            ))],
-        )
-        net.engine.run_until(net.engine.now + 0.001)
-        assert net.perf_stats()["component_rebuilds"] == rebuilds + 1
-        assert comps.departures == 0
+        first_links = [int(flow.unique_link_ids[0]) for flow in flows]
+        assert len(set(comps.find_roots(first_links))) == 1
+        # The bridge (1 MB) finishes first; its departure splits them, so
+        # the refill it triggers re-rates both halves as two components.
+        touched = net.perf_stats()["components_touched"]
+        net.engine.run_until(net.engine.now + 1.0)
+        assert not bridge.active and flows[0].active and flows[1].active
+        assert len(set(comps.find_roots(first_links))) == 2
+        assert net.perf_stats()["components_touched"] == touched + 1 + 2
+        net.check_invariants()
+
+    def test_invariants_catch_a_stale_index_entry(self):
+        from repro.common.errors import InvariantViolation
+
+        net, flows = _stride_network()
+        net.check_invariants()
+        comps = net._components
+        # A departed flow left on one link: a stale id the walk would
+        # follow into a dead flow.
+        link = int(flows[0].unique_link_ids[0])
+        comps._link_flows[link].add(99)
+        with pytest.raises(InvariantViolation, match="component-index"):
+            net.check_invariants()
+        comps._link_flows[link].discard(99)
+        net.check_invariants()
+        # An empty entry left behind by a detach.
+        used = {int(link) for flow in flows for link in flow.unique_link_ids}
+        idle = next(link for link in range(len(net.link_index)) if link not in used)
+        comps._link_flows[idle] = set()
+        with pytest.raises(InvariantViolation, match="component-index"):
+            net.check_invariants()
+
+
+def _brute_force_dirty(live_links, touched):
+    """Components of the live flow-link graph that contain a touched link.
+
+    Merges flow groups sharing any link until nothing changes — a
+    from-scratch fixpoint, independent of the index and its walk.
+    """
+    groups = [({flow_id}, set(links)) for flow_id, links in live_links.items()]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i][1] & groups[j][1]:
+                    groups[i] = (groups[i][0] | groups[j][0], groups[i][1] | groups[j][1])
+                    del groups[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    hit = [flow_ids for flow_ids, links in groups if links & touched]
+    return len(hit), sorted(set().union(*hit))
+
+
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["attach", "detach", "reroute", "consume"]),
+        st.integers(min_value=0, max_value=1_000),
+        st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=4),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops)
+def test_consume_dirty_matches_brute_force_search(ops):
+    comps = FlowLinkComponents()
+    live = {}
+    touched = set()
+    next_id = 0
+    for kind, pick, links in ops + [("consume", 0, [0])]:
+        links = sorted(set(links))
+        if kind == "attach" or (kind != "consume" and not live):
+            comps.attach(next_id, np.array(links, dtype=np.intp))
+            live[next_id] = links
+            touched.update(links)
+            next_id += 1
+        elif kind == "consume":
+            assert comps.consume_dirty() == _brute_force_dirty(live, touched)
+            touched = set()
+        else:
+            flow_id = sorted(live)[pick % len(live)]
+            comps.detach(flow_id)
+            touched.update(live.pop(flow_id))
+            if kind == "reroute":
+                comps.attach(flow_id, np.array(links, dtype=np.intp))
+                live[flow_id] = links
+                touched.update(links)
+        expected = {}
+        for flow_id, flow_links in live.items():
+            for link in flow_links:
+                expected.setdefault(link, set()).add(flow_id)
+        assert comps.link_flows() == expected
+        assert comps.flow_links() == live
 
 
 class TestBatchPathState:

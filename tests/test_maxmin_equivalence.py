@@ -6,17 +6,26 @@ implementation (``maxmin_allocate_reference``) across random topologies,
 weights, and failure sets. "Same" means within 1e-9 relative tolerance —
 the two paths may pick saturated bottlenecks in a different order when
 shares tie exactly, which perturbs nothing beyond floating-point ulps.
+
+The indexed allocator's two start regimes (the lazy heap from round 0
+and vectorized rounds first) are held to a stricter bar: bit-identical
+rates and iteration counts on the same CSR.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.common.units import MB, MBPS
 from repro.simulator import FlowComponent, Network
 from repro.simulator.maxmin import (
+    _HEAP_START_DEMANDS,
+    _heap_fill,
+    _vectorized_fill,
     maxmin_allocate,
+    maxmin_allocate_indexed,
     maxmin_allocate_reference,
 )
 from repro.topology import FatTree
@@ -140,3 +149,75 @@ class TestRandomizedEquivalence:
             actual = [flow.component_rates[idx] for flow, idx in owners]
             assert_rates_equal(actual, expected)
             net.check_invariants()
+
+
+def random_csr(rng, num_demands, tie_heavy):
+    """A random demand CSR; ``tie_heavy`` draws from few capacities/weights.
+
+    Few distinct capacities and weights (every weight a small dyadic
+    multiple, some != 1) make exact share ties common, the case where
+    the two start regimes must agree on whole tie batches.
+    """
+    num_links = rng.randint(2, 48)
+    indices, indptr, weights = [], [0], []
+    for _ in range(num_demands):
+        links = rng.sample(range(num_links), rng.randint(1, min(6, num_links)))
+        indices.extend(links)
+        indptr.append(len(indices))
+        weights.append(
+            rng.choice([0.5, 1.0, 1.0, 2.0, 3.0]) if tie_heavy else rng.uniform(0.1, 5.0)
+        )
+    if tie_heavy:
+        capacities = [rng.choice([50e6, 100e6, 300e6, 1e9]) for _ in range(num_links)]
+    else:
+        capacities = [rng.uniform(10.0, 1000.0) for _ in range(num_links)]
+    return (
+        np.asarray(indices, dtype=np.intp),
+        np.asarray(indptr, dtype=np.intp),
+        np.asarray(weights, dtype=float),
+        np.asarray(capacities, dtype=float),
+    )
+
+
+class TestStartRegimes:
+    """The round-0 heap entry and the vectorized-first entry agree bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    def test_random_csrs_on_both_sides_of_threshold(self, seed, tie_heavy):
+        rng = random.Random(4000 + seed)
+        for num_demands in (
+            1,
+            rng.randint(2, _HEAP_START_DEMANDS - 1),
+            _HEAP_START_DEMANDS,
+            rng.randint(_HEAP_START_DEMANDS + 1, 3 * _HEAP_START_DEMANDS),
+        ):
+            csr = random_csr(rng, num_demands, tie_heavy)
+            heap_rates, heap_iterations = _heap_fill(*csr)
+            vector_rates, vector_iterations = _vectorized_fill(*csr)
+            np.testing.assert_array_equal(heap_rates, vector_rates)
+            assert heap_iterations == vector_iterations
+            rates, iterations = maxmin_allocate_indexed(*csr)
+            np.testing.assert_array_equal(rates, vector_rates)
+            assert iterations == vector_iterations
+
+    @pytest.mark.parametrize("components", [1, 3, 8])
+    def test_symmetric_components_tie_exactly(self, components):
+        # Identical components over disjoint links: every share ties
+        # across components, and weights 1/2/3 tie within them.
+        indices, indptr, weights = [], [0], []
+        for c in range(components):
+            for j in range(9):
+                indices.extend(sorted({3 * c + j % 3, 3 * c + (j + 1) % 3}))
+                indptr.append(len(indices))
+                weights.append(1.0 + j % 3)
+        csr = (
+            np.asarray(indices, dtype=np.intp),
+            np.asarray(indptr, dtype=np.intp),
+            np.asarray(weights, dtype=float),
+            np.full(3 * components, 100e6),
+        )
+        heap_rates, heap_iterations = _heap_fill(*csr)
+        vector_rates, vector_iterations = _vectorized_fill(*csr)
+        np.testing.assert_array_equal(heap_rates, vector_rates)
+        assert heap_iterations == vector_iterations

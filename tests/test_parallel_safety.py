@@ -183,7 +183,7 @@ class TestCallGraph:
         analysis = _analyze(
             "repro.workloads.synth_own",
             "def hijack(net):\n"
-            "    net._flow_sets = {}\n",
+            "    net._link_flows = {}\n",
         )
         findings = _all_findings(analysis, "OWN001")
         assert len(findings) == 1
@@ -194,11 +194,11 @@ class TestCallGraph:
             "repro.simulator.synth_mut",
             "class SynthMut:\n"
             "    def _refill_dirty(self):\n"
-            "        self._partition.rebuild(())\n",
+            "        self._registry._compact()\n",
         )
         findings = _all_findings(analysis, "RACE003")
         assert len(findings) == 1
-        assert "rebuild()" in findings[0].message
+        assert "_compact()" in findings[0].message
 
 
 def _declared_attrs(module_name):

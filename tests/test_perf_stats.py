@@ -15,8 +15,7 @@ NETWORK_KEYS = {
     "realloc_demands", "filling_iterations", "realloc_time_s",
     "flows_started", "flows_completed", "reroutes", "num_links",
     "realloc_full", "realloc_incremental", "realloc_subset",
-    "components_touched", "components_live", "component_rebuilds",
-    "flows_rerated", "flows_preserved",
+    "components_touched", "flows_rerated", "flows_preserved",
     "events_rescheduled", "events_preserved",
     "settle_time_s", "eta_time_s", "settle_batches",
 }

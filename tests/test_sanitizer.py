@@ -113,8 +113,8 @@ class TestSanctionedPaths:
 class TestLifecycle:
     def test_wrappers_come_off_with_last_sanitizer(self, net):
         with OwnershipSanitizer(net):
-            assert hasattr(Network.start_flow, "__sanitizer_wrapped__")
-        assert not hasattr(Network.start_flow, "__sanitizer_wrapped__")
+            assert hasattr(Network.reroute_flow, "__sanitizer_wrapped__")
+        assert not hasattr(Network.reroute_flow, "__sanitizer_wrapped__")
 
     def test_unattached_instances_fall_through(self, net):
         other = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
@@ -130,7 +130,7 @@ class TestLifecycle:
         sanitizer.install()
         sanitizer.install()
         sanitizer.uninstall()
-        assert not hasattr(Network.start_flow, "__sanitizer_wrapped__")
+        assert not hasattr(Network.reroute_flow, "__sanitizer_wrapped__")
         net._load_array[0] = 5.0  # must not raise
 
 

@@ -6,74 +6,70 @@ sweep can use every core. Results are returned in deterministic grid
 order regardless of completion order, and each scenario is exactly as
 reproducible as under the serial runner.
 
-Two axes of parallelism compose here. This module fans *scenarios*
-across worker processes; ``repro.simulator.parallel`` fans the work
-*inside* one scenario (component-parallel reallocation) across a
-backend. ``parallel_backend``/``parallel_workers`` pass the intra-
-scenario backend through to every scenario's network, so a grid sweep
-can run, say, process-per-scenario with a threads backend inside each —
-results stay bit-identical either way (the deterministic merge
-contract).
+This is the simulator's one axis of parallelism: whole scenarios fan out
+across worker processes, and each scenario runs serially inside its
+worker. Splitting one scenario's max-min refills across workers was
+tried and removed: one flow-link component usually holds nearly all of
+a refill's work, so the split ran slower than serial (EXPERIMENTS.md
+"Intra-scenario parallelism").
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import itertools
+import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.analysis.sweep import _apply_override
-from repro.simulator.parallel import resolve_workers
 
 
-def _with_intra_backend(
-    config: ScenarioConfig,
-    parallel_backend: Optional[str],
-    parallel_workers: Optional[int],
-) -> ScenarioConfig:
-    """``config`` with the intra-scenario backend injected (no-op if None)."""
-    if parallel_backend is None:
-        return config
-    params = {**config.network_params, "parallel_backend": parallel_backend}
-    if parallel_workers is not None:
-        params["parallel_workers"] = parallel_workers
-    return dataclasses.replace(config, network_params=params)
+def resolve_workers(requested: Optional[int]) -> int:
+    """Worker count: the request, else the CPUs this process may use.
+
+    Prefers the scheduling affinity mask (cgroup/taskset aware) over the
+    raw core count: a container pinned to 2 of 64 cores should get 2
+    workers, not 64. ``process_cpu_count`` (3.13+) is the same signal;
+    ``os.cpu_count`` is the last resort.
+    """
+    if requested is not None:
+        workers = int(requested)
+        if workers < 1:
+            raise ConfigurationError(f"max_workers must be >= 1, got {requested}")
+        return workers
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return max(1, len(getaffinity(0)))
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    process_cpu_count = getattr(os, "process_cpu_count", None)
+    if process_cpu_count is not None:  # pragma: no cover - 3.13+
+        return max(1, process_cpu_count() or 1)
+    return max(1, os.cpu_count() or 1)
 
 
 def run_scenarios_parallel(
     configs: Sequence[ScenarioConfig],
     max_workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    parallel_workers: Optional[int] = None,
 ) -> List[ScenarioResult]:
     """Run many scenarios across processes; results in input order.
 
     ``max_workers`` defaults to one less than the CPUs this process may
-    actually use (scheduler affinity via
-    :func:`repro.simulator.parallel.resolve_workers`, not the machine's
-    raw core count — in a container pinned to 4 of 64 cores the default
-    is 3), at least 1. With one config or one worker the serial path is
-    used — no process-pool overhead, identical results. An empty
+    actually use (scheduler affinity via :func:`resolve_workers`, not the
+    machine's raw core count — in a container pinned to 4 of 64 cores the
+    default is 3), at least 1. With one config or one worker the serial
+    path is used — no process-pool overhead, identical results. An empty
     ``configs`` returns ``[]`` before any pool is created.
-
-    ``parallel_backend``/``parallel_workers`` select the intra-scenario
-    execution backend for every scenario's network (see module
-    docstring); ``None`` leaves each config's own ``network_params``
-    untouched.
     """
-    configs = [
-        _with_intra_backend(config, parallel_backend, parallel_workers)
-        for config in configs
-    ]
+    configs = list(configs)
     if not configs:
         return []
     if max_workers is None:
         max_workers = max(1, resolve_workers(None) - 1)
-    if max_workers < 1:
-        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
+    max_workers = resolve_workers(max_workers)
     if max_workers == 1 or len(configs) == 1:
         return [run_scenario(config) for config in configs]
     # Chunk the work so large sweeps amortize inter-process pickling
@@ -88,18 +84,13 @@ def parallel_sweep(
     base: ScenarioConfig,
     grid: Dict[str, Sequence],
     max_workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    parallel_workers: Optional[int] = None,
 ) -> List[Tuple[Dict[str, object], ScenarioResult]]:
     """The parallel counterpart of :func:`repro.analysis.sweep.sweep`.
 
     Same grid semantics and the same deterministic ordering; only the
-    execution is concurrent. ``parallel_backend``/``parallel_workers``
-    pass the intra-scenario backend through to every grid point (and to
-    the single base run when ``grid`` is empty).
+    execution is concurrent.
     """
     if not grid:
-        base = _with_intra_backend(base, parallel_backend, parallel_workers)
         return [({}, run_scenario(base))]
     keys = sorted(grid)
     overrides_list: List[Dict[str, object]] = []
@@ -111,10 +102,5 @@ def parallel_sweep(
             config = _apply_override(config, key, value)
         overrides_list.append(overrides)
         configs.append(config)
-    results = run_scenarios_parallel(
-        configs,
-        max_workers=max_workers,
-        parallel_backend=parallel_backend,
-        parallel_workers=parallel_workers,
-    )
+    results = run_scenarios_parallel(configs, max_workers=max_workers)
     return list(zip(overrides_list, results))

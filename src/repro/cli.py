@@ -8,8 +8,9 @@ Subcommands:
 * ``dard compare --topology ... --pattern ... --rate ...`` — one-off
   comparison of any scheduler subset on any topology;
 * ``dard validate [--fuzz]`` — the differential-oracle validation layer:
-  allocator equivalence, the fluid-vs-packet FCT agreement band,
-  golden-trace regression, and (with ``--fuzz``) randomized invariant
+  allocator equivalence, the reference twins, the fluid-vs-packet FCT
+  agreement band, golden-trace regression and its twin replays, and
+  (with ``--fuzz``) randomized invariant
   fuzzing with shrink-on-failure (see TESTING.md);
 * ``dard lint [paths ...]`` — dardlint, the repo's AST static analyzer
   for determinism/hot-path/API-contract rules (see DESIGN.md
@@ -118,18 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
              "static RACE verdicts dynamically (results stay bit-identical)",
     )
     validate.add_argument(
-        "--fuzz-backend", choices=("serial", "threads", "processes"), default=None,
-        help="pin every fuzz case to one parallel execution backend "
-             "instead of the generator's weighted draw (nightly CI pins "
-             "threads so every seed dual-runs the merge-contract oracle)",
-    )
-    validate.add_argument(
         "--oracle-cases", type=int, default=50,
         help="random instances for the allocator differential oracle",
     )
     validate.add_argument(
         "--skip-oracles", action="store_true",
-        help="skip the allocator and fluid-vs-packet oracles",
+        help="skip the allocator, reference-twin and fluid-vs-packet oracles",
     )
     validate.add_argument(
         "--golden", choices=["compare", "update", "skip"], default="compare",
@@ -402,16 +397,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.common.errors import ReproError
     from repro.validation import (
         DEFAULT_GOLDEN_PATH,
+        GOLDEN_TWINS,
         allocator_equivalence_suite,
         compare_goldens,
-        compare_goldens_incremental,
-        compare_goldens_settle_reference,
-        controlplane_equivalence_suite,
-        parallel_equivalence_suite,
+        replay_goldens,
         run_fluid_vs_packet,
         run_fuzz,
-        settle_equivalence_suite,
         store_goldens,
+        twin_run,
+        twin_suites,
     )
 
     failed = False
@@ -425,42 +419,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             failed = True
             print(f"oracle: allocator equivalence FAILED\n  {error}")
 
-        print("oracle: control-plane batched vs scalar equivalence ...")
-        try:
-            for row in controlplane_equivalence_suite():
-                print(
-                    f"  {row['pattern']:14s} flows={row['flows']} "
-                    f"shifts={row['shifts']} (journal + FCTs identical)"
-                )
-            print("oracle: control-plane equivalence OK")
-        except ReproError as error:
-            failed = True
-            print(f"oracle: control-plane equivalence FAILED\n  {error}")
-
-        print("oracle: columnar flow-store vs scalar settle equivalence ...")
-        try:
-            for row in settle_equivalence_suite():
-                print(
-                    f"  {row['scheduler']:8s} {row['pattern']:14s} "
-                    f"flows={row['flows']} (records bit-identical)"
-                )
-            print("oracle: settle equivalence OK")
-        except ReproError as error:
-            failed = True
-            print(f"oracle: settle equivalence FAILED\n  {error}")
-
-        print("oracle: parallel backend vs serial equivalence ...")
-        try:
-            for row in parallel_equivalence_suite():
-                print(
-                    f"  {row['backend']:9s} x{row['workers']} "
-                    f"{row['pattern']:14s} flows={row['flows']} "
-                    f"shifts={row['shifts']} (merge deterministic)"
-                )
-            print("oracle: parallel equivalence OK")
-        except ReproError as error:
-            failed = True
-            print(f"oracle: parallel equivalence FAILED\n  {error}")
+        for twin, configs in twin_suites():
+            print(f"oracle: {twin.oracle} (production vs reference twin) ...")
+            try:
+                for config in configs:
+                    result = twin_run(config, twin)
+                    print(
+                        f"  {config.scheduler:8s} {config.pattern:14s} "
+                        f"flows={len(result.records)} shifts={result.dard_shifts} "
+                        f"(journal + records identical)"
+                    )
+                print(f"oracle: {twin.oracle} OK")
+            except ReproError as error:
+                failed = True
+                print(f"oracle: {twin.oracle} FAILED\n  {error}")
 
         print("oracle: fluid vs packet FCT agreement ...")
         try:
@@ -492,29 +464,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         else:
             print(f"golden: matches {golden_path}")
     if args.golden in ("compare", "update"):
-        # The incremental reallocator must reproduce the full-mode goldens
-        # bit-for-bit (convergence round counts excepted) — checked after
-        # both compare and update so a rewritten golden is validated too.
-        mismatches = compare_goldens_incremental(golden_path, progress=print)
-        if mismatches:
-            failed = True
-            print(f"golden[incremental]: {len(mismatches)} mismatch(es) "
-                  f"against {golden_path}:")
-            for line in mismatches:
-                print(f"  {line}")
-        else:
-            print(f"golden[incremental]: matches {golden_path}")
-        # The scalar settle reference must reproduce the store-mode goldens
-        # bit-for-bit — no exemptions; the settle path changes no counters.
-        mismatches = compare_goldens_settle_reference(golden_path, progress=print)
-        if mismatches:
-            failed = True
-            print(f"golden[settle-reference]: {len(mismatches)} mismatch(es) "
-                  f"against {golden_path}:")
-            for line in mismatches:
-                print(f"  {line}")
-        else:
-            print(f"golden[settle-reference]: matches {golden_path}")
+        # Each reference twin must reproduce the goldens bit-for-bit (bar
+        # its exempt fields) — checked after both compare and update so a
+        # rewritten golden is validated too.
+        for twin, exempt in GOLDEN_TWINS:
+            label = f"golden[{twin.oracle}]"
+            mismatches = replay_goldens(twin, exempt, golden_path, progress=print)
+            if mismatches:
+                failed = True
+                print(f"{label}: {len(mismatches)} mismatch(es) against {golden_path}:")
+                for line in mismatches:
+                    print(f"  {line}")
+            else:
+                print(f"{label}: matches {golden_path}")
 
     if args.fuzz:
         report = run_fuzz(
@@ -524,7 +486,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             inject_bug=args.inject_bug,
             progress=print,
             sanitize=args.sanitize,
-            force_backend=args.fuzz_backend,
         )
         print(report.render())
         if args.inject_bug:

@@ -6,26 +6,25 @@ host's own active path with the smallest; if moving one elephant to the
 former raises the bottleneck estimate by more than δ, re-encapsulate one
 elephant flow onto the better path.
 
-Two execution modes with bit-identical decisions (the differential oracle
-in ``repro.validation.oracles`` enforces this):
-
-* **vectorized** (default) — one scheduling round evaluates every monitor
-  at once over a padded (monitors × paths) BoNF matrix. ``_best_target``
-  becomes a masked argmax (ties toward the higher post-shift estimate,
-  then the lower index), ``_worst_active`` an argmin over active paths
-  (first-minimum ties), and the δ-test a boolean mask; only monitors whose
-  test fires fall back to the scalar tail (pick the flow, reroute it,
-  apply the optimistic within-round update). FV is assembled from each
-  flow's integer ``monitored_path_index`` — no switch-path tuple hashing.
-* **scalar** — the original per-monitor loop over ``PathState`` objects,
-  kept as the reference implementation for the scalar-vs-batched oracle.
+One scheduling round evaluates every monitor at once over a padded
+(monitors × paths) BoNF matrix. The best target becomes a masked argmax
+(ties toward the higher post-shift estimate, then the lower index), the
+worst active path an argmin over active paths (first-minimum ties), and
+the δ-test a boolean mask; only monitors whose test fires take the
+per-shift tail (pick the flow, reroute it, apply the optimistic
+within-round update). FV is assembled from each flow's integer
+``monitored_path_index`` — no switch-path tuple hashing.
 
 The matrix is a *snapshot* of the monitors' cached states, which is
-exactly what the sequential loop sees too: monitors are disjoint per
-(src ToR, dst ToR) pair, each monitor makes at most one decision per
-round, and a shift only touches its own monitor's state and its own
-pair's FV — so evaluating all decisions up front is order-equivalent to
-the scalar sweep.
+exactly what the sequential per-monitor loop sees too: monitors are
+disjoint per (src ToR, dst ToR) pair, each monitor makes at most one
+decision per round, and a shift only touches its own monitor's state and
+its own pair's FV — so evaluating all decisions up front is
+order-equivalent to the sequential sweep. That sweep, over
+:class:`~repro.core.bonf.PathState` objects with tuple-keyed FV, lives on
+as the scalar reference twin in :mod:`repro.validation.twins`, which
+dual-runs scenarios against this round and demands the same shift
+journal and bit-identical records.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ class HostDaemon:
         delta_bps: float,
         message_sizes: MessageSizes = MessageSizes(),
         registry: Optional[MonitorRegistry] = None,
-        vectorized: bool = True,
         shift_log: Optional[List[ShiftRecord]] = None,
     ) -> None:
         self.host = host
@@ -76,19 +74,17 @@ class HostDaemon:
         self.delta_bps = delta_bps
         self.message_sizes = message_sizes
         self.registry = registry
-        self.vectorized = vectorized
         #: shared ``(time, host, flow id, from index, to index)`` shift
         #: journal, appended in event order (the scheduler passes one list
         #: to every daemon so the fleet-wide sequence stays comparable
-        #: across execution modes). ``None`` disables journaling.
+        #: with a reference twin's). ``None`` disables journaling.
         self.shift_log = shift_log
         self.monitors: Dict[PairKey, PathMonitor] = {}
         #: live elephant flows of this host, grouped by (src ToR, dst ToR).
         self.elephants: Dict[PairKey, List[Flow]] = {}
         self.shifts_performed = 0
-        #: telemetry: vectorized rounds run vs per-shift scalar tails.
+        #: telemetry: matrix rounds run and per-shift tails taken.
         self.vector_rounds = 0
-        self.scalar_rounds = 0
         self.shift_tails = 0
 
     # -- detector callbacks ------------------------------------------------------
@@ -135,37 +131,13 @@ class HostDaemon:
     def query_monitors(self) -> None:
         """Periodic switch-state polling for every live monitor.
 
-        The vectorized mode refreshes the raw state arrays only; the
-        scalar reference keeps the original implementation's behavior and
-        materializes the per-path :class:`PathState` view on every poll
-        (``bench_perf_controlplane`` measures exactly this difference).
+        Refreshes each monitor's raw state arrays; no :class:`PathState`
+        objects are built.
         """
-        if not self.monitors:
-            return
-        if self.vectorized:
-            for monitor in self.monitors.values():
-                monitor.refresh()
-        else:
-            for monitor in self.monitors.values():
-                monitor.query()
+        for monitor in self.monitors.values():
+            monitor.refresh()
 
     # -- Algorithm 1: selfish flow scheduling ----------------------------------------
-
-    def flow_vector(self, monitor: PathMonitor) -> List[int]:
-        """FV: how many of this host's elephants ride each monitored path.
-
-        The scalar reference implementation — recomputes each flow's path
-        position from its switch-path tuple. The vectorized round uses
-        :meth:`_fill_flow_counts` over ``Flow.monitored_path_index``
-        instead; both count the same flows.
-        """
-        counts = [0] * len(monitor.paths)
-        for flow in self.elephants.get((monitor.src_tor, monitor.dst_tor), []):
-            if not flow.active:
-                continue
-            switch_path = tuple(flow.switch_path()[1:-1])
-            counts[monitor.path_index(switch_path)] += 1
-        return counts
 
     def _fill_flow_counts(self, monitor: PathMonitor, out: np.ndarray) -> None:
         """FV via the integer fast path, accumulated into ``out``."""
@@ -174,27 +146,16 @@ class HostDaemon:
                 out[flow.monitored_path_index] += 1
 
     def run_scheduling_round(self) -> int:
-        """One selfish round over all monitors; returns number of shifts."""
-        if self.vectorized:
-            return self._run_round_vectorized()
-        shifts = 0
-        self.scalar_rounds += 1
-        for monitor in list(self.monitors.values()):
-            if self._schedule_one(monitor):
-                shifts += 1
-        self.shifts_performed += shifts
-        return shifts
+        """One selfish round over all monitors; returns number of shifts.
 
-    def _run_round_vectorized(self) -> int:
-        """Algorithm 1 over all monitors as one padded-matrix evaluation.
+        Algorithm 1 as one padded-matrix evaluation. Tie-breaking is
+        proven identical to the scalar reference loop:
 
-        Tie-breaking is proven identical to the scalar loop:
-
-        * ``_best_target`` keeps the *first* index of the lexicographic
+        * the best target is the *first* index of the lexicographic
           maximum ``(bonf, post-shift estimate)`` — here: mask the row
           maximum of ``bonf``, take the estimate maximum within the mask,
           and ``argmax`` (first True) of the conjunction;
-        * ``_worst_active`` keeps the *first* active index of the minimum
+        * the worst active path is the *first* active index of the minimum
           ``bonf`` — here: ``argmin`` (first minimum) over ``bonf`` with
           inactive paths lifted to +inf, falling back to the first active
           index when every active path's bonf is infinite (argmin could
@@ -237,13 +198,13 @@ class HostDaemon:
         estimate = np.where(band <= 0.0, 0.0, band / (eleph + 1.0))
         estimate = np.where(band < 0.0, -1.0, estimate)
         rows = np.arange(num_monitors)
-        # _best_target: first index of the lexicographic (bonf, est) max.
+        # Best target: first index of the lexicographic (bonf, est) max.
         is_row_max = bonf == bonf.max(axis=1)[:, None]
         est_masked = np.where(is_row_max, estimate, -np.inf)
         best = np.argmax(
             is_row_max & (est_masked == est_masked.max(axis=1)[:, None]), axis=1
         )
-        # _worst_active: first active index of the min bonf.
+        # Worst active path: first active index of the min bonf.
         active = flow_counts > 0
         keyed = np.where(active, bonf, np.inf)
         worst = np.argmin(keyed, axis=1)
@@ -268,15 +229,15 @@ class HostDaemon:
         return shifts
 
     def _schedule_one_arrays(self, monitor: PathMonitor) -> bool:
-        """:meth:`_schedule_one` over the raw state arrays (no PathState
-        objects, integer FV) — the vectorized mode's small-fleet path.
+        """One monitor's Algorithm 1 step over the raw state arrays (no
+        PathState objects, integer FV) — the round's small-fleet path.
 
         One pass computes each path's ``(bonf, post-shift estimate)`` with
         the exact guarded idiom of :class:`PathState` (same IEEE float64
         divisions — ``tolist`` yields doubles) while tracking the
-        lexicographic-max target (strict-greater keeps the first tie,
-        like ``_best_target``) and the min-BoNF active path
-        (strict-less keeps the first, like ``_worst_active``).
+        lexicographic-max target (strict-greater keeps the first tie, like
+        the scalar reference's best target) and the min-BoNF active path
+        (strict-less keeps the first, like its worst active path).
         """
         band = monitor.state_band.tolist()
         eleph = monitor.state_eleph.tolist()
@@ -313,62 +274,6 @@ class HostDaemon:
         self.shift_tails += 1
         self._shift(flow, monitor, best, worst)
         return True
-
-    def _schedule_one(self, monitor: PathMonitor) -> bool:
-        states = monitor.path_states
-        flow_vector = self.flow_vector(monitor)
-        max_index = self._best_target(states)
-        min_index = self._worst_active(states, flow_vector)
-        if max_index is None or min_index is None or max_index == min_index:
-            return False
-        estimation = states[max_index].bonf_with_one_more_flow()
-        min_bonf = states[min_index].bonf
-        if estimation - min_bonf <= self.delta_bps:
-            return False
-        flow = self._pick_flow(monitor, min_index)
-        if flow is None:
-            return False
-        self._shift(flow, monitor, max_index, min_index)
-        return True
-
-    @staticmethod
-    def _best_target(states) -> Optional[int]:
-        """The path with the largest BoNF; ties break toward the higher
-        post-shift estimate, then the lower index (deterministic)."""
-        best = None
-        for i, state in enumerate(states):
-            if best is None:
-                best = i
-                continue
-            current = states[best]
-            if (state.bonf, state.bonf_with_one_more_flow()) > (
-                current.bonf,
-                current.bonf_with_one_more_flow(),
-            ):
-                best = i
-        return best
-
-    @staticmethod
-    def _worst_active(states, flow_vector) -> Optional[int]:
-        """The smallest-BoNF path this host actually sends elephants on.
-
-        A host cannot shift a flow off a path it does not contribute to
-        (§2.5's "inactive path" rule).
-        """
-        worst = None
-        for i, state in enumerate(states):
-            if flow_vector[i] <= 0:
-                continue
-            if worst is None or state.bonf < states[worst].bonf:
-                worst = i
-        return worst
-
-    def _pick_flow(self, monitor: PathMonitor, path_index: int) -> Optional[Flow]:
-        target = monitor.paths[path_index]
-        for flow in self.elephants.get((monitor.src_tor, monitor.dst_tor), []):
-            if flow.active and tuple(flow.switch_path()[1:-1]) == target:
-                return flow
-        return None
 
     def _pick_flow_indexed(
         self, monitor: PathMonitor, path_index: int

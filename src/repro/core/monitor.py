@@ -14,7 +14,7 @@ Monitors keep their state as two parallel arrays (``state_band``,
 ``state_eleph``) rather than :class:`PathState` objects: the vectorized
 scheduling round consumes the arrays directly, and the ``path_states``
 property materializes the object view only where callers (the scalar
-reference mode, tests) actually want it. Everything per-pair and
+reference twin, tests) actually want it. Everything per-pair and
 topology-static — the path list, the link-id CSR, the switch query set —
 is computed once per pair in :class:`PairPaths` and shared between
 monitors through the :class:`~repro.core.registry.MonitorRegistry`.
@@ -201,7 +201,7 @@ class PathMonitor:
             self.state_eleph[rows] = eleph
 
     def query(self) -> List[PathState]:
-        """:meth:`refresh`, returning the object view (test convenience)."""
+        """:meth:`refresh`, returning the object view (tests, scalar twin)."""
         self.refresh()
         return self.path_states
 

@@ -38,8 +38,6 @@ from typing import TYPE_CHECKING, DefaultDict, Dict, List, Tuple
 
 import numpy as np
 
-from repro.simulator.parallel import MIN_CP_FANOUT_ROWS
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (monitor imports us)
     from repro.core.monitor import PairPaths
     from repro.simulator.network import Network
@@ -225,8 +223,9 @@ class MonitorRegistry:
             return
         self.stat_refreshes += 1
         self.stat_rows_refreshed += int(rows.size)
+        network = self.network
         if rows.size == self._nrows:
-            band, eleph = self._batched_rows_state(
+            band, eleph = network.batch_path_state_arrays(
                 self._indices[: self._nnz], self._indptr[: self._nrows + 1]
             )
             self._row_band[: self._nrows] = band
@@ -244,43 +243,11 @@ class MonitorRegistry:
             - np.repeat(sub_indptr[:-1], lengths)
             + np.repeat(starts, lengths)
         )
-        band, eleph = self._batched_rows_state(self._indices[offsets], sub_indptr)
+        band, eleph = network.batch_path_state_arrays(
+            self._indices[offsets], sub_indptr
+        )
         self._row_band[rows] = band
         self._row_eleph[rows] = eleph
-
-    def _batched_rows_state(
-        self, indices: np.ndarray, indptr: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Path state for a row CSR, chunked across the parallel backend.
-
-        ``batch_path_state_arrays`` is row-independent and write-pure (it
-        reads the dense link columns and returns fresh arrays), so
-        contiguous row chunks reassembled in chunk order are positionally
-        identical to the single combined call — the cache scatter stays in
-        :meth:`_refresh`, the registry's sanctioned writer. Chunk bounds
-        are integer arithmetic over the row count alone: the same refresh
-        fans out the same way on every machine. Small refreshes (the
-        steady-state common case) stay on the combined call.
-        """
-        network = self.network
-        backend = network.parallel
-        nrows = indptr.size - 1
-        if backend.workers < 2 or nrows < MIN_CP_FANOUT_ROWS:
-            return network.batch_path_state_arrays(indices, indptr)
-        workers = backend.workers
-        payloads: List[Tuple[np.ndarray, np.ndarray]] = []
-        for k in range(workers):
-            lo = nrows * k // workers
-            hi = nrows * (k + 1) // workers
-            if lo == hi:
-                continue
-            chunk_indptr = indptr[lo : hi + 1] - indptr[lo]
-            chunk_indices = indices[indptr[lo] : indptr[hi]]
-            payloads.append((chunk_indices, chunk_indptr))
-        results = backend.run_tasks(network.batch_path_state_arrays, payloads)
-        band = np.concatenate([pair[0] for pair in results])
-        eleph = np.concatenate([pair[1] for pair in results])
-        return band, eleph
 
     # -- the query surface ------------------------------------------------------
 

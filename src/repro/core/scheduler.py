@@ -13,15 +13,14 @@ Wires per-host daemons into the simulator:
   synchronized path flapping (§4.2). Set ``synchronized=True`` to disable
   the jitter and reproduce the pathological case (ablation bench).
 
-With ``vectorized=True`` (the default) the scheduler owns a fleet-wide
+The scheduler owns a fleet-wide
 :class:`~repro.core.registry.MonitorRegistry` — monitor polls are answered
-from one batched, dirty-tracked cache — and daemons run the vectorized
-scheduling round. ``vectorized=False`` preserves the original scalar
-control plane (per-monitor numpy calls, tuple-keyed FV) as the reference
-implementation for the differential oracle; both modes make bit-identical
-decisions (see DESIGN.md "Control-plane batching"). Control-plane wall
-time is metered around both loops either way, so the two modes' costs are
-directly comparable in ``Network.perf_stats()``.
+from one batched, dirty-tracked cache — and daemons run the matrix
+scheduling round (see DESIGN.md "Control-plane batching"). Control-plane
+wall time is metered around both loops and reported through
+``Network.perf_stats()``. The original scalar control plane (per-monitor
+polling without the registry, tuple-keyed FV) is the reference twin in
+:mod:`repro.validation.twins`.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class DardScheduler(Scheduler):
         jitter_range_s: tuple = DEFAULT_JITTER_RANGE_S,
         synchronized: bool = False,
         message_sizes: MessageSizes = MessageSizes(),
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         self.delta_bps = delta_bps
@@ -65,11 +63,10 @@ class DardScheduler(Scheduler):
         self.jitter_range_s = jitter_range_s
         self.synchronized = synchronized
         self.message_sizes = message_sizes
-        self.vectorized = vectorized
         self.daemons: Dict[str, HostDaemon] = {}
         self.registry: Optional[MonitorRegistry] = None
         #: fleet-wide shift journal, in event order (shared by all
-        #: daemons); the scalar-vs-batched oracle compares these.
+        #: daemons); the reference twins compare these.
         self.shift_log: List[ShiftRecord] = []
         # Control-plane wall time (telemetry only — simulated time is
         # event-driven and never reads the wall clock).
@@ -79,8 +76,7 @@ class DardScheduler(Scheduler):
 
     def attach(self, ctx: SchedulerContext) -> None:
         super().attach(ctx)
-        if self.vectorized:
-            self.registry = MonitorRegistry(ctx.network)
+        self.registry = MonitorRegistry(ctx.network)
         ctx.network.elephant_listeners.append(self._on_elephant)
         ctx.network.flow_completed_listeners.append(self._on_flow_completed)
         ctx.network.controlplane_stats_providers.append(self.controlplane_stats)
@@ -114,7 +110,6 @@ class DardScheduler(Scheduler):
                 delta_bps=self.delta_bps,
                 message_sizes=self.message_sizes,
                 registry=self.registry,
-                vectorized=self.vectorized,
                 shift_log=self.shift_log,
             )
             self.daemons[host] = daemon
@@ -163,19 +158,16 @@ class DardScheduler(Scheduler):
         """The ``cp_*`` telemetry merged into ``Network.perf_stats()``.
 
         ``cp_query_time_s`` / ``cp_round_time_s`` are wall time inside the
-        two control loops — the quantity the ≥2x batching gate of
-        ``bench_perf_controlplane`` is measured on.
+        two control loops.
         """
         daemons = self.daemons.values()
         stats = {
-            "cp_vectorized": float(bool(self.vectorized)),
             "cp_daemons": float(len(self.daemons)),
             "cp_monitors_live": float(sum(len(d.monitors) for d in daemons)),
             "cp_query_rounds": float(self._stat_query_rounds),
             "cp_query_time_s": self._stat_query_time_s,
             "cp_round_time_s": self._stat_round_time_s,
             "cp_vector_rounds": float(sum(d.vector_rounds for d in daemons)),
-            "cp_scalar_rounds": float(sum(d.scalar_rounds for d in daemons)),
             "cp_shift_tails": float(sum(d.shift_tails for d in daemons)),
             "cp_shifts": float(self.total_shifts()),
         }

@@ -98,7 +98,7 @@ class ScenarioResult:
     dard_shifts: int = 0
     #: DARD only: the fleet-wide shift journal, one ``(time, host,
     #: flow id, from index, to index)`` tuple per shift in event order —
-    #: the scalar-vs-batched control-plane oracle compares these.
+    #: the reference twins (``repro.validation.twins``) compare these.
     dard_shift_log: tuple = ()
 
     @property

@@ -47,18 +47,17 @@ __all__ = [
 ]
 
 #: Functions whose bodies (and transitive callees) form a per-component
-#: round: the incremental refill of one dirty component set, the
-#: per-monitor slice of the batched Algorithm 1 round, and the parallel
-#: backend's worker entry points (``repro.simulator.parallel``) — the
-#: code that actually executes concurrently on pool workers, one demand
-#: bucket per task, so its closure must be provably free of shared-state
-#: writes. ``batch_path_state_arrays`` is the control-plane chunk task
-#: the backend fans across threads (a pure gather over network arrays).
+#: round: the incremental refill of one dirty component set, and the
+#: per-monitor slice of the batched Algorithm 1 round. Their closures
+#: must be provably free of shared-state writes outside the declared
+#: writers. ``batch_path_state_arrays`` (the monitor registry's row
+#: gather) is not a component round and runs concurrently with nothing;
+#: it is kept as a root only so the certificate keeps proving the gather
+#: writes nothing, until the fault-catalogue measurement planned in
+#: ROADMAP.md decides which roots earn their keep.
 COMPONENT_SCOPED: Tuple[str, ...] = (
     "_refill_dirty",
     "_schedule_one_arrays",
-    "_fill_bucket_worker",
-    "_fill_bucket_worker_shm",
     "batch_path_state_arrays",
 )
 
@@ -203,14 +202,10 @@ OWNERSHIP: Tuple[SharedState, ...] = (
     ),
     _column("goodput_factor", "reorder_retx_fraction", "_refill_full", "_refill_dirty"),
     _column("retx_fraction", "reorder_retx_fraction", "_refill_full", "_refill_dirty"),
-    _column(
-        "remaining_bytes", "_settle_store", "_settle_reference", "reroute_flow",
-    ),
+    _column("remaining_bytes", "_settle_store", "settle_reference", "reroute_flow"),
     _column("start_time"),
     _column("end_time", "_on_completion_event"),
-    _column(
-        "retransmitted_bytes", "_settle_store", "_settle_reference", "reroute_flow",
-    ),
+    _column("retransmitted_bytes", "_settle_store", "settle_reference", "reroute_flow"),
     _column("elephant", "is_elephant"),
     _column("live"),
     _column("monitored_path", "monitored_path_index"),

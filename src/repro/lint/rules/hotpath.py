@@ -151,9 +151,9 @@ class StringKeyedHotLookup(Rule):
         return None
 
 
-#: Per-event network functions that must stay columnar. The scalar
-#: reference twins (``_settle_reference`` etc.) are deliberately absent:
-#: they are the differential oracle and iterate flows by design.
+#: Per-event network functions that must stay columnar. The scalar loops
+#: they replaced iterate flows by design, and live outside the network as
+#: reference twins (``repro.validation.twins``).
 _EVENT_FUNCTIONS = {
     "_settle",
     "_schedule_next_completion",

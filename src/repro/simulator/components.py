@@ -29,7 +29,7 @@ it returns, which the refill of those same flows pays anyway.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 __all__ = ["FlowLinkComponents"]
 
@@ -80,11 +80,10 @@ class FlowLinkComponents:
 
     # -- component walks -----------------------------------------------------
 
-    def _walk(self, start: int, links: Set[int], flows: Set[int]) -> List[int]:
+    def _walk(self, start: int, links: Set[int], flows: Set[int]) -> None:
         """Add ``start``'s component to ``links`` and ``flows``.
 
         ``start`` must carry a live flow and must not be in ``links`` yet.
-        Returns the component's links in visit order.
         """
         link_flows = self._link_flows
         flow_links = self._flow_links
@@ -100,7 +99,6 @@ class FlowLinkComponents:
                             links.add(link)
                             reached.append(link)
             visited += 1
-        return reached
 
     def consume_dirty(self) -> Tuple[int, List[int]]:
         """Pop the dirty set: ``(components touched, sorted flow ids)``.
@@ -127,32 +125,6 @@ class FlowLinkComponents:
     def discard_dirty(self) -> None:
         """Forget the dirty marks: a full fill has just re-rated every flow."""
         self._dirty_links = set()
-
-    def find_roots(self, link_ids: Iterable[int]) -> List[int]:
-        """Component label per link id, in order.
-
-        The parallel backend's partition step: one representative link per
-        demand in, one label per demand out — demands sharing a label must
-        ride the same worker bucket so every link's accumulation order
-        stays serial (see ``repro.simulator.parallel``). A component's
-        label is its smallest link id; a link carrying no flow is its own
-        label.
-        """
-        label: Dict[int, int] = {}
-        flows: Set[int] = set()
-        roots: List[int] = []
-        for link in link_ids:
-            root = label.get(link)
-            if root is None:
-                if link in self._link_flows:
-                    members = self._walk(link, set(), flows)
-                    root = min(members)
-                    for member in members:
-                        label[member] = root
-                else:
-                    root = label[link] = link
-            roots.append(root)
-        return roots
 
     # -- introspection (invariant checks, tests) -------------------------------
 

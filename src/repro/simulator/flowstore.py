@@ -24,16 +24,6 @@ contract and documented in DESIGN.md; everything here is mechanism, not
 policy. The ``flow_id`` column maps rows back to the network's flow dict
 (``-1`` = dead row); flow ids themselves stay monotonic and are never
 reused, only rows are.
-
-Row stability is also what the intra-scenario parallel backend
-(:mod:`repro.simulator.parallel`, DESIGN.md "Parallel execution") leans
-on: a fanned-out reallocation round captures row indices at
-demand-assembly time, workers compute per-component rate vectors against
-those indices, and the merge writes each component's disjoint row set
-back positionally. That is sound only because no acquire / release /
-compaction runs between assembly and merge — reallocation sits strictly
-between flow-lifecycle events — so any future change that moves rows
-mid-round must also re-snapshot the demand indices.
 """
 
 from __future__ import annotations

@@ -303,8 +303,8 @@ def _progressive_fill_tail(
     same freeze values, and the same subtraction sequence as one round of
     the vectorized loop. That exactness is load-bearing beyond the
     handoff being seamless: it makes the allocation invariant to how
-    demands are grouped into fills (combined, per-dirty-subset, or the
-    parallel backend's per-bucket fills), because a tie spanning several
+    demands are grouped into fills (combined, per-dirty-subset, or
+    per-component), because a tie spanning several
     components resolves to the identical floats no matter which fill
     processes each side. Sequential tie handling here — freeze one link,
     subtract, recompute the next tied link's share — perturbs the tied

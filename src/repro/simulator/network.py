@@ -55,10 +55,11 @@ over ``remaining * 8 / goodput``, and ``_on_completion_event`` finds
 finishers with one boolean mask. The refills scatter aggregate rates
 straight into the store's rate column (``np.add.at`` accumulates repeated
 owner rows in order, bit-equal to the left-to-right
-``sum(component_rates)``). Construct with ``settle_mode="reference"`` to
-run the original scalar loops instead — the differential oracle
-(:func:`~repro.validation.oracles.check_settle_equivalence`) proves both
-modes produce bit-identical records on golden traces and fuzzer dual-runs.
+``sum(component_rates)``). The scalar per-flow loops these passes
+replaced live on as reference twins in :mod:`repro.validation.twins`,
+which swaps them into one network through the ``run_scenario``
+instrument seam and demands bit-identical records (golden traces and
+fuzzer dual-runs).
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ from repro.simulator.flows import (
 )
 from repro.simulator.flowstore import FlowStore
 from repro.simulator.linkindex import LinkArrayMapping, LinkIndex
-from repro.simulator.parallel import (
-    PARALLEL_BACKENDS,
-    ProcessesBackend,
-    SerialBackend,
-    ThreadsBackend,
-)
 from repro.simulator.maxmin import (
     LinkId,
     link_loads_indexed,
@@ -138,11 +133,8 @@ class Network:
         path_switch_retx_bytes: float = PATH_SWITCH_RETX_BYTES,
         model_reordering: bool = True,
         incremental_realloc: bool = True,
-        settle_mode: str = "store",
         elephant_detector: str = "threshold",
         detector_params: Optional[dict] = None,
-        parallel_backend: str = "serial",
-        parallel_workers: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.engine = engine if engine is not None else EventEngine()
@@ -173,37 +165,6 @@ class Network:
         self.path_switch_retx_bytes = path_switch_retx_bytes
         self.model_reordering = model_reordering
         self.incremental_realloc = bool(incremental_realloc)
-        if settle_mode not in ("store", "reference"):
-            raise SimulationError(
-                f"settle_mode must be 'store' or 'reference', got {settle_mode!r}"
-            )
-        self.settle_mode = settle_mode
-        self._settle_vectorized = settle_mode == "store"
-        #: pluggable intra-scenario execution backend (see the
-        #: repro.simulator.parallel module docs): ``"serial"`` runs the
-        #: historical combined fills; ``"threads"``/``"processes"`` fan
-        #: component buckets and control-plane rounds across workers under
-        #: the deterministic merge contract — results stay bit-identical
-        #: to serial, only ``filling_iterations``/``par_*`` telemetry
-        #: differs. Constructed here via the direct constructors so the
-        #: dardlint call graph can narrow the receiver class.
-        if parallel_backend == "serial":
-            if parallel_workers is not None and int(parallel_workers) != 1:
-                raise SimulationError(
-                    "the serial backend is single-worker; got "
-                    f"parallel_workers={parallel_workers}"
-                )
-            self._parallel: SerialBackend = SerialBackend()
-        elif parallel_backend == "threads":
-            self._parallel = ThreadsBackend(parallel_workers)
-        elif parallel_backend == "processes":
-            self._parallel = ProcessesBackend(parallel_workers)
-        else:
-            raise SimulationError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                f"got {parallel_backend!r}"
-            )
-        self.parallel_backend = parallel_backend
 
         #: the per-network intern table; all per-link arrays align to it.
         self.link_index = LinkIndex.from_topology(topology)
@@ -317,16 +278,6 @@ class Network:
     def now(self) -> float:
         return self.engine.now
 
-    @property
-    def parallel(self) -> SerialBackend:
-        """The configured execution backend (see ``repro.simulator.parallel``).
-
-        The control plane fans its batched rounds through this seam; the
-        type is the serial base class, of which the threads/processes
-        backends are drop-in substitutes.
-        """
-        return self._parallel
-
     # -- flow lifecycle -------------------------------------------------------
 
     def start_flow(
@@ -398,7 +349,7 @@ class Network:
         self._index_components(flow)
         flow.component_rates = [0.0] * len(flow.components)
         # Keep the store's rate column in lockstep with the zeroed list —
-        # the scalar reference and the vectorized path must agree between
+        # the scalar settle twin and the store pass must agree between
         # the reroute and the coalesced refill that re-rates the flow.
         self.flow_store.rate_bps[flow.store_row] = 0.0
         self._adjust_link_counts(flow, +1)
@@ -682,29 +633,17 @@ class Network:
           deterministic; see ``EventEngine.reschedule``).
 
         Columnar flow-state keys: ``settle_time_s`` / ``eta_time_s`` —
-        wall time inside the settle and completion-ETA passes (the
-        ``bench_perf_flowstore`` gate segment); ``settle_batches`` —
-        settle passes that actually advanced time over live flows; plus
-        the ``store_*`` keys from :meth:`FlowStore.stats` (active span,
-        capacity, live rows, acquires/revivals/grows/compactions).
-
-        Parallel-backend keys (``par_*``, from the configured execution
-        backend; all zero under ``parallel_backend="serial"`` except
-        ``par_workers``): ``par_workers`` — resolved worker count;
-        ``par_rounds`` / ``par_tasks`` / ``par_fanout_max`` — fills fanned
-        out, bucket tasks dispatched, and the widest single-round fan-out;
-        ``par_nnz`` — link-slot entries routed through fanned fills;
-        ``par_imbalance_max`` — worst max-bucket/mean-bucket nnz ratio;
-        ``par_merge_wait_s`` — wall time from dispatch to merged rates;
-        ``par_cp_rounds`` / ``par_cp_chunks`` — control-plane refreshes
-        chunked across workers and the chunks dispatched (see DESIGN.md
-        "Parallel execution").
+        wall time inside the settle and completion-ETA passes;
+        ``settle_batches`` — settle passes that actually advanced time
+        over live flows; plus the ``store_*`` keys from
+        :meth:`FlowStore.stats` (active span, capacity, live rows,
+        acquires/revivals/grows/compactions).
 
         Registered ``controlplane_stats_providers`` (the DARD scheduler's
         ``cp_*`` keys — monitor/registry population, batched query rounds,
-        vector-decision vs scalar-fallback counts, control-plane wall
-        time; see DESIGN.md "Control-plane batching") are merged into the
-        returned dict after the base keys.
+        matrix rounds and shift tails, control-plane wall time; see
+        DESIGN.md "Control-plane batching") are merged into the returned
+        dict after the base keys.
         """
         stats: Dict[str, float] = {
             "realloc_calls": self._stat_realloc_calls,
@@ -731,7 +670,6 @@ class Network:
             "settle_batches": self._stat_settle_batches,
         }
         stats.update(self.flow_store.stats())
-        stats.update(self._parallel.stats())
         if self.elephant_detector is not None:
             stats.update(self.elephant_detector.stats())
         for provider in self.controlplane_stats_providers:
@@ -998,10 +936,7 @@ class Network:
         if dt > 0 and self.flows:
             # perf_counter feeds perf_stats() telemetry only, never sim state.
             started = perf_counter()  # dardlint: disable=DET002
-            if self._settle_vectorized:
-                self._settle_store(dt)
-            else:
-                self._settle_reference(dt)
+            self._settle_store(dt)
             self._stat_settle_time_s += perf_counter() - started  # dardlint: disable=DET002
             self._stat_settle_batches += 1
         self._last_settle = self.now
@@ -1009,10 +944,11 @@ class Network:
     def _settle_store(self, dt: float) -> None:
         """Vectorized settle over the flow-store columns.
 
-        Bit-identical to :meth:`_settle_reference`: the mask replicates the
-        scalar ``delivered_bits <= 0`` skip, the per-row op sequence is the
-        same float64 expression tree, and the rate column is kept bit-equal
-        to ``sum(component_rates)`` by the refill scatter.
+        Bit-identical to the scalar per-flow loop in
+        :mod:`repro.validation.twins`: the mask replicates the scalar
+        ``delivered_bits <= 0`` skip, the per-row op sequence is the same
+        float64 expression tree, and the rate column is kept bit-equal to
+        ``sum(component_rates)`` by the refill scatter.
         """
         store = self.flow_store
         n = store.size
@@ -1025,21 +961,6 @@ class Network:
         remaining = store.remaining_bytes
         remaining[rows] = np.maximum(0.0, remaining[rows] - (delivered_bytes - wasted))
         store.retransmitted_bytes[rows] += wasted
-
-    def _settle_reference(self, dt: float) -> None:
-        """Scalar settle — the differential oracle for :meth:`_settle_store`.
-
-        Sums ``component_rates`` directly (rather than reading the store's
-        rate column) so the dual-run also audits the refill rate scatter.
-        """
-        for flow in self.flows.values():
-            delivered_bits = sum(flow.component_rates) * dt
-            if delivered_bits <= 0:
-                continue
-            delivered_bytes = delivered_bits / 8.0
-            wasted = delivered_bytes * flow.reorder_retx_fraction
-            flow.remaining_bytes = max(0.0, flow.remaining_bytes - (delivered_bytes - wasted))
-            flow.retransmitted_bytes += wasted
 
     def _request_realloc(self) -> None:
         self._stat_realloc_requests += 1
@@ -1142,15 +1063,8 @@ class Network:
         store.rate_bps[: store.size] = 0.0  # dead rows are already zero
         if n:
             indices, indptr = self._build_csr(component_ids)
-            weight_arr = np.asarray(weights, dtype=float)
-            # Parallel backends partition the fill by component (each
-            # demand's root, via its first link id); the serial backend
-            # ignores roots and runs the historical combined fill.
-            roots = None
-            if self._components is not None and self._parallel.workers > 1:
-                roots = self._components.find_roots(indices[indptr[:-1]].tolist())
-            rates, iterations = self._parallel.fill(
-                indices, indptr, weight_arr, self._cap_array, roots
+            rates, iterations = maxmin_allocate_indexed(
+                indices, indptr, np.asarray(weights, dtype=float), self._cap_array
             )
             for (flow, idx), rate in zip(owners, rates):
                 flow.component_rates[idx] = float(rate)
@@ -1223,17 +1137,12 @@ class Network:
         touched_links: Optional[np.ndarray] = None
         if n:
             indices, indptr = self._build_csr(component_ids)
-            weight_arr = np.asarray(weights, dtype=float)
             touched_links = np.unique(indices)
-            sub_indices = np.searchsorted(touched_links, indices)
-            # Roots come from the uncompacted link ids; demands of one
-            # component always share a bucket, so the merged rates are
-            # bit-identical to this round's combined fill (decomposition).
-            roots = None
-            if self._parallel.workers > 1:
-                roots = comps.find_roots(indices[indptr[:-1]].tolist())
-            rates, iterations = self._parallel.fill(
-                sub_indices, indptr, weight_arr, self._cap_array[touched_links], roots
+            rates, iterations = maxmin_allocate_indexed(
+                np.searchsorted(touched_links, indices),
+                indptr,
+                np.asarray(weights, dtype=float),
+                self._cap_array[touched_links],
             )
             for (flow, idx), rate in zip(owners, rates):
                 flow.component_rates[idx] = float(rate)
@@ -1285,10 +1194,7 @@ class Network:
         self._completion_handle = None
         # perf_counter feeds perf_stats() telemetry only, never sim state.
         started = perf_counter()  # dardlint: disable=DET002
-        if self._settle_vectorized:
-            soonest = self._next_completion_eta_store()
-        else:
-            soonest = self._next_completion_eta_reference()
+        soonest = self._next_completion_eta_store()
         # Telemetry end-stamp for the line above; same audit rationale.
         self._stat_eta_time_s += perf_counter() - started  # dardlint: disable=DET002
         if soonest < float("inf"):
@@ -1319,17 +1225,6 @@ class Network:
         etas = (store.remaining_bytes[rows] * 8.0) / goodput[rows]
         return float(etas.min())
 
-    def _next_completion_eta_reference(self) -> float:
-        """Scalar ETA scan — oracle for :meth:`_next_completion_eta_store`."""
-        soonest = float("inf")
-        for flow in self.flows.values():
-            goodput_bps = sum(flow.component_rates) * (1.0 - flow.reorder_retx_fraction)
-            if goodput_bps <= 0:
-                continue
-            eta = (flow.remaining_bytes * 8.0) / goodput_bps
-            soonest = min(soonest, eta)
-        return soonest
-
     def _find_finishers_store(self) -> List[Flow]:
         """Boolean-mask finisher scan over the store's remaining column.
 
@@ -1347,17 +1242,10 @@ class Network:
         flows = self.flows
         return [flows[int(fid)] for fid in np.sort(store.flow_id[rows])]
 
-    def _find_finishers_reference(self) -> List[Flow]:
-        """Scalar finisher scan — oracle for :meth:`_find_finishers_store`."""
-        return [f for f in self.flows.values() if f.remaining_bytes <= _BYTES_EPSILON]
-
     def _on_completion_event(self) -> None:
         self._completion_handle = None
         self._settle()
-        if self._settle_vectorized:
-            finished = self._find_finishers_store()
-        else:
-            finished = self._find_finishers_reference()
+        finished = self._find_finishers_store()
         if not finished:
             # Rates changed under us; just reschedule.
             self._schedule_next_completion()

@@ -1,31 +1,28 @@
 """Differential-oracle validation: the paper's claims as machine checks.
 
-Four layers, composable and individually importable:
+Five layers, composable and individually importable:
 
 * :mod:`repro.validation.invariants` — runtime invariant checks (capacity
   conservation, the max-min KKT certificate, Theorem-1's BoNF bound,
   static-switch-table preservation, Theorem-2 BoNF monotonicity) plus the
   :class:`InvariantChecker` that re-runs them continuously off the event
   engine's after-event hook;
-* :mod:`repro.validation.oracles` — differential oracles: indexed vs
-  reference allocator, live network vs reference, the incremental
-  component-scoped reallocator vs a bit-exact full refill, the batched
-  vectorized DARD control plane vs the scalar per-monitor reference
-  (same shift journal, bit-identical FCTs), the columnar FlowStore
-  settle/ETA/completion passes vs the scalar per-flow reference loops
-  (same bit-exact contract), the component-parallel execution backend
-  vs a serial twin of the same scenario (the deterministic merge
-  contract: records, shift journal, and control accounting identical
-  across backends and worker counts), the fluid simulator vs the
-  packet-level
-  TCP micro-simulator inside the documented 0.81-1.02x FCT agreement
-  band, and the :class:`StormOracle` that screens every placement and
-  reroute against the failed-link set while auditing flow-store row
-  accounting across fail/restore churn;
+* :mod:`repro.validation.oracles` — in-run differential oracles: indexed
+  vs reference allocator, live network vs reference, the incremental
+  component-scoped reallocator vs a bit-exact full refill, the fluid
+  simulator vs the packet-level TCP micro-simulator inside the
+  documented 0.81-1.02x FCT agreement band, and the
+  :class:`StormOracle` that screens every placement and reroute against
+  the failed-link set while auditing flow-store row accounting across
+  fail/restore churn;
+* :mod:`repro.validation.twins` — the reference twins (the scalar DARD
+  control plane, the scalar settle/ETA/completion loops) and the one
+  harness, :func:`twin_run`, that dual-runs a scenario against a twin
+  and demands the same shift journal and bit-identical records;
 * :mod:`repro.validation.fuzz` — seeded randomized scenario fuzzing with
   shrink-on-failure minimal reproductions;
 * :mod:`repro.validation.snapshot` — golden-trace regression snapshots
-  (store / compare / update).
+  (store / compare / update) and their twin replays.
 
 Everything is driven end to end by ``repro validate`` (see ``cli.py``)
 and documented in TESTING.md.
@@ -48,18 +45,18 @@ from repro.validation.oracles import (
     StormOracle,
     allocator_equivalence_suite,
     check_allocator_equivalence,
-    check_controlplane_equivalence,
     check_incremental_against_full,
     check_network_against_reference,
-    check_parallel_equivalence,
-    check_settle_equivalence,
-    compare_controlplane_results,
-    compare_parallel_results,
-    compare_settle_results,
-    controlplane_equivalence_suite,
-    parallel_equivalence_suite,
     run_fluid_vs_packet,
-    settle_equivalence_suite,
+)
+from repro.validation.twins import (
+    INCREMENTAL,
+    SCALAR_CONTROL_PLANE,
+    SCALAR_SETTLE,
+    Twin,
+    compare_runs,
+    twin_run,
+    twin_suites,
 )
 from repro.validation.fuzz import (
     FuzzFailure,
@@ -75,10 +72,10 @@ from repro.validation.sanitizer import OwnershipSanitizer
 from repro.validation.snapshot import (
     DEFAULT_GOLDEN_PATH,
     GOLDEN_SCENARIOS,
+    GOLDEN_TWINS,
     collect_goldens,
     compare_goldens,
-    compare_goldens_incremental,
-    compare_goldens_settle_reference,
+    replay_goldens,
     store_goldens,
 )
 
@@ -90,39 +87,37 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "GOLDEN_SCENARIOS",
+    "GOLDEN_TWINS",
+    "INCREMENTAL",
     "InvariantChecker",
     "OwnershipSanitizer",
+    "SCALAR_CONTROL_PLANE",
+    "SCALAR_SETTLE",
     "StormOracle",
     "SwitchTableSnapshot",
+    "Twin",
     "allocator_equivalence_suite",
     "check_allocator_equivalence",
-    "check_controlplane_equivalence",
     "check_dynamics_monotone",
     "check_flowstore_balance",
     "check_incremental_against_full",
     "check_maxmin_certificate",
     "check_network_against_reference",
     "check_network_allocation",
-    "check_parallel_equivalence",
-    "check_settle_equivalence",
     "check_static_forwarding",
     "check_theorem1_bound_live",
     "collect_goldens",
-    "compare_controlplane_results",
     "compare_goldens",
-    "compare_goldens_incremental",
-    "compare_goldens_settle_reference",
-    "compare_parallel_results",
-    "compare_settle_results",
-    "controlplane_equivalence_suite",
+    "compare_runs",
     "inject_capacity_bug",
     "inject_storm_bug",
-    "parallel_equivalence_suite",
     "random_scenario",
+    "replay_goldens",
     "run_case",
     "run_fluid_vs_packet",
     "run_fuzz",
-    "settle_equivalence_suite",
     "shrink_config",
     "store_goldens",
+    "twin_run",
+    "twin_suites",
 ]

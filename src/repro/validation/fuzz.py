@@ -1,12 +1,12 @@
 """Seeded scenario fuzzing with shrink-on-failure.
 
 Draws random scenarios from the full configuration cross-product
-(topology family x size x workload pattern x failure schedule x
-scheduler x parallel execution backend), runs each with the invariant
-battery attached to the event
-engine and the differential oracles sampling the live network, and — on
-any violation or crash — greedily *shrinks* the scenario to a minimal
-still-failing configuration before reporting it.
+(topology family x size x workload pattern x arrival process x failure
+schedule x scheduler x elephant detector), runs each with the invariant
+battery attached to the event engine, the differential oracles sampling
+the live network and the reference twins dual-running the scenario, and
+— on any violation or crash — greedily *shrinks* the scenario to a
+minimal still-failing configuration before reporting it.
 
 Every case is a pure function of its integer seed, so a failure report
 ("seed 1234, config {...}") reproduces exactly with
@@ -128,17 +128,6 @@ def random_scenario(seed: int) -> ScenarioConfig:
     network_params: dict = {}
     if rng.random() < 0.2:
         network_params = {"elephant_detector": "predictive"}
-    # Parallel execution backend: half the cases stay on the historical
-    # serial path, the rest exercise the component-parallel backends so
-    # the deterministic-merge contract is fuzzed continuously — any
-    # parallel case is dual-run against a serial twin by run_case.
-    backend_roll = rng.random()
-    if backend_roll < 0.4:
-        network_params["parallel_backend"] = "threads"
-    elif backend_roll < 0.5:
-        network_params["parallel_backend"] = "processes"
-    if "parallel_backend" in network_params:
-        network_params["parallel_workers"] = (2, 3, 4, 7)[int(rng.integers(4))]
     return ScenarioConfig(
         topology=kind,
         topology_params=topo_params,
@@ -211,40 +200,27 @@ def run_case(
     more after the run drains. ``corrupt`` (used by ``--inject-bug``)
     runs against the freshly built network before any traffic starts.
 
-    DARD cases additionally run the control-plane differential oracle:
-    the scenario is re-run with the scalar reference control plane
-    (``vectorized=False``) and the two results must agree on the shift
-    journal, every flow record, and control-byte accounting — a
-    divergence is a finding just like an invariant violation.
+    A :class:`~repro.validation.oracles.StormOracle` shadows the run:
+    every placement and reroute is screened against the failed-link set,
+    and flow-store row accounting is re-audited at each fail/restore edge
+    and once after the drain.
 
-    Every case (all schedulers) also runs the settle differential
-    oracle: the scenario is re-run with the scalar per-flow settle loops
-    (``settle_mode="reference"``) and compared record for record against
-    the columnar FlowStore run under the same bit-exact contract.
-
-    Cases drawn with a parallel execution backend (threads/processes)
-    additionally run the parallel differential oracle: the scenario is
-    re-run on the serial backend and the two results must be identical —
-    the deterministic merge contract makes worker scheduling invisible,
-    so any divergence is a finding.
-
-    Finally a :class:`~repro.validation.oracles.StormOracle` shadows the
-    primary run: every placement and reroute is screened against the
-    failed-link set, and flow-store row accounting is re-audited at each
-    fail/restore edge and once after the drain.
+    The scenario is then dual-run through
+    :func:`~repro.validation.twins.twin_run` against the reference twins
+    — the scalar control plane for DARD cases, the scalar settle loops
+    for every case — and each twin must reproduce the shift journal,
+    every flow record and the control accounting exactly. A divergence
+    is a finding just like an invariant violation.
     """
     from repro.addressing import HierarchicalAddressing, PathCodec
     from repro.switches import SwitchFabric
     from repro.validation.invariants import InvariantChecker, check_flowstore_balance
     from repro.validation.oracles import (
         StormOracle,
-        _with_backend,
         check_incremental_against_full,
         check_network_against_reference,
-        compare_controlplane_results,
-        compare_parallel_results,
-        compare_settle_results,
     )
+    from repro.validation.twins import SCALAR_CONTROL_PLANE, SCALAR_SETTLE, twin_run
 
     checker_box: List[InvariantChecker] = []
     sanitizer_box: List = []
@@ -266,7 +242,7 @@ def run_case(
         checker.attach()
         checker_box.append(checker)
         if sanitize:
-            # Primary run only: the reference twins below stay
+            # Production run only: the reference twins below stay
             # uninstrumented, so their bit-exact comparisons double as
             # the proof that the sanitizer changes nothing. Installed
             # before the storm oracle attaches: the oracle captures
@@ -288,33 +264,13 @@ def run_case(
         checker_box[0].detach()
         storm_oracle.final_check()
         storm_oracle.detach()
-    if config.scheduler == "dard" and config.scheduler_params.get("vectorized", True):
-        # Same world for the reference run — including any injected bug —
-        # so this oracle only ever fires on control-plane divergence.
-        scalar = run_scenario(
-            dataclasses.replace(
-                config,
-                scheduler_params={**config.scheduler_params, "vectorized": False},
-            ),
-            instrument=corrupt,
-        )
-        compare_controlplane_results(result, scalar)
-    if config.network_params.get("settle_mode", "store") == "store":
-        # Same world for the reference run — including any injected bug —
-        # so this oracle only ever fires on settle-path divergence.
-        reference = run_scenario(
-            dataclasses.replace(
-                config,
-                network_params={**config.network_params, "settle_mode": "reference"},
-            ),
-            instrument=corrupt,
-        )
-        compare_settle_results(result, reference)
-    if config.network_params.get("parallel_backend", "serial") != "serial":
-        # Same world for the serial twin — including any injected bug —
-        # so this oracle only ever fires on merge-contract divergence.
-        serial_twin = run_scenario(_with_backend(config, "serial"), instrument=corrupt)
-        compare_parallel_results(result, serial_twin)
+    twins = [SCALAR_SETTLE]
+    if config.scheduler == "dard":
+        twins.insert(0, SCALAR_CONTROL_PLANE)
+    for twin in twins:
+        # Same world for the twin — including any injected bug — so it
+        # only ever fires on divergence of the twinned code.
+        twin_run(config, twin, primary=result, instrument=corrupt)
     return result
 
 
@@ -455,7 +411,6 @@ def run_fuzz(
     shrink_failures: int = 3,
     progress: Optional[Callable[[str], None]] = None,
     sanitize: bool = False,
-    force_backend: Optional[str] = None,
 ) -> FuzzReport:
     """Sweep seeds (and/or a wall-clock budget) through the validation battery.
 
@@ -463,11 +418,6 @@ def run_fuzz(
     elapsed, whichever comes first (at least one case always runs). The
     first ``shrink_failures`` failures are shrunk to minimal reproducing
     configs; later ones are reported as-is.
-
-    ``force_backend`` pins every case to one parallel execution backend
-    instead of the generator's weighted draw (the nightly CI sweep pins
-    ``threads`` so every seed dual-runs the merge-contract oracle); the
-    worker count still varies deterministically with the seed.
     """
     if seeds is None and budget_s is None:
         seeds = 100
@@ -487,13 +437,6 @@ def run_fuzz(
         ):
             break
         config = random_scenario(seed)
-        if force_backend is not None:
-            params = {**config.network_params, "parallel_backend": force_backend}
-            if force_backend == "serial":
-                params.pop("parallel_workers", None)
-            elif "parallel_workers" not in params:
-                params["parallel_workers"] = (2, 3, 4, 7)[seed % 4]
-            config = dataclasses.replace(config, network_params=params)
         error = _case_fails(config, corrupt, every_n_events, sanitize)
         report.cases += 1
         if error is not None:

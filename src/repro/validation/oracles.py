@@ -1,6 +1,7 @@
 """Differential oracles: two independent implementations must agree.
 
-Five oracles:
+Four in-run oracles (the whole-scenario reference twins — scalar control
+plane, scalar settle loops — live in :mod:`repro.validation.twins`):
 
 * **allocator equivalence** — the vectorized integer-indexed fast path
   (``maxmin_allocate_indexed``, via its string-keyed wrapper) against the
@@ -11,27 +12,23 @@ Five oracles:
   component rates against a from-scratch reference allocation over its
   own flow state (catches divergence anywhere in the CSR assembly /
   caching layer, e.g. a perturbed capacity array entry);
-* **control-plane equivalence** — the batched vectorized DARD control
-  plane (monitor registry + matrix Algorithm 1 + integer FV) against the
-  preserved scalar per-monitor reference: the *same shift sequence* and
-  *bit-identical FCTs* on the same scenario (see DESIGN.md
-  "Control-plane batching");
-* **settle equivalence** — the columnar FlowStore-backed settle / ETA /
-  completion passes (``settle_mode="store"``, the default) against the
-  preserved scalar per-flow reference loops: *bit-identical records*,
-  shift journals, and control accounting on the same scenario (see
-  DESIGN.md "Columnar flow state");
+* **incremental vs full** — the component-scoped refill's live rates and
+  persistent link loads against a from-scratch full fill, bit for bit;
 * **fluid vs packet** — the fluid simulator's FCTs against the
   packet-level TCP micro-simulator on the documented validation
   scenarios, enforcing the 0.81-1.02x agreement band from
   EXPERIMENTS.md ("Validating the fluid-model substitution").
+
+:class:`StormOracle` screens every placement and reroute against the
+failed-link set while auditing flow-store row accounting across
+fail/restore churn.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import OracleViolation
 from repro.common.units import MB, MBPS
@@ -217,358 +214,6 @@ def check_incremental_against_full(network: Network) -> None:
             f"{network._load_array[bad]!r} but a full recount gives "
             f"{expected_load[bad]!r} (bit-exact contract)",
         )
-
-
-# ---------------------------------------------------------------------------
-# Control-plane equivalence (batched vectorized vs scalar reference)
-# ---------------------------------------------------------------------------
-
-def compare_controlplane_results(vectorized, reference) -> None:
-    """Raise unless two DARD runs of one scenario are behaviorally identical.
-
-    The contract is exact, not approximate: the batched control plane is a
-    pure execution-strategy change, so the shift journals must match tuple
-    for tuple and every completed flow's record (FCT endpoints, path
-    switches, retransmissions) bit for bit. Control-message accounting
-    must agree too — batching is a simulator optimization, not a protocol
-    change.
-    """
-    if vectorized.dard_shift_log != reference.dard_shift_log:
-        ours, theirs = vectorized.dard_shift_log, reference.dard_shift_log
-        for k, (a, b) in enumerate(zip(ours, theirs)):
-            if a != b:
-                raise OracleViolation(
-                    "controlplane-equivalence",
-                    f"shift {k} diverges: vectorized {a!r} != scalar {b!r}",
-                    subject=k,
-                )
-        raise OracleViolation(
-            "controlplane-equivalence",
-            f"shift journal length {len(ours)} (vectorized) != "
-            f"{len(theirs)} (scalar)",
-        )
-    if len(vectorized.records) != len(reference.records):
-        raise OracleViolation(
-            "controlplane-equivalence",
-            f"{len(vectorized.records)} completed flows (vectorized) != "
-            f"{len(reference.records)} (scalar)",
-        )
-    for ours, theirs in zip(vectorized.records, reference.records):
-        if ours != theirs:
-            raise OracleViolation(
-                "controlplane-equivalence",
-                f"flow {ours.flow_id}: vectorized record {ours!r} != "
-                f"scalar {theirs!r} (bit-exact contract)",
-                subject=ours.flow_id,
-            )
-    if vectorized.control_bytes != reference.control_bytes:
-        raise OracleViolation(
-            "controlplane-equivalence",
-            f"control bytes {vectorized.control_bytes!r} (vectorized) != "
-            f"{reference.control_bytes!r} (scalar)",
-        )
-
-
-def _with_vectorized(config, vectorized: bool):
-    import dataclasses
-
-    params = dict(config.scheduler_params)
-    params["vectorized"] = vectorized
-    return dataclasses.replace(config, scheduler_params=params)
-
-
-def check_controlplane_equivalence(config) -> dict:
-    """Run one DARD scenario in both control-plane modes; raise on divergence.
-
-    Returns a small summary dict (flows, shifts) for reporting.
-    """
-    from repro.experiments.runner import run_scenario
-
-    if config.scheduler != "dard":
-        raise ValueError(
-            f"control-plane oracle needs a dard scenario, got {config.scheduler!r}"
-        )
-    vectorized = run_scenario(_with_vectorized(config, True))
-    reference = run_scenario(_with_vectorized(config, False))
-    compare_controlplane_results(vectorized, reference)
-    return {
-        "flows": len(vectorized.records),
-        "shifts": vectorized.dard_shifts,
-    }
-
-
-def controlplane_equivalence_suite() -> List[dict]:
-    """The batched-vs-scalar oracle over the golden DARD scenario plus a
-    failure-rich stride case; returns one summary row per scenario."""
-    from repro.experiments.runner import ScenarioConfig
-    from repro.validation.snapshot import GOLDEN_SCENARIOS
-
-    scenarios = [GOLDEN_SCENARIOS["fattree_dard_random"]]
-    scenarios.append(
-        ScenarioConfig(
-            topology="fattree",
-            topology_params={"p": 4, "link_bandwidth_bps": 100 * MBPS},
-            pattern="stride",
-            scheduler="dard",
-            arrival_rate_per_host=0.1,
-            duration_s=25.0,
-            flow_size_bytes=48 * MB,
-            seed=7,
-            link_events=(
-                ("fail", 12.0, "agg_0_0", "core_0_0"),
-                ("restore", 18.0, "agg_0_0", "core_0_0"),
-            ),
-        )
-    )
-    rows = []
-    for config in scenarios:
-        summary = check_controlplane_equivalence(config)
-        summary["pattern"] = config.pattern
-        rows.append(summary)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Settle equivalence (columnar FlowStore vs scalar reference loops)
-# ---------------------------------------------------------------------------
-
-def compare_settle_results(store, reference) -> None:
-    """Raise unless a store-mode and a reference-mode run are identical.
-
-    The columnar settle/ETA/completion passes are a pure execution-strategy
-    change, so the contract is exact: every completed flow's record (FCT
-    endpoints, path switches, retransmissions) must match bit for bit, any
-    DARD shift journal tuple for tuple, and control accounting exactly.
-    """
-    if store.dard_shift_log != reference.dard_shift_log:
-        ours, theirs = store.dard_shift_log, reference.dard_shift_log
-        for k, (a, b) in enumerate(zip(ours, theirs)):
-            if a != b:
-                raise OracleViolation(
-                    "settle-equivalence",
-                    f"shift {k} diverges: store {a!r} != reference {b!r}",
-                    subject=k,
-                )
-        raise OracleViolation(
-            "settle-equivalence",
-            f"shift journal length {len(ours)} (store) != "
-            f"{len(theirs)} (reference)",
-        )
-    if len(store.records) != len(reference.records):
-        raise OracleViolation(
-            "settle-equivalence",
-            f"{len(store.records)} completed flows (store) != "
-            f"{len(reference.records)} (reference)",
-        )
-    for ours, theirs in zip(store.records, reference.records):
-        if ours != theirs:
-            raise OracleViolation(
-                "settle-equivalence",
-                f"flow {ours.flow_id}: store record {ours!r} != "
-                f"reference {theirs!r} (bit-exact contract)",
-                subject=ours.flow_id,
-            )
-    if store.control_bytes != reference.control_bytes:
-        raise OracleViolation(
-            "settle-equivalence",
-            f"control bytes {store.control_bytes!r} (store) != "
-            f"{reference.control_bytes!r} (reference)",
-        )
-
-
-def _with_settle_mode(config, mode: str):
-    import dataclasses
-
-    params = dict(config.network_params)
-    params["settle_mode"] = mode
-    return dataclasses.replace(config, network_params=params)
-
-
-def check_settle_equivalence(config) -> dict:
-    """Run one scenario in both settle modes; raise on any divergence.
-
-    Works for every scheduler (the settle path is scheduler-agnostic).
-    Returns a small summary dict (flows, shifts) for reporting.
-    """
-    from repro.experiments.runner import run_scenario
-
-    store = run_scenario(_with_settle_mode(config, "store"))
-    reference = run_scenario(_with_settle_mode(config, "reference"))
-    compare_settle_results(store, reference)
-    return {
-        "flows": len(store.records),
-        "shifts": store.dard_shifts,
-    }
-
-
-def settle_equivalence_suite() -> List[dict]:
-    """The store-vs-reference oracle over golden ECMP and DARD scenarios
-    plus a failure-rich stride case; returns one summary row per scenario."""
-    from repro.experiments.runner import ScenarioConfig
-    from repro.validation.snapshot import GOLDEN_SCENARIOS
-
-    scenarios = [
-        GOLDEN_SCENARIOS["fattree_ecmp_stride"],
-        GOLDEN_SCENARIOS["fattree_dard_random"],
-        ScenarioConfig(
-            topology="fattree",
-            topology_params={"p": 4, "link_bandwidth_bps": 100 * MBPS},
-            pattern="stride",
-            scheduler="dard",
-            arrival_rate_per_host=0.1,
-            duration_s=25.0,
-            flow_size_bytes=48 * MB,
-            seed=7,
-            link_events=(
-                ("fail", 12.0, "agg_0_0", "core_0_0"),
-                ("restore", 18.0, "agg_0_0", "core_0_0"),
-            ),
-        ),
-    ]
-    rows = []
-    for config in scenarios:
-        summary = check_settle_equivalence(config)
-        summary["scheduler"] = config.scheduler
-        summary["pattern"] = config.pattern
-        rows.append(summary)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Parallel equivalence (component-parallel backend vs serial)
-# ---------------------------------------------------------------------------
-
-def compare_parallel_results(parallel, serial) -> None:
-    """Raise unless a parallel-backend run and a serial run are identical.
-
-    The deterministic merge contract (``repro.simulator.parallel``) makes
-    the backend a pure execution-strategy change: partition the dirty
-    demands by flow-link component, water-fill each bucket on a worker,
-    merge rates back positionally in submission order. Nothing downstream
-    may observe the difference, so the contract is exact: every completed
-    flow's record bit for bit, any DARD shift journal tuple for tuple,
-    and control accounting exactly. Only ``filling_iterations`` telemetry
-    may differ (a bucketed fill sums per-bucket iteration counts), which
-    is why this oracle compares behavior, not ``perf_stats``.
-    """
-    if parallel.dard_shift_log != serial.dard_shift_log:
-        ours, theirs = parallel.dard_shift_log, serial.dard_shift_log
-        for k, (a, b) in enumerate(zip(ours, theirs)):
-            if a != b:
-                raise OracleViolation(
-                    "parallel-equivalence",
-                    f"shift {k} diverges: parallel {a!r} != serial {b!r}",
-                    subject=k,
-                )
-        raise OracleViolation(
-            "parallel-equivalence",
-            f"shift journal length {len(ours)} (parallel) != "
-            f"{len(theirs)} (serial)",
-        )
-    if len(parallel.records) != len(serial.records):
-        raise OracleViolation(
-            "parallel-equivalence",
-            f"{len(parallel.records)} completed flows (parallel) != "
-            f"{len(serial.records)} (serial)",
-        )
-    for ours, theirs in zip(parallel.records, serial.records):
-        if ours != theirs:
-            raise OracleViolation(
-                "parallel-equivalence",
-                f"flow {ours.flow_id}: parallel record {ours!r} != "
-                f"serial {theirs!r} (bit-exact contract)",
-                subject=ours.flow_id,
-            )
-    if parallel.control_bytes != serial.control_bytes:
-        raise OracleViolation(
-            "parallel-equivalence",
-            f"control bytes {parallel.control_bytes!r} (parallel) != "
-            f"{serial.control_bytes!r} (serial)",
-        )
-
-
-def _with_backend(config, backend: str, workers: Optional[int] = None):
-    """A copy of ``config`` pinned to the given parallel backend.
-
-    The serial twin strips the worker count too — ``serial`` rejects any
-    explicit worker count other than 1, and the twin must be exactly the
-    historical single-threaded configuration.
-    """
-    import dataclasses
-
-    params = dict(config.network_params)
-    params["parallel_backend"] = backend
-    if workers is None:
-        params.pop("parallel_workers", None)
-    else:
-        params["parallel_workers"] = workers
-    return dataclasses.replace(config, network_params=params)
-
-
-def check_parallel_equivalence(
-    config, backend: str = "threads", workers: Optional[int] = None
-) -> dict:
-    """Run one scenario on a parallel backend and serially; raise on any
-    divergence. Returns a small summary dict (flows, shifts) for reporting.
-    """
-    from repro.experiments.runner import run_scenario
-
-    parallel = run_scenario(_with_backend(config, backend, workers))
-    serial = run_scenario(_with_backend(config, "serial"))
-    compare_parallel_results(parallel, serial)
-    return {
-        "flows": len(parallel.records),
-        "shifts": parallel.dard_shifts,
-    }
-
-
-def _parallel_oracle_scenarios() -> List[Tuple[str, Optional[int], Any]]:
-    """``(backend, workers, config)`` rows the suite and CI smoke share.
-
-    The p=8 incast-barrier + failure-storm case is the load-bearing one:
-    barrier arrivals create multi-component rounds big enough to cross the
-    fan-out threshold (``_MIN_FANOUT_NNZ``), so worker buckets actually
-    form and the merge path is exercised rather than trivially bypassed.
-    """
-    from repro.experiments.runner import ScenarioConfig
-    from repro.validation.snapshot import GOLDEN_SCENARIOS
-
-    barrier_storm = ScenarioConfig(
-        topology="fattree",
-        topology_params={"p": 8, "link_bandwidth_bps": 100 * MBPS},
-        pattern="stride",
-        scheduler="dard",
-        arrival_rate_per_host=0.05,
-        duration_s=6.0,
-        flow_size_bytes=32 * MB,
-        seed=3,
-        arrival="incast-barrier",
-        arrival_params={"period_s": 1.0},
-        link_events=(
-            ("fail", 2.5, "agg_0_0", "core_0_0"),
-            ("restore", 4.0, "agg_0_0", "core_0_0"),
-        ),
-    )
-    return [
-        ("threads", 4, barrier_storm),
-        ("threads", 7, barrier_storm),
-        ("processes", 2, barrier_storm),
-        ("threads", 4, GOLDEN_SCENARIOS["fattree_dard_random"]),
-    ]
-
-
-def parallel_equivalence_suite() -> List[dict]:
-    """The parallel-vs-serial oracle over a fan-out-active barrier+storm
-    case (threads x4/x7, processes x2) plus the golden DARD scenario;
-    returns one summary row per (backend, workers, scenario)."""
-    rows = []
-    for backend, workers, config in _parallel_oracle_scenarios():
-        summary = check_parallel_equivalence(config, backend, workers)
-        summary["backend"] = backend
-        summary["workers"] = workers
-        summary["pattern"] = config.pattern
-        rows.append(summary)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ so per-instance patching is impossible) and are refcounted: instances
 without an attached sanitizer take a dictionary miss and fall through to
 the original method, which is why an instrumented fuzz process can still
 run unsanitized reference twins — and why the settle/control-plane
-differential oracles inside ``run_case`` double as the bit-identical
-proof that instrumentation changes nothing.
+twin runs inside ``run_case`` double as the bit-identical proof that
+instrumentation changes nothing.
 """
 
 from __future__ import annotations

@@ -12,24 +12,28 @@ into a one-command question.
 Modes: ``store`` writes the golden file, ``compare`` diffs a fresh
 capture against it, ``update`` is store-over-existing (use after an
 *intentional* behavior change, and say why in the commit).
+:func:`replay_goldens` re-runs the golden scenarios under a reference
+twin (:mod:`repro.validation.twins`) and diffs them against the same
+file.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import random
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 #: Progress callback used by the golden capture/compare entry points.
 ProgressFn = Optional[Callable[[str], None]]
 
 from repro.common.rng import RngStreams
 from repro.common.units import MB, MBPS
-from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.simulator.network import Network
+from repro.validation.twins import INCREMENTAL, SCALAR_SETTLE, Twin
 
 PathLike = Union[str, Path]
 
@@ -44,9 +48,9 @@ _ROUND = 6  # microsecond / sub-ppm resolution: below any real drift
 #: reallocation mode: the incremental mode reproduces every rate and FCT
 #: bit-for-bit but counts water-filling rounds per component, so its
 #: ``filling_iterations`` legitimately differs when symmetric ties span
-#: components. :func:`compare_goldens_incremental` re-runs these configs
-#: with ``incremental_realloc=True`` and diffs against the same stored
-#: file, exempting only that field.
+#: components. The :data:`GOLDEN_TWINS` replay re-runs these configs
+#: incrementally and diffs against the same stored file, exempting only
+#: that field.
 GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
     "fattree_ecmp_stride": ScenarioConfig(
         topology="fattree",
@@ -88,10 +92,15 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
     ),
 }
 
-#: Golden fields the incremental cross-check ignores: per-component fills
-#: count symmetric cross-component tie rounds separately, so convergence
-#: round totals differ while every rate (and thus every FCT) is identical.
-_INCREMENTAL_EXEMPT_FIELDS = ("filling_iterations",)
+#: The twins ``repro validate`` replays against the golden file, each with
+#: the golden fields it may change. Per-component fills count symmetric
+#: cross-component tie rounds separately, so the incremental twin's
+#: convergence round totals differ while every rate (and thus every FCT)
+#: is identical; the scalar settle loops change no field at all.
+GOLDEN_TWINS: Tuple[Tuple[Twin, Tuple[str, ...]], ...] = (
+    (INCREMENTAL, ("filling_iterations",)),
+    (SCALAR_SETTLE, ()),
+)
 
 
 def _digest(values: Iterable[float]) -> str:
@@ -109,9 +118,13 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 def capture_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario and distill its golden trace."""
-    network_box = []
+    network_box: List[Network] = []
     result = run_scenario(config, instrument=network_box.append)
-    network = network_box[0]
+    return _distill(result, network_box[0])
+
+
+def _distill(result: ScenarioResult, network: Network) -> dict:
+    """One finished run's golden trace."""
     fcts = sorted(result.fcts)
     stats = network.perf_stats()
     peaks = network.peak_utilization_summary()
@@ -232,63 +245,37 @@ def compare_goldens(
     return mismatches
 
 
-def compare_goldens_incremental(
+def replay_goldens(
+    twin: Twin,
+    exempt: Sequence[str] = (),
     path: PathLike = DEFAULT_GOLDEN_PATH,
     progress: ProgressFn = None,
 ) -> List[str]:
-    """Re-run the golden scenarios incrementally against the stored file.
+    """Re-run the golden scenarios under ``twin`` and diff against the file.
 
-    The component-scoped reallocator's bit-exactness claim, enforced
-    end-to-end: every scenario digest (FCTs, path switches, utilization
-    peaks, realloc counts) must match the full-mode golden exactly, with
-    only :data:`_INCREMENTAL_EXEMPT_FIELDS` excused.
+    The twin's bit-exactness claim, enforced end to end: every scenario
+    digest (FCTs, path switches, utilization peaks, realloc counts) must
+    match the stored golden, with only the ``exempt`` fields excused.
+    Returns mismatch lines like :func:`compare_goldens`; a scenario the
+    file lacks is one mismatch line, not an error.
     """
     path = Path(path)
     if not path.exists():
         return [f"golden file {path} does not exist; run with --golden update to create it"]
     with open(path) as handle:
-        golden = json.load(handle)
+        stored = json.load(handle).get("scenarios", {})
     mismatches: List[str] = []
     for name, config in GOLDEN_SCENARIOS.items():
+        prefix = f"scenarios[{twin.oracle}].{name}"
+        if name not in stored:
+            mismatches.append(f"{prefix}: missing from golden file {path}")
+            continue
         if progress is not None:
-            progress(f"golden[incremental]: capturing {name} ...")
-        flipped = dataclasses.replace(
-            config, network_params={**config.network_params, "incremental_realloc": True}
-        )
-        current = capture_scenario(flipped)
-        want = dict(golden["scenarios"][name])
-        for exempt in _INCREMENTAL_EXEMPT_FIELDS:
-            want.pop(exempt, None)
-            current.pop(exempt, None)
-        _diff(f"scenarios[incremental].{name}.", want, current, mismatches)
-    return mismatches
-
-
-def compare_goldens_settle_reference(
-    path: PathLike = DEFAULT_GOLDEN_PATH,
-    progress: ProgressFn = None,
-) -> List[str]:
-    """Re-run the golden scenarios in scalar settle mode against the file.
-
-    The columnar FlowStore's bit-exactness claim, enforced end-to-end:
-    the goldens are captured in the default ``settle_mode="store"``, and
-    the preserved scalar reference loops must reproduce every scenario
-    digest exactly — no exempt fields, since the settle path affects no
-    counters differently between modes.
-    """
-    path = Path(path)
-    if not path.exists():
-        return [f"golden file {path} does not exist; run with --golden update to create it"]
-    with open(path) as handle:
-        golden = json.load(handle)
-    mismatches: List[str] = []
-    for name, config in GOLDEN_SCENARIOS.items():
-        if progress is not None:
-            progress(f"golden[settle-reference]: capturing {name} ...")
-        flipped = dataclasses.replace(
-            config, network_params={**config.network_params, "settle_mode": "reference"}
-        )
-        current = capture_scenario(flipped)
-        _diff(f"scenarios[settle-reference].{name}.", golden["scenarios"][name],
-              current, mismatches)
+            progress(f"golden[{twin.oracle}]: capturing {name} ...")
+        current = _distill(*twin.run(config))
+        want = dict(stored[name])
+        for field in exempt:
+            want.pop(field, None)
+            current.pop(field, None)
+        _diff(f"{prefix}.", want, current, mismatches)
     return mismatches

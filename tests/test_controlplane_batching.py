@@ -3,10 +3,11 @@
 Covers the :class:`MonitorRegistry` lifecycle (register / release /
 revival / compaction epochs), dirty-tracked cache correctness against
 direct network queries, Algorithm 1 tie-break edge cases in all three
-execution paths (scalar reference, small-fleet floats, padded matrix),
-the two-sided optimistic ``note_shift`` update, the ``cp_*`` telemetry
-surface, and the scalar-vs-batched differential oracle (including its
-self-test: a perturbed result must be caught).
+execution paths (the scalar reference twin, small-fleet floats, padded
+matrix), the two-sided optimistic ``note_shift`` update, the ``cp_*``
+telemetry surface, and the scalar control-plane twin run through the
+twin harness (including its self-test: a perturbed result must be
+caught).
 """
 
 import dataclasses
@@ -25,9 +26,14 @@ from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import FlowComponent, Network
 from repro.topology import ClosNetwork, FatTree
-from repro.validation.oracles import (
-    check_controlplane_equivalence,
-    compare_controlplane_results,
+from repro.validation.twins import (
+    SCALAR_CONTROL_PLANE,
+    best_target,
+    compare_runs,
+    query_monitors_scalar,
+    scheduling_round_scalar,
+    twin_run,
+    worst_active,
 )
 
 
@@ -44,7 +50,7 @@ def start_flow_on(net, src, dst, path_index, size=500 * MB):
     )
 
 
-def make_daemon(net, vectorized=True, registry=None, delta_bps=10 * MBPS):
+def make_daemon(net, registry=None, delta_bps=10 * MBPS):
     codec = PathCodec(HierarchicalAddressing(net.topology))
     return HostDaemon(
         host="h_0_0_0",
@@ -53,7 +59,6 @@ def make_daemon(net, vectorized=True, registry=None, delta_bps=10 * MBPS):
         ledger=MessageLedger(),
         delta_bps=delta_bps,
         registry=registry,
-        vectorized=vectorized,
     )
 
 
@@ -230,8 +235,8 @@ class TestPairInterning:
 
 
 class TestAlgorithm1TieBreaks:
-    """Edge cases of ``_best_target`` / ``_worst_active``, checked on the
-    scalar reference helpers and on the small-fleet float path."""
+    """Edge cases of ``best_target`` / ``worst_active``, checked on the
+    scalar reference twin and on the small-fleet float path."""
 
     def _monitor_stub(self, band, eleph):
         class Stub:
@@ -253,26 +258,26 @@ class TestAlgorithm1TieBreaks:
             PathState(100 * MBPS, 1),
             PathState(200 * MBPS, 2),
         ]
-        assert HostDaemon._best_target(states) == 2
+        assert best_target(states) == 2
 
     def test_equal_bonf_equal_estimate_keeps_first(self):
         states = [PathState(100 * MBPS, 1), PathState(100 * MBPS, 1)]
-        assert HostDaemon._best_target(states) == 0
+        assert best_target(states) == 0
 
     def test_worst_active_ignores_inactive_paths(self):
         states = [PathState(10 * MBPS, 5), PathState(100 * MBPS, 1)]
         # The congested path 0 is not ours -> only path 1 is eligible.
-        assert HostDaemon._worst_active(states, [0, 1]) == 1
+        assert worst_active(states, [0, 1]) == 1
 
     def test_worst_active_all_inactive_is_none(self):
         states = [PathState(10 * MBPS, 5), PathState(100 * MBPS, 1)]
-        assert HostDaemon._worst_active(states, [0, 0]) is None
+        assert worst_active(states, [0, 0]) is None
 
     def test_single_path_monitor_never_shifts(self):
         states = [PathState(10 * MBPS, 5)]
-        assert HostDaemon._best_target(states) == 0
-        assert HostDaemon._worst_active(states, [1]) == 0
-        # best == worst -> _schedule_one declines; mirror on the float path.
+        assert best_target(states) == 0
+        assert worst_active(states, [1]) == 0
+        # best == worst -> schedule_one declines; mirror on the float path.
         net = make_network()
         daemon = make_daemon(net)
         stub = self._monitor_stub([10 * MBPS], [5])
@@ -290,21 +295,22 @@ class TestAlgorithm1TieBreaks:
 class TestExecutionPathEquivalence:
     """The three round implementations decide identically on real state."""
 
-    def _congested_daemon(self, vectorized):
+    def _decision(self, scalar):
         net = make_network()
-        registry = MonitorRegistry(net) if vectorized else None
-        daemon = make_daemon(net, vectorized=vectorized, registry=registry)
+        # The scalar twin polls without a registry, as it runs in the harness.
+        daemon = make_daemon(net, registry=None if scalar else MonitorRegistry(net))
         f1 = start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
         f2 = start_flow_on(net, "h_0_0_0", "h_1_0_1", 0)
         net.engine.run_until(10.5)
         daemon.on_elephant(f1)
         daemon.on_elephant(f2)
-        daemon.query_monitors()
-        return net, daemon, (f1, f2)
-
-    def _decision(self, net, daemon, flows):
-        shifts = daemon.run_scheduling_round()
-        return (shifts, [tuple(f.switch_path()[1:-1]) for f in flows])
+        if scalar:
+            query_monitors_scalar(daemon)
+            shifts = scheduling_round_scalar(daemon)
+        else:
+            daemon.query_monitors()
+            shifts = daemon.run_scheduling_round()
+        return (shifts, [tuple(f.switch_path()[1:-1]) for f in (f1, f2)])
 
     def test_scalar_smallfleet_and_matrix_agree(self, monkeypatch):
         decisions = []
@@ -312,8 +318,7 @@ class TestExecutionPathEquivalence:
             monkeypatch.setattr(
                 daemon_module, "_SMALL_ROUND_CELLS", 0 if mode == "matrix" else 128
             )
-            net, daemon, flows = self._congested_daemon(mode != "scalar")
-            decisions.append(self._decision(net, daemon, flows))
+            decisions.append(self._decision(scalar=mode == "scalar"))
         assert decisions[0] == decisions[1] == decisions[2]
         assert decisions[0][0] == 1  # exactly one congestion-relieving shift
 
@@ -382,16 +387,15 @@ class TestPerfStatsSurface:
         net.engine.run_until(12.0)
         stats = net.perf_stats()
         for key in (
-            "cp_vectorized", "cp_daemons", "cp_monitors_live",
+            "cp_daemons", "cp_monitors_live",
             "cp_query_rounds", "cp_query_time_s", "cp_round_time_s",
-            "cp_vector_rounds", "cp_scalar_rounds", "cp_shift_tails",
+            "cp_vector_rounds", "cp_shift_tails",
             "cp_shifts", "cp_registry_pairs", "cp_registry_rows",
             "cp_registry_queries", "cp_registry_cache_hits",
             "cp_registry_refreshes", "cp_registry_rows_refreshed",
             "cp_registry_rebuilds", "cp_registry_registrations",
         ):
             assert key in stats, key
-        assert stats["cp_vectorized"] == 1.0
         assert stats["cp_daemons"] >= 1.0
 
 
@@ -409,8 +413,8 @@ SMALL_DARD = ScenarioConfig(
 
 class TestControlplaneOracle:
     def test_small_scenario_equivalent(self):
-        summary = check_controlplane_equivalence(SMALL_DARD)
-        assert summary["flows"] > 0
+        result = twin_run(SMALL_DARD, SCALAR_CONTROL_PLANE)
+        assert result.records
 
     def test_perturbed_shift_log_is_caught(self):
         result = run_scenario(SMALL_DARD)
@@ -421,7 +425,7 @@ class TestControlplaneOracle:
             + ((99.0, "h_0_0_0", 1, 0, 1),),
         )
         with pytest.raises(OracleViolation, match="controlplane-equivalence"):
-            compare_controlplane_results(tampered, reference)
+            compare_runs(tampered, reference, SCALAR_CONTROL_PLANE.oracle)
 
     def test_perturbed_record_is_caught(self):
         result = run_scenario(SMALL_DARD)
@@ -430,4 +434,4 @@ class TestControlplaneOracle:
             result.records[0], end_time=result.records[0].end_time + 1e-9
         )
         with pytest.raises(OracleViolation, match="controlplane-equivalence"):
-            compare_controlplane_results(result, reference)
+            compare_runs(result, reference, SCALAR_CONTROL_PLANE.oracle)

@@ -10,6 +10,7 @@ from repro.core.daemon import HostDaemon
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import FlowComponent, Network
 from repro.topology import FatTree
+from repro.validation.twins import flow_vector
 
 
 def make_ctx(seed=0, p=4, **scheduler_kwargs):
@@ -211,7 +212,7 @@ class TestHostDaemonAlgorithm1:
         daemon.on_elephant(f1)
         daemon.on_elephant(f2)
         monitor = next(iter(daemon.monitors.values()))
-        assert daemon.flow_vector(monitor) == [0, 2, 0, 0]
+        assert flow_vector(daemon, monitor) == [0, 2, 0, 0]
 
 
 class TestToyExample:

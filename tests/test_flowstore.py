@@ -2,8 +2,8 @@
 
 Covers the store's row lifecycle (revival, growth, compaction epochs),
 the Flow view object's identity with the store columns through reroute
-and retransmission penalties, and the store-vs-reference settle mode
-equivalence on live networks.
+and retransmission penalties, and the store passes against the scalar
+settle twin on live networks.
 """
 
 import math
@@ -16,6 +16,7 @@ from repro.common.units import MB, MBPS
 from repro.simulator import FlowComponent, FlowStore, Network
 from repro.simulator.flows import Flow
 from repro.topology import FatTree
+from repro.validation.twins import install_scalar_settle
 
 
 @pytest.fixture
@@ -275,15 +276,11 @@ class TestNetworkIntegration:
         assert finished.remaining_bytes <= 1.0
         assert not finished.active
 
-    def test_settle_mode_validation(self):
-        with pytest.raises(SimulationError):
-            Network(FatTree(p=4), settle_mode="bogus")
-
     def test_reference_mode_matches_store_mode_records(self):
-        def run(settle_mode):
-            net = Network(
-                FatTree(p=4, link_bandwidth_bps=100 * MBPS), settle_mode=settle_mode
-            )
+        def run(scalar):
+            net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
+            if scalar:
+                install_scalar_settle(net)
             src = "h_0_0_0"
             for i, dst in enumerate(("h_1_0_0", "h_2_0_0", "h_3_0_0")):
                 net.start_flow(src, dst, (i + 1) * 4 * MB, [component(net, src, dst)])
@@ -295,8 +292,8 @@ class TestNetworkIntegration:
             net.check_invariants()
             return net.records
 
-        store_records = run("store")
-        reference_records = run("reference")
+        store_records = run(scalar=False)
+        reference_records = run(scalar=True)
         assert store_records == reference_records  # bit-exact, not approx
 
     def test_invariants_catch_rate_column_corruption(self, net):

@@ -74,6 +74,18 @@ def _stride_network(incremental=True):
     return net, flows
 
 
+def _component_of(comps, flow_id):
+    """Ids of the live flows connected to ``flow_id`` through shared links."""
+    link_flows, flow_links = comps.link_flows(), comps.flow_links()
+    seen, stack = {flow_id}, [flow_id]
+    while stack:
+        for link in flow_links[stack.pop()]:
+            for other in link_flows[link] - seen:
+                seen.add(other)
+                stack.append(other)
+    return seen
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("scheduler", ["ecmp", "dard", "vlb"])
     def test_records_identical_across_modes(self, scheduler):
@@ -174,16 +186,6 @@ class TestComponentStructure:
         assert comps.consume_dirty() == (0, [])
         assert 2 not in comps.link_flows() and 3 not in comps.link_flows()
 
-    def test_find_roots_labels_exact_components(self):
-        comps = FlowLinkComponents()
-        comps.attach(1, np.array([2, 5], dtype=np.intp))
-        comps.attach(2, np.array([5, 7], dtype=np.intp))
-        comps.attach(3, np.array([4, 6], dtype=np.intp))
-        # Smallest link id labels a component; an unused link labels itself.
-        assert comps.find_roots([7, 6, 2, 9]) == [2, 4, 2, 9]
-        comps.detach(2)
-        assert comps.find_roots([7, 5]) == [7, 2]
-
     def test_departure_splits_a_live_network_component(self):
         net, flows = _stride_network()
         topo = net.topology
@@ -193,14 +195,13 @@ class TestComponentStructure:
         path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[0]
         bridge = net.start_flow(src, dst, 1e6, [FlowComponent(topo.host_path(src, dst, path))])
         comps = net._components
-        first_links = [int(flow.unique_link_ids[0]) for flow in flows]
-        assert len(set(comps.find_roots(first_links))) == 1
+        assert flows[1].flow_id in _component_of(comps, flows[0].flow_id)
         # The bridge (1 MB) finishes first; its departure splits them, so
         # the refill it triggers re-rates both halves as two components.
         touched = net.perf_stats()["components_touched"]
         net.engine.run_until(net.engine.now + 1.0)
         assert not bridge.active and flows[0].active and flows[1].active
-        assert len(set(comps.find_roots(first_links))) == 2
+        assert flows[1].flow_id not in _component_of(comps, flows[0].flow_id)
         assert net.perf_stats()["components_touched"] == touched + 1 + 2
         net.check_invariants()
 

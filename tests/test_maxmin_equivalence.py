@@ -9,7 +9,9 @@ shares tie exactly, which perturbs nothing beyond floating-point ulps.
 
 The indexed allocator's two start regimes (the lazy heap from round 0
 and vectorized rounds first) are held to a stricter bar: bit-identical
-rates and iteration counts on the same CSR.
+rates and iteration counts on the same CSR. So is partition invariance:
+filling components in separate calls reproduces one combined fill bit
+for bit, even when symmetric shares tie exactly across components.
 """
 
 import math
@@ -179,6 +181,33 @@ def random_csr(rng, num_demands, tie_heavy):
     )
 
 
+def _replicated_csr(components=6, demands_per=9, links_per=3):
+    """``components`` identical single-component CSRs over disjoint links.
+
+    Identical structure means every component produces the same share
+    sequence, so the combined fill is saturated with *exact* cross-
+    component ties — the regime where the progressive tail's tie
+    handling must stay batch-exact for per-component fills to reproduce it.
+    """
+    indices, indptr, weights = [], [0], []
+    for c in range(components):
+        base = c * links_per
+        for j in range(demands_per):
+            links = sorted({base + j % links_per, base + (j + 1) % links_per})
+            indices.extend(links)
+            indptr.append(indptr[-1] + len(links))
+            weights.append(1.0 + (j % 3))
+    capacities = np.full(components * links_per, 100e6)
+    component_of = [j // demands_per for j in range(components * demands_per)]
+    return (
+        np.asarray(indices, dtype=np.intp),
+        np.asarray(indptr, dtype=np.intp),
+        np.asarray(weights, dtype=np.float64),
+        capacities,
+        component_of,
+    )
+
+
 class TestStartRegimes:
     """The round-0 heap entry and the vectorized-first entry agree bit for bit."""
 
@@ -205,19 +234,36 @@ class TestStartRegimes:
     def test_symmetric_components_tie_exactly(self, components):
         # Identical components over disjoint links: every share ties
         # across components, and weights 1/2/3 tie within them.
-        indices, indptr, weights = [], [0], []
-        for c in range(components):
-            for j in range(9):
-                indices.extend(sorted({3 * c + j % 3, 3 * c + (j + 1) % 3}))
-                indptr.append(len(indices))
-                weights.append(1.0 + j % 3)
-        csr = (
-            np.asarray(indices, dtype=np.intp),
-            np.asarray(indptr, dtype=np.intp),
-            np.asarray(weights, dtype=float),
-            np.full(3 * components, 100e6),
-        )
+        csr = _replicated_csr(components=components)[:4]
         heap_rates, heap_iterations = _heap_fill(*csr)
         vector_rates, vector_iterations = _vectorized_fill(*csr)
         np.testing.assert_array_equal(heap_rates, vector_rates)
         assert heap_iterations == vector_iterations
+
+
+class TestPartitionInvariance:
+    """Separate per-group fills reproduce the combined fill bit for bit."""
+
+    @pytest.mark.parametrize("groups", [2, 3, 4, 7])
+    def test_symmetric_tie_batches(self, groups):
+        indices, indptr, weights, capacities, component_of = _replicated_csr()
+        combined, _ = maxmin_allocate_indexed(indices, indptr, weights, capacities)
+        rates = np.zeros(indptr.size - 1)
+        for g in range(groups):
+            # Whole components per group, demands in their global order.
+            js = np.array(
+                [j for j, c in enumerate(component_of) if c % groups == g], dtype=np.intp
+            )
+            if js.size == 0:
+                continue
+            ids = [indices[indptr[j] : indptr[j + 1]] for j in js.tolist()]
+            sub_indptr = np.zeros(js.size + 1, dtype=np.intp)
+            np.cumsum([chunk.size for chunk in ids], out=sub_indptr[1:])
+            # Compact to the group's own links, as the dirty refill does.
+            flat = np.concatenate(ids)
+            touched = np.unique(flat)
+            group_rates, _ = maxmin_allocate_indexed(
+                np.searchsorted(touched, flat), sub_indptr, weights[js], capacities[touched]
+            )
+            rates[js] = group_rates
+        np.testing.assert_array_equal(rates, combined)

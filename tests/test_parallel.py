@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.units import MB, MBPS
 from repro.analysis import parallel_sweep, run_scenarios_parallel, sweep
+from repro.analysis.parallel import resolve_workers
 from repro.experiments import ScenarioConfig
 
 BASE = ScenarioConfig(
@@ -17,6 +18,20 @@ BASE = ScenarioConfig(
     flow_size_bytes=16 * MB,
     seed=1,
 )
+
+
+class TestResolveWorkers:
+    def test_explicit_request_wins(self):
+        assert resolve_workers(3) == 3
+
+    def test_zero_or_negative_raises(self):
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            resolve_workers(0)
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            resolve_workers(-2)
+
+    def test_default_is_at_least_one(self):
+        assert resolve_workers(None) >= 1
 
 
 class TestRunScenariosParallel:

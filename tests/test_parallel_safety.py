@@ -10,8 +10,7 @@ Three layers:
   ``FlowStore.__slots__``), so the table cannot silently rot;
 * certification — the committed ``parallel_safety_baseline.json`` is a
   floor on ``proven_pure``, and the component-scoped roots (refill,
-  daemon round, and the parallel backend's worker entry points) must
-  hold.
+  daemon round, registry row refresh) must hold.
 """
 
 import ast
@@ -293,8 +292,6 @@ class TestCertificate:
         for root in (
             "repro.simulator.network.Network._refill_dirty",
             "repro.core.daemon.HostDaemon._schedule_one_arrays",
-            "repro.simulator.parallel._fill_bucket_worker",
-            "repro.simulator.parallel._fill_bucket_worker_shm",
             "repro.simulator.network.Network.batch_path_state_arrays",
         ):
             assert root in document["proven_pure"], root

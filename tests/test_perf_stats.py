@@ -8,8 +8,8 @@ from repro.topology import FatTree
 
 #: The complete ``perf_stats()`` surface, asserted in one place so the
 #: docstring, the stats dict, and every ``stats.update(...)`` source
-#: (flow store, parallel backend, detector, control-plane providers)
-#: cannot drift apart silently again.
+#: (flow store, detector, control-plane providers) cannot drift apart
+#: silently again.
 NETWORK_KEYS = {
     "realloc_calls", "realloc_requests", "realloc_coalesced", "realloc_sync",
     "realloc_demands", "filling_iterations", "realloc_time_s",
@@ -23,19 +23,15 @@ STORE_KEYS = {
     "store_acquires", "store_capacity", "store_compactions", "store_grows",
     "store_live", "store_revivals", "store_rows",
 }
-PAR_KEYS = {
-    "par_workers", "par_rounds", "par_tasks", "par_fanout_max", "par_nnz",
-    "par_imbalance_max", "par_merge_wait_s", "par_cp_rounds", "par_cp_chunks",
-}
 DET_KEYS = {
     "det_predictive", "det_flows_seen", "det_samples",
     "det_early_promotions", "det_fallback_promotions",
     "det_mean_detection_age_s",
 }
 CP_KEYS = {
-    "cp_vectorized", "cp_daemons", "cp_monitors_live", "cp_query_rounds",
+    "cp_daemons", "cp_monitors_live", "cp_query_rounds",
     "cp_query_time_s", "cp_round_time_s", "cp_vector_rounds",
-    "cp_scalar_rounds", "cp_shift_tails", "cp_shifts",
+    "cp_shift_tails", "cp_shifts",
     "cp_registry_pairs", "cp_registry_rows", "cp_registry_queries",
     "cp_registry_cache_hits", "cp_registry_refreshes",
     "cp_registry_rows_refreshed", "cp_registry_rebuilds",
@@ -121,23 +117,11 @@ class TestKeyInventory:
 
     def test_base_network(self, topo):
         keys = set(Network(topo).perf_stats())
-        assert keys == NETWORK_KEYS | STORE_KEYS | PAR_KEYS
+        assert keys == NETWORK_KEYS | STORE_KEYS
 
     def test_predictive_detector_adds_det_keys(self, topo):
         net = Network(topo, elephant_detector="predictive")
-        assert set(net.perf_stats()) == NETWORK_KEYS | STORE_KEYS | PAR_KEYS | DET_KEYS
-
-    def test_parallel_backend_keeps_the_same_surface(self, topo):
-        net = Network(topo, parallel_backend="threads", parallel_workers=2)
-        stats = net.perf_stats()
-        assert set(stats) == NETWORK_KEYS | STORE_KEYS | PAR_KEYS
-        assert stats["par_workers"] == 2.0
-
-    def test_serial_par_keys_are_zero_except_workers(self, topo):
-        stats = Network(topo).perf_stats()
-        assert stats["par_workers"] == 1.0
-        for key in PAR_KEYS - {"par_workers"}:
-            assert stats[key] == 0.0, key
+        assert set(net.perf_stats()) == NETWORK_KEYS | STORE_KEYS | DET_KEYS
 
     def test_dard_scenario_adds_cp_keys(self):
         from repro.experiments.runner import ScenarioConfig, run_scenario
@@ -156,6 +140,4 @@ class TestKeyInventory:
             ),
             instrument=captured.append,
         )
-        assert set(captured[0].perf_stats()) == (
-            NETWORK_KEYS | STORE_KEYS | PAR_KEYS | CP_KEYS
-        )
+        assert set(captured[0].perf_stats()) == NETWORK_KEYS | STORE_KEYS | CP_KEYS

@@ -15,7 +15,9 @@ from repro.simulator import FlowComponent
 from repro.simulator.network import Network
 from repro.topology import FatTree
 from repro.validation import (
+    DEFAULT_GOLDEN_PATH,
     FCT_AGREEMENT_BAND,
+    GOLDEN_TWINS,
     FuzzFailure,
     InvariantChecker,
     SwitchTableSnapshot,
@@ -32,6 +34,7 @@ from repro.validation import (
     random_scenario,
     run_case,
     run_fluid_vs_packet,
+    replay_goldens,
     run_fuzz,
     shrink_config,
     store_goldens,
@@ -367,6 +370,21 @@ class TestGoldens:
         # `repro validate --golden update` after intentional changes.
         mismatches = compare_goldens()
         assert mismatches == [], "\n".join(mismatches)
+
+    def test_twin_replay_reports_missing_scenario(self, tmp_path):
+        # A stale golden file lacking one scenario is a mismatch line for
+        # every twin replay, not a crash; the scenarios it does hold still
+        # replay cleanly against the committed digests.
+        stale = json.loads(DEFAULT_GOLDEN_PATH.read_text())
+        del stale["scenarios"]["clos_vlb_staggered"]
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(stale))
+        for twin, exempt in GOLDEN_TWINS:
+            mismatches = replay_goldens(twin, exempt, path)
+            assert mismatches == [
+                f"scenarios[{twin.oracle}].clos_vlb_staggered: missing from "
+                f"golden file {path}"
+            ]
 
 
 # ---------------------------------------------------------------------------

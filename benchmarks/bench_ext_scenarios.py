@@ -20,7 +20,10 @@ Knobs are env-overridable for CI's short budget:
 ``BENCH_EXT_SCENARIOS_DURATION`` (sim-s of arrivals),
 ``BENCH_EXT_SCENARIOS_RATE`` (arrivals/host/s) and
 ``BENCH_EXT_SCENARIOS_DRAIN`` (post-arrival drain cap). The ablation
-rows land in ``benchmarks/results/BENCH_ext_scenarios.json``.
+rows land in ``benchmarks/results/BENCH_ext_scenarios.json``; a run off
+the default budget writes ``BENCH_ext_scenarios.smoke.json`` and
+``ext_scenarios.smoke.txt`` instead, so it never overwrites the
+committed full-budget result.
 """
 
 import json
@@ -36,10 +39,18 @@ from repro.workloads import FailureStormScenario
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-P = int(os.environ.get("BENCH_EXT_SCENARIOS_P", "16"))
-DURATION_S = float(os.environ.get("BENCH_EXT_SCENARIOS_DURATION", "12"))
-RATE = float(os.environ.get("BENCH_EXT_SCENARIOS_RATE", "0.02"))
-DRAIN_S = float(os.environ.get("BENCH_EXT_SCENARIOS_DRAIN", "240"))
+FULL_BUDGET = (16, 12.0, 0.02, 240.0)
+P = int(os.environ.get("BENCH_EXT_SCENARIOS_P", FULL_BUDGET[0]))
+DURATION_S = float(os.environ.get("BENCH_EXT_SCENARIOS_DURATION", FULL_BUDGET[1]))
+RATE = float(os.environ.get("BENCH_EXT_SCENARIOS_RATE", FULL_BUDGET[2]))
+DRAIN_S = float(os.environ.get("BENCH_EXT_SCENARIOS_DRAIN", FULL_BUDGET[3]))
+
+#: Runs off the full budget get their own artifact names (module docstring).
+EXPERIMENT = (
+    "ext_scenarios"
+    if (P, DURATION_S, RATE, DRAIN_S) == FULL_BUDGET
+    else "ext_scenarios.smoke"
+)
 
 
 def _topology_params():
@@ -125,11 +136,11 @@ def _run_ablation():
         for detector in ("threshold", "predictive"):
             rows.append(_run(kind, detector))
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_ext_scenarios.json").write_text(
-        json.dumps({"experiment": "ext_scenarios", "rows": rows}, indent=2) + "\n"
+    (RESULTS_DIR / f"BENCH_{EXPERIMENT}.json").write_text(
+        json.dumps({"experiment": EXPERIMENT, "rows": rows}, indent=2) + "\n"
     )
     return ExperimentOutput(
-        "ext_scenarios",
+        EXPERIMENT,
         f"p={P} incast + failure storm: threshold vs predictive detection",
         rows=rows,
     )

@@ -4,11 +4,16 @@ The smaller fat-tree benches (p=4/8) carry the per-figure comparisons;
 this one demonstrates the stack at four-digit host counts: DARD still
 beats ECMP under stride while its per-flow stability bound holds, and the
 whole simulation (including 1000+ host daemons polling monitors) completes
-in minutes on a laptop.
+in minutes on a laptop. Raw rows, each with the scheduler's wall time,
+and the process's peak RSS land in
+``benchmarks/results/BENCH_scale_p16.json``. Run the bench in its own
+process: the peak RSS is the whole process's.
 """
 
 import json
 import pathlib
+import resource
+import time
 
 import numpy as np
 
@@ -29,8 +34,12 @@ def _run_pair():
         flow_size_bytes=128 * MB,
         seed=1,
     )
-    ecmp = run_scenario(ScenarioConfig(scheduler="ecmp", **base))
-    dard = run_scenario(ScenarioConfig(scheduler="dard", **base))
+    results = {}
+    for name in ("ecmp", "dard"):
+        started = time.perf_counter()
+        result = run_scenario(ScenarioConfig(scheduler=name, **base))
+        results[name] = (result, time.perf_counter() - started)
+    ecmp, dard = results["ecmp"][0], results["dard"][0]
     rows = [
         {
             "scheduler": name,
@@ -40,18 +49,25 @@ def _run_pair():
             "p90_switches": float(np.percentile(result.path_switches, 90))
             if result.path_switches
             else 0.0,
+            "wall_s": round(wall_s, 2),
         }
-        for name, result in [("ecmp", ecmp), ("dard", dard)]
+        for name, (result, wall_s) in results.items()
     ]
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_scale_p16.json").write_text(
-        json.dumps({"experiment": "scale_p16", "rows": rows}, indent=2) + "\n"
+        json.dumps(
+            {"experiment": "scale_p16", "peak_rss_mb": round(peak_rss_mb, 1), "rows": rows},
+            indent=2,
+        )
+        + "\n"
     )
     return ExperimentOutput(
         "scale_p16",
         "p=16 fat-tree (1024 hosts), stride: DARD vs ECMP at scale",
         rows=rows,
-        notes=f"improvement: {improvement(ecmp.mean_fct, dard.mean_fct):.1%}",
+        notes=f"improvement: {improvement(ecmp.mean_fct, dard.mean_fct):.1%}, "
+        f"peak RSS {peak_rss_mb:.0f} MB",
     )
 
 

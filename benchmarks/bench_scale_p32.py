@@ -11,13 +11,19 @@ The full run is a multi-minute simulation, so every knob is
 env-overridable for CI's short budget: ``BENCH_SCALE_P32_DURATION``
 (default 25 sim-s), ``BENCH_SCALE_P32_RATE`` (arrivals/host/s) and
 ``BENCH_SCALE_P32_DRAIN`` (post-arrival drain cap). The DARD-vs-ECMP
-gain gate and the stability gate hold at any budget; raw rows land in
-``benchmarks/results/BENCH_scale_p32.json``.
+gain gate and the stability gate hold at any budget. Raw rows, each
+with the scheduler's wall time, and the process's peak RSS land in
+``benchmarks/results/BENCH_scale_p32.json``; a run off the default
+budget writes ``BENCH_scale_p32.smoke.json`` and ``scale_p32.smoke.txt``
+instead, so it never overwrites the committed full-budget result. Run
+the bench in its own process: the peak RSS is the whole process's.
 """
 
 import json
 import os
 import pathlib
+import resource
+import time
 
 import numpy as np
 
@@ -27,9 +33,15 @@ from repro.experiments.figures import ExperimentOutput
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-DURATION_S = float(os.environ.get("BENCH_SCALE_P32_DURATION", "25"))
-RATE = float(os.environ.get("BENCH_SCALE_P32_RATE", "0.012"))
-DRAIN_S = float(os.environ.get("BENCH_SCALE_P32_DRAIN", "600"))
+FULL_BUDGET = (25.0, 0.012, 600.0)
+DURATION_S = float(os.environ.get("BENCH_SCALE_P32_DURATION", FULL_BUDGET[0]))
+RATE = float(os.environ.get("BENCH_SCALE_P32_RATE", FULL_BUDGET[1]))
+DRAIN_S = float(os.environ.get("BENCH_SCALE_P32_DRAIN", FULL_BUDGET[2]))
+
+#: Runs off the full budget get their own artifact names (module docstring).
+EXPERIMENT = (
+    "scale_p32" if (DURATION_S, RATE, DRAIN_S) == FULL_BUDGET else "scale_p32.smoke"
+)
 
 
 def _run_pair():
@@ -43,8 +55,12 @@ def _run_pair():
         seed=1,
         drain_limit_s=DRAIN_S,
     )
-    ecmp = run_scenario(ScenarioConfig(scheduler="ecmp", **base))
-    dard = run_scenario(ScenarioConfig(scheduler="dard", **base))
+    results = {}
+    for name in ("ecmp", "dard"):
+        started = time.perf_counter()
+        result = run_scenario(ScenarioConfig(scheduler=name, **base))
+        results[name] = (result, time.perf_counter() - started)
+    ecmp, dard = results["ecmp"][0], results["dard"][0]
     rows = [
         {
             "scheduler": name,
@@ -55,19 +71,26 @@ def _run_pair():
             "p90_switches": float(np.percentile(result.path_switches, 90))
             if result.path_switches
             else 0.0,
+            "wall_s": round(wall_s, 2),
         }
-        for name, result in [("ecmp", ecmp), ("dard", dard)]
+        for name, (result, wall_s) in results.items()
     ]
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_scale_p32.json").write_text(
-        json.dumps({"experiment": "scale_p32", "rows": rows}, indent=2) + "\n"
+    (RESULTS_DIR / f"BENCH_{EXPERIMENT}.json").write_text(
+        json.dumps(
+            {"experiment": EXPERIMENT, "peak_rss_mb": round(peak_rss_mb, 1), "rows": rows},
+            indent=2,
+        )
+        + "\n"
     )
     return ExperimentOutput(
-        "scale_p32",
+        EXPERIMENT,
         "p=32 fat-tree (8192 hosts), stride: DARD vs ECMP at scale",
         rows=rows,
         notes=f"improvement: {improvement(ecmp.mean_fct, dard.mean_fct):.1%}, "
-        f"duration {DURATION_S:.0f}s, rate {RATE}/host/s",
+        f"duration {DURATION_S:.0f}s, rate {RATE}/host/s, "
+        f"peak RSS {peak_rss_mb:.0f} MB",
     )
 
 

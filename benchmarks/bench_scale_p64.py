@@ -15,12 +15,21 @@ env-overridable for CI's short budget: ``BENCH_SCALE_P64_DURATION``
 complete flows and report a positive mean FCT at any budget; the
 DARD-vs-ECMP improvement is reported in the notes rather than gated —
 at short CI budgets the drain cap can truncate either side's tail. Raw
-rows land in ``benchmarks/results/BENCH_scale_p64.json``.
+rows, each with the scheduler's wall time, and the process's peak RSS
+land in ``benchmarks/results/BENCH_scale_p64.json``; a run off the
+default budget writes ``BENCH_scale_p64.smoke.json`` and
+``scale_p64.smoke.txt`` instead, so it never overwrites the committed
+full-budget result. The peak RSS must stay under
+:data:`PEAK_RSS_CEILING_MB` at any budget, so a memory regression fails
+the bench instead of growing quietly. Run the bench in its own process:
+the peak RSS is the whole process's.
 """
 
 import json
 import os
 import pathlib
+import resource
+import time
 
 import numpy as np
 
@@ -30,9 +39,18 @@ from repro.experiments.figures import ExperimentOutput
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-DURATION_S = float(os.environ.get("BENCH_SCALE_P64_DURATION", "10"))
-RATE = float(os.environ.get("BENCH_SCALE_P64_RATE", "0.003"))
-DRAIN_S = float(os.environ.get("BENCH_SCALE_P64_DRAIN", "300"))
+FULL_BUDGET = (10.0, 0.003, 300.0)
+DURATION_S = float(os.environ.get("BENCH_SCALE_P64_DURATION", FULL_BUDGET[0]))
+RATE = float(os.environ.get("BENCH_SCALE_P64_RATE", FULL_BUDGET[1]))
+DRAIN_S = float(os.environ.get("BENCH_SCALE_P64_DRAIN", FULL_BUDGET[2]))
+
+#: Runs off the full budget get their own artifact names (module docstring).
+EXPERIMENT = (
+    "scale_p64" if (DURATION_S, RATE, DRAIN_S) == FULL_BUDGET else "scale_p64.smoke"
+)
+
+#: 25% above the full-budget pair's peak RSS, 684 MB (EXPERIMENTS.md).
+PEAK_RSS_CEILING_MB = 855.0
 
 
 def _run_pair():
@@ -46,8 +64,12 @@ def _run_pair():
         seed=1,
         drain_limit_s=DRAIN_S,
     )
-    ecmp = run_scenario(ScenarioConfig(scheduler="ecmp", **base))
-    dard = run_scenario(ScenarioConfig(scheduler="dard", **base))
+    results = {}
+    for name in ("ecmp", "dard"):
+        started = time.perf_counter()
+        result = run_scenario(ScenarioConfig(scheduler=name, **base))
+        results[name] = (result, time.perf_counter() - started)
+    ecmp, dard = results["ecmp"][0], results["dard"][0]
     rows = [
         {
             "scheduler": name,
@@ -58,25 +80,34 @@ def _run_pair():
             "p90_switches": float(np.percentile(result.path_switches, 90))
             if result.path_switches
             else 0.0,
+            "wall_s": round(wall_s, 2),
         }
-        for name, result in [("ecmp", ecmp), ("dard", dard)]
+        for name, (result, wall_s) in results.items()
     ]
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_scale_p64.json").write_text(
-        json.dumps({"experiment": "scale_p64", "rows": rows}, indent=2) + "\n"
+    (RESULTS_DIR / f"BENCH_{EXPERIMENT}.json").write_text(
+        json.dumps(
+            {"experiment": EXPERIMENT, "peak_rss_mb": round(peak_rss_mb, 1), "rows": rows},
+            indent=2,
+        )
+        + "\n"
     )
-    return ExperimentOutput(
-        "scale_p64",
+    output = ExperimentOutput(
+        EXPERIMENT,
         "p=64 fat-tree (65,536 hosts), stride: DARD vs ECMP at scale",
         rows=rows,
         notes=f"improvement: {improvement(ecmp.mean_fct, dard.mean_fct):.1%}, "
-        f"duration {DURATION_S:.0f}s, rate {RATE}/host/s",
+        f"duration {DURATION_S:.0f}s, rate {RATE}/host/s, "
+        f"peak RSS {peak_rss_mb:.0f} MB",
     )
+    return output, peak_rss_mb
 
 
 def test_scale_p64(benchmark, save_output):
-    output = benchmark.pedantic(_run_pair, rounds=1, iterations=1)
+    output, peak_rss_mb = benchmark.pedantic(_run_pair, rounds=1, iterations=1)
     save_output(output)
+    assert peak_rss_mb < PEAK_RSS_CEILING_MB, f"peak RSS {peak_rss_mb:.0f} MB"
     by_sched = {row["scheduler"]: row for row in output.rows}
     assert by_sched["ecmp"]["flows"] > 0
     assert by_sched["dard"]["flows"] > 0

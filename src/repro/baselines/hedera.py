@@ -121,16 +121,18 @@ class PathSelector:
     up: int = 0
     down: int = 0
 
-    def apply(self, paths: List[SwitchPath]) -> SwitchPath:
+    def apply(self, paths: Sequence[SwitchPath]) -> SwitchPath:
         """Resolve this selector against a concrete equal-cost path set."""
         if not paths:
             raise ValueError("empty path set")
         if len(paths[0]) != 5:
             # Intra-pod (3-hop) or same-ToR (1-hop): only one level of choice.
             return paths[self.core % len(paths)]
-        cores = sorted({p[2] for p in paths})
-        core = cores[self.core % len(cores)]
-        via = [p for p in paths if p[2] == core]
+        by_core: Dict[str, List[SwitchPath]] = {}
+        for p in paths:
+            by_core.setdefault(p[2], []).append(p)
+        cores = sorted(by_core)
+        via = by_core[cores[self.core % len(cores)]]
         ups = sorted({p[1] for p in via})
         up = ups[self.up % len(ups)]
         via = [p for p in via if p[1] == up]
@@ -166,6 +168,8 @@ class HederaScheduler(Scheduler):
         self._assignments: Dict[str, PathSelector] = {}
         # Memo for selector resolution: (src ToR, dst ToR, selector) -> links.
         self._links_cache: Dict[tuple, List[Tuple[str, str]]] = {}
+        #: (src host, dst host) -> alive path set, for the current round only.
+        self._round_paths: Dict[Tuple[str, str], Sequence[SwitchPath]] = {}
 
     def attach(self, ctx: SchedulerContext) -> None:
         super().attach(ctx)
@@ -211,12 +215,19 @@ class HederaScheduler(Scheduler):
             network.capacities[(f.src, network.topology.tor_of(f.src))] for f in elephants
         )
         demand_bps = [d * nic_bps for d in demands]
+        # Failures only change between rounds: resolve each host pair's
+        # alive paths once per round, not once per annealing move.
+        self._round_paths = {}
         assignments = self._anneal(elephants, demand_bps)
         self._assignments.update(assignments)
         self._apply(elephants)
 
-    def _paths_for_flow(self, flow: Flow) -> List[SwitchPath]:
-        return self.alive_paths(flow.src, flow.dst)
+    def _paths_for_flow(self, flow: Flow) -> Sequence[SwitchPath]:
+        key = (flow.src, flow.dst)
+        paths = self._round_paths.get(key)
+        if paths is None:
+            paths = self._round_paths[key] = self.alive_paths(flow.src, flow.dst)
+        return paths
 
     def _flow_path(self, flow: Flow, assignment: Dict[str, PathSelector]) -> SwitchPath:
         paths = self._paths_for_flow(flow)

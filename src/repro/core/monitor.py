@@ -15,21 +15,23 @@ Monitors keep their state as two parallel arrays (``state_band``,
 scheduling round consumes the arrays directly, and the ``path_states``
 property materializes the object view only where callers (the scalar
 reference twin, tests) actually want it. Everything per-pair and
-topology-static — the path list, the link-id CSR, the switch query set —
-is computed once per pair in :class:`PairPaths` and shared between
-monitors through the :class:`~repro.core.registry.MonitorRegistry`.
+topology-static — the computed path sequence, the link-id CSR, the size
+of the switch query set — is computed once per pair in
+:class:`PairPaths` and shared between monitors through the
+:class:`~repro.core.registry.MonitorRegistry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
 from repro.scheduling.messages import MessageLedger, MessageSizes
 from repro.simulator.network import Network
-from repro.topology.multirooted import MultiRootedTopology, SwitchPath
+from repro.topology.multirooted import MultiRootedTopology
+from repro.topology.paths import EqualCostPaths, SwitchPath
 from repro.core.bonf import PathState
 from repro.core.registry import MonitorRegistry
 
@@ -44,7 +46,7 @@ def switches_to_query(
     so only the source ToR and those switches need polling.
     """
     paths = topology.equal_cost_paths(src_tor, dst_tor)
-    if len(paths[0]) == 5:
+    if paths.hops == 4:
         switches: Set[str] = {src_tor}
         switches.update(topology.up_neighbors(src_tor))
         switches.update(topology.cores())
@@ -61,16 +63,17 @@ class PairPaths:
     """Everything topology-static about one (src ToR, dst ToR) pair.
 
     Computed once per pair (and interned by the registry so monitor churn
-    never recomputes it): the equal-cost path list, the path -> position
-    lookup, the switch query set, the link-id CSR over the *monitored*
-    paths (same-ToR length-1 paths carry no switch-switch link and are
+    never recomputes it): the computed equal-cost path sequence, the size
+    of the switch query set, the link-id CSR over the *monitored* paths
+    (same-ToR length-1 paths carry no switch-switch link and are
     excluded), and the transposed CSR — link -> local monitored rows —
-    the registry uses to map dirty links back to CSR rows.
+    the registry uses to map dirty links back to CSR rows. No path tuple
+    is stored.
     """
 
-    paths: List[SwitchPath]
-    path_index_map: Dict[SwitchPath, int]
-    query_switches: Set[str]
+    paths: EqualCostPaths
+    #: ``len(switches_to_query(...))``; the poll only needs the count.
+    num_query_switches: int
     #: positions (into ``paths``) that have a CSR row, ascending.
     monitored: np.ndarray
     csr_indices: np.ndarray
@@ -86,39 +89,32 @@ class PairPaths:
 def index_pair_paths(network: Network, src_tor: str, dst_tor: str) -> PairPaths:
     """Build the :class:`PairPaths` description of one ToR pair.
 
-    One pass over the topology's cached path list interns every hop (a
-    ToR-to-ToR path crosses switch-switch links only, so no hop is
-    dropped); the link -> rows transpose is one stable argsort over the
-    CSR.
+    The link-id CSR is gathered with array operations from the per-switch
+    link-id tables (:meth:`~repro.simulator.linkindex.LinkIndex.cable_ids`
+    over the topology's :meth:`path_tables`); no hop is looked up by
+    name. The link -> rows transpose is one stable argsort over the CSR.
     """
-    paths = network.topology.equal_cost_paths(src_tor, dst_tor)
-    monitored_paths = [path for path in paths if len(path) > 1]
-    nrows = len(monitored_paths)
-    monitored = np.fromiter(
-        (i for i, path in enumerate(paths) if len(path) > 1), dtype=np.intp, count=nrows
+    topology = network.topology
+    paths = topology.equal_cost_paths(src_tor, dst_tor)
+    tables = topology.path_tables()
+    link_index = network.link_index
+    hops = paths.hop_links(
+        link_index.cable_ids(tables.tor), link_index.cable_ids(tables.agg)
     )
-    lengths = np.fromiter(
-        (len(path) - 1 for path in monitored_paths), dtype=np.intp, count=nrows
-    )
-    csr_indices = network.link_index.index_links(
-        hop for path in monitored_paths for hop in zip(path, path[1:])
-    )
-    row_of = np.repeat(np.arange(nrows, dtype=np.intp), lengths)
-    csr_indptr = np.zeros(nrows + 1, dtype=np.intp)
-    np.cumsum(lengths, out=csr_indptr[1:])
+    nrows, width = hops.shape
+    csr_indices = hops.ravel()
     order = np.argsort(csr_indices, kind="stable")
     by_link = csr_indices[order]
     firsts = np.flatnonzero(np.diff(by_link, prepend=-1))
     return PairPaths(
         paths=paths,
-        path_index_map={path: i for i, path in enumerate(paths)},
-        query_switches=switches_to_query(network.topology, src_tor, dst_tor),
-        monitored=monitored,
+        num_query_switches=len(switches_to_query(topology, src_tor, dst_tor)),
+        monitored=np.arange(nrows, dtype=np.intp),
         csr_indices=csr_indices,
-        csr_indptr=csr_indptr,
+        csr_indptr=np.arange(nrows + 1, dtype=np.intp) * width,
         link_ids=by_link[firsts],
         link_indptr=np.append(firsts, by_link.size),
-        link_rows=row_of[order],
+        link_rows=np.arange(nrows, dtype=np.intp).repeat(width)[order],
     )
 
 
@@ -153,9 +149,8 @@ class PathMonitor:
         else:
             pair_paths = index_pair_paths(network, src_tor, dst_tor)
         self.pair_paths = pair_paths
-        self.paths: List[SwitchPath] = pair_paths.paths
-        self._path_index = pair_paths.path_index_map
-        self.query_switches = pair_paths.query_switches
+        self.paths: EqualCostPaths = pair_paths.paths
+        self.num_query_switches = pair_paths.num_query_switches
         self._monitored = pair_paths.monitored
         self._csr_indices = pair_paths.csr_indices
         self._csr_indptr = pair_paths.csr_indptr
@@ -175,7 +170,7 @@ class PathMonitor:
         and without a registry (the batching is a simulator-side
         optimization; the modelled protocol still polls every switch).
         """
-        n = len(self.query_switches)
+        n = self.num_query_switches
         self.ledger.record("dard_query", self.message_sizes.dard_query, n)
         self.ledger.record("dard_reply", self.message_sizes.dard_reply, n)
         self.queries_sent += n
@@ -251,8 +246,8 @@ class PathMonitor:
     def path_index(self, switch_path: SwitchPath) -> int:
         """Which monitored path a flow's current route corresponds to."""
         try:
-            return self._path_index[tuple(switch_path)]
-        except KeyError:
+            return self.paths.index(tuple(switch_path))
+        except ValueError:
             raise KeyError(
                 f"path {switch_path!r} is not an equal-cost path between "
                 f"{self.src_tor!r} and {self.dst_tor!r}"

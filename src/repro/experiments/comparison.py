@@ -57,8 +57,22 @@ def paired_comparison(a: ScenarioResult, b: ScenarioResult) -> PairedComparison:
     Flows are matched on (start time, src, dst, size); both runs must
     contain exactly the same workload — which they do when produced by
     :func:`repro.experiments.runner.run_scenario` with the same seed and
-    workload parameters.
+    workload parameters — and both must have finished every flow it
+    generated: records hold completed flows only, so a run that left
+    flows unfinished at the drain cutoff cannot be paired flow by flow.
     """
+    if any(len(r.records) < r.flows_generated for r in (a, b)):
+        sides = "; ".join(
+            f"{label} ({r.config.scheduler}) completed {len(r.records)} of "
+            f"{r.flows_generated} generated flows by the drain cutoff "
+            f"t={r.config.duration_s + r.config.drain_limit_s:g} s "
+            f"(drain_limit_s={r.config.drain_limit_s:g})"
+            for label, r in (("A", a), ("B", b))
+        )
+        raise ConfigurationError(
+            f"results leave flows unfinished: {sides}. Raise drain_limit_s so "
+            "both runs finish every flow before pairing them"
+        )
 
     def keyed(result: ScenarioResult) -> Dict[tuple, List[float]]:
         table: Dict[tuple, List[float]] = {}

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.addressing.codec import PathCodec
 from repro.simulator.flows import Flow, FlowComponent
 from repro.simulator.network import Network
-from repro.topology.multirooted import MultiRootedTopology, SwitchPath
+from repro.topology.multirooted import MultiRootedTopology
+from repro.topology.paths import EqualCostPaths, SwitchPath
 from repro.scheduling.messages import MessageLedger
 
 
@@ -68,13 +69,13 @@ class Scheduler(abc.ABC):
 
     # -- helpers shared by implementations ------------------------------------------
 
-    def paths_between(self, src: str, dst: str) -> List[SwitchPath]:
+    def paths_between(self, src: str, dst: str) -> EqualCostPaths:
         """All equal-cost switch paths between two hosts' ToRs."""
         topo = self.ctx.topology
         return topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
 
-    def alive_paths(self, src: str, dst: str) -> List[SwitchPath]:
-        """Equal-cost paths whose every hop is currently up.
+    def alive_paths(self, src: str, dst: str) -> Sequence[SwitchPath]:
+        """Equal-cost paths whose every hop is currently up, in base order.
 
         Falls back to the full path set when nothing survives (e.g. the
         host's own access link is down) — the flow is then placed and
@@ -84,12 +85,15 @@ class Scheduler(abc.ABC):
         paths = self.paths_between(src, dst)
         if not failed:
             return paths
-        # Both access cables are on every path: test them once, then only
-        # the switch hops (``failed`` holds both directions of a cable).
-        if (src, paths[0][0]) in failed or (paths[0][-1], dst) in failed:
+        # Both access cables are on every path: test them once, then let
+        # the path set derive its dead indices from the failed cables
+        # touching its switches (``failed`` holds both directions).
+        if (src, paths.src_tor) in failed or (paths.dst_tor, dst) in failed:
             return paths
-        alive = [p for p in paths if failed.isdisjoint(zip(p, p[1:]))]
-        return alive if alive else paths
+        dead = paths.dead_indices(failed)
+        if not dead.size or dead.size == len(paths):
+            return paths
+        return paths.without(dead)
 
     def evacuate_failed_link(self, u: str, v: str, pick) -> int:
         """Move single-path flows off a failed cable; returns moves made.

@@ -24,6 +24,7 @@ from typing import (
     List,
     MutableMapping,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
@@ -36,6 +37,15 @@ from repro.common.errors import SimulationError
 LinkId = Tuple[str, str]
 
 
+class CableTable(Protocol):
+    """A per-switch table listing cables in a fixed entry order
+    (:class:`repro.topology.paths.UplinkTable`)."""
+
+    def cables(self) -> Iterator[LinkId]:
+        """Every cable as ``(u, v)``, in entry order."""
+        ...
+
+
 class LinkIndex:
     """Immutable intern table: directed link ``(u, v)`` -> dense int id.
 
@@ -43,7 +53,7 @@ class LinkIndex:
     and propagation delays ride along as arrays aligned to the ids.
     """
 
-    __slots__ = ("ids", "links", "capacities", "delays", "switch_link_mask")
+    __slots__ = ("ids", "links", "capacities", "delays", "switch_link_mask", "_cable_ids")
 
     def __init__(
         self,
@@ -71,6 +81,7 @@ class LinkIndex:
         self.switch_link_mask = np.asarray(switch_link_mask, dtype=bool)
         if self.switch_link_mask.shape[0] != len(self.links):
             raise SimulationError("LinkIndex arrays must align with the link list")
+        self._cable_ids: Dict[CableTable, np.ndarray] = {}
 
     @classmethod
     def from_topology(cls, topology: Any) -> "LinkIndex":
@@ -117,6 +128,26 @@ class LinkIndex:
     def index_path(self, path: Sequence[str]) -> np.ndarray:
         """Intern the directed links of a node path to an id array."""
         return self.index_links(zip(path, path[1:]))
+
+    def cable_ids(self, table: CableTable) -> np.ndarray:
+        """``(2, n)`` ids of the ``n`` cables ``table`` lists, memoized per table.
+
+        Row 0 holds each cable in its listed direction ``(u, v)``, row 1
+        the reverse ``(v, u)``. The monitor registry gathers a ToR pair's
+        link-id CSR from these per-switch tables instead of interning
+        every hop of every path.
+        """
+        ids = self._cable_ids.get(table)
+        if ids is None:
+            cables = list(table.cables())
+            ids = np.stack(
+                (
+                    self.index_links(cables),
+                    self.index_links([(v, u) for u, v in cables]),
+                )
+            )
+            self._cable_ids[table] = ids
+        return ids
 
 
 class LinkArrayMapping(MutableMapping):

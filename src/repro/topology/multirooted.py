@@ -14,7 +14,8 @@ This module provides:
 * :meth:`MultiRootedTopology.downhill_chains` — the chain inventory the
   prefix allocator walks, and
 * :meth:`MultiRootedTopology.equal_cost_paths` — every loop-free up-down
-  switch path between two ToRs (the path set DARD monitors).
+  switch path between two ToRs (the path set DARD monitors), computed
+  from per-switch tables (:mod:`repro.topology.paths`).
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import TopologyError
 from repro.topology.graph import NodeKind, Topology
-
-#: A switch-level path from source ToR to destination ToR, inclusive.
-SwitchPath = Tuple[str, ...]
+from repro.topology.paths import EqualCostPaths, PathTables, SwitchPath
 
 #: A downhill chain (core, agg, tor) along which prefixes are allocated.
 Chain = Tuple[str, str, str]
@@ -39,7 +38,7 @@ class MultiRootedTopology(Topology):
 
     def __init__(self) -> None:
         super().__init__()
-        self._paths_cache: Dict[Tuple[str, str], List[SwitchPath]] = {}
+        self._path_tables: Optional[PathTables] = None
         self._tor_cache: Dict[str, str] = {}
         # Adjacency is immutable once a topology is built (failures are
         # modeled in the Network, never by graph surgery), so layer-filtered
@@ -129,9 +128,25 @@ class MultiRootedTopology(Topology):
                 chains.append((core, agg, tor))
         return chains
 
-    # -- equal-cost path enumeration -------------------------------------------
+    # -- equal-cost paths ------------------------------------------------------
 
-    def equal_cost_paths(self, src_tor: str, dst_tor: str) -> List[SwitchPath]:
+    def path_tables(self) -> PathTables:
+        """The per-switch tables every path set is computed from.
+
+        Built once, on first use: one entry per ToR-agg and agg-core
+        cable (see :mod:`repro.topology.paths`).
+        """
+        if self._path_tables is None:
+            up = self._up_cache
+            self._path_tables = PathTables(
+                sorted(self.tors()),
+                sorted(self.aggs()),
+                sorted(self.cores()),
+                lambda name: self._layer_neighbors(name, +1, up),
+            )
+        return self._path_tables
+
+    def equal_cost_paths(self, src_tor: str, dst_tor: str) -> EqualCostPaths:
         """All loop-free up-down switch paths between two ToRs.
 
         * same ToR: the single trivial path ``(tor,)``;
@@ -140,43 +155,13 @@ class MultiRootedTopology(Topology):
         * otherwise: one 5-hop path per (up-agg, core, down-agg) combination
           wired end to end.
 
-        Results are cached; topologies are immutable once built.
+        The result is a read-only sequence computed from per-switch tables
+        on each call; nothing is kept per ToR pair.
         """
         for name in (src_tor, dst_tor):
             if self.node(name).kind is not NodeKind.TOR:
                 raise TopologyError(f"{name!r} is not a ToR switch")
-        key = (src_tor, dst_tor)
-        if key in self._paths_cache:
-            return self._paths_cache[key]
-        paths = self._compute_paths(src_tor, dst_tor)
-        self._paths_cache[key] = paths
-        return paths
-
-    def _compute_paths(self, src_tor: str, dst_tor: str) -> List[SwitchPath]:
-        if src_tor == dst_tor:
-            return [(src_tor,)]
-        up = self._up_cache
-        src_aggs = sorted(self._layer_neighbors(src_tor, +1, up))
-        dst_aggs = sorted(self._layer_neighbors(dst_tor, +1, up))
-        dst_set = set(dst_aggs)
-        common = [a for a in src_aggs if a in dst_set]
-        if common:
-            return [(src_tor, agg, dst_tor) for agg in common]
-        # Walk down from the destination side once: each core's aggs above
-        # dst_tor, ascending — the order a sorted scan of the core's whole
-        # downlink list would meet them in.
-        descents: Dict[str, List[str]] = {}
-        for agg_down in dst_aggs:
-            for core in self._layer_neighbors(agg_down, +1, up):
-                descents.setdefault(core, []).append(agg_down)
-        paths: List[SwitchPath] = []
-        for agg_up in src_aggs:
-            for core in sorted(self._layer_neighbors(agg_up, +1, up)):
-                for agg_down in descents.get(core, ()):
-                    paths.append((src_tor, agg_up, core, agg_down, dst_tor))
-        if not paths:
-            raise TopologyError(f"no up-down path between {src_tor!r} and {dst_tor!r}")
-        return paths
+        return self.path_tables().paths(src_tor, dst_tor)
 
     def host_path(self, src_host: str, dst_host: str, switch_path: SwitchPath) -> Tuple[str, ...]:
         """Expand a ToR-to-ToR switch path into the full host-to-host path."""

@@ -21,7 +21,7 @@ from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.core import DardScheduler, MonitorRegistry, PathMonitor, PathState
 from repro.core.daemon import HostDaemon
-from repro.core.monitor import index_pair_paths
+from repro.core.monitor import index_pair_paths, switches_to_query
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import FlowComponent, Network
@@ -200,8 +200,11 @@ class TestPairInterning:
         paths, monitored, indices, indptr, by_link = per_path_pair_paths(
             net, src_tor, dst_tor
         )
-        assert pp.paths == paths
-        assert pp.path_index_map == {path: i for i, path in enumerate(paths)}
+        assert list(pp.paths) == list(paths)
+        assert [pp.paths.index(path) for path in paths] == list(range(len(paths)))
+        assert pp.num_query_switches == len(
+            switches_to_query(topology, src_tor, dst_tor)
+        )
         assert pp.monitored.tolist() == monitored
         np.testing.assert_array_equal(pp.csr_indices, indices)
         np.testing.assert_array_equal(pp.csr_indptr, indptr)

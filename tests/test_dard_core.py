@@ -88,7 +88,8 @@ class TestPathMonitor:
         ledger = MessageLedger()
         monitor = PathMonitor(net, "tor_0_0", "tor_1_0", ledger)
         monitor.query()
-        n = len(monitor.query_switches)
+        n = len(switches_to_query(fattree4, "tor_0_0", "tor_1_0"))
+        assert monitor.num_query_switches == n
         assert ledger.bytes_by_kind["dard_query"] == 48 * n
         assert ledger.bytes_by_kind["dard_reply"] == 32 * n
         assert monitor.queries_sent == n

@@ -12,6 +12,8 @@ from repro.scheduling.base import Scheduler, encode_and_verify
 from repro.simulator import FlowComponent, Network
 from repro.topology import FatTree
 
+from tests.test_computed_paths import PATH_TOPOLOGIES
+
 
 class FirstPathScheduler(Scheduler):
     """Minimal concrete scheduler for interface tests."""
@@ -64,34 +66,50 @@ class TestSchedulerInterface:
 
 
 class TestAliveFilter:
-    """``alive_paths`` tests the access cables once and then only switch
-    hops; ``Network.path_alive`` over the full host path is the reference."""
+    """``alive_paths`` tests the access cables once and then derives the
+    dead indices from the failed cables touching the pair's switches;
+    ``Network.path_alive`` over the full host path is the reference.
 
-    TOPO = FatTree(p=4, link_bandwidth_bps=100 * MBPS)
-    CABLES = sorted(link.endpoints() for link in TOPO.links())
-    HOSTS = sorted(TOPO.hosts())
+    Clos has two destination aggs per core, the uneven custom topology
+    has cores with different descent counts and the split-homed one has
+    non-consecutive agg rows: the dead-index arithmetic must hold on all
+    of them, as on the fat-tree and the 3-tier tree."""
 
+    TOPOS = {
+        name: PATH_TOPOLOGIES[name]()
+        for name in ("fattree4", "clos", "threetier", "custom", "split")
+    }
+
+    @pytest.mark.parametrize("name", sorted(TOPOS))
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_matches_path_alive_filter(self, data):
-        network = Network(self.TOPO)
+    def test_matches_path_alive_filter(self, name, data):
+        topo = self.TOPOS[name]
+        cables = sorted(link.endpoints() for link in topo.links())
+        hosts = sorted(topo.hosts())
+        network = Network(topo)
         scheduler = FirstPathScheduler()
         scheduler.attach(
             SchedulerContext(
                 network=network, codec=None, rng=np.random.default_rng(0)
             )
         )
-        for u, v in data.draw(st.sets(st.sampled_from(self.CABLES), max_size=8)):
+        for u, v in data.draw(st.sets(st.sampled_from(cables), max_size=8)):
             network.fail_link(u, v)
         for _ in range(4):
-            src = data.draw(st.sampled_from(self.HOSTS))
-            dst = data.draw(st.sampled_from([h for h in self.HOSTS if h != src]))
-            paths = scheduler.paths_between(src, dst)
+            src = data.draw(st.sampled_from(hosts))
+            dst = data.draw(st.sampled_from([h for h in hosts if h != src]))
+            paths = list(scheduler.paths_between(src, dst))
             reference = [
                 p for p in paths
-                if network.path_alive(self.TOPO.host_path(src, dst, p))
+                if network.path_alive(topo.host_path(src, dst, p))
             ]
-            assert scheduler.alive_paths(src, dst) == (reference or paths)
+            alive = scheduler.alive_paths(src, dst)
+            assert list(alive) == (reference or paths)
+            assert len(alive) == len(reference or paths)
+            for i, path in enumerate(reference or paths):
+                assert alive[i] == path
+                assert alive.index(path) == i
 
 
 class TestEncodeAndVerify:

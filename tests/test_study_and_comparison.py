@@ -86,5 +86,27 @@ class TestPairedComparison:
     def test_mismatched_workloads_rejected(self):
         a = self._run("ecmp")
         b = self._run("ecmp", seed=7)
-        with pytest.raises(ConfigurationError):
+        assert len(a.records) == a.flows_generated
+        assert len(b.records) == b.flows_generated
+        with pytest.raises(ConfigurationError, match="different workloads"):
             paired_comparison(a, b)
+
+    def test_unfinished_flows_blame_the_drain_cutoff(self):
+        """Same seed and parameters, but the drain cutoff leaves different
+        flows unfinished on each side: the error says so, instead of
+        blaming the workload."""
+        short = dict(
+            arrival_rate_per_host=0.1, duration_s=20.0, seed=0, drain_limit_s=5.0
+        )
+        ecmp = self._run("ecmp", **short)
+        dard = self._run("dard", **short)
+        assert (len(ecmp.records), ecmp.flows_generated) == (3, 31)
+        assert (len(dard.records), dard.flows_generated) == (7, 31)
+        with pytest.raises(ConfigurationError) as error:
+            paired_comparison(ecmp, dard)
+        message = str(error.value)
+        assert "different workloads" not in message
+        assert "A (ecmp) completed 3 of 31 generated flows" in message
+        assert "B (dard) completed 7 of 31 generated flows" in message
+        assert "drain cutoff t=25 s" in message
+        assert "drain_limit_s=5" in message

@@ -1,5 +1,8 @@
 """Tests for the three topology families and the multi-rooted helpers."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import TopologyError
@@ -66,7 +69,7 @@ class TestFatTreePaths:
         assert all(len(p) == 3 for p in paths)
 
     def test_same_tor_trivial_path(self, fattree4):
-        assert fattree4.equal_cost_paths("tor_0_0", "tor_0_0") == [("tor_0_0",)]
+        assert list(fattree4.equal_cost_paths("tor_0_0", "tor_0_0")) == [("tor_0_0",)]
 
     def test_paths_are_wired(self, fattree4):
         for path in fattree4.equal_cost_paths("tor_0_0", "tor_3_1"):
@@ -76,10 +79,23 @@ class TestFatTreePaths:
         with pytest.raises(TopologyError):
             fattree4.equal_cost_paths("agg_0_0", "tor_1_0")
 
-    def test_paths_cached(self, fattree4):
-        a = fattree4.equal_cost_paths("tor_0_0", "tor_1_1")
-        b = fattree4.equal_cost_paths("tor_0_0", "tor_1_1")
-        assert a is b
+    def test_path_sets_store_nothing_per_pair(self):
+        """Paths are computed from O(switch links) tables: 2,000 random
+        p=32 ToR pairs (256 paths each between pods) must stay far below
+        the ~42 MB that caching every pair's tuple list costs."""
+        topology = FatTree(p=32)
+        tors = sorted(topology.tors())
+        rng = random.Random(0)
+        pairs = [rng.sample(tors, 2) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            for i, (src, dst) in enumerate(pairs):
+                paths = topology.equal_cost_paths(src, dst)
+                assert paths[i % len(paths)][0] == src
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestClosStructure:

@@ -66,9 +66,8 @@ class PairPaths:
     never recomputes it): the computed equal-cost path sequence, the size
     of the switch query set, the link-id CSR over the *monitored* paths
     (same-ToR length-1 paths carry no switch-switch link and are
-    excluded), and the transposed CSR — link -> local monitored rows —
-    the registry uses to map dirty links back to CSR rows. No path tuple
-    is stored.
+    excluded), and the distinct link ids the registry checks for change
+    stamps. No path tuple is stored.
     """
 
     paths: EqualCostPaths
@@ -78,12 +77,8 @@ class PairPaths:
     monitored: np.ndarray
     csr_indices: np.ndarray
     csr_indptr: np.ndarray
-    #: distinct link ids of the CSR, ascending; link ``link_ids[k]`` is
-    #: crossed by local rows ``link_rows[link_indptr[k]:link_indptr[k + 1]]``
-    #: (ascending within each link).
+    #: distinct link ids of the CSR, ascending.
     link_ids: np.ndarray = field(repr=False)
-    link_indptr: np.ndarray = field(repr=False)
-    link_rows: np.ndarray = field(repr=False)
 
 
 def index_pair_paths(network: Network, src_tor: str, dst_tor: str) -> PairPaths:
@@ -92,7 +87,7 @@ def index_pair_paths(network: Network, src_tor: str, dst_tor: str) -> PairPaths:
     The link-id CSR is gathered with array operations from the per-switch
     link-id tables (:meth:`~repro.simulator.linkindex.LinkIndex.cable_ids`
     over the topology's :meth:`path_tables`); no hop is looked up by
-    name. The link -> rows transpose is one stable argsort over the CSR.
+    name.
     """
     topology = network.topology
     paths = topology.equal_cost_paths(src_tor, dst_tor)
@@ -103,18 +98,13 @@ def index_pair_paths(network: Network, src_tor: str, dst_tor: str) -> PairPaths:
     )
     nrows, width = hops.shape
     csr_indices = hops.ravel()
-    order = np.argsort(csr_indices, kind="stable")
-    by_link = csr_indices[order]
-    firsts = np.flatnonzero(np.diff(by_link, prepend=-1))
     return PairPaths(
         paths=paths,
         num_query_switches=len(switches_to_query(topology, src_tor, dst_tor)),
         monitored=np.arange(nrows, dtype=np.intp),
         csr_indices=csr_indices,
         csr_indptr=np.arange(nrows + 1, dtype=np.intp) * width,
-        link_ids=by_link[firsts],
-        link_indptr=np.append(firsts, by_link.size),
-        link_rows=np.arange(nrows, dtype=np.intp).repeat(width)[order],
+        link_ids=np.unique(csr_indices),
     )
 
 
@@ -125,7 +115,7 @@ class PathMonitor:
     ``state_eleph`` arrays (the ``path_states`` property is the
     :class:`PathState` object view of the same data), and — via the owning
     daemon — FV, the number of elephant flows the host itself sends along
-    each path. With a ``registry``, polls are answered from the fleet-wide
+    each path. With a ``registry``, polls are answered from its per-pair
     cache; standalone monitors query the network directly.
     """
 
@@ -167,7 +157,7 @@ class PathMonitor:
 
         The hot path — updates the state arrays in place and builds no
         :class:`PathState` objects. Message accounting is identical with
-        and without a registry (the batching is a simulator-side
+        and without a registry (the cache is a simulator-side
         optimization; the modelled protocol still polls every switch).
         """
         n = self.num_query_switches

@@ -15,7 +15,8 @@ Wires per-host daemons into the simulator:
 
 The scheduler owns a fleet-wide
 :class:`~repro.core.registry.MonitorRegistry` — monitor polls are answered
-from one batched, dirty-tracked cache — and daemons run the matrix
+from per-pair caches checked against per-link change stamps — and
+daemons run the matrix
 scheduling round (see DESIGN.md "Control-plane batching"). Control-plane
 wall time is metered around both loops and reported through
 ``Network.perf_stats()``. The original scalar control plane (per-monitor

@@ -27,8 +27,9 @@ module asserts uniqueness at import. Deliberately **not** registered:
 * ``FlowStore._free`` — a generic name that collides across classes and
   is only ever touched by its owner;
 * ``MonitorRegistry.mark_links_dirty`` is not a shared mutator: it only
-  appends dirty marks (commutative, order-free), the sanctioned
-  dirty-producer pattern, like ``FlowLinkComponents.attach``/``detach``.
+  writes the current clock into change stamps (idempotent, order-free
+  within one clock value), the sanctioned dirty-producer pattern, like
+  ``FlowLinkComponents.attach``/``detach``.
 """
 
 from __future__ import annotations
@@ -74,16 +75,13 @@ MERGE_POINTS: Tuple[str, ...] = ("consume_dirty", "scatter_link_loads")
 BOUNDARIES: Tuple[str, ...] = ("_request_realloc",)
 
 #: Method names whose call sites mutate globally shared structures: the
-#: event heap and the monitor registry's CSR layout. RACE003 flags any
-#: call to these from component-scoped code.
+#: event heap and the monitor registry's pair cache and clock. RACE003
+#: flags any call to these from component-scoped code.
 SHARED_MUTATOR_METHODS: Tuple[str, ...] = (
     "schedule_at",
     "schedule_in",
     "reschedule",
-    "_append_pair",
-    "_reserve",
-    "_refresh",
-    "_compact",
+    "_store_rows",
 )
 
 
@@ -223,34 +221,15 @@ OWNERSHIP: Tuple[SharedState, ...] = (
         "FlowLinkComponents", "repro.simulator.components", "_dirty_links",
         "dirty", "attach", "detach", "consume_dirty", "discard_dirty",
     ),
-    # -- MonitorRegistry CSR (global control-plane cache) ------------------
+    # -- MonitorRegistry pair cache (global control-plane cache) -----------
     _owned(
-        "MonitorRegistry", "repro.core.registry", "_indices",
-        "global", "_append_pair", "_reserve",
+        "MonitorRegistry", "repro.core.registry", "_pair_cache",
+        "global", "_store_rows", "release",
     ),
+    _owned("MonitorRegistry", "repro.core.registry", "_clock", "global", "_store_rows"),
     _owned(
-        "MonitorRegistry", "repro.core.registry", "_indptr",
-        "global", "_append_pair", "_reserve",
-    ),
-    _owned(
-        "MonitorRegistry", "repro.core.registry", "_row_band",
-        "global", "_reserve", "_refresh",
-    ),
-    _owned(
-        "MonitorRegistry", "repro.core.registry", "_row_eleph",
-        "global", "_reserve", "_refresh",
-    ),
-    _owned(
-        "MonitorRegistry", "repro.core.registry", "_link_rows",
-        "global", "_append_pair", "_compact",
-    ),
-    _owned(
-        "MonitorRegistry", "repro.core.registry", "_pending_links",
-        "dirty", "mark_links_dirty", "_compact", "_refresh",
-    ),
-    _owned(
-        "MonitorRegistry", "repro.core.registry", "_pending_rows",
-        "dirty", "_append_pair", "_compact", "_refresh",
+        "MonitorRegistry", "repro.core.registry", "_link_stamp",
+        "dirty", "mark_links_dirty",
     ),
     # -- EventEngine heap (global event order; see also API002) ------------
     _owned(

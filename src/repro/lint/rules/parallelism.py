@@ -81,7 +81,7 @@ class DirtyCrossComponentRead(_AnalysisRule):
     """Read of dirty cross-component state outside the merge points.
 
     ``category="dirty"`` state (invalidation buffers like
-    ``_retired_link_ids``, ``_dirty``, ``_pending_links``) is only
+    ``_retired_link_ids``, ``_dirty_links``, ``_link_stamp``) is only
     coherent when consumed at the declared merge points
     (``consume_dirty``/``scatter_link_loads``) or inside its owner
     module; any other read observes a torn view once rounds run
@@ -98,7 +98,7 @@ class SharedStructureMutation(_AnalysisRule):
     """Mutation of globally shared structures inside a component round.
 
     Calls to the registered shared-structure mutators (event-engine
-    scheduling, monitor-registry CSR maintenance) from code reachable
+    scheduling, monitor-registry cache refresh) from code reachable
     from a per-component round mutate state every component shares;
     hoist them to the serial phase around the round.
     """

@@ -241,7 +241,7 @@ class Network:
         #: whenever those links' reported state (elephant count via
         #: :meth:`_adjust_link_counts`, or bandwidth via fail/restore)
         #: changes. The DARD :class:`~repro.core.registry.MonitorRegistry`
-        #: registers here to mark its cached path-state rows dirty.
+        #: registers here to stamp those links in its path-state cache.
         self.link_state_watchers: List[Callable[[np.ndarray], None]] = []
         #: extra ``perf_stats()`` key providers (the DARD control plane
         #: merges its ``cp_*`` telemetry through this seam).

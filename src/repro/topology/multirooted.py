@@ -42,10 +42,12 @@ class MultiRootedTopology(Topology):
         self._tor_cache: Dict[str, str] = {}
         # Adjacency is immutable once a topology is built (failures are
         # modeled in the Network, never by graph surgery), so layer-filtered
-        # neighbor lists can be memoized. The control plane asks for them
-        # per scheduling round per daemon — a hot path at scale.
-        self._up_cache: Dict[str, List[str]] = {}
-        self._down_cache: Dict[str, List[str]] = {}
+        # neighbor tuples can be memoized. The control plane asks for them
+        # per scheduling round per daemon — a hot path at scale. Tuples of
+        # names drop out of the garbage collector's tracking, lists would
+        # not (one per host and switch).
+        self._up_cache: Dict[str, Tuple[str, ...]] = {}
+        self._down_cache: Dict[str, Tuple[str, ...]] = {}
 
     # -- layer helpers -------------------------------------------------------
 
@@ -70,14 +72,14 @@ class MultiRootedTopology(Topology):
         return list(self._layer_neighbors(name, -1, self._down_cache))
 
     def _layer_neighbors(
-        self, name: str, step: int, cache: Dict[str, List[str]]
-    ) -> List[str]:
-        """The memoized neighbor list itself; callers must not mutate it."""
+        self, name: str, step: int, cache: Dict[str, Tuple[str, ...]]
+    ) -> Tuple[str, ...]:
+        """The memoized neighbor tuple itself."""
         cached = cache.get(name)
         if cached is None:
             kind = _KIND_AT_LAYER.get(self.node(name).kind.layer + step)
             nodes = self.nodes
-            cached = [n for n in self.neighbors(name) if nodes[n].kind is kind]
+            cached = tuple(n for n in self.neighbors(name) if nodes[n].kind is kind)
             cache[name] = cached
         return cached
 

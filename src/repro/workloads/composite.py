@@ -127,6 +127,10 @@ class ModulatedArrivalProcess(ArrivalProcess):
         super().__init__(engine, pattern, spec, sink, rng, max_flows)
         self.profile = profile
 
+    def start(self) -> None:
+        for host in self.pattern.hosts:
+            self._schedule_next(host)
+
     def _schedule_next(self, host: str) -> None:
         multiplier = self.profile.multiplier_at(self.engine.now)
         if multiplier <= 0:
@@ -140,8 +144,4 @@ class ModulatedArrivalProcess(ArrivalProcess):
             self.engine.schedule_at(boundary, lambda h=host: self._schedule_next(h))
             return
         rate = self.spec.arrival_rate_per_host * multiplier
-        gap = float(self.rng.exponential(1.0 / rate))
-        when = self.engine.now + gap
-        if when > self.spec.duration_s:
-            return
-        self.engine.schedule_at(when, lambda h=host: self._arrive(h))
+        self._arm(host, float(self.rng.exponential(1.0 / rate)))

@@ -67,12 +67,23 @@ class ArrivalProcess:
         self.flows_generated = 0
 
     def start(self) -> None:
-        """Arm the first arrival for every source host."""
-        for host in self.pattern.hosts:
-            self._schedule_next(host)
+        """Arm the first arrival for every source host.
+
+        The first gaps are one vectorized draw: numpy fills an array of
+        exponentials with the same per-value draws, in the same order, as
+        repeated scalar calls, so the gaps and the generator state after
+        them are bit-identical to drawing host by host. A subclass that
+        changes the gap law overrides this with :meth:`_schedule_next`.
+        """
+        hosts = self.pattern.hosts
+        gaps = self.rng.exponential(1.0 / self.spec.arrival_rate_per_host, len(hosts))
+        for host, gap in zip(hosts, gaps.tolist()):
+            self._arm(host, gap)
 
     def _schedule_next(self, host: str) -> None:
-        gap = float(self.rng.exponential(1.0 / self.spec.arrival_rate_per_host))
+        self._arm(host, float(self.rng.exponential(1.0 / self.spec.arrival_rate_per_host)))
+
+    def _arm(self, host: str, gap: float) -> None:
         when = self.engine.now + gap
         if when > self.spec.duration_s:
             return

@@ -325,15 +325,18 @@ class EmpiricalArrivalProcess(ArrivalProcess):
             else gap_dist.scaled_to_mean(1.0 / spec.arrival_rate_per_host)
         )
 
+    def start(self) -> None:
+        if self.gap_dist is None:
+            super().start()
+            return
+        for host in self.pattern.hosts:
+            self._schedule_next(host)
+
     def _schedule_next(self, host: str) -> None:
         if self.gap_dist is None:
             super()._schedule_next(host)
             return
-        gap = self.gap_dist.sample(self.rng)
-        when = self.engine.now + gap
-        if when > self.spec.duration_s:
-            return
-        self.engine.schedule_at(when, lambda h=host: self._arrive(h))
+        self._arm(host, self.gap_dist.sample(self.rng))
 
     def _arrive(self, host: str) -> None:
         if self.max_flows is None or self.flows_generated < self.max_flows:

@@ -1,6 +1,6 @@
 """OWN001 bad fixture: shared state created outside its owner module.
 
-``_row_band`` is a MonitorRegistry cache owned by ``repro.core.registry``;
+``_link_stamp`` is a MonitorRegistry array owned by ``repro.core.registry``;
 rebinding it to a fresh array from simulator code bypasses the ownership
 table (and any runtime write barrier on the old object).
 """
@@ -8,5 +8,5 @@ table (and any runtime write barrier on the old object).
 import numpy as np
 
 
-def hijack_band_cache(registry):
-    registry._row_band = np.zeros(4)
+def hijack_link_stamps(registry):
+    registry._link_stamp = np.zeros(4)

@@ -1,6 +1,6 @@
-"""OWN001 good fixture: shared state resized through the owner's API."""
+"""OWN001 good fixture: shared state written through the owner's API."""
 
 
-def resize_band_cache(registry, capacity):
-    """``_reserve`` is the owner-side writer that reallocates the caches."""
-    registry._reserve(capacity)
+def stamp_links(registry, link_ids):
+    """``mark_links_dirty`` is the owner-side writer of the link stamps."""
+    registry.mark_links_dirty(link_ids)

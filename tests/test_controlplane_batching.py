@@ -1,13 +1,13 @@
 """Tests for the batched DARD control plane.
 
 Covers the :class:`MonitorRegistry` lifecycle (register / release /
-revival / compaction epochs), dirty-tracked cache correctness against
-direct network queries, Algorithm 1 tie-break edge cases in all three
-execution paths (the scalar reference twin, small-fleet floats, padded
-matrix), the two-sided optimistic ``note_shift`` update, the ``cp_*``
-telemetry surface, and the scalar control-plane twin run through the
-twin harness (including its self-test: a perturbed result must be
-caught).
+re-register), the per-link change-stamp contract (cached rows against
+direct network queries, and which polls refresh), Algorithm 1 tie-break
+edge cases in all three execution paths (the scalar reference twin,
+small-fleet floats, padded matrix), the two-sided optimistic
+``note_shift`` update, the ``cp_*`` telemetry surface, and the scalar
+control-plane twin run through the twin harness (including its
+self-test: a perturbed result must be caught).
 """
 
 import dataclasses
@@ -35,6 +35,7 @@ from repro.validation.twins import (
     twin_run,
     worst_active,
 )
+from tests.test_addressing_arithmetic import TOPOLOGIES
 
 
 def make_network(p=4):
@@ -62,80 +63,107 @@ def make_daemon(net, registry=None, delta_bps=10 * MBPS):
     )
 
 
+def hosted_pair_with_most_paths(topology):
+    """The first (src ToR, dst ToR) pair of hosted ToRs with the most paths."""
+    tors = [tor for tor in sorted(topology.tors()) if topology.hosts_of_tor(tor)]
+    pairs = [(a, b) for a in tors for b in tors if a != b]
+    return max(pairs, key=lambda pair: len(topology.equal_cost_paths(*pair)))
+
+
+def assert_rows_fresh(net, registry, pair):
+    """The registry's rows equal a fresh query of the network, bit for bit."""
+    pp = registry.intern_pair(*pair)
+    band, eleph = registry.pair_rows(*pair)
+    direct_band, direct_eleph = net.batch_path_state_arrays(
+        pp.csr_indices, pp.csr_indptr
+    )
+    np.testing.assert_array_equal(band, direct_band)
+    np.testing.assert_array_equal(eleph, direct_eleph)
+
+
 class TestMonitorRegistry:
     def test_register_interns_and_refcounts(self):
         net = make_network()
         registry = MonitorRegistry(net)
         pp1 = registry.register("tor_0_0", "tor_1_0")
+        registry.pair_rows("tor_0_0", "tor_1_0")
         rows = registry.rows
+        assert rows == pp1.monitored.size
         pp2 = registry.register("tor_0_0", "tor_1_0")
         assert pp1 is pp2  # interned, computed once
-        assert registry.rows == rows  # second registration appends nothing
+        assert registry.rows == rows  # second registration caches nothing new
         assert registry.live_pairs == 1
         registry.release("tor_0_0", "tor_1_0")
         assert registry.live_pairs == 1  # one monitor still up
+        assert registry.rows == rows
         registry.release("tor_0_0", "tor_1_0")
         assert registry.live_pairs == 0
+        assert registry.rows == 0  # the last release drops the pair's entry
 
-    def test_released_pair_revives_for_free(self):
+    @pytest.mark.parametrize("name", ["clos", "custom", "fattree4", "threetier"])
+    def test_cached_rows_track_network_state(self, name):
+        topology = TOPOLOGIES[name]()
+        net = Network(topology)
+        registry = MonitorRegistry(net)
+        pair = hosted_pair_with_most_paths(topology)
+        pp = registry.register(*pair)
+        assert len(pp.paths) > 1
+        src, dst = (sorted(topology.hosts_of_tor(tor))[0] for tor in pair)
+
+        def start_on(path_index):
+            path = topology.host_path(src, dst, pp.paths[path_index])
+            # Still live at 21 s on the default 1 Gbps links.
+            return net.start_flow(src, dst, 10_000 * MB, [FlowComponent(path)])
+
+        assert_rows_fresh(net, registry, pair)
+        start_on(0)
+        net.engine.run_until(10.5)  # the promotion stamps the path's links
+        assert_rows_fresh(net, registry, pair)
+        cable = pp.paths[0][:2]
+        net.fail_link(*cable)
+        assert_rows_fresh(net, registry, pair)
+        net.restore_link(*cable)
+        assert_rows_fresh(net, registry, pair)
+        # Release, change state while no monitor is up, then come back.
+        registry.release(*pair)
+        start_on(len(pp.paths) - 1)
+        net.engine.run_until(21.0)
+        net.fail_link(*pp.paths[-1][-2:])
+        assert registry.register(*pair) is pp
+        assert_rows_fresh(net, registry, pair)
+
+    def test_polls_refresh_only_pairs_with_stamped_links(self):
         net = make_network()
         registry = MonitorRegistry(net)
-        registry.register("tor_0_0", "tor_1_0")
-        span = registry._span[("tor_0_0", "tor_1_0")]
-        registry.release("tor_0_0", "tor_1_0")
-        assert registry._dead_rows == span[1]
-        registry.register("tor_0_0", "tor_1_0")
-        assert registry._dead_rows == 0
-        assert registry._span[("tor_0_0", "tor_1_0")] == span  # same rows
-        assert registry.live_pairs == 1
+        pair_a, pair_b = ("tor_0_0", "tor_1_0"), ("tor_2_0", "tor_3_0")
+        pp_a = registry.register(*pair_a)
+        pp_b = registry.register(*pair_b)
+        assert np.intersect1d(pp_a.link_ids, pp_b.link_ids).size == 0
 
-    def test_compaction_epoch_drops_dead_rows(self, monkeypatch):
-        monkeypatch.setattr(MonitorRegistry, "_COMPACT_MIN_ROWS", 1)
-        net = make_network()
-        registry = MonitorRegistry(net)
-        registry.register("tor_0_0", "tor_1_0")
-        registry.register("tor_0_1", "tor_2_0")
-        rows_before = registry.rows
-        registry.release("tor_0_0", "tor_1_0")  # 50% dead -> epoch fires
-        assert registry.stat_rebuilds == 1
-        assert registry.rows < rows_before
-        assert ("tor_0_0", "tor_1_0") not in registry._span
-        # The surviving pair still answers queries correctly.
-        band, eleph = registry.pair_rows("tor_0_1", "tor_2_0")
-        pp = index_pair_paths(net, "tor_0_1", "tor_2_0")
-        direct_band, direct_eleph = net.batch_path_state_arrays(
-            pp.csr_indices, pp.csr_indptr
-        )
-        np.testing.assert_array_equal(band, direct_band)
-        np.testing.assert_array_equal(eleph, direct_eleph)
+        def poll(pair):
+            """``(refreshes, cache hits)`` added by one poll of ``pair``."""
+            refreshes, hits = registry.stat_refreshes, registry.stat_cache_hits
+            registry.pair_rows(*pair)
+            return (registry.stat_refreshes - refreshes, registry.stat_cache_hits - hits)
 
-    def test_cached_rows_track_network_state(self):
-        net = make_network()
-        registry = MonitorRegistry(net)
-        pp = registry.register("tor_0_0", "tor_1_0")
-
-        def assert_cache_fresh():
-            band, eleph = registry.pair_rows("tor_0_0", "tor_1_0")
-            direct_band, direct_eleph = net.batch_path_state_arrays(
-                pp.csr_indices, pp.csr_indptr
-            )
-            np.testing.assert_array_equal(band, direct_band)
-            np.testing.assert_array_equal(eleph, direct_eleph)
-
-        assert_cache_fresh()
+        assert poll(pair_a) == (1, 0)  # the first poll computes
+        assert poll(pair_b) == (1, 0)
+        assert poll(pair_a) == (0, 1)
+        assert poll(pair_b) == (0, 1)
         start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
-        net.engine.run_until(10.5)  # promotion marks the path's links dirty
-        assert_cache_fresh()
-        net.fail_link("agg_0_0", "core_0_0")
-        assert_cache_fresh()
-        net.restore_link("agg_0_0", "core_0_0")
-        assert_cache_fresh()
+        net.engine.run_until(10.5)  # promotion on A's path
+        assert poll(pair_a) == (1, 0)
+        assert poll(pair_b) == (0, 1)
+        net.fail_link(*pp_b.paths[0][1:3])  # cable failure on B's path
+        assert poll(pair_a) == (0, 1)
+        assert poll(pair_b) == (1, 0)
+        assert poll(pair_b) == (0, 1)
 
     def test_clean_queries_hit_the_cache(self):
         net = make_network()
         registry = MonitorRegistry(net)
         registry.register("tor_0_0", "tor_1_0")
-        registry.pair_rows("tor_0_0", "tor_1_0")  # refreshes the append
+        registry.pair_rows("tor_0_0", "tor_1_0")  # the first poll computes
         hits = registry.stat_cache_hits
         registry.pair_rows("tor_0_0", "tor_1_0")
         registry.pair_rows("tor_0_0", "tor_1_0")
@@ -174,11 +202,7 @@ def per_path_pair_paths(net, src_tor, dst_tor):
     indices = (
         np.concatenate(monitored_ids) if monitored_ids else np.empty(0, dtype=np.intp)
     )
-    by_link = {}
-    for local, ids in enumerate(monitored_ids):
-        for link_id in ids.tolist():
-            by_link.setdefault(link_id, []).append(local)
-    return paths, monitored, indices, indptr, sorted(by_link.items())
+    return paths, monitored, indices, indptr, sorted(set(indices.tolist()))
 
 
 class TestPairInterning:
@@ -197,7 +221,7 @@ class TestPairInterning:
     def test_matches_per_path_build(self, topology, src_tor, dst_tor):
         net = Network(topology)
         pp = index_pair_paths(net, src_tor, dst_tor)
-        paths, monitored, indices, indptr, by_link = per_path_pair_paths(
+        paths, monitored, indices, indptr, link_ids = per_path_pair_paths(
             net, src_tor, dst_tor
         )
         assert list(pp.paths) == list(paths)
@@ -208,33 +232,9 @@ class TestPairInterning:
         assert pp.monitored.tolist() == monitored
         np.testing.assert_array_equal(pp.csr_indices, indices)
         np.testing.assert_array_equal(pp.csr_indptr, indptr)
-        bounds = pp.link_indptr.tolist()
-        transposed = [
-            (link_id, pp.link_rows[bounds[k] : bounds[k + 1]].tolist())
-            for k, link_id in enumerate(pp.link_ids.tolist())
-        ]
-        assert transposed == by_link
-        for array in (pp.monitored, pp.csr_indices, pp.csr_indptr,
-                      pp.link_ids, pp.link_indptr, pp.link_rows):
+        assert pp.link_ids.tolist() == link_ids
+        for array in (pp.monitored, pp.csr_indices, pp.csr_indptr, pp.link_ids):
             assert array.dtype == np.intp
-
-    def test_registry_link_rows_cover_every_pair(self):
-        net = make_network(p=8)
-        registry = MonitorRegistry(net)
-        pairs = [("tor_0_0", "tor_1_0"), ("tor_0_0", "tor_0_1"), ("tor_2_1", "tor_5_3")]
-        expected = {}
-        for src_tor, dst_tor in pairs:
-            pp = registry.register(src_tor, dst_tor)
-            start, _ = registry._span[(src_tor, dst_tor)]
-            for local in range(pp.monitored.size):
-                lo, hi = pp.csr_indptr[local], pp.csr_indptr[local + 1]
-                for link_id in pp.csr_indices[lo:hi].tolist():
-                    expected.setdefault(link_id, []).append(start + local)
-        got = {
-            link_id: np.concatenate(chunks).tolist()
-            for link_id, chunks in registry._link_rows.items()
-        }
-        assert got == expected
 
 
 class TestAlgorithm1TieBreaks:
@@ -396,7 +396,7 @@ class TestPerfStatsSurface:
             "cp_shifts", "cp_registry_pairs", "cp_registry_rows",
             "cp_registry_queries", "cp_registry_cache_hits",
             "cp_registry_refreshes", "cp_registry_rows_refreshed",
-            "cp_registry_rebuilds", "cp_registry_registrations",
+            "cp_registry_registrations",
         ):
             assert key in stats, key
         assert stats["cp_daemons"] >= 1.0

@@ -10,7 +10,7 @@ Three layers:
   ``FlowStore.__slots__``), so the table cannot silently rot;
 * certification — the committed ``parallel_safety_baseline.json`` is a
   floor on ``proven_pure``, and the component-scoped roots (refill,
-  daemon round, registry row refresh) must hold.
+  daemon round, registry row gather) must hold.
 """
 
 import ast
@@ -193,11 +193,11 @@ class TestCallGraph:
             "repro.simulator.synth_mut",
             "class SynthMut:\n"
             "    def _refill_dirty(self):\n"
-            "        self._registry._compact()\n",
+            "        self._registry._store_rows(self._pair, self._pair_paths)\n",
         )
         findings = _all_findings(analysis, "RACE003")
         assert len(findings) == 1
-        assert "_compact()" in findings[0].message
+        assert "_store_rows()" in findings[0].message
 
 
 def _declared_attrs(module_name):

@@ -34,8 +34,7 @@ CP_KEYS = {
     "cp_shift_tails", "cp_shifts",
     "cp_registry_pairs", "cp_registry_rows", "cp_registry_queries",
     "cp_registry_cache_hits", "cp_registry_refreshes",
-    "cp_registry_rows_refreshed", "cp_registry_rebuilds",
-    "cp_registry_registrations",
+    "cp_registry_rows_refreshed", "cp_registry_registrations",
 }
 
 

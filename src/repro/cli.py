@@ -113,12 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "oracles must catch it",
     )
     validate.add_argument(
-        "--sanitize", action="store_true",
-        help="run fuzz cases under the runtime ownership sanitizer: "
-             "write-barriers on the registered shared state assert the "
-             "static RACE verdicts dynamically (results stay bit-identical)",
-    )
-    validate.add_argument(
         "--oracle-cases", type=int, default=50,
         help="random instances for the allocator differential oracle",
     )
@@ -158,11 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit",
-    )
-    lint.add_argument(
-        "--parallel-safety-report", default=None, metavar="FILE",
-        help="write the component-purity certificate (ownership table, "
-             "component closure, proven-pure function list) as JSON",
     )
     lint.add_argument(
         "--allow-unused-suppressions", action="store_true",
@@ -485,7 +474,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             start_seed=args.start_seed,
             inject_bug=args.inject_bug,
             progress=print,
-            sanitize=args.sanitize,
         )
         print(report.render())
         if args.inject_bug:
@@ -504,8 +492,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.lint import (
         all_rules,
         load_config,
@@ -529,21 +515,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(report + "\n")
-    if args.parallel_safety_report:
-        from repro.lint.callgraph import OwnershipAnalysis, parallel_safety_document
-
-        analysis = result.program.cache.get("ownership")
-        if not isinstance(analysis, OwnershipAnalysis):
-            analysis = OwnershipAnalysis(result.program.contexts)
-        document = parallel_safety_document(analysis)
-        with open(args.parallel_safety_report, "w") as handle:
-            _json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(
-            f"parallel-safety: {len(document['proven_pure'])} of "
-            f"{len(document['functions'])} closure function(s) proven pure "
-            f"-> {args.parallel_safety_report}"
-        )
     return 1 if result.findings else 0
 
 

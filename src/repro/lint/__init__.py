@@ -4,20 +4,12 @@
 catch probabilistically — unordered set iteration feeding results
 (DET001), global RNG / wall-clock reads (DET002), hash-ordered float
 accumulation (DET003), unordered serialization (DET004), string-keyed
-lookups in the reallocation hot path (PERF001), persistent-load mutation
-outside its owners (API001), event-heap bypasses (API002), and broad
-``except`` clauses that can swallow invariant violations (EXC001).
-
-Since v2 the engine is interprocedural: an ownership registry
-(:mod:`repro.lint.ownership`) plus a call-graph/taint analysis
-(:mod:`repro.lint.callgraph`) back the parallel-safety rule family —
-RACE001 (cross-owner write from component-scoped code), RACE002 (dirty
-cross-component read outside the merge points), RACE003 (shared-structure
-mutation inside a component round), OWN001 (shared state created outside
-its owner module) — and ``dard lint --parallel-safety-report`` emits a
-JSON certificate of every function proven component-pure. The driver
-also polices its own escape hatch: a suppression comment that matches no
-finding is DRD001.
+lookups in the reallocation hot path (PERF001), per-flow dict walks in
+the per-event settle/ETA/finisher passes (PERF002), persistent-load
+mutation outside its owners (API001), event-heap bypasses (API002), and
+broad ``except`` clauses that can swallow invariant violations (EXC001).
+Each rule checks one module at a time. The driver also polices its own
+escape hatch: a suppression comment that matches no finding is DRD001.
 
 See DESIGN.md "Static guarantees" for the determinism contract each rule
 enforces and the suppression policy; TESTING.md for how the CI gate runs.
@@ -28,7 +20,6 @@ from repro.lint.engine import (
     LintConfig,
     LintResult,
     ModuleContext,
-    ProgramContext,
     Rule,
     all_rules,
     load_config,
@@ -37,29 +28,15 @@ from repro.lint.engine import (
     run_lint,
     run_lint_result,
 )
-from repro.lint.ownership import (
-    BOUNDARIES,
-    COMPONENT_SCOPED,
-    MERGE_POINTS,
-    OWNERSHIP,
-    SharedState,
-    state_by_attr,
-)
 from repro.lint.reporting import SCHEMA_VERSION, render_json, render_text, to_document
 
 __all__ = [
-    "BOUNDARIES",
-    "COMPONENT_SCOPED",
     "Finding",
     "LintConfig",
     "LintResult",
-    "MERGE_POINTS",
     "ModuleContext",
-    "OWNERSHIP",
-    "ProgramContext",
     "Rule",
     "SCHEMA_VERSION",
-    "SharedState",
     "all_rules",
     "load_config",
     "module_name_for",
@@ -68,6 +45,5 @@ __all__ = [
     "render_text",
     "run_lint",
     "run_lint_result",
-    "state_by_attr",
     "to_document",
 ]

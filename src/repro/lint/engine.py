@@ -46,7 +46,6 @@ __all__ = [
     "LintConfig",
     "LintResult",
     "ModuleContext",
-    "ProgramContext",
     "Rule",
     "all_rules",
     "load_config",
@@ -92,10 +91,6 @@ class ModuleContext:
         #: Suppression-comment lines that matched at least one finding;
         #: the driver reports the rest as DRD001 (unused suppression).
         self.used_suppression_lines: Set[int] = set()
-        #: The whole-program view (every context in this lint run plus a
-        #: shared analysis cache); set by the driver, ``None`` when a rule
-        #: is exercised directly against a lone context.
-        self.program: Optional["ProgramContext"] = None
 
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
         """Build a :class:`Finding` anchored at an AST node."""
@@ -127,19 +122,6 @@ class ModuleContext:
                     self.used_suppression_lines.add(above)
                     return True
         return False
-
-
-class ProgramContext:
-    """All parsed modules of one lint run, plus a shared analysis cache.
-
-    Interprocedural rules (the RACE/OWN family) need the whole program,
-    not one file; they build their analysis once, stash it under a key in
-    ``cache``, and every later module's ``check()`` reuses it.
-    """
-
-    def __init__(self, contexts: Sequence[ModuleContext]) -> None:
-        self.contexts: List[ModuleContext] = list(contexts)
-        self.cache: Dict[str, object] = {}
 
 
 def _scan_suppressions(
@@ -359,15 +341,12 @@ class LintResult:
     ``files_skipped`` counts Python files that were reachable from the
     given paths but fell outside the configured ``include`` scopes (or
     matched ``exclude``) — reported so out-of-scope code is visibly
-    skipped rather than silently absent. ``program`` carries the parsed
-    contexts and the interprocedural analysis cache for consumers like
-    ``--parallel-safety-report``.
+    skipped rather than silently absent.
     """
 
     findings: List[Finding]
     files_scanned: int
     files_skipped: int
-    program: ProgramContext
 
 
 def _collect_contexts(
@@ -405,8 +384,7 @@ def run_lint_result(
 
     Unreadable or syntactically invalid files surface as ``DRD000``
     findings rather than crashing the run — a lint gate must never be
-    dodged by an unparseable file. Every in-scope file is parsed before
-    any rule runs so interprocedural rules see the whole program.
+    dodged by an unparseable file.
     """
     if config is None:
         config = load_config(Path(paths[0]) if paths else None)
@@ -416,12 +394,10 @@ def run_lint_result(
     ]
     contexts, findings, files_skipped = _collect_contexts(paths, config)
     files_scanned = len(contexts) + len(findings)
-    program = ProgramContext(contexts)
     drd001 = next(
         (cls for cls in rule_classes if cls.code == UnusedSuppressionRule.code), None
     )
     for ctx in contexts:
-        ctx.program = program
         for cls in rule_classes:
             if not _module_matches(ctx.module, config.rule_scope(cls)):
                 continue
@@ -457,7 +433,7 @@ def run_lint_result(
             if not ctx.suppressed(finding):
                 findings.append(finding)
     findings.sort()
-    return LintResult(findings, files_scanned, files_skipped, program)
+    return LintResult(findings, files_scanned, files_skipped)
 
 
 def run_lint(

@@ -19,10 +19,10 @@ tool's contract and covered by tests:
       ]
     }
 
-Schema version 2 added the interprocedural rule family (RACE001-003,
-OWN001, DRD001) to ``rules`` and the ``files_skipped`` count — files
-reachable from the linted paths but outside the configured ``include``
-scopes, previously silently absent from the document.
+Schema version 2 added the ``files_skipped`` count — files reachable
+from the linted paths but outside the configured ``include`` scopes,
+previously silently absent from the document. ``rules`` lists whatever
+the registry holds, so adding or removing a rule changes no schema.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.simulator.components import FlowLinkComponents
 from repro.simulator.engine import EventEngine
 from repro.simulator.flows import Flow, FlowComponent, FlowRecord
 from repro.simulator.flowstore import FlowStore
-from repro.simulator.linkindex import LinkArrayMapping, LinkIndex
+from repro.simulator.linkindex import LinkIndex
 from repro.simulator.maxmin import (
     link_loads_indexed,
     link_utilizations,
@@ -41,7 +41,6 @@ __all__ = [
     "FlowLinkComponents",
     "FlowRecord",
     "FlowStore",
-    "LinkArrayMapping",
     "LinkIndex",
     "LinkState",
     "Network",

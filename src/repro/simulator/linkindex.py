@@ -7,11 +7,6 @@ exactly once per :class:`~repro.simulator.network.Network`, so all
 per-link quantities (capacity, delay, failure state, flow counters,
 utilization) become numpy arrays indexed by link id and every hot-path
 computation is a vectorized gather/scatter instead of a dict walk.
-
-:class:`LinkArrayMapping` wraps one of those arrays back into a
-``Mapping[LinkId, value]`` so code (and tests) written against the old
-dict-shaped surfaces keeps working unchanged — reads and writes go
-straight through to the underlying array.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    MutableMapping,
     Optional,
     Protocol,
     Sequence,
@@ -149,42 +143,3 @@ class LinkIndex:
             self._cable_ids[table] = ids
         return ids
 
-
-class LinkArrayMapping(MutableMapping):
-    """Dict-shaped live view over a per-link array.
-
-    Iteration yields every interned link (zero entries included); reads
-    and writes address the backing array in place, so mutating the view
-    mutates the simulator state it fronts — exactly like the plain dicts
-    it replaces.
-    """
-
-    __slots__ = ("_index", "_array")
-
-    def __init__(self, index: LinkIndex, array: np.ndarray) -> None:
-        self._index = index
-        self._array = array
-
-    def __getitem__(self, link: LinkId) -> float:
-        i = self._index.ids.get(link)
-        if i is None:
-            raise KeyError(link)
-        return self._array[i].item()
-
-    def __setitem__(self, link: LinkId, value: float) -> None:
-        i = self._index.ids.get(link)
-        if i is None:
-            raise KeyError(link)
-        self._array[i] = value
-
-    def __delitem__(self, link: LinkId) -> None:
-        raise TypeError("links cannot be removed from a LinkArrayMapping")
-
-    def __iter__(self) -> Iterator[LinkId]:
-        return iter(self._index.links)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, link: object) -> bool:
-        return link in self._index.ids

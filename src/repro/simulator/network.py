@@ -83,7 +83,7 @@ from repro.simulator.flows import (
     FlowRecord,
 )
 from repro.simulator.flowstore import FlowStore
-from repro.simulator.linkindex import LinkArrayMapping, LinkIndex
+from repro.simulator.linkindex import LinkIndex
 from repro.simulator.maxmin import (
     LinkId,
     link_loads_indexed,
@@ -201,17 +201,12 @@ class Network:
         #: validation layer registers its composable invariants here.
         self.invariant_hooks: List[Callable[["Network"], None]] = []
 
-        # Dict-shaped compatibility surfaces over the same storage.
+        # String-keyed copy of the capacities, for the baselines, the
+        # reference allocator and the validation checks.
         self.capacities: Dict[LinkId, float] = {
             link: float(cap)
             for link, cap in zip(self.link_index.links, self._cap_array)
         }
-        self.link_delays: Dict[LinkId, float] = {
-            link: float(delay)
-            for link, delay in zip(self.link_index.links, self._delay_array)
-        }
-        self._link_elephants = LinkArrayMapping(self.link_index, self._eleph_array)
-        self._link_total = LinkArrayMapping(self.link_index, self._total_array)
 
         self.flows: Dict[int, Flow] = {}
         #: columnar hot flow state; every flow in ``flows`` is bound to a

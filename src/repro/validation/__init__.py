@@ -68,7 +68,6 @@ from repro.validation.fuzz import (
     run_fuzz,
     shrink_config,
 )
-from repro.validation.sanitizer import OwnershipSanitizer
 from repro.validation.snapshot import (
     DEFAULT_GOLDEN_PATH,
     GOLDEN_SCENARIOS,
@@ -90,7 +89,6 @@ __all__ = [
     "GOLDEN_TWINS",
     "INCREMENTAL",
     "InvariantChecker",
-    "OwnershipSanitizer",
     "SCALAR_CONTROL_PLANE",
     "SCALAR_SETTLE",
     "StormOracle",

@@ -44,7 +44,9 @@ DEFAULT_GOLDEN_PATH = Path("tests") / "goldens" / "golden_traces.json"
 _ROUND = 6  # microsecond / sub-ppm resolution: below any real drift
 
 #: The golden scenario set: small, fast, deterministic, covering three
-#: schedulers and two topology families. Pinned to the full (reference)
+#: schedulers and two topology families. ``fattree_dard_stride_storm``
+#: is the one that runs DARD's control plane: its elephants shift, and a
+#: link fails and is restored under them. Pinned to the full (reference)
 #: reallocation mode: the incremental mode reproduces every rate and FCT
 #: bit-for-bit but counts water-filling rounds per component, so its
 #: ``filling_iterations`` legitimately differs when symmetric ties span
@@ -89,6 +91,21 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
         flow_size_bytes=16 * MB,
         seed=3,
         network_params={"incremental_realloc": False},
+    ),
+    "fattree_dard_stride_storm": ScenarioConfig(
+        topology="fattree",
+        topology_params={"p": 4, "link_bandwidth_bps": 100 * MBPS},
+        pattern="stride",
+        scheduler="dard",
+        arrival_rate_per_host=0.1,
+        duration_s=25.0,
+        flow_size_bytes=48 * MB,
+        seed=7,
+        network_params={"incremental_realloc": False},
+        link_events=(
+            ("fail", 12.0, "agg_0_0", "core_0_0"),
+            ("restore", 18.0, "agg_0_0", "core_0_0"),
+        ),
     ),
 }
 

@@ -10,11 +10,10 @@ through seams that already exist:
 * a per-network install through ``run_scenario(instrument=...)`` —
   :data:`SCALAR_SETTLE` swaps one network's settle / completion-ETA /
   finisher passes for the scalar per-flow loops;
-* a scoped class-level install, in the style of
-  :meth:`~repro.validation.sanitizer.OwnershipSanitizer.install` —
-  :data:`SCALAR_CONTROL_PLANE` puts the original per-monitor DARD control
-  plane (no registry, ``PathState`` objects, tuple-keyed FV) in place for
-  the duration of one run;
+* a scoped class-level install that puts the original class attributes
+  back on exit — :data:`SCALAR_CONTROL_PLANE` puts the original
+  per-monitor DARD control plane (no registry, ``PathState`` objects,
+  tuple-keyed FV) in place for the duration of one run;
 * a config rewrite, for a twin a public option already selects —
   :data:`INCREMENTAL`, which the golden replay runs against the goldens
   pinned to full reallocation.
@@ -38,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, ContextManager, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import OracleViolation
-from repro.common.units import MB, MBPS
 from repro.core.bonf import PathState
 from repro.core.daemon import HostDaemon
 from repro.core.monitor import PathMonitor
@@ -354,27 +352,14 @@ def twin_run(
 def twin_suites() -> List[Tuple[Twin, List[ScenarioConfig]]]:
     """The dual-runs ``repro validate`` prints: each twin, its scenarios.
 
-    The golden DARD scenario plus a failure-rich stride case for both
-    twins; the settle twin adds the golden ECMP scenario (the settle path
-    is scheduler-agnostic).
+    The two golden DARD scenarios (one of them shifts elephants around a
+    link failure) for both twins; the settle twin adds the golden ECMP
+    scenario (the settle path is scheduler-agnostic).
     """
     from repro.validation.snapshot import GOLDEN_SCENARIOS
 
-    storm = ScenarioConfig(
-        topology="fattree",
-        topology_params={"p": 4, "link_bandwidth_bps": 100 * MBPS},
-        pattern="stride",
-        scheduler="dard",
-        arrival_rate_per_host=0.1,
-        duration_s=25.0,
-        flow_size_bytes=48 * MB,
-        seed=7,
-        link_events=(
-            ("fail", 12.0, "agg_0_0", "core_0_0"),
-            ("restore", 18.0, "agg_0_0", "core_0_0"),
-        ),
-    )
     dard = GOLDEN_SCENARIOS["fattree_dard_random"]
+    storm = GOLDEN_SCENARIOS["fattree_dard_stride_storm"]
     return [
         (SCALAR_CONTROL_PLANE, [dard, storm]),
         (SCALAR_SETTLE, [GOLDEN_SCENARIOS["fattree_ecmp_stride"], dard, storm]),

@@ -37,12 +37,8 @@ REQUIRED_RULES = [
     "DET004",
     "DRD001",
     "EXC001",
-    "OWN001",
     "PERF001",
     "PERF002",
-    "RACE001",
-    "RACE002",
-    "RACE003",
 ]
 
 #: rule code -> fixture file stem prefix (bad/good suffixed below).
@@ -57,10 +53,6 @@ FIXTURE_FILES = {
     "API001": "repro/simulator/api001",
     "API002": "repro/simulator/api002",
     "EXC001": "repro/validation/exc001",
-    "OWN001": "repro/simulator/own001",
-    "RACE001": "repro/simulator/race001",
-    "RACE002": "repro/simulator/race002",
-    "RACE003": "repro/simulator/race003",
 }
 
 

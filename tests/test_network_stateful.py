@@ -103,10 +103,10 @@ class NetworkMachine(RuleBasedStateMachine):
                     expected_total[link] = expected_total.get(link, 0) + 1
                     if flow.is_elephant:
                         expected_eleph[link] = expected_eleph.get(link, 0) + 1
-        for link, count in self.net._link_total.items():
-            assert count == expected_total.get(link, 0), link
-        for link, count in self.net._link_elephants.items():
-            assert count == expected_eleph.get(link, 0), link
+        for link in self.net.link_index.links:
+            state = self.net.link_state(*link)
+            assert state.total_flows == expected_total.get(link, 0), link
+            assert state.elephant_flows == expected_eleph.get(link, 0), link
 
     @invariant()
     def no_link_over_capacity(self):

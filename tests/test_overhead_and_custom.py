@@ -98,8 +98,7 @@ class TestCheckInvariants:
         )
         net.engine.run_until(1.0)
         # Sabotage a counter the way a buggy scheduler extension might.
-        key = next(iter(net._link_total))
-        net._link_total[key] += 1
+        net._total_array[0] += 1
         with pytest.raises(SimulationError):
             net.check_invariants()
 

@@ -1,0 +1,149 @@
+"""Planted faults: the invariant battery kills each ownership-class write.
+
+Each fault is a class-level monkeypatch that makes one write a
+component-ownership contract forbids: the control plane writing network
+state it does not own, or the dirty refill writing state outside the
+component it re-fills. On each shifting DARD fuzz seed
+:func:`~repro.validation.fuzz.run_case` must raise, naming the invariant
+that caught it. A fault turned into a no-op fails its test, so this
+measures the battery's reach instead of assuming it (EXPERIMENTS.md
+"Planted ownership faults").
+
+The seeds are DARD fuzz cases whose drawn regime promotes elephants and
+shifts flows: without a running control plane, the faults planted in
+the daemon round and the registry poll never execute.
+"""
+
+import numpy as np
+import pytest
+
+from repro.common.errors import InvariantViolation
+from repro.core.daemon import HostDaemon
+from repro.experiments.runner import run_scenario
+from repro.simulator.network import Network
+from repro.validation import random_scenario, run_case
+
+#: DARD fuzz seeds that promote elephants and make at least one shift.
+SHIFTING_DARD_SEEDS = (12, 45, 160, 174)
+
+
+def _patch_refill(monkeypatch, corrupt):
+    """Make ``_refill_dirty`` hand ``corrupt`` the live flows it did not
+    re-fill (the same ``component_rates`` list before and after)."""
+    original = Network._refill_dirty
+
+    def refill(self):
+        before = {fid: flow.component_rates for fid, flow in self.flows.items()}
+        original(self)
+        untouched = [
+            flow for fid, flow in self.flows.items() if flow.component_rates is before.get(fid)
+        ]
+        if untouched:
+            corrupt(self, untouched)
+
+    monkeypatch.setattr(Network, "_refill_dirty", refill)
+
+
+def elephant_count_on_poll(monkeypatch):
+    """(a) The registry poll adds one elephant to a link it queried."""
+    original = Network.batch_path_state_arrays
+
+    def poll(self, indices, indptr):
+        out = original(self, indices, indptr)
+        if indices.size:
+            self._eleph_array[indices[0]] += 1
+        return out
+
+    monkeypatch.setattr(Network, "batch_path_state_arrays", poll)
+
+
+def rate_halved_by_round(monkeypatch):
+    """(b) A daemon's scheduling round halves one live flow's rate."""
+    original = HostDaemon.run_scheduling_round
+
+    def round_(self):
+        shifts = original(self)
+        store = self.network.flow_store
+        rows = np.flatnonzero(store.live[: store.size] & (store.rate_bps[: store.size] > 0.0))
+        if rows.size:
+            store.rate_bps[rows[0]] *= 0.5
+        return shifts
+
+    monkeypatch.setattr(HostDaemon, "run_scheduling_round", round_)
+
+
+def load_outside_component(monkeypatch):
+    """(c) The dirty refill adds 1 bps of load on a link of a flow it did
+    not re-fill, so outside the refilled component."""
+
+    def corrupt(network, untouched):
+        network._load_array[untouched[0].unique_link_ids[0]] += 1.0
+
+    _patch_refill(monkeypatch, corrupt)
+
+
+def rate_ulp_outside_component(monkeypatch):
+    """(d) The dirty refill lowers an untouched live flow's rate by one ulp.
+
+    The refill is a declared writer of the rate column, so a per-writer
+    ownership table cannot see this write; only the bit-exact rate check
+    can.
+    """
+
+    def corrupt(network, untouched):
+        rates = network.flow_store.rate_bps
+        for flow in untouched:
+            row = flow.store_row
+            if rates[row] > 0.0:
+                rates[row] = np.nextafter(rates[row], 0.0)
+                return
+
+    _patch_refill(monkeypatch, corrupt)
+
+
+#: (fault, the invariant that must kill it).
+FAULTS = (
+    (elephant_count_on_poll, "elephant-counter"),
+    (rate_halved_by_round, "flow-store-rate"),
+    (load_outside_component, "persistent-load"),
+    (rate_ulp_outside_component, "flow-store-rate"),
+)
+
+
+@pytest.mark.parametrize("seed", SHIFTING_DARD_SEEDS)
+def test_clean_case_shifts_and_passes(seed):
+    config = random_scenario(seed)
+    assert config.scheduler == "dard"
+    result = run_case(config)
+    assert result.peak_elephants > 0
+    assert result.dard_shifts > 0
+
+
+@pytest.mark.parametrize("seed", SHIFTING_DARD_SEEDS)
+@pytest.mark.parametrize(
+    "fault, invariant", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS]
+)
+def test_fault_is_killed(monkeypatch, fault, invariant, seed):
+    fault(monkeypatch)
+    with pytest.raises(InvariantViolation) as caught:
+        run_case(random_scenario(seed))
+    assert caught.value.invariant == invariant
+
+
+#: The faults a run's results can see. Fault (c) corrupts state only: a
+#: refill zeroes a link's load before it re-scatters and reads it, so the
+#: extra bit/s never reaches a rate or a utilization.
+BEHAVIOUR_CHANGING = (elephant_count_on_poll, rate_halved_by_round, rate_ulp_outside_component)
+
+
+@pytest.mark.parametrize(
+    "fault", BEHAVIOUR_CHANGING, ids=[fault.__name__ for fault in BEHAVIOUR_CHANGING]
+)
+def test_fault_changes_behaviour(monkeypatch, fault):
+    # A killed fault that changed nothing visible would be weak evidence:
+    # each of these must move the seed-12 run's records or shift journal.
+    config = random_scenario(SHIFTING_DARD_SEEDS[0])
+    clean = run_scenario(config)
+    fault(monkeypatch)
+    faulty = run_scenario(config)
+    assert (faulty.records, faulty.dard_shift_log) != (clean.records, clean.dard_shift_log)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.errors import InvariantViolation, OracleViolation, SimulationError
 from repro.common.units import MBPS
+from repro.experiments.runner import run_scenario
 from repro.simulator import FlowComponent
 from repro.simulator.network import Network
 from repro.topology import FatTree
@@ -301,6 +302,37 @@ class TestFuzzer:
         result = run_case(random_scenario(2), every_n_events=3)
         assert result.flows_generated >= 0
 
+    def test_dard_cases_draw_the_testbed_regime(self):
+        # DARD cases draw 100 Mbps links and fast control loops from their
+        # own stream; every other case keeps the shared draws alone, so no
+        # non-DARD config carries those keys.
+        configs = [random_scenario(seed) for seed in range(200)]
+        assert sum(c.scheduler == "dard" for c in configs) >= 10
+        for c in configs:
+            if c.scheduler != "dard":
+                assert c.scheduler_params == {}
+                assert "link_bandwidth_bps" not in c.topology_params
+                assert "elephant_age_s" not in c.network_params
+                continue
+            assert c.topology_params["link_bandwidth_bps"] == 100 * MBPS
+            assert 0.1 <= c.scheduler_params["query_interval_s"] <= 0.5
+            assert 0.5 <= c.scheduler_params["scheduling_interval_s"] <= 2.0
+            assert c.scheduler_params["jitter_range_s"] == (0.1, 0.5)
+            if c.network_params.get("elephant_detector") != "predictive":
+                assert 0.2 <= c.network_params["elephant_age_s"] <= 1.0
+
+    def test_dard_cases_run_the_control_plane(self):
+        # At the paper's 10 s elephant age no DARD case here would ever
+        # promote a flow; the drawn regime must make most of them promote
+        # and several of them shift.
+        results = [
+            run_scenario(config)
+            for config in map(random_scenario, range(200))
+            if config.scheduler == "dard"
+        ]
+        assert sum(r.peak_elephants > 0 for r in results) >= 10
+        assert sum(r.dard_shifts > 0 for r in results) >= 4
+
     def test_draw_space_covers_every_scenario_class(self):
         # Satellite contract: within a bounded draw budget (no sims run)
         # the generator must exercise incast patterns, synchronized
@@ -370,6 +402,13 @@ class TestGoldens:
         # `repro validate --golden update` after intentional changes.
         mismatches = compare_goldens()
         assert mismatches == [], "\n".join(mismatches)
+
+    def test_a_dard_golden_runs_the_control_plane(self):
+        # A golden update must not quietly lose the one scenario whose
+        # digest depends on DARD's shifts.
+        scenarios = json.loads(DEFAULT_GOLDEN_PATH.read_text())["scenarios"]
+        assert scenarios["fattree_dard_stride_storm"]["dard_shifts"] > 0
+        assert scenarios["fattree_dard_stride_storm"]["peak_elephants"] > 0
 
     def test_twin_replay_reports_missing_scenario(self, tmp_path):
         # A stale golden file lacking one scenario is a mismatch line for

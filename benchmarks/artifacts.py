@@ -1,17 +1,16 @@
-"""Shared runner for the ``bench_scale_p*.py`` fat-tree scale benches.
+"""Budgets and provenance-stamped artifacts shared by the benches.
 
-Each scale bench runs ECMP and then DARD once on one large fat-tree
-under stride traffic and gates on the outcome. This module holds what
-they share:
+Every bench that writes ``results/BENCH_<name>.json`` goes through this
+module:
 
-* :func:`scale_budget` reads a bench's simulated budget; each knob can
-  be overridden from the environment as ``BENCH_<EXPERIMENT>_<KNOB>``
-  (p=32 and p=64; the p=16 bench always runs its full budget);
-* :func:`run_pair` runs both schedulers and returns one row each, with
-  the scheduler's wall time;
+* :func:`read_budget` reads a bench's budget; each knob can be
+  overridden from the environment as ``BENCH_<EXPERIMENT>_<KNOB>``;
 * :func:`write_artifact` writes ``results/BENCH_<name>.json``: the rows,
   the process's peak RSS, the budget and the run's provenance (commit,
-  CPU count, Python and numpy versions, the environment overrides).
+  CPU count, Python and numpy versions, the environment overrides);
+* :func:`run_pair` runs ECMP and then DARD once on one large stride
+  fat-tree and returns one row each, with the scheduler's wall time (the
+  ``bench_scale_p*.py`` scale benches).
 
 A run off the full budget is a smoke run: its artifacts are named
 ``<experiment>.smoke`` so that it never overwrites the committed
@@ -36,7 +35,7 @@ from repro.experiments import ScenarioConfig, run_scenario
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-class ScaleBudget(NamedTuple):
+class Budget(NamedTuple):
     #: artifact name: the experiment id, with ``.smoke`` off the full budget.
     name: str
     #: knob -> value in effect.
@@ -47,7 +46,7 @@ class ScaleBudget(NamedTuple):
     full: bool
 
 
-def scale_budget(experiment: str, **defaults: float) -> ScaleBudget:
+def read_budget(experiment: str, **defaults: float) -> Budget:
     """The budget knobs in effect: ``defaults`` unless overridden."""
     params: Dict[str, float] = {}
     overrides: Dict[str, str] = {}
@@ -59,7 +58,7 @@ def scale_budget(experiment: str, **defaults: float) -> ScaleBudget:
             overrides[variable] = raw
     full = params == defaults
     name = experiment if full else f"{experiment}.smoke"
-    return ScaleBudget(name, params, overrides, full)
+    return Budget(name, params, overrides, full)
 
 
 def run_pair(p: int, **config) -> List[dict]:
@@ -109,7 +108,7 @@ def _commit() -> str:
         return "unknown"
 
 
-def write_artifact(budget: ScaleBudget, rows: List[dict]) -> float:
+def write_artifact(budget: Budget, rows: List[dict]) -> float:
     """Write ``results/BENCH_<budget.name>.json``; returns the peak RSS in MB."""
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     document = {

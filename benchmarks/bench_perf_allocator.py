@@ -1,25 +1,26 @@
-"""Allocator microbenchmark: integer-indexed CSR core vs string-keyed baseline.
+"""Allocator microbenchmark: integer-indexed row allocator vs string-keyed baseline.
 
 Measures steady-state reallocation throughput (demands/sec) at p=4/8/16
 fat-tree scale. The baseline is ``maxmin_allocate_reference`` — the
 pre-LinkIndex implementation preserved verbatim — fed string-keyed demands,
 re-interning links on every call exactly as the old ``Network._reallocate``
-did. The fast path is ``maxmin_allocate_indexed`` fed the CSR arrays a
-network caches per flow, which is what every post-index reallocation pays.
+did. The fast path is ``maxmin_allocate_indexed`` fed the link-id rows a
+network caches per flow, which is what every post-index reallocation pays;
+its timed call also returns the links' loads.
 
-Output rows land in ``benchmarks/results/perf_allocator.txt`` and the raw
-numbers in ``benchmarks/results/BENCH_perf_allocator.json`` so the perf
-trajectory is tracked across PRs. The acceptance gate asserts >= 3x
-throughput at p=16.
+Output rows land in ``benchmarks/results/perf_allocator.txt`` and, through
+the shared provenance writer (``artifacts.py``), in
+``benchmarks/results/BENCH_perf_allocator.json``, so the perf trajectory
+is tracked across PRs. The acceptance gate asserts >= 3x throughput at
+p=16.
 """
 
-import json
-import pathlib
 import random
 import time
 
 import numpy as np
 
+from artifacts import read_budget, write_artifact
 from repro.common.units import MBPS
 from repro.experiments.figures import ExperimentOutput
 from repro.simulator.linkindex import LinkIndex
@@ -29,7 +30,8 @@ from repro.simulator.maxmin import (
 )
 from repro.topology import FatTree
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: No knobs: every run is the full budget.
+BUDGET = read_budget("perf_allocator")
 
 #: rounds per measurement, scaled down as the topology grows.
 ROUNDS = {4: 30, 8: 10, 16: 4}
@@ -58,15 +60,11 @@ def _build_case(p, seed=7):
 
 
 def _index_demands(topo, demands):
-    """What Network does once per flow: intern paths to CSR arrays."""
+    """What Network does once per flow: intern each path to a link-id row."""
     index = LinkIndex.from_topology(topo)
-    component_ids = [index.index_links(links) for links, _ in demands]
-    lengths = np.fromiter((ids.size for ids in component_ids), dtype=np.intp)
-    indptr = np.zeros(len(component_ids) + 1, dtype=np.intp)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.concatenate(component_ids)
-    weights = np.asarray([w for _, w in demands], dtype=float)
-    return indices, indptr, weights, index.capacities
+    rows = [index.index_links(links).tolist() for links, _ in demands]
+    weights = [w for _, w in demands]
+    return rows, weights, index.capacities
 
 
 def _throughput(fn, n_demands, rounds):
@@ -85,15 +83,15 @@ def _measure(p):
     baseline_tput, baseline_call = _throughput(
         lambda: maxmin_allocate_reference(demands, capacities), len(demands), rounds
     )
-    indices, indptr, weights, caps = _index_demands(topo, demands)
+    rows, weights, caps = _index_demands(topo, demands)
     indexed_tput, indexed_call = _throughput(
-        lambda: maxmin_allocate_indexed(indices, indptr, weights, caps),
+        lambda: maxmin_allocate_indexed(rows, weights, caps),
         len(demands),
         rounds,
     )
     # Sanity: both paths agree on the allocation they are being timed on.
     ref_rates = maxmin_allocate_reference(demands, capacities)
-    new_rates, _ = maxmin_allocate_indexed(indices, indptr, weights, caps)
+    new_rates = maxmin_allocate_indexed(rows, weights, caps).rates
     assert np.allclose(new_rates, ref_rates, rtol=1e-9, atol=1e-6)
     return {
         "p": p,
@@ -109,13 +107,10 @@ def _measure(p):
 
 def _run_all():
     rows = [_measure(p) for p in (4, 8, 16)]
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_perf_allocator.json").write_text(
-        json.dumps({"experiment": "perf_allocator", "rows": rows}, indent=2) + "\n"
-    )
+    write_artifact(BUDGET, rows)
     return ExperimentOutput(
-        "perf_allocator",
-        "max-min allocator throughput: indexed CSR core vs string-keyed baseline",
+        BUDGET.name,
+        "max-min allocator throughput: indexed row allocator vs string-keyed baseline",
         rows=[
             {
                 "p": r["p"],
@@ -127,7 +122,7 @@ def _run_all():
             for r in rows
         ],
         notes="baseline re-interns (str, str) links per call; indexed reuses "
-        "per-flow CSR arrays as Network._reallocate does",
+        "per-flow link-id rows as Network._reallocate does",
     )
 
 

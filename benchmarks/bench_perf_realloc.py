@@ -12,40 +12,36 @@ three things:
   than are live (otherwise the machinery is pure overhead);
 * **speed**: whole-scenario wall time improves by the acceptance factor.
 
-Output rows land in ``benchmarks/results/perf_realloc.txt`` and the raw
-numbers in ``benchmarks/results/BENCH_perf_realloc.json`` so the perf
-trajectory is tracked across PRs. Scale and duration are env-overridable
+Output rows land in ``benchmarks/results/perf_realloc.txt`` and, through
+the shared provenance writer (``artifacts.py``), in
+``benchmarks/results/BENCH_perf_realloc.json``, so the perf trajectory is
+tracked across PRs. Scale and duration are env-overridable
 (``BENCH_PERF_REALLOC_P``, ``BENCH_PERF_REALLOC_DURATION``) so CI can run
 a fast smoke at p=4 while the default exercises p=16; the locality and
 speedup gates only apply at p >= 16 where components are plentiful.
-Smoke runs (p < 16) write ``perf_realloc.smoke.txt`` and
+Runs off the default budget write ``perf_realloc.smoke.txt`` and
 ``BENCH_perf_realloc.smoke.json`` instead, so they never overwrite the
 committed p=16 result.
 """
 
 import json
-import os
-import pathlib
 import time
 
+from artifacts import RESULTS_DIR, read_budget, write_artifact
 from repro.common.units import MB, MBPS
 from repro.experiments.figures import ExperimentOutput
 from repro.experiments.runner import ScenarioConfig, run_scenario
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-P = int(os.environ.get("BENCH_PERF_REALLOC_P", "16"))
-DURATION_S = float(os.environ.get("BENCH_PERF_REALLOC_DURATION", "15"))
+BUDGET = read_budget("perf_realloc", p=16, duration=15.0)
+P = int(BUDGET.params["p"])
+DURATION_S = BUDGET.params["duration"]
+RESULT_JSON = RESULTS_DIR / f"BENCH_{BUDGET.name}.json"
 
 #: Whole-scenario speedup the incremental mode must deliver at p=16.
 MIN_SPEEDUP = 1.5
 
 #: Fraction of incremental rounds that must re-rate fewer flows than are live.
 MIN_SUBSET_FRACTION = 0.5
-
-#: Smoke runs get their own artifact names (see the module docstring).
-EXPERIMENT = "perf_realloc" if P >= 16 else "perf_realloc.smoke"
-RESULT_JSON = RESULTS_DIR / f"BENCH_{EXPERIMENT}.json"
 
 
 def _config(incremental):
@@ -101,12 +97,9 @@ def _run_all():
 
     speedup = full_row["wall_s"] / incr_row["wall_s"]
     rows = [full_row, dict(incr_row, speedup=speedup)]
-    RESULTS_DIR.mkdir(exist_ok=True)
-    RESULT_JSON.write_text(
-        json.dumps({"experiment": EXPERIMENT, "rows": rows}, indent=2) + "\n"
-    )
+    write_artifact(BUDGET, rows)
     return ExperimentOutput(
-        EXPERIMENT,
+        BUDGET.name,
         "scenario wall time: incremental component-scoped vs full reallocation",
         rows=[
             {

@@ -7,16 +7,16 @@ whole simulation (including 1000+ host daemons polling monitors) completes
 in seconds. It always runs its full budget: its gain gate does not hold
 on a truncated run. Raw rows, each with the scheduler's wall time, the
 process's peak RSS and the run's provenance land in
-``benchmarks/results/BENCH_scale_p16.json`` (see ``scale.py``). The peak
+``benchmarks/results/BENCH_scale_p16.json`` (see ``artifacts.py``). The peak
 RSS must stay under :data:`PEAK_RSS_CEILING_MB`, so a memory regression
 fails the bench instead of growing quietly.
 """
 
 from repro.experiments import improvement
 from repro.experiments.figures import ExperimentOutput
-from scale import ScaleBudget, run_pair, write_artifact
+from artifacts import Budget, run_pair, write_artifact
 
-BUDGET = ScaleBudget("scale_p16", {"duration": 40.0, "rate": 0.035}, {}, full=True)
+BUDGET = Budget("scale_p16", {"duration": 40.0, "rate": 0.035}, {}, full=True)
 
 #: 25% above the full-budget run's peak RSS, 66.5 MB (EXPERIMENTS.md).
 PEAK_RSS_CEILING_MB = 83.0

@@ -16,14 +16,14 @@ each with the scheduler's wall time, the process's peak RSS and the
 run's provenance land in ``benchmarks/results/BENCH_scale_p32.json``; a
 run off the default budget writes ``BENCH_scale_p32.smoke.json`` and
 ``scale_p32.smoke.txt`` instead, so it never overwrites the committed
-full-budget result (see ``scale.py``).
+full-budget result (see ``artifacts.py``).
 """
 
 from repro.experiments import improvement
 from repro.experiments.figures import ExperimentOutput
-from scale import run_pair, scale_budget, write_artifact
+from artifacts import read_budget, run_pair, write_artifact
 
-BUDGET = scale_budget("scale_p32", duration=25.0, rate=0.012, drain=600.0)
+BUDGET = read_budget("scale_p32", duration=25.0, rate=0.012, drain=600.0)
 
 #: 25% above the full-budget run's peak RSS, 115.9 MB (EXPERIMENTS.md).
 PEAK_RSS_CEILING_MB = 145.0

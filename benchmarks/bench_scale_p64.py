@@ -19,16 +19,16 @@ process's peak RSS and the run's provenance land in
 ``benchmarks/results/BENCH_scale_p64.json``; a run off the default
 budget writes ``BENCH_scale_p64.smoke.json`` and ``scale_p64.smoke.txt``
 instead, so it never overwrites the committed full-budget result (see
-``scale.py``). The peak RSS must stay under :data:`PEAK_RSS_CEILING_MB`
+``artifacts.py``). The peak RSS must stay under :data:`PEAK_RSS_CEILING_MB`
 at any budget, so a memory regression fails the bench instead of
 growing quietly.
 """
 
 from repro.experiments import improvement
 from repro.experiments.figures import ExperimentOutput
-from scale import run_pair, scale_budget, write_artifact
+from artifacts import read_budget, run_pair, write_artifact
 
-BUDGET = scale_budget("scale_p64", duration=10.0, rate=0.003, drain=300.0)
+BUDGET = read_budget("scale_p64", duration=10.0, rate=0.003, drain=300.0)
 
 #: 25% above the full-budget run's peak RSS, 475.5 MB (EXPERIMENTS.md).
 PEAK_RSS_CEILING_MB = 594.0

@@ -15,8 +15,8 @@ from repro.lint.engine import Finding, ModuleContext, Rule, register
 
 #: The only functions allowed to write ``_load_array``: construction, and
 #: the two refill owners whose splices are proven bit-exact against each
-#: other (scatter_link_loads mutates its *parameter*, so it needs no slot
-#: in this list — the rule tracks attribute writes).
+#: other (the allocator only returns loads, so it needs no slot in this
+#: list — the rule tracks attribute writes).
 _LOAD_ARRAY_OWNERS = {"__init__", "_refill_full", "_refill_dirty"}
 
 #: ndarray methods that mutate in place.
@@ -47,8 +47,8 @@ class LoadArrayOwnership(Rule):
     The persistent per-link load array stays bit-identical between the
     incremental and full reallocation modes only because every write goes
     through the audited splice in ``_refill_full``/``_refill_dirty``
-    (backed by ``scatter_link_loads``'s ordered accumulation). Any other
-    writer silently voids that proof.
+    (backed by the ordered load accumulation ``maxmin_allocate_indexed``
+    returns). Any other writer silently voids that proof.
     """
 
     code = "API001"
@@ -85,7 +85,7 @@ class LoadArrayOwnership(Rule):
                     self.code,
                     f"write to {self._ATTR} outside "
                     f"{sorted(_LOAD_ARRAY_OWNERS)}; persistent load is owned "
-                    "by the refill pair (scatter_link_loads splice)",
+                    "by the refill pair (allocator-load splice)",
                 )
 
     def _targets_load_array(self, node: ast.AST) -> bool:

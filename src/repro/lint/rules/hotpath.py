@@ -29,9 +29,11 @@ _HOT_FUNCTIONS = {
     "_assemble_demands",
     "_settle",
     "_schedule_next_completion",
+    "_write_rates",
     "maxmin_allocate_indexed",
+    "_heap_fill",
+    "_array_fill",
     "_progressive_fill_tail",
-    "scatter_link_loads",
     "link_loads_indexed",
     "batch_path_state",
 }

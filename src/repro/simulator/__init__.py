@@ -24,17 +24,18 @@ from repro.simulator.flows import Flow, FlowComponent, FlowRecord
 from repro.simulator.flowstore import FlowStore
 from repro.simulator.linkindex import LinkIndex
 from repro.simulator.maxmin import (
+    Allocation,
     link_loads_indexed,
     link_utilizations,
     maxmin_allocate,
     maxmin_allocate_indexed,
     maxmin_allocate_reference,
-    scatter_link_loads,
 )
 from repro.simulator.network import LinkState, Network
 from repro.simulator.reordering import reordering_retx_fraction
 
 __all__ = [
+    "Allocation",
     "EventEngine",
     "Flow",
     "FlowComponent",
@@ -50,5 +51,4 @@ __all__ = [
     "maxmin_allocate_indexed",
     "maxmin_allocate_reference",
     "reordering_retx_fraction",
-    "scatter_link_loads",
 ]

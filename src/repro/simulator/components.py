@@ -17,7 +17,8 @@ network's :class:`~repro.simulator.linkindex.LinkIndex` universe):
 * ``_flow_links`` maps each live flow to its unique link ids;
 * **attach** (flow start / reroute landing) and **detach** (completion /
   reroute leaving) add or remove one flow's entries and mark its links
-  dirty;
+  dirty; **touch** (cable fail / restore) marks a cable's links dirty
+  and names the links of the flows crossing it;
 * **consume_dirty** walks the index from the dirty links and returns
   exactly the live flows of the components those links belong to now.
 
@@ -29,7 +30,7 @@ it returns, which the refill of those same flows pays anyway.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 __all__ = ["FlowLinkComponents"]
 
@@ -78,6 +79,25 @@ class FlowLinkComponents:
                 del link_flows[link]
         self._dirty_links.update(links)
 
+    def touch(self, link_ids: Sequence[int]) -> List[int]:
+        """These links changed state under their flows; mark them dirty.
+
+        A cable failure or restore changes which demands of the flows
+        crossing it are dead without changing any flow's links, so the
+        walk from the cable's links re-fills exactly their component.
+        Returns the sorted unique link ids of those flows: the links
+        whose load the dead (or revived) demands leave.
+        """
+        self._dirty_links.update(link_ids)
+        link_flows = self._link_flows
+        crossing: Set[int] = set()
+        for link in link_ids:
+            members = link_flows.get(link)
+            if members is not None:
+                for flow_id in members:
+                    crossing.update(self._flow_links[flow_id])
+        return sorted(crossing)
+
     # -- component walks -----------------------------------------------------
 
     def _walk(self, start: int, links: Set[int], flows: Set[int]) -> None:
@@ -105,8 +125,8 @@ class FlowLinkComponents:
 
         ``flow ids`` is every live flow of every component a dirty link
         belongs to, ascending — ascending order matches the network's
-        flow-dict iteration order, so a dirty-only CSR preserves the full
-        assembly's per-link arithmetic sequence (the bit-exactness
+        flow-dict iteration order, so a dirty-only fill's rows keep the
+        full assembly's per-link arithmetic sequence (the bit-exactness
         requirement). Dirty links that no longer carry a flow contribute
         nothing and count as no component.
         """

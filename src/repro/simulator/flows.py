@@ -326,7 +326,7 @@ class Flow:
         """Aggregate allocated rate across components.
 
         Bound flows read the store's rate column, which the network's
-        refill scatter keeps bit-equal to ``sum(component_rates)`` (the
+        refills keep bit-equal to ``sum(component_rates)`` (the
         unbound fallback); ``check_invariants`` audits that equality.
         """
         store = self._store

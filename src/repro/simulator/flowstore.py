@@ -148,8 +148,9 @@ class FlowStore:
         """Return a row to the free pool; may trigger a compaction epoch."""
         if row < 0 or row >= self._size or not bool(self.live[row]):
             raise ValueError(f"release of non-live flow-store row {row}")
-        # Dead rows only need to fail the hot-path masks (all of which AND
-        # with ``live``); the full fill-value reset happens at revival.
+        # Dead rows only need to fail the hot-path masks: the finisher scan
+        # ANDs with ``live``, and the settle and ETA passes skip rate 0.0.
+        # The full fill-value reset happens at revival.
         self.live[row] = False
         self.flow_id[row] = -1
         self.rate_bps[row] = 0.0

@@ -11,35 +11,45 @@ unequal shares down different paths; every single-path scheduler uses
 weight 1.0.
 
 The allocator runs after every flow arrival/completion/reroute, so it is
-the simulator's hot loop. The fast path is :func:`maxmin_allocate_indexed`:
-demands arrive as CSR-style integer arrays over a persistent
-:class:`~repro.simulator.linkindex.LinkIndex`. The string-keyed
-:func:`maxmin_allocate` signature survives as a thin wrapper that interns
-links per call, and :func:`maxmin_allocate_reference` preserves the
-pre-index implementation verbatim as the equivalence/benchmark baseline.
+the simulator's hot loop. Every fill goes through
+:func:`maxmin_allocate_indexed`: demands arrive as plain rows of global
+link ids over a persistent
+:class:`~repro.simulator.linkindex.LinkIndex`, and one call returns the
+rates together with the new load of every link the rows cross, so the
+network splices loads without a second pass over the demands. The
+string-keyed :func:`maxmin_allocate` signature survives as a thin wrapper
+that interns links per call, and :func:`maxmin_allocate_reference`
+preserves the pre-index implementation verbatim as the
+equivalence/benchmark baseline.
 
 Start regime. Progressive filling runs in one of two regimes, and each
-fill picks where it starts by its demand count alone:
+fill picks where it starts by its demand count alone. The regime also
+picks how the fill is compacted and how its loads are summed:
 
-* **Vectorized rounds** (:func:`_vectorized_fill`, fills of
-  :data:`_HEAP_START_DEMANDS` demands or more): bottleneck search is one
+* **Vectorized rounds** (:func:`_array_fill`, fills of
+  :data:`_HEAP_START_DEMANDS` demands or more): the rows are compacted
+  to the links they cross (``np.unique`` and its inverse, which keep the
+  links' relative order) into a CSR, bottleneck search is one
   ``argmin`` over the link arrays and each round's capacity/weight
-  updates are batched ``np.add.at`` scatters. A round costs O(L) numpy
-  work plus ~100 µs of fixed setup per call, which pays off when a
-  round freezes a whole symmetric tie batch of demands. Once rounds stop
-  batching, the fill hands its state to the heap loop.
+  updates are batched ``np.add.at`` scatters
+  (:func:`_vectorized_fill`). A round costs O(L) numpy work plus ~100 µs
+  of fixed setup per call, which pays off when a round freezes a whole
+  symmetric tie batch of demands. Once rounds stop batching, the fill
+  hands its state to the heap loop. Loads are one ``np.add.at`` scatter.
 * **The lazy heap** (:func:`_progressive_fill_tail`): O(log L) Python
   work per freeze and no O(L) passes. Small fills — the incremental
   reallocator's typical dirty component holds a handful of flows — enter
-  it at round 0 (:func:`_heap_fill`, state built from the CSR in
-  O(nnz)), skipping the vectorized setup entirely.
+  it at round 0 (:func:`_heap_fill`): links are renumbered in order of
+  first appearance, one capacity gather is the only numpy call, and
+  loads are summed in Python lists.
 
 Both regimes freeze the same exact tie batch per round, members in
 ascending demand order, with the same float operations per link, so the
-start regime changes neither rates nor ``iterations``: the choice is a
-cost model, not a semantic switch. Starting every fill on the heap loses
-on large fills, where one vectorized round freezes hundreds of tied
-demands at once.
+start regime changes neither rates nor ``iterations``; both sum each
+link's load in ascending demand order, so loads agree bit for bit too.
+The choice is a cost model, not a semantic switch. Starting every fill
+on the heap loses on large fills, where one vectorized round freezes
+hundreds of tied demands at once.
 
 Demands are assumed loop-free (no demand crosses the same directed link
 twice) — true for every path the topology generators emit.
@@ -48,7 +58,8 @@ twice) — true for every path the topology generators emit.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -74,46 +85,58 @@ _SMALL_ROUND = 8
 _HEAP_START_DEMANDS = 64
 
 
-def maxmin_allocate_indexed(
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    weights: np.ndarray,
-    capacities: np.ndarray,
-) -> Tuple[np.ndarray, int]:
-    """Progressive filling over pre-indexed demands.
+class Allocation(NamedTuple):
+    """One fill's result (see :func:`maxmin_allocate_indexed`)."""
 
-    ``indices``/``indptr`` are a CSR encoding of the demand x link
-    incidence: demand ``j`` crosses link ids
-    ``indices[indptr[j]:indptr[j + 1]]``. ``weights`` is per demand and
-    ``capacities`` is the dense per-link-id capacity array (links not
-    crossed by any demand are ignored). Returns ``(rates, iterations)``
-    where ``rates`` is the per-demand allocation in bits/s and
-    ``iterations`` counts filling rounds (one per saturated bottleneck
-    batch) — the number the network's :meth:`perf_stats` telemetry
-    accumulates.
+    #: per-demand rate (bits/s), in row order.
+    rates: List[float]
+    #: progressive-filling rounds.
+    iterations: int
+    #: global id of every link some row crosses, each once.
+    links: Sequence[int]
+    #: each of those links' summed demand rates, aligned with ``links``.
+    loads: Sequence[float]
+
+
+def maxmin_allocate_indexed(
+    rows: Sequence[Sequence[int]],
+    weights: Sequence[float],
+    capacities: np.ndarray,
+) -> Allocation:
+    """Progressive filling over demands given as rows of global link ids.
+
+    Demand ``j`` crosses the link ids ``rows[j]`` and has weight
+    ``weights[j]``; ``capacities`` is the dense per-link-id capacity array
+    of the whole network (links no row crosses are never read). Returns an
+    :class:`Allocation`: the per-demand ``rates`` in bits/s,
+    ``iterations`` (filling rounds, one per saturated bottleneck batch —
+    the number the network's :meth:`perf_stats` telemetry accumulates),
+    the crossed ``links`` and each one's ``load``. Loads accumulate in
+    ascending demand order, the order :func:`link_loads_indexed` uses, so
+    they equal a from-scratch recount bit for bit.
 
     Fills of fewer than :data:`_HEAP_START_DEMANDS` demands run on the
-    lazy heap from round 0 (:func:`_heap_fill`); larger ones start
-    vectorized (:func:`_vectorized_fill`). Both produce bit-identical
-    rates and iteration counts (see the module docstring).
+    lazy heap from round 0 in Python lists (:func:`_heap_fill`); larger
+    ones compact to a CSR and start vectorized (:func:`_array_fill`).
+    Both produce bit-identical rates, iteration counts and loads (see the
+    module docstring).
 
     Inputs are trusted (the wrapper and the network validate at indexing
     time); an infeasible state still raises :class:`SimulationError`.
     """
-    n = int(indptr.shape[0]) - 1
-    if n <= 0:
-        return np.zeros(0, dtype=float), 0
+    n = len(rows)
+    if n == 0:
+        return Allocation([], 0, [], [])
     if n < _HEAP_START_DEMANDS:
-        return _heap_fill(indices, indptr, weights, capacities)
-    return _vectorized_fill(indices, indptr, weights, capacities)
+        return _heap_fill(rows, weights, capacities)
+    return _array_fill(rows, weights, capacities)
 
 
 def _heap_fill(
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    weights: np.ndarray,
+    rows: Sequence[Sequence[int]],
+    weights: Sequence[float],
     capacities: np.ndarray,
-) -> Tuple[np.ndarray, int]:
+) -> Allocation:
     """The whole fill on the lazy heap, with its state built in O(nnz).
 
     Links are renumbered densely in order of first appearance, so a fill
@@ -122,29 +145,31 @@ def _heap_fill(
     its whole tie batch, members in ascending demand order, whichever
     tied link pops first. Each link's live weight accumulates in
     ascending demand order, the order ``np.add.at`` uses in
-    :func:`_vectorized_fill`.
+    :func:`_vectorized_fill`, and so does each link's load (a link's
+    member list is in ascending demand order).
     """
-    n = int(indptr.shape[0]) - 1
-    flat = indices.tolist()
-    ptr = indptr.tolist()
-    wts = weights.tolist()
-    caps = capacities[indices].astype(float, copy=False).tolist()
+    n = len(rows)
     local: Dict[int, int] = {}
-    rem: List[float] = []
+    links: List[int] = []
     lw: List[float] = []
     members: List[List[int]] = []
+    flat: List[int] = []
+    ptr = [0]
     for j in range(n):
-        wj = wts[j]
-        for pos in range(ptr[j], ptr[j + 1]):
-            k = local.get(flat[pos])
+        wj = weights[j]
+        for link in rows[j]:
+            k = local.get(link)
             if k is None:
-                k = local[flat[pos]] = len(rem)
-                rem.append(caps[pos])
-                lw.append(0.0)
-                members.append([])
-            lw[k] += wj
-            members[k].append(j)
-            flat[pos] = k
+                k = local[link] = len(links)
+                links.append(link)
+                lw.append(wj)
+                members.append([j])
+            else:
+                lw[k] += wj
+                members[k].append(j)
+            flat.append(k)
+        ptr.append(len(flat))
+    rem = capacities[links].tolist()
     members_flat: List[int] = []
     members_ptr = [0]
     for link_members in members:
@@ -152,9 +177,45 @@ def _heap_fill(
         members_ptr.append(len(members_flat))
     out = [0.0] * n
     iterations = _progressive_fill_tail(
-        rem, lw, flat, ptr, wts, members_flat, members_ptr, [True] * n, out, n, 0
+        rem, lw, flat, ptr, weights, members_flat, members_ptr, [True] * n, out, n, 0
     )
-    return np.array(out, dtype=float), iterations
+    loads: List[float] = []
+    for link_members in members:
+        load = 0.0
+        for j in link_members:
+            load += out[j]
+        loads.append(load)
+    return Allocation(out, iterations, links, loads)
+
+
+def _array_fill(
+    rows: Sequence[Sequence[int]],
+    weights: Sequence[float],
+    capacities: np.ndarray,
+) -> Allocation:
+    """Compact the rows to the links they cross, then :func:`_vectorized_fill`.
+
+    ``np.unique`` sorts the crossed links, so the compacted numbering
+    keeps their relative order and bottleneck selection and heap
+    tie-breaking pick the same links as over the whole array. Loads are
+    one ``np.add.at`` scatter, which accumulates repeated links in
+    ascending demand order.
+    """
+    n = len(rows)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
+    # The inverse is ``searchsorted(links, flat)``. Asking for it also puts
+    # ``np.unique`` on its sort path, several times faster here than the
+    # hash path a bare ``np.unique`` takes on integers.
+    links, indices = np.unique(flat, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
+    rates, iterations = _vectorized_fill(
+        indices, indptr, np.asarray(weights, dtype=float), capacities[links]
+    )
+    loads = np.zeros(links.size, dtype=float)
+    np.add.at(loads, indices, np.repeat(rates, lengths))
+    return Allocation(rates.tolist(), iterations, links, loads)
 
 
 def _vectorized_fill(
@@ -163,7 +224,13 @@ def _vectorized_fill(
     weights: np.ndarray,
     capacities: np.ndarray,
 ) -> Tuple[np.ndarray, int]:
-    """Vectorized rounds first, the lazy heap once rounds stop batching."""
+    """Vectorized rounds first, the lazy heap once rounds stop batching.
+
+    ``indices``/``indptr`` are a CSR over the compacted link numbering
+    (demand ``j`` crosses ``indices[indptr[j]:indptr[j + 1]]``) and
+    ``capacities`` is aligned with that numbering. Returns ``(rates,
+    iterations)``.
+    """
     n = int(indptr.shape[0]) - 1
     num_links = int(capacities.shape[0])
 
@@ -267,7 +334,7 @@ def _progressive_fill_tail(
     lw: List[float],
     flat: List[int],
     ptr: List[int],
-    wts: List[float],
+    wts: Sequence[float],
     members_flat: List[int],
     members_ptr: List[int],
     act: List[bool],
@@ -375,25 +442,24 @@ def _progressive_fill_tail(
 def _intern_demands(
     demands: Sequence[Demand],
     capacities: Dict[LinkId, float],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validate string-keyed demands and build the CSR arrays.
+) -> Tuple[List[List[int]], List[float], np.ndarray]:
+    """Validate string-keyed demands: ``(rows, weights, capacities)``.
 
     Links are interned in order of first appearance (matching the
-    reference implementation); duplicate links within one demand collapse
-    to a single crossing, preserving the reference's buffered-update
-    semantics.
+    reference implementation) into the rows' local numbering, which the
+    returned capacity array follows; duplicate links within one demand
+    collapse to a single crossing, preserving the reference's
+    buffered-update semantics.
     """
-    n = len(demands)
     used_links: Dict[LinkId, int] = {}
-    weights = np.empty(n, dtype=float)
-    flat: List[int] = []
-    indptr = np.zeros(n + 1, dtype=np.intp)
+    rows: List[List[int]] = []
+    weights: List[float] = []
     for j, (links, weight) in enumerate(demands):
         if not links:
             raise SimulationError(f"demand {j} traverses no links")
         if weight <= 0:
             raise SimulationError(f"demand {j} has non-positive weight {weight}")
-        weights[j] = weight
+        weights.append(float(weight))
         seen: Dict[int, None] = {}
         for link in links:
             if link not in capacities:
@@ -403,16 +469,14 @@ def _intern_demands(
                 index = len(used_links)
                 used_links[link] = index
             seen.setdefault(index)
-        flat.extend(seen)
-        indptr[j + 1] = len(flat)
+        rows.append(list(seen))
     caps = np.empty(len(used_links), dtype=float)
     for link, index in used_links.items():
         cap = capacities[link]
         if cap <= 0:
             raise SimulationError(f"link {link} in use has non-positive capacity {cap}")
         caps[index] = cap
-    indices = np.asarray(flat, dtype=np.intp)
-    return indices, indptr, weights, caps
+    return rows, weights, caps
 
 
 def maxmin_allocate(
@@ -422,16 +486,13 @@ def maxmin_allocate(
     """Rates (bits/s) for each demand under weighted max-min fairness.
 
     Compatibility wrapper over :func:`maxmin_allocate_indexed`: interns the
-    links per call, then runs the vectorized core. Demands traversing no
-    links are rejected — every real flow crosses at least its host access
-    link. Unknown links or non-positive capacities and weights raise
-    :class:`SimulationError`.
+    links per call into rows, then runs the indexed allocator. Demands
+    traversing no links are rejected — every real flow crosses at least
+    its host access link. Unknown links or non-positive capacities and
+    weights raise :class:`SimulationError`.
     """
-    if len(demands) == 0:
-        return []
-    indices, indptr, weights, caps = _intern_demands(demands, capacities)
-    rates, _ = maxmin_allocate_indexed(indices, indptr, weights, caps)
-    return rates.tolist()
+    rows, weights, caps = _intern_demands(demands, capacities)
+    return maxmin_allocate_indexed(rows, weights, caps).rates
 
 
 def maxmin_allocate_reference(
@@ -513,39 +574,26 @@ def maxmin_allocate_reference(
     return rates.tolist()
 
 
-def scatter_link_loads(
-    load: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    rates: np.ndarray,
-) -> None:
-    """Accumulate per-demand rates onto an existing load array, in place.
-
-    The scatter runs in ascending-demand order (``np.add.at`` accumulates
-    repeated indices in array order), which is the same float addition
-    sequence :func:`link_loads_indexed` performs from scratch — so a
-    persistent load array maintained by zeroing a component's links and
-    re-scattering its demands stays bit-identical to a full recomputation,
-    the contract the incremental reallocator relies on.
-    """
-    demand_of = np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.intp), np.diff(indptr))
-    np.add.at(load, indices, np.asarray(rates, dtype=float)[demand_of])
-
-
 def link_loads_indexed(
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    rates: np.ndarray,
+    rows: Sequence[Sequence[int]],
+    rates: Sequence[float],
     num_links: int,
 ) -> np.ndarray:
-    """Dense per-link-id load (bits/s) for an allocation.
+    """Dense per-link-id load (bits/s) for an allocation, recounted from scratch.
 
-    The one shared load derivation: the network's reallocator divides this
-    by the capacity array for its utilization surface, and the string-keyed
-    :func:`link_utilizations` wraps it for external callers.
+    Demand ``j`` adds ``rates[j]`` to every link id in ``rows[j]``. One
+    ``np.add.at`` scatter accumulates repeated ids in array order, which
+    is ascending demand order — the order :func:`maxmin_allocate_indexed`
+    sums its loads in, so the two agree bit for bit. The
+    incremental-vs-full oracle uses this as its independent recount, and
+    the string-keyed :func:`link_utilizations` wraps it for external
+    callers.
     """
     load = np.zeros(num_links, dtype=float)
-    scatter_link_loads(load, indices, indptr, rates)
+    if len(rows):
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
+        np.add.at(load, flat, np.repeat(np.asarray(rates, dtype=float), lengths))
     return load
 
 
@@ -563,16 +611,11 @@ def link_utilizations(
     if not demands:
         return {}
     used_links: Dict[LinkId, int] = {}
-    flat: List[int] = []
-    indptr = np.zeros(len(demands) + 1, dtype=np.intp)
-    for j, (links, _) in enumerate(demands):
-        for link in links:
-            index = used_links.setdefault(link, len(used_links))
-            flat.append(index)
-        indptr[j + 1] = len(flat)
-    load = link_loads_indexed(
-        np.asarray(flat, dtype=np.intp), indptr, np.asarray(rates, dtype=float), len(used_links)
-    )
+    rows = [
+        [used_links.setdefault(link, len(used_links)) for link in links]
+        for links, _ in demands
+    ]
+    load = link_loads_indexed(rows, rates, len(used_links))
     return {
         link: float(load[index]) / capacities[link]
         for link, index in used_links.items()

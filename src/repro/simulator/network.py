@@ -21,9 +21,10 @@ built once per network. Capacities, delays, failure state, flow counters,
 and utilizations live in numpy arrays indexed by link id; each flow's
 components are indexed to link ids exactly once at start/reroute and
 reused by counter updates, reallocation, reordering estimates, and
-invariant checks. The reallocator hands the allocator pre-built CSR demand
-arrays, so the per-event hot path never hashes a ``(str, str)`` link key.
-:meth:`perf_stats` exposes the reallocation telemetry.
+invariant checks. The reallocator hands the allocator each demand's cached
+link-id list as a plain row, so the per-event hot path never hashes a
+``(str, str)`` link key. :meth:`perf_stats` exposes the reallocation
+telemetry.
 
 Incremental reallocation (the default; see DESIGN.md "Component
 decomposition"): max-min allocation decomposes exactly across connected
@@ -31,13 +32,14 @@ components of the flow-link incidence graph, so each coalesced realloc
 re-water-fills only the components invalidated since the last one —
 found by walking an exact link -> live-flows index
 (:class:`~repro.simulator.components.FlowLinkComponents`) from the links
-whose flow sets changed — and splices the new rates into the persistent
-per-link load array. Failure transitions fall back to a full fill. Rates,
-loads, utilizations, FCTs, and the event sequence are bit-identical to
-full reallocation; only the ``filling_iterations`` count differs
-(per-component fills count symmetric cross-component ties as separate
-rounds). Construct with ``incremental_realloc=False`` to force the full
-fill every round.
+whose flow sets changed — and splices the new rates and the loads the
+allocator returns into the persistent per-link load array. A cable
+failure or restore dirties the cable's own links, so it re-fills only the
+component of the flows crossing it. Rates, loads, utilizations, FCTs,
+and the event sequence are bit-identical to full reallocation; only the
+``filling_iterations`` count differs (per-component fills count
+symmetric cross-component ties as separate rounds). Construct with
+``incremental_realloc=False`` to force the full fill every round.
 
 Monitoring queries are vectorized the same way: :meth:`batch_path_state`
 evaluates every monitored path's bottleneck BoNF in one pass over the
@@ -52,21 +54,20 @@ completion — so the three remaining per-event loops are masked array
 expressions over the active span: ``_settle`` drains remaining bytes for
 every live flow at once, ``_schedule_next_completion`` takes a masked min
 over ``remaining * 8 / goodput``, and ``_on_completion_event`` finds
-finishers with one boolean mask. The refills scatter aggregate rates
-straight into the store's rate column (``np.add.at`` accumulates repeated
-owner rows in order, bit-equal to the left-to-right
-``sum(component_rates)``). The scalar per-flow loops these passes
-replaced live on as reference twins in :mod:`repro.validation.twins`,
-which swaps them into one network through the ``run_scenario``
-instrument seam and demands bit-identical records (golden traces and
-fuzzer dual-runs).
+finishers with one boolean mask. The refills write aggregate rates
+straight into the store's rate column, one scalar write per re-rated
+flow of its left-to-right ``sum(component_rates)``. The scalar per-flow
+loops these passes replaced live on as reference twins in
+:mod:`repro.validation.twins`, which swaps them into one network
+through the ``run_scenario`` instrument seam and demands bit-identical
+records (golden traces and fuzzer dual-runs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -84,15 +85,13 @@ from repro.simulator.flows import (
 )
 from repro.simulator.flowstore import FlowStore
 from repro.simulator.linkindex import LinkIndex
-from repro.simulator.maxmin import (
-    LinkId,
-    link_loads_indexed,
-    maxmin_allocate_indexed,
-    scatter_link_loads,
-)
+from repro.simulator.maxmin import Allocation, LinkId, maxmin_allocate_indexed
 from repro.simulator.reordering import reordering_retx_fraction_indexed
 
 _BYTES_EPSILON = 1.0  # flows within one byte of done are done
+
+#: What a fill with no live demand amounts to; the allocator is not called.
+_NO_FILL = Allocation([], 0, [], [])
 
 Listener = Callable[[Flow], None]
 
@@ -180,21 +179,22 @@ class Network:
         #: (``isdisjoint`` against a demand's link-id list).
         self._failed_ids: Set[int] = set()
         #: persistent per-link allocated load (bits/s). Full fills rewrite
-        #: it wholesale; dirty fills zero and re-scatter only the touched
-        #: component's links (bit-exact either way, see scatter_link_loads).
+        #: it wholesale; dirty fills zero the retired links and write the
+        #: allocator's loads on the links their rows cross (bit-exact
+        #: either way, see maxmin_allocate_indexed).
         self._load_array = np.zeros(num_links, dtype=float)
 
         #: live flow-link incidence index (None = full fills only).
         self._components: Optional[FlowLinkComponents] = (
             FlowLinkComponents() if self.incremental_realloc else None
         )
-        #: the next _reallocate must run the full fill: set initially, and
-        #: by fail/restore (failure transitions change which demands are
-        #: excluded everywhere, not just in dirty components).
+        #: the next _reallocate must run the full fill: set initially (and
+        #: by the fuzzer's capacity-bug injection).
         self._force_full = True
         #: unique-link-id arrays of flows that departed (completion, or the
-        #: old path at reroute) since the last fill — their load entries
-        #: are zeroed by the next dirty refill.
+        #: old path at reroute) or whose demands a fail/restore killed or
+        #: revived, since the last fill — their load entries are zeroed by
+        #: the next dirty refill.
         self._retired_link_ids: List[np.ndarray] = []
 
         #: extra checks run at the end of :meth:`check_invariants`; the
@@ -400,13 +400,7 @@ class Network:
         ids = (self.link_index.id_of((u, v)), self.link_index.id_of((v, u)))
         self._failed_mask[list(ids)] = True
         self._failed_ids.update(ids)
-        # Reallocate synchronously: a dead cable must carry nothing from
-        # this instant, not from the next event-loop turn. Failure
-        # transitions change which demands are excluded fabric-wide, so the
-        # fill must be global, not dirty-component-scoped.
-        self._force_full = True
-        self._stat_realloc_sync += 1
-        self._reallocate()
+        self._reallocate_cable(ids)
         self._notify_link_state(u, v)
         for listener in self.link_failed_listeners:
             listener(u, v)
@@ -422,12 +416,28 @@ class Network:
         ids = (self.link_index.id_of((u, v)), self.link_index.id_of((v, u)))
         self._failed_mask[list(ids)] = False
         self._failed_ids.difference_update(ids)
-        self._force_full = True
-        self._stat_realloc_sync += 1
-        self._reallocate()
+        self._reallocate_cable(ids)
         self._notify_link_state(u, v)
         for listener in self.link_restored_listeners:
             listener(u, v)
+
+    def _reallocate_cable(self, ids: Tuple[int, int]) -> None:
+        """Re-fill synchronously after the cable with these link ids changed.
+
+        A dead cable must carry nothing from this instant, not from the
+        next event-loop turn. The transition changes only which demands
+        of the flows crossing the cable are dead, so the fill is the
+        dirty fill of their component: the cable's links become dirty,
+        and every link of those flows is retired (zeroed before the
+        refill writes the loads of the demands still alive).
+        """
+        comps = self._components
+        if comps is not None:
+            crossing = comps.touch(ids)
+            if crossing:
+                self._retired_link_ids.append(np.array(crossing, dtype=np.intp))
+        self._stat_realloc_sync += 1
+        self._reallocate()
 
     def _notify_link_state(self, u: str, v: str) -> None:
         """Tell link-state watchers both directed ids of a cable changed."""
@@ -602,7 +612,8 @@ class Network:
         * ``realloc_requests`` — membership changes that asked for one;
         * ``realloc_coalesced`` — requests absorbed into an already-pending
           zero-delay reallocation (the coalescing win);
-        * ``realloc_sync`` — synchronous reallocations from fail/restore;
+        * ``realloc_sync`` — synchronous reallocations from fail/restore
+          (dirty fills of the cable's component in incremental mode);
         * ``realloc_demands`` — total demands handed to the allocator;
         * ``filling_iterations`` — total progressive-filling rounds;
         * ``realloc_time_s`` — wall time spent inside reallocation;
@@ -614,8 +625,10 @@ class Network:
         ``incremental_realloc=False`` except the full-fill counter):
 
         * ``realloc_full`` / ``realloc_incremental`` — fills that ran
-          globally vs dirty-component-scoped (they sum to
-          ``realloc_calls``);
+          globally (the first fill, and every fill with
+          ``incremental_realloc=False``) vs dirty-component-scoped (every
+          later one, fail/restore included); they sum to
+          ``realloc_calls``;
         * ``realloc_subset`` — incremental fills that re-rated fewer flows
           than were live (the locality win);
         * ``components_touched`` — exact flow-link components re-filled,
@@ -716,6 +729,9 @@ class Network:
         * no link is allocated beyond capacity,
         * failed links carry no allocated rate,
         * per-flow byte accounting is sane,
+        * the flow store binds exactly the live flows, its rate column
+          equals each live flow's ``sum(component_rates)`` and every dead
+          row in its active span carries rate 0.0,
 
         then runs every registered :attr:`invariant_hooks` entry.
         Violations raise :class:`~repro.common.errors.InvariantViolation`
@@ -805,6 +821,16 @@ class Network:
                 f"store live_count {store.live_count} / live rows {live_rows} "
                 f"!= {len(self.flows)} live flows",
             )
+        # The settle and ETA passes mask dead rows by their zero rate alone.
+        rated_dead = np.flatnonzero(
+            ~store.live[: store.size] & (store.rate_bps[: store.size] != 0.0)
+        )
+        if rated_dead.size:
+            row = int(rated_dead[0])
+            raise InvariantViolation(
+                "flow-store-dead-rate",
+                f"dead store row {row} carries rate {float(store.rate_bps[row])!r}",
+            )
         for flow in self.flows.values():
             row = flow.store_row
             if row < 0 or not bool(store.live[row]) or int(store.flow_id[row]) != flow.flow_id:
@@ -815,7 +841,7 @@ class Network:
                     f"flow_id={int(store.flow_id[row]) if row >= 0 else None}",
                     flow_id=flow.flow_id,
                 )
-            # The refill scatter contract: the rate column is *bit-equal*
+            # The refill write contract: the rate column is *bit-equal*
             # to the left-to-right component-rate sum, always — both are
             # rewritten together at every membership change and refill.
             want_rate = sum(flow.component_rates)
@@ -884,7 +910,7 @@ class Network:
         """Validate a flow's components and cache their link ids.
 
         Runs exactly once per start/reroute; every later hot path
-        (counter scatter, CSR assembly, reordering estimate) reuses the
+        (counter scatter, row assembly, reordering estimate) reuses the
         per-component link-id lists and the unique link-id array cached
         here.
         """
@@ -943,12 +969,14 @@ class Network:
         :mod:`repro.validation.twins`: the mask replicates the scalar
         ``delivered_bits <= 0`` skip, the per-row op sequence is the same
         float64 expression tree, and the rate column is kept bit-equal to
-        ``sum(component_rates)`` by the refill scatter.
+        ``sum(component_rates)`` by the refills. Dead rows carry rate 0.0
+        (``FlowStore.release`` zeroes it; :meth:`check_invariants` audits
+        it), so the rate mask alone excludes them.
         """
         store = self.flow_store
         n = store.size
         bits = store.rate_bps[:n] * dt
-        rows = np.flatnonzero(store.live[:n] & (bits > 0.0))
+        rows = np.flatnonzero(bits > 0.0)
         if rows.size == 0:
             return
         delivered_bytes = bits[rows] / 8.0
@@ -968,13 +996,14 @@ class Network:
     def _assemble_demands(
         self, flows: Sequence[Flow]
     ) -> Tuple[List[List[int]], List[float], List[Tuple[Flow, int]]]:
-        """Per-component (link-id lists, weights, owners) of live demands.
+        """Per-component (link-id rows, weights, owners) of live demands.
 
         Components crossing a failed link are skipped — they carry nothing
         until rerouted. Shared by the full fill, the dirty refill, and
-        :meth:`demand_csr`, so the three can never drift apart.
+        :meth:`demand_rows`, so the three can never drift apart. Each row
+        is the flow's cached link-id list itself, not a copy.
         """
-        component_ids: List[List[int]] = []
+        rows: List[List[int]] = []
         weights: List[float] = []
         owners: List[Tuple[Flow, int]] = []
         failed = self._failed_ids
@@ -982,56 +1011,23 @@ class Network:
             for idx, ids in enumerate(flow.component_link_ids):
                 if failed and not failed.isdisjoint(ids):
                     continue  # dead component: carries nothing until rerouted
-                component_ids.append(ids)
+                rows.append(ids)
                 weights.append(flow.components[idx].weight)
                 owners.append((flow, idx))
-        return component_ids, weights, owners
+        return rows, weights, owners
 
-    def _scatter_store_rates(
-        self, owners: Sequence[Tuple[Flow, int]], rates: np.ndarray
-    ) -> None:
-        """Accumulate per-component rates into the store's rate column.
-
-        ``np.add.at`` is unbuffered: repeated owner rows accumulate in
-        index order, which is component order, so the column ends up
-        bit-equal to the left-to-right ``sum(component_rates)`` (demands
-        skipped for failed links contribute literal ``+0.0``, which never
-        changes a non-negative partial sum).
-        """
-        owner_rows = np.fromiter(
-            (flow.store_row for flow, _ in owners), dtype=np.intp, count=len(owners)
-        )
-        np.add.at(self.flow_store.rate_bps, owner_rows, rates)
-
-    @staticmethod
-    def _build_csr(component_ids: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
-        flat: List[int] = []
-        bounds = [0]
-        for ids in component_ids:
-            flat.extend(ids)
-            bounds.append(len(flat))
-        return np.array(flat, dtype=np.intp), np.array(bounds, dtype=np.intp)
-
-    def demand_csr(
+    def demand_rows(
         self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[Flow, int]]]:
-        """``(indices, indptr, weights, owners)`` over all live demands.
+    ) -> Tuple[List[List[int]], List[float], List[Tuple[Flow, int]]]:
+        """``(rows, weights, owners)`` over all live demands.
 
-        Exactly the CSR a full fill would run on right now — the
-        incremental-vs-full differential oracle feeds this to
+        Exactly the rows a full fill would run on right now — the
+        incremental-vs-full differential oracle feeds them to
         ``maxmin_allocate_indexed`` and demands bit-equality with the live
-        ``component_rates``.
+        ``component_rates``. ``rows[i]`` is the owner's cached link-id
+        list: read it, never mutate it.
         """
-        component_ids, weights, owners = self._assemble_demands(list(self.flows.values()))
-        if not component_ids:
-            return (
-                np.empty(0, dtype=np.intp),
-                np.zeros(1, dtype=np.intp),
-                np.zeros(0, dtype=float),
-                owners,
-            )
-        indices, indptr = self._build_csr(component_ids)
-        return indices, indptr, np.asarray(weights, dtype=float), owners
+        return self._assemble_demands(list(self.flows.values()))
 
     def _reallocate(self) -> None:
         self._realloc_pending = False
@@ -1046,51 +1042,72 @@ class Network:
         self._stat_realloc_time_s += perf_counter() - started  # dardlint: disable=DET002
         self._schedule_next_completion()
 
+    def _write_rates(
+        self,
+        flows: Sequence[Flow],
+        owners: Sequence[Tuple[Flow, int]],
+        rates: Sequence[float],
+    ) -> None:
+        """Give every re-rated flow its fill's rates, list and store row.
+
+        Each flow in ``flows`` gets a fresh ``component_rates`` list (dead
+        components stay 0.0), and its store row one scalar write of that
+        list's left-to-right sum: the rate column's bit-exact contract.
+        """
+        for flow in flows:
+            flow.component_rates = [0.0] * len(flow.components)
+        for (flow, idx), rate in zip(owners, rates):
+            flow.component_rates[idx] = rate
+        rate_col = self.flow_store.rate_bps
+        for flow in flows:
+            total = 0.0
+            for rate in flow.component_rates:
+                total += rate
+            rate_col[flow.store_row] = total
+
+    def _refresh_reordering(
+        self, flows: Sequence[Flow], store_rows: Union[slice, List[int]]
+    ) -> None:
+        """Recompute the re-rated flows' reordering fractions after a splice.
+
+        ``store_rows`` indexes those flows' store rows. With no striped
+        flow among them (every scheduler but TeXCP) the reset is two
+        column writes.
+        """
+        if any(len(flow.components) > 1 for flow in flows):
+            for flow in flows:
+                if len(flow.components) > 1:
+                    flow.reorder_retx_fraction = reordering_retx_fraction_indexed(
+                        flow.component_rates,
+                        flow.component_link_ids,
+                        self._delay_array,
+                        self._util_array,
+                    )
+                else:
+                    flow.reorder_retx_fraction = 0.0
+        else:
+            store = self.flow_store
+            store.retx_fraction[store_rows] = 0.0
+            store.goodput_factor[store_rows] = 1.0
+
     def _refill_full(self) -> None:
         """Global water-fill over every live demand (the reference path)."""
         flows = list(self.flows.values())
-        component_ids, weights, owners = self._assemble_demands(flows)
-        num_links = len(self.link_index)
-        n = len(component_ids)
-        store = self.flow_store
-        for flow in flows:
-            flow.component_rates = [0.0] * len(flow.components)
-        store.rate_bps[: store.size] = 0.0  # dead rows are already zero
-        if n:
-            indices, indptr = self._build_csr(component_ids)
-            rates, iterations = maxmin_allocate_indexed(
-                indices, indptr, np.asarray(weights, dtype=float), self._cap_array
-            )
-            for (flow, idx), rate in zip(owners, rates):
-                flow.component_rates[idx] = float(rate)
-            self._scatter_store_rates(owners, rates)
-            load = link_loads_indexed(indices, indptr, rates, num_links)
-            self._load_array = load
-            np.divide(load, self._cap_array, out=self._util_array)
-            np.maximum(self._peak_util_array, self._util_array, out=self._peak_util_array)
-        else:
-            iterations = 0
-            self._load_array[:] = 0.0
-            self._util_array[:] = 0.0
-        self._stat_realloc_demands += n
-        self._stat_fill_iterations += iterations
+        rows, weights, owners = self._assemble_demands(flows)
+        fill = maxmin_allocate_indexed(rows, weights, self._cap_array) if rows else _NO_FILL
+        self._write_rates(flows, owners, fill.rates)
+        # Splice, fabric-wide: every link is retired, and the fill's links
+        # get their loads back.
+        load = self._load_array
+        load[:] = 0.0
+        load[fill.links] = fill.loads
+        np.divide(load, self._cap_array, out=self._util_array)
+        np.maximum(self._peak_util_array, self._util_array, out=self._peak_util_array)
+        self._stat_realloc_demands += len(rows)
+        self._stat_fill_iterations += fill.iterations
         if self.model_reordering:
-            if any(len(flow.components) > 1 for flow in flows):
-                for flow in flows:
-                    if len(flow.components) > 1:
-                        flow.reorder_retx_fraction = reordering_retx_fraction_indexed(
-                            flow.component_rates,
-                            flow.component_link_ids,
-                            self._delay_array,
-                            self._util_array,
-                        )
-                    else:
-                        flow.reorder_retx_fraction = 0.0
-            else:
-                # No striped flows (every scheduler but TeXCP): the reset is
-                # two column fills. Dead rows already hold the fill values.
-                store.retx_fraction[: store.size] = 0.0
-                store.goodput_factor[: store.size] = 1.0
+            # Dead rows already hold the reset values.
+            self._refresh_reordering(flows, slice(0, self.flow_store.size))
         self._stat_realloc_full += 1
         comps = self._components
         if comps is not None:
@@ -1104,79 +1121,36 @@ class Network:
 
         Exact by component decomposition (see DESIGN.md): every demand of a
         dirty component — exactly the live flows connected to a link whose
-        flow set changed — is re-filled against the links' full capacities,
-        read from ``_cap_array`` on every fill (compacted to the touched
-        ids — ``np.unique`` preserves relative order, so bottleneck
-        selection and heap tie-breaking are unchanged), while untouched
-        components keep their rates, loads, utilizations, and reordering
-        fractions bit-for-bit.
+        flow set or failure state changed — is re-filled against the links'
+        full capacities, read from ``_cap_array`` on every fill, while
+        untouched components keep their rates, loads, utilizations, and
+        reordering fractions bit-for-bit. The allocator returns the loads
+        of the links the rows cross, so the splice is one pass: zero the
+        retired links, write those loads, refresh util and peak on them.
         """
-        comps = self._components
-        touched, dirty_flow_ids = comps.consume_dirty()
+        touched, dirty_flow_ids = self._components.consume_dirty()
         flows = self.flows
         dirty_flows = [flows[flow_id] for flow_id in dirty_flow_ids]
-        component_ids, weights, owners = self._assemble_demands(dirty_flows)
-        n = len(component_ids)
-        store = self.flow_store
-        dirty_rows: Optional[np.ndarray] = None
-        for flow in dirty_flows:
-            flow.component_rates = [0.0] * len(flow.components)
-        if dirty_flows:
-            dirty_rows = np.fromiter(
-                (flow.store_row for flow in dirty_flows),
-                dtype=np.intp,
-                count=len(dirty_flows),
-            )
-            store.rate_bps[dirty_rows] = 0.0
+        rows, weights, owners = self._assemble_demands(dirty_flows)
+        fill = maxmin_allocate_indexed(rows, weights, self._cap_array) if rows else _NO_FILL
+        self._write_rates(dirty_flows, owners, fill.rates)
+        load, util = self._load_array, self._util_array
         retired = self._retired_link_ids
-        touched_links: Optional[np.ndarray] = None
-        if n:
-            indices, indptr = self._build_csr(component_ids)
-            touched_links = np.unique(indices)
-            rates, iterations = maxmin_allocate_indexed(
-                np.searchsorted(touched_links, indices),
-                indptr,
-                np.asarray(weights, dtype=float),
-                self._cap_array[touched_links],
-            )
-            for (flow, idx), rate in zip(owners, rates):
-                flow.component_rates[idx] = float(rate)
-            self._scatter_store_rates(owners, rates)
-        else:
-            iterations = 0
-        # Splice: zero every link the dirty demands (or departed flows)
-        # touch, re-scatter the new rates, refresh util/peak on those links.
-        if retired:
-            parts = retired + ([touched_links] if touched_links is not None else [])
-            zero_ids = np.unique(np.concatenate(parts)) if len(parts) > 1 else np.unique(parts[0])
-            retired.clear()
-        else:
-            zero_ids = touched_links
-        if zero_ids is not None and zero_ids.size:
-            self._load_array[zero_ids] = 0.0
-            if n:
-                scatter_link_loads(self._load_array, indices, indptr, rates)
-            self._util_array[zero_ids] = (
-                self._load_array[zero_ids] / self._cap_array[zero_ids]
-            )
-            np.maximum.at(self._peak_util_array, zero_ids, self._util_array[zero_ids])
-        self._stat_realloc_demands += n
-        self._stat_fill_iterations += iterations
-        if self.model_reordering:
-            if any(len(flow.components) > 1 for flow in dirty_flows):
-                for flow in dirty_flows:
-                    if len(flow.components) > 1:
-                        flow.reorder_retx_fraction = reordering_retx_fraction_indexed(
-                            flow.component_rates,
-                            flow.component_link_ids,
-                            self._delay_array,
-                            self._util_array,
-                        )
-                    else:
-                        flow.reorder_retx_fraction = 0.0
-            elif dirty_rows is not None:
-                store.retx_fraction[dirty_rows] = 0.0
-                store.goodput_factor[dirty_rows] = 1.0
+        for ids in retired:
+            load[ids] = 0.0
+            util[ids] = 0.0
+        retired.clear()
+        if rows:
+            ids = np.asarray(fill.links, dtype=np.intp)
+            load[ids] = fill.loads
+            fresh = load[ids] / self._cap_array[ids]
+            util[ids] = fresh
+            peak = self._peak_util_array
+            peak[ids] = np.maximum(peak[ids], fresh)
+        self._stat_realloc_demands += len(rows)
+        self._stat_fill_iterations += fill.iterations
+        if self.model_reordering and dirty_flows:
+            self._refresh_reordering(dirty_flows, [flow.store_row for flow in dirty_flows])
         self._stat_realloc_incremental += 1
         self._stat_components_touched += touched
         if len(dirty_flows) < len(flows):
@@ -1209,12 +1183,13 @@ class Network:
         ``goodput_factor`` is maintained as exactly ``1.0 - retx_fraction``
         at every fraction write, so ``rate * factor`` is bit-identical to
         the scalar ``rate_bps * (1.0 - reorder_retx_fraction)`` and the
-        array min equals the sequential ``min()`` reduction.
+        array min equals the sequential ``min()`` reduction. Dead rows
+        carry rate 0.0, so the goodput mask alone excludes them.
         """
         store = self.flow_store
         n = store.size
         goodput = store.rate_bps[:n] * store.goodput_factor[:n]
-        rows = np.flatnonzero(store.live[:n] & (goodput > 0.0))
+        rows = np.flatnonzero(goodput > 0.0)
         if rows.size == 0:
             return float("inf")
         etas = (store.remaining_bytes[rows] * 8.0) / goodput[rows]
@@ -1225,7 +1200,9 @@ class Network:
 
         Finishers come back sorted by flow id — identical to the scalar
         dict scan, since flow ids are assigned monotonically and flows are
-        never reinserted, so dict order *is* ascending flow-id order.
+        never reinserted, so dict order *is* ascending flow-id order. This
+        scan keeps its ``live`` mask: dead rows keep the (at most one byte
+        of) remaining bytes they finished with.
         """
         store = self.flow_store
         n = store.size

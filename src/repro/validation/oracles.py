@@ -10,7 +10,7 @@ plane, scalar settle loops — live in :mod:`repro.validation.twins`):
   certificate on the agreed result;
 * **live-network equivalence** — a running :class:`Network`'s settled
   component rates against a from-scratch reference allocation over its
-  own flow state (catches divergence anywhere in the CSR assembly /
+  own flow state (catches divergence anywhere in the row assembly /
   caching layer, e.g. a perturbed capacity array entry);
 * **incremental vs full** — the component-scoped refill's live rates and
   persistent link loads against a from-scratch full fill, bit for bit;
@@ -153,7 +153,7 @@ def check_network_against_reference(network: Network) -> None:
 
     Rebuilds the string-keyed demand set from the network's own flow
     state and the *capacities dict captured at construction time*, so any
-    silent drift in the indexed layer — stale CSR caches, a corrupted
+    silent drift in the indexed layer — stale link-id caches, a corrupted
     capacity array entry, wrong owner bookkeeping — shows up as a
     divergence. Skips itself while a reallocation is pending (rates are
     stale by design at those instants).
@@ -192,20 +192,19 @@ def check_incremental_against_full(network: Network) -> None:
         return
     if getattr(network, "_components", None) is None:
         return
-    indices, indptr, weights, owners = network.demand_csr()
-    expected, _ = maxmin_allocate_indexed(indices, indptr, weights, network._cap_array)
+    rows, weights, owners = network.demand_rows()
+    expected = maxmin_allocate_indexed(rows, weights, network._cap_array).rates
     for (flow, idx), want in zip(owners, expected):
         got = flow.component_rates[idx]
-        if got != float(want):
+        if got != want:
             raise OracleViolation(
                 "incremental-vs-full",
                 f"flow {flow.flow_id} component {idx}: incremental rate {got!r} "
-                f"!= full refill {float(want)!r} (bit-exact contract)",
+                f"!= full refill {want!r} (bit-exact contract)",
                 subject=flow.flow_id,
             )
-    expected_load = link_loads_indexed(
-        indices, indptr, expected, len(network.link_index)
-    )
+    # The load recount is the oracle's own, not the allocator's loads.
+    expected_load = link_loads_indexed(rows, expected, len(network.link_index))
     if not np.array_equal(expected_load, network._load_array):
         bad = int(np.flatnonzero(expected_load != network._load_array)[0])
         raise OracleViolation(

@@ -26,6 +26,8 @@ import random
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 #: Progress callback used by the golden capture/compare entry points.
 ProgressFn = Optional[Callable[[str], None]]
 
@@ -185,13 +187,13 @@ def capture_allocator() -> dict:
     from repro.validation.oracles import random_allocation_case
 
     demands, capacities = random_allocation_case(random.Random(42))
-    indices, indptr, weights, caps = _intern_demands(demands, capacities)
-    rates, iterations = maxmin_allocate_indexed(indices, indptr, weights, caps)
+    rows, weights, caps = _intern_demands(demands, capacities)
+    fill = maxmin_allocate_indexed(rows, weights, caps)
     return {
         "demands": len(demands),
-        "filling_iterations": int(iterations),
-        "rates_sum": round(float(rates.sum()), _ROUND),
-        "rates_digest": _digest(rates.tolist()),
+        "filling_iterations": int(fill.iterations),
+        "rates_sum": round(float(np.sum(fill.rates)), _ROUND),
+        "rates_digest": _digest(fill.rates),
     }
 
 

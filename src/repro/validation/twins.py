@@ -57,7 +57,7 @@ def settle_reference(network: Network, dt: float) -> None:
     """Scalar settle — the per-flow loop ``Network._settle_store`` replaced.
 
     Sums ``component_rates`` directly (rather than reading the store's
-    rate column) so the dual-run also audits the refill rate scatter.
+    rate column) so the dual-run also audits the refills' rate writes.
     """
     for flow in network.flows.values():
         delivered_bits = sum(flow.component_rates) * dt

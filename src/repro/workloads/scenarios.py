@@ -30,6 +30,7 @@ it is re-exported here so the scenario engine is one import surface.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -220,9 +221,15 @@ class MixtureDistribution(Distribution):
         total = float(sum(weights))
         self.components = list(components)
         self.weights = [float(w) / total for w in weights]
+        # The CDF ``Generator.choice(n, p=weights)`` builds on every call:
+        # bisecting it with one ``rng.random()`` draw picks the same
+        # component from the same generator state.
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        self._cdf: List[float] = cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> float:
-        index = int(rng.choice(len(self.components), p=self.weights))
+        index = bisect_right(self._cdf, rng.random())
         return self.components[index].sample(rng)
 
     def mean(self) -> float:

@@ -5,5 +5,5 @@ class FakeNetwork:
     """Minimal shape for the rule: only the attribute name matters."""
 
     def apply_patch(self, link_id, value):
-        """Bypasses the audited scatter_link_loads splice."""
+        """Bypasses the audited refill splice."""
         self._load_array[link_id] = value

@@ -140,11 +140,20 @@ class TestTelemetry:
         assert stats["flows_preserved"] > 0
         assert stats["realloc_full"] + stats["realloc_incremental"] == stats["realloc_calls"]
 
-    def test_failure_forces_a_full_refill(self):
-        net, _ = _stride_network()
-        before = net.perf_stats()["realloc_full"]
-        net.fail_link("agg_0_0", "core_0_0")
-        assert net.perf_stats()["realloc_full"] == before + 1
+    def test_failure_refills_only_the_failed_cables_component(self):
+        net, flows = _stride_network()
+        # A switch-switch cable on the pod-0 flow's path.
+        u, v = flows[0].components[0].path[1:3]
+        other_rates = flows[1].component_rates
+        for transition, stalled in ((net.fail_link, True), (net.restore_link, False)):
+            before = net.perf_stats()
+            transition(u, v)
+            after = net.perf_stats()
+            assert after["realloc_full"] == before["realloc_full"]
+            assert after["realloc_incremental"] == before["realloc_incremental"] + 1
+            assert (flows[0].component_rates[0] == 0.0) is stalled
+            assert flows[1].component_rates is other_rates
+            check_incremental_against_full(net)
 
     def test_full_mode_never_goes_incremental(self):
         net, _ = _stride_network(incremental=False)
@@ -169,6 +178,20 @@ class TestComponentStructure:
         assert comps.consume_dirty() == (2, [1, 2])
         assert comps.link_flows() == {0: {1}, 1: {1}, 3: {2}, 4: {2}}
         assert comps.flow_links() == {1: [0, 1], 2: [3, 4]}
+
+    def test_touch_dirties_a_cable_and_names_its_flows_links(self):
+        comps = FlowLinkComponents()
+        comps.attach(1, np.array([0, 1], dtype=np.intp))
+        comps.attach(2, np.array([3, 4], dtype=np.intp))
+        comps.attach(3, np.array([1, 5], dtype=np.intp))
+        comps.consume_dirty()
+        # Link 7 carries no flow: it names nothing and walks nothing.
+        assert comps.touch([0, 7]) == [0, 1]
+        assert comps.consume_dirty() == (1, [1, 3])
+        assert comps.touch([9]) == []
+        assert comps.consume_dirty() == (0, [])
+        # Touching changes no membership.
+        assert comps.flow_links() == {1: [0, 1], 2: [3, 4], 3: [1, 5]}
 
     def test_consume_dirty_returns_component_flows(self):
         comps = FlowLinkComponents()

@@ -1,7 +1,7 @@
 """Seeded randomized equivalence: indexed allocator vs string-keyed oracle.
 
-The integer-indexed fast path (``maxmin_allocate_indexed`` + the network's
-CSR reallocation) must produce the same rates as the preserved pre-index
+The integer-indexed fast path (``maxmin_allocate_indexed`` fed the
+network's link-id rows) must produce the same rates as the preserved pre-index
 implementation (``maxmin_allocate_reference``) across random topologies,
 weights, and failure sets. "Same" means within 1e-9 relative tolerance —
 the two paths may pick saturated bottlenecks in a different order when
@@ -9,9 +9,10 @@ shares tie exactly, which perturbs nothing beyond floating-point ulps.
 
 The indexed allocator's two start regimes (the lazy heap from round 0
 and vectorized rounds first) are held to a stricter bar: bit-identical
-rates and iteration counts on the same CSR. So is partition invariance:
-filling components in separate calls reproduces one combined fill bit
-for bit, even when symmetric shares tie exactly across components.
+rates, iteration counts and link loads on the same rows, with the loads
+equal to an independent recount. So is partition invariance: filling
+components in separate calls reproduces one combined fill bit for bit,
+even when symmetric shares tie exactly across components.
 """
 
 import math
@@ -24,8 +25,9 @@ from repro.common.units import MB, MBPS
 from repro.simulator import FlowComponent, Network
 from repro.simulator.maxmin import (
     _HEAP_START_DEMANDS,
+    _array_fill,
     _heap_fill,
-    _vectorized_fill,
+    link_loads_indexed,
     maxmin_allocate,
     maxmin_allocate_indexed,
     maxmin_allocate_reference,
@@ -153,19 +155,17 @@ class TestRandomizedEquivalence:
             net.check_invariants()
 
 
-def random_csr(rng, num_demands, tie_heavy):
-    """A random demand CSR; ``tie_heavy`` draws from few capacities/weights.
+def random_rows(rng, num_demands, tie_heavy):
+    """Random demand rows; ``tie_heavy`` draws from few capacities/weights.
 
     Few distinct capacities and weights (every weight a small dyadic
     multiple, some != 1) make exact share ties common, the case where
     the two start regimes must agree on whole tie batches.
     """
     num_links = rng.randint(2, 48)
-    indices, indptr, weights = [], [0], []
+    rows, weights = [], []
     for _ in range(num_demands):
-        links = rng.sample(range(num_links), rng.randint(1, min(6, num_links)))
-        indices.extend(links)
-        indptr.append(len(indices))
+        rows.append(rng.sample(range(num_links), rng.randint(1, min(6, num_links))))
         weights.append(
             rng.choice([0.5, 1.0, 1.0, 2.0, 3.0]) if tie_heavy else rng.uniform(0.1, 5.0)
         )
@@ -173,39 +173,47 @@ def random_csr(rng, num_demands, tie_heavy):
         capacities = [rng.choice([50e6, 100e6, 300e6, 1e9]) for _ in range(num_links)]
     else:
         capacities = [rng.uniform(10.0, 1000.0) for _ in range(num_links)]
-    return (
-        np.asarray(indices, dtype=np.intp),
-        np.asarray(indptr, dtype=np.intp),
-        np.asarray(weights, dtype=float),
-        np.asarray(capacities, dtype=float),
-    )
+    return rows, weights, np.asarray(capacities, dtype=float)
 
 
-def _replicated_csr(components=6, demands_per=9, links_per=3):
-    """``components`` identical single-component CSRs over disjoint links.
+def _replicated_rows(components=6, demands_per=9, links_per=3):
+    """``components`` identical single-component row sets over disjoint links.
 
     Identical structure means every component produces the same share
     sequence, so the combined fill is saturated with *exact* cross-
     component ties — the regime where the progressive tail's tie
     handling must stay batch-exact for per-component fills to reproduce it.
     """
-    indices, indptr, weights = [], [0], []
+    rows, weights = [], []
     for c in range(components):
         base = c * links_per
         for j in range(demands_per):
-            links = sorted({base + j % links_per, base + (j + 1) % links_per})
-            indices.extend(links)
-            indptr.append(indptr[-1] + len(links))
+            rows.append(sorted({base + j % links_per, base + (j + 1) % links_per}))
             weights.append(1.0 + (j % 3))
     capacities = np.full(components * links_per, 100e6)
     component_of = [j // demands_per for j in range(components * demands_per)]
-    return (
-        np.asarray(indices, dtype=np.intp),
-        np.asarray(indptr, dtype=np.intp),
-        np.asarray(weights, dtype=np.float64),
-        capacities,
-        component_of,
-    )
+    return rows, weights, capacities, component_of
+
+
+def _loads_by_link(fill):
+    """A fill's loads keyed by global link id (the regimes number links apart)."""
+    return dict(zip(np.asarray(fill.links).tolist(), np.asarray(fill.loads).tolist()))
+
+
+def assert_regimes_agree(rows, weights, capacities):
+    """Both start regimes and the entry point agree bit for bit on one fill."""
+    heap = _heap_fill(rows, weights, capacities)
+    array = _array_fill(rows, weights, capacities)
+    assert heap.rates == array.rates
+    assert heap.iterations == array.iterations
+    assert _loads_by_link(heap) == _loads_by_link(array)
+    recount = link_loads_indexed(rows, heap.rates, capacities.size)
+    np.testing.assert_array_equal(recount[np.asarray(heap.links)], heap.loads)
+    assert np.count_nonzero(recount) <= len(heap.links)
+    fill = maxmin_allocate_indexed(rows, weights, capacities)
+    assert fill.rates == array.rates
+    assert fill.iterations == array.iterations
+    assert _loads_by_link(fill) == _loads_by_link(array)
 
 
 class TestStartRegimes:
@@ -214,6 +222,7 @@ class TestStartRegimes:
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("tie_heavy", [False, True])
     def test_random_csrs_on_both_sides_of_threshold(self, seed, tie_heavy):
+        # Random demand rows on both sides of the start-regime threshold.
         rng = random.Random(4000 + seed)
         for num_demands in (
             1,
@@ -221,24 +230,19 @@ class TestStartRegimes:
             _HEAP_START_DEMANDS,
             rng.randint(_HEAP_START_DEMANDS + 1, 3 * _HEAP_START_DEMANDS),
         ):
-            csr = random_csr(rng, num_demands, tie_heavy)
-            heap_rates, heap_iterations = _heap_fill(*csr)
-            vector_rates, vector_iterations = _vectorized_fill(*csr)
-            np.testing.assert_array_equal(heap_rates, vector_rates)
-            assert heap_iterations == vector_iterations
-            rates, iterations = maxmin_allocate_indexed(*csr)
-            np.testing.assert_array_equal(rates, vector_rates)
-            assert iterations == vector_iterations
+            assert_regimes_agree(*random_rows(rng, num_demands, tie_heavy))
 
     @pytest.mark.parametrize("components", [1, 3, 8])
     def test_symmetric_components_tie_exactly(self, components):
         # Identical components over disjoint links: every share ties
         # across components, and weights 1/2/3 tie within them.
-        csr = _replicated_csr(components=components)[:4]
-        heap_rates, heap_iterations = _heap_fill(*csr)
-        vector_rates, vector_iterations = _vectorized_fill(*csr)
-        np.testing.assert_array_equal(heap_rates, vector_rates)
-        assert heap_iterations == vector_iterations
+        assert_regimes_agree(*_replicated_rows(components=components)[:3])
+
+    def test_empty_fill(self):
+        fill = maxmin_allocate_indexed([], [], np.ones(4))
+        assert (fill.rates, fill.iterations, list(fill.links), list(fill.loads)) == (
+            [], 0, [], []
+        )
 
 
 class TestPartitionInvariance:
@@ -246,24 +250,21 @@ class TestPartitionInvariance:
 
     @pytest.mark.parametrize("groups", [2, 3, 4, 7])
     def test_symmetric_tie_batches(self, groups):
-        indices, indptr, weights, capacities, component_of = _replicated_csr()
-        combined, _ = maxmin_allocate_indexed(indices, indptr, weights, capacities)
-        rates = np.zeros(indptr.size - 1)
+        rows, weights, capacities, component_of = _replicated_rows()
+        combined = maxmin_allocate_indexed(rows, weights, capacities)
+        rates = [None] * len(rows)
+        loads = {}
         for g in range(groups):
-            # Whole components per group, demands in their global order.
-            js = np.array(
-                [j for j, c in enumerate(component_of) if c % groups == g], dtype=np.intp
-            )
-            if js.size == 0:
+            # Whole components per group, demands in their global order,
+            # over the global capacity array, as the dirty refill does.
+            js = [j for j, c in enumerate(component_of) if c % groups == g]
+            if not js:
                 continue
-            ids = [indices[indptr[j] : indptr[j + 1]] for j in js.tolist()]
-            sub_indptr = np.zeros(js.size + 1, dtype=np.intp)
-            np.cumsum([chunk.size for chunk in ids], out=sub_indptr[1:])
-            # Compact to the group's own links, as the dirty refill does.
-            flat = np.concatenate(ids)
-            touched = np.unique(flat)
-            group_rates, _ = maxmin_allocate_indexed(
-                np.searchsorted(touched, flat), sub_indptr, weights[js], capacities[touched]
+            fill = maxmin_allocate_indexed(
+                [rows[j] for j in js], [weights[j] for j in js], capacities
             )
-            rates[js] = group_rates
-        np.testing.assert_array_equal(rates, combined)
+            for j, rate in zip(js, fill.rates):
+                rates[j] = rate
+            loads.update(_loads_by_link(fill))
+        assert rates == combined.rates
+        assert loads == _loads_by_link(combined)

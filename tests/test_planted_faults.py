@@ -1,17 +1,20 @@
-"""Planted faults: the invariant battery kills each ownership-class write.
+"""Planted faults: the invariant battery kills each planted wrong write.
 
-Each fault is a class-level monkeypatch that makes one write a
-component-ownership contract forbids: the control plane writing network
-state it does not own, or the dirty refill writing state outside the
-component it re-fills. On each shifting DARD fuzz seed
-:func:`~repro.validation.fuzz.run_case` must raise, naming the invariant
-that caught it. A fault turned into a no-op fails its test, so this
-measures the battery's reach instead of assuming it (EXPERIMENTS.md
-"Planted ownership faults").
+Each fault is a class-level monkeypatch that makes one wrong write.
+Faults (a)-(d) break a component-ownership contract: the control plane
+writing network state it does not own, or the dirty refill writing
+state outside the component it re-fills. Fault (e) leaves a rate on a
+released flow-store row, which the settle and ETA passes would then
+read. Fault (f) leaves a failed cable's dead demands' loads behind.
+On each seed :func:`~repro.validation.fuzz.run_case` must raise, naming
+the invariant that caught it. A fault turned into a no-op fails its
+test, so this measures the battery's reach instead of assuming it
+(EXPERIMENTS.md "Planted ownership faults").
 
-The seeds are DARD fuzz cases whose drawn regime promotes elephants and
-shifts flows: without a running control plane, the faults planted in
-the daemon round and the registry poll never execute.
+Faults (a)-(e) run on DARD fuzz cases whose drawn regime promotes
+elephants and shifts flows: without a running control plane, the faults
+planted in the daemon round and the registry poll never execute. Fault
+(f) runs on DARD fuzz cases that draw a failure storm.
 """
 
 import numpy as np
@@ -20,11 +23,16 @@ import pytest
 from repro.common.errors import InvariantViolation
 from repro.core.daemon import HostDaemon
 from repro.experiments.runner import run_scenario
+from repro.simulator.flowstore import FlowStore
 from repro.simulator.network import Network
 from repro.validation import random_scenario, run_case
 
 #: DARD fuzz seeds that promote elephants and make at least one shift.
 SHIFTING_DARD_SEEDS = (12, 45, 160, 174)
+
+#: DARD fuzz seeds (from the extended 500-559 sweep) that draw link
+#: failures under live traffic.
+STORM_DARD_SEEDS = (504, 516, 532, 548)
 
 
 def _patch_refill(monkeypatch, corrupt):
@@ -101,12 +109,43 @@ def rate_ulp_outside_component(monkeypatch):
     _patch_refill(monkeypatch, corrupt)
 
 
+def release_keeps_rate(monkeypatch):
+    """(e) ``FlowStore.release`` skips the rate reset: the dead row keeps
+    the rate its flow finished with."""
+    original = FlowStore.release
+
+    def release(self, row):
+        rate = self.rate_bps[row]
+        original(self, row)
+        self.rate_bps[row] = rate
+
+    monkeypatch.setattr(FlowStore, "release", release)
+
+
+def failure_keeps_dead_loads(monkeypatch):
+    """(f) A cable failure dirties the cable's links but does not retire
+    the links of the flows crossing it, so the loads of the demands the
+    failure killed stay in the persistent load array."""
+    original = Network._reallocate_cable
+
+    def reallocate(self, ids):
+        if ids[0] not in self._failed_ids:
+            original(self, ids)  # a restore
+            return
+        self._components.touch(ids)
+        self._stat_realloc_sync += 1
+        self._reallocate()
+
+    monkeypatch.setattr(Network, "_reallocate_cable", reallocate)
+
+
 #: (fault, the invariant that must kill it).
 FAULTS = (
     (elephant_count_on_poll, "elephant-counter"),
     (rate_halved_by_round, "flow-store-rate"),
     (load_outside_component, "persistent-load"),
     (rate_ulp_outside_component, "flow-store-rate"),
+    (release_keeps_rate, "flow-store-dead-rate"),
 )
 
 
@@ -128,6 +167,22 @@ def test_fault_is_killed(monkeypatch, fault, invariant, seed):
     with pytest.raises(InvariantViolation) as caught:
         run_case(random_scenario(seed))
     assert caught.value.invariant == invariant
+
+
+@pytest.mark.parametrize("seed", STORM_DARD_SEEDS)
+def test_clean_storm_case_passes(seed):
+    config = random_scenario(seed)
+    assert config.scheduler == "dard"
+    assert any(kind == "fail" for kind, *_ in config.link_events)
+    run_case(config)
+
+
+@pytest.mark.parametrize("seed", STORM_DARD_SEEDS)
+def test_failure_fault_is_killed(monkeypatch, seed):
+    failure_keeps_dead_loads(monkeypatch)
+    with pytest.raises(InvariantViolation) as caught:
+        run_case(random_scenario(seed))
+    assert caught.value.invariant == "persistent-load"
 
 
 #: The faults a run's results can see. Fault (c) corrupts state only: a

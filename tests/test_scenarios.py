@@ -107,6 +107,30 @@ class TestAnalyticDistributions:
         )
         assert dist.mean() == pytest.approx(0.25 * 2.0 + 0.75 * 4.0)
 
+    @pytest.mark.parametrize("preset", ["websearch", "three-way"])
+    def test_mixture_draws_match_generator_choice(self, preset):
+        # sample() bisects a CDF built once instead of calling
+        # Generator.choice(n, p=weights) per draw: the same generator state
+        # must give the same draws and leave the same state behind.
+        if preset == "three-way":
+            dist = MixtureDistribution(
+                [
+                    LognormalDistribution(np.log(4e3), 1.2),
+                    ParetoDistribution(1.5, 1e6),
+                    LognormalDistribution(np.log(64e3), 0.8),
+                ],
+                [0.5, 0.2, 0.3],
+            )
+        else:
+            dist = SIZE_PRESETS[preset]()
+        n = len(dist.components)
+        for seed in range(200):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(500):
+                want = dist.components[int(reference.choice(n, p=dist.weights))]
+                assert dist.sample(ours) == want.sample(reference)
+            assert ours.bit_generator.state == reference.bit_generator.state
+
     def test_scaled_to_mean(self):
         dist = ParetoDistribution(2.0, 1.0).scaled_to_mean(10.0)
         assert dist.mean() == pytest.approx(10.0)

@@ -8,14 +8,19 @@ did. The fast path is ``maxmin_allocate_indexed`` fed the link-id rows a
 network caches per flow, which is what every post-index reallocation pays;
 its timed call also returns the links' loads.
 
+Each side's round loop is timed :data:`REPEATS` times, the two sides
+interleaved so that drift in machine load reaches both, and every figure
+is the median per-call time over the repeats.
+
 Output rows land in ``benchmarks/results/perf_allocator.txt`` and, through
 the shared provenance writer (``artifacts.py``), in
 ``benchmarks/results/BENCH_perf_allocator.json``, so the perf trajectory
-is tracked across PRs. The acceptance gate asserts >= 3x throughput at
-p=16.
+is tracked across PRs. The acceptance gate asserts that the median
+baseline call takes >= 3x the median indexed call at p=16.
 """
 
 import random
+import statistics
 import time
 
 import numpy as np
@@ -33,8 +38,11 @@ from repro.topology import FatTree
 #: No knobs: every run is the full budget.
 BUDGET = read_budget("perf_allocator")
 
-#: rounds per measurement, scaled down as the topology grows.
+#: rounds per timed loop, scaled down as the topology grows.
 ROUNDS = {4: 30, 8: 10, 16: 4}
+
+#: interleaved timed loops per side; the figures are their medians.
+REPEATS = 9
 
 #: demands per host — keeps the demand count proportional to fabric size.
 FLOWS_PER_HOST = 2.0
@@ -67,41 +75,45 @@ def _index_demands(topo, demands):
     return rows, weights, index.capacities
 
 
-def _throughput(fn, n_demands, rounds):
-    """Demands allocated per second over ``rounds`` timed calls."""
-    fn()  # warm-up (first-touch allocations, caches)
+def _per_call(fn, rounds):
+    """Mean seconds per call over one loop of ``rounds`` calls."""
     start = time.perf_counter()
     for _ in range(rounds):
         fn()
-    elapsed = time.perf_counter() - start
-    return n_demands * rounds / elapsed, elapsed / rounds
+    return (time.perf_counter() - start) / rounds
 
 
 def _measure(p):
     topo, demands, capacities = _build_case(p)
-    rounds = ROUNDS[p]
-    baseline_tput, baseline_call = _throughput(
-        lambda: maxmin_allocate_reference(demands, capacities), len(demands), rounds
-    )
     rows, weights, caps = _index_demands(topo, demands)
-    indexed_tput, indexed_call = _throughput(
-        lambda: maxmin_allocate_indexed(rows, weights, caps),
-        len(demands),
-        rounds,
-    )
-    # Sanity: both paths agree on the allocation they are being timed on.
-    ref_rates = maxmin_allocate_reference(demands, capacities)
-    new_rates = maxmin_allocate_indexed(rows, weights, caps).rates
-    assert np.allclose(new_rates, ref_rates, rtol=1e-9, atol=1e-6)
+
+    def baseline():
+        return maxmin_allocate_reference(demands, capacities)
+
+    def indexed():
+        return maxmin_allocate_indexed(rows, weights, caps)
+
+    # Sanity: both paths agree on the allocation they are being timed on
+    # (and each is warmed up: first-touch allocations, caches).
+    assert np.allclose(indexed().rates, baseline(), rtol=1e-9, atol=1e-6)
+    rounds = ROUNDS[p]
+    baseline_calls, indexed_calls = [], []
+    for _ in range(REPEATS):
+        baseline_calls.append(_per_call(baseline, rounds))
+        indexed_calls.append(_per_call(indexed, rounds))
+    baseline_call = statistics.median(baseline_calls)
+    indexed_call = statistics.median(indexed_calls)
     return {
         "p": p,
         "hosts": len(topo.hosts()),
         "demands": len(demands),
-        "baseline_demands_per_s": baseline_tput,
-        "indexed_demands_per_s": indexed_tput,
+        "rounds": rounds,
+        "repeats": REPEATS,
+        "baseline_demands_per_s": len(demands) / baseline_call,
+        "indexed_demands_per_s": len(demands) / indexed_call,
         "baseline_call_s": baseline_call,
         "indexed_call_s": indexed_call,
-        "speedup": indexed_tput / baseline_tput,
+        "speedup": baseline_call / indexed_call,
     }
 
 
@@ -122,7 +134,8 @@ def _run_all():
             for r in rows
         ],
         notes="baseline re-interns (str, str) links per call; indexed reuses "
-        "per-flow link-id rows as Network._reallocate does",
+        f"per-flow link-id rows as Network._reallocate does; medians of {REPEATS} "
+        "interleaved loops per side",
     )
 
 

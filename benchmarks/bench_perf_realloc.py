@@ -1,13 +1,14 @@
 """Reallocation benchmark: incremental component-scoped vs full refills.
 
-Runs the same seeded DARD scenario twice — once with the incremental
-reallocator disabled (every membership change triggers a global
-water-fill) and once enabled (only dirty flow-link components are
-re-filled, rates spliced into the persistent load array) — and checks
-three things:
+Runs the same seeded DARD scenario twice — once under the
+:data:`~repro.validation.twins.FULL_REFILL` reference twin (every
+membership change triggers a global water-fill) and once in production
+(only dirty flow-link components are re-filled, rates spliced into the
+persistent load array) — and checks three things:
 
 * **equivalence**: the two runs produce equal flow records, every
-  field — the incremental mode's bit-exactness contract, end to end;
+  field — the component-scoped refill's bit-exactness contract, end to
+  end;
 * **locality**: the majority of incremental rounds re-rate fewer flows
   than are live (otherwise the machinery is pure overhead);
 * **speed**: whole-scenario wall time improves by the acceptance factor.
@@ -31,6 +32,7 @@ from artifacts import RESULTS_DIR, read_budget, write_artifact
 from repro.common.units import MB, MBPS
 from repro.experiments.figures import ExperimentOutput
 from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.validation.twins import FULL_REFILL
 
 BUDGET = read_budget("perf_realloc", p=16, duration=15.0)
 P = int(BUDGET.params["p"])
@@ -44,29 +46,33 @@ MIN_SPEEDUP = 1.5
 MIN_SUBSET_FRACTION = 0.5
 
 
-def _config(incremental):
-    return ScenarioConfig(
-        topology="fattree",
-        topology_params={"p": P, "link_bandwidth_bps": 100 * MBPS},
-        pattern="stride",
-        scheduler="dard",
-        arrival_rate_per_host=0.035,
-        duration_s=DURATION_S,
-        flow_size_bytes=128 * MB,
-        seed=1,
-        network_params={"incremental_realloc": incremental},
-    )
+CONFIG = ScenarioConfig(
+    topology="fattree",
+    topology_params={"p": P, "link_bandwidth_bps": 100 * MBPS},
+    pattern="stride",
+    scheduler="dard",
+    arrival_rate_per_host=0.035,
+    duration_s=DURATION_S,
+    flow_size_bytes=128 * MB,
+    seed=1,
+)
 
 
-def _run_mode(incremental):
+def _production(config):
     network_box = []
+    result = run_scenario(config, instrument=network_box.append)
+    return result, network_box[0]
+
+
+def _run_mode(mode, run):
+    """Time one whole run; ``run(config)`` returns ``(result, network)``."""
     started = time.perf_counter()
-    result = run_scenario(_config(incremental), instrument=network_box.append)
+    result, network = run(CONFIG)
     wall_s = time.perf_counter() - started
-    stats = network_box[0].perf_stats()
+    stats = network.perf_stats()
     incr = int(stats["realloc_incremental"])
     row = {
-        "mode": "incremental" if incremental else "full",
+        "mode": mode,
         "p": P,
         "duration_s": DURATION_S,
         "wall_s": wall_s,
@@ -85,8 +91,8 @@ def _run_mode(incremental):
 
 
 def _run_all():
-    full_row, full_result = _run_mode(incremental=False)
-    incr_row, incr_result = _run_mode(incremental=True)
+    full_row, full_result = _run_mode("full", FULL_REFILL.run)
+    incr_row, incr_result = _run_mode("incremental", _production)
 
     # Bit-exactness, end to end: every completed flow's record equal,
     # field for field.
@@ -111,8 +117,9 @@ def _run_all():
             }
             for r in rows
         ],
-        notes=f"p={P} dard stride, {DURATION_S:.0f}s, records verified "
-        f"identical across modes; speedup {speedup:.2f}x",
+        notes=f"p={P} dard stride, {DURATION_S:.0f}s, full row under the "
+        f"{FULL_REFILL.oracle} twin, records verified identical across "
+        f"modes; speedup {speedup:.2f}x",
     )
 
 

@@ -29,6 +29,7 @@ from typing import List, Optional, Set
 import numpy as np
 
 from repro.scheduling.messages import MessageLedger, MessageSizes
+from repro.simulator.maxmin import sorted_unique
 from repro.simulator.network import Network
 from repro.topology.multirooted import MultiRootedTopology
 from repro.topology.paths import EqualCostPaths, SwitchPath
@@ -104,7 +105,7 @@ def index_pair_paths(network: Network, src_tor: str, dst_tor: str) -> PairPaths:
         monitored=np.arange(nrows, dtype=np.intp),
         csr_indices=csr_indices,
         csr_indptr=np.arange(nrows + 1, dtype=np.intp) * width,
-        link_ids=np.unique(csr_indices),
+        link_ids=sorted_unique(csr_indices),
     )
 
 

@@ -18,8 +18,8 @@ advances it, so a pair's cache is fresh iff none of its links carries a
 stamp newer than that record.
 
 Equivalence contract (see DESIGN.md "Control-plane batching"): a cached
-row always equals what a fresh per-monitor ``batch_path_state`` would
-report at the same instant, bit-for-bit. Rows are independent (the
+row always equals what a fresh per-monitor ``batch_path_state_arrays``
+would report at the same instant, bit-for-bit. Rows are independent (the
 bottleneck reduction never crosses row boundaries), a row's inputs are
 exactly its links' ``(capacity, failed, elephant-count)`` entries, and
 every mutation of those entries stamps the link — so serving a pair

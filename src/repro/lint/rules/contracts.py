@@ -1,6 +1,6 @@
 """API-contract rules: API001 and API002.
 
-Machine-checked ownership contracts that the incremental reallocator's
+Machine-checked ownership contracts that the component-scoped refill's
 bit-exactness proof (DESIGN.md "Component decomposition") relies on:
 the persistent load array has exactly three writers, and same-time event
 ordering is owned by :class:`EventEngine` alone.
@@ -13,11 +13,11 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.lint.engine import Finding, ModuleContext, Rule, register
 
-#: The only functions allowed to write ``_load_array``: construction, and
-#: the two refill owners whose splices are proven bit-exact against each
-#: other (the allocator only returns loads, so it needs no slot in this
-#: list — the rule tracks attribute writes).
-_LOAD_ARRAY_OWNERS = {"__init__", "_refill_full", "_refill_dirty"}
+#: The only functions allowed to write ``_load_array``: construction, the
+#: network's refill, and the global-fill reference twin its splice is
+#: proven bit-exact against (the allocator only returns loads, so it
+#: needs no slot in this list — the rule tracks attribute writes).
+_LOAD_ARRAY_OWNERS = {"__init__", "_refill_dirty", "full_refill_reference"}
 
 #: ndarray methods that mutate in place.
 _MUTATING_ARRAY_METHODS = {"fill", "put", "sort", "resize", "partition"}
@@ -45,15 +45,16 @@ class LoadArrayOwnership(Rule):
     """API001: ``_load_array`` mutated outside its refill owners.
 
     The persistent per-link load array stays bit-identical between the
-    incremental and full reallocation modes only because every write goes
-    through the audited splice in ``_refill_full``/``_refill_dirty``
-    (backed by the ordered load accumulation ``maxmin_allocate_indexed``
-    returns). Any other writer silently voids that proof.
+    component-scoped refill and its global-fill reference twin only
+    because every write goes through the audited splice in
+    ``_refill_dirty``/``full_refill_reference`` (backed by the ordered
+    load accumulation ``maxmin_allocate_indexed`` returns). Any other
+    writer silently voids that proof.
     """
 
     code = "API001"
     name = "load-array-ownership"
-    description = "_load_array written outside _refill_full/_refill_dirty"
+    description = "_load_array written outside _refill_dirty/full_refill_reference"
     scope = ("repro",)
 
     _ATTR = "_load_array"
@@ -85,7 +86,7 @@ class LoadArrayOwnership(Rule):
                     self.code,
                     f"write to {self._ATTR} outside "
                     f"{sorted(_LOAD_ARRAY_OWNERS)}; persistent load is owned "
-                    "by the refill pair (allocator-load splice)",
+                    "by the refill and its reference twin (allocator-load splice)",
                 )
 
     def _targets_load_array(self, node: ast.AST) -> bool:

@@ -24,7 +24,6 @@ from repro.lint.engine import Finding, ModuleContext, Rule, register
 #: lookup anywhere in these bodies is a regression even when it "works".
 _HOT_FUNCTIONS = {
     "_reallocate",
-    "_refill_full",
     "_refill_dirty",
     "_assemble_demands",
     "_settle",
@@ -35,7 +34,6 @@ _HOT_FUNCTIONS = {
     "_array_fill",
     "_progressive_fill_tail",
     "link_loads_indexed",
-    "batch_path_state",
 }
 
 #: String-keyed mapping attributes (the dict-shaped compatibility

@@ -143,7 +143,7 @@ class FlowLinkComponents:
         return touched, sorted(flows)
 
     def discard_dirty(self) -> None:
-        """Forget the dirty marks: a full fill has just re-rated every flow."""
+        """Forget the dirty marks: a global fill has just re-rated every flow."""
         self._dirty_links = set()
 
     # -- introspection (invariant checks, tests) -------------------------------

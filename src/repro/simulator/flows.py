@@ -163,7 +163,6 @@ class Flow:
         store.retx_fraction[row] = self._reorder_retx_fraction
         store.goodput_factor[row] = 1.0 - self._reorder_retx_fraction
         store.remaining_bytes[row] = self._remaining_bytes
-        store.start_time[row] = self.start_time
         store.end_time[row] = math.nan if self._end_time is None else self._end_time
         store.retransmitted_bytes[row] = self._retransmitted_bytes
         store.elephant[row] = self._is_elephant

@@ -52,7 +52,6 @@ _COLUMN_SPECS: Tuple[Tuple[str, type, float], ...] = (
     ("goodput_factor", np.float64, 1.0),
     ("retx_fraction", np.float64, 0.0),
     ("remaining_bytes", np.float64, 0.0),
-    ("start_time", np.float64, 0.0),
     ("end_time", np.float64, np.nan),
     ("retransmitted_bytes", np.float64, 0.0),
     ("elephant", np.bool_, False),
@@ -81,7 +80,6 @@ class FlowStore:
     goodput_factor: np.ndarray
     retx_fraction: np.ndarray
     remaining_bytes: np.ndarray
-    start_time: np.ndarray
     end_time: np.ndarray
     retransmitted_bytes: np.ndarray
     elephant: np.ndarray

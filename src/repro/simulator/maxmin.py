@@ -188,6 +188,20 @@ def _heap_fill(
     return Allocation(out, iterations, links, loads)
 
 
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The ascending distinct values of an integer array: ``np.unique``.
+
+    A bare ``np.unique`` on integers takes numpy's hash path, which at a
+    few hundred ids or more costs several times a sort plus a neighbour
+    mask; this takes the sort path and returns the same array.
+    """
+    ordered = np.sort(ids)
+    keep = np.empty(ordered.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _array_fill(
     rows: Sequence[Sequence[int]],
     weights: Sequence[float],
@@ -278,14 +292,15 @@ def _vectorized_fill(
             tied = np.nonzero(share == best_share)[0]
             best_share = max(float(best_share), 0.0)
             if tied.size == 1:
+                # One link's members are ascending and unique already.
                 members = link_members[link_ptr[bottleneck] : link_ptr[bottleneck + 1]]
+                members = members[active[members]]
             else:
                 members = np.concatenate(
                     [link_members[link_ptr[b] : link_ptr[b + 1]] for b in tied]
                 )
-            members = members[active[members]]
+                members = sorted_unique(members[active[members]])
             if members.size:
-                members = np.unique(members)
                 frozen = weights[members] * best_share
                 rates[members] = frozen
                 active[members] = False

@@ -26,26 +26,30 @@ link-id list as a plain row, so the per-event hot path never hashes a
 ``(str, str)`` link key. :meth:`perf_stats` exposes the reallocation
 telemetry.
 
-Incremental reallocation (the default; see DESIGN.md "Component
-decomposition"): max-min allocation decomposes exactly across connected
-components of the flow-link incidence graph, so each coalesced realloc
-re-water-fills only the components invalidated since the last one —
-found by walking an exact link -> live-flows index
+Component-scoped reallocation (see DESIGN.md "Component decomposition"):
+max-min allocation decomposes exactly across connected components of the
+flow-link incidence graph, so each coalesced realloc re-water-fills only
+the components invalidated since the last one — found by walking an
+exact link -> live-flows index
 (:class:`~repro.simulator.components.FlowLinkComponents`) from the links
 whose flow sets changed — and splices the new rates and the loads the
-allocator returns into the persistent per-link load array. A cable
-failure or restore dirties the cable's own links, so it re-fills only the
-component of the flows crossing it. Rates, loads, utilizations, FCTs,
-and the event sequence are bit-identical to full reallocation; only the
-``filling_iterations`` count differs (per-component fills count
-symmetric cross-component ties as separate rounds). Construct with
-``incremental_realloc=False`` to force the full fill every round.
+allocator returns into the persistent per-link load array. The first
+fill is the same refill over every attached flow. A cable failure or
+restore dirties the cable's own links, so it re-fills only the component
+of the flows crossing it. Rates, loads, utilizations, FCTs, and the
+event sequence are bit-identical to a global fill over every live
+demand, which :func:`repro.validation.twins.full_refill_reference`
+keeps as a reference twin (its fills are the ones ``perf_stats`` counts
+as ``realloc_full``, 0 in production); only the ``filling_iterations``
+count differs (per-component fills count symmetric cross-component ties
+as separate rounds).
 
-Monitoring queries are vectorized the same way: :meth:`batch_path_state`
-evaluates every monitored path's bottleneck BoNF in one pass over the
-dense capacity/elephant/failure arrays from precomputed per-path link-id
-CSR rows (see :meth:`index_switch_path`), replacing per-link
-:meth:`link_state` loops in DARD's :class:`~repro.core.monitor.PathMonitor`.
+Monitoring queries are vectorized the same way:
+:meth:`batch_path_state_arrays` evaluates every monitored path's
+bottleneck BoNF in one pass over the dense capacity/elephant/failure
+arrays from precomputed per-path link-id CSR rows (see
+:meth:`index_switch_path`), replacing per-link :meth:`link_state` loops
+in DARD's monitor registry.
 
 Columnar flow state (see DESIGN.md "Columnar flow state"): hot per-flow
 scalars live in a :class:`~repro.simulator.flowstore.FlowStore` — SoA
@@ -54,7 +58,7 @@ completion — so the three remaining per-event loops are masked array
 expressions over the active span: ``_settle`` drains remaining bytes for
 every live flow at once, ``_schedule_next_completion`` takes a masked min
 over ``remaining * 8 / goodput``, and ``_on_completion_event`` finds
-finishers with one boolean mask. The refills write aggregate rates
+finishers with one boolean mask. The refill writes aggregate rates
 straight into the store's rate column, one scalar write per re-rated
 flow of its left-to-right ``sum(component_rates)``. The scalar per-flow
 loops these passes replaced live on as reference twins in
@@ -130,8 +134,6 @@ class Network:
         engine: Optional[EventEngine] = None,
         elephant_age_s: float = ELEPHANT_AGE_S,
         path_switch_retx_bytes: float = PATH_SWITCH_RETX_BYTES,
-        model_reordering: bool = True,
-        incremental_realloc: bool = True,
         elephant_detector: str = "threshold",
         detector_params: Optional[dict] = None,
     ) -> None:
@@ -162,8 +164,6 @@ class Network:
                 f"got {elephant_detector!r}"
             )
         self.path_switch_retx_bytes = path_switch_retx_bytes
-        self.model_reordering = model_reordering
-        self.incremental_realloc = bool(incremental_realloc)
 
         #: the per-network intern table; all per-link arrays align to it.
         self.link_index = LinkIndex.from_topology(topology)
@@ -175,22 +175,17 @@ class Network:
         self._util_array = np.zeros(num_links, dtype=float)
         self._peak_util_array = np.zeros(num_links, dtype=float)
         self._failed_mask = np.zeros(num_links, dtype=bool)
-        #: ids of the failed directed links: the refills' dead-demand test
+        #: ids of the failed directed links: the refill's dead-demand test
         #: (``isdisjoint`` against a demand's link-id list).
         self._failed_ids: Set[int] = set()
-        #: persistent per-link allocated load (bits/s). Full fills rewrite
-        #: it wholesale; dirty fills zero the retired links and write the
-        #: allocator's loads on the links their rows cross (bit-exact
-        #: either way, see maxmin_allocate_indexed).
+        #: persistent per-link allocated load (bits/s). Each refill zeroes
+        #: the retired links and writes the allocator's loads on the links
+        #: its rows cross (bit-exact, see maxmin_allocate_indexed).
         self._load_array = np.zeros(num_links, dtype=float)
 
-        #: live flow-link incidence index (None = full fills only).
-        self._components: Optional[FlowLinkComponents] = (
-            FlowLinkComponents() if self.incremental_realloc else None
-        )
-        #: the next _reallocate must run the full fill: set initially (and
-        #: by the fuzzer's capacity-bug injection).
-        self._force_full = True
+        #: live flow-link incidence index; its dirty marks pick what the
+        #: next refill re-fills.
+        self._components = FlowLinkComponents()
         #: unique-link-id arrays of flows that departed (completion, or the
         #: old path at reroute) or whose demands a fail/restore killed or
         #: revived, since the last fill — their load entries are zeroed by
@@ -302,8 +297,7 @@ class Network:
             flow.path_history.append(flow.components[0].path)
         self.flows[flow.flow_id] = flow
         self._adjust_link_counts(flow, +1)
-        if self._components is not None:
-            self._components.attach(flow.flow_id, flow.unique_link_ids)
+        self._components.attach(flow.flow_id, flow.unique_link_ids)
         self._stat_flows_started += 1
         if self.elephant_detector is None:
             self.engine.schedule_in(
@@ -335,11 +329,10 @@ class Network:
             raise SimulationError(f"cannot reroute finished flow {flow.flow_id}")
         self._settle()
         self._adjust_link_counts(flow, -1)
-        if self._components is not None:
-            # The old links' component is dirty (this flow's load leaves it)
-            # and the old link ids must be zeroed out of the load array.
-            self._components.detach(flow.flow_id)
-            self._retired_link_ids.append(flow.unique_link_ids)
+        # The old links' component is dirty (this flow's load leaves it)
+        # and the old link ids must be zeroed out of the load array.
+        self._components.detach(flow.flow_id)
+        self._retired_link_ids.append(flow.unique_link_ids)
         flow.components = list(components)
         self._index_components(flow)
         flow.component_rates = [0.0] * len(flow.components)
@@ -348,8 +341,7 @@ class Network:
         # the reroute and the coalesced refill that re-rates the flow.
         self.flow_store.rate_bps[flow.store_row] = 0.0
         self._adjust_link_counts(flow, +1)
-        if self._components is not None:
-            self._components.attach(flow.flow_id, flow.unique_link_ids)
+        self._components.attach(flow.flow_id, flow.unique_link_ids)
         self._stat_reroutes += 1
         if count_switch:
             flow.path_switches += 1
@@ -431,11 +423,9 @@ class Network:
         and every link of those flows is retired (zeroed before the
         refill writes the loads of the demands still alive).
         """
-        comps = self._components
-        if comps is not None:
-            crossing = comps.touch(ids)
-            if crossing:
-                self._retired_link_ids.append(np.array(crossing, dtype=np.intp))
+        crossing = self._components.touch(ids)
+        if crossing:
+            self._retired_link_ids.append(np.array(crossing, dtype=np.intp))
         self._stat_realloc_sync += 1
         self._reallocate()
 
@@ -474,9 +464,9 @@ class Network:
 
         The registration-time half of vectorized monitoring: monitors call
         this once per monitored path and reuse the ids (stacked into CSR
-        rows) on every :meth:`batch_path_state` poll, so the per-poll hot
-        path never hashes a ``(str, str)`` link key. Unknown links raise
-        :class:`~repro.common.errors.SimulationError`.
+        rows) on every :meth:`batch_path_state_arrays` poll, so the
+        per-poll hot path never hashes a ``(str, str)`` link key. Unknown
+        links raise :class:`~repro.common.errors.SimulationError`.
         """
         ids = self.link_index.index_path(path)
         return ids[self.link_index.switch_link_mask[ids]]
@@ -486,14 +476,14 @@ class Network:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-CSR-row bottleneck: ``(bandwidth array, chosen link ids)``.
 
-        The shared vectorized core of :meth:`batch_path_state` and
-        :meth:`batch_path_state_arrays`: picks each row's *first*
-        minimum-BoNF link, matching the sequential ``min()`` tie-breaking
-        of :meth:`path_state` exactly.
+        The shared vectorized core of :meth:`batch_path_state_arrays` and
+        :meth:`path_state`: picks each row's *first* minimum-BoNF link,
+        matching a sequential ``min()`` over the row's :meth:`link_state`
+        values exactly.
         """
         lengths = np.diff(indptr)
         if not np.all(lengths > 0):
-            raise SimulationError("batch_path_state rows must be non-empty")
+            raise SimulationError("path-state rows must be non-empty")
         band = np.where(self._failed_mask[indices], 0.0, self._cap_array[indices])
         eleph = self._eleph_array[indices]
         # LinkState.bonf, vectorized: 0 when down, inf when elephant-free.
@@ -511,45 +501,17 @@ class Network:
         first = np.minimum.reduceat(position, starts)
         return band[first], indices[first]
 
-    def batch_path_state(
-        self, indices: np.ndarray, indptr: np.ndarray
-    ) -> List[LinkState]:
-        """Bottleneck :class:`LinkState` of many paths in one array pass.
-
-        ``indices``/``indptr`` are a CSR over link ids: path ``k`` crosses
-        ``indices[indptr[k]:indptr[k + 1]]`` (each row non-empty, e.g. from
-        :meth:`index_switch_path`). Returns one state per path — the
-        *first* minimum-BoNF link of each row, matching the sequential
-        ``min()`` tie-breaking of :meth:`path_state` exactly.
-        """
-        num_paths = int(indptr.shape[0]) - 1
-        if num_paths <= 0:
-            return []
-        band, chosen = self._batch_bottleneck(indices, indptr)
-        return [
-            LinkState(
-                bandwidth_bps=float(bandwidth),
-                elephant_flows=int(elephants),
-                total_flows=int(total),
-            )
-            for bandwidth, elephants, total in zip(
-                band.tolist(),
-                self._eleph_array[chosen].tolist(),
-                self._total_array[chosen].tolist(),
-            )
-        ]
-
     def batch_path_state_arrays(
         self, indices: np.ndarray, indptr: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row bottleneck ``(bandwidth, elephant count)`` arrays.
 
-        The allocation-free sibling of :meth:`batch_path_state` for callers
-        that keep path state in arrays (the DARD monitor registry): no
-        :class:`LinkState` objects are built, and the two returned arrays
-        (float64 bandwidth, int64 elephant count) use the exact same
-        bottleneck selection, so ``PathState(band[k], eleph[k])`` equals
-        the object path bit-for-bit.
+        ``indices``/``indptr`` are a CSR over link ids: path ``k`` crosses
+        ``indices[indptr[k]:indptr[k + 1]]`` (each row non-empty, e.g. from
+        :meth:`index_switch_path`). Row ``k``'s bottleneck is its *first*
+        minimum-BoNF link; the two returned arrays (float64 bandwidth,
+        int64 elephant count) are that link's :meth:`link_state` values,
+        without building any :class:`LinkState` object.
         """
         num_paths = int(indptr.shape[0]) - 1
         if num_paths <= 0:
@@ -562,16 +524,21 @@ class Network:
 
         ``skip_host_links`` drops the first/last host-switch hop — a flow
         cannot route around those, so DARD excludes them from BoNF (§2.2).
-        One-path wrapper over :meth:`batch_path_state`; registered monitors
-        skip the per-call indexing via :meth:`index_switch_path`.
+        Registered monitors skip the per-call indexing via
+        :meth:`index_switch_path` and poll :meth:`batch_path_state_arrays`.
         """
         ids = self.link_index.index_path(path)
         if skip_host_links:
             ids = ids[self.link_index.switch_link_mask[ids]]
         if ids.size == 0:
             raise SimulationError(f"path {path!r} has no switch-switch links")
-        indptr = np.array([0, ids.size], dtype=np.intp)
-        return self.batch_path_state(ids, indptr)[0]
+        band, chosen = self._batch_bottleneck(ids, np.array([0, ids.size], dtype=np.intp))
+        link = int(chosen[0])
+        return LinkState(
+            bandwidth_bps=float(band[0]),
+            elephant_flows=int(self._eleph_array[link]),
+            total_flows=int(self._total_array[link]),
+        )
 
     def utilization(self, u: str, v: str) -> float:
         """Most recent allocated utilization of the directed link ``u -> v``."""
@@ -613,7 +580,7 @@ class Network:
         * ``realloc_coalesced`` — requests absorbed into an already-pending
           zero-delay reallocation (the coalescing win);
         * ``realloc_sync`` — synchronous reallocations from fail/restore
-          (dirty fills of the cable's component in incremental mode);
+          (refills of the cable's component);
         * ``realloc_demands`` — total demands handed to the allocator;
         * ``filling_iterations`` — total progressive-filling rounds;
         * ``realloc_time_s`` — wall time spent inside reallocation;
@@ -621,20 +588,20 @@ class Network:
           counts, for cross-checking the counters above;
         * ``num_links`` — size of the link index.
 
-        Incremental-reallocation keys (all zero with
-        ``incremental_realloc=False`` except the full-fill counter):
+        Component-scoped reallocation keys:
 
-        * ``realloc_full`` / ``realloc_incremental`` — fills that ran
-          globally (the first fill, and every fill with
-          ``incremental_realloc=False``) vs dirty-component-scoped (every
-          later one, fail/restore included); they sum to
-          ``realloc_calls``;
-        * ``realloc_subset`` — incremental fills that re-rated fewer flows
-          than were live (the locality win);
+        * ``realloc_incremental`` / ``realloc_full`` — component-scoped
+          refills vs global fills; they sum to ``realloc_calls``. Only
+          the reference twin
+          (:func:`repro.validation.twins.full_refill_reference`) makes
+          global fills, so ``realloc_full`` reads 0 in production (the
+          key stays for the twin's runs and the benchmark reports);
+        * ``realloc_subset`` — component-scoped refills that re-rated
+          fewer flows than were live (the locality win);
         * ``components_touched`` — exact flow-link components re-filled,
-          summed over incremental fills;
+          summed over component-scoped refills;
         * ``flows_rerated`` / ``flows_preserved`` — flows re-water-filled
-          vs left untouched, summed over incremental fills;
+          vs left untouched, summed over component-scoped refills;
         * ``events_rescheduled`` / ``events_preserved`` — completion-event
           updates whose fire time moved vs stayed identical (preserved
           events are still cancel+re-pushed so event ordering stays
@@ -797,8 +764,7 @@ class Network:
                 f"load array {self._load_array[bad]!r} != recount {load[bad]!r}",
                 link=self.link_index.links[bad],
             )
-        if self._components is not None:
-            self._audit_component_index(self._components, recount_links)
+        self._audit_component_index(self._components, recount_links)
         for flow in self.flows.values():
             if flow.remaining_bytes < 0:
                 raise InvariantViolation(
@@ -969,7 +935,7 @@ class Network:
         :mod:`repro.validation.twins`: the mask replicates the scalar
         ``delivered_bits <= 0`` skip, the per-row op sequence is the same
         float64 expression tree, and the rate column is kept bit-equal to
-        ``sum(component_rates)`` by the refills. Dead rows carry rate 0.0
+        ``sum(component_rates)`` by the refill. Dead rows carry rate 0.0
         (``FlowStore.release`` zeroes it; :meth:`check_invariants` audits
         it), so the rate mask alone excludes them.
         """
@@ -999,9 +965,9 @@ class Network:
         """Per-component (link-id rows, weights, owners) of live demands.
 
         Components crossing a failed link are skipped — they carry nothing
-        until rerouted. Shared by the full fill, the dirty refill, and
-        :meth:`demand_rows`, so the three can never drift apart. Each row
-        is the flow's cached link-id list itself, not a copy.
+        until rerouted. Shared by the refill, :meth:`demand_rows` and the
+        full-refill reference twin, so the three can never drift apart.
+        Each row is the flow's cached link-id list itself, not a copy.
         """
         rows: List[List[int]] = []
         weights: List[float] = []
@@ -1021,7 +987,7 @@ class Network:
     ) -> Tuple[List[List[int]], List[float], List[Tuple[Flow, int]]]:
         """``(rows, weights, owners)`` over all live demands.
 
-        Exactly the rows a full fill would run on right now — the
+        Exactly the rows a global fill would run on right now — the
         incremental-vs-full differential oracle feeds them to
         ``maxmin_allocate_indexed`` and demands bit-equality with the live
         ``component_rates``. ``rows[i]`` is the owner's cached link-id
@@ -1034,10 +1000,7 @@ class Network:
         self._settle()
         # perf_counter feeds perf_stats() telemetry only, never sim state.
         started = perf_counter()  # dardlint: disable=DET002
-        if self._components is None or self._force_full:
-            self._refill_full()
-        else:
-            self._refill_dirty()
+        self._refill_dirty()
         self._stat_realloc_calls += 1
         self._stat_realloc_time_s += perf_counter() - started  # dardlint: disable=DET002
         self._schedule_next_completion()
@@ -1090,32 +1053,6 @@ class Network:
             store.retx_fraction[store_rows] = 0.0
             store.goodput_factor[store_rows] = 1.0
 
-    def _refill_full(self) -> None:
-        """Global water-fill over every live demand (the reference path)."""
-        flows = list(self.flows.values())
-        rows, weights, owners = self._assemble_demands(flows)
-        fill = maxmin_allocate_indexed(rows, weights, self._cap_array) if rows else _NO_FILL
-        self._write_rates(flows, owners, fill.rates)
-        # Splice, fabric-wide: every link is retired, and the fill's links
-        # get their loads back.
-        load = self._load_array
-        load[:] = 0.0
-        load[fill.links] = fill.loads
-        np.divide(load, self._cap_array, out=self._util_array)
-        np.maximum(self._peak_util_array, self._util_array, out=self._peak_util_array)
-        self._stat_realloc_demands += len(rows)
-        self._stat_fill_iterations += fill.iterations
-        if self.model_reordering:
-            # Dead rows already hold the reset values.
-            self._refresh_reordering(flows, slice(0, self.flow_store.size))
-        self._stat_realloc_full += 1
-        comps = self._components
-        if comps is not None:
-            # A full fill leaves nothing dirty.
-            comps.discard_dirty()
-            self._retired_link_ids.clear()
-            self._force_full = False
-
     def _refill_dirty(self) -> None:
         """Water-fill only the components invalidated since the last fill.
 
@@ -1149,7 +1086,7 @@ class Network:
             peak[ids] = np.maximum(peak[ids], fresh)
         self._stat_realloc_demands += len(rows)
         self._stat_fill_iterations += fill.iterations
-        if self.model_reordering and dirty_flows:
+        if dirty_flows:
             self._refresh_reordering(dirty_flows, [flow.store_row for flow in dirty_flows])
         self._stat_realloc_incremental += 1
         self._stat_components_touched += touched
@@ -1225,9 +1162,8 @@ class Network:
         for flow in finished:
             flow.end_time = self.now
             self._adjust_link_counts(flow, -1)
-            if self._components is not None:
-                self._components.detach(flow.flow_id)
-                self._retired_link_ids.append(flow.unique_link_ids)
+            self._components.detach(flow.flow_id)
+            self._retired_link_ids.append(flow.unique_link_ids)
             if flow.is_elephant:
                 self._current_elephants -= 1
             del self.flows[flow.flow_id]

@@ -16,7 +16,8 @@ Five layers, composable and individually importable:
   the failed-link set while auditing flow-store row accounting across
   fail/restore churn;
 * :mod:`repro.validation.twins` — the reference twins (the scalar DARD
-  control plane, the scalar settle/ETA/completion loops) and the one
+  control plane, the scalar settle/ETA/completion loops, the global
+  refill) and the one
   harness, :func:`twin_run`, that dual-runs a scenario against a twin
   and demands the same shift journal and bit-identical records;
 * :mod:`repro.validation.fuzz` — seeded randomized scenario fuzzing with
@@ -50,7 +51,7 @@ from repro.validation.oracles import (
     run_fluid_vs_packet,
 )
 from repro.validation.twins import (
-    INCREMENTAL,
+    FULL_REFILL,
     SCALAR_CONTROL_PLANE,
     SCALAR_SETTLE,
     Twin,
@@ -83,11 +84,11 @@ __all__ = [
     "DEFAULT_NETWORK_CHECKS",
     "FCT_AGREEMENT_BAND",
     "FLUID_VS_PACKET_SCENARIOS",
+    "FULL_REFILL",
     "FuzzFailure",
     "FuzzReport",
     "GOLDEN_SCENARIOS",
     "GOLDEN_TWINS",
-    "INCREMENTAL",
     "InvariantChecker",
     "SCALAR_CONTROL_PLANE",
     "SCALAR_SETTLE",

@@ -176,12 +176,12 @@ def inject_capacity_bug(network) -> None:
     """
     host = min(network.topology.hosts())
     tor = network.topology.tor_of(host)
-    for link in ((host, tor), (tor, host)):
-        network._cap_array[network.link_index.id_of(link)] *= 0.6
-    # Arm a full refill: an incremental network with nothing dirty would
-    # otherwise keep its pre-corruption (still consistent) rates and the
-    # bug would not manifest until some demand touched the cable.
-    network._force_full = True
+    ids = [network.link_index.id_of(link) for link in ((host, tor), (tor, host))]
+    network._cap_array[ids] *= 0.6
+    # Dirty the cable: with nothing dirty the refill would keep the flows
+    # crossing it at their pre-corruption (still consistent) rates, and
+    # the bug would not manifest until some demand joined or left them.
+    network._components.touch(ids)
 
 
 def inject_storm_bug(network) -> None:

@@ -185,12 +185,9 @@ def check_incremental_against_full(network: Network) -> None:
     persistent link-load entry must equal the full recomputation
     *bit-for-bit*. Any epsilon here means the splice logic lost a link,
     kept a stale rate, or reordered an accumulation — exactly the bugs an
-    approximate comparison would mask. No-ops when the network runs in
-    full mode (nothing to cross-check) or while a realloc is pending.
+    approximate comparison would mask. No-ops while a realloc is pending.
     """
     if network.realloc_pending:
-        return
-    if getattr(network, "_components", None) is None:
         return
     rows, weights, owners = network.demand_rows()
     expected = maxmin_allocate_indexed(rows, weights, network._cap_array).rates

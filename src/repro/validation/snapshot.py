@@ -35,7 +35,7 @@ from repro.common.rng import RngStreams
 from repro.common.units import MB, MBPS
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.simulator.network import Network
-from repro.validation.twins import INCREMENTAL, SCALAR_SETTLE, Twin
+from repro.validation.twins import FULL_REFILL, SCALAR_SETTLE, Twin
 
 PathLike = Union[str, Path]
 
@@ -48,13 +48,7 @@ _ROUND = 6  # microsecond / sub-ppm resolution: below any real drift
 #: The golden scenario set: small, fast, deterministic, covering three
 #: schedulers and two topology families. ``fattree_dard_stride_storm``
 #: is the one that runs DARD's control plane: its elephants shift, and a
-#: link fails and is restored under them. Pinned to the full (reference)
-#: reallocation mode: the incremental mode reproduces every rate and FCT
-#: bit-for-bit but counts water-filling rounds per component, so its
-#: ``filling_iterations`` legitimately differs when symmetric ties span
-#: components. The :data:`GOLDEN_TWINS` replay re-runs these configs
-#: incrementally and diffs against the same stored file, exempting only
-#: that field.
+#: link fails and is restored under them.
 GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
     "fattree_ecmp_stride": ScenarioConfig(
         topology="fattree",
@@ -65,7 +59,6 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
         duration_s=20.0,
         flow_size_bytes=16 * MB,
         seed=7,
-        network_params={"incremental_realloc": False},
     ),
     "fattree_dard_random": ScenarioConfig(
         topology="fattree",
@@ -76,7 +69,6 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
         duration_s=20.0,
         flow_size_bytes=16 * MB,
         seed=11,
-        network_params={"incremental_realloc": False},
     ),
     "clos_vlb_staggered": ScenarioConfig(
         topology="clos",
@@ -92,7 +84,6 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
         duration_s=20.0,
         flow_size_bytes=16 * MB,
         seed=3,
-        network_params={"incremental_realloc": False},
     ),
     "fattree_dard_stride_storm": ScenarioConfig(
         topology="fattree",
@@ -103,7 +94,6 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
         duration_s=25.0,
         flow_size_bytes=48 * MB,
         seed=7,
-        network_params={"incremental_realloc": False},
         link_events=(
             ("fail", 12.0, "agg_0_0", "core_0_0"),
             ("restore", 18.0, "agg_0_0", "core_0_0"),
@@ -112,12 +102,13 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
 }
 
 #: The twins ``repro validate`` replays against the golden file, each with
-#: the golden fields it may change. Per-component fills count symmetric
-#: cross-component tie rounds separately, so the incremental twin's
-#: convergence round totals differ while every rate (and thus every FCT)
-#: is identical; the scalar settle loops change no field at all.
+#: the golden fields it may change. Production's per-component fills count
+#: a symmetric tie that spans components as one round per component, the
+#: global fill counts it once, so the full-refill twin's round totals
+#: differ while every rate (and thus every FCT) is identical; the scalar
+#: settle loops change no field at all.
 GOLDEN_TWINS: Tuple[Tuple[Twin, Tuple[str, ...]], ...] = (
-    (INCREMENTAL, ("filling_iterations",)),
+    (FULL_REFILL, ("filling_iterations",)),
     (SCALAR_SETTLE, ()),
 )
 

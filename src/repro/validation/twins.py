@@ -9,14 +9,13 @@ through seams that already exist:
 
 * a per-network install through ``run_scenario(instrument=...)`` —
   :data:`SCALAR_SETTLE` swaps one network's settle / completion-ETA /
-  finisher passes for the scalar per-flow loops;
+  finisher passes for the scalar per-flow loops, and :data:`FULL_REFILL`
+  swaps its component-scoped refill for the global fill over every live
+  demand;
 * a scoped class-level install that puts the original class attributes
   back on exit — :data:`SCALAR_CONTROL_PLANE` puts the original
   per-monitor DARD control plane (no registry, ``PathState`` objects,
-  tuple-keyed FV) in place for the duration of one run;
-* a config rewrite, for a twin a public option already selects —
-  :data:`INCREMENTAL`, which the golden replay runs against the goldens
-  pinned to full reallocation.
+  tuple-keyed FV) in place for the duration of one run.
 
 :func:`twin_run` runs a scenario and its twin, and :func:`compare_runs`
 demands the same shift journal, bit-identical flow records and equal
@@ -36,6 +35,8 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, ContextManager, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.common.errors import OracleViolation
 from repro.core.bonf import PathState
 from repro.core.daemon import HostDaemon
@@ -44,7 +45,8 @@ from repro.core.scheduler import DardScheduler
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.scheduling.base import SchedulerContext
 from repro.simulator.flows import Flow
-from repro.simulator.network import _BYTES_EPSILON, Network
+from repro.simulator.maxmin import maxmin_allocate_indexed
+from repro.simulator.network import _BYTES_EPSILON, _NO_FILL, Network
 
 Instrument = Callable[[Network], None]
 
@@ -100,6 +102,51 @@ def install_scalar_settle(network: Network) -> None:
     )
     network._find_finishers_store = functools.partial(  # type: ignore[method-assign]
         find_finishers_reference, network
+    )
+
+
+# ---------------------------------------------------------------------------
+# The global refill
+# ---------------------------------------------------------------------------
+
+def full_refill_reference(network: Network) -> None:
+    """Global water-fill over every live demand — twin of ``Network._refill_dirty``.
+
+    Re-fills every live flow, not just the dirty components, and splices
+    fabric-wide: every link is retired and the fill's links get their
+    loads back. Rates, loads and utilizations must come out bit-identical
+    to the component-scoped refill; ``filling_iterations`` differs, since
+    one global fill counts a symmetric tie across components as one round.
+    """
+    flows = list(network.flows.values())
+    rows, weights, owners = network._assemble_demands(flows)
+    fill = maxmin_allocate_indexed(rows, weights, network._cap_array) if rows else _NO_FILL
+    network._write_rates(flows, owners, fill.rates)
+    # Splice, fabric-wide: every link is retired, and the fill's links
+    # get their loads back.
+    load = network._load_array
+    load[:] = 0.0
+    load[fill.links] = fill.loads
+    np.divide(load, network._cap_array, out=network._util_array)
+    np.maximum(network._peak_util_array, network._util_array, out=network._peak_util_array)
+    network._stat_realloc_demands += len(rows)
+    network._stat_fill_iterations += fill.iterations
+    # Dead rows already hold the reset values.
+    network._refresh_reordering(flows, slice(0, network.flow_store.size))
+    network._stat_realloc_full += 1
+    # A full fill leaves nothing dirty.
+    network._components.discard_dirty()
+    network._retired_link_ids.clear()
+
+
+def install_full_refill(network: Network) -> None:
+    """Swap one network's component-scoped refill for the global fill.
+
+    The flow-link index still records every attach and detach; the
+    global fill discards its dirty marks instead of walking them.
+    """
+    network._refill_dirty = functools.partial(  # type: ignore[method-assign]
+        full_refill_reference, network
     )
 
 
@@ -233,25 +280,19 @@ def scalar_control_plane() -> Iterator[None]:
 # The harness
 # ---------------------------------------------------------------------------
 
-def _same_config(config: ScenarioConfig) -> ScenarioConfig:
-    """The scenario as given: most twins rewrite no configuration."""
-    return config
-
-
 @dataclass(frozen=True)
 class Twin:
     """One reference implementation and how to put it in place for a run.
 
-    Every hook is optional: ``network`` is called on the freshly built
-    network (the ``run_scenario`` instrument seam), ``scope`` is entered
-    around the whole run, and ``config`` rewrites the scenario first.
+    Both hooks are optional: ``network`` is called on the freshly built
+    network (the ``run_scenario`` instrument seam), and ``scope`` is
+    entered around the whole run.
     """
 
     #: names the twin in violation messages.
     oracle: str
     network: Optional[Instrument] = None
     scope: Callable[[], ContextManager[None]] = contextlib.nullcontext
-    config: Callable[[ScenarioConfig], ScenarioConfig] = _same_config
 
     def run(
         self, config: ScenarioConfig, instrument: Optional[Instrument] = None
@@ -267,18 +308,13 @@ class Twin:
                 self.network(network)
 
         with self.scope():
-            result = run_scenario(self.config(config), instrument=install)
+            result = run_scenario(config, instrument=install)
         return result, networks[0]
-
-
-def _incremental(config: ScenarioConfig) -> ScenarioConfig:
-    params = {**config.network_params, "incremental_realloc": True}
-    return dataclasses.replace(config, network_params=params)
 
 
 SCALAR_CONTROL_PLANE = Twin("controlplane-equivalence", scope=scalar_control_plane)
 SCALAR_SETTLE = Twin("settle-equivalence", network=install_scalar_settle)
-INCREMENTAL = Twin("incremental-equivalence", config=_incremental)
+FULL_REFILL = Twin("full-refill-equivalence", network=install_full_refill)
 
 #: Result fields compared separately (or, for ``config``, never).
 _STRUCTURED_FIELDS = ("config", "dard_shift_log", "records")

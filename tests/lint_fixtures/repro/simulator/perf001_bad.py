@@ -4,7 +4,7 @@
 class FakeNetwork:
     """Minimal shape for the rule: only the method name matters."""
 
-    def _refill_full(self):
+    def _refill_dirty(self):
         """Hashes a (u, v) tuple per link per event — the PR 1 regression."""
         for u, v in self.links:
             self.load[(u, v)] = 0.0

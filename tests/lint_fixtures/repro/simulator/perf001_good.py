@@ -4,6 +4,6 @@
 class FakeNetwork:
     """Minimal shape for the rule: only the method name matters."""
 
-    def _refill_full(self):
+    def _refill_dirty(self):
         """One vectorized store over interned link ids."""
         self.loads[self.link_ids] = 0.0

@@ -48,20 +48,6 @@ class TestCliExports:
 
 
 class TestNetworkConfigSwitches:
-    def test_reordering_model_disabled(self):
-        net = Network(
-            FatTree(p=4, link_bandwidth_bps=100 * MBPS), model_reordering=False
-        )
-        topo = net.topology
-        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
-        components = [
-            FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", p), weight=0.25)
-            for p in paths
-        ]
-        flow = net.start_flow("h_0_0_0", "h_1_0_0", 50 * MB, components)
-        net.engine.run_until(1.0)
-        assert flow.reorder_retx_fraction == 0.0
-
     def test_zero_switch_penalty(self):
         net = Network(
             FatTree(p=4, link_bandwidth_bps=100 * MBPS), path_switch_retx_bytes=0

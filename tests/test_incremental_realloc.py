@@ -1,10 +1,11 @@
-"""Incremental component-scoped reallocation: equivalence and telemetry.
+"""Component-scoped reallocation: equivalence and telemetry.
 
-The contract under test is bit-exactness: a network running with
-``incremental_realloc=True`` must produce exactly the flow records — same
-ids, same start/end times to the last float bit, same path switches — as
-the same scenario re-filled globally on every membership change. The
-fuzz-backed cases route every event through the live differential oracle
+The contract under test is bit-exactness: the network's component-scoped
+refill must produce exactly the flow records — same ids, same start/end
+times to the last float bit, same path switches — as the same scenario
+re-filled globally on every membership change, which the
+:data:`~repro.validation.twins.FULL_REFILL` twin runs. The fuzz-backed
+cases route every event through the live differential oracle
 (:func:`~repro.validation.oracles.check_incremental_against_full`) as
 well, so a splice bug fails at the event where it happens, not at the end.
 """
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.units import MB, MBPS
-from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.experiments.runner import ScenarioConfig
 from repro.simulator import FlowComponent, Network
 from repro.simulator.components import FlowLinkComponents
 from repro.topology import FatTree
 from repro.validation.fuzz import random_scenario, run_case
 from repro.validation.oracles import check_incremental_against_full
+from repro.validation.twins import FULL_REFILL, install_full_refill, twin_run
 
 BASE = ScenarioConfig(
     topology="fattree",
@@ -36,28 +38,16 @@ BASE = ScenarioConfig(
 )
 
 
-def _records(config, incremental):
-    config = dataclasses.replace(
-        config, network_params={"incremental_realloc": incremental}
-    )
-    result = run_scenario(config)
-    return [
-        (r.flow_id, r.src, r.dst, r.start_time, r.end_time,
-         r.path_switches, r.retransmitted_bytes)
-        for r in result.records
-    ]
-
-
-def _stride_network(incremental=True):
+def _stride_network(full_refill=False):
     """A p=4 network with one pod-0 flow and one pod-2<->3 flow.
 
     The two flows share no link, so they live in different flow-link
     components and membership changes to one leave the other untouched.
+    ``full_refill`` installs the global-fill reference twin first.
     """
-    net = Network(
-        FatTree(p=4, link_bandwidth_bps=100 * MBPS),
-        incremental_realloc=incremental,
-    )
+    net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
+    if full_refill:
+        install_full_refill(net)
     topo = net.topology
     flows = []
     # Different sizes so the completions are staggered: each completion
@@ -89,8 +79,10 @@ def _component_of(comps, flow_id):
 class TestEquivalence:
     @pytest.mark.parametrize("scheduler", ["ecmp", "dard", "vlb"])
     def test_records_identical_across_modes(self, scheduler):
+        # twin_run raises unless the global-fill run's records, shift
+        # journal and every other result field are identical.
         config = dataclasses.replace(BASE, scheduler=scheduler)
-        assert _records(config, True) == _records(config, False)
+        assert twin_run(config, FULL_REFILL).records
 
     def test_records_identical_with_link_failures(self):
         config = dataclasses.replace(
@@ -102,9 +94,7 @@ class TestEquivalence:
                 ("fail", 8.0, "tor_1_0", "agg_1_0"),
             ),
         )
-        full = _records(config, False)
-        incremental = _records(config, True)
-        assert full and incremental == full
+        assert twin_run(config, FULL_REFILL).records
 
     def test_fuzz_cases_pass_live_oracle(self):
         # run_case attaches check_incremental_against_full to the
@@ -156,7 +146,7 @@ class TestTelemetry:
             check_incremental_against_full(net)
 
     def test_full_mode_never_goes_incremental(self):
-        net, _ = _stride_network(incremental=False)
+        net, _ = _stride_network(full_refill=True)
         net.engine.run_until_idle(hard_limit=60.0)
         stats = net.perf_stats()
         assert stats["realloc_incremental"] == 0
@@ -318,16 +308,32 @@ def test_consume_dirty_matches_brute_force_search(ops):
 
 class TestBatchPathState:
     def test_batch_matches_scalar_path_state(self):
-        net, _ = _stride_network()
+        # Elephants on two of the paths and a failed cable on a third give
+        # the rows different bottlenecks, so each pick is a real minimum.
+        net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS), elephant_age_s=0.0005)
         topo = net.topology
         paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
+        for src, dst, k in (
+            ("h_0_0_0", "h_1_0_0", 0),
+            ("h_0_0_1", "h_1_0_1", 0),
+            ("h_0_0_0", "h_1_0_1", 1),
+        ):
+            net.start_flow(src, dst, 64e6, [FlowComponent(topo.host_path(src, dst, paths[k]))])
+        net.engine.run_until(0.001)
+        net.fail_link(*paths[2][1:3])
         ids = [net.index_switch_path(p) for p in paths]
         indptr = np.zeros(len(ids) + 1, dtype=np.intp)
         np.cumsum([a.size for a in ids], out=indptr[1:])
-        batch = net.batch_path_state(np.concatenate(ids), indptr)
-        for path, state in zip(paths, batch):
-            scalar = net.path_state(path)
-            assert state == scalar
+        band, eleph = net.batch_path_state_arrays(np.concatenate(ids), indptr)
+        for k, path in enumerate(paths):
+            # The first minimum-BoNF link of the path, one link at a time.
+            scalar = min(
+                (net.link_state(u, v) for u, v in zip(path, path[1:])),
+                key=lambda state: state.bonf,
+            )
+            assert (band[k], eleph[k]) == (scalar.bandwidth_bps, scalar.elephant_flows)
+            assert net.path_state(path) == scalar
+        assert len(set(zip(band.tolist(), eleph.tolist()))) == 3
 
     def test_switch_link_mask_drops_host_hops(self):
         net, _ = _stride_network()
@@ -346,6 +352,6 @@ class TestBatchPathState:
 
         net, _ = _stride_network()
         with pytest.raises(SimulationError):
-            net.batch_path_state(
+            net.batch_path_state_arrays(
                 np.empty(0, dtype=np.intp), np.zeros(2, dtype=np.intp)
             )

@@ -177,7 +177,7 @@ class TestConfig:
         ]
         assert findings == []
         assert "PERF001" in {f.code for f in _lint(FIXTURES / "repro/simulator")}
-        assert "_refill_full" in source  # the hot name is what scope protects
+        assert "_refill_dirty" in source  # the hot name is what scope protects
 
 
 class TestReporting:

@@ -1,9 +1,10 @@
 """Tests for weighted max-min fair allocation (progressive filling)."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simulator.maxmin import link_utilizations, maxmin_allocate
+from repro.simulator.maxmin import link_utilizations, maxmin_allocate, sorted_unique
 
 
 def links(*names):
@@ -103,3 +104,13 @@ class TestInvariantsAndErrors:
         utils = link_utilizations(demands, rates, cap)
         for (route, _), rate in zip(demands, rates):
             assert any(utils[link] >= 1.0 - 1e-9 for link in route)
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 400, 12_000])
+    def test_matches_np_unique(self, size):
+        rng = np.random.default_rng(size)
+        ids = rng.integers(0, max(1, size // 2), size).astype(np.intp)
+        got = sorted_unique(ids)
+        assert got.dtype == ids.dtype
+        assert np.array_equal(got, np.unique(ids))

@@ -54,21 +54,14 @@ class TestRunScenariosParallel:
 
     def test_parallel_records_bit_identical_on_grid(self):
         # Determinism down to the last float bit, across schedulers and
-        # both reallocation modes: worker processes must replay exactly
-        # the event sequence a serial run produces.
+        # seeds: worker processes must replay exactly the event sequence a
+        # serial run produces.
         import dataclasses
 
         configs = [
-            dataclasses.replace(
-                BASE,
-                scheduler=scheduler,
-                seed=seed,
-                duration_s=8.0,
-                network_params={"incremental_realloc": incremental},
-            )
+            dataclasses.replace(BASE, scheduler=scheduler, seed=seed, duration_s=8.0)
             for scheduler in ("ecmp", "dard")
             for seed in (1, 2)
-            for incremental in (False, True)
         ]
 
         def fingerprint(result):

@@ -6,26 +6,33 @@ writing network state it does not own, or the dirty refill writing
 state outside the component it re-fills. Fault (e) leaves a rate on a
 released flow-store row, which the settle and ETA passes would then
 read. Fault (f) leaves a failed cable's dead demands' loads behind.
-On each seed :func:`~repro.validation.fuzz.run_case` must raise, naming
-the invariant that caught it. A fault turned into a no-op fails its
-test, so this measures the battery's reach instead of assuming it
-(EXPERIMENTS.md "Planted ownership faults").
+Fault (g) makes the refill skip a dirty component, whose flows keep
+stale rates. On each seed :func:`~repro.validation.fuzz.run_case` must
+raise, naming the invariant that caught it. A fault turned into a no-op
+fails its test, so this measures the battery's reach instead of
+assuming it (EXPERIMENTS.md "Planted ownership faults").
 
-Faults (a)-(e) run on DARD fuzz cases whose drawn regime promotes
-elephants and shifts flows: without a running control plane, the faults
-planted in the daemon round and the registry poll never execute. Fault
-(f) runs on DARD fuzz cases that draw a failure storm.
+Fault (g) is also the evidence for the two checks that replay the global
+fill, each on its own: the in-run ``incremental-vs-full`` oracle and the
+:data:`~repro.validation.twins.FULL_REFILL` twin.
+
+Faults (a)-(e) and (g) run on DARD fuzz cases whose drawn regime
+promotes elephants and shifts flows: without a running control plane,
+the faults planted in the daemon round and the registry poll never
+execute. Fault (f) runs on DARD fuzz cases that draw a failure storm.
 """
 
 import numpy as np
 import pytest
 
-from repro.common.errors import InvariantViolation
+from repro.common.errors import InvariantViolation, OracleViolation
 from repro.core.daemon import HostDaemon
 from repro.experiments.runner import run_scenario
+from repro.simulator.components import FlowLinkComponents
 from repro.simulator.flowstore import FlowStore
 from repro.simulator.network import Network
-from repro.validation import random_scenario, run_case
+from repro.validation import FULL_REFILL, random_scenario, run_case, twin_run
+from repro.validation.oracles import check_incremental_against_full
 
 #: DARD fuzz seeds that promote elephants and make at least one shift.
 SHIFTING_DARD_SEEDS = (12, 45, 160, 174)
@@ -139,13 +146,35 @@ def failure_keeps_dead_loads(monkeypatch):
     monkeypatch.setattr(Network, "_reallocate_cable", reallocate)
 
 
-#: (fault, the invariant that must kill it).
+def drop_last_dirty_component(monkeypatch):
+    """(g) ``consume_dirty`` drops the last dirty component it walks, so
+    the refill leaves that component's flows at their previous rates."""
+
+    def consume_dirty(self):
+        dirty, self._dirty_links = self._dirty_links, set()
+        links, flows, last = set(), set(), set()
+        touched = 0
+        for link in sorted(dirty):
+            if link not in links and link in self._link_flows:
+                touched += 1
+                walked = set(flows)
+                self._walk(link, links, flows)
+                last = flows - walked
+        return touched, sorted(flows - last)
+
+    monkeypatch.setattr(FlowLinkComponents, "consume_dirty", consume_dirty)
+
+
+#: (fault, the invariant that must kill it). The KKT certificate is the
+#: battery's first check to see a skipped component: a flow that joined
+#: it still has rate 0 on links with room to spare.
 FAULTS = (
     (elephant_count_on_poll, "elephant-counter"),
     (rate_halved_by_round, "flow-store-rate"),
     (load_outside_component, "persistent-load"),
     (rate_ulp_outside_component, "flow-store-rate"),
     (release_keeps_rate, "flow-store-dead-rate"),
+    (drop_last_dirty_component, "maxmin-kkt"),
 )
 
 
@@ -185,10 +214,38 @@ def test_failure_fault_is_killed(monkeypatch, seed):
     assert caught.value.invariant == "persistent-load"
 
 
+@pytest.mark.parametrize("seed", SHIFTING_DARD_SEEDS)
+def test_skipped_component_is_killed_by_the_oracle(monkeypatch, seed):
+    # run_case's incremental-vs-full oracle on its own, after every event.
+    drop_last_dirty_component(monkeypatch)
+
+    def attach_oracle(network):
+        network.engine.add_after_event_hook(lambda: check_incremental_against_full(network))
+
+    with pytest.raises(OracleViolation) as caught:
+        run_scenario(random_scenario(seed), instrument=attach_oracle)
+    assert caught.value.oracle == "incremental-vs-full"
+
+
+@pytest.mark.parametrize("seed", SHIFTING_DARD_SEEDS)
+def test_skipped_component_is_killed_by_the_twin(monkeypatch, seed):
+    # The global-fill twin on its own: the twin's network never consumes
+    # dirty marks, so only the production run carries the fault.
+    drop_last_dirty_component(monkeypatch)
+    with pytest.raises(OracleViolation) as caught:
+        twin_run(random_scenario(seed), FULL_REFILL)
+    assert caught.value.oracle == FULL_REFILL.oracle
+
+
 #: The faults a run's results can see. Fault (c) corrupts state only: a
 #: refill zeroes a link's load before it re-scatters and reads it, so the
 #: extra bit/s never reaches a rate or a utilization.
-BEHAVIOUR_CHANGING = (elephant_count_on_poll, rate_halved_by_round, rate_ulp_outside_component)
+BEHAVIOUR_CHANGING = (
+    elephant_count_on_poll,
+    rate_halved_by_round,
+    rate_ulp_outside_component,
+    drop_last_dirty_component,
+)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
 """Scale check: p=32 fat-tree (8192 hosts), past the paper's largest size.
 
-The control plane (per-pair monitor caches + matrix Algorithm 1 +
-integer-indexed flow vectors) is what makes four-digit daemon fleets
-tractable; this bench pushes to 8192 hosts and checks the paper's story
-survives: DARD still beats ECMP under stride and the per-flow stability
-bound tightens (p90 path switches <= 1 at this scale's light per-host
-load).
+The control plane (one dense bottleneck poll per monitor over interned
+per-pair link-id matrices + integer-indexed flow vectors) is what makes
+four-digit daemon fleets tractable; this bench pushes to 8192 hosts and
+checks the paper's story survives: DARD still beats ECMP under stride
+and the per-flow stability bound tightens (p90 path switches <= 1 at
+this scale's light per-host load).
 
 Every knob is env-overridable for CI's short budget:
 ``BENCH_SCALE_P32_DURATION`` (default 25 sim-s), ``BENCH_SCALE_P32_RATE``

@@ -4,9 +4,10 @@ The columnar FlowStore is what makes five-digit host counts tractable on
 the data plane: with tens of thousands of concurrent flows, the per-event
 settle/ETA passes are single numpy sweeps over the SoA columns instead of
 Python loops over ``flows.values()``. Together with the control plane
-(per-pair monitor caches + matrix Algorithm 1) this bench pushes to
-65,536 hosts and checks the paper's story survives: DARD still beats
-ECMP under stride at a scale three orders of magnitude past the testbed.
+(one dense bottleneck poll per monitor + per-monitor Algorithm 1 over
+integer flow vectors) this bench pushes to 65,536 hosts and checks the
+paper's story survives: DARD still beats ECMP under stride at a scale
+three orders of magnitude past the testbed.
 
 Every knob is env-overridable for CI's short budget:
 ``BENCH_SCALE_P64_DURATION`` (default 10 sim-s), ``BENCH_SCALE_P64_RATE``

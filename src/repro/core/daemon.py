@@ -6,22 +6,14 @@ host's own active path with the smallest; if moving one elephant to the
 former raises the bottleneck estimate by more than δ, re-encapsulate one
 elephant flow onto the better path.
 
-One scheduling round evaluates every monitor at once over a padded
-(monitors × paths) BoNF matrix. The best target becomes a masked argmax
-(ties toward the higher post-shift estimate, then the lower index), the
-worst active path an argmin over active paths (first-minimum ties), and
-the δ-test a boolean mask; only monitors whose test fires take the
-per-shift tail (pick the flow, reroute it, apply the optimistic
-within-round update). FV is assembled from each flow's integer
-``monitored_path_index`` — no switch-path tuple hashing.
-
-The matrix is a *snapshot* of the monitors' cached states, which is
-exactly what the sequential per-monitor loop sees too: monitors are
-disjoint per (src ToR, dst ToR) pair, each monitor makes at most one
-decision per round, and a shift only touches its own monitor's state and
-its own pair's FV — so evaluating all decisions up front is
-order-equivalent to the sequential sweep. That sweep, over
-:class:`~repro.core.bonf.PathState` objects with tuple-keyed FV, lives on
+One scheduling round runs that step monitor by monitor, over each
+monitor's raw state arrays with plain floats: the best target is the
+first index of the lexicographic ``(BoNF, post-shift estimate)``
+maximum, the worst active path the first active index of the BoNF
+minimum, and the δ-test the scalar code's early return. FV is
+assembled from each flow's integer ``monitored_path_index`` — no
+switch-path tuple hashing. The sweep over
+:class:`~repro.core.bonf.PathState` objects with tuple-keyed FV lives on
 as the scalar reference twin in :mod:`repro.validation.twins`, which
 dual-runs scenarios against this round and demands the same shift
 journal and bit-identical records.
@@ -30,8 +22,6 @@ journal and bit-identical records.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.addressing.codec import PathCodec
 from repro.common.logging import get_logger
@@ -44,11 +34,6 @@ from repro.core.registry import MonitorRegistry
 
 PairKey = Tuple[str, str]
 ShiftRecord = Tuple[float, str, int, int, int]
-
-#: Below this many (monitors x paths) matrix cells the vectorized round
-#: runs its plain-float small-fleet path instead — numpy's fixed per-op
-#: cost only amortizes once the padded matrix is reasonably large.
-_SMALL_ROUND_CELLS = 128
 
 logger = get_logger("core.daemon")
 
@@ -83,9 +68,6 @@ class HostDaemon:
         #: live elephant flows of this host, grouped by (src ToR, dst ToR).
         self.elephants: Dict[PairKey, List[Flow]] = {}
         self.shifts_performed = 0
-        #: telemetry: matrix rounds run and per-shift tails taken.
-        self.vector_rounds = 0
-        self.shift_tails = 0
 
     # -- detector callbacks ------------------------------------------------------
 
@@ -118,9 +100,7 @@ class HostDaemon:
         self.elephants[pair] = [f for f in flows if f.flow_id != flow.flow_id]
         if not self.elephants[pair]:
             del self.elephants[pair]
-            monitor = self.monitors.pop(pair, None)
-            if monitor is not None:
-                monitor.release()
+            self.monitors.pop(pair, None)
 
     def _pair_of(self, flow: Flow) -> PairKey:
         topo = self.network.topology
@@ -139,98 +119,18 @@ class HostDaemon:
 
     # -- Algorithm 1: selfish flow scheduling ----------------------------------------
 
-    def _fill_flow_counts(self, monitor: PathMonitor, out: np.ndarray) -> None:
-        """FV via the integer fast path, accumulated into ``out``."""
-        for flow in self.elephants.get((monitor.src_tor, monitor.dst_tor), []):
-            if flow.active:
-                out[flow.monitored_path_index] += 1
-
     def run_scheduling_round(self) -> int:
-        """One selfish round over all monitors; returns number of shifts.
-
-        Algorithm 1 as one padded-matrix evaluation. Tie-breaking is
-        proven identical to the scalar reference loop:
-
-        * the best target is the *first* index of the lexicographic
-          maximum ``(bonf, post-shift estimate)`` — here: mask the row
-          maximum of ``bonf``, take the estimate maximum within the mask,
-          and ``argmax`` (first True) of the conjunction;
-        * the worst active path is the *first* active index of the minimum
-          ``bonf`` — here: ``argmin`` (first minimum) over ``bonf`` with
-          inactive paths lifted to +inf, falling back to the first active
-          index when every active path's bonf is infinite (argmin could
-          otherwise land on an inactive path);
-        * padding columns get ``bonf 0, estimate -1``, strictly below any
-          real path's ``(bonf >= 0, estimate >= 0)``, and ``FV 0`` (never
-          active), so they are never selected.
-        """
-        monitors = list(self.monitors.values())
-        self.vector_rounds += 1
-        if not monitors:
-            return 0
-        num_monitors = len(monitors)
-        width = max(len(monitor.paths) for monitor in monitors)
-        if num_monitors * width <= _SMALL_ROUND_CELLS:
-            # Tiny fleets (the common case: a host rarely talks to more
-            # than a couple of ToR pairs) are cheaper without the padded
-            # matrix — same decision procedure, plain floats.
-            shifts = 0
-            for monitor in monitors:
-                if self._schedule_one_arrays(monitor):
-                    shifts += 1
-            self.shifts_performed += shifts
-            return shifts
-        band = np.full((num_monitors, width), -1.0)
-        eleph = np.zeros((num_monitors, width), dtype=np.int64)
-        flow_counts = np.zeros((num_monitors, width), dtype=np.int64)
-        for i, monitor in enumerate(monitors):
-            k = monitor.state_band.size
-            band[i, :k] = monitor.state_band
-            eleph[i, :k] = monitor.state_eleph
-            self._fill_flow_counts(monitor, flow_counts[i])
-        # PathState.bonf / bonf_with_one_more_flow(), vectorized with the
-        # same guarded idiom (and IEEE float64 ops) as the scalar code.
-        bonf = np.where(
-            band <= 0.0,
-            0.0,
-            np.where(eleph > 0, band / np.maximum(eleph, 1), np.inf),
-        )
-        estimate = np.where(band <= 0.0, 0.0, band / (eleph + 1.0))
-        estimate = np.where(band < 0.0, -1.0, estimate)
-        rows = np.arange(num_monitors)
-        # Best target: first index of the lexicographic (bonf, est) max.
-        is_row_max = bonf == bonf.max(axis=1)[:, None]
-        est_masked = np.where(is_row_max, estimate, -np.inf)
-        best = np.argmax(
-            is_row_max & (est_masked == est_masked.max(axis=1)[:, None]), axis=1
-        )
-        # Worst active path: first active index of the min bonf.
-        active = flow_counts > 0
-        keyed = np.where(active, bonf, np.inf)
-        worst = np.argmin(keyed, axis=1)
-        has_active = active.any(axis=1)
-        all_inf = np.isinf(keyed[rows, worst])
-        worst = np.where(all_inf, np.argmax(active, axis=1), worst)
-        # The δ-test, spelled as the scalar code's negated early-return so
-        # even degenerate float corners (inf - inf) behave identically.
-        with np.errstate(invalid="ignore"):
-            gain = estimate[rows, best] - bonf[rows, worst]
-            fires = has_active & (best != worst) & ~(gain <= self.delta_bps)
+        """One selfish round over all monitors; returns number of shifts."""
         shifts = 0
-        for i in np.flatnonzero(fires):
-            monitor = monitors[i]
-            flow = self._pick_flow_indexed(monitor, int(worst[i]))
-            if flow is None:
-                continue
-            self.shift_tails += 1
-            self._shift(flow, monitor, int(best[i]), int(worst[i]))
-            shifts += 1
+        for monitor in list(self.monitors.values()):
+            if self._schedule_one_arrays(monitor):
+                shifts += 1
         self.shifts_performed += shifts
         return shifts
 
     def _schedule_one_arrays(self, monitor: PathMonitor) -> bool:
         """One monitor's Algorithm 1 step over the raw state arrays (no
-        PathState objects, integer FV) — the round's small-fleet path.
+        PathState objects, integer FV).
 
         One pass computes each path's ``(bonf, post-shift estimate)`` with
         the exact guarded idiom of :class:`PathState` (same IEEE float64
@@ -271,7 +171,6 @@ class HostDaemon:
         flow = self._pick_flow_indexed(monitor, worst)
         if flow is None:
             return False
-        self.shift_tails += 1
         self._shift(flow, monitor, best, worst)
         return True
 

@@ -14,19 +14,20 @@ Wires per-host daemons into the simulator:
   the jitter and reproduce the pathological case (ablation bench).
 
 The scheduler owns a fleet-wide
-:class:`~repro.core.registry.MonitorRegistry` — monitor polls are answered
-from per-pair caches checked against per-link change stamps — and
-daemons run the matrix
-scheduling round (see DESIGN.md "Control-plane batching"). Control-plane
-wall time is metered around both loops and reported through
-``Network.perf_stats()``. The original scalar control plane (per-monitor
-polling without the registry, tuple-keyed FV) is the reference twin in
-:mod:`repro.validation.twins`.
+:class:`~repro.core.registry.MonitorRegistry`, which interns each
+(src ToR, dst ToR) pair's paths and link-id matrix once; every monitor
+poll reads the network directly (see DESIGN.md "Control-plane
+batching"). The ``cp_*`` counters reach ``Network.perf_stats()``;
+control-plane wall time is measured from outside, around
+:meth:`HostDaemon.query_monitors` and
+:meth:`HostDaemon.run_scheduling_round` (perfbench's ``core.query`` and
+``core.round`` layers). The original scalar control plane (per-monitor
+:class:`~repro.core.bonf.PathState` objects, tuple-keyed FV) is the
+reference twin in :mod:`repro.validation.twins`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from repro.common.units import MBPS
@@ -69,11 +70,8 @@ class DardScheduler(Scheduler):
         #: fleet-wide shift journal, in event order (shared by all
         #: daemons); the reference twins compare these.
         self.shift_log: List[ShiftRecord] = []
-        # Control-plane wall time (telemetry only — simulated time is
-        # event-driven and never reads the wall clock).
+        #: ``query_monitors`` calls, periodic and priming alike.
         self._stat_query_rounds = 0
-        self._stat_query_time_s = 0.0
-        self._stat_round_time_s = 0.0
 
     def attach(self, ctx: SchedulerContext) -> None:
         super().attach(ctx)
@@ -117,32 +115,26 @@ class DardScheduler(Scheduler):
             # Each host runs its own independent control loops; the
             # scheduling loop re-draws its random jitter every round.
             self.ctx.engine.schedule_every(
-                self.query_interval_s, lambda d=daemon: self._timed_query(d)
+                self.query_interval_s, lambda d=daemon: self._poll(d)
             )
             self.ctx.engine.schedule_every(
                 self.scheduling_interval_s,
-                lambda d=daemon: self._timed_round(d),
+                lambda d=daemon: d.run_scheduling_round(),
                 jitter=self._jitter,
             )
         return daemon
 
-    def _timed_query(self, daemon: HostDaemon) -> None:
-        started = time.perf_counter()  # dardlint: disable=DET002
+    def _poll(self, daemon: HostDaemon) -> None:
+        """One ``query_monitors`` call, counted as ``cp_query_rounds``."""
         daemon.query_monitors()
         self._stat_query_rounds += 1
-        self._stat_query_time_s += time.perf_counter() - started  # dardlint: disable=DET002
-
-    def _timed_round(self, daemon: HostDaemon) -> None:
-        started = time.perf_counter()  # dardlint: disable=DET002
-        daemon.run_scheduling_round()
-        self._stat_round_time_s += time.perf_counter() - started  # dardlint: disable=DET002
 
     def _on_elephant(self, flow: Flow) -> None:
         daemon = self.daemon_for(flow.src)
         daemon.on_elephant(flow)
         # Prime the new monitor immediately so the first scheduling round
         # after detection sees real path states rather than zeros.
-        self._timed_query(daemon)
+        self._poll(daemon)
 
     def _on_flow_completed(self, flow: Flow) -> None:
         daemon = self.daemons.get(flow.src)
@@ -156,20 +148,12 @@ class DardScheduler(Scheduler):
         return sum(d.shifts_performed for d in self.daemons.values())
 
     def controlplane_stats(self) -> Dict[str, float]:
-        """The ``cp_*`` telemetry merged into ``Network.perf_stats()``.
-
-        ``cp_query_time_s`` / ``cp_round_time_s`` are wall time inside the
-        two control loops.
-        """
+        """The ``cp_*`` telemetry merged into ``Network.perf_stats()``."""
         daemons = self.daemons.values()
         stats = {
             "cp_daemons": float(len(self.daemons)),
             "cp_monitors_live": float(sum(len(d.monitors) for d in daemons)),
             "cp_query_rounds": float(self._stat_query_rounds),
-            "cp_query_time_s": self._stat_query_time_s,
-            "cp_round_time_s": self._stat_round_time_s,
-            "cp_vector_rounds": float(sum(d.vector_rounds for d in daemons)),
-            "cp_shift_tails": float(sum(d.shift_tails for d in daemons)),
             "cp_shifts": float(self.total_shifts()),
         }
         if self.registry is not None:

@@ -32,7 +32,6 @@ from repro.simulator.maxmin import (
     maxmin_allocate_reference,
 )
 from repro.simulator.network import LinkState, Network
-from repro.simulator.reordering import reordering_retx_fraction
 
 __all__ = [
     "Allocation",
@@ -50,5 +49,4 @@ __all__ = [
     "maxmin_allocate",
     "maxmin_allocate_indexed",
     "maxmin_allocate_reference",
-    "reordering_retx_fraction",
 ]

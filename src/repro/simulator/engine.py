@@ -6,9 +6,10 @@ fully deterministic.
 
 The live-event count is maintained incrementally — push increments,
 cancel and fire decrement — so :attr:`EventEngine.pending_events` is O(1)
-instead of a heap scan (the network's completion rescheduling queries it
-per event at scale). :meth:`EventEngine.audit_pending_events` is the
-full-scan reference the tests assert the counter against.
+instead of a heap scan (the packet-level simulator's run loop reads it
+around every one-second slice to spot a wedged run).
+:meth:`EventEngine.audit_pending_events` is the full-scan reference the
+tests assert the counter against.
 """
 
 from __future__ import annotations

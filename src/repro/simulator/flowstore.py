@@ -9,8 +9,7 @@ loops become three masked array expressions (see DESIGN.md "Columnar
 flow state").
 
 :class:`FlowStore` owns those columns. Rows are allocated densely with
-free-list revival and geometric growth — the same structure lifecycle as
-:class:`~repro.core.registry.MonitorRegistry` (PR 5): *acquire* pops the
+free-list revival and geometric growth: *acquire* pops the
 smallest free row (keeping live rows packed at the bottom) or extends the
 active span, *release* marks the row dead and pushes it onto the free
 heap, and once dead rows reach half the active span a **compaction

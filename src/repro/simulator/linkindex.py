@@ -79,19 +79,23 @@ class LinkIndex:
 
     @classmethod
     def from_topology(cls, topology: Any) -> "LinkIndex":
-        """Intern every directed link of a topology, in its link order."""
+        """Intern every directed link of a topology, in its link order.
+
+        One pass over the cables: each emits ``(u, v)`` then ``(v, u)``,
+        the order of ``topology.directed_links()``.
+        """
         links: List[LinkId] = []
         caps: List[float] = []
         delays: List[float] = []
         switchy: List[bool] = []
-        for u, v in topology.directed_links():
-            link = topology.link(u, v)
-            links.append((u, v))
-            caps.append(link.bandwidth_bps)
-            delays.append(link.delay_s)
-            switchy.append(
-                topology.node(u).kind.is_switch and topology.node(v).kind.is_switch
-            )
+        nodes = topology.nodes
+        for cable in topology.links():
+            u, v = cable.u, cable.v
+            both = nodes[u].kind.is_switch and nodes[v].kind.is_switch
+            links += ((u, v), (v, u))
+            caps += (cable.bandwidth_bps, cable.bandwidth_bps)
+            delays += (cable.delay_s, cable.delay_s)
+            switchy += (both, both)
         return cls(links, caps, delays, np.asarray(switchy, dtype=bool))
 
     def __len__(self) -> int:
@@ -127,9 +131,9 @@ class LinkIndex:
         """``(2, n)`` ids of the ``n`` cables ``table`` lists, memoized per table.
 
         Row 0 holds each cable in its listed direction ``(u, v)``, row 1
-        the reverse ``(v, u)``. The monitor registry gathers a ToR pair's
-        link-id CSR from these per-switch tables instead of interning
-        every hop of every path.
+        the reverse ``(v, u)``. A ToR pair's ``(paths, hops)`` link-id
+        matrix is gathered from these per-switch tables instead of
+        interning every hop of every path.
         """
         ids = self._cable_ids.get(table)
         if ids is None:

@@ -45,11 +45,11 @@ count differs (per-component fills count symmetric cross-component ties
 as separate rounds).
 
 Monitoring queries are vectorized the same way:
-:meth:`batch_path_state_arrays` evaluates every monitored path's
-bottleneck BoNF in one pass over the dense capacity/elephant/failure
-arrays from precomputed per-path link-id CSR rows (see
-:meth:`index_switch_path`), replacing per-link :meth:`link_state` loops
-in DARD's monitor registry.
+:meth:`batch_path_state_arrays` takes a ToR pair's dense ``(paths,
+hops)`` link-id matrix and picks every path's bottleneck BoNF in one
+pass over the dense capacity/elephant/failure arrays, replacing
+per-link :meth:`link_state` loops; DARD's monitors poll it directly on
+every query, with no cache in between.
 
 Columnar flow state (see DESIGN.md "Columnar flow state"): hot per-flow
 scalars live in a :class:`~repro.simulator.flowstore.FlowStore` — SoA
@@ -227,12 +227,6 @@ class Network:
         self.link_failed_listeners: List[Callable[[str, str], None]] = []
         self.link_restored_listeners: List[Callable[[str, str], None]] = []
 
-        #: control-plane cache invalidation: called with a link-id array
-        #: whenever those links' reported state (elephant count via
-        #: :meth:`_adjust_link_counts`, or bandwidth via fail/restore)
-        #: changes. The DARD :class:`~repro.core.registry.MonitorRegistry`
-        #: registers here to stamp those links in its path-state cache.
-        self.link_state_watchers: List[Callable[[np.ndarray], None]] = []
         #: extra ``perf_stats()`` key providers (the DARD control plane
         #: merges its ``cp_*`` telemetry through this seam).
         self.controlplane_stats_providers: List[Callable[[], Dict[str, float]]] = []
@@ -393,7 +387,6 @@ class Network:
         self._failed_mask[list(ids)] = True
         self._failed_ids.update(ids)
         self._reallocate_cable(ids)
-        self._notify_link_state(u, v)
         for listener in self.link_failed_listeners:
             listener(u, v)
 
@@ -409,7 +402,6 @@ class Network:
         self._failed_mask[list(ids)] = False
         self._failed_ids.difference_update(ids)
         self._reallocate_cable(ids)
-        self._notify_link_state(u, v)
         for listener in self.link_restored_listeners:
             listener(u, v)
 
@@ -428,17 +420,6 @@ class Network:
             self._retired_link_ids.append(np.array(crossing, dtype=np.intp))
         self._stat_realloc_sync += 1
         self._reallocate()
-
-    def _notify_link_state(self, u: str, v: str) -> None:
-        """Tell link-state watchers both directed ids of a cable changed."""
-        if not self.link_state_watchers:
-            return
-        ids = np.array(
-            [self.link_index.id_of((u, v)), self.link_index.id_of((v, u))],
-            dtype=np.intp,
-        )
-        for watcher in self.link_state_watchers:
-            watcher(ids)
 
     # -- switch state query API (what DARD monitors poll) ----------------------
 
@@ -459,80 +440,55 @@ class Network:
             total_flows=int(self._total_array[index]),
         )
 
-    def index_switch_path(self, path: Sequence[str]) -> np.ndarray:
-        """Link-id array of a node path's switch-switch hops.
+    def _bottleneck(self, hops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row bottleneck of a ``(paths, hops)`` link-id matrix:
+        ``(bandwidth array, chosen link ids)``.
 
-        The registration-time half of vectorized monitoring: monitors call
-        this once per monitored path and reuse the ids (stacked into CSR
-        rows) on every :meth:`batch_path_state_arrays` poll, so the
-        per-poll hot path never hashes a ``(str, str)`` link key. Unknown
-        links raise :class:`~repro.common.errors.SimulationError`.
+        The shared core of :meth:`batch_path_state_arrays` and
+        :meth:`path_state`: ``np.argmin`` picks each row's *first*
+        minimum-BoNF link, as a sequential ``min()`` over the row's
+        :meth:`link_state` values does.
         """
-        ids = self.link_index.index_path(path)
-        return ids[self.link_index.switch_link_mask[ids]]
-
-    def _batch_bottleneck(
-        self, indices: np.ndarray, indptr: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-CSR-row bottleneck: ``(bandwidth array, chosen link ids)``.
-
-        The shared vectorized core of :meth:`batch_path_state_arrays` and
-        :meth:`path_state`: picks each row's *first* minimum-BoNF link,
-        matching a sequential ``min()`` over the row's :meth:`link_state`
-        values exactly.
-        """
-        lengths = np.diff(indptr)
-        if not np.all(lengths > 0):
+        if hops.shape[1] == 0:
             raise SimulationError("path-state rows must be non-empty")
-        band = np.where(self._failed_mask[indices], 0.0, self._cap_array[indices])
-        eleph = self._eleph_array[indices]
+        band = np.where(self._failed_mask[hops], 0.0, self._cap_array[hops])
+        eleph = self._eleph_array[hops]
         # LinkState.bonf, vectorized: 0 when down, inf when elephant-free.
         bonf = np.where(
             band <= 0.0,
             0.0,
             np.where(eleph > 0, band / np.maximum(eleph, 1), np.inf),
         )
-        starts = indptr[:-1]
-        best = np.minimum.reduceat(bonf, starts)
-        nnz = int(indices.shape[0])
-        position = np.where(
-            bonf == np.repeat(best, lengths), np.arange(nnz, dtype=np.intp), nnz
-        )
-        first = np.minimum.reduceat(position, starts)
-        return band[first], indices[first]
+        rows = np.arange(hops.shape[0])
+        first = np.argmin(bonf, axis=1)
+        return band[rows, first], hops[rows, first]
 
-    def batch_path_state_arrays(
-        self, indices: np.ndarray, indptr: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row bottleneck ``(bandwidth, elephant count)`` arrays.
+    def batch_path_state_arrays(self, hops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-path bottleneck ``(bandwidth, elephant count)`` arrays.
 
-        ``indices``/``indptr`` are a CSR over link ids: path ``k`` crosses
-        ``indices[indptr[k]:indptr[k + 1]]`` (each row non-empty, e.g. from
-        :meth:`index_switch_path`). Row ``k``'s bottleneck is its *first*
-        minimum-BoNF link; the two returned arrays (float64 bandwidth,
-        int64 elephant count) are that link's :meth:`link_state` values,
-        without building any :class:`LinkState` object.
+        ``hops`` is a ``(paths, hops)`` link-id matrix: row ``k`` lists
+        path ``k``'s switch-switch links (a ToR pair's
+        :meth:`~repro.topology.paths.EqualCostPaths.hop_links`). Row
+        ``k``'s bottleneck is its *first* minimum-BoNF link; the two
+        returned arrays (float64 bandwidth, int64 elephant count) are that
+        link's :meth:`link_state` values, without building any
+        :class:`LinkState` object. Both arrays are fresh on every call.
         """
-        num_paths = int(indptr.shape[0]) - 1
-        if num_paths <= 0:
-            return np.empty(0, dtype=float), np.empty(0, dtype=np.int64)
-        band, chosen = self._batch_bottleneck(indices, indptr)
+        band, chosen = self._bottleneck(hops)
         return band, self._eleph_array[chosen]
 
-    def path_state(self, path: Sequence[str], skip_host_links: bool = True) -> LinkState:
+    def path_state(self, path: Sequence[str]) -> LinkState:
         """The most-congested-link state along a node path (paper §2.5).
 
-        ``skip_host_links`` drops the first/last host-switch hop — a flow
-        cannot route around those, so DARD excludes them from BoNF (§2.2).
-        Registered monitors skip the per-call indexing via
-        :meth:`index_switch_path` and poll :meth:`batch_path_state_arrays`.
+        The host-switch hops are dropped — a flow cannot route around
+        those, so DARD excludes them from BoNF (§2.2). Monitors poll a
+        whole pair through :meth:`batch_path_state_arrays` instead.
         """
         ids = self.link_index.index_path(path)
-        if skip_host_links:
-            ids = ids[self.link_index.switch_link_mask[ids]]
+        ids = ids[self.link_index.switch_link_mask[ids]]
         if ids.size == 0:
             raise SimulationError(f"path {path!r} has no switch-switch links")
-        band, chosen = self._batch_bottleneck(ids, np.array([0, ids.size], dtype=np.intp))
+        band, chosen = self._bottleneck(ids[None, :])
         link = int(chosen[0])
         return LinkState(
             bandwidth_bps=float(band[0]),
@@ -615,10 +571,9 @@ class Network:
         acquires/revivals/grows/compactions).
 
         Registered ``controlplane_stats_providers`` (the DARD scheduler's
-        ``cp_*`` keys — monitor/registry population, batched query rounds,
-        matrix rounds and shift tails, control-plane wall time; see
-        DESIGN.md "Control-plane batching") are merged into the returned
-        dict after the base keys.
+        ``cp_*`` keys — daemons, live monitors, query rounds, shifts and
+        interned pairs; see DESIGN.md "Control-plane batching") are merged
+        into the returned dict after the base keys.
         """
         stats: Dict[str, float] = {
             "realloc_calls": self._stat_realloc_calls,
@@ -899,8 +854,6 @@ class Network:
         self._total_array[ids] += delta
         if flow.is_elephant:
             self._eleph_array[ids] += delta
-            for watcher in self.link_state_watchers:
-                watcher(ids)
 
     def _promote_elephant(self, flow_id: int) -> None:
         flow = self.flows.get(flow_id)

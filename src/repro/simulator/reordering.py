@@ -36,11 +36,9 @@ by the network.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
-
-from repro.simulator.flows import FlowComponent
 
 #: Calibration constant (see module docstring).
 BETA = 0.8
@@ -53,48 +51,6 @@ MAX_RETX_FRACTION = 0.5
 QUEUE_DELAY_CAP_FACTOR = 10.0
 
 
-def component_delay(
-    component: FlowComponent,
-    link_delays: Dict[Tuple[str, str], float],
-    link_utils: Dict[Tuple[str, str], float],
-) -> Tuple[float, float]:
-    """(propagation, queueing) one-way delay estimate for a path."""
-    prop_total = 0.0
-    queue_total = 0.0
-    for link in component.links():
-        prop = link_delays[link]
-        util = min(link_utils.get(link, 0.0), 0.99)
-        queue = prop * min(QUEUE_DELAY_CAP_FACTOR, util / (1.0 - util))
-        prop_total += prop
-        queue_total += queue
-    return prop_total, queue_total
-
-
-def _spread_fraction(
-    rates: Sequence[float],
-    total_rate: float,
-    totals: List[float],
-    queues: List[float],
-    beta: float,
-) -> float:
-    """Shared tail of both entry points: pairwise spread -> retx fraction."""
-    rtt_base = 2.0 * min(totals)
-    if rtt_base <= 0:
-        rtt_base = 1e-6
-    spread_term = 0.0
-    for i in range(len(totals)):
-        p_i = rates[i] / total_rate
-        if p_i <= 0:
-            continue
-        for j in range(i + 1, len(totals)):
-            p_j = rates[j] / total_rate
-            if p_j <= 0:
-                continue
-            gap = abs(totals[i] - totals[j]) + 0.5 * (queues[i] + queues[j])
-            spread_term += p_i * p_j * gap / rtt_base
-    return min(MAX_RETX_FRACTION, beta * spread_term)
-
-
 def reordering_retx_fraction_indexed(
     rates: Sequence[float],
     component_link_ids: Sequence[Sequence[int]],
@@ -102,12 +58,11 @@ def reordering_retx_fraction_indexed(
     link_utils: np.ndarray,
     beta: float = BETA,
 ) -> float:
-    """Array-backed fast path of :func:`reordering_retx_fraction`.
+    """Fraction of goodput retransmitted due to cross-path reordering.
 
     Takes the per-component link-id lists a network caches at
     start/reroute time plus its dense per-link delay and utilization
-    arrays; per-path delay estimates become vectorized gathers instead of
-    per-link dict lookups.
+    arrays; per-path delay estimates are vectorized gathers.
     """
     if len(component_link_ids) < 2:
         return 0.0
@@ -124,25 +79,18 @@ def reordering_retx_fraction_indexed(
         queue_total = float(queue.sum())
         totals.append(prop_total + queue_total)
         queues.append(queue_total)
-    return _spread_fraction(rates, total_rate, totals, queues, beta)
-
-
-def reordering_retx_fraction(
-    components: Sequence[FlowComponent],
-    rates: Sequence[float],
-    link_delays: Dict[Tuple[str, str], float],
-    link_utils: Dict[Tuple[str, str], float],
-    beta: float = BETA,
-) -> float:
-    """Fraction of goodput retransmitted due to cross-path reordering."""
-    if len(components) < 2:
-        return 0.0
-    total_rate = sum(rates)
-    if total_rate <= 0:
-        return 0.0
-    delays: List[Tuple[float, float]] = [
-        component_delay(c, link_delays, link_utils) for c in components
-    ]
-    totals = [p + q for p, q in delays]
-    queues = [q for _, q in delays]
-    return _spread_fraction(rates, total_rate, totals, queues, beta)
+    rtt_base = 2.0 * min(totals)
+    if rtt_base <= 0:
+        rtt_base = 1e-6
+    spread_term = 0.0
+    for i in range(len(totals)):
+        p_i = rates[i] / total_rate
+        if p_i <= 0:
+            continue
+        for j in range(i + 1, len(totals)):
+            p_j = rates[j] / total_rate
+            if p_j <= 0:
+                continue
+            gap = abs(totals[i] - totals[j]) + 0.5 * (queues[i] + queues[j])
+            spread_term += p_i * p_j * gap / rtt_base
+    return min(MAX_RETX_FRACTION, beta * spread_term)

@@ -14,8 +14,9 @@ through seams that already exist:
   demand;
 * a scoped class-level install that puts the original class attributes
   back on exit — :data:`SCALAR_CONTROL_PLANE` puts the original
-  per-monitor DARD control plane (no registry, ``PathState`` objects,
-  tuple-keyed FV) in place for the duration of one run.
+  per-monitor DARD control plane (path states assembled one
+  ``link_state`` at a time, ``PathState`` objects, tuple-keyed FV) in
+  place for the duration of one run.
 
 :func:`twin_run` runs a scenario and its twin, and :func:`compare_runs`
 demands the same shift journal, bit-identical flow records and equal
@@ -41,9 +42,7 @@ from repro.common.errors import OracleViolation
 from repro.core.bonf import PathState
 from repro.core.daemon import HostDaemon
 from repro.core.monitor import PathMonitor
-from repro.core.scheduler import DardScheduler
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
-from repro.scheduling.base import SchedulerContext
 from repro.simulator.flows import Flow
 from repro.simulator.maxmin import maxmin_allocate_indexed
 from repro.simulator.network import _BYTES_EPSILON, _NO_FILL, Network
@@ -227,10 +226,28 @@ def schedule_one(daemon: HostDaemon, monitor: PathMonitor) -> bool:
     return True
 
 
+def path_state_scalar(network: Network, path: Sequence[str]) -> PathState:
+    """One switch path's bottleneck, assembled one :meth:`~Network.link_state`
+    at a time: its first minimum-BoNF hop, as ``min()`` picks it."""
+    state = min(
+        (network.link_state(u, v) for u, v in zip(path, path[1:])),
+        key=lambda link: link.bonf,
+    )
+    return PathState(bandwidth_bps=state.bandwidth_bps, flow_numbers=state.elephant_flows)
+
+
 def query_monitors_scalar(daemon: HostDaemon) -> None:
-    """Poll every monitor and build its :class:`PathState` view each time."""
+    """Poll every monitor and rebuild its :class:`PathState` view per link.
+
+    ``refresh`` books the poll's messages; its rows are then replaced by
+    the per-link recount, so the production bottleneck kernel has a
+    reference in every run of this twin.
+    """
     for monitor in daemon.monitors.values():
-        monitor.query()
+        monitor.refresh()
+        monitor.path_states = [
+            path_state_scalar(daemon.network, path) for path in monitor.paths
+        ]
 
 
 def scheduling_round_scalar(daemon: HostDaemon) -> int:
@@ -245,24 +262,13 @@ def scheduling_round_scalar(daemon: HostDaemon) -> int:
 
 @contextlib.contextmanager
 def scalar_control_plane() -> Iterator[None]:
-    """Scoped install of the scalar control plane on every DARD scheduler.
+    """Scoped install of the scalar control plane on every DARD daemon.
 
-    Inside the block, :class:`DardScheduler` attaches without a
-    :class:`~repro.core.registry.MonitorRegistry` (each monitor polls the
-    network for its own rows) and :class:`HostDaemon` polls and schedules
-    through :func:`query_monitors_scalar` and
-    :func:`scheduling_round_scalar`. The class attributes are put back
-    on exit, also when the run raises.
+    Inside the block, :class:`HostDaemon` polls and schedules through
+    :func:`query_monitors_scalar` and :func:`scheduling_round_scalar`.
+    The class attributes are put back on exit, also when the run raises.
     """
-    attach = DardScheduler.attach
-
-    def attach_without_registry(scheduler: DardScheduler, ctx: SchedulerContext) -> None:
-        attach(scheduler, ctx)
-        ctx.network.link_state_watchers.remove(scheduler.registry.mark_links_dirty)
-        scheduler.registry = None
-
     patches: Tuple[Tuple[type, str, Callable], ...] = (
-        (DardScheduler, "attach", attach_without_registry),
         (HostDaemon, "query_monitors", query_monitors_scalar),
         (HostDaemon, "run_scheduling_round", scheduling_round_scalar),
     )

@@ -1,13 +1,12 @@
-"""Tests for the batched DARD control plane.
+"""Tests for the DARD control plane.
 
-Covers the :class:`MonitorRegistry` lifecycle (register / release /
-re-register), the per-link change-stamp contract (cached rows against
-direct network queries, and which polls refresh), Algorithm 1 tie-break
-edge cases in all three execution paths (the scalar reference twin,
-small-fleet floats, padded matrix), the two-sided optimistic
-``note_shift`` update, the ``cp_*`` telemetry surface, and the scalar
-control-plane twin run through the twin harness (including its
-self-test: a perturbed result must be caught).
+Covers the :class:`MonitorRegistry` intern table, monitor rows against a
+per-link ``link_state`` recount through promotion, failure and restore,
+fresh arrays on every poll, Algorithm 1 tie-break edge cases (the scalar
+reference twin and the production array round), the two-sided
+optimistic ``note_shift`` update, the ``cp_*`` telemetry surface, and
+the scalar control-plane twin run through the twin harness (including
+its self-test: a perturbed result must be caught).
 """
 
 import dataclasses
@@ -15,7 +14,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.core.daemon as daemon_module
 from repro.common.errors import OracleViolation
 from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
@@ -70,139 +68,105 @@ def hosted_pair_with_most_paths(topology):
     return max(pairs, key=lambda pair: len(topology.equal_cost_paths(*pair)))
 
 
-def assert_rows_fresh(net, registry, pair):
-    """The registry's rows equal a fresh query of the network, bit for bit."""
-    pp = registry.intern_pair(*pair)
-    band, eleph = registry.pair_rows(*pair)
-    direct_band, direct_eleph = net.batch_path_state_arrays(
-        pp.csr_indices, pp.csr_indptr
-    )
-    np.testing.assert_array_equal(band, direct_band)
-    np.testing.assert_array_equal(eleph, direct_eleph)
+def assert_rows_match_link_states(net, monitor):
+    """A monitor's rows equal a per-link recount of the network, bit for bit:
+    each path's first minimum-BoNF ``link_state``."""
+    recount = [
+        min(
+            (net.link_state(u, v) for u, v in zip(path, path[1:])),
+            key=lambda state: state.bonf,
+        )
+        for path in monitor.paths
+    ]
+    assert monitor.state_band.tolist() == [s.bandwidth_bps for s in recount]
+    assert monitor.state_eleph.tolist() == [s.elephant_flows for s in recount]
 
 
 class TestMonitorRegistry:
-    def test_register_interns_and_refcounts(self):
+    def test_register_interns_each_pair_once(self):
         net = make_network()
         registry = MonitorRegistry(net)
         pp1 = registry.register("tor_0_0", "tor_1_0")
-        registry.pair_rows("tor_0_0", "tor_1_0")
-        rows = registry.rows
-        assert rows == pp1.monitored.size
         pp2 = registry.register("tor_0_0", "tor_1_0")
+        registry.register("tor_0_0", "tor_0_1")
         assert pp1 is pp2  # interned, computed once
-        assert registry.rows == rows  # second registration caches nothing new
-        assert registry.live_pairs == 1
-        registry.release("tor_0_0", "tor_1_0")
-        assert registry.live_pairs == 1  # one monitor still up
-        assert registry.rows == rows
-        registry.release("tor_0_0", "tor_1_0")
-        assert registry.live_pairs == 0
-        assert registry.rows == 0  # the last release drops the pair's entry
+        assert registry.stats() == {
+            "cp_registry_pairs": 2.0,
+            "cp_registry_registrations": 3.0,
+        }
 
     @pytest.mark.parametrize("name", ["clos", "custom", "fattree4", "threetier"])
     def test_cached_rows_track_network_state(self, name):
+        """The rows a monitor holds between polls match a per-link recount
+        after every poll: promotion, failure, restore, and a second
+        monitor of the same pair coming up later."""
         topology = TOPOLOGIES[name]()
         net = Network(topology)
         registry = MonitorRegistry(net)
         pair = hosted_pair_with_most_paths(topology)
-        pp = registry.register(*pair)
-        assert len(pp.paths) > 1
+        monitor = PathMonitor(net, *pair, MessageLedger(), registry=registry)
+        paths = monitor.paths
+        assert len(paths) > 1
         src, dst = (sorted(topology.hosts_of_tor(tor))[0] for tor in pair)
 
         def start_on(path_index):
-            path = topology.host_path(src, dst, pp.paths[path_index])
+            path = topology.host_path(src, dst, paths[path_index])
             # Still live at 21 s on the default 1 Gbps links.
             return net.start_flow(src, dst, 10_000 * MB, [FlowComponent(path)])
 
-        assert_rows_fresh(net, registry, pair)
+        def poll_and_check(polled):
+            polled.refresh()
+            assert_rows_match_link_states(net, polled)
+
+        poll_and_check(monitor)
         start_on(0)
-        net.engine.run_until(10.5)  # the promotion stamps the path's links
-        assert_rows_fresh(net, registry, pair)
-        cable = pp.paths[0][:2]
+        net.engine.run_until(10.5)  # the promotion raises the path's counts
+        poll_and_check(monitor)
+        assert monitor.state_eleph[0] == 1
+        cable = paths[0][:2]
         net.fail_link(*cable)
-        assert_rows_fresh(net, registry, pair)
+        poll_and_check(monitor)
+        assert monitor.state_band[0] == 0.0
         net.restore_link(*cable)
-        assert_rows_fresh(net, registry, pair)
-        # Release, change state while no monitor is up, then come back.
-        registry.release(*pair)
-        start_on(len(pp.paths) - 1)
+        poll_and_check(monitor)
+        start_on(len(paths) - 1)
         net.engine.run_until(21.0)
-        net.fail_link(*pp.paths[-1][-2:])
-        assert registry.register(*pair) is pp
-        assert_rows_fresh(net, registry, pair)
+        net.fail_link(*paths[-1][-2:])
+        later = PathMonitor(net, *pair, MessageLedger(), registry=registry)
+        assert later.pair_paths is monitor.pair_paths
+        poll_and_check(later)
+        poll_and_check(monitor)
 
-    def test_polls_refresh_only_pairs_with_stamped_links(self):
-        net = make_network()
-        registry = MonitorRegistry(net)
-        pair_a, pair_b = ("tor_0_0", "tor_1_0"), ("tor_2_0", "tor_3_0")
-        pp_a = registry.register(*pair_a)
-        pp_b = registry.register(*pair_b)
-        assert np.intersect1d(pp_a.link_ids, pp_b.link_ids).size == 0
-
-        def poll(pair):
-            """``(refreshes, cache hits)`` added by one poll of ``pair``."""
-            refreshes, hits = registry.stat_refreshes, registry.stat_cache_hits
-            registry.pair_rows(*pair)
-            return (registry.stat_refreshes - refreshes, registry.stat_cache_hits - hits)
-
-        assert poll(pair_a) == (1, 0)  # the first poll computes
-        assert poll(pair_b) == (1, 0)
-        assert poll(pair_a) == (0, 1)
-        assert poll(pair_b) == (0, 1)
-        start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
-        net.engine.run_until(10.5)  # promotion on A's path
-        assert poll(pair_a) == (1, 0)
-        assert poll(pair_b) == (0, 1)
-        net.fail_link(*pp_b.paths[0][1:3])  # cable failure on B's path
-        assert poll(pair_a) == (0, 1)
-        assert poll(pair_b) == (1, 0)
-        assert poll(pair_b) == (0, 1)
-
-    def test_clean_queries_hit_the_cache(self):
-        net = make_network()
-        registry = MonitorRegistry(net)
-        registry.register("tor_0_0", "tor_1_0")
-        registry.pair_rows("tor_0_0", "tor_1_0")  # the first poll computes
-        hits = registry.stat_cache_hits
-        registry.pair_rows("tor_0_0", "tor_1_0")
-        registry.pair_rows("tor_0_0", "tor_1_0")
-        assert registry.stat_cache_hits == hits + 2
-        assert registry.stat_refreshes == 1
-
-    def test_monitor_release_reregisters_cleanly(self):
-        """The monitor-churn cycle: last elephant completes, pair comes
-        back later — the registry must serve the revived pair correctly."""
+    def test_each_poll_returns_fresh_arrays(self):
+        """Two hosts' monitors of one pair poll the same network state, but
+        an optimistic ``note_shift`` edits only the monitor it is made on."""
         net = make_network()
         registry = MonitorRegistry(net)
         ledger = MessageLedger()
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry=registry)
-        monitor.refresh()
-        monitor.release()
-        monitor.release()  # idempotent
-        assert registry.live_pairs == 0
-        flow = start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
+        first = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry=registry)
+        second = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry=registry)
+        start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
         net.engine.run_until(10.5)
-        revived = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry=registry)
-        revived.refresh()
-        assert revived.state_eleph[0] == 1
-        assert flow.active
+        first.refresh()
+        second.refresh()
+        polled = first.state_eleph.tolist()
+        assert polled == second.state_eleph.tolist()
+        assert polled[0] == 1 and polled[2] == 0  # path 2 shares no hop
+        first.note_shift(0, 2)
+        assert first.state_eleph[[0, 2]].tolist() == [0, 1]
+        assert second.state_eleph.tolist() == polled
+        shifted = first.state_eleph
+        first.refresh()
+        assert first.state_eleph is not shifted
+        assert first.state_eleph.tolist() == polled
 
 
-def per_path_pair_paths(net, src_tor, dst_tor):
+def per_path_hops(net, src_tor, dst_tor):
     """The per-path, per-link build ``index_pair_paths`` replaced."""
     paths = net.topology.equal_cost_paths(src_tor, dst_tor)
-    path_link_ids = [
-        net.index_switch_path(path) if len(path) > 1 else None for path in paths
-    ]
-    monitored = [i for i, ids in enumerate(path_link_ids) if ids is not None]
-    monitored_ids = [path_link_ids[i] for i in monitored]
-    indptr = np.zeros(len(monitored_ids) + 1, dtype=np.intp)
-    np.cumsum([ids.size for ids in monitored_ids], out=indptr[1:])
-    indices = (
-        np.concatenate(monitored_ids) if monitored_ids else np.empty(0, dtype=np.intp)
-    )
-    return paths, monitored, indices, indptr, sorted(set(indices.tolist()))
+    rows = [net.link_index.index_path(path) for path in paths if len(path) > 1]
+    hops = np.array(rows, dtype=np.intp) if rows else np.empty((0, 0), dtype=np.intp)
+    return paths, hops
 
 
 class TestPairInterning:
@@ -221,25 +185,20 @@ class TestPairInterning:
     def test_matches_per_path_build(self, topology, src_tor, dst_tor):
         net = Network(topology)
         pp = index_pair_paths(net, src_tor, dst_tor)
-        paths, monitored, indices, indptr, link_ids = per_path_pair_paths(
-            net, src_tor, dst_tor
-        )
+        paths, hops = per_path_hops(net, src_tor, dst_tor)
         assert list(pp.paths) == list(paths)
         assert [pp.paths.index(path) for path in paths] == list(range(len(paths)))
         assert pp.num_query_switches == len(
             switches_to_query(topology, src_tor, dst_tor)
         )
-        assert pp.monitored.tolist() == monitored
-        np.testing.assert_array_equal(pp.csr_indices, indices)
-        np.testing.assert_array_equal(pp.csr_indptr, indptr)
-        assert pp.link_ids.tolist() == link_ids
-        for array in (pp.monitored, pp.csr_indices, pp.csr_indptr, pp.link_ids):
-            assert array.dtype == np.intp
+        assert pp.hops.shape == hops.shape
+        np.testing.assert_array_equal(pp.hops, hops)
+        assert pp.hops.dtype == np.intp
 
 
 class TestAlgorithm1TieBreaks:
     """Edge cases of ``best_target`` / ``worst_active``, checked on the
-    scalar reference twin and on the small-fleet float path."""
+    scalar reference twin and on the production array round."""
 
     def _monitor_stub(self, band, eleph):
         class Stub:
@@ -280,7 +239,7 @@ class TestAlgorithm1TieBreaks:
         states = [PathState(10 * MBPS, 5)]
         assert best_target(states) == 0
         assert worst_active(states, [1]) == 0
-        # best == worst -> schedule_one declines; mirror on the float path.
+        # best == worst -> schedule_one declines; mirror on the array round.
         net = make_network()
         daemon = make_daemon(net)
         stub = self._monitor_stub([10 * MBPS], [5])
@@ -296,12 +255,12 @@ class TestAlgorithm1TieBreaks:
 
 
 class TestExecutionPathEquivalence:
-    """The three round implementations decide identically on real state."""
+    """The scalar twin's round and the production round decide identically
+    on real state."""
 
     def _decision(self, scalar):
         net = make_network()
-        # The scalar twin polls without a registry, as it runs in the harness.
-        daemon = make_daemon(net, registry=None if scalar else MonitorRegistry(net))
+        daemon = make_daemon(net, registry=MonitorRegistry(net))
         f1 = start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
         f2 = start_flow_on(net, "h_0_0_0", "h_1_0_1", 0)
         net.engine.run_until(10.5)
@@ -315,14 +274,9 @@ class TestExecutionPathEquivalence:
             shifts = daemon.run_scheduling_round()
         return (shifts, [tuple(f.switch_path()[1:-1]) for f in (f1, f2)])
 
-    def test_scalar_smallfleet_and_matrix_agree(self, monkeypatch):
-        decisions = []
-        for mode in ("scalar", "small", "matrix"):
-            monkeypatch.setattr(
-                daemon_module, "_SMALL_ROUND_CELLS", 0 if mode == "matrix" else 128
-            )
-            decisions.append(self._decision(scalar=mode == "scalar"))
-        assert decisions[0] == decisions[1] == decisions[2]
+    def test_scalar_and_array_rounds_agree(self):
+        decisions = [self._decision(scalar=True), self._decision(scalar=False)]
+        assert decisions[0] == decisions[1]
         assert decisions[0][0] == 1  # exactly one congestion-relieving shift
 
 
@@ -389,17 +343,12 @@ class TestPerfStatsSurface:
         scheduler.place("h_0_0_0", "h_1_0_0", 500 * MB)
         net.engine.run_until(12.0)
         stats = net.perf_stats()
-        for key in (
-            "cp_daemons", "cp_monitors_live",
-            "cp_query_rounds", "cp_query_time_s", "cp_round_time_s",
-            "cp_vector_rounds", "cp_shift_tails",
-            "cp_shifts", "cp_registry_pairs", "cp_registry_rows",
-            "cp_registry_queries", "cp_registry_cache_hits",
-            "cp_registry_refreshes", "cp_registry_rows_refreshed",
-            "cp_registry_registrations",
-        ):
-            assert key in stats, key
+        assert {key for key in stats if key.startswith("cp_")} == {
+            "cp_daemons", "cp_monitors_live", "cp_query_rounds", "cp_shifts",
+            "cp_registry_pairs", "cp_registry_registrations",
+        }
         assert stats["cp_daemons"] >= 1.0
+        assert stats["cp_registry_registrations"] >= stats["cp_registry_pairs"] >= 1.0
 
 
 SMALL_DARD = ScenarioConfig(

@@ -1,13 +1,13 @@
 """Tests for flow objects and the reordering/retransmission model."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.simulator.flows import Flow, FlowComponent, FlowRecord
 from repro.simulator.reordering import (
     MAX_RETX_FRACTION,
-    component_delay,
-    reordering_retx_fraction,
+    reordering_retx_fraction_indexed,
 )
 
 
@@ -86,49 +86,52 @@ class TestFlowRecord:
 
 
 class TestReorderingModel:
-    delays = {("a", "b"): 0.0001, ("b", "c"): 0.0001, ("a", "d"): 0.0001, ("d", "c"): 0.0001}
+    """The indexed model the network runs, on two 2-hop paths a-b-c and
+    a-d-c: link ids 0 (a-b), 1 (b-c), 2 (a-d) and 3 (d-c)."""
+
+    delays = np.full(4, 0.0001)
+    idle = np.zeros(4)
+    paths = [[0, 1], [2, 3]]
+
+    @staticmethod
+    def utils(first, second):
+        """Per-link utilization: ``first`` on path a-b-c, ``second`` on a-d-c."""
+        return np.array([first, first, second, second])
+
+    def fraction(self, rates, utils, paths=None):
+        return reordering_retx_fraction_indexed(
+            rates, self.paths if paths is None else paths, self.delays, utils
+        )
 
     def test_single_path_never_reorders(self):
-        frac = reordering_retx_fraction(
-            [FlowComponent(("a", "b", "c"))], [100.0], self.delays, {}
-        )
-        assert frac == 0.0
+        assert self.fraction([100.0], self.utils(0.9, 0.9), paths=[[0, 1]]) == 0.0
 
     def test_zero_rate_no_reordering(self):
-        comps = [FlowComponent(("a", "b", "c")), FlowComponent(("a", "d", "c"))]
-        assert reordering_retx_fraction(comps, [0.0, 0.0], self.delays, {}) == 0.0
+        assert self.fraction([0.0, 0.0], self.utils(0.9, 0.3)) == 0.0
 
     def test_equal_idle_paths_small_fraction(self):
-        comps = [FlowComponent(("a", "b", "c")), FlowComponent(("a", "d", "c"))]
-        frac = reordering_retx_fraction(comps, [50.0, 50.0], self.delays, {})
         # No queueing -> no delay spread -> no reordering.
-        assert frac == 0.0
+        assert self.fraction([50.0, 50.0], self.idle) == 0.0
 
     def test_loaded_paths_reorder(self):
-        comps = [FlowComponent(("a", "b", "c")), FlowComponent(("a", "d", "c"))]
-        utils = {("a", "b"): 0.9, ("b", "c"): 0.9, ("a", "d"): 0.3, ("d", "c"): 0.3}
-        frac = reordering_retx_fraction(comps, [50.0, 50.0], self.delays, utils)
+        frac = self.fraction([50.0, 50.0], self.utils(0.9, 0.3))
         assert 0.0 < frac <= MAX_RETX_FRACTION
 
     def test_fraction_capped(self):
-        comps = [FlowComponent(("a", "b", "c")), FlowComponent(("a", "d", "c"))]
-        utils = {link: 0.99 for link in self.delays}
-        frac = reordering_retx_fraction(comps, [50.0, 50.0], self.delays, utils)
+        frac = self.fraction([50.0, 50.0], self.utils(0.99, 0.99))
         assert frac <= MAX_RETX_FRACTION
 
     def test_component_delay_grows_with_utilization(self):
-        comp = FlowComponent(("a", "b", "c"))
-        idle_prop, idle_queue = component_delay(comp, self.delays, {})
-        hot_prop, hot_queue = component_delay(
-            comp, self.delays, {("a", "b"): 0.9, ("b", "c"): 0.9}
-        )
-        assert idle_queue == 0.0
-        assert hot_prop == idle_prop
-        assert hot_queue > 0.0
+        # Queueing delay on one path's links grows with their utilization,
+        # and with it the delay spread: idle < warm < hot.
+        idle = self.fraction([50.0, 50.0], self.idle)
+        warm = self.fraction([50.0, 50.0], self.utils(0.3, 0.0))
+        hot = self.fraction([50.0, 50.0], self.utils(0.6, 0.0))
+        assert idle == 0.0
+        assert 0.0 < warm < hot < MAX_RETX_FRACTION
 
     def test_skewed_split_reorders_less_than_even(self):
-        comps = [FlowComponent(("a", "b", "c")), FlowComponent(("a", "d", "c"))]
-        utils = {("a", "b"): 0.8, ("b", "c"): 0.8, ("a", "d"): 0.2, ("d", "c"): 0.2}
-        even = reordering_retx_fraction(comps, [50.0, 50.0], self.delays, utils)
-        skewed = reordering_retx_fraction(comps, [95.0, 5.0], self.delays, utils)
+        utils = self.utils(0.8, 0.2)
+        even = self.fraction([50.0, 50.0], utils)
+        skewed = self.fraction([95.0, 5.0], utils)
         assert skewed < even

@@ -306,6 +306,19 @@ def test_consume_dirty_matches_brute_force_search(ops):
         assert comps.flow_links() == live
 
 
+def _pair_hops(net, paths):
+    """The ``(paths, hops)`` link-id matrix of a pair's switch paths."""
+    return np.array([net.link_index.index_path(path) for path in paths], dtype=np.intp)
+
+
+def _scalar_bottleneck(net, path):
+    """The first minimum-BoNF link of a switch path, one link at a time."""
+    return min(
+        (net.link_state(u, v) for u, v in zip(path, path[1:])),
+        key=lambda state: state.bonf,
+    )
+
+
 class TestBatchPathState:
     def test_batch_matches_scalar_path_state(self):
         # Elephants on two of the paths and a failed cable on a third give
@@ -321,19 +334,41 @@ class TestBatchPathState:
             net.start_flow(src, dst, 64e6, [FlowComponent(topo.host_path(src, dst, paths[k]))])
         net.engine.run_until(0.001)
         net.fail_link(*paths[2][1:3])
-        ids = [net.index_switch_path(p) for p in paths]
-        indptr = np.zeros(len(ids) + 1, dtype=np.intp)
-        np.cumsum([a.size for a in ids], out=indptr[1:])
-        band, eleph = net.batch_path_state_arrays(np.concatenate(ids), indptr)
+        band, eleph = net.batch_path_state_arrays(_pair_hops(net, paths))
         for k, path in enumerate(paths):
-            # The first minimum-BoNF link of the path, one link at a time.
-            scalar = min(
-                (net.link_state(u, v) for u, v in zip(path, path[1:])),
-                key=lambda state: state.bonf,
-            )
+            scalar = _scalar_bottleneck(net, path)
             assert (band[k], eleph[k]) == (scalar.bandwidth_bps, scalar.elephant_flows)
             assert net.path_state(path) == scalar
         assert len(set(zip(band.tolist(), eleph.tolist()))) == 3
+
+    def test_tied_bottlenecks_report_the_first_hop(self):
+        # Two failed cables on one path tie at BoNF 0, but the later one
+        # carries an extra elephant: the path reports the first hop's count.
+        net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS), elephant_age_s=0.0005)
+        topo = net.topology
+        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        # The second flow joins the path at its aggregation switch, so it
+        # crosses the core hop but not the ToR uplink.
+        other = next(
+            p for p in topo.equal_cost_paths("tor_0_1", "tor_1_0") if p[1:] == path[1:]
+        )
+        for src, dst, switch_path in (
+            ("h_0_0_0", "h_1_0_0", path),
+            ("h_0_1_0", "h_1_0_1", other),
+        ):
+            net.start_flow(
+                src, dst, 64e6, [FlowComponent(topo.host_path(src, dst, switch_path))]
+            )
+        net.engine.run_until(0.001)
+        first, later = path[0:2], path[2:4]
+        net.fail_link(*first)
+        net.fail_link(*later)
+        assert net.link_state(*first).elephant_flows == 1
+        assert net.link_state(*later).elephant_flows == 2
+        band, eleph = net.batch_path_state_arrays(_pair_hops(net, [path]))
+        assert (band.tolist(), eleph.tolist()) == ([0.0], [1])
+        assert net.path_state(path) == net.link_state(*first)
+        assert net.path_state(path) == _scalar_bottleneck(net, path)
 
     def test_switch_link_mask_drops_host_hops(self):
         net, _ = _stride_network()
@@ -341,17 +376,14 @@ class TestBatchPathState:
             "h_0_0_0", "h_1_0_0",
             net.topology.equal_cost_paths("tor_0_0", "tor_1_0")[0],
         )
-        ids = net.index_switch_path(host_path)
-        mask = net.link_index.switch_link_mask
-        assert mask[ids].all()
-        # The host access hops were dropped: 2 fewer links than hops.
-        assert ids.size == len(host_path) - 1 - 2
+        ids = net.link_index.index_path(host_path)
+        # Exactly the two host access hops are masked out.
+        mask = net.link_index.switch_link_mask[ids]
+        assert mask.tolist() == [False, True, True, True, True, False]
 
     def test_empty_rows_are_rejected(self):
         from repro.common.errors import SimulationError
 
         net, _ = _stride_network()
         with pytest.raises(SimulationError):
-            net.batch_path_state_arrays(
-                np.empty(0, dtype=np.intp), np.zeros(2, dtype=np.intp)
-            )
+            net.batch_path_state_arrays(np.empty((2, 0), dtype=np.intp))

@@ -29,12 +29,8 @@ DET_KEYS = {
     "det_mean_detection_age_s",
 }
 CP_KEYS = {
-    "cp_daemons", "cp_monitors_live", "cp_query_rounds",
-    "cp_query_time_s", "cp_round_time_s", "cp_vector_rounds",
-    "cp_shift_tails", "cp_shifts",
-    "cp_registry_pairs", "cp_registry_rows", "cp_registry_queries",
-    "cp_registry_cache_hits", "cp_registry_refreshes",
-    "cp_registry_rows_refreshed", "cp_registry_registrations",
+    "cp_daemons", "cp_monitors_live", "cp_query_rounds", "cp_shifts",
+    "cp_registry_pairs", "cp_registry_registrations",
 }
 
 

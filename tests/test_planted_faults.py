@@ -18,7 +18,7 @@ fill, each on its own: the in-run ``incremental-vs-full`` oracle and the
 
 Faults (a)-(e) and (g) run on DARD fuzz cases whose drawn regime
 promotes elephants and shifts flows: without a running control plane,
-the faults planted in the daemon round and the registry poll never
+the faults planted in the daemon round and the monitor poll never
 execute. Fault (f) runs on DARD fuzz cases that draw a failure storm.
 """
 
@@ -60,13 +60,13 @@ def _patch_refill(monkeypatch, corrupt):
 
 
 def elephant_count_on_poll(monkeypatch):
-    """(a) The registry poll adds one elephant to a link it queried."""
+    """(a) A monitor poll adds one elephant to a link it queried."""
     original = Network.batch_path_state_arrays
 
-    def poll(self, indices, indptr):
-        out = original(self, indices, indptr)
-        if indices.size:
-            self._eleph_array[indices[0]] += 1
+    def poll(self, hops):
+        out = original(self, hops)
+        if hops.size:
+            self._eleph_array[hops[0, 0]] += 1
         return out
 
     monkeypatch.setattr(Network, "batch_path_state_arrays", poll)

@@ -52,12 +52,13 @@ per-link :meth:`link_state` loops; DARD's monitors poll it directly on
 every query, with no cache in between.
 
 Columnar flow state (see DESIGN.md "Columnar flow state"): hot per-flow
-scalars live in a :class:`~repro.simulator.flowstore.FlowStore` — SoA
-numpy columns bound to each flow at :meth:`start_flow` and released at
-completion — so the three remaining per-event loops are masked array
-expressions over the active span: ``_settle`` drains remaining bytes for
-every live flow at once, ``_schedule_next_completion`` takes a masked min
-over ``remaining * 8 / goodput``, and ``_on_completion_event`` finds
+scalars live in a dense :class:`~repro.simulator.flowstore.FlowStore` —
+SoA numpy columns whose rows ``[0, size)`` are exactly the live flows,
+each :class:`Flow` the view of one row — so the three remaining
+per-event loops are array expressions over those rows: ``_settle``
+drains remaining bytes for every live flow at once,
+``_schedule_next_completion`` takes a masked min over
+``remaining * 8 / goodput``, and ``_on_completion_event`` finds
 finishers with one boolean mask. The refill writes aggregate rates
 straight into the store's rate column, one scalar write per re-rated
 flow of its left-to-right ``sum(component_rates)``. The scalar per-flow
@@ -204,8 +205,8 @@ class Network:
         }
 
         self.flows: Dict[int, Flow] = {}
-        #: columnar hot flow state; every flow in ``flows`` is bound to a
-        #: store row from start to completion (see flowstore module docs).
+        #: columnar hot flow state: one row per flow in ``flows``, held
+        #: from start to completion (see flowstore module docs).
         self.flow_store = FlowStore()
         self.records: List[FlowRecord] = []
         self._next_flow_id = 0
@@ -251,9 +252,6 @@ class Network:
         self._stat_flows_preserved = 0
         self._stat_events_rescheduled = 0
         self._stat_events_preserved = 0
-        # Columnar settle/ETA telemetry (see perf_stats).
-        self._stat_settle_time_s = 0.0
-        self._stat_eta_time_s = 0.0
         self._stat_settle_batches = 0
 
     # -- time ---------------------------------------------------------------
@@ -282,9 +280,9 @@ class Network:
             size_bytes=float(size_bytes),
             start_time=self.now,
             components=list(components),
+            store=self.flow_store,
         )
         self._next_flow_id += 1
-        flow.bind_store(self.flow_store, self.flow_store.acquire(flow.flow_id))
         self._index_components(flow)
         flow.component_rates = [0.0] * len(flow.components)
         if len(flow.components) == 1:
@@ -563,12 +561,10 @@ class Network:
           events are still cancel+re-pushed so event ordering stays
           deterministic; see ``EventEngine.reschedule``).
 
-        Columnar flow-state keys: ``settle_time_s`` / ``eta_time_s`` —
-        wall time inside the settle and completion-ETA passes;
-        ``settle_batches`` — settle passes that actually advanced time
-        over live flows; plus the ``store_*`` keys from
-        :meth:`FlowStore.stats` (active span, capacity, live rows,
-        acquires/revivals/grows/compactions).
+        Columnar flow-state keys: ``settle_batches`` — settle passes
+        that actually advanced time over live flows; plus the ``store_*``
+        keys from :meth:`FlowStore.stats` (live rows, capacity, acquires,
+        grows).
 
         Registered ``controlplane_stats_providers`` (the DARD scheduler's
         ``cp_*`` keys — daemons, live monitors, query rounds, shifts and
@@ -595,8 +591,6 @@ class Network:
             "flows_preserved": self._stat_flows_preserved,
             "events_rescheduled": self._stat_events_rescheduled,
             "events_preserved": self._stat_events_preserved,
-            "settle_time_s": self._stat_settle_time_s,
-            "eta_time_s": self._stat_eta_time_s,
             "settle_batches": self._stat_settle_batches,
         }
         stats.update(self.flow_store.stats())
@@ -651,9 +645,9 @@ class Network:
         * no link is allocated beyond capacity,
         * failed links carry no allocated rate,
         * per-flow byte accounting is sane,
-        * the flow store binds exactly the live flows, its rate column
-          equals each live flow's ``sum(component_rates)`` and every dead
-          row in its active span carries rate 0.0,
+        * the flow store's rows are exactly the live flows, each flow
+          viewing its own row, and the rate column equals each live
+          flow's ``sum(component_rates)``,
 
         then runs every registered :attr:`invariant_hooks` entry.
         Violations raise :class:`~repro.common.errors.InvariantViolation`
@@ -735,31 +729,18 @@ class Network:
                     flow_id=flow.flow_id,
                 )
         store = self.flow_store
-        live_rows = int(np.count_nonzero(store.live[: store.size]))
-        if store.live_count != len(self.flows) or live_rows != len(self.flows):
+        if store.size != len(self.flows):
             raise InvariantViolation(
                 "flow-store",
-                f"store live_count {store.live_count} / live rows {live_rows} "
-                f"!= {len(self.flows)} live flows",
-            )
-        # The settle and ETA passes mask dead rows by their zero rate alone.
-        rated_dead = np.flatnonzero(
-            ~store.live[: store.size] & (store.rate_bps[: store.size] != 0.0)
-        )
-        if rated_dead.size:
-            row = int(rated_dead[0])
-            raise InvariantViolation(
-                "flow-store-dead-rate",
-                f"dead store row {row} carries rate {float(store.rate_bps[row])!r}",
+                f"store holds {store.size} rows for {len(self.flows)} live flows",
             )
         for flow in self.flows.values():
             row = flow.store_row
-            if row < 0 or not bool(store.live[row]) or int(store.flow_id[row]) != flow.flow_id:
+            if not 0 <= row < store.size or int(store.flow_id[row]) != flow.flow_id:
                 raise InvariantViolation(
                     "flow-store",
-                    f"flow bound to row {row} whose store entry is "
-                    f"live={bool(store.live[row]) if row >= 0 else None} "
-                    f"flow_id={int(store.flow_id[row]) if row >= 0 else None}",
+                    f"flow views row {row}, which the store's {store.size} "
+                    "live rows do not hold for it",
                     flow_id=flow.flow_id,
                 )
             # The refill write contract: the rate column is *bit-equal*
@@ -771,14 +752,6 @@ class Network:
                     "flow-store-rate",
                     f"rate column {float(store.rate_bps[row])!r} != "
                     f"sum(component_rates) {want_rate!r}",
-                    flow_id=flow.flow_id,
-                )
-            frac = float(store.retx_fraction[row])
-            if float(store.goodput_factor[row]) != 1.0 - frac:
-                raise InvariantViolation(
-                    "flow-store-goodput",
-                    f"goodput factor {float(store.goodput_factor[row])!r} != "
-                    f"1 - retx fraction {1.0 - frac!r}",
                     flow_id=flow.flow_id,
                 )
         for hook in tuple(self.invariant_hooks):
@@ -874,10 +847,7 @@ class Network:
         if dt < 0:
             raise SimulationError("time went backwards")
         if dt > 0 and self.flows:
-            # perf_counter feeds perf_stats() telemetry only, never sim state.
-            started = perf_counter()  # dardlint: disable=DET002
             self._settle_store(dt)
-            self._stat_settle_time_s += perf_counter() - started  # dardlint: disable=DET002
             self._stat_settle_batches += 1
         self._last_settle = self.now
 
@@ -888,9 +858,7 @@ class Network:
         :mod:`repro.validation.twins`: the mask replicates the scalar
         ``delivered_bits <= 0`` skip, the per-row op sequence is the same
         float64 expression tree, and the rate column is kept bit-equal to
-        ``sum(component_rates)`` by the refill. Dead rows carry rate 0.0
-        (``FlowStore.release`` zeroes it; :meth:`check_invariants` audits
-        it), so the rate mask alone excludes them.
+        ``sum(component_rates)`` by the refill.
         """
         store = self.flow_store
         n = store.size
@@ -987,8 +955,8 @@ class Network:
         """Recompute the re-rated flows' reordering fractions after a splice.
 
         ``store_rows`` indexes those flows' store rows. With no striped
-        flow among them (every scheduler but TeXCP) the reset is two
-        column writes.
+        flow among them (every scheduler but TeXCP) the reset is one
+        column write.
         """
         if any(len(flow.components) > 1 for flow in flows):
             for flow in flows:
@@ -1002,9 +970,7 @@ class Network:
                 else:
                     flow.reorder_retx_fraction = 0.0
         else:
-            store = self.flow_store
-            store.retx_fraction[store_rows] = 0.0
-            store.goodput_factor[store_rows] = 1.0
+            self.flow_store.retx_fraction[store_rows] = 0.0
 
     def _refill_dirty(self) -> None:
         """Water-fill only the components invalidated since the last fill.
@@ -1051,11 +1017,7 @@ class Network:
     def _schedule_next_completion(self) -> None:
         old_handle = self._completion_handle
         self._completion_handle = None
-        # perf_counter feeds perf_stats() telemetry only, never sim state.
-        started = perf_counter()  # dardlint: disable=DET002
         soonest = self._next_completion_eta_store()
-        # Telemetry end-stamp for the line above; same audit rationale.
-        self._stat_eta_time_s += perf_counter() - started  # dardlint: disable=DET002
         if soonest < float("inf"):
             self._completion_handle, preserved = self.engine.reschedule(
                 old_handle, max(soonest, 0.0), self._on_completion_event
@@ -1070,15 +1032,14 @@ class Network:
     def _next_completion_eta_store(self) -> float:
         """Masked min over ``remaining * 8 / goodput`` across the store.
 
-        ``goodput_factor`` is maintained as exactly ``1.0 - retx_fraction``
-        at every fraction write, so ``rate * factor`` is bit-identical to
-        the scalar ``rate_bps * (1.0 - reorder_retx_fraction)`` and the
-        array min equals the sequential ``min()`` reduction. Dead rows
-        carry rate 0.0, so the goodput mask alone excludes them.
+        ``rate * (1.0 - retx_fraction)`` is, row for row, the same float64
+        expression as the scalar ``rate_bps * (1.0 -
+        reorder_retx_fraction)``, and the array min equals the sequential
+        ``min()`` reduction.
         """
         store = self.flow_store
         n = store.size
-        goodput = store.rate_bps[:n] * store.goodput_factor[:n]
+        goodput = store.rate_bps[:n] * (1.0 - store.retx_fraction[:n])
         rows = np.flatnonzero(goodput > 0.0)
         if rows.size == 0:
             return float("inf")
@@ -1090,15 +1051,10 @@ class Network:
 
         Finishers come back sorted by flow id — identical to the scalar
         dict scan, since flow ids are assigned monotonically and flows are
-        never reinserted, so dict order *is* ascending flow-id order. This
-        scan keeps its ``live`` mask: dead rows keep the (at most one byte
-        of) remaining bytes they finished with.
+        never reinserted, so dict order *is* ascending flow-id order.
         """
         store = self.flow_store
-        n = store.size
-        rows = np.flatnonzero(
-            store.live[:n] & (store.remaining_bytes[:n] <= _BYTES_EPSILON)
-        )
+        rows = np.flatnonzero(store.remaining_bytes[: store.size] <= _BYTES_EPSILON)
         if rows.size == 0:
             return []
         flows = self.flows
@@ -1137,10 +1093,5 @@ class Network:
             )
             for listener in self.flow_completed_listeners:
                 listener(flow)
-            # Snapshot the columns into the view object before the row is
-            # returned to the pool: records, listeners, and any held
-            # references keep reading the final state after row revival.
-            row = flow.store_row
-            flow.unbind_store()
-            self.flow_store.release(row)
+            self.flow_store.release(flow.store_row)
         self._request_realloc()

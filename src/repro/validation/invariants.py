@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.gametheory.congestion_game import CongestionGame, compare_state_vectors
@@ -176,61 +174,30 @@ def check_theorem1_bound_live(network: Network) -> None:
 # ---------------------------------------------------------------------------
 
 def check_flowstore_balance(network: Network) -> None:
-    """The columnar store's row ledger must balance the live flow table.
+    """The columnar store's rows must balance the live flow table.
 
     Failure storms churn rows hard — every ``fail_link`` stalls flows,
-    every ``restore_link`` lets a burst of them finish and release rows,
-    and compaction rewrites the span underneath both — so this is where a
-    leaked or double-freed row would first appear. The books must balance
-    exactly at every quiescent point:
+    and every ``restore_link`` lets a burst of them finish and release
+    rows — so this is where a leaked or double-freed row would first
+    appear. At every quiescent point:
 
-    * ``live_count`` equals the number of flows the network tracks;
-    * the live mask over the active span agrees with ``live_count``;
-    * every span row is live or on the free heap, never both or neither;
-    * freed rows are fully reset (dead, ``flow_id == -1``);
+    * the store holds exactly one row per flow the network tracks;
     * started minus completed flows equals the rows still occupied.
     """
-    store = network.flow_store
-    size = store.size
-    if store.live_count != len(network.flows):
+    rows = network.flow_store.size
+    if rows != len(network.flows):
         raise InvariantViolation(
             "flowstore-balance",
-            f"store live_count {store.live_count} != "
-            f"{len(network.flows)} flows in the network table",
+            f"store holds {rows} rows for {len(network.flows)} flows "
+            "in the network table",
         )
-    live_rows = int(np.count_nonzero(store.live[:size]))
-    if live_rows != store.live_count:
-        raise InvariantViolation(
-            "flowstore-balance",
-            f"{live_rows} live rows in the active span but live_count "
-            f"says {store.live_count}",
-        )
-    free = store._free
-    if size - store.live_count != len(free):
-        raise InvariantViolation(
-            "flowstore-balance",
-            f"span {size} != live {store.live_count} + free {len(free)} "
-            "(leaked or double-freed row)",
-        )
-    if free:
-        rows = np.asarray(sorted(free), dtype=np.intp)
-        if len(set(free)) != len(free) or int(rows[0]) < 0 or int(rows[-1]) >= size:
-            raise InvariantViolation(
-                "flowstore-balance",
-                f"free heap holds duplicate or out-of-span rows: {sorted(free)!r}",
-            )
-        if bool(np.any(store.live[rows])) or bool(np.any(store.flow_id[rows] != -1)):
-            raise InvariantViolation(
-                "flowstore-balance",
-                "free heap holds a row that is still live or keeps a flow id",
-            )
     occupied = network._stat_flows_started - network._stat_flows_completed
-    if occupied != store.live_count:
+    if occupied != rows:
         raise InvariantViolation(
             "flowstore-balance",
             f"{network._stat_flows_started} started - "
             f"{network._stat_flows_completed} completed = {occupied} "
-            f"flows in flight, but the store holds {store.live_count} rows",
+            f"flows in flight, but the store holds {rows} rows",
         )
 
 

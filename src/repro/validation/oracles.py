@@ -296,7 +296,7 @@ class StormOracle:
       a dead path while a live alternative was on the table;
     * **FlowStore row accounting balances across fail/restore churn** —
       after every ``fail_link`` / ``restore_link`` (the points where
-      stalls, completion bursts, and compaction collide),
+      stalls and completion bursts collide),
       :func:`~repro.validation.invariants.check_flowstore_balance`
       must pass exactly.
 

@@ -130,7 +130,6 @@ def full_refill_reference(network: Network) -> None:
     np.maximum(network._peak_util_array, network._util_array, out=network._peak_util_array)
     network._stat_realloc_demands += len(rows)
     network._stat_fill_iterations += fill.iterations
-    # Dead rows already hold the reset values.
     network._refresh_reordering(flows, slice(0, network.flow_store.size))
     network._stat_realloc_full += 1
     # A full fill leaves nothing dirty.

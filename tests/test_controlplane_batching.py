@@ -24,6 +24,7 @@ from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import FlowComponent, Network
 from repro.topology import ClosNetwork, FatTree
+from repro.topology.custom import TopologySpec, build_custom
 from repro.validation.twins import (
     SCALAR_CONTROL_PLANE,
     best_target,
@@ -49,10 +50,10 @@ def start_flow_on(net, src, dst, path_index, size=500 * MB):
     )
 
 
-def make_daemon(net, registry=None, delta_bps=10 * MBPS):
+def make_daemon(net, registry=None, delta_bps=10 * MBPS, host="h_0_0_0"):
     codec = PathCodec(HierarchicalAddressing(net.topology))
     return HostDaemon(
-        host="h_0_0_0",
+        host=host,
         network=net,
         codec=codec,
         ledger=MessageLedger(),
@@ -254,30 +255,59 @@ class TestAlgorithm1TieBreaks:
         assert daemon._schedule_one_arrays(stub) is False
 
 
+#: Two t0 -> t1 paths whose hops tie on BoNF but not on capacity. Path 0
+#: runs over 100 Mbps hops and carries h0's one elephant (BoNF 100 Mbps).
+#: Path 1 is idle, so every hop's BoNF is infinite: its first hop has
+#: 100 Mbps, its later hops 200 Mbps. The first minimum reports 100 Mbps,
+#: a post-shift estimate no better than path 0, so the flow stays; a kernel
+#: reporting the last minimum would see 200 Mbps and shift it.
+UNEQUAL_TIE = TopologySpec(
+    cores=["c0", "c1"],
+    aggs={"a0": 0, "b0": 0, "a1": 1, "b1": 1},
+    tors={"t0": 0, "t1": 1},
+    hosts={"h0": "t0", "h1": "t1"},
+    core_agg_links=[("c0", "a0"), ("c0", "a1"), ("c1", "b0"), ("c1", "b1")],
+    agg_tor_links=[("a0", "t0"), ("b0", "t0"), ("a1", "t1"), ("b1", "t1")],
+    link_bandwidth_bps=100 * MBPS,
+    link_overrides={
+        ("b0", "c1"): 200 * MBPS, ("c1", "b1"): 200 * MBPS, ("b1", "t1"): 200 * MBPS,
+    },
+)
+
+
 class TestExecutionPathEquivalence:
     """The scalar twin's round and the production round decide identically
     on real state."""
 
-    def _decision(self, scalar):
-        net = make_network()
-        daemon = make_daemon(net, registry=MonitorRegistry(net))
-        f1 = start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
-        f2 = start_flow_on(net, "h_0_0_0", "h_1_0_1", 0)
+    def _decision(self, net, host, dsts, scalar):
+        daemon = make_daemon(net, registry=MonitorRegistry(net), host=host)
+        flows = [start_flow_on(net, host, dst, 0) for dst in dsts]
         net.engine.run_until(10.5)
-        daemon.on_elephant(f1)
-        daemon.on_elephant(f2)
+        for flow in flows:
+            daemon.on_elephant(flow)
         if scalar:
             query_monitors_scalar(daemon)
             shifts = scheduling_round_scalar(daemon)
         else:
             daemon.query_monitors()
             shifts = daemon.run_scheduling_round()
-        return (shifts, [tuple(f.switch_path()[1:-1]) for f in (f1, f2)])
+        return (shifts, [tuple(f.switch_path()[1:-1]) for f in flows])
 
     def test_scalar_and_array_rounds_agree(self):
-        decisions = [self._decision(scalar=True), self._decision(scalar=False)]
+        decisions = [
+            self._decision(make_network(), "h_0_0_0", ["h_1_0_0", "h_1_0_1"], scalar)
+            for scalar in (True, False)
+        ]
         assert decisions[0] == decisions[1]
         assert decisions[0][0] == 1  # exactly one congestion-relieving shift
+
+    def test_unequal_capacity_tie_keeps_the_flow(self):
+        decisions = [
+            self._decision(Network(build_custom(UNEQUAL_TIE)), "h0", ["h1"], scalar)
+            for scalar in (True, False)
+        ]
+        assert decisions[0] == decisions[1]
+        assert decisions[0] == (0, [("t0", "a0", "c0", "a1", "t1")])
 
 
 class TestTwoSidedOptimisticUpdate:

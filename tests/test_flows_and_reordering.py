@@ -5,18 +5,21 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.simulator.flows import Flow, FlowComponent, FlowRecord
+from repro.simulator.flowstore import FlowStore
 from repro.simulator.reordering import (
     MAX_RETX_FRACTION,
     reordering_retx_fraction_indexed,
 )
 
 
-def make_flow(components=None, size=1000.0):
+def make_flow(components=None, size=1000.0, store=None):
+    """A standalone flow on its own one-flow store (or on ``store``)."""
     if components is None:
         components = [FlowComponent(("a", "b", "c"))]
     return Flow(
         flow_id=1, src=components[0].path[0], dst=components[0].path[-1],
         size_bytes=size, start_time=0.0, components=list(components),
+        store=FlowStore() if store is None else store,
     )
 
 
@@ -39,21 +42,26 @@ class TestFlow:
 
     def test_needs_components(self):
         with pytest.raises(SimulationError):
-            Flow(flow_id=1, src="a", dst="b", size_bytes=1.0, start_time=0.0, components=[])
+            Flow(flow_id=1, src="a", dst="b", size_bytes=1.0, start_time=0.0,
+                 components=[], store=FlowStore())
 
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(SimulationError):
             Flow(
                 flow_id=1, src="x", dst="c", size_bytes=1.0, start_time=0.0,
-                components=[FlowComponent(("a", "b", "c"))],
+                components=[FlowComponent(("a", "b", "c"))], store=FlowStore(),
             )
 
     def test_rate_aggregates_components(self):
+        # A refill writes the components' sum into the flow's row, and
+        # rate_bps reads the row.
+        store = FlowStore()
         flow = make_flow([
             FlowComponent(("a", "b", "c"), weight=0.5),
             FlowComponent(("a", "d", "c"), weight=0.5),
-        ])
+        ], store=store)
         flow.component_rates = [30.0, 20.0]
+        store.rate_bps[flow.store_row] = sum(flow.component_rates)
         assert flow.rate_bps == 50.0
 
     def test_switch_path_single_component_only(self):

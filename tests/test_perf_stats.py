@@ -16,13 +16,9 @@ NETWORK_KEYS = {
     "flows_started", "flows_completed", "reroutes", "num_links",
     "realloc_full", "realloc_incremental", "realloc_subset",
     "components_touched", "flows_rerated", "flows_preserved",
-    "events_rescheduled", "events_preserved",
-    "settle_time_s", "eta_time_s", "settle_batches",
+    "events_rescheduled", "events_preserved", "settle_batches",
 }
-STORE_KEYS = {
-    "store_acquires", "store_capacity", "store_compactions", "store_grows",
-    "store_live", "store_revivals", "store_rows",
-}
+STORE_KEYS = {"store_acquires", "store_capacity", "store_grows", "store_rows"}
 DET_KEYS = {
     "det_predictive", "det_flows_seen", "det_samples",
     "det_early_promotions", "det_fallback_promotions",

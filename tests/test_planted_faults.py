@@ -3,20 +3,22 @@
 Each fault is a class-level monkeypatch that makes one wrong write.
 Faults (a)-(d) break a component-ownership contract: the control plane
 writing network state it does not own, or the dirty refill writing
-state outside the component it re-fills. Fault (e) leaves a rate on a
-released flow-store row, which the settle and ETA passes would then
-read. Fault (f) leaves a failed cable's dead demands' loads behind.
+state outside the component it re-fills. Fault (e) leaves a released
+flow-store row's rate in the hole, where the moved last row's flow then
+reads it. Fault (f) leaves a failed cable's dead demands' loads behind.
 Fault (g) makes the refill skip a dirty component, whose flows keep
-stale rates. On each seed :func:`~repro.validation.fuzz.run_case` must
-raise, naming the invariant that caught it. A fault turned into a no-op
-fails its test, so this measures the battery's reach instead of
-assuming it (EXPERIMENTS.md "Planted ownership faults").
+stale rates. Fault (h) makes a release move the last row without
+re-pointing that row's flow. On each seed
+:func:`~repro.validation.fuzz.run_case` must raise, naming the
+invariant that caught it. A fault turned into a no-op fails its test,
+so this measures the battery's reach instead of assuming it
+(EXPERIMENTS.md "Planted ownership faults").
 
 Fault (g) is also the evidence for the two checks that replay the global
 fill, each on its own: the in-run ``incremental-vs-full`` oracle and the
 :data:`~repro.validation.twins.FULL_REFILL` twin.
 
-Faults (a)-(e) and (g) run on DARD fuzz cases whose drawn regime
+Faults (a)-(e), (g) and (h) run on DARD fuzz cases whose drawn regime
 promotes elephants and shifts flows: without a running control plane,
 the faults planted in the daemon round and the monitor poll never
 execute. Fault (f) runs on DARD fuzz cases that draw a failure storm.
@@ -79,7 +81,7 @@ def rate_halved_by_round(monkeypatch):
     def round_(self):
         shifts = original(self)
         store = self.network.flow_store
-        rows = np.flatnonzero(store.live[: store.size] & (store.rate_bps[: store.size] > 0.0))
+        rows = np.flatnonzero(store.rate_bps[: store.size] > 0.0)
         if rows.size:
             store.rate_bps[rows[0]] *= 0.5
         return shifts
@@ -117,8 +119,9 @@ def rate_ulp_outside_component(monkeypatch):
 
 
 def release_keeps_rate(monkeypatch):
-    """(e) ``FlowStore.release`` skips the rate reset: the dead row keeps
-    the rate its flow finished with."""
+    """(e) ``FlowStore.release`` puts the released row's rate back after
+    the row move: the flow moved into the hole takes the finished flow's
+    rate."""
     original = FlowStore.release
 
     def release(self, row):
@@ -165,6 +168,20 @@ def drop_last_dirty_component(monkeypatch):
     monkeypatch.setattr(FlowLinkComponents, "consume_dirty", consume_dirty)
 
 
+def release_forgets_moved_flow(monkeypatch):
+    """(h) ``FlowStore.release`` moves the last row into the hole but
+    leaves that row's flow on the old last row, past the live ones."""
+    original = FlowStore.release
+
+    def release(self, row):
+        moved = self._views[-1]
+        original(self, row)
+        if row < self.size:  # the last row moved into the hole
+            moved._row = self.size
+
+    monkeypatch.setattr(FlowStore, "release", release)
+
+
 #: (fault, the invariant that must kill it). The KKT certificate is the
 #: battery's first check to see a skipped component: a flow that joined
 #: it still has rate 0 on links with room to spare.
@@ -173,8 +190,9 @@ FAULTS = (
     (rate_halved_by_round, "flow-store-rate"),
     (load_outside_component, "persistent-load"),
     (rate_ulp_outside_component, "flow-store-rate"),
-    (release_keeps_rate, "flow-store-dead-rate"),
+    (release_keeps_rate, "flow-store-rate"),
     (drop_last_dirty_component, "maxmin-kkt"),
+    (release_forgets_moved_flow, "flow-store"),
 )
 
 
@@ -239,11 +257,14 @@ def test_skipped_component_is_killed_by_the_twin(monkeypatch, seed):
 
 #: The faults a run's results can see. Fault (c) corrupts state only: a
 #: refill zeroes a link's load before it re-scatters and reads it, so the
-#: extra bit/s never reaches a rate or a utilization.
+#: extra bit/s never reaches a rate or a utilization. Fault (h) crashes
+#: the uninstrumented run instead: the finisher scan meets a live row
+#: that still holds a finished flow's id.
 BEHAVIOUR_CHANGING = (
     elephant_count_on_poll,
     rate_halved_by_round,
     rate_ulp_outside_component,
+    release_keeps_rate,
     drop_last_dirty_component,
 )
 

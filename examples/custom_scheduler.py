@@ -46,10 +46,11 @@ class LeastLoadedScheduler(Scheduler):
 
     def choose_components(self, src: str, dst: str) -> List[FlowComponent]:
         network = self.ctx.network
-        best_path = None
+        paths, alive = self.alive_paths(src, dst)
+        best_index = None
         best_key = None
-        for path in self.alive_paths(src, dst):
-            full = self.ctx.topology.host_path(src, dst, path)
+        for index in alive:
+            full = self.ctx.topology.host_path(src, dst, paths[index])
             loads = [
                 network.link_state(u, v).total_flows
                 for u, v in zip(full, full[1:])
@@ -57,8 +58,8 @@ class LeastLoadedScheduler(Scheduler):
             key = (max(loads), sum(loads))  # bottleneck first, ties by total
             if best_key is None or key < best_key:
                 best_key = key
-                best_path = path
-        return [self.component_for(src, dst, best_path)]
+                best_index = index
+        return [network.component(src, dst, paths, best_index)]
 
 
 def run_one(scheduler_cls_or_name, seed=21):

@@ -40,13 +40,14 @@ def main() -> None:
     flow = scheduler.place("h_0_0_0", "h_2_0_0", 800 * MB)  # ~64 s alone
     net.engine.run_until(15.0)  # elephant detected at 10 s, monitor live
 
-    path = flow.switch_path()
+    path = topo.host_path_at(flow.src, flow.dst, flow.components[0].index)
     print(f"flow rides   : {' -> '.join(path[1:-1])}")
     print(f"t=15s        : cutting {path[2]} <-> {path[3]}")
     net.fail_link(path[2], path[3])
 
     net.engine.run_until(60.0)
-    print(f"flow now on  : {' -> '.join(flow.switch_path()[1:-1])} "
+    path = topo.host_path_at(flow.src, flow.dst, flow.components[0].index)
+    print(f"flow now on  : {' -> '.join(path[1:-1])} "
           f"(after {flow.path_switches} path switch)")
     net.engine.run_until_idle(hard_limit=200.0)
 

@@ -19,7 +19,7 @@ from repro.common.units import MB, MBPS
 from repro.core import DardScheduler
 from repro.gametheory import game_from_network
 from repro.scheduling import SchedulerContext
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 
 
@@ -38,10 +38,12 @@ def main() -> None:
     def start_on_core0(src, dst):
         """Place a flow on the path through core_0_0 — everyone collides."""
         paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
-        via_core0 = next(p for p in paths if p[2] == "core_0_0")
-        return net.start_flow(
-            src, dst, 2000 * MB, [FlowComponent(topo.host_path(src, dst, via_core0))]
-        )
+        via_core0 = next(i for i, p in enumerate(paths) if p[2] == "core_0_0")
+        return net.start_flow(src, dst, 2000 * MB, [net.component(src, dst, paths, via_core0)])
+
+    def path_of(flow):
+        """The node path a flow rides, built from its path index."""
+        return topo.host_path_at(flow.src, flow.dst, flow.components[0].index)
 
     # Figure 1's three elephants (E11->E21, E13->E24, E32->E23).
     flows = [
@@ -61,11 +63,11 @@ def main() -> None:
     print()
 
     # Watch the shifts happen: sample every 5 simulated seconds.
-    last_paths = [tuple(f.switch_path()) for f in flows]
+    last_paths = [path_of(f) for f in flows]
     for t in range(5, 65, 5):
         net.engine.run_until(float(t))
         for i, flow in enumerate(flows):
-            current = tuple(flow.switch_path())
+            current = path_of(flow)
             if current != last_paths[i]:
                 print(f"  t={net.engine.now:5.1f}s flow{i} shifted to core "
                       f"{current[3]} (switch #{flow.path_switches})")
@@ -73,7 +75,7 @@ def main() -> None:
 
     print()
     bottleneck_report("(after DARD convergence)")
-    cores = {tuple(f.switch_path())[3] for f in flows}
+    cores = {path_of(f)[3] for f in flows}
     print(f"\n  distinct cores in use : {len(cores)} of 3 flows")
     print(f"  total path switches   : {sum(f.path_switches for f in flows)} "
           "(paper Table 1 converges in 2 rounds)")

@@ -7,7 +7,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.simulator.flows import FlowRecord
 

@@ -7,7 +7,7 @@ over time — the raw material for throughput timelines and hotspot plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError

@@ -9,7 +9,6 @@ path diversity between ToR pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.topology.graph import NodeKind
 from repro.topology.multirooted import MultiRootedTopology

@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.scheduling.base import Scheduler, SchedulerContext
 from repro.scheduling.messages import MessageSizes
 from repro.simulator.flows import Flow, FlowComponent
-from repro.topology.multirooted import SwitchPath
-from repro.baselines.ecmp import five_tuple_hash
+from repro.topology.paths import EqualCostPaths
+from repro.baselines.ecmp import hash_components, rehash
 from repro.baselines.hedera import estimate_demands
 
 DEFAULT_SCHEDULING_INTERVAL_S = 5.0
@@ -50,21 +50,12 @@ class GlobalFirstFitScheduler(Scheduler):
         ctx.network.link_failed_listeners.append(self._on_link_failed)
 
     def _on_link_failed(self, u: str, v: str) -> None:
-        def hash_pick(paths):
-            sport = int(self.ctx.rng.integers(1024, 65536))
-            dport = int(self.ctx.rng.integers(1024, 65536))
-            return paths[five_tuple_hash("rehash", "rehash", sport, dport, len(paths))]
-
-        self.evacuate_failed_link(u, v, hash_pick)
+        self.evacuate_failed_link(u, v, lambda alive: rehash(self, alive))
 
     # -- placement: ECMP until scheduled ----------------------------------------
 
     def choose_components(self, src: str, dst: str) -> List[FlowComponent]:
-        paths = self.alive_paths(src, dst)
-        sport = int(self.ctx.rng.integers(1024, 65536))
-        dport = int(self.ctx.rng.integers(1024, 65536))
-        index = five_tuple_hash(src, dst, sport, dport, len(paths))
-        return [self.component_for(src, dst, paths[index])]
+        return hash_components(self, src, dst)
 
     # -- the periodic greedy round -----------------------------------------------
 
@@ -89,15 +80,16 @@ class GlobalFirstFitScheduler(Scheduler):
                 # Nothing fits outright; the flow keeps its path unreserved
                 # (it will share whatever it lands on, like Hedera's GFF).
                 continue
-            path, links = placement
+            paths, index, links = placement
             for link in links:
                 reserved[link] = reserved.get(link, 0.0) + demand_bps
-            if path != tuple(flow.switch_path()[1:-1]):
+            if index != flow.components[0].index:
                 network.reroute_flow(
-                    flow, [self.component_for(flow.src, flow.dst, path)]
+                    flow, [network.component(flow.src, flow.dst, paths, index)]
                 )
+                # One table update per switch along the new path.
                 self.ledger.record(
-                    "update", self.message_sizes.update_from_controller, len(path)
+                    "update", self.message_sizes.update_from_controller, paths.hops + 1
                 )
 
     def _first_fit(
@@ -105,18 +97,17 @@ class GlobalFirstFitScheduler(Scheduler):
         flow: Flow,
         demand_bps: float,
         reserved: Dict[Tuple[str, str], float],
-    ) -> Optional[Tuple[SwitchPath, List[Tuple[str, str]]]]:
-        """The first path with headroom for the flow's demand on every hop.
+    ) -> Optional[Tuple[EqualCostPaths, int, List[Tuple[str, str]]]]:
+        """The first path with headroom for the flow's demand on every hop:
+        the pair's path set, the path's index and its links.
 
         The current path is tried first so converged placements are sticky.
         """
         network = self.ctx.network
-        current = tuple(flow.switch_path()[1:-1])
-        candidates = [current] + [
-            p for p in self.alive_paths(flow.src, flow.dst) if p != current
-        ]
-        for path in candidates:
-            full = self.ctx.topology.host_path(flow.src, flow.dst, path)
+        paths, alive = self.alive_paths(flow.src, flow.dst)
+        current = flow.components[0].index
+        for index in [current] + [i for i in alive if i != current]:
+            full = self.ctx.topology.host_path(flow.src, flow.dst, paths[index])
             if network.failed_links and not network.path_alive(full):
                 continue
             links = list(zip(full, full[1:]))
@@ -125,5 +116,5 @@ class GlobalFirstFitScheduler(Scheduler):
                 <= network.capacities[link] + 1e-6
                 for link in links
             ):
-                return path, links
+                return paths, index, links
         return None

@@ -32,8 +32,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.scheduling.base import Scheduler, SchedulerContext
 from repro.scheduling.messages import MessageSizes
 from repro.simulator.flows import Flow, FlowComponent
-from repro.topology.multirooted import SwitchPath
-from repro.baselines.ecmp import five_tuple_hash
+from repro.topology.paths import EqualCostPaths, SwitchPath
+from repro.baselines.ecmp import hash_components, rehash
 
 DEFAULT_SCHEDULING_INTERVAL_S = 5.0
 DEFAULT_ANNEALING_ITERATIONS = 1000
@@ -121,26 +121,29 @@ class PathSelector:
     up: int = 0
     down: int = 0
 
-    def apply(self, paths: Sequence[SwitchPath]) -> SwitchPath:
-        """Resolve this selector against a concrete equal-cost path set."""
-        if not paths:
+    def apply(self, paths: Sequence[SwitchPath], alive: Sequence[int]) -> int:
+        """Resolve this selector to one of ``alive``, ascending indices
+        into a concrete equal-cost path set ``paths``."""
+        if not alive:
             raise ValueError("empty path set")
-        if len(paths[0]) != 5:
+        if len(paths[alive[0]]) != 5:
             # Intra-pod (3-hop) or same-ToR (1-hop): only one level of choice.
-            return paths[self.core % len(paths)]
-        by_core: Dict[str, List[SwitchPath]] = {}
-        for p in paths:
-            by_core.setdefault(p[2], []).append(p)
+            return alive[self.core % len(alive)]
+        keep = set(alive)
+        by_core: Dict[str, List[Tuple[int, SwitchPath]]] = {}
+        for i, p in enumerate(paths):
+            if i in keep:
+                by_core.setdefault(p[2], []).append((i, p))
         cores = sorted(by_core)
         via = by_core[cores[self.core % len(cores)]]
-        ups = sorted({p[1] for p in via})
+        ups = sorted({p[1] for _, p in via})
         up = ups[self.up % len(ups)]
-        via = [p for p in via if p[1] == up]
-        downs = sorted({p[3] for p in via})
+        via = [(i, p) for i, p in via if p[1] == up]
+        downs = sorted({p[3] for _, p in via})
         down = downs[self.down % len(downs)]
-        for p in via:
+        for i, p in via:
             if p[3] == down:
-                return p
+                return i
         raise ValueError("selector resolution failed")  # pragma: no cover
 
 
@@ -168,8 +171,9 @@ class HederaScheduler(Scheduler):
         self._assignments: Dict[str, PathSelector] = {}
         # Memo for selector resolution: (src ToR, dst ToR, selector) -> links.
         self._links_cache: Dict[tuple, List[Tuple[str, str]]] = {}
-        #: (src host, dst host) -> alive path set, for the current round only.
-        self._round_paths: Dict[Tuple[str, str], Sequence[SwitchPath]] = {}
+        #: (src host, dst host) -> (path set, alive indices), for the
+        #: current round only.
+        self._round_paths: Dict[Tuple[str, str], Tuple[EqualCostPaths, Sequence[int]]] = {}
 
     def attach(self, ctx: SchedulerContext) -> None:
         super().attach(ctx)
@@ -181,13 +185,7 @@ class HederaScheduler(Scheduler):
         # The fabric re-hashes immediately (routing re-convergence); the
         # controller re-optimizes at its next scheduling round.
         self._links_cache.clear()
-
-        def hash_pick(paths):
-            sport = int(self.ctx.rng.integers(1024, 65536))
-            dport = int(self.ctx.rng.integers(1024, 65536))
-            return paths[five_tuple_hash("rehash", "rehash", sport, dport, len(paths))]
-
-        self.evacuate_failed_link(u, v, hash_pick)
+        self.evacuate_failed_link(u, v, lambda alive: rehash(self, alive))
 
     def _on_link_restored(self, u: str, v: str) -> None:
         self._links_cache.clear()
@@ -195,11 +193,7 @@ class HederaScheduler(Scheduler):
     # -- placement: plain ECMP until the controller says otherwise ------------
 
     def choose_components(self, src: str, dst: str) -> List[FlowComponent]:
-        paths = self.alive_paths(src, dst)
-        sport = int(self.ctx.rng.integers(1024, 65536))
-        dport = int(self.ctx.rng.integers(1024, 65536))
-        index = five_tuple_hash(src, dst, sport, dport, len(paths))
-        return [self.component_for(src, dst, paths[index])]
+        return hash_components(self, src, dst)
 
     # -- the periodic central round ----------------------------------------------
 
@@ -222,19 +216,23 @@ class HederaScheduler(Scheduler):
         self._assignments.update(assignments)
         self._apply(elephants)
 
-    def _paths_for_flow(self, flow: Flow) -> Sequence[SwitchPath]:
+    def _paths_for_flow(self, flow: Flow) -> Tuple[EqualCostPaths, Sequence[int]]:
         key = (flow.src, flow.dst)
-        paths = self._round_paths.get(key)
-        if paths is None:
-            paths = self._round_paths[key] = self.alive_paths(flow.src, flow.dst)
-        return paths
+        entry = self._round_paths.get(key)
+        if entry is None:
+            entry = self._round_paths[key] = self.alive_paths(flow.src, flow.dst)
+        return entry
 
-    def _flow_path(self, flow: Flow, assignment: Dict[str, PathSelector]) -> SwitchPath:
-        paths = self._paths_for_flow(flow)
+    def _flow_path(
+        self, flow: Flow, assignment: Dict[str, PathSelector]
+    ) -> Tuple[EqualCostPaths, int]:
+        """The flow's path set and the index ``assignment`` gives it
+        (its current one when its destination has no selector)."""
+        paths, alive = self._paths_for_flow(flow)
         selector = assignment.get(flow.dst)
         if selector is None:
-            return tuple(flow.switch_path()[1:-1])
-        return selector.apply(paths)
+            return paths, flow.components[0].index
+        return paths, selector.apply(paths, alive)
 
     def _energy(
         self,
@@ -246,7 +244,8 @@ class HederaScheduler(Scheduler):
         network = self.ctx.network
         load: Dict[Tuple[str, str], float] = {}
         for flow, demand in zip(elephants, demand_bps):
-            path = self._flow_path(flow, assignment)
+            paths, index = self._flow_path(flow, assignment)
+            path = paths[index]
             for link in zip(path, path[1:]):
                 load[link] = load.get(link, 0.0) + demand
         if not load:
@@ -338,7 +337,8 @@ class HederaScheduler(Scheduler):
         key = (topo.tor_of(flow.src), topo.tor_of(flow.dst), selector)
         links = self._links_cache.get(key)
         if links is None:
-            path = selector.apply(self._paths_for_flow(flow))
+            paths, alive = self._paths_for_flow(flow)
+            path = paths[selector.apply(paths, alive)]
             links = list(zip(path, path[1:]))
             self._links_cache[key] = links
         return links
@@ -349,12 +349,11 @@ class HederaScheduler(Scheduler):
         for flow in elephants:
             if not flow.active:
                 continue
-            new_path = self._flow_path(flow, self._assignments)
-            if new_path == tuple(flow.switch_path()[1:-1]):
+            paths, index = self._flow_path(flow, self._assignments)
+            if index == flow.components[0].index:
                 continue
-            component = self.component_for(flow.src, flow.dst, new_path)
-            network.reroute_flow(flow, [component])
+            network.reroute_flow(flow, [network.component(flow.src, flow.dst, paths, index)])
             # One table update per switch along the new path.
             self.ledger.record(
-                "update", self.message_sizes.update_from_controller, len(new_path)
+                "update", self.message_sizes.update_from_controller, paths.hops + 1
             )

@@ -36,7 +36,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.scheduling.base import Scheduler, SchedulerContext
 from repro.simulator.flows import Flow, FlowComponent
-from repro.topology.multirooted import SwitchPath
+from repro.topology.paths import EqualCostPaths, SwitchPath
 
 DEFAULT_PROBE_INTERVAL_S = 0.05
 DEFAULT_KAPPA = 0.4
@@ -49,7 +49,7 @@ class TexcpAgent:
 
     src_tor: str
     dst_tor: str
-    paths: List[SwitchPath]
+    paths: EqualCostPaths
     ratios: List[float] = field(default_factory=list)
     flow_ids: Set[int] = field(default_factory=set)
 
@@ -104,7 +104,7 @@ class TexcpScheduler(Scheduler):
         src_tor, dst_tor = topo.tor_of(src), topo.tor_of(dst)
         paths = topo.equal_cost_paths(src_tor, dst_tor)
         if len(paths) == 1:
-            return [self.component_for(src, dst, paths[0])]
+            return [self.ctx.network.component(src, dst, paths, 0)]
         agent = self._agents.get((src_tor, dst_tor))
         if agent is None:
             agent = TexcpAgent(src_tor, dst_tor, paths)
@@ -113,24 +113,28 @@ class TexcpScheduler(Scheduler):
             return [self._flowlet_component(src, dst, agent)]
         return self._striped_components(src, dst, agent)
 
+    def _alive(self, src: str, dst: str, agent: TexcpAgent) -> List[int]:
+        """The indices of the agent's paths up from ``src`` to ``dst``."""
+        network = self.ctx.network
+        if not network.failed_links:
+            return list(range(len(agent.paths)))
+        topo = self.ctx.topology
+        return [
+            i for i, path in enumerate(agent.paths)
+            if network.path_alive(topo.host_path(src, dst, path))
+        ]
+
     def _flowlet_component(self, src: str, dst: str, agent: TexcpAgent) -> FlowComponent:
         """One path drawn from the agent's split ratios (flowlet mode)."""
         network = self.ctx.network
-        topo = self.ctx.topology
-        weights = []
-        candidates = []
-        for path, ratio in zip(agent.paths, agent.ratios):
-            full = topo.host_path(src, dst, path)
-            if network.failed_links and not network.path_alive(full):
-                continue
-            candidates.append(full)
-            weights.append(ratio)
+        candidates = self._alive(src, dst, agent)
         if not candidates:
-            return FlowComponent(topo.host_path(src, dst, agent.paths[0]))
+            return network.component(src, dst, agent.paths, 0)
+        weights = [agent.ratios[i] for i in candidates]
         total = sum(weights)
         probabilities = [w / total for w in weights]
         index = int(self.ctx.rng.choice(len(candidates), p=probabilities))
-        return FlowComponent(candidates[index])
+        return network.component(src, dst, agent.paths, candidates[index])
 
     def place(self, src: str, dst: str, size_bytes: float) -> Flow:
         flow = super().place(src, dst, size_bytes)
@@ -144,18 +148,15 @@ class TexcpScheduler(Scheduler):
         self, src: str, dst: str, agent: TexcpAgent
     ) -> List[FlowComponent]:
         """Components over the agent's paths, skipping any that are down."""
-        topo = self.ctx.topology
         network = self.ctx.network
-        components = []
-        for path, ratio in zip(agent.paths, agent.ratios):
-            full = topo.host_path(src, dst, path)
-            if network.failed_links and not network.path_alive(full):
-                continue
-            components.append(FlowComponent(full, weight=ratio))
+        components = [
+            network.component(src, dst, agent.paths, i, agent.ratios[i])
+            for i in self._alive(src, dst, agent)
+        ]
         if not components:
             # Everything is down (e.g. access link): pin to the first path
             # and stall until the failure heals.
-            components = [FlowComponent(topo.host_path(src, dst, agent.paths[0]))]
+            components = [network.component(src, dst, agent.paths, 0)]
         return components
 
     # -- the distributed control loop --------------------------------------------
@@ -193,14 +194,14 @@ class TexcpScheduler(Scheduler):
                 if flow is None:
                     agent.flow_ids.discard(flow_id)
                     continue
-                dead = network.failed_links and any(
-                    not network.path_alive(c.path) for c in flow.components
-                )
+                dead = network.failed_links and not {
+                    c.index for c in flow.components
+                } <= set(self._alive(flow.src, flow.dst, agent))
                 if not changed and not dead:
                     continue
                 if self.granularity == "flowlet":
                     component = self._flowlet_component(flow.src, flow.dst, agent)
-                    if component.path == flow.components[0].path:
+                    if component.index == flow.components[0].index:
                         continue
                     # Flowlet switches land between bursts: no window loss,
                     # no reordering — but they are path switches and are

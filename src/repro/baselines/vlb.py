@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.scheduling.base import Scheduler, SchedulerContext
-from repro.simulator.flows import Flow, FlowComponent
+from repro.simulator.flows import FlowComponent
 
 DEFAULT_REPICK_INTERVAL_S = 10.0
 
@@ -35,12 +35,12 @@ class PeriodicVlbScheduler(Scheduler):
 
     def _on_link_failed(self, u: str, v: str) -> None:
         rng = self.ctx.rng
-        self.evacuate_failed_link(u, v, lambda paths: paths[int(rng.integers(len(paths)))])
+        self.evacuate_failed_link(u, v, lambda alive: alive[int(rng.integers(len(alive)))])
 
     def _random_path(self, src: str, dst: str) -> FlowComponent:
-        paths = self.alive_paths(src, dst)
-        index = int(self.ctx.rng.integers(len(paths)))
-        return self.component_for(src, dst, paths[index])
+        paths, alive = self.alive_paths(src, dst)
+        index = alive[int(self.ctx.rng.integers(len(alive)))]
+        return self.ctx.network.component(src, dst, paths, index)
 
     def choose_components(self, src: str, dst: str) -> List[FlowComponent]:
         return [self._random_path(src, dst)]
@@ -53,6 +53,6 @@ class PeriodicVlbScheduler(Scheduler):
             if len(paths) < 2:
                 continue
             component = self._random_path(flow.src, flow.dst)
-            if component.path == flow.components[0].path:
+            if component.index == flow.components[0].index:
                 continue  # same draw; no actual switch happened
             network.reroute_flow(flow, [component])

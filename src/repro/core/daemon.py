@@ -11,8 +11,10 @@ monitor's raw state arrays with plain floats: the best target is the
 first index of the lexicographic ``(BoNF, post-shift estimate)``
 maximum, the worst active path the first active index of the BoNF
 minimum, and the δ-test the scalar code's early return. FV is
-assembled from each flow's integer ``monitored_path_index`` — no
-switch-path tuple hashing. The sweep over
+assembled from each flow's path index, ``flow.components[0].index``,
+which is the monitored path's index because a monitor lists its pair's
+paths in the base order flows are placed in — no switch-path tuple is
+built or hashed. The sweep over
 :class:`~repro.core.bonf.PathState` objects with tuple-keyed FV lives on
 as the scalar reference twin in :mod:`repro.validation.twins`, which
 dual-runs scenarios against this round and demands the same shift
@@ -27,7 +29,7 @@ from repro.addressing.codec import PathCodec
 from repro.common.logging import get_logger
 from repro.scheduling.base import encode_and_verify
 from repro.scheduling.messages import MessageLedger, MessageSizes
-from repro.simulator.flows import Flow, FlowComponent
+from repro.simulator.flows import Flow
 from repro.simulator.network import Network
 from repro.core.monitor import PathMonitor
 from repro.core.registry import MonitorRegistry
@@ -85,11 +87,6 @@ class HostDaemon:
                 self.message_sizes, registry=self.registry,
             )
             self.monitors[pair] = monitor
-        # Integer FV fast path: remember which monitored path the flow is
-        # on now, so per-round accounting never re-hashes path tuples.
-        flow.monitored_path_index = monitor.path_index(
-            tuple(flow.switch_path()[1:-1])
-        )
 
     def on_flow_completed(self, flow: Flow) -> None:
         """Release monitors whose last elephant finished (paper §2.4.1)."""
@@ -144,7 +141,7 @@ class HostDaemon:
         counts = [0] * len(band)
         for flow in self.elephants.get((monitor.src_tor, monitor.dst_tor), []):
             if flow.active:
-                counts[flow.monitored_path_index] += 1
+                counts[flow.components[0].index] += 1
         best = worst = None
         best_bonf = best_est = worst_bonf = 0.0
         inf = float("inf")
@@ -179,7 +176,7 @@ class HostDaemon:
     ) -> Optional[Flow]:
         """First active elephant on a path, by integer index comparison."""
         for flow in self.elephants.get((monitor.src_tor, monitor.dst_tor), []):
-            if flow.active and flow.monitored_path_index == path_index:
+            if flow.active and flow.components[0].index == path_index:
                 return flow
         return None
 
@@ -191,15 +188,12 @@ class HostDaemon:
         # The route change is expressed purely as an address-pair swap; the
         # codec round-trip asserts the static tables will honor it.
         encode_and_verify(self.codec, flow.src, flow.dst, new_path)
-        component = FlowComponent(
-            self.network.topology.host_path(flow.src, flow.dst, new_path)
-        )
+        component = self.network.component(flow.src, flow.dst, monitor.paths, to_index)
         logger.debug(
             "t=%.2f host %s shifts flow %d to path %s",
             self.network.now, self.host, flow.flow_id, new_path,
         )
         self.network.reroute_flow(flow, [component])
-        flow.monitored_path_index = to_index
         # Optimistically update local state so later decisions in this
         # round see the shift — both the landing and the vacated path (the
         # next query refreshes ground truth).

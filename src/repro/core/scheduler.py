@@ -34,7 +34,7 @@ from repro.common.units import MBPS
 from repro.scheduling.base import Scheduler, SchedulerContext
 from repro.scheduling.messages import MessageSizes
 from repro.simulator.flows import Flow, FlowComponent
-from repro.baselines.ecmp import five_tuple_hash
+from repro.baselines.ecmp import hash_components
 from repro.core.daemon import HostDaemon, ShiftRecord
 from repro.core.registry import MonitorRegistry
 
@@ -89,11 +89,7 @@ class DardScheduler(Scheduler):
     # -- placement: ECMP until an elephant proves otherwise -----------------------
 
     def choose_components(self, src: str, dst: str) -> List[FlowComponent]:
-        paths = self.alive_paths(src, dst)
-        sport = int(self.ctx.rng.integers(1024, 65536))
-        dport = int(self.ctx.rng.integers(1024, 65536))
-        index = five_tuple_hash(src, dst, sport, dport, len(paths))
-        return [self.component_for(src, dst, paths[index])]
+        return hash_components(self, src, dst)
 
     # -- detector dispatch ----------------------------------------------------------
 

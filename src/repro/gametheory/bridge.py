@@ -33,7 +33,6 @@ def game_from_network(
         if len(paths[0]) < 2:
             continue  # same-ToR flows play no routing game
         routes = tuple(tuple(zip(p, p[1:])) for p in paths)
-        current = tuple(flow.switch_path()[1:-1])
         flows.append(GameFlow(flow_id=flow.flow_id, routes=routes))
-        strategy.append(paths.index(current))
+        strategy.append(flow.components[0].index)
     return CongestionGame(capacities, flows, delta_bps), tuple(strategy)

@@ -10,7 +10,7 @@ ratios, which is what turns path delay spread into duplicate ACKs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.simulator.engine import EventEngine, EventHandle

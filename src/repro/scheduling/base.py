@@ -4,14 +4,16 @@ A scheduler's job is (a) to pick the initial path component(s) for every new
 flow and (b) optionally to run periodic control logic that re-routes live
 flows. It talks to the world through a :class:`SchedulerContext`, which
 bundles the network, topology, addressing codec, and a dedicated RNG
-stream.
+stream. A route is an index into the pair's path set, which
+:meth:`Scheduler.alive_paths` returns with the indices a scheduler may
+choose; ``Network.component`` turns the choice into a flow component.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,63 +76,56 @@ class Scheduler(abc.ABC):
         topo = self.ctx.topology
         return topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
 
-    def alive_paths(self, src: str, dst: str) -> Sequence[SwitchPath]:
-        """Equal-cost paths whose every hop is currently up, in base order.
+    def alive_paths(self, src: str, dst: str) -> Tuple[EqualCostPaths, Sequence[int]]:
+        """The pair's path set and the ascending indices of its paths whose
+        every hop is up.
 
-        Falls back to the full path set when nothing survives (e.g. the
-        host's own access link is down) — the flow is then placed and
-        simply stalls until the failure heals, as real traffic would.
+        When nothing survives (e.g. the host's own access link is down)
+        every index comes back — the flow is then placed and simply
+        stalls until the failure heals, as real traffic would.
         """
         failed = self.ctx.network.failed_links
         paths = self.paths_between(src, dst)
+        everything = range(len(paths))
         if not failed:
-            return paths
+            return paths, everything
         # Both access cables are on every path: test them once, then let
         # the path set derive its dead indices from the failed cables
         # touching its switches (``failed`` holds both directions).
         if (src, paths.src_tor) in failed or (paths.dst_tor, dst) in failed:
-            return paths
+            return paths, everything
         dead = paths.dead_indices(failed)
         if not dead.size or dead.size == len(paths):
-            return paths
-        return paths.without(dead)
+            return paths, everything
+        keep = np.ones(len(paths), dtype=bool)
+        keep[dead] = False
+        return paths, np.flatnonzero(keep).tolist()
 
-    def evacuate_failed_link(self, u: str, v: str, pick) -> int:
+    def evacuate_failed_link(
+        self, u: str, v: str, pick: Callable[[Sequence[int]], int]
+    ) -> int:
         """Move single-path flows off a failed cable; returns moves made.
 
-        ``pick(live_paths)`` chooses the replacement — hash-based for ECMP
-        and Hedera (modelling the fabric's re-hash on routing
+        ``pick(alive)`` chooses the replacement's index — hash-based for
+        ECMP, Hedera and GFF (modelling the fabric's re-hash on routing
         re-convergence), uniform random for VLB. Striped (multi-component)
         flows are left to their own scheduler's control loop.
         """
         network = self.ctx.network
+        cable = {network.link_index.id_of((u, v)), network.link_index.id_of((v, u))}
         moved = 0
         for flow in network.active_flows():
-            if len(flow.components) != 1:
+            if len(flow.components) != 1 or cable.isdisjoint(flow.components[0].link_ids):
                 continue
-            links = flow.components[0].links()
-            if (u, v) not in links and (v, u) not in links:
+            paths, alive = self.alive_paths(flow.src, flow.dst)
+            # The flow's own path is dead, so every index comes back only
+            # when nothing survives (access link down): the flow stalls.
+            if len(alive) == len(paths):
                 continue
-            live = self.alive_paths(flow.src, flow.dst)
-            topo = self.ctx.topology
-            live = [
-                p for p in live
-                if network.path_alive(topo.host_path(flow.src, flow.dst, p))
-            ]
-            if not live:
-                continue  # no way around (access link down); flow stalls
-            new_path = pick(live)
-            network.reroute_flow(flow, [self.component_for(flow.src, flow.dst, new_path)])
+            index = pick(alive)
+            network.reroute_flow(flow, [network.component(flow.src, flow.dst, paths, index)])
             moved += 1
         return moved
-
-    def component_for(self, src: str, dst: str, path: SwitchPath) -> FlowComponent:
-        """Wrap a ToR-level switch path into a full host-to-host component."""
-        return FlowComponent(self.ctx.topology.host_path(src, dst, path))
-
-    def switch_path_of(self, flow: Flow) -> SwitchPath:
-        """The ToR-to-ToR portion of a single-component flow's path."""
-        return tuple(flow.switch_path()[1:-1])
 
     # -- accounting ------------------------------------------------------------------
 

@@ -13,7 +13,8 @@ The structure is an exact adjacency index over dense link ids (the
 network's :class:`~repro.simulator.linkindex.LinkIndex` universe):
 
 * ``_link_flows`` maps each link carrying at least one live flow to the
-  set of those flows (links that carry none have no entry);
+  set of those flows (links that carry none have no entry), the one
+  record of which flows cross a link (:meth:`flow_count`);
 * ``_flow_links`` maps each live flow to its unique link ids;
 * **attach** (flow start / reroute landing) and **detach** (completion /
   reroute leaving) add or remove one flow's entries and mark its links
@@ -146,7 +147,11 @@ class FlowLinkComponents:
         """Forget the dirty marks: a global fill has just re-rated every flow."""
         self._dirty_links = set()
 
-    # -- introspection (invariant checks, tests) -------------------------------
+    # -- introspection (link state, invariant checks, tests) ---------------------
+
+    def flow_count(self, link: int) -> int:
+        """How many live flows cross ``link``."""
+        return len(self._link_flows.get(link, ()))
 
     def link_flows(self) -> Dict[int, Set[int]]:
         """A copy of the link -> live-flows index, for audits and tests."""

@@ -1,10 +1,16 @@
 """Flow objects and completion records.
 
 A :class:`Flow` transfers a fixed number of bytes between two hosts. Its
-traffic is carried by one or more :class:`FlowComponent` s — (path, weight)
-pairs. Single-path schedulers (ECMP, VLB, Hedera, DARD) keep exactly one
-component and re-route by replacing it; TeXCP stripes a flow across several
-weighted components.
+traffic is carried by one or more :class:`FlowComponent` s — (path index,
+weight, link-id row) triples. The index names one of the hosts' ToR
+pair's equal-cost paths, as DARD's address pair does (§2.3); the row is
+that path's link ids, which the network reads on every refill. No
+component holds a node name:
+:meth:`~repro.topology.multirooted.MultiRootedTopology.host_path_at`
+builds the node path from the index where something reads it.
+Single-path schedulers (ECMP, VLB, Hedera, DARD) keep exactly one
+component and re-route by replacing it; TeXCP stripes a flow across
+several weighted components.
 
 The paper's elephant definition (§1) is a TCP connection lasting at least
 10 seconds; flows are *promoted* to elephant status at that age by the
@@ -14,7 +20,7 @@ Storage model (see DESIGN.md "Columnar flow state"): a :class:`Flow` is a
 view of exactly one row of a :class:`~repro.simulator.flowstore.FlowStore`
 for its whole life. Its hot scalar attributes — rate, remaining bytes,
 retransmitted bytes, reordering fraction, elephant flag, path-switch
-count, monitored path index, end time — are properties over that row, so
+count, end time — are properties over that row, so
 the network's vectorized settle/ETA/completion passes and the scalar
 property accesses always see the same state. The constructor acquires the
 row (a network passes its own store, a standalone flow a ``FlowStore()``);
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.common.errors import SimulationError
 
@@ -44,25 +50,21 @@ PATH_SWITCH_RETX_BYTES = 64_000
 
 @dataclass(frozen=True)
 class FlowComponent:
-    """One (path, weight) strand of a flow.
+    """One strand of a flow: a path index, a weight and the path's link ids.
 
-    ``path`` is the full node path, hosts included. ``weight`` scales the
-    component's max-min share; weights across a flow's components need not
-    sum to anything in particular — only ratios matter to the allocator.
+    ``index`` is a position, in base order, in the equal-cost paths of
+    the flow's (source ToR, destination ToR) pair. ``link_ids`` is that
+    path's row of directed-link ids: the source access link, the switch
+    hops, then the destination access link, in path order; build it with
+    :meth:`repro.simulator.network.Network.component`. ``weight`` scales
+    the component's max-min share; weights across a flow's components
+    need not sum to anything in particular — only ratios matter to the
+    allocator.
     """
 
-    path: Tuple[str, ...]
+    index: int
+    link_ids: List[int]
     weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Frozen dataclass: stash the derived link tuple once via
-        # object.__setattr__ — links() is called from every hot path
-        # (counter updates, reallocation, invariant checks).
-        object.__setattr__(self, "_links", tuple(zip(self.path, self.path[1:])))
-
-    def links(self) -> Tuple[Tuple[str, str], ...]:
-        """The directed links this component traverses (cached)."""
-        return self._links
 
 
 class Flow:
@@ -70,7 +72,8 @@ class Flow:
 
     Hot scalar attributes live in the flow's store row (see the module
     docstring); cold state — endpoints, components, the per-component
-    rate list, path history, cached link-id arrays — stays on the object.
+    rate list, path history, the unique link-id array — stays on the
+    object.
     """
 
     def __init__(
@@ -91,22 +94,13 @@ class Flow:
         self.components: List[FlowComponent] = list(components)
         if not self.components:
             raise SimulationError(f"flow {self.flow_id} has no components")
-        if self.src != self.components[0].path[0] or self.dst != self.components[0].path[-1]:
-            raise SimulationError(
-                f"flow {self.flow_id} endpoints ({self.src}, {self.dst}) do not match "
-                f"component path {self.components[0].path}"
-            )
         #: current per-component rates (bits/s), parallel to ``components``.
         self.component_rates: List[float] = []
-        #: distinct single-path routes this flow has used, in order — lets
-        #: the stability analysis detect A->B->A oscillation, which the
-        #: paper claims never happens ("no flow switches its paths back
-        #: and forth").
-        self.path_history: List[Tuple[str, ...]] = []
-        #: per-component link-id lists over the owning network's
-        #: LinkIndex, computed once at start/reroute and reused by every
-        #: hot path (set by the Network).
-        self.component_link_ids: Optional[List] = None
+        #: the path indices of the single-path routes this flow has used,
+        #: in order — lets the stability analysis detect A->B->A
+        #: oscillation, which the paper claims never happens ("no flow
+        #: switches its paths back and forth").
+        self.path_history: List[int] = []
         #: sorted unique link ids across all components (set by the Network).
         self.unique_link_ids: Optional[object] = None
         #: the store and row holding the hot attributes. The store
@@ -174,22 +168,6 @@ class Flow:
         self._store.path_switches[self._row] = value
 
     @property
-    def monitored_path_index(self) -> Optional[int]:
-        """Which monitored equal-cost path this flow currently rides.
-
-        An index into its (src ToR, dst ToR) monitor's path list, assigned
-        by the DARD daemon at elephant promotion and on every shift, so
-        the control plane's FV accounting compares integers instead of
-        hashing switch-path tuples. ``None`` for mice and non-DARD flows.
-        """
-        index = int(self._store.monitored_path[self._row])
-        return None if index < 0 else index
-
-    @monitored_path_index.setter
-    def monitored_path_index(self, value: Optional[int]) -> None:
-        self._store.monitored_path[self._row] = -1 if value is None else value
-
-    @property
     def end_time(self) -> Optional[float]:
         end = float(self._store.end_time[self._row])
         return None if math.isnan(end) else end
@@ -226,12 +204,6 @@ class Flow:
         """Seconds since the flow started."""
         return now - self.start_time
 
-    def switch_path(self) -> Tuple[str, ...]:
-        """The single path of a single-component flow (scheduler convenience)."""
-        if len(self.components) != 1:
-            raise ValueError(f"flow {self.flow_id} is striped over {len(self.components)} paths")
-        return self.components[0].path
-
     def retx_rate(self) -> float:
         """Retransmitted bytes over unique bytes (the Fig. 14 metric)."""
         if self.size_bytes <= 0:
@@ -242,10 +214,10 @@ class Flow:
         """How many route changes returned to a previously used path."""
         revisits = 0
         seen = set()
-        for path in self.path_history:
-            if path in seen:
+        for index in self.path_history:
+            if index in seen:
                 revisits += 1
-            seen.add(path)
+            seen.add(index)
         return revisits
 
 

@@ -37,7 +37,7 @@ __all__ = ["FlowStore"]
 _INITIAL_CAPACITY = 64
 
 #: ``(column attribute, dtype, a fresh flow's value)``: zero rate, no
-#: reordering, active (NaN end time), a mouse on no monitored path.
+#: reordering, active (NaN end time), a mouse that never switched path.
 #: ``Flow.__init__`` writes the remaining bytes.
 _COLUMN_SPECS: Tuple[Tuple[str, type, float], ...] = (
     ("flow_id", np.int64, -1),
@@ -47,7 +47,6 @@ _COLUMN_SPECS: Tuple[Tuple[str, type, float], ...] = (
     ("end_time", np.float64, np.nan),
     ("retransmitted_bytes", np.float64, 0.0),
     ("elephant", np.bool_, False),
-    ("monitored_path", np.int64, -1),
     ("path_switches", np.int64, 0),
 )
 
@@ -67,7 +66,6 @@ class FlowStore:
     end_time: np.ndarray
     retransmitted_bytes: np.ndarray
     elephant: np.ndarray
-    monitored_path: np.ndarray
     path_switches: np.ndarray
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:

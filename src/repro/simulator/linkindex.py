@@ -4,7 +4,7 @@ The fluid simulator's hot loop — max-min reallocation after every flow
 event — used to hash ``(str, str)`` link tuples on every call. A
 :class:`LinkIndex` interns each directed link to a dense integer id
 exactly once per :class:`~repro.simulator.network.Network`, so all
-per-link quantities (capacity, delay, failure state, flow counters,
+per-link quantities (capacity, delay, failure state, elephant counters,
 utilization) become numpy arrays indexed by link id and every hot-path
 computation is a vectorized gather/scatter instead of a dict walk.
 """

@@ -3,7 +3,8 @@
 ``Network`` owns all mutable simulation state. Schedulers interact with it
 through four surfaces:
 
-* **flow placement** — :meth:`start_flow` with the components they chose;
+* **flow placement** — :meth:`start_flow` with the :meth:`component` s
+  they chose;
 * **re-routing** — :meth:`reroute_flow` (DARD's address-pair swap, VLB's
   periodic re-pick, Hedera's table update all reduce to this);
 * **notifications** — ``on_flow_started`` / ``on_elephant_promoted`` /
@@ -17,14 +18,13 @@ zero-delay event) and the next completion event is rescheduled.
 
 Performance architecture (see DESIGN.md): every directed link is interned
 to a dense integer id by a :class:`~repro.simulator.linkindex.LinkIndex`
-built once per network. Capacities, delays, failure state, flow counters,
-and utilizations live in numpy arrays indexed by link id; each flow's
-components are indexed to link ids exactly once at start/reroute and
-reused by counter updates, reallocation, reordering estimates, and
-invariant checks. The reallocator hands the allocator each demand's cached
-link-id list as a plain row, so the per-event hot path never hashes a
-``(str, str)`` link key. :meth:`perf_stats` exposes the reallocation
-telemetry.
+built once per network. Capacities, delays, failure state, elephant counters,
+and utilizations live in numpy arrays indexed by link id; a flow
+component carries its path's link-id row, which counter updates,
+reallocation and reordering estimates reuse. The reallocator hands the
+allocator each demand's row as a plain list, so the per-event hot path
+never hashes a ``(str, str)`` link key. :meth:`perf_stats` exposes the
+reallocation telemetry.
 
 Component-scoped reallocation (see DESIGN.md "Component decomposition"):
 max-min allocation decomposes exactly across connected components of the
@@ -70,6 +70,7 @@ records (golden traces and fuzzer dual-runs).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -79,6 +80,7 @@ import numpy as np
 from repro.common.errors import InvariantViolation, SimulationError
 from repro.common.logging import get_logger
 from repro.topology.multirooted import MultiRootedTopology
+from repro.topology.paths import EqualCostPaths
 from repro.simulator.components import FlowLinkComponents
 from repro.simulator.engine import EventEngine, EventHandle
 from repro.simulator.flows import (
@@ -171,7 +173,6 @@ class Network:
         self._cap_array = self.link_index.capacities
         self._delay_array = self.link_index.delays
         num_links = len(self.link_index)
-        self._total_array = np.zeros(num_links, dtype=np.int64)
         self._eleph_array = np.zeros(num_links, dtype=np.int64)
         self._util_array = np.zeros(num_links, dtype=float)
         self._peak_util_array = np.zeros(num_links, dtype=float)
@@ -187,6 +188,8 @@ class Network:
         #: live flow-link incidence index; its dirty marks pick what the
         #: next refill re-fills.
         self._components = FlowLinkComponents()
+        #: the path tables' cable-id rows as int arrays (first :meth:`component`).
+        self._cable_rows: Optional[Tuple[List[array], List[array]]] = None
         #: unique-link-id arrays of flows that departed (completion, or the
         #: old path at reroute) or whose demands a fail/restore killed or
         #: revived, since the last fill — their load entries are zeroed by
@@ -272,6 +275,7 @@ class Network:
         """Begin a transfer using the scheduler-chosen path component(s)."""
         if size_bytes <= 0:
             raise SimulationError(f"flow size must be positive, got {size_bytes}")
+        unique_link_ids = self._unique_link_ids(src, dst, components)
         self._settle()
         flow = Flow(
             flow_id=self._next_flow_id,
@@ -279,16 +283,15 @@ class Network:
             dst=dst,
             size_bytes=float(size_bytes),
             start_time=self.now,
-            components=list(components),
+            components=components,
             store=self.flow_store,
         )
         self._next_flow_id += 1
-        self._index_components(flow)
+        flow.unique_link_ids = unique_link_ids
         flow.component_rates = [0.0] * len(flow.components)
         if len(flow.components) == 1:
-            flow.path_history.append(flow.components[0].path)
+            flow.path_history.append(flow.components[0].index)
         self.flows[flow.flow_id] = flow
-        self._adjust_link_counts(flow, +1)
         self._components.attach(flow.flow_id, flow.unique_link_ids)
         self._stat_flows_started += 1
         if self.elephant_detector is None:
@@ -319,6 +322,7 @@ class Network:
         """
         if not flow.active:
             raise SimulationError(f"cannot reroute finished flow {flow.flow_id}")
+        unique_link_ids = self._unique_link_ids(flow.src, flow.dst, components)
         self._settle()
         self._adjust_link_counts(flow, -1)
         # The old links' component is dirty (this flow's load leaves it)
@@ -326,7 +330,7 @@ class Network:
         self._components.detach(flow.flow_id)
         self._retired_link_ids.append(flow.unique_link_ids)
         flow.components = list(components)
-        self._index_components(flow)
+        flow.unique_link_ids = unique_link_ids
         flow.component_rates = [0.0] * len(flow.components)
         # Keep the store's rate column in lockstep with the zeroed list —
         # the scalar settle twin and the store pass must agree between
@@ -338,12 +342,32 @@ class Network:
         if count_switch:
             flow.path_switches += 1
             if len(flow.components) == 1:
-                flow.path_history.append(flow.components[0].path)
+                flow.path_history.append(flow.components[0].index)
         if retx_penalty and self.path_switch_retx_bytes > 0:
             penalty = min(self.path_switch_retx_bytes, flow.remaining_bytes)
             flow.retransmitted_bytes += penalty
             flow.remaining_bytes += penalty
         self._request_realloc()
+
+    def component(
+        self, src: str, dst: str, paths: EqualCostPaths, index: int, weight: float = 1.0
+    ) -> FlowComponent:
+        """The component riding ``paths[index]``, the hosts' ToR pair's
+        path set, from host ``src`` to ``dst``: its row is the access
+        links around the hops read from the cable-id tables, no node path."""
+        if not 0 <= index < len(paths):
+            raise IndexError(f"path index {index} out of range for {len(paths)} paths")
+        if self._cable_rows is None:
+            ids, tables = self.link_index.cable_ids, self.topology.path_tables()
+            self._cable_rows = (
+                [array("q", row.tolist()) for row in ids(tables.tor)],
+                [array("q", row.tolist()) for row in ids(tables.agg)],
+            )
+        id_of = self.link_index.id_of
+        row = [id_of((src, paths.src_tor))]
+        row += paths.hop_row(index, *self._cable_rows)
+        row.append(id_of((paths.dst_tor, dst)))
+        return FlowComponent(index, row, weight)
 
     def active_flows(self) -> List[Flow]:
         """All currently live flows."""
@@ -435,7 +459,7 @@ class Network:
         return LinkState(
             bandwidth_bps=bandwidth,
             elephant_flows=int(self._eleph_array[index]),
-            total_flows=int(self._total_array[index]),
+            total_flows=self._components.flow_count(index),
         )
 
     def _bottleneck(self, hops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -491,7 +515,7 @@ class Network:
         return LinkState(
             bandwidth_bps=float(band[0]),
             elephant_flows=int(self._eleph_array[link]),
-            total_flows=int(self._total_array[link]),
+            total_flows=self._components.flow_count(link),
         )
 
     def utilization(self, u: str, v: str) -> float:
@@ -620,15 +644,18 @@ class Network:
         Mirrors exactly what :meth:`_reallocate` hands the allocator —
         components crossing a failed link are skipped — but in the
         string-keyed ``(links, weight)`` form the reference allocator and
-        the differential oracles consume. ``owners[i]`` is the
+        the differential oracles consume, from node paths, not rows.
+        ``owners[i]`` is the
         ``(flow, component_index)`` that demand ``i`` belongs to.
         """
         demands = []
         owners: List[Tuple[Flow, int]] = []
+        failed = self.failed_links
         for flow in self.flows.values():
             for idx, component in enumerate(flow.components):
-                links = component.links()
-                if self.failed_links and any(l in self.failed_links for l in links):
+                path = self.topology.host_path_at(flow.src, flow.dst, component.index)
+                links = tuple(zip(path, path[1:]))
+                if failed and any(link in failed for link in links):
                     continue
                 demands.append((links, component.weight))
                 owners.append((flow, idx))
@@ -641,7 +668,7 @@ class Network:
         handwritten event sequences) and for the validation layer's
         continuous checking: call at any quiescent point. Checks
 
-        * link flow-counters match a from-scratch recount,
+        * link elephant counters match a from-scratch recount,
         * no link is allocated beyond capacity,
         * failed links carry no allocated rate,
         * per-flow byte accounting is sane,
@@ -654,38 +681,35 @@ class Network:
         carrying the offending link / flow id, so the fuzzer and CI can
         report them structurally.
 
-        The recount re-derives link ids from component paths — it does not
-        trust the per-flow caches it is auditing.
+        The recount re-derives link ids from each component's node path
+        (``topology.host_path_at`` of its index) — it does not trust the
+        rows it is auditing.
         """
         num_links = len(self.link_index)
-        expected_total = np.zeros(num_links, dtype=np.int64)
         expected_eleph = np.zeros(num_links, dtype=np.int64)
         load = np.zeros(num_links, dtype=float)
-        #: flow id -> unique link ids, recounted from the component paths.
+        #: flow id -> unique link ids, recounted from the node paths.
         recount_links: Dict[int, List[int]] = {}
+        host_path_at = self.topology.host_path_at
         for flow in self.flows.values():
             flow_ids: List[np.ndarray] = []
             for component, rate in zip(flow.components, flow.component_rates):
-                ids = self.link_index.index_links(component.links())
+                path = host_path_at(flow.src, flow.dst, component.index)
+                ids = self.link_index.index_path(path)
                 flow_ids.append(ids)
                 load[ids] += rate
             unique = np.unique(np.concatenate(flow_ids)) if flow_ids else np.empty(0, np.intp)
             recount_links[flow.flow_id] = unique.tolist()
-            expected_total[unique] += 1
             if flow.is_elephant:
                 expected_eleph[unique] += 1
-        for name, actual, expected in (
-            ("total-flow", self._total_array, expected_total),
-            ("elephant", self._eleph_array, expected_eleph),
-        ):
-            bad = np.nonzero(actual != expected)[0]
-            if bad.size:
-                link = self.link_index.links[int(bad[0])]
-                raise InvariantViolation(
-                    f"{name}-counter",
-                    f"counter {int(actual[bad[0]])} != recount {int(expected[bad[0]])}",
-                    link=link,
-                )
+        bad = np.nonzero(self._eleph_array != expected_eleph)[0]
+        if bad.size:
+            raise InvariantViolation(
+                "elephant-counter",
+                f"counter {int(self._eleph_array[bad[0]])} != recount "
+                f"{int(expected_eleph[bad[0]])}",
+                link=self.link_index.links[int(bad[0])],
+            )
         over = np.nonzero(load > self._cap_array * (1 + 1e-6))[0]
         if over.size:
             link = self.link_index.links[int(over[0])]
@@ -800,40 +824,30 @@ class Network:
 
     # -- internals --------------------------------------------------------------
 
-    def _index_components(self, flow: Flow) -> None:
-        """Validate a flow's components and cache their link ids.
-
-        Runs exactly once per start/reroute; every later hot path
-        (counter scatter, row assembly, reordering estimate) reuses the
-        per-component link-id lists and the unique link-id array cached
-        here.
-        """
-        component_ids: List[np.ndarray] = []
-        for component in flow.components:
-            if component.path[0] != flow.src or component.path[-1] != flow.dst:
-                raise SimulationError(
-                    f"component path {component.path!r} does not connect "
-                    f"{flow.src!r} to {flow.dst!r}"
-                )
-            component_ids.append(self.link_index.index_links(component.links()))
-        flow.component_link_ids = [ids.tolist() for ids in component_ids]
-        if len(component_ids) == 1:
-            flow.unique_link_ids = np.unique(component_ids[0])
-        else:
-            flow.unique_link_ids = np.unique(np.concatenate(component_ids))
+    def _unique_link_ids(
+        self, src: str, dst: str, components: Sequence[FlowComponent]
+    ) -> np.ndarray:
+        """The sorted unique link ids of a flow's components, cached at
+        start/reroute. A component whose row does not run from ``src``'s
+        access link to ``dst``'s is refused here, before any state changes."""
+        if not components:
+            raise SimulationError(f"flow {src} -> {dst} has no components")
+        ids, tor_of = self.link_index.ids, self.topology.tor_of
+        first, last = ids.get((src, tor_of(src))), ids.get((tor_of(dst), dst))
+        rows = [component.link_ids for component in components]
+        if any(row[0] != first or row[-1] != last for row in rows):
+            raise SimulationError(f"a component does not run from {src!r} to {dst!r}")
+        return np.unique(rows[0] if len(rows) == 1 else np.concatenate(rows))
 
     def _adjust_link_counts(self, flow: Flow, delta: int) -> None:
-        ids = flow.unique_link_ids
-        self._total_array[ids] += delta
+        """Add ``delta`` elephants to an elephant's links (mice count none)."""
         if flow.is_elephant:
-            self._eleph_array[ids] += delta
+            self._eleph_array[flow.unique_link_ids] += delta
 
     def _promote_elephant(self, flow_id: int) -> None:
         flow = self.flows.get(flow_id)
         if flow is None or flow.is_elephant:
             return
-        # Temporarily remove, flip, re-add so elephant counters stay exact.
-        self._adjust_link_counts(flow, -1)
         flow.is_elephant = True
         self._adjust_link_counts(flow, +1)
         self._current_elephants += 1
@@ -888,18 +902,19 @@ class Network:
         Components crossing a failed link are skipped — they carry nothing
         until rerouted. Shared by the refill, :meth:`demand_rows` and the
         full-refill reference twin, so the three can never drift apart.
-        Each row is the flow's cached link-id list itself, not a copy.
+        Each row is the component's link-id list itself, not a copy.
         """
         rows: List[List[int]] = []
         weights: List[float] = []
         owners: List[Tuple[Flow, int]] = []
         failed = self._failed_ids
         for flow in flows:
-            for idx, ids in enumerate(flow.component_link_ids):
+            for idx, component in enumerate(flow.components):
+                ids = component.link_ids
                 if failed and not failed.isdisjoint(ids):
                     continue  # dead component: carries nothing until rerouted
                 rows.append(ids)
-                weights.append(flow.components[idx].weight)
+                weights.append(component.weight)
                 owners.append((flow, idx))
         return rows, weights, owners
 
@@ -911,8 +926,8 @@ class Network:
         Exactly the rows a global fill would run on right now — the
         incremental-vs-full differential oracle feeds them to
         ``maxmin_allocate_indexed`` and demands bit-equality with the live
-        ``component_rates``. ``rows[i]`` is the owner's cached link-id
-        list: read it, never mutate it.
+        ``component_rates``. ``rows[i]`` is the owning component's
+        link-id row: read it, never mutate it.
         """
         return self._assemble_demands(list(self.flows.values()))
 
@@ -963,7 +978,7 @@ class Network:
                 if len(flow.components) > 1:
                     flow.reorder_retx_fraction = reordering_retx_fraction_indexed(
                         flow.component_rates,
-                        flow.component_link_ids,
+                        [component.link_ids for component in flow.components],
                         self._delay_array,
                         self._util_array,
                     )

@@ -60,9 +60,9 @@ def reordering_retx_fraction_indexed(
 ) -> float:
     """Fraction of goodput retransmitted due to cross-path reordering.
 
-    Takes the per-component link-id lists a network caches at
-    start/reroute time plus its dense per-link delay and utilization
-    arrays; per-path delay estimates are vectorized gathers.
+    Takes the flow's component link-id rows plus the network's dense
+    per-link delay and utilization arrays; per-path delay estimates are
+    vectorized gathers.
     """
     if len(component_link_ids) < 2:
         return 0.0

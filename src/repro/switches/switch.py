@@ -9,7 +9,7 @@ truth the address codec is validated against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import RoutingError
 from repro.topology.graph import NodeKind

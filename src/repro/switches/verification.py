@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.common.errors import RoutingError
-from repro.topology.graph import NodeKind
 from repro.addressing.codec import PathCodec
 from repro.switches.switch import SwitchFabric
 

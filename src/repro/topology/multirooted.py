@@ -179,6 +179,14 @@ class MultiRootedTopology(Topology):
             )
         return (src_host,) + tuple(switch_path) + (dst_host,)
 
+    def host_path_at(self, src_host: str, dst_host: str, index: int) -> Tuple[str, ...]:
+        """The host path of the hosts' ``index``-th equal-cost path: node
+        names for a flow component, which names its route by index."""
+        if src_host == dst_host:
+            raise TopologyError("source and destination host are identical")
+        paths = self.path_tables().paths(self.tor_of(src_host), self.tor_of(dst_host))
+        return (src_host,) + paths[index] + (dst_host,)
+
     # -- sanity ---------------------------------------------------------------
 
     def validate(self) -> None:

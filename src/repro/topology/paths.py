@@ -3,11 +3,11 @@
 A route between two ToRs is a pure function of the pair and an index
 (DARD §2.3): the paths are every ``(up-agg, core, down-agg)`` combination
 wired end to end, in a fixed order. :class:`EqualCostPaths` is that set
-as a read-only sequence. Its length, items, ``index()`` and the failure
-filter are computed from two :class:`UplinkTable` CSRs, ToR -> aggs and
-agg -> cores, which hold one entry per switch-switch cable. Nothing the
-sequence computes is kept by the topology, so memory does not grow with
-the number of distinct ToR pairs a workload touches.
+as a read-only sequence. Its length, items, ``index()``, the failure
+filter and each path's link ids are computed from two :class:`UplinkTable`
+CSRs, ToR -> aggs and agg -> cores, which hold one entry per switch-switch
+cable. Nothing the sequence computes is kept by the topology, so memory
+does not grow with the number of distinct ToR pairs a workload touches.
 
 Base order, the order ECMP hashes into and DARD's path indices refer to:
 source-side aggregation switch ascending, then core ascending, then
@@ -51,6 +51,9 @@ SwitchPath = Tuple[str, ...]
 
 #: A failed-cable set as the network keeps it: both directions of a cable.
 FailedLinks = AbstractSet[Tuple[str, str]]
+
+#: A :meth:`EqualCostPaths.hop_links` id table as plain rows (lists or int arrays).
+IdTable = Sequence[Sequence[int]]
 
 _NONE = np.empty(0, dtype=np.intp)
 
@@ -232,10 +235,10 @@ class _Paths(Sequence[SwitchPath]):
 class EqualCostPaths(_Paths):
     """The equal-cost paths between two ToRs, as a computed sequence.
 
-    :meth:`dead_indices` and :meth:`without` give the failure-filtered
-    view :meth:`repro.scheduling.base.Scheduler.alive_paths` returns;
-    :meth:`hop_links` lays every path's link ids out for the monitor
-    registry.
+    :meth:`dead_indices` is the failure filter of
+    :meth:`repro.scheduling.base.Scheduler.alive_paths`; :meth:`hop_links`
+    lays every path's link ids out for the monitor registry, and
+    :meth:`hop_row` one path's for a flow component.
     """
 
     __slots__ = ()
@@ -243,11 +246,10 @@ class EqualCostPaths(_Paths):
     #: switch-switch hops on every path: 0 (same ToR), 2 or 4.
     hops = 0
 
-    def without(self, dead: np.ndarray) -> "PathView":
-        """The paths not at positions ``dead``, as a view in base order."""
-        keep = np.ones(self._len, dtype=bool)
-        keep[dead] = False
-        return PathView(self, np.flatnonzero(keep).tolist())
+    def hop_row(self, i: int, tor_ids: IdTable, agg_ids: IdTable) -> List[int]:
+        """Row ``i`` of :meth:`hop_links` (``0 <= i < len``), from the same
+        id tables as plain rows: a few reads, no numpy gather."""
+        return []
 
     def dead_indices(self, failed: FailedLinks) -> np.ndarray:
         """Ascending indices of the paths that cross a cable in ``failed``.
@@ -325,6 +327,15 @@ class _IntraPod(EqualCostPaths):
         ]
         return np.array(dead, dtype=np.intp) if dead else _NONE
 
+    def hop_row(self, i: int, tor_ids: IdTable, agg_ids: IdTable) -> List[int]:
+        tables = self._tables
+        tor = tables.tor
+        r = tor.upper_rank[self._mids[i]]
+        return [
+            tor_ids[0][tor.entry(tables.tor_rank[self.src_tor], r)],
+            tor_ids[1][tor.entry(tables.tor_rank[self.dst_tor], r)],
+        ]
+
     def hop_links(self, tor_ids: np.ndarray, agg_ids: np.ndarray) -> np.ndarray:
         tables = self._tables
         tor = tables.tor
@@ -379,19 +390,36 @@ class _InterPod(EqualCostPaths):
         if not self._len:
             raise TopologyError(f"no up-down path between {src_tor!r} and {dst_tor!r}")
 
-    def _item(self, i: int) -> SwitchPath:
+    def _leg_descent(self, i: int) -> Tuple[int, int]:
+        """Path ``i``'s agg-table entries: its leg and its descent."""
         ends = self._ends
         j = ends.searchsorted(i, "right")
         k = i - ends[j - 1] if j else i
+        return self._leg_mid[j], self._desc_mid[self._first[j] + k]
+
+    def _item(self, i: int) -> SwitchPath:
+        mid, descent = self._leg_descent(i)
         agg = self._tables.agg
-        mid = self._leg_mid[j]
         return (
             self.src_tor,
             agg.lower_of[mid],
             agg.upper_of[mid],
-            agg.lower_of[self._desc_mid[self._first[j] + k]],
+            agg.lower_of[descent],
             self.dst_tor,
         )
+
+    def hop_row(self, i: int, tor_ids: IdTable, agg_ids: IdTable) -> List[int]:
+        mid, descent = self._leg_descent(i)
+        tables = self._tables
+        tor, rows = tables.tor, tables.agg.rows
+        s0, _ = tor.row(tables.tor_rank[self.src_tor])
+        d0, _ = tor.row(tables.tor_rank[self.dst_tor])
+        return [
+            tor_ids[0][s0 + bisect_left(self._up, rows[mid])],
+            agg_ids[0][mid],
+            agg_ids[1][descent],
+            tor_ids[1][d0 + bisect_left(self._down, rows[descent])],
+        ]
 
     def _position(self, path: SwitchPath) -> int:
         if len(path) != 5 or path[0] != self.src_tor or path[4] != self.dst_tor:
@@ -495,33 +523,3 @@ class _InterPod(EqualCostPaths):
             agg_ids[1][self._desc_mid[descents]],
             tor_ids[1][down_entry[descents]],
         ))
-
-
-class PathView(_Paths):
-    """Some of a pair's equal-cost paths, in base order.
-
-    What :meth:`repro.scheduling.base.Scheduler.alive_paths` returns when
-    a failure kills some of the paths: items and ``index()`` map through
-    the kept positions to the underlying :class:`EqualCostPaths`.
-    """
-
-    __slots__ = ("base", "_keep")
-
-    def __init__(self, base: EqualCostPaths, keep: List[int]) -> None:
-        self.src_tor = base.src_tor
-        self.dst_tor = base.dst_tor
-        self._len = len(keep)
-        self.base = base
-        self._keep = keep
-
-    def _item(self, i: int) -> SwitchPath:
-        return self.base._item(self._keep[i])
-
-    def _position(self, path: SwitchPath) -> int:
-        i = self.base._position(path)
-        k = bisect_left(self._keep, i)
-        return k if i >= 0 and k < self._len and self._keep[k] == i else -1
-
-    def __iter__(self) -> Iterator[SwitchPath]:
-        item = self.base._item
-        return (item(i) for i in self._keep)

@@ -256,16 +256,13 @@ def check_static_forwarding(fabric, codec, network: Network) -> None:
     for flow in network.flows.values():
         if len(flow.components) != 1:
             continue
-        path = flow.components[0].path
-        switch_path = tuple(
-            node for node in path if topology.node(node).kind.is_switch
-        )
-        src_addr, dst_addr = codec.encode(flow.src, flow.dst, switch_path)
+        path = topology.host_path_at(flow.src, flow.dst, flow.components[0].index)
+        src_addr, dst_addr = codec.encode(flow.src, flow.dst, path[1:-1])
         traced = fabric.forward_trace(flow.src, src_addr, dst_addr)
-        if traced != tuple(path):
+        if traced != path:
             raise InvariantViolation(
                 "static-forwarding",
-                f"fabric forwards {traced!r} but flow rides {tuple(path)!r}",
+                f"fabric forwards {traced!r} but flow rides {path!r}",
                 flow_id=flow.flow_id,
             )
 

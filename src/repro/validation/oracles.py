@@ -230,7 +230,6 @@ def run_fluid_vs_packet(
     trustworthy and the run must fail.
     """
     from repro.packetsim import PacketSimulation
-    from repro.simulator import FlowComponent
     from repro.topology import FatTree
 
     if scenarios is None:
@@ -245,9 +244,9 @@ def run_fluid_vs_packet(
         fluid_net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
         topo = fluid_net.topology
         for src, dst, index in placements:
-            path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[index]
+            paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
             fluid_net.start_flow(
-                src, dst, size_bytes, [FlowComponent(topo.host_path(src, dst, path))]
+                src, dst, size_bytes, [fluid_net.component(src, dst, paths, index)]
             )
         fluid_net.engine.run_until_idle()
         fluid_net.check_invariants()
@@ -361,11 +360,14 @@ class StormOracle:
         network = self.network
         if not network.failed_links:
             return
-        dead = [c for c in components if not network.path_alive(c.path)]
-        if not dead:
-            return
         topo = network.topology
         paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+        dead = [
+            c.index for c in components
+            if not network.path_alive(topo.host_path(src, dst, paths[c.index]))
+        ]
+        if not dead:
+            return
         alive = [
             p for p in paths if network.path_alive(topo.host_path(src, dst, p))
         ]
@@ -373,8 +375,8 @@ class StormOracle:
             raise OracleViolation(
                 "storm-routing",
                 f"{kind} of {src}->{dst} at t={network.now:.3f} rides a "
-                f"failed link on {dead[0].path!r} while {len(alive)} "
-                f"alive equal-cost path(s) existed",
+                f"failed link on path {dead[0]} {paths[dead[0]]!r} while "
+                f"{len(alive)} alive equal-cost path(s) existed",
             )
         self.stalled_placements += 1
 

@@ -28,14 +28,14 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-#: Progress callback used by the golden capture/compare entry points.
-ProgressFn = Optional[Callable[[str], None]]
-
 from repro.common.rng import RngStreams
 from repro.common.units import MB, MBPS
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.simulator.network import Network
 from repro.validation.twins import FULL_REFILL, SCALAR_SETTLE, Twin
+
+#: Progress callback used by the golden capture/compare entry points.
+ProgressFn = Optional[Callable[[str], None]]
 
 PathLike = Union[str, Path]
 

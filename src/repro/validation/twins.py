@@ -15,8 +15,8 @@ through seams that already exist:
 * a scoped class-level install that puts the original class attributes
   back on exit — :data:`SCALAR_CONTROL_PLANE` puts the original
   per-monitor DARD control plane (path states assembled one
-  ``link_state`` at a time, ``PathState`` objects, tuple-keyed FV) in
-  place for the duration of one run.
+  ``link_state`` at a time, ``PathState`` objects, FV keyed by each
+  flow's switch-path tuple) in place for the duration of one run.
 
 :func:`twin_run` runs a scenario and its twin, and :func:`compare_runs`
 demands the same shift journal, bit-identical flow records and equal
@@ -46,6 +46,7 @@ from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenari
 from repro.simulator.flows import Flow
 from repro.simulator.maxmin import maxmin_allocate_indexed
 from repro.simulator.network import _BYTES_EPSILON, _NO_FILL, Network
+from repro.topology.paths import SwitchPath
 
 Instrument = Callable[[Network], None]
 
@@ -152,18 +153,23 @@ def install_full_refill(network: Network) -> None:
 # The scalar DARD control plane
 # ---------------------------------------------------------------------------
 
+def switch_path(network: Network, flow: Flow) -> SwitchPath:
+    """The ToR-to-ToR node path a single-path flow rides, rebuilt from its index."""
+    return network.topology.host_path_at(flow.src, flow.dst, flow.components[0].index)[1:-1]
+
+
 def flow_vector(daemon: HostDaemon, monitor: PathMonitor) -> List[int]:
     """FV: how many of the host's elephants ride each monitored path.
 
-    Recomputes each flow's path position from its switch-path tuple; the
-    production round counts the same flows by ``Flow.monitored_path_index``.
+    Recomputes each flow's position among the monitor's paths from its
+    switch-path tuple; the production round counts the same flows by
+    their component's path index.
     """
     counts = [0] * len(monitor.paths)
     for flow in daemon.elephants.get((monitor.src_tor, monitor.dst_tor), []):
         if not flow.active:
             continue
-        switch_path = tuple(flow.switch_path()[1:-1])
-        counts[monitor.path_index(switch_path)] += 1
+        counts[monitor.path_index(switch_path(daemon.network, flow))] += 1
     return counts
 
 
@@ -203,7 +209,7 @@ def pick_flow(daemon: HostDaemon, monitor: PathMonitor, path_index: int) -> Opti
     """The host's first active elephant on a path, by switch-path tuple."""
     target = monitor.paths[path_index]
     for flow in daemon.elephants.get((monitor.src_tor, monitor.dst_tor), []):
-        if flow.active and tuple(flow.switch_path()[1:-1]) == target:
+        if flow.active and switch_path(daemon.network, flow) == target:
             return flow
     return None
 

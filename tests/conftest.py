@@ -56,3 +56,16 @@ def clos44_addressing(clos44):
 @pytest.fixture(scope="session")
 def clos44_fabric(clos44_addressing):
     return SwitchFabric(clos44_addressing)
+
+
+def flow_path(topology, flow, component=0):
+    """The host-to-host node path of one of a flow's components, built
+    from its path index (flows carry no node names)."""
+    return topology.host_path_at(flow.src, flow.dst, flow.components[component].index)
+
+
+def pair_component(network, src, dst, index=0, weight=1.0):
+    """The component on the ``index``-th equal-cost path from ``src`` to ``dst``."""
+    topo = network.topology
+    paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+    return network.component(src, dst, paths, index, weight)

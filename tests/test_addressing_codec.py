@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import AddressingError, RoutingError
 from repro.addressing import HierarchicalAddressing, PathCodec
-from repro.topology import ClosNetwork, FatTree, ThreeTier
 
 
 class TestEncodeDecodeFatTree:

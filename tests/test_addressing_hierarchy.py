@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import AddressingError
 from repro.addressing import HierarchicalAddressing, IdMapper
 from repro.addressing.prefix import Prefix
-from repro.topology import ClosNetwork, FatTree
+from repro.topology import FatTree
 
 
 class TestAllocationStructure:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import GBPS, MB, MBPS
+from repro.common.units import MB, MBPS
 from repro.analysis import (
     LinkUtilizationSampler,
     RateSampler,
@@ -19,8 +19,10 @@ from repro.analysis import (
 )
 from repro.analysis.sweep import sweep_rows
 from repro.experiments import ScenarioConfig, run_scenario
-from repro.simulator import FlowComponent, Network
-from repro.topology import ClosNetwork, FatTree, ThreeTier
+from repro.simulator import Network
+from repro.topology import FatTree
+
+from tests.conftest import pair_component
 
 
 class TestTopologyReport:
@@ -139,11 +141,7 @@ class TestSamplers:
         return Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
 
     def _start(self, net, src, dst, size=50 * MB, index=0):
-        topo = net.topology
-        path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[index]
-        return net.start_flow(
-            src, dst, size, [FlowComponent(topo.host_path(src, dst, path))]
-        )
+        return net.start_flow(src, dst, size, [pair_component(net, src, dst, index)])
 
     def test_rate_sampler_records_series(self):
         net = self._net()

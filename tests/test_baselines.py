@@ -19,6 +19,8 @@ from repro.scheduling import SchedulerContext
 from repro.simulator import Network
 from repro.topology import FatTree
 
+from tests.conftest import flow_path
+
 
 def make_ctx(seed=0, p=4):
     topo = FatTree(p=p, link_bandwidth_bps=100 * MBPS)
@@ -64,7 +66,7 @@ class TestEcmp:
         paths = set()
         for _ in range(30):
             flow = scheduler.place("h_0_0_0", "h_1_0_0", 1 * MB)
-            paths.add(tuple(flow.switch_path()))
+            paths.add(flow.components[0].index)
         # Hashing explores several paths over many flows...
         assert len(paths) > 1
         # ...but individual placements repeat (collisions exist).
@@ -120,32 +122,38 @@ class TestPathSelector:
     def test_resolves_deterministically(self, fattree4):
         paths = fattree4.equal_cost_paths("tor_0_0", "tor_1_0")
         selector = PathSelector(core=2)
-        assert selector.apply(paths) == selector.apply(paths)
+        every = range(len(paths))
+        assert selector.apply(paths, every) == selector.apply(paths, every)
 
     def test_core_index_wraps(self, fattree4):
         paths = fattree4.equal_cost_paths("tor_0_0", "tor_1_0")
-        assert PathSelector(core=1).apply(paths) == PathSelector(core=5).apply(paths)
+        every = range(len(paths))
+        assert PathSelector(core=1).apply(paths, every) == PathSelector(core=5).apply(paths, every)
 
     def test_distinct_cores_distinct_paths(self, fattree4):
         paths = fattree4.equal_cost_paths("tor_0_0", "tor_1_0")
-        chosen = {PathSelector(core=i).apply(paths) for i in range(4)}
+        chosen = {PathSelector(core=i).apply(paths, range(len(paths))) for i in range(4)}
         assert len(chosen) == 4
+        # Only the alive indices are candidates, and each keeps its core.
+        alive = [1, 3]
+        assert {PathSelector(core=i).apply(paths, alive) for i in range(4)} == set(alive)
 
     def test_intra_pod_selector(self, fattree4):
         paths = fattree4.equal_cost_paths("tor_0_0", "tor_0_1")
-        assert PathSelector(core=0).apply(paths) in paths
+        assert PathSelector(core=0).apply(paths, range(len(paths))) in range(len(paths))
+        assert PathSelector(core=3).apply(paths, [1]) == 1
 
     def test_clos_up_down_disambiguation(self, clos44):
         paths = clos44.equal_cost_paths("tor_0", "tor_2")
         combos = {
-            PathSelector(core=c, up=u, down=d).apply(paths)
+            paths[PathSelector(core=c, up=u, down=d).apply(paths, range(len(paths)))]
             for c in range(2) for u in range(2) for d in range(2)
         }
         assert len(combos) == 8  # every (core, up, down) combination distinct
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
-            PathSelector(core=0).apply([])
+            PathSelector(core=0).apply([], [])
 
 
 class TestHederaScheduler:
@@ -180,8 +188,8 @@ class TestHederaScheduler:
                  ("h_0_1_0", "h_1_1_0"), ("h_0_1_1", "h_1_1_1")]
         flows = [scheduler.place(s, d, 800 * MB) for s, d in pairs]
         ctx.engine.run_until(40.0)
-        # switch_path() is the full host path: (src, tor, agg, core, ...).
-        cores = {f.switch_path()[3] for f in flows if f.active}
+        # The full host path: (src, tor, agg, core, ...).
+        cores = {flow_path(ctx.topology, f)[3] for f in flows if f.active}
         assert len(cores) >= 3  # near-perfect spreading over the 4 cores
 
 
@@ -224,13 +232,10 @@ class TestTexcpScheduler:
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 200 * MB)
         initial = [c.weight for c in flow.components]
         # Load one path by a competing single-path elephant.
-        from repro.simulator import FlowComponent
-
-        topo = ctx.topology
-        hot_path = topo.equal_cost_paths("tor_0_1", "tor_1_0")[0]
+        paths = ctx.topology.equal_cost_paths("tor_0_1", "tor_1_0")
         ctx.network.start_flow(
             "h_0_1_0", "h_1_0_1", 200 * MB,
-            [FlowComponent(topo.host_path("h_0_1_0", "h_1_0_1", hot_path))],
+            [ctx.network.component("h_0_1_0", "h_1_0_1", paths, 0)],
         )
         ctx.engine.run_until(5.0)
         assert flow.active

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.common.units import MB, MBPS
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import ClosNetwork, FatTree
 
 
@@ -56,11 +56,11 @@ class TestNetworkConfigSwitches:
         paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
         flow = net.start_flow(
             "h_0_0_0", "h_1_0_0", 50 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", paths[0]))],
+            [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
         )
         net.engine.run_until(1.0)
         net.reroute_flow(
-            flow, [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", paths[2]))]
+            flow, [net.component("h_0_0_0", "h_1_0_0", paths, 2)]
         )
         assert flow.retransmitted_bytes == 0.0
         assert flow.path_switches == 1
@@ -75,7 +75,7 @@ class TestNetworkConfigSwitches:
         for index in (0, 3, 7):
             net.start_flow(
                 src, dst, 10 * MB,
-                [FlowComponent(topo.host_path(src, dst, paths[index]))],
+                [net.component(src, dst, paths, index)],
             )
         net.engine.run_until_idle()
         assert len(net.records) == 3
@@ -110,7 +110,7 @@ class TestHederaInternals:
         paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
         flow = net.start_flow(
             "h_0_0_0", "h_1_0_0", 500 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", paths[0]))],
+            [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
         )
         assignment = {"h_1_0_0": PathSelector(core=0)}
         energy = scheduler._energy([flow], [50 * MBPS], assignment)

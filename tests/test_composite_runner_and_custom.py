@@ -9,9 +9,11 @@ from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.experiments import ScenarioConfig, run_scenario
 from repro.scheduling import Scheduler, SchedulerContext
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 from repro.workloads import CompositePattern, make_pattern
+
+from tests.conftest import flow_path
 
 
 class TestCompositeViaMakePattern:
@@ -65,16 +67,17 @@ class LeastLoadedScheduler(Scheduler):
 
     def choose_components(self, src, dst):
         network = self.ctx.network
-        best_path, best_key = None, None
-        for path in self.alive_paths(src, dst):
-            full = self.ctx.topology.host_path(src, dst, path)
+        paths, alive = self.alive_paths(src, dst)
+        best_index, best_key = None, None
+        for index in alive:
+            full = self.ctx.topology.host_path(src, dst, paths[index])
             loads = [
                 network.link_state(u, v).total_flows for u, v in zip(full, full[1:])
             ]
             key = (max(loads), sum(loads))
             if best_key is None or key < best_key:
-                best_key, best_path = key, path
-        return [self.component_for(src, dst, best_path)]
+                best_key, best_index = key, index
+        return [network.component(src, dst, paths, best_index)]
 
 
 class TestCustomSchedulerPlugin:
@@ -93,7 +96,7 @@ class TestCustomSchedulerPlugin:
         # Place four flows between the same pair: each should land on a
         # different path because earlier ones load their bottlenecks.
         flows = [scheduler.place("h_0_0_0", "h_1_0_0", 200 * MB) for _ in range(4)]
-        paths = {tuple(f.switch_path()) for f in flows}
+        paths = {f.components[0].index for f in flows}
         assert len(paths) == 4
 
     def test_respects_failures_via_alive_paths(self):
@@ -103,7 +106,7 @@ class TestCustomSchedulerPlugin:
         ctx.network.fail_link("agg_0_0", "core_0_0")
         for _ in range(6):
             flow = scheduler.place("h_0_0_0", "h_1_0_0", 10 * MB)
-            assert ctx.network.path_alive(flow.switch_path())
+            assert ctx.network.path_alive(flow_path(ctx.topology, flow))
 
     def test_works_with_arrival_process_end_to_end(self):
         from repro.workloads import ArrivalProcess, StridePattern, WorkloadSpec

@@ -4,18 +4,22 @@
 from per-switch tables and keeps nothing per ToR pair.
 :func:`compute_paths` is the enumerator the topology used to run and
 cache — one tuple per path — kept here as the oracle: at p <= 16 it is
-cheap enough to compare every pair and every index exhaustively.
+cheap enough to compare every pair and every index exhaustively. The
+same sweep checks each path's link-id row, which
+:meth:`~repro.simulator.network.Network.component` builds from the
+per-switch tables and the index, against the row interned from the
+enumerated node path.
 """
 
 import itertools
 from typing import Dict, List
 
-import numpy as np
 import pytest
 
 from repro.common.errors import TopologyError
+from repro.simulator.network import Network
 from repro.topology.custom import TopologySpec, build_custom
-from repro.topology.paths import EqualCostPaths, PathView
+from repro.topology.paths import EqualCostPaths
 
 from tests.test_addressing_arithmetic import TOPOLOGIES
 
@@ -85,14 +89,34 @@ def topology(request):
     return PATH_TOPOLOGIES[request.param]()
 
 
+#: Past this many ToRs (fattree16's 128) the row check samples each
+#: pair's first, middle and last index instead of every index.
+EVERY_ROW_MAX_TORS = 32
+
+
 def test_every_pair_matches_the_enumerator(topology):
     tors = sorted(topology.tors())
     up = uplinks(topology)
+    network = Network(topology)
+    hosts: Dict[str, List[str]] = {}
+    for host in sorted(topology.hosts()):
+        hosts.setdefault(topology.tor_of(host), []).append(host)
     previous: List[tuple] = []
     for src, dst in itertools.product(tors, tors):
         expected = compute_paths(up, src, dst)
         paths = topology.equal_cost_paths(src, dst)
         n = len(expected)
+        # Each component row is the enumerated node path's interned links
+        # (a ToR with no host, or one host paired with itself, has none).
+        src_host = hosts.get(src, [None])[0]
+        dst_host = next((h for h in hosts.get(dst, []) if h != src_host), None)
+        if src_host is not None and dst_host is not None:
+            every = len(tors) <= EVERY_ROW_MAX_TORS
+            for i in range(n) if every else sorted({0, n // 2, n - 1}):
+                component = network.component(src_host, dst_host, paths, i)
+                node_path = topology.host_path(src_host, dst_host, expected[i])
+                assert component.index == i
+                assert component.link_ids == network.link_index.index_path(node_path).tolist()
         assert isinstance(paths, EqualCostPaths)
         assert len(paths) == n
         assert list(paths) == expected
@@ -151,19 +175,22 @@ def test_index_bounds_and_non_tuples(topology):
 
 
 def test_without_is_a_view_in_base_order(topology):
+    """A path set without its dead indices is the alive paths by base
+    index: ``dead_indices`` ascends and names exactly the paths crossing
+    a failed cable, and every other index still yields its own path."""
     src, dst = sorted(topology.tors())[0], sorted(topology.tors())[-1]
     paths = topology.equal_cost_paths(src, dst)
     expected = list(paths)
-    keep = list(range(0, len(paths), 2))
-    view = paths.without(np.arange(1, len(paths), 2))
-    assert isinstance(view, PathView)
-    assert len(view) == len(keep)
-    assert list(view) == [expected[i] for i in keep]
-    assert [view[i] for i in range(-len(keep), 0)] == [expected[i] for i in keep]
-    assert [view.index(expected[i]) for i in keep] == list(range(len(keep)))
-    for i in range(1, len(paths), 2):
-        assert expected[i] not in view
-        with pytest.raises(ValueError):
-            view.index(expected[i])
-    with pytest.raises(IndexError):
-        view[len(keep)]
+    cables = sorted({hop for p in expected for hop in zip(p, p[1:])})
+    for k in range(len(cables)):
+        cut = cables[k::3]
+        failed = set(cut) | {(v, u) for u, v in cut}
+        dead = paths.dead_indices(failed).tolist()
+        assert dead == sorted(set(dead))
+        alive = [i for i in range(len(paths)) if i not in dead]
+        assert alive == [
+            i for i, p in enumerate(expected)
+            if failed.isdisjoint(zip(p, p[1:]))
+        ]
+        assert [paths[i] for i in alive] == [expected[i] for i in alive]
+        assert [paths.index(expected[i]) for i in alive] == alive

@@ -22,7 +22,7 @@ from repro.core.daemon import HostDaemon
 from repro.core.monitor import index_pair_paths, switches_to_query
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.scheduling import MessageLedger, SchedulerContext
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import ClosNetwork, FatTree
 from repro.topology.custom import TopologySpec, build_custom
 from repro.validation.twins import (
@@ -34,6 +34,7 @@ from repro.validation.twins import (
     twin_run,
     worst_active,
 )
+from tests.conftest import flow_path
 from tests.test_addressing_arithmetic import TOPOLOGIES
 
 
@@ -46,7 +47,7 @@ def start_flow_on(net, src, dst, path_index, size=500 * MB):
     paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
     return net.start_flow(
         src, dst, size,
-        [FlowComponent(topo.host_path(src, dst, paths[path_index]))],
+        [net.component(src, dst, paths, path_index)],
     )
 
 
@@ -111,9 +112,10 @@ class TestMonitorRegistry:
         src, dst = (sorted(topology.hosts_of_tor(tor))[0] for tor in pair)
 
         def start_on(path_index):
-            path = topology.host_path(src, dst, paths[path_index])
             # Still live at 21 s on the default 1 Gbps links.
-            return net.start_flow(src, dst, 10_000 * MB, [FlowComponent(path)])
+            return net.start_flow(
+                src, dst, 10_000 * MB, [net.component(src, dst, paths, path_index)]
+            )
 
         def poll_and_check(polled):
             polled.refresh()
@@ -291,7 +293,7 @@ class TestExecutionPathEquivalence:
         else:
             daemon.query_monitors()
             shifts = daemon.run_scheduling_round()
-        return (shifts, [tuple(f.switch_path()[1:-1]) for f in flows])
+        return (shifts, [flow_path(net.topology, f)[1:-1] for f in flows])
 
     def test_scalar_and_array_rounds_agree(self):
         decisions = [
@@ -338,7 +340,7 @@ class TestTwoSidedOptimisticUpdate:
         daemon._shift(flow, monitor, to_index=2, from_index=0)
         assert monitor.state_eleph[0] == before[0] - 1  # vacated side
         assert monitor.state_eleph[2] == before[2] + 1  # landing side
-        assert flow.monitored_path_index == 2
+        assert flow.components[0].index == 2
         assert daemon.shift_log == [(net.now, "h_0_0_0", flow.flow_id, 0, 2)]
 
     def test_within_round_ordering_sees_prior_shift(self):

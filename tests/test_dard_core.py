@@ -8,9 +8,11 @@ from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.core import DardScheduler, PathMonitor, PathState, switches_to_query
 from repro.core.daemon import HostDaemon
 from repro.scheduling import MessageLedger, SchedulerContext
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 from repro.validation.twins import flow_vector
+
+from tests.conftest import flow_path
 
 
 def make_ctx(seed=0, p=4, **scheduler_kwargs):
@@ -67,11 +69,10 @@ class TestPathMonitor:
     def test_query_assembles_path_states(self):
         ctx, scheduler = make_ctx()
         net = ctx.network
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        paths = net.topology.equal_cost_paths("tor_0_0", "tor_1_0")
         net.start_flow(
             "h_0_0_0", "h_1_0_0", 500 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", path))],
+            [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
         )
         net.engine.run_until(10.5)  # promoted at 10 s
         monitor = PathMonitor(net, "tor_0_0", "tor_1_0", MessageLedger())
@@ -129,7 +130,7 @@ class TestHostDaemonAlgorithm1:
         paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
         flow = ctx.network.start_flow(
             src, dst, 500 * MB,
-            [FlowComponent(topo.host_path(src, dst, paths[path_index]))],
+            [ctx.network.component(src, dst, paths, path_index)],
         )
         ctx.network.engine.run_until(ctx.network.engine.now + 10.1)
         return flow
@@ -144,7 +145,7 @@ class TestHostDaemonAlgorithm1:
         daemon.query_monitors()
         shifts = daemon.run_scheduling_round()
         assert shifts == 1
-        paths = {tuple(f1.switch_path()[1:-1]), tuple(f2.switch_path()[1:-1])}
+        paths = {f1.components[0].index, f2.components[0].index}
         assert len(paths) == 2  # now on different paths
 
     def test_no_shift_when_balanced(self):
@@ -162,8 +163,8 @@ class TestHostDaemonAlgorithm1:
         (paper §2.5's E1 example)."""
         ctx, daemon = self._daemon_with_monitor()
         # Someone else's two elephants collide on path 0.
-        other1 = self._start_elephant(ctx, "h_0_0_1", "h_1_0_0", 0)
-        other2 = self._start_elephant(ctx, "h_0_0_1", "h_1_1_0", 0)
+        self._start_elephant(ctx, "h_0_0_1", "h_1_0_0", 0)
+        self._start_elephant(ctx, "h_0_0_1", "h_1_1_0", 0)
         # Our host has one elephant alone on path 2 — already optimal.
         ours = self._start_elephant(ctx, "h_0_0_0", "h_1_0_1", 2)
         daemon.on_elephant(ours)
@@ -228,10 +229,9 @@ class TestToyExample:
 
         def start_on_core0(src, dst):
             paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
-            via_core0 = next(p for p in paths if p[2] == "core_0_0")
+            via_core0 = next(i for i, p in enumerate(paths) if p[2] == "core_0_0")
             return net.start_flow(
-                src, dst, 2000 * MB,
-                [FlowComponent(topo.host_path(src, dst, via_core0))],
+                src, dst, 2000 * MB, [net.component(src, dst, paths, via_core0)]
             )
 
         # Mirror Figure 1: three inter-pod elephants, all through core 1
@@ -243,7 +243,7 @@ class TestToyExample:
         ]
         net.engine.run_until(60.0)
         # All three should now ride distinct cores at full bandwidth.
-        cores = {f.switch_path()[3] for f in flows}
+        cores = {flow_path(topo, f)[3] for f in flows}
         assert len(cores) == 3
         for flow in flows:
             assert flow.rate_bps == pytest.approx(100 * MBPS, rel=1e-6)

@@ -10,7 +10,7 @@ from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.core import DardScheduler, PathMonitor, switches_to_query
 from repro.scheduling import MessageLedger, SchedulerContext
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import ClosNetwork
 
 
@@ -49,12 +49,12 @@ class TestDardOnClos:
         flows = [
             net.start_flow(
                 src, dst, 1000 * MB,
-                [FlowComponent(topo.host_path(src, dst, paths[0]))],
+                [net.component(src, dst, paths, 0)],
             )
             for src, dst in [("h_0_0", "h_2_0"), ("h_0_1", "h_2_1")]
         ]
         net.engine.run_until(60.0)
-        routes = {tuple(f.switch_path()[1:-1]) for f in flows}
+        routes = {f.components[0].index for f in flows}
         assert len(routes) == 2
         for flow in flows:
             assert flow.rate_bps == pytest.approx(100 * MBPS, rel=1e-6)

@@ -12,8 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.common.units import MB, MBPS
 from repro.experiments.runner import ScenarioConfig, run_scenario

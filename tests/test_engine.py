@@ -68,7 +68,7 @@ class TestCancellation:
 
     def test_pending_counts_exclude_cancelled(self):
         engine = EventEngine()
-        keep = engine.schedule_at(1.0, lambda: None)
+        engine.schedule_at(1.0, lambda: None)
         drop = engine.schedule_at(2.0, lambda: None)
         drop.cancel()
         assert engine.pending_events == 1

@@ -12,6 +12,8 @@ from repro.scheduling import SchedulerContext
 from repro.simulator import Network
 from repro.topology import FatTree
 
+from tests.conftest import flow_path
+
 
 def make_ctx(scheduler, seed=0):
     topo = FatTree(p=4, link_bandwidth_bps=100 * MBPS)
@@ -31,7 +33,7 @@ class TestFlowletTexcp:
 
     def test_flowlet_flows_single_path(self):
         scheduler = TexcpScheduler(granularity="flowlet")
-        ctx = make_ctx(scheduler)
+        make_ctx(scheduler)
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 100 * MB)
         assert len(flow.components) == 1
 
@@ -50,15 +52,12 @@ class TestFlowletTexcp:
         scheduler = TexcpScheduler(granularity="flowlet", probe_interval_s=0.05)
         ctx = make_ctx(scheduler, seed=3)
         # Load one path persistently with a competing single-path elephant.
-        from repro.simulator import FlowComponent
-
-        topo = ctx.topology
-        hot = topo.equal_cost_paths("tor_0_1", "tor_1_0")[0]
+        paths = ctx.topology.equal_cost_paths("tor_0_1", "tor_1_0")
         ctx.network.start_flow(
             "h_0_1_0", "h_1_0_1", 2000 * MB,
-            [FlowComponent(topo.host_path("h_0_1_0", "h_1_0_1", hot))],
+            [ctx.network.component("h_0_1_0", "h_1_0_1", paths, 0)],
         )
-        flow = scheduler.place("h_0_0_0", "h_1_0_0", 1000 * MB)
+        scheduler.place("h_0_0_0", "h_1_0_0", 1000 * MB)
         ctx.engine.run_until(20.0)
         agent = scheduler._agents[("tor_0_0", "tor_1_0")]
         # The competing elephant rides core_0_0; the agent's path through
@@ -71,10 +70,10 @@ class TestFlowletTexcp:
         ctx = make_ctx(scheduler, seed=1)
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 500 * MB)
         ctx.engine.run_until(1.0)
-        path = flow.switch_path()
+        path = flow_path(ctx.topology, flow)
         ctx.network.fail_link(path[2], path[3])
         ctx.engine.run_until(3.0)
-        assert ctx.network.path_alive(flow.switch_path())
+        assert ctx.network.path_alive(flow_path(ctx.topology, flow))
         assert flow.rate_bps > 0
 
 
@@ -86,7 +85,7 @@ class TestGlobalFirstFit:
                  ("h_0_1_0", "h_1_1_0"), ("h_0_1_1", "h_1_1_1")]
         flows = [scheduler.place(s, d, 800 * MB) for s, d in pairs]
         ctx.engine.run_until(40.0)
-        cores = {f.switch_path()[3] for f in flows if f.active}
+        cores = {flow_path(ctx.topology, f)[3] for f in flows if f.active}
         assert len(cores) >= 3
 
     def test_sticky_when_fit(self):
@@ -117,11 +116,11 @@ class TestGlobalFirstFit:
         ctx = make_ctx(scheduler, seed=6)
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 800 * MB)
         ctx.engine.run_until(12.0)
-        path = flow.switch_path()
+        path = flow_path(ctx.topology, flow)
         ctx.network.fail_link(path[2], path[3])
         ctx.engine.run_until(20.0)
         if flow.active:
-            assert ctx.network.path_alive(flow.switch_path())
+            assert ctx.network.path_alive(flow_path(ctx.topology, flow))
 
 
 class TestRegistry:

@@ -20,8 +20,10 @@ from repro.baselines import (
 )
 from repro.core import DardScheduler
 from repro.scheduling import SchedulerContext
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
+
+from tests.conftest import flow_path, pair_component
 
 
 def make_ctx(scheduler_cls, seed=0, **kwargs):
@@ -48,11 +50,9 @@ class TestNetworkFailureMechanics:
 
     def test_flow_on_failed_path_stalls(self):
         net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        path = net.topology.equal_cost_paths("tor_0_0", "tor_1_0")[0]
         flow = net.start_flow(
-            "h_0_0_0", "h_1_0_0", 50 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", path))],
+            "h_0_0_0", "h_1_0_0", 50 * MB, [pair_component(net, "h_0_0_0", "h_1_0_0")]
         )
         net.engine.run_until(1.0)
         assert flow.rate_bps > 0
@@ -63,11 +63,9 @@ class TestNetworkFailureMechanics:
 
     def test_restore_resumes_transfer(self):
         net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        path = net.topology.equal_cost_paths("tor_0_0", "tor_1_0")[0]
         flow = net.start_flow(
-            "h_0_0_0", "h_1_0_0", 50 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", path))],
+            "h_0_0_0", "h_1_0_0", 50 * MB, [pair_component(net, "h_0_0_0", "h_1_0_0")]
         )
         net.fail_link(path[1], path[2])
         net.engine.run_until(5.0)
@@ -115,27 +113,27 @@ class TestSchedulerReactions:
         ctx, scheduler = make_ctx(EcmpScheduler)
         flow = self._long_flow(ctx, scheduler)
         ctx.engine.run_until(1.0)
-        path = flow.switch_path()
+        path = flow_path(ctx.topology, flow)
         ctx.network.fail_link(path[2], path[3])  # agg->core or core->agg hop
         ctx.engine.run_until(1.5)
         assert flow.rate_bps > 0  # moved to a live path
-        assert ctx.network.path_alive(flow.switch_path())
+        assert ctx.network.path_alive(flow_path(ctx.topology, flow))
 
     def test_vlb_repicks_off_dead_path(self):
         ctx, scheduler = make_ctx(PeriodicVlbScheduler)
         flow = self._long_flow(ctx, scheduler)
         ctx.engine.run_until(1.0)
-        path = flow.switch_path()
+        path = flow_path(ctx.topology, flow)
         ctx.network.fail_link(path[2], path[3])
         ctx.engine.run_until(1.5)
-        assert ctx.network.path_alive(flow.switch_path())
+        assert ctx.network.path_alive(flow_path(ctx.topology, flow))
 
     def test_new_placements_avoid_dead_paths(self):
         ctx, scheduler = make_ctx(EcmpScheduler, seed=3)
         ctx.network.fail_link("agg_0_0", "core_0_0")
         for _ in range(20):
             flow = self._long_flow(ctx, scheduler)
-            assert ctx.network.path_alive(flow.switch_path())
+            assert ctx.network.path_alive(flow_path(ctx.topology, flow))
 
     def test_dard_routes_around_failure_via_monitoring(self):
         """No extra machinery: the dead path's BoNF reads 0, so Algorithm 1
@@ -143,24 +141,25 @@ class TestSchedulerReactions:
         ctx, scheduler = make_ctx(DardScheduler, seed=5)
         flow = self._long_flow(ctx, scheduler)
         ctx.engine.run_until(12.0)  # promoted; daemon + monitor exist
-        path = flow.switch_path()
+        path = flow_path(ctx.topology, flow)
         ctx.network.fail_link(path[2], path[3])
         ctx.engine.run_until(13.0)
         assert flow.rate_bps == 0.0  # stalled right after the cut
         ctx.engine.run_until(30.0)  # a couple of scheduling rounds later
         assert flow.rate_bps > 0
-        assert ctx.network.path_alive(flow.switch_path())
+        assert ctx.network.path_alive(flow_path(ctx.topology, flow))
 
     def test_texcp_drains_dead_path(self):
         ctx, scheduler = make_ctx(TexcpScheduler, seed=2)
         flow = self._long_flow(ctx, scheduler)
         ctx.engine.run_until(1.0)
         assert len(flow.components) == 4
-        dead = flow.components[0].path
+        dead = flow_path(ctx.topology, flow)
         ctx.network.fail_link(dead[2], dead[3])
         ctx.engine.run_until(3.0)
         assert all(
-            ctx.network.path_alive(c.path) for c in flow.components
+            ctx.network.path_alive(flow_path(ctx.topology, flow, i))
+            for i in range(len(flow.components))
         )
         assert flow.rate_bps > 0
 
@@ -175,7 +174,7 @@ class TestSchedulerReactions:
         ctx.engine.run_until(20.0)  # immediate rehash + >= 1 controller round
         for flow in flows:
             if flow.active:
-                assert ctx.network.path_alive(flow.switch_path())
+                assert ctx.network.path_alive(flow_path(ctx.topology, flow))
                 assert flow.rate_bps > 0
 
     def test_access_link_failure_stalls_until_restored(self):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.common.units import MB
 from repro.simulator.flows import Flow, FlowComponent, FlowRecord
 from repro.simulator.flowstore import FlowStore
+from repro.simulator.network import Network
+from repro.topology import FatTree
 from repro.simulator.reordering import (
     MAX_RETX_FRACTION,
     reordering_retx_fraction_indexed,
@@ -15,9 +18,9 @@ from repro.simulator.reordering import (
 def make_flow(components=None, size=1000.0, store=None):
     """A standalone flow on its own one-flow store (or on ``store``)."""
     if components is None:
-        components = [FlowComponent(("a", "b", "c"))]
+        components = [FlowComponent(0, [0, 1])]
     return Flow(
-        flow_id=1, src=components[0].path[0], dst=components[0].path[-1],
+        flow_id=1, src="a", dst="c",
         size_bytes=size, start_time=0.0, components=list(components),
         store=FlowStore() if store is None else store,
     )
@@ -25,11 +28,19 @@ def make_flow(components=None, size=1000.0, store=None):
 
 class TestFlowComponent:
     def test_links(self):
-        comp = FlowComponent(("a", "b", "c"))
-        assert comp.links() == (("a", "b"), ("b", "c"))
+        """A network-built component carries its index and its path's link
+        ids, access links included, in path order."""
+        net = Network(FatTree(p=4))
+        topo = net.topology
+        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
+        comp = net.component("h_0_0_0", "h_1_0_0", paths, 1)
+        assert comp.index == 1
+        path = topo.host_path("h_0_0_0", "h_1_0_0", paths[1])
+        assert comp.link_ids == net.link_index.index_path(path).tolist()
+        assert [net.link_index.links[i] for i in comp.link_ids] == list(zip(path, path[1:]))
 
     def test_default_weight(self):
-        assert FlowComponent(("a", "b")).weight == 1.0
+        assert FlowComponent(0, [0, 1]).weight == 1.0
 
 
 class TestFlow:
@@ -46,33 +57,41 @@ class TestFlow:
                  components=[], store=FlowStore())
 
     def test_endpoint_mismatch_rejected(self):
-        with pytest.raises(SimulationError):
-            Flow(
-                flow_id=1, src="x", dst="c", size_bytes=1.0, start_time=0.0,
-                components=[FlowComponent(("a", "b", "c"))], store=FlowStore(),
-            )
+        """A network refuses a component built for another host pair, at
+        start and at reroute, before it changes any state."""
+        net = Network(FatTree(p=4))
+        topo = net.topology
+        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
+        # Same ToR pair, other hosts: only the access links differ.
+        for src, dst in (("h_0_0_1", "h_1_0_0"), ("h_0_0_0", "h_1_0_1")):
+            foreign = net.component(src, dst, paths, 0)
+            with pytest.raises(SimulationError):
+                net.start_flow("h_0_0_0", "h_1_0_0", MB, [foreign])
+        assert not net.flows and net.flow_store.size == 0
+        flow = net.start_flow(
+            "h_0_0_0", "h_1_0_0", MB, [net.component("h_0_0_0", "h_1_0_0", paths, 0)]
+        )
+        other = topo.equal_cost_paths("tor_0_0", "tor_2_0")
+        for component in (
+            net.component("h_0_0_1", "h_1_0_0", paths, 1),
+            net.component("h_0_0_0", "h_2_0_0", other, 1),
+        ):
+            with pytest.raises(SimulationError):
+                net.reroute_flow(flow, [component])
+        assert flow.components[0].index == 0 and flow.path_switches == 0
+        net.check_invariants()
 
     def test_rate_aggregates_components(self):
         # A refill writes the components' sum into the flow's row, and
         # rate_bps reads the row.
         store = FlowStore()
         flow = make_flow([
-            FlowComponent(("a", "b", "c"), weight=0.5),
-            FlowComponent(("a", "d", "c"), weight=0.5),
+            FlowComponent(0, [0, 1], weight=0.5),
+            FlowComponent(1, [2, 3], weight=0.5),
         ], store=store)
         flow.component_rates = [30.0, 20.0]
         store.rate_bps[flow.store_row] = sum(flow.component_rates)
         assert flow.rate_bps == 50.0
-
-    def test_switch_path_single_component_only(self):
-        flow = make_flow()
-        assert flow.switch_path() == ("a", "b", "c")
-        striped = make_flow([
-            FlowComponent(("a", "b", "c")),
-            FlowComponent(("a", "d", "c")),
-        ])
-        with pytest.raises(ValueError):
-            striped.switch_path()
 
     def test_age_and_retx_rate(self):
         flow = make_flow(size=2000.0)

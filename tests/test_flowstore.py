@@ -29,14 +29,14 @@ def net():
 
 def component(net, src, dst, index=0):
     topo = net.topology
-    path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[index]
-    return FlowComponent(topo.host_path(src, dst, path))
+    paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+    return net.component(src, dst, paths, index)
 
 
 def make_flow(store, flow_id=1, size=1000.0):
     return Flow(
         flow_id=flow_id, src="a", dst="c", size_bytes=size, start_time=0.0,
-        components=[FlowComponent(("a", "b", "c"))], store=store,
+        components=[FlowComponent(0, [0, 1])], store=store,
     )
 
 
@@ -122,7 +122,6 @@ class TestRowLifecycle:
         top.reorder_retx_fraction = 0.25
         top.is_elephant = True
         top.path_switches = 2
-        top.monitored_path_index = 3
         store.release(flows[1].store_row)
         assert store.size == 4
         # The last flow now views the hole, with every column moved.
@@ -131,8 +130,8 @@ class TestRowLifecycle:
         assert (
             top.rate_bps, top.remaining_bytes, top.retransmitted_bytes,
             top.reorder_retx_fraction, top.is_elephant, top.path_switches,
-            top.monitored_path_index, top.active,
-        ) == (7.0, 321.0, 12.0, 0.25, True, 2, 3, True)
+            top.active,
+        ) == (7.0, 321.0, 12.0, 0.25, True, 2, True)
         # Rows [0, size) are exactly the live flows, each viewing its own.
         for flow in (flows[0], flows[2], flows[3], top):
             assert store.flow_id[flow.store_row] == flow.flow_id
@@ -147,11 +146,9 @@ class TestFlowViewBinding:
         flow.remaining_bytes = 400.0
         flow.retransmitted_bytes = 50.0
         flow.is_elephant = True
-        flow.monitored_path_index = 3
         assert flow.remaining_bytes == 400.0 == store.remaining_bytes[0]
         assert flow.retransmitted_bytes == 50.0 == store.retransmitted_bytes[0]
         assert flow.is_elephant and store.elephant[0]
-        assert flow.monitored_path_index == 3 == store.monitored_path[0]
         assert flow.active
 
     def test_bind_pushes_state_and_properties_read_columns(self):
@@ -162,7 +159,7 @@ class TestFlowViewBinding:
         assert store.flow_id[row] == flow.flow_id
         assert store.remaining_bytes[row] == 2000.0
         assert store.rate_bps[row] == 0.0
-        assert flow.monitored_path_index is None
+        assert not store.elephant[row] and store.path_switches[row] == 0
         # Writes through properties land in the columns...
         flow.remaining_bytes = 1500.0
         flow.path_switches = 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.units import GBPS, MB, MBPS
+from repro.common.units import MB, MBPS
 from repro.gametheory import (
     CongestionGame,
     GameFlow,
@@ -13,7 +13,7 @@ from repro.gametheory import (
     game_from_network,
     run_best_response_dynamics,
 )
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 
 
@@ -190,7 +190,7 @@ class TestNetworkBridge:
         paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
         flow = net.start_flow(
             "h_0_0_0", "h_1_0_0", 500 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", paths[2]))],
+            [net.component("h_0_0_0", "h_1_0_0", paths, 2)],
         )
         net.engine.run_until(10.5)
         game, strategy = game_from_network(net, delta_bps=10 * MBPS)
@@ -204,7 +204,7 @@ class TestNetworkBridge:
         paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
         net.start_flow(
             "h_0_0_0", "h_1_0_0", 500 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", paths[0]))],
+            [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
         )
         net.engine.run_until(5.0)  # before promotion
         game, strategy = game_from_network(net, delta_bps=10 * MBPS)

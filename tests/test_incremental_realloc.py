@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.common.units import MB, MBPS
 from repro.experiments.runner import ScenarioConfig
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.simulator.components import FlowLinkComponents
 from repro.topology import FatTree
 from repro.validation.fuzz import random_scenario, run_case
@@ -56,10 +56,8 @@ def _stride_network(full_refill=False):
         ("h_0_0_0", "h_0_1_0", 16e6),
         ("h_2_0_0", "h_3_0_0", 64e6),
     ):
-        path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[0]
-        flows.append(
-            net.start_flow(src, dst, size, [FlowComponent(topo.host_path(src, dst, path))])
-        )
+        paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+        flows.append(net.start_flow(src, dst, size, [net.component(src, dst, paths, 0)]))
     net.engine.run_until(0.001)
     return net, flows
 
@@ -133,7 +131,9 @@ class TestTelemetry:
     def test_failure_refills_only_the_failed_cables_component(self):
         net, flows = _stride_network()
         # A switch-switch cable on the pod-0 flow's path.
-        u, v = flows[0].components[0].path[1:3]
+        u, v = net.topology.host_path_at(
+            flows[0].src, flows[0].dst, flows[0].components[0].index
+        )[1:3]
         other_rates = flows[1].component_rates
         for transition, stalled in ((net.fail_link, True), (net.restore_link, False)):
             before = net.perf_stats()
@@ -205,8 +205,8 @@ class TestComponentStructure:
         # A bridge flow shares the first flow's source access link and the
         # second flow's destination access link, joining them.
         src, dst = "h_0_0_0", "h_3_0_0"
-        path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[0]
-        bridge = net.start_flow(src, dst, 1e6, [FlowComponent(topo.host_path(src, dst, path))])
+        paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+        bridge = net.start_flow(src, dst, 1e6, [net.component(src, dst, paths, 0)])
         comps = net._components
         assert flows[1].flow_id in _component_of(comps, flows[0].flow_id)
         # The bridge (1 MB) finishes first; its departure splits them, so
@@ -331,7 +331,7 @@ class TestBatchPathState:
             ("h_0_0_1", "h_1_0_1", 0),
             ("h_0_0_0", "h_1_0_1", 1),
         ):
-            net.start_flow(src, dst, 64e6, [FlowComponent(topo.host_path(src, dst, paths[k]))])
+            net.start_flow(src, dst, 64e6, [net.component(src, dst, paths, k)])
         net.engine.run_until(0.001)
         net.fail_link(*paths[2][1:3])
         band, eleph = net.batch_path_state_arrays(_pair_hops(net, paths))
@@ -346,19 +346,17 @@ class TestBatchPathState:
         # carries an extra elephant: the path reports the first hop's count.
         net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS), elephant_age_s=0.0005)
         topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
+        path = paths[0]
         # The second flow joins the path at its aggregation switch, so it
         # crosses the core hop but not the ToR uplink.
-        other = next(
-            p for p in topo.equal_cost_paths("tor_0_1", "tor_1_0") if p[1:] == path[1:]
-        )
-        for src, dst, switch_path in (
-            ("h_0_0_0", "h_1_0_0", path),
-            ("h_0_1_0", "h_1_0_1", other),
+        others = topo.equal_cost_paths("tor_0_1", "tor_1_0")
+        other = next(i for i, p in enumerate(others) if p[1:] == path[1:])
+        for src, dst, pair_paths, index in (
+            ("h_0_0_0", "h_1_0_0", paths, 0),
+            ("h_0_1_0", "h_1_0_1", others, other),
         ):
-            net.start_flow(
-                src, dst, 64e6, [FlowComponent(topo.host_path(src, dst, switch_path))]
-            )
+            net.start_flow(src, dst, 64e6, [net.component(src, dst, pair_paths, index)])
         net.engine.run_until(0.001)
         first, later = path[0:2], path[2:4]
         net.fail_link(*first)

@@ -8,8 +8,10 @@ from repro.common import enable_console_logging, get_logger
 from repro.common.errors import ConfigurationError
 from repro.common.units import MB, MBPS
 from repro.analysis import NetworkStatsSampler
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
+
+from tests.conftest import pair_component
 
 
 class TestLogging:
@@ -45,11 +47,7 @@ class TestNetworkStatsSampler:
         return Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
 
     def _start(self, net, src, dst, size):
-        topo = net.topology
-        path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[0]
-        return net.start_flow(
-            src, dst, size, [FlowComponent(topo.host_path(src, dst, path))]
-        )
+        return net.start_flow(src, dst, size, [pair_component(net, src, dst)])
 
     def test_samples_track_activity(self):
         net = self._net()

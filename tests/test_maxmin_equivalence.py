@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.common.units import MB, MBPS
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.simulator.maxmin import (
     _HEAP_START_DEMANDS,
     _array_fill,
@@ -76,7 +76,7 @@ class TestRandomizedEquivalence:
         rng = random.Random(2000 + seed)
         topo = FatTree(p=4, link_bandwidth_bps=100 * MBPS)
         hosts = sorted(topo.hosts())
-        all_links = [(l.u, l.v) for l in topo.links()]
+        all_links = [(link.u, link.v) for link in topo.links()]
         capacities = {}
         for u, v in all_links:
             capacities[(u, v)] = topo.link(u, v).bandwidth_bps
@@ -109,9 +109,9 @@ class TestRandomizedEquivalence:
         net = Network(topo)
         hosts = sorted(topo.hosts())
         cables = sorted(
-            (l.u, l.v)
-            for l in topo.links()
-            if topo.node(l.u).kind.is_switch and topo.node(l.v).kind.is_switch
+            (link.u, link.v)
+            for link in topo.links()
+            if topo.node(link.u).kind.is_switch and topo.node(link.v).kind.is_switch
         )
         flows = []
         for step in range(30):
@@ -119,7 +119,7 @@ class TestRandomizedEquivalence:
             if action < 0.6 or not flows:
                 src, dst = rng.sample(hosts, 2)
                 paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
-                comp = FlowComponent(topo.host_path(src, dst, rng.choice(paths)))
+                comp = net.component(src, dst, paths, rng.randrange(len(paths)))
                 flows.append(net.start_flow(src, dst, rng.uniform(1, 64) * MB, [comp]))
             elif action < 0.8:
                 live = [f for f in flows if f.active]
@@ -128,8 +128,8 @@ class TestRandomizedEquivalence:
                     paths = topo.equal_cost_paths(
                         topo.tor_of(flow.src), topo.tor_of(flow.dst)
                     )
-                    comp = FlowComponent(
-                        topo.host_path(flow.src, flow.dst, rng.choice(paths))
+                    comp = net.component(
+                        flow.src, flow.dst, paths, rng.randrange(len(paths))
                     )
                     net.reroute_flow(flow, [comp])
             elif action < 0.9:
@@ -144,8 +144,9 @@ class TestRandomizedEquivalence:
             demands, owners = [], []
             for flow in net.flows.values():
                 for idx, component in enumerate(flow.components):
-                    links = component.links()
-                    if net.failed_links and any(l in net.failed_links for l in links):
+                    path = topo.host_path_at(flow.src, flow.dst, component.index)
+                    links = tuple(zip(path, path[1:]))
+                    if net.failed_links and any(link in net.failed_links for link in links):
                         continue
                     demands.append((links, component.weight))
                     owners.append((flow, idx))

@@ -13,10 +13,10 @@ def net():
     return Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
 
 
-def component(net, src, dst, index=0):
+def component(net, src, dst, index=0, weight=1.0):
     topo = net.topology
-    path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[index]
-    return FlowComponent(topo.host_path(src, dst, path))
+    paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+    return net.component(src, dst, paths, index, weight)
 
 
 class TestFlowLifecycle:
@@ -92,11 +92,8 @@ class TestElephantPromotion:
         net = Network(
             FatTree(p=4, link_bandwidth_bps=100 * MBPS), elephant_age_s=2.0
         )
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
         net.start_flow(
-            "h_0_0_0", "h_1_0_0", 40 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", path))],
+            "h_0_0_0", "h_1_0_0", 40 * MB, [component(net, "h_0_0_0", "h_1_0_0")]
         )
         net.engine.run_until_idle()
         assert net.records[0].was_elephant  # 3.2 s > 2 s threshold
@@ -168,13 +165,17 @@ class TestReroute:
         src, dst = "h_0_0_0", "h_1_0_0"
         flow = net.start_flow(src, dst, 500 * MB, [component(net, src, dst, 0)])
         net.engine.run_until(11.0)  # promoted
-        old_links = flow.components[0].links()
+        old_links = flow.components[0].link_ids
         net.reroute_flow(flow, [component(net, src, dst, 3)])
-        new_links = flow.components[0].links()
+        new_links = flow.components[0].link_ids
         changed = set(old_links) - set(new_links)
         assert changed
-        for u, v in changed:
+        for link in changed:
+            u, v = net.link_index.links[link]
             assert net.link_state(u, v).total_flows == 0
+            assert net.link_state(u, v).elephant_flows == 0
+        for link in new_links:
+            assert net.link_state(*net.link_index.links[link]).elephant_flows == 1
 
     def test_reroute_finished_flow_rejected(self, net):
         src, dst = "h_0_0_0", "h_1_0_0"
@@ -185,9 +186,12 @@ class TestReroute:
 
     def test_component_validation(self, net):
         src, dst = "h_0_0_0", "h_1_0_0"
-        bad = FlowComponent((src, "tor_0_0", "h_0_0_1"))
+        ids = net.link_index.ids
+        bad = FlowComponent(0, [ids[(src, "tor_0_0")], ids[("tor_0_0", "h_0_0_1")]])
         with pytest.raises(SimulationError):
             net.start_flow(src, dst, 1 * MB, [bad])
+        with pytest.raises(IndexError):
+            component(net, src, dst, 4)
 
 
 class TestMultiComponentFlows:
@@ -196,11 +200,9 @@ class TestMultiComponentFlows:
         when the host link allows; here the host link caps it at 100 Mbps,
         same as single path, but reordering charges retransmissions."""
         src, dst = "h_0_0_0", "h_1_0_0"
-        topo = net.topology
-        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
         components = [
-            FlowComponent(topo.host_path(src, dst, paths[0]), weight=0.5),
-            FlowComponent(topo.host_path(src, dst, paths[1]), weight=0.5),
+            component(net, src, dst, 0, weight=0.5),
+            component(net, src, dst, 1, weight=0.5),
         ]
         flow = net.start_flow(src, dst, 10 * MB, components)
         net.engine.run_until(0.1)
@@ -208,11 +210,7 @@ class TestMultiComponentFlows:
 
     def test_multi_component_counts_flow_once_per_link(self, net):
         src, dst = "h_0_0_0", "h_1_0_0"
-        topo = net.topology
-        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
-        components = [
-            FlowComponent(topo.host_path(src, dst, p), weight=0.25) for p in paths
-        ]
+        components = [component(net, src, dst, i, weight=0.25) for i in range(4)]
         net.start_flow(src, dst, 500 * MB, components)
         net.engine.run_until(11.0)
         # The shared host link sees ONE flow, not four.

@@ -12,11 +12,11 @@ invariants after every step:
 """
 
 import hypothesis.strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import settings
 
 from repro.common.units import MB, MBPS
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 
 SWITCH_CABLES = None  # populated lazily; FatTree construction is deterministic
@@ -52,10 +52,9 @@ class NetworkMachine(RuleBasedStateMachine):
         if src == dst:
             return
         paths = self.topo.equal_cost_paths(self.topo.tor_of(src), self.topo.tor_of(dst))
-        path = paths[path_i % len(paths)]
         flow = self.net.start_flow(
             src, dst, size_mb * MB,
-            [FlowComponent(self.topo.host_path(src, dst, path))],
+            [self.net.component(src, dst, paths, path_i % len(paths))],
         )
         self.started.append(flow)
 
@@ -68,9 +67,8 @@ class NetworkMachine(RuleBasedStateMachine):
         paths = self.topo.equal_cost_paths(
             self.topo.tor_of(flow.src), self.topo.tor_of(flow.dst)
         )
-        path = paths[path_i % len(paths)]
         self.net.reroute_flow(
-            flow, [FlowComponent(self.topo.host_path(flow.src, flow.dst, path))]
+            flow, [self.net.component(flow.src, flow.dst, paths, path_i % len(paths))]
         )
 
     @rule(cable_i=st.integers(0, 100))
@@ -89,6 +87,11 @@ class NetworkMachine(RuleBasedStateMachine):
 
     # -- invariants ---------------------------------------------------------------
 
+    def _links(self, flow, component):
+        """A component's links, from its node path (not from its row)."""
+        path = self.topo.host_path_at(flow.src, flow.dst, component.index)
+        return list(zip(path, path[1:]))
+
     @invariant()
     def link_counters_consistent(self):
         expected_total = {}
@@ -96,7 +99,7 @@ class NetworkMachine(RuleBasedStateMachine):
         for flow in self.net.flows.values():
             seen = set()
             for component in flow.components:
-                for link in component.links():
+                for link in self._links(flow, component):
                     if link in seen:
                         continue
                     seen.add(link)
@@ -113,7 +116,7 @@ class NetworkMachine(RuleBasedStateMachine):
         load = {}
         for flow in self.net.flows.values():
             for component, rate in zip(flow.components, flow.component_rates):
-                for link in component.links():
+                for link in self._links(flow, component):
                     load[link] = load.get(link, 0.0) + rate
         for link, total in load.items():
             assert total <= self.net.capacities[link] * (1 + 1e-6), link
@@ -124,7 +127,8 @@ class NetworkMachine(RuleBasedStateMachine):
             return
         for flow in self.net.flows.values():
             for component, rate in zip(flow.components, flow.component_rates):
-                if any(l in self.net.failed_links for l in component.links()):
+                links = self._links(flow, component)
+                if any(link in self.net.failed_links for link in links):
                     assert rate == 0.0
 
     @invariant()

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.core.overhead import bytes_per_monitor_round, dard_probe_rate_bytes_per_s
 from repro.experiments import ScenarioConfig, run_scenario
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.switches import SwitchFabric
 from repro.topology import FatTree, TopologySpec, build_custom
 
@@ -79,36 +79,30 @@ class TestOverheadModel:
 class TestCheckInvariants:
     def test_clean_network_passes(self, fattree4):
         net = Network(fattree4)
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        paths = net.topology.equal_cost_paths("tor_0_0", "tor_1_0")
         net.start_flow(
-            "h_0_0_0", "h_1_0_0", 50 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", path))],
+            "h_0_0_0", "h_1_0_0", 50 * MB, [net.component("h_0_0_0", "h_1_0_0", paths, 0)]
         )
         net.engine.run_until(1.0)
         net.check_invariants()  # must not raise
 
     def test_corrupted_counter_detected(self, fattree4):
         net = Network(fattree4)
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        paths = net.topology.equal_cost_paths("tor_0_0", "tor_1_0")
         net.start_flow(
-            "h_0_0_0", "h_1_0_0", 50 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", path))],
+            "h_0_0_0", "h_1_0_0", 50 * MB, [net.component("h_0_0_0", "h_1_0_0", paths, 0)]
         )
         net.engine.run_until(1.0)
         # Sabotage a counter the way a buggy scheduler extension might.
-        net._total_array[0] += 1
-        with pytest.raises(SimulationError):
+        net._eleph_array[0] += 1
+        with pytest.raises(SimulationError, match="elephant-counter"):
             net.check_invariants()
 
     def test_negative_bytes_detected(self, fattree4):
         net = Network(fattree4)
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
+        paths = net.topology.equal_cost_paths("tor_0_0", "tor_1_0")
         flow = net.start_flow(
-            "h_0_0_0", "h_1_0_0", 50 * MB,
-            [FlowComponent(topo.host_path("h_0_0_0", "h_1_0_0", path))],
+            "h_0_0_0", "h_1_0_0", 50 * MB, [net.component("h_0_0_0", "h_1_0_0", paths, 0)]
         )
         flow.remaining_bytes = -5.0
         with pytest.raises(SimulationError):
@@ -147,8 +141,8 @@ class TestCustomTopology:
     def test_simulation_on_custom(self):
         topo = build_custom(two_agg_spec(link_bandwidth_bps=100 * MBPS))
         net = Network(topo)
-        path = topo.equal_cost_paths("t0", "t1")[0]
-        net.start_flow("h0", "h1", 10 * MB, [FlowComponent(("h0",) + path + ("h1",))])
+        paths = topo.equal_cost_paths("t0", "t1")
+        net.start_flow("h0", "h1", 10 * MB, [net.component("h0", "h1", paths, 0)])
         net.engine.run_until_idle()
         assert net.records[0].fct == pytest.approx(0.8)
 

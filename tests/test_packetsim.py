@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MB, MBPS
-from repro.simulator import EventEngine, FlowComponent, Network
+from repro.simulator import EventEngine, Network
 from repro.packetsim import PacketSimulation, TcpParams
 from repro.packetsim.links import PacketLink
 from repro.packetsim.tcp import TcpReceiver, TcpSender
@@ -175,10 +175,8 @@ class TestFluidAgreement:
         fluid_net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
         ftopo = fluid_net.topology
         for src, dst, index in placements:
-            path = ftopo.equal_cost_paths(ftopo.tor_of(src), ftopo.tor_of(dst))[index]
-            fluid_net.start_flow(
-                src, dst, size, [FlowComponent(ftopo.host_path(src, dst, path))]
-            )
+            paths = ftopo.equal_cost_paths(ftopo.tor_of(src), ftopo.tor_of(dst))
+            fluid_net.start_flow(src, dst, size, [fluid_net.component(src, dst, paths, index)])
         fluid_net.engine.run_until_idle()
         fluid_mean = sum(r.fct for r in fluid_net.records) / len(placements)
 

@@ -15,7 +15,7 @@ from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.core import DardScheduler
 from repro.gametheory import CongestionGame, GameFlow
 from repro.scheduling import SchedulerContext
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.units import MB, MBPS
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 
 #: The complete ``perf_stats()`` surface, asserted in one place so the
@@ -35,9 +35,10 @@ def topo():
     return FatTree(p=4, link_bandwidth_bps=100 * MBPS)
 
 
-def _component(topo, src, dst, path_i=0):
+def _component(net, src, dst, path_i=0):
+    topo = net.topology
     paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
-    return FlowComponent(topo.host_path(src, dst, paths[path_i % len(paths)]))
+    return net.component(src, dst, paths, path_i % len(paths))
 
 
 class TestPerfStats:
@@ -50,15 +51,15 @@ class TestPerfStats:
             ("h_1_0_1", "h_2_1_0"),
         ]
         flows = [
-            net.start_flow(src, dst, 10 * MB, [_component(topo, src, dst)])
+            net.start_flow(src, dst, 10 * MB, [_component(net, src, dst)])
             for src, dst in pairs
         ]
         net.engine.run_until(1.0)
-        net.reroute_flow(flows[0], [_component(topo, *pairs[0], path_i=1)])
+        net.reroute_flow(flows[0], [_component(net, *pairs[0], path_i=1)])
         cable = next(
-            (l.u, l.v)
-            for l in topo.links()
-            if topo.node(l.u).kind.is_switch and topo.node(l.v).kind.is_switch
+            (link.u, link.v)
+            for link in topo.links()
+            if topo.node(link.u).kind.is_switch and topo.node(link.v).kind.is_switch
         )
         net.fail_link(*cable)
         net.restore_link(*cable)
@@ -88,7 +89,7 @@ class TestPerfStats:
         net = Network(topo)
         for i in range(5):
             src, dst = f"h_0_0_{i % 2}", f"h_1_0_{i % 2}"
-            net.start_flow(src, dst, 10 * MB, [_component(topo, src, dst, i)])
+            net.start_flow(src, dst, 10 * MB, [_component(net, src, dst, i)])
         net.engine.run_until(0.0)
         stats = net.perf_stats()
         assert stats["realloc_requests"] == 5

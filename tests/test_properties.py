@@ -203,7 +203,6 @@ class TestAllocatorOnDegradedNetworks:
     @settings(max_examples=25, deadline=None)
     def test_live_rates_match_reference_after_failures(self, case):
         from repro.common.units import MBPS
-        from repro.simulator import FlowComponent
         from repro.simulator.network import Network
         from repro.validation import check_network_against_reference
 
@@ -215,10 +214,8 @@ class TestAllocatorOnDegradedNetworks:
         for _ in range(pair_count):
             src, dst = (hosts[i] for i in rng.choice(len(hosts), 2, replace=False))
             paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
-            path = paths[int(rng.integers(len(paths)))]
-            net.start_flow(
-                src, dst, 64e6, [FlowComponent(topo.host_path(src, dst, path))]
-            )
+            index = int(rng.integers(len(paths)))
+            net.start_flow(src, dst, 64e6, [net.component(src, dst, paths, index)])
         cables = sorted(
             {(u, v) for u, v in net.capacities if (v, u) >= (u, v)}
         )

@@ -2,8 +2,6 @@
 the predictive elephant detector, and the :class:`StormOracle` battery —
 every scenario class oracle-certified end to end."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from repro.common.errors import (
 from repro.common.rng import RngStreams
 from repro.common.units import MB, MBPS
 from repro.experiments import ScenarioConfig
-from repro.simulator import FlowComponent
 from repro.simulator.detectors import PredictiveElephantDetector
 from repro.simulator.engine import EventEngine
 from repro.simulator.network import Network
@@ -351,10 +348,8 @@ def _single_flow_network(size_bytes, detector="predictive", detector_params=None
     )
     topo = network.topology
     src, dst = "h_0_0_0", "h_1_0_0"
-    path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[0]
-    flow = network.start_flow(
-        src, dst, size_bytes, [FlowComponent(topo.host_path(src, dst, path))]
-    )
+    paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+    flow = network.start_flow(src, dst, size_bytes, [network.component(src, dst, paths, 0)])
     return network, flow
 
 
@@ -413,13 +408,11 @@ class TestPredictiveElephantDetector:
         network, flow = _single_flow_network(100 * MB)
         topo = network.topology
         src, dst = "h_0_0_1", "h_1_0_1"
-        path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[0]
+        paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
 
         def add_contention():
             for _ in range(3):
-                network.start_flow(
-                    src, dst, 128 * MB, [FlowComponent(topo.host_path(src, dst, path))]
-                )
+                network.start_flow(src, dst, 128 * MB, [network.component(src, dst, paths, 0)])
 
         network.engine.schedule_at(3.0, add_contention)
         network.engine.run_until(9.9)
@@ -438,18 +431,18 @@ def _oracle_network():
     return network, StormOracle().attach(network)
 
 
-def _component(topo, src, dst, index):
-    path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[index]
-    return FlowComponent(topo.host_path(src, dst, path)), path
+def _component(network, src, dst, index):
+    topo = network.topology
+    paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+    return network.component(src, dst, paths, index), paths[index]
 
 
 class TestStormOracle:
     def test_placement_on_dead_path_with_alive_alternative_raises(self):
         network, oracle = _oracle_network()
-        topo = network.topology
         # Find a core path for h_0_0_0 -> h_1_0_0 and kill its first
         # switch-switch cable; the other equal-cost paths stay alive.
-        component, path = _component(topo, "h_0_0_0", "h_1_0_0", 0)
+        component, path = _component(network, "h_0_0_0", "h_1_0_0", 0)
         network.fail_link(path[0], path[1])
         with pytest.raises(OracleViolation) as info:
             network.start_flow("h_0_0_0", "h_1_0_0", 8 * MB, [component])
@@ -457,9 +450,8 @@ class TestStormOracle:
 
     def test_reroute_onto_dead_path_raises(self):
         network, oracle = _oracle_network()
-        topo = network.topology
-        dead_component, dead_path = _component(topo, "h_0_0_0", "h_1_0_0", 0)
-        alive_component, _ = _component(topo, "h_0_0_0", "h_1_0_0", 1)
+        dead_component, dead_path = _component(network, "h_0_0_0", "h_1_0_0", 0)
+        alive_component, _ = _component(network, "h_0_0_0", "h_1_0_0", 1)
         flow = network.start_flow("h_0_0_0", "h_1_0_0", 8 * MB, [alive_component])
         network.fail_link(dead_path[0], dead_path[1])
         with pytest.raises(OracleViolation) as info:
@@ -470,7 +462,7 @@ class TestStormOracle:
     def test_stall_carveout_when_no_alive_path_exists(self):
         network, oracle = _oracle_network()
         topo = network.topology
-        component, _ = _component(topo, "h_0_0_0", "h_1_0_0", 0)
+        component, _ = _component(network, "h_0_0_0", "h_1_0_0", 0)
         # Killing the source's access cable deadens *every* equal-cost
         # path: placing (and stalling) is the documented semantics.
         network.fail_link("h_0_0_0", topo.tor_of("h_0_0_0"))
@@ -480,16 +472,14 @@ class TestStormOracle:
 
     def test_clean_placements_pass_and_are_counted(self):
         network, oracle = _oracle_network()
-        topo = network.topology
-        component, _ = _component(topo, "h_0_0_0", "h_2_0_0", 1)
+        component, _ = _component(network, "h_0_0_0", "h_2_0_0", 1)
         network.start_flow("h_0_0_0", "h_2_0_0", 8 * MB, [component])
         assert oracle.placements_checked == 1
         assert oracle.stalled_placements == 0
 
     def test_balance_audited_at_every_failure_edge(self):
         network, oracle = _oracle_network()
-        topo = network.topology
-        component, _ = _component(topo, "h_0_0_0", "h_1_0_0", 2)
+        component, _ = _component(network, "h_0_0_0", "h_1_0_0", 2)
         network.start_flow("h_0_0_0", "h_1_0_0", 8 * MB, [component])
         network.fail_link("agg_0_0", "core_0_0")
         network.restore_link("agg_0_0", "core_0_0")

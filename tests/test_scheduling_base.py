@@ -9,7 +9,7 @@ from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.scheduling import MessageLedger, MessageSizes, SchedulerContext
 from repro.scheduling.base import Scheduler, encode_and_verify
-from repro.simulator import FlowComponent, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 
 from tests.test_computed_paths import PATH_TOPOLOGIES
@@ -21,7 +21,7 @@ class FirstPathScheduler(Scheduler):
     name = "first"
 
     def choose_components(self, src, dst):
-        return [self.component_for(src, dst, self.paths_between(src, dst)[0])]
+        return [self.ctx.network.component(src, dst, self.paths_between(src, dst), 0)]
 
 
 @pytest.fixture
@@ -40,7 +40,9 @@ class TestSchedulerInterface:
         scheduler.attach(ctx)
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 10 * MB)
         assert flow.flow_id in ctx.network.flows
-        assert flow.components[0].path[0] == "h_0_0_0"
+        assert flow.components[0].link_ids[0] == ctx.network.link_index.id_of(
+            ("h_0_0_0", "tor_0_0")
+        )
 
     def test_context_shortcuts(self, ctx):
         assert ctx.topology is ctx.network.topology
@@ -52,12 +54,14 @@ class TestSchedulerInterface:
         assert len(scheduler.paths_between("h_0_0_0", "h_1_0_0")) == 4
 
     def test_switch_path_of(self, ctx):
+        """A placed flow names its path by index; the node path is built
+        from that index on demand."""
         scheduler = FirstPathScheduler()
         scheduler.attach(ctx)
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 10 * MB)
-        assert scheduler.switch_path_of(flow) == tuple(
-            scheduler.paths_between("h_0_0_0", "h_1_0_0")[0]
-        )
+        assert flow.components[0].index == 0
+        path = ctx.topology.host_path_at(flow.src, flow.dst, flow.components[0].index)
+        assert path[1:-1] == scheduler.paths_between("h_0_0_0", "h_1_0_0")[0]
 
     def test_control_bytes_default_zero(self, ctx):
         scheduler = FirstPathScheduler()
@@ -99,17 +103,14 @@ class TestAliveFilter:
         for _ in range(4):
             src = data.draw(st.sampled_from(hosts))
             dst = data.draw(st.sampled_from([h for h in hosts if h != src]))
-            paths = list(scheduler.paths_between(src, dst))
+            every = list(range(len(scheduler.paths_between(src, dst))))
             reference = [
-                p for p in paths
-                if network.path_alive(topo.host_path(src, dst, p))
+                i for i in every
+                if network.path_alive(topo.host_path_at(src, dst, i))
             ]
-            alive = scheduler.alive_paths(src, dst)
-            assert list(alive) == (reference or paths)
-            assert len(alive) == len(reference or paths)
-            for i, path in enumerate(reference or paths):
-                assert alive[i] == path
-                assert alive.index(path) == i
+            paths, alive = scheduler.alive_paths(src, dst)
+            assert list(alive) == (reference or every)
+            assert list(paths) == [topo.host_path_at(src, dst, i)[1:-1] for i in every]
 
 
 class TestEncodeAndVerify:

@@ -9,7 +9,7 @@ from repro.experiments import (
     paired_comparison,
     run_scenario,
 )
-from repro.gametheory import convergence_study, random_game_on, run_best_response_dynamics
+from repro.gametheory import convergence_study, random_game_on
 from repro.topology import FatTree
 
 import numpy as np

@@ -6,9 +6,7 @@ import pytest
 from repro.common.errors import RoutingError
 from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.addressing.prefix import Prefix
-from repro.switches import FlowTable, Switch, SwitchFabric
-from repro.topology import ThreeTier
-from repro.topology.graph import NodeKind
+from repro.switches import FlowTable, SwitchFabric
 
 
 class TestFlowTable:

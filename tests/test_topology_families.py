@@ -8,7 +8,6 @@ import pytest
 from repro.common.errors import TopologyError
 from repro.common.units import GBPS, MBPS
 from repro.topology import ClosNetwork, FatTree, ThreeTier, build_topology
-from repro.topology.graph import NodeKind
 
 
 class TestFatTreeStructure:

@@ -13,7 +13,7 @@ from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.baselines import EcmpScheduler
 from repro.scheduling import SchedulerContext
-from repro.simulator import EventEngine, Network
+from repro.simulator import Network
 from repro.topology import FatTree
 from repro.workloads import (
     ArrivalProcess,

@@ -12,14 +12,12 @@ import pytest
 from repro.common.errors import InvariantViolation, OracleViolation, SimulationError
 from repro.common.units import MBPS
 from repro.experiments.runner import run_scenario
-from repro.simulator import FlowComponent
 from repro.simulator.network import Network
 from repro.topology import FatTree
 from repro.validation import (
     DEFAULT_GOLDEN_PATH,
     FCT_AGREEMENT_BAND,
     GOLDEN_TWINS,
-    FuzzFailure,
     InvariantChecker,
     SwitchTableSnapshot,
     allocator_equivalence_suite,
@@ -47,8 +45,8 @@ def two_flow_network():
     net = Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
     topo = net.topology
     for src, dst, index in [("h_0_0_0", "h_1_0_0", 0), ("h_0_0_0", "h_2_0_0", 2)]:
-        path = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))[index]
-        net.start_flow(src, dst, 64e6, [FlowComponent(topo.host_path(src, dst, path))])
+        paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+        net.start_flow(src, dst, 64e6, [net.component(src, dst, paths, index)])
     net.engine.run_until(0.001)  # let the coalesced realloc settle
     return net
 

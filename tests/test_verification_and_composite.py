@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import MB
 from repro.addressing import HierarchicalAddressing, PathCodec
-from repro.addressing.prefix import Prefix
 from repro.simulator import EventEngine
 from repro.switches import SwitchFabric, audit_table_sizes, verify_fabric
-from repro.topology import ClosNetwork, FatTree
+from repro.topology import FatTree
 from repro.workloads import (
     CompositePattern,
     LoadPhase,

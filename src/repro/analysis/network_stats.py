@@ -34,7 +34,7 @@ class NetworkStatsSampler:
         self.network = network
         self.interval_s = interval_s
         self.samples: List[NetworkSample] = []
-        network.engine.schedule_every(interval_s, self._sample, start_delay=interval_s)
+        network.engine.schedule_every(interval_s, self._sample)
 
     def _sample(self) -> None:
         net = self.network

@@ -17,13 +17,13 @@ a refill's work, so the split ran slower than serial (EXPERIMENTS.md
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import itertools
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
-from repro.analysis.sweep import _apply_override
 
 
 def resolve_workers(requested: Optional[int]) -> int:
@@ -80,18 +80,36 @@ def run_scenarios_parallel(
         return list(pool.map(run_scenario, configs, chunksize=chunksize))
 
 
+def _apply_override(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
+    if "." in key:
+        field_name, sub_key = key.split(".", 1)
+        if "." in sub_key:
+            raise ConfigurationError(f"override {key!r} nests too deep")
+        current = getattr(config, field_name, None)
+        if not isinstance(current, dict):
+            raise ConfigurationError(f"{field_name!r} is not a parameter dict")
+        updated = dict(current)
+        updated[sub_key] = value
+        return dataclasses.replace(config, **{field_name: updated})
+    if not hasattr(config, key):
+        raise ConfigurationError(f"unknown config field {key!r}")
+    return dataclasses.replace(config, **{key: value})
+
+
 def parallel_sweep(
     base: ScenarioConfig,
     grid: Dict[str, Sequence],
     max_workers: Optional[int] = None,
 ) -> List[Tuple[Dict[str, object], ScenarioResult]]:
-    """The parallel counterpart of :func:`repro.analysis.sweep.sweep`.
+    """Run every combination of the grid; returns (overrides, result) pairs.
 
-    Same grid semantics and the same deterministic ordering; only the
-    execution is concurrent.
+    Override keys are config field names; dotted keys reach into the
+    nested parameter dicts (e.g. ``"topology_params.p"``). Combinations
+    come back in deterministic order (grid keys sorted, values in given
+    order), each from the base seed, whatever the worker count; an empty
+    grid is the base config alone. :func:`repro.analysis.sweep.sweep` is
+    this with one worker.
     """
-    if not grid:
-        return [({}, run_scenario(base))]
     keys = sorted(grid)
     overrides_list: List[Dict[str, object]] = []
     configs: List[ScenarioConfig] = []

@@ -32,7 +32,7 @@ class RateSampler:
         self.network = network
         self.interval_s = interval_s
         self.samples: List[RateSample] = []
-        network.engine.schedule_every(interval_s, self._sample, start_delay=interval_s)
+        network.engine.schedule_every(interval_s, self._sample)
 
     def _sample(self) -> None:
         now = self.network.now
@@ -73,7 +73,7 @@ class LinkUtilizationSampler:
         self.series: Dict[Tuple[str, str], List[Tuple[float, float]]] = {
             link: [] for link in self.links
         }
-        network.engine.schedule_every(interval_s, self._sample, start_delay=interval_s)
+        network.engine.schedule_every(interval_s, self._sample)
 
     def _sample(self) -> None:
         now = self.network.now

@@ -8,50 +8,25 @@ are config field names; dotted keys reach into the nested parameter dicts
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError
-from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
-
-
-def _apply_override(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
-    if "." in key:
-        field_name, sub_key = key.split(".", 1)
-        if "." in sub_key:
-            raise ConfigurationError(f"override {key!r} nests too deep")
-        current = getattr(config, field_name, None)
-        if not isinstance(current, dict):
-            raise ConfigurationError(f"{field_name!r} is not a parameter dict")
-        updated = dict(current)
-        updated[sub_key] = value
-        return dataclasses.replace(config, **{field_name: updated})
-    if not hasattr(config, key):
-        raise ConfigurationError(f"unknown config field {key!r}")
-    return dataclasses.replace(config, **{key: value})
+from repro.experiments.runner import ScenarioConfig, ScenarioResult
+from repro.analysis.parallel import parallel_sweep
 
 
 def sweep(
     base: ScenarioConfig,
     grid: Dict[str, Sequence],
 ) -> List[Tuple[Dict[str, object], ScenarioResult]]:
-    """Run every combination of the grid; returns (overrides, result) pairs.
+    """Run every combination of the grid in this process; returns
+    (overrides, result) pairs.
 
-    Combinations run in deterministic order (grid keys sorted, values in
-    given order), each from the base seed — results are fully reproducible.
+    :func:`~repro.analysis.parallel.parallel_sweep` with one worker: the
+    same expansion, the same deterministic order (grid keys sorted,
+    values in given order), each from the base seed — results are fully
+    reproducible.
     """
-    if not grid:
-        return [({}, run_scenario(base))]
-    keys = sorted(grid)
-    results = []
-    for values in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, values))
-        config = base
-        for key, value in overrides.items():
-            config = _apply_override(config, key, value)
-        results.append((overrides, run_scenario(config)))
-    return results
+    return parallel_sweep(base, grid, max_workers=1)
 
 
 def sweep_rows(

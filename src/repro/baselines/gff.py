@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.scheduling.base import Scheduler, SchedulerContext
-from repro.scheduling.messages import MessageSizes
+from repro.scheduling.messages import MESSAGE_SIZES
 from repro.simulator.flows import Flow, FlowComponent
 from repro.topology.paths import EqualCostPaths
 from repro.baselines.ecmp import hash_components, rehash
@@ -35,14 +35,9 @@ class GlobalFirstFitScheduler(Scheduler):
 
     name = "gff"
 
-    def __init__(
-        self,
-        scheduling_interval_s: float = DEFAULT_SCHEDULING_INTERVAL_S,
-        message_sizes: MessageSizes = MessageSizes(),
-    ) -> None:
+    def __init__(self, scheduling_interval_s: float = DEFAULT_SCHEDULING_INTERVAL_S) -> None:
         super().__init__()
         self.scheduling_interval_s = scheduling_interval_s
-        self.message_sizes = message_sizes
 
     def attach(self, ctx: SchedulerContext) -> None:
         super().attach(ctx)
@@ -64,9 +59,7 @@ class GlobalFirstFitScheduler(Scheduler):
         elephants = sorted(network.active_elephants(), key=lambda f: f.flow_id)
         if not elephants:
             return
-        self.ledger.record(
-            "report", self.message_sizes.report_to_controller, len(elephants)
-        )
+        self.ledger.record("report", MESSAGE_SIZES.report_to_controller, len(elephants))
         demands = estimate_demands([(f.src, f.dst) for f in elephants])
         nic_bps = min(
             network.capacities[(f.src, network.topology.tor_of(f.src))]
@@ -89,7 +82,7 @@ class GlobalFirstFitScheduler(Scheduler):
                 )
                 # One table update per switch along the new path.
                 self.ledger.record(
-                    "update", self.message_sizes.update_from_controller, paths.hops + 1
+                    "update", MESSAGE_SIZES.update_from_controller, paths.hops + 1
                 )
 
     def _first_fit(

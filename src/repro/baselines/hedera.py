@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.scheduling.base import Scheduler, SchedulerContext
-from repro.scheduling.messages import MessageSizes
+from repro.scheduling.messages import MESSAGE_SIZES
 from repro.simulator.flows import Flow, FlowComponent
 from repro.topology.paths import EqualCostPaths, SwitchPath
 from repro.baselines.ecmp import hash_components, rehash
 
 DEFAULT_SCHEDULING_INTERVAL_S = 5.0
 DEFAULT_ANNEALING_ITERATIONS = 1000
+#: the annealer's starting temperature; it cools geometrically to 1e-3.
+INITIAL_TEMPERATURE = 1.0
 _DEMAND_EPS = 1e-9
 
 
@@ -160,14 +162,10 @@ class HederaScheduler(Scheduler):
         self,
         scheduling_interval_s: float = DEFAULT_SCHEDULING_INTERVAL_S,
         annealing_iterations: int = DEFAULT_ANNEALING_ITERATIONS,
-        initial_temperature: float = 1.0,
-        message_sizes: MessageSizes = MessageSizes(),
     ) -> None:
         super().__init__()
         self.scheduling_interval_s = scheduling_interval_s
         self.annealing_iterations = annealing_iterations
-        self.initial_temperature = initial_temperature
-        self.message_sizes = message_sizes
         self._assignments: Dict[str, PathSelector] = {}
         # Memo for selector resolution: (src ToR, dst ToR, selector) -> links.
         self._links_cache: Dict[tuple, List[Tuple[str, str]]] = {}
@@ -203,7 +201,7 @@ class HederaScheduler(Scheduler):
         if not elephants:
             return
         # Edge switches report every elephant to the controller.
-        self.ledger.record("report", self.message_sizes.report_to_controller, len(elephants))
+        self.ledger.record("report", MESSAGE_SIZES.report_to_controller, len(elephants))
         demands = estimate_demands([(f.src, f.dst) for f in elephants])
         nic_bps = min(
             network.capacities[(f.src, network.topology.tor_of(f.src))] for f in elephants
@@ -312,7 +310,7 @@ class HederaScheduler(Scheduler):
         if iterations <= 0:
             return best
         cooling = math.exp(math.log(1e-3) / iterations)  # T: 1 -> 1e-3
-        temperature = self.initial_temperature
+        temperature = INITIAL_TEMPERATURE
         for _ in range(iterations):
             dst = dsts[int(rng.integers(len(dsts)))]
             proposed = self._random_selector()
@@ -354,6 +352,4 @@ class HederaScheduler(Scheduler):
                 continue
             network.reroute_flow(flow, [network.component(flow.src, flow.dst, paths, index)])
             # One table update per switch along the new path.
-            self.ledger.record(
-                "update", self.message_sizes.update_from_controller, paths.hops + 1
-            )
+            self.ledger.record("update", MESSAGE_SIZES.update_from_controller, paths.hops + 1)

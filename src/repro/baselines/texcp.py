@@ -38,8 +38,12 @@ from repro.scheduling.base import Scheduler, SchedulerContext
 from repro.simulator.flows import Flow, FlowComponent
 from repro.topology.paths import EqualCostPaths, SwitchPath
 
-DEFAULT_PROBE_INTERVAL_S = 0.05
-DEFAULT_KAPPA = 0.4
+#: the datacenter-scale probe interval (RTTs are ~ms or smaller).
+PROBE_INTERVAL_S = 0.05
+#: five probe intervals per control interval, as TeXCP requires.
+CONTROL_INTERVAL_S = 5.0 * PROBE_INTERVAL_S
+#: the load balancer's gain.
+KAPPA = 0.4
 MIN_RATIO = 0.02
 
 
@@ -57,13 +61,13 @@ class TexcpAgent:
         if not self.ratios:
             self.ratios = [1.0 / len(self.paths)] * len(self.paths)
 
-    def rebalance(self, utils: List[float], kappa: float) -> None:
+    def rebalance(self, utils: List[float]) -> None:
         """One TeXCP control-interval update of the split ratios."""
         mean = sum(r * u for r, u in zip(self.ratios, utils))
         if mean <= 0:
             return
         updated = [
-            max(MIN_RATIO, r + kappa * r * (mean - u) / mean)
+            max(MIN_RATIO, r + KAPPA * r * (mean - u) / mean)
             for r, u in zip(self.ratios, utils)
         ]
         total = sum(updated)
@@ -75,27 +79,19 @@ class TexcpScheduler(Scheduler):
 
     name = "texcp"
 
-    def __init__(
-        self,
-        probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
-        kappa: float = DEFAULT_KAPPA,
-        granularity: str = "packet",
-    ) -> None:
+    def __init__(self, granularity: str = "packet") -> None:
         super().__init__()
         if granularity not in ("packet", "flowlet"):
             raise ValueError(
                 f"granularity must be 'packet' or 'flowlet', got {granularity!r}"
             )
-        self.probe_interval_s = probe_interval_s
-        self.control_interval_s = 5.0 * probe_interval_s  # TeXCP requirement
-        self.kappa = kappa
         self.granularity = granularity
         self._agents: Dict[Tuple[str, str], TexcpAgent] = {}
 
     def attach(self, ctx: SchedulerContext) -> None:
         super().attach(ctx)
         ctx.network.flow_completed_listeners.append(self._forget_flow)
-        ctx.engine.schedule_every(self.control_interval_s, self._control_round)
+        ctx.engine.schedule_every(CONTROL_INTERVAL_S, self._control_round)
 
     # -- placement ---------------------------------------------------------------
 
@@ -184,7 +180,7 @@ class TexcpScheduler(Scheduler):
                 continue
             utils = [self._path_utilization(p) for p in agent.paths]
             before = list(agent.ratios)
-            agent.rebalance(utils, self.kappa)
+            agent.rebalance(utils)
             # Converged agents barely move; skip the no-op re-weighting
             # (a real TeXCP agent would likewise leave its splitters alone) —
             # unless a flow is sitting on a path that just died.

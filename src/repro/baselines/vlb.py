@@ -3,7 +3,7 @@
 Plain flow-level VLB forwards each flow through a random core (random
 aggregation pair in a Clos network) and, like ECMP, can strand elephants on
 a collided path forever. The paper therefore evaluates a modified version
-that re-picks a random path for every flow each ``repick_interval_s``
+that re-picks a random path for every flow each :data:`REPICK_INTERVAL_S`
 (10 s). The periodic switch avoids permanent collisions but costs a window
 of retransmitted bytes per switch — which is why pVLB ends up performing
 close to ECMP overall (§4.3.2).
@@ -16,7 +16,7 @@ from typing import List
 from repro.scheduling.base import Scheduler, SchedulerContext
 from repro.simulator.flows import FlowComponent
 
-DEFAULT_REPICK_INTERVAL_S = 10.0
+REPICK_INTERVAL_S = 10.0
 
 
 class PeriodicVlbScheduler(Scheduler):
@@ -24,13 +24,9 @@ class PeriodicVlbScheduler(Scheduler):
 
     name = "vlb"
 
-    def __init__(self, repick_interval_s: float = DEFAULT_REPICK_INTERVAL_S) -> None:
-        super().__init__()
-        self.repick_interval_s = repick_interval_s
-
     def attach(self, ctx: SchedulerContext) -> None:
         super().attach(ctx)
-        ctx.engine.schedule_every(self.repick_interval_s, self._repick_all)
+        ctx.engine.schedule_every(REPICK_INTERVAL_S, self._repick_all)
         ctx.network.link_failed_listeners.append(self._on_link_failed)
 
     def _on_link_failed(self, u: str, v: str) -> None:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.addressing.codec import PathCodec
 from repro.common.logging import get_logger
 from repro.scheduling.base import encode_and_verify
-from repro.scheduling.messages import MessageLedger, MessageSizes
+from repro.scheduling.messages import MessageLedger
 from repro.simulator.flows import Flow
 from repro.simulator.network import Network
 from repro.core.monitor import PathMonitor
@@ -50,21 +50,20 @@ class HostDaemon:
         codec: PathCodec,
         ledger: MessageLedger,
         delta_bps: float,
-        message_sizes: MessageSizes = MessageSizes(),
-        registry: Optional[MonitorRegistry] = None,
-        shift_log: Optional[List[ShiftRecord]] = None,
+        registry: MonitorRegistry,
+        shift_log: List[ShiftRecord],
     ) -> None:
         self.host = host
         self.network = network
         self.codec = codec
         self.ledger = ledger
         self.delta_bps = delta_bps
-        self.message_sizes = message_sizes
+        #: the fleet's per-pair intern table every monitor registers with.
         self.registry = registry
         #: shared ``(time, host, flow id, from index, to index)`` shift
         #: journal, appended in event order (the scheduler passes one list
         #: to every daemon so the fleet-wide sequence stays comparable
-        #: with a reference twin's). ``None`` disables journaling.
+        #: with a reference twin's).
         self.shift_log = shift_log
         self.monitors: Dict[PairKey, PathMonitor] = {}
         #: live elephant flows of this host, grouped by (src ToR, dst ToR).
@@ -83,8 +82,7 @@ class HostDaemon:
         monitor = self.monitors.get(pair)
         if monitor is None:
             monitor = PathMonitor(
-                self.network, src_tor, dst_tor, self.ledger,
-                self.message_sizes, registry=self.registry,
+                self.network, src_tor, dst_tor, self.ledger, self.registry
             )
             self.monitors[pair] = monitor
 
@@ -198,7 +196,6 @@ class HostDaemon:
         # round see the shift — both the landing and the vacated path (the
         # next query refreshes ground truth).
         monitor.note_shift(from_index, to_index)
-        if self.shift_log is not None:
-            self.shift_log.append(
-                (self.network.now, self.host, flow.flow_id, from_index, to_index)
-            )
+        self.shift_log.append(
+            (self.network.now, self.host, flow.flow_id, from_index, to_index)
+        )

@@ -20,17 +20,19 @@ call over the pair's dense ``(paths, hops)`` link-id matrix, with no
 cache in between. Everything per-pair and topology-static — the
 computed path sequence, that matrix, the size of the switch query set —
 is computed once per pair in :class:`PairPaths` and shared between
-monitors through the :class:`~repro.core.registry.MonitorRegistry`.
+monitors through the :class:`~repro.core.registry.MonitorRegistry`
+every monitor registers with. Each poll books the paper's fixed query
+and reply sizes (:data:`~repro.scheduling.messages.MESSAGE_SIZES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import TYPE_CHECKING, List, Set
 
 import numpy as np
 
-from repro.scheduling.messages import MessageLedger, MessageSizes
+from repro.scheduling.messages import MESSAGE_SIZES, MessageLedger
 from repro.simulator.network import Network
 from repro.topology.multirooted import MultiRootedTopology
 from repro.topology.paths import EqualCostPaths, SwitchPath
@@ -109,8 +111,8 @@ class PathMonitor:
     ``state_eleph`` arrays (the ``path_states`` property is the
     :class:`PathState` object view of the same data), and — via the owning
     daemon — FV, the number of elephant flows the host itself sends along
-    each path. With a ``registry`` the pair's :class:`PairPaths` comes
-    from its intern table; standalone monitors build their own.
+    each path. The pair's :class:`PairPaths` comes from the registry's
+    intern table.
     """
 
     def __init__(
@@ -119,19 +121,13 @@ class PathMonitor:
         src_tor: str,
         dst_tor: str,
         ledger: MessageLedger,
-        message_sizes: MessageSizes = MessageSizes(),
-        registry: Optional["MonitorRegistry"] = None,
+        registry: "MonitorRegistry",
     ) -> None:
         self.network = network
         self.src_tor = src_tor
         self.dst_tor = dst_tor
         self.ledger = ledger
-        self.message_sizes = message_sizes
-        if registry is not None:
-            pair_paths = registry.register(src_tor, dst_tor)
-        else:
-            pair_paths = index_pair_paths(network, src_tor, dst_tor)
-        self.pair_paths = pair_paths
+        self.pair_paths = pair_paths = registry.register(src_tor, dst_tor)
         self.paths: EqualCostPaths = pair_paths.paths
         self.num_query_switches = pair_paths.num_query_switches
         self.hops = pair_paths.hops
@@ -149,17 +145,12 @@ class PathMonitor:
         monitor's state) and builds no :class:`PathState` objects.
         """
         n = self.num_query_switches
-        self.ledger.record("dard_query", self.message_sizes.dard_query, n)
-        self.ledger.record("dard_reply", self.message_sizes.dard_reply, n)
+        self.ledger.record("dard_query", MESSAGE_SIZES.dard_query, n)
+        self.ledger.record("dard_reply", MESSAGE_SIZES.dard_reply, n)
         self.queries_sent += n
         self.state_band, self.state_eleph = self.network.batch_path_state_arrays(
             self.hops
         )
-
-    def query(self) -> List[PathState]:
-        """:meth:`refresh`, returning the object view."""
-        self.refresh()
-        return self.path_states
 
     @property
     def path_states(self) -> List[PathState]:

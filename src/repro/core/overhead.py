@@ -6,13 +6,15 @@ monitors every other ToR ("the system only needs to handle all pair
 probes") — while a centralized scheduler's report/update traffic grows
 with the number of elephant flows. These closed forms make that argument
 executable; tests and benches check the simulator never exceeds them.
+Every form prices messages at the paper's fixed sizes
+(:data:`~repro.scheduling.messages.MESSAGE_SIZES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.scheduling.messages import MessageSizes
+from repro.scheduling.messages import MESSAGE_SIZES
 from repro.topology.multirooted import MultiRootedTopology
 from repro.core.monitor import switches_to_query
 
@@ -33,18 +35,16 @@ def bytes_per_monitor_round(
     topology: MultiRootedTopology,
     src_tor: str,
     dst_tor: str,
-    sizes: MessageSizes = MessageSizes(),
 ) -> float:
     """Probe bytes one monitor generates per query round (query + reply
     per switch in its Path State Assembling set)."""
     n = len(switches_to_query(topology, src_tor, dst_tor))
-    return n * (sizes.dard_query + sizes.dard_reply)
+    return n * (MESSAGE_SIZES.dard_query + MESSAGE_SIZES.dard_reply)
 
 
 def dard_probe_ceiling_bytes_per_s(
     topology: MultiRootedTopology,
     query_interval_s: float = 1.0,
-    sizes: MessageSizes = MessageSizes(),
 ) -> float:
     """Worst-case DARD probe bandwidth: every host monitors every other ToR.
 
@@ -61,7 +61,7 @@ def dard_probe_ceiling_bytes_per_s(
     for src_tor in tors:
         hosts = len(topology.hosts_of_tor(src_tor))
         per_host = sum(
-            bytes_per_monitor_round(topology, src_tor, dst_tor, sizes)
+            bytes_per_monitor_round(topology, src_tor, dst_tor)
             for dst_tor in tors
             if dst_tor != src_tor
         )
@@ -73,7 +73,6 @@ def dard_probe_rate_bytes_per_s(
     topology: MultiRootedTopology,
     active_pairs: int,
     query_interval_s: float = 1.0,
-    sizes: MessageSizes = MessageSizes(),
 ) -> float:
     """Estimated DARD probe bandwidth with ``active_pairs`` live monitors,
     assuming inter-pod monitors (the common, most expensive case)."""
@@ -84,7 +83,7 @@ def dard_probe_rate_bytes_per_s(
         for d in tors
         if topology.pod_of(s) != topology.pod_of(d)
     )
-    per_round = bytes_per_monitor_round(topology, *inter, sizes)
+    per_round = bytes_per_monitor_round(topology, *inter)
     return active_pairs * per_round / query_interval_s
 
 
@@ -92,7 +91,6 @@ def centralized_rate_bytes_per_s(
     num_elephants: int,
     updates_per_round: int,
     scheduling_interval_s: float = 5.0,
-    sizes: MessageSizes = MessageSizes(),
 ) -> float:
     """Centralized control bandwidth: per-elephant reports plus table
     updates, per scheduling round — linear in flow count (Fig. 15's
@@ -100,8 +98,8 @@ def centralized_rate_bytes_per_s(
     if scheduling_interval_s <= 0:
         raise ValueError(f"interval must be positive, got {scheduling_interval_s}")
     per_round = (
-        num_elephants * sizes.report_to_controller
-        + updates_per_round * sizes.update_from_controller
+        num_elephants * MESSAGE_SIZES.report_to_controller
+        + updates_per_round * MESSAGE_SIZES.update_from_controller
     )
     return per_round / scheduling_interval_s
 
@@ -109,7 +107,6 @@ def centralized_rate_bytes_per_s(
 def overhead_model(
     topology: MultiRootedTopology,
     query_interval_s: float = 1.0,
-    sizes: MessageSizes = MessageSizes(),
 ) -> OverheadModel:
     """Bundle the bounds for one topology."""
     tors = sorted(topology.tors())
@@ -120,9 +117,7 @@ def overhead_model(
         if topology.pod_of(s) != topology.pod_of(d)
     )
     return OverheadModel(
-        dard_ceiling_bytes_per_s=dard_probe_ceiling_bytes_per_s(
-            topology, query_interval_s, sizes
-        ),
-        bytes_per_monitor_round=bytes_per_monitor_round(topology, *inter, sizes),
-        report_bytes_per_elephant=float(sizes.report_to_controller),
+        dard_ceiling_bytes_per_s=dard_probe_ceiling_bytes_per_s(topology, query_interval_s),
+        bytes_per_monitor_round=bytes_per_monitor_round(topology, *inter),
+        report_bytes_per_elephant=float(MESSAGE_SIZES.report_to_controller),
     )

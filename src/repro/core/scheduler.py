@@ -32,7 +32,6 @@ from typing import Dict, List, Optional
 
 from repro.common.units import MBPS
 from repro.scheduling.base import Scheduler, SchedulerContext
-from repro.scheduling.messages import MessageSizes
 from repro.simulator.flows import Flow, FlowComponent
 from repro.baselines.ecmp import hash_components
 from repro.core.daemon import HostDaemon, ShiftRecord
@@ -56,7 +55,6 @@ class DardScheduler(Scheduler):
         scheduling_interval_s: float = DEFAULT_SCHEDULING_INTERVAL_S,
         jitter_range_s: tuple = DEFAULT_JITTER_RANGE_S,
         synchronized: bool = False,
-        message_sizes: MessageSizes = MessageSizes(),
     ) -> None:
         super().__init__()
         self.delta_bps = delta_bps
@@ -64,7 +62,6 @@ class DardScheduler(Scheduler):
         self.scheduling_interval_s = scheduling_interval_s
         self.jitter_range_s = jitter_range_s
         self.synchronized = synchronized
-        self.message_sizes = message_sizes
         self.daemons: Dict[str, HostDaemon] = {}
         self.registry: Optional[MonitorRegistry] = None
         #: fleet-wide shift journal, in event order (shared by all
@@ -103,7 +100,6 @@ class DardScheduler(Scheduler):
                 codec=self.ctx.codec,
                 ledger=self.ledger,
                 delta_bps=self.delta_bps,
-                message_sizes=self.message_sizes,
                 registry=self.registry,
                 shift_log=self.shift_log,
             )

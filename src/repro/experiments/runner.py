@@ -78,9 +78,6 @@ class ScenarioConfig:
     drain_limit_s: float = 600.0
     #: failure schedule: ("fail" | "restore", time_s, node_u, node_v).
     link_events: tuple = ()
-    #: when > 0, run ``Network.check_invariants()`` every this many sim
-    #: seconds for the whole run (the validation layer's periodic probe).
-    invariant_check_interval_s: float = 0.0
 
 
 @dataclass
@@ -147,10 +144,6 @@ def run_scenario(
     network = Network(topology, **config.network_params)
     if instrument is not None:
         instrument(network)
-    if config.invariant_check_interval_s > 0:
-        network.engine.schedule_every(
-            config.invariant_check_interval_s, network.check_invariants
-        )
     scheduler = make_scheduler(config.scheduler, **config.scheduler_params)
     scheduler.attach(
         SchedulerContext(

@@ -7,6 +7,9 @@ report/update traffic using these on-the-wire sizes:
 * DARD switch -> host state reply: 32 bytes
 * ToR -> controller elephant-flow report: 80 bytes
 * controller -> switch flow-table update: 72 bytes
+
+They are fixed: every ledger and closed form reads the one
+:data:`MESSAGE_SIZES` value.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ class MessageSizes:
     dard_reply: int = 32
     report_to_controller: int = 80
     update_from_controller: int = 72
+
+
+#: The paper's sizes; the only sizes any scheduler or closed form uses.
+MESSAGE_SIZES = MessageSizes()
 
 
 @dataclass

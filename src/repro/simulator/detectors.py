@@ -22,21 +22,33 @@ the predictor left undecided, so the promoted set is a superset reached
 earlier. Every event it schedules is a deterministic function of the
 flow's start time, preserving the simulator's seed-purity contract.
 
-Wired through ``Network(elephant_detector="predictive")``; the default
-``"threshold"`` keeps the paper's exact historical event sequence.
+Wired through ``Network(elephant_detector="predictive")``, which builds
+the detector with itself; the default ``"threshold"`` keeps the paper's
+exact historical event sequence. The sampling knobs are fixed module
+constants, and the promotion age is the network's ``elephant_age_s``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.common.errors import SimulationError
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.flows import Flow
     from repro.simulator.network import Network
 
 __all__ = ["PredictiveElephantDetector"]
+
+#: spacing of the rate probes (RTT scale against the simulator's
+#: millisecond link delays).
+SAMPLE_INTERVAL_S = 0.25
+#: probes before the predictor gives up on an early call and leaves the
+#: flow to the age fallback.
+MAX_SAMPLES = 8
+#: probes required before a promotion may fire (guards against
+#: classifying on one cold-start interval).
+MIN_SAMPLES = 2
+#: weight of the newest observation in the EWMA.
+EWMA_ALPHA = 0.5
 
 
 class _TrackState:
@@ -53,50 +65,15 @@ class _TrackState:
 class PredictiveElephantDetector:
     """EWMA-over-first-RTTs elephant classifier (Alawadi et al.).
 
-    Parameters:
-
-    * ``sample_interval_s`` — spacing of the rate probes (RTT scale;
-      0.25 s default against the simulator's millisecond link delays);
-    * ``max_samples`` — probes before the predictor gives up on an early
-      call and leaves the flow to the age fallback;
-    * ``min_samples`` — probes required before a promotion may fire
-      (guards against classifying on one cold-start interval);
-    * ``ewma_alpha`` — weight of the newest observation;
-    * ``promote_age_s`` — the projected-lifetime threshold *and* the
-      fallback promotion age (defaults to the network's
-      ``elephant_age_s``, keeping the elephant definition unchanged —
-      only detection latency moves).
+    Samples every :data:`SAMPLE_INTERVAL_S`, promotes after at least
+    :data:`MIN_SAMPLES` probes once the projected lifetime reaches the
+    network's ``elephant_age_s``, and leaves a flow still undecided after
+    :data:`MAX_SAMPLES` probes to the age fallback at that same age — the
+    elephant definition is unchanged, only detection latency moves.
     """
 
-    def __init__(
-        self,
-        sample_interval_s: float = 0.25,
-        max_samples: int = 8,
-        min_samples: int = 2,
-        ewma_alpha: float = 0.5,
-        promote_age_s: float | None = None,
-    ) -> None:
-        if sample_interval_s <= 0:
-            raise SimulationError(
-                f"sample interval must be positive, got {sample_interval_s}"
-            )
-        if min_samples < 1 or max_samples < min_samples:
-            raise SimulationError(
-                f"need max_samples >= min_samples >= 1, got "
-                f"{max_samples} / {min_samples}"
-            )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise SimulationError(f"ewma alpha must be in (0, 1], got {ewma_alpha}")
-        if promote_age_s is not None and promote_age_s <= 0:
-            raise SimulationError(f"promote age must be positive, got {promote_age_s}")
-        self.sample_interval_s = float(sample_interval_s)
-        self.max_samples = int(max_samples)
-        self.min_samples = int(min_samples)
-        self.ewma_alpha = float(ewma_alpha)
-        self.promote_age_s: float | None = (
-            None if promote_age_s is None else float(promote_age_s)
-        )
-        self.network: "Network" | None = None
+    def __init__(self, network: "Network") -> None:
+        self.network = network
         self._tracked: Dict[int, _TrackState] = {}
         self._stat_flows_seen = 0
         self._stat_samples = 0
@@ -104,42 +81,20 @@ class PredictiveElephantDetector:
         self._stat_fallback = 0
         self._detection_age_sum_s = 0.0
 
-    # -- wiring -----------------------------------------------------------------
-
-    def attach(self, network: "Network") -> None:
-        """Bind to a network; resolves the default promotion age."""
-        self.network = network
-        if self.promote_age_s is None:
-            self.promote_age_s = float(network.elephant_age_s)
-
-    def _bound_network(self) -> "Network":
-        network = self.network
-        if network is None:
-            raise SimulationError("detector used before attach()")
-        return network
-
-    def _promote_age(self) -> float:
-        age = self.promote_age_s
-        if age is None:
-            raise SimulationError("detector used before attach()")
-        return age
-
     def on_flow_started(self, flow: "Flow") -> None:
         """Arm sampling and the age fallback for a freshly started flow."""
-        network = self._bound_network()
+        engine = self.network.engine
         self._stat_flows_seen += 1
         self._tracked[flow.flow_id] = _TrackState()
-        network.engine.schedule_in(
-            self.sample_interval_s, lambda fid=flow.flow_id: self._sample(fid)
-        )
-        network.engine.schedule_in(
-            self._promote_age(), lambda fid=flow.flow_id: self._age_fallback(fid)
+        engine.schedule_in(SAMPLE_INTERVAL_S, lambda fid=flow.flow_id: self._sample(fid))
+        engine.schedule_in(
+            self.network.elephant_age_s, lambda fid=flow.flow_id: self._age_fallback(fid)
         )
 
     # -- sampling ---------------------------------------------------------------
 
     def _sample(self, flow_id: int) -> None:
-        network = self._bound_network()
+        network = self.network
         flow = network.flows.get(flow_id)
         state = self._tracked.get(flow_id)
         if flow is None or state is None or flow.is_elephant:
@@ -149,48 +104,45 @@ class PredictiveElephantDetector:
         # exact; settle is idempotent and itself event-deterministic.
         network._settle()
         sent = flow.size_bytes + flow.retransmitted_bytes - flow.remaining_bytes
-        observed_bps = max(0.0, sent - state.sent_bytes) * 8.0 / self.sample_interval_s
+        observed_bps = max(0.0, sent - state.sent_bytes) * 8.0 / SAMPLE_INTERVAL_S
         state.sent_bytes = sent
         if state.samples == 0:
             state.ewma_bps = observed_bps
         else:
             state.ewma_bps = (
-                self.ewma_alpha * observed_bps
-                + (1.0 - self.ewma_alpha) * state.ewma_bps
+                EWMA_ALPHA * observed_bps + (1.0 - EWMA_ALPHA) * state.ewma_bps
             )
         state.samples += 1
         self._stat_samples += 1
         if (
-            state.samples >= self.min_samples
+            state.samples >= MIN_SAMPLES
             and self._projected_lifetime_s(flow, state.ewma_bps)
-            >= self._promote_age()
+            >= network.elephant_age_s
         ):
             self._promote(flow, early=True)
             return
-        if state.samples < self.max_samples:
-            network.engine.schedule_in(
-                self.sample_interval_s, lambda fid=flow_id: self._sample(fid)
-            )
+        if state.samples < MAX_SAMPLES:
+            network.engine.schedule_in(SAMPLE_INTERVAL_S, lambda fid=flow_id: self._sample(fid))
         else:
             # Undecided within the sampling window: the age fallback
             # scheduled at flow start still guarantees threshold parity.
             del self._tracked[flow_id]
 
     def _projected_lifetime_s(self, flow: "Flow", ewma_bps: float) -> float:
-        age = self._bound_network().now - flow.start_time
+        age = self.network.now - flow.start_time
         if ewma_bps <= 0.0:
             return float("inf")
         return age + flow.remaining_bytes * 8.0 / ewma_bps
 
     def _age_fallback(self, flow_id: int) -> None:
         self._tracked.pop(flow_id, None)
-        flow = self._bound_network().flows.get(flow_id)
+        flow = self.network.flows.get(flow_id)
         if flow is None or flow.is_elephant:
             return
         self._promote(flow, early=False)
 
     def _promote(self, flow: "Flow", early: bool) -> None:
-        network = self._bound_network()
+        network = self.network
         self._tracked.pop(flow.flow_id, None)
         if early:
             self._stat_early += 1

@@ -4,12 +4,10 @@ Cancellation is O(1) via handle invalidation: cancelled events stay in the
 heap and are skipped when popped. Ties break by schedule order, so runs are
 fully deterministic.
 
-The live-event count is maintained incrementally — push increments,
-cancel and fire decrement — so :attr:`EventEngine.pending_events` is O(1)
-instead of a heap scan (the packet-level simulator's run loop reads it
-around every one-second slice to spot a wedged run).
-:meth:`EventEngine.audit_pending_events` is the full-scan reference the
-tests assert the counter against.
+No per-event bookkeeping beyond the heap: :attr:`EventEngine.pending_events`
+counts the heap's uncancelled entries when asked (the packet-level
+simulator's run loop reads it around every one-second slice to spot a
+wedged run).
 """
 
 from __future__ import annotations
@@ -24,24 +22,16 @@ from repro.common.errors import SimulationError
 class EventHandle:
     """A scheduled event; call :meth:`cancel` to invalidate it."""
 
-    __slots__ = ("time", "callback", "cancelled", "_engine", "_fired")
+    __slots__ = ("time", "callback", "cancelled")
 
     def __init__(self, time: float, callback: Callable[[], None]) -> None:
         self.time = time
         self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
-        #: owning engine, for live-count maintenance on cancel.
-        self._engine: Optional["EventEngine"] = None
-        #: set when the event has been popped and executed — cancelling a
-        #: fired handle must not decrement the live count again.
-        self._fired = False
 
     def cancel(self) -> None:
         """Invalidate the event; it will be skipped when popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if not self._fired and self._engine is not None:
-                self._engine._live_events -= 1
+        self.cancelled = True
         self.callback = None  # free references early
 
 
@@ -53,7 +43,6 @@ class EventEngine:
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._live_events = 0
         self._after_event_hooks: List[Callable[[], None]] = []
 
     # -- instrumentation ------------------------------------------------------
@@ -82,9 +71,7 @@ class EventEngine:
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} before now={self.now}")
         handle = EventHandle(time, callback)
-        handle._engine = self
         heapq.heappush(self._heap, (time, next(self._seq), handle))
-        self._live_events += 1
         return handle
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> EventHandle:
@@ -123,9 +110,9 @@ class EventEngine:
         interval: float,
         callback: Callable[[], None],
         jitter: Optional[Callable[[], float]] = None,
-        start_delay: Optional[float] = None,
     ) -> None:
-        """Run ``callback`` periodically; ``jitter()`` adds to each interval.
+        """Run ``callback`` every ``interval``, first ``interval`` from now;
+        ``jitter()`` adds to each interval, the first one included.
 
         This implements the paper's randomized control intervals (§3.1):
         DARD schedules every 5 s *plus a uniform random 1-5 s* to prevent
@@ -139,18 +126,14 @@ class EventEngine:
             delay = interval + (jitter() if jitter is not None else 0.0)
             self.schedule_in(delay, fire)
 
-        first = start_delay if start_delay is not None else interval
-        first += jitter() if jitter is not None else 0.0
-        self.schedule_in(first, fire)
+        self.schedule_in(interval + (jitter() if jitter is not None else 0.0), fire)
 
     def run_until(self, end_time: float) -> None:
         """Process events in order until the clock would pass ``end_time``."""
         while self._heap and self._heap[0][0] <= end_time:
             time, _, handle = heapq.heappop(self._heap)
             if handle.cancelled:
-                continue  # cancel already decremented the live count
-            handle._fired = True
-            self._live_events -= 1
+                continue
             self.now = time
             callback = handle.callback
             handle.callback = None
@@ -169,11 +152,7 @@ class EventEngine:
 
     @property
     def pending_events(self) -> int:
-        """Live (not cancelled, not fired) events, maintained in O(1)."""
-        return self._live_events
-
-    def audit_pending_events(self) -> int:
-        """O(n) full-heap recount of live events (test oracle for the counter)."""
+        """Live (not cancelled, not fired) events: an O(n) heap count."""
         return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     @property

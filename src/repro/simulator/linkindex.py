@@ -17,7 +17,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Protocol,
     Sequence,
     Tuple,
@@ -47,14 +46,13 @@ class LinkIndex:
     and propagation delays ride along as arrays aligned to the ids.
     """
 
-    __slots__ = ("ids", "links", "capacities", "delays", "switch_link_mask", "_cable_ids")
+    __slots__ = ("ids", "links", "capacities", "delays", "_cable_ids")
 
     def __init__(
         self,
         links: Sequence[LinkId],
         capacities: Iterable[float],
         delays: Iterable[float],
-        switch_link_mask: Optional[np.ndarray] = None,
     ) -> None:
         self.links: List[LinkId] = list(links)
         self.ids: Dict[LinkId, int] = {link: i for i, link in enumerate(self.links)}
@@ -65,15 +63,6 @@ class LinkIndex:
         if self.capacities.shape[0] != len(self.links) or self.delays.shape[0] != len(
             self.links
         ):
-            raise SimulationError("LinkIndex arrays must align with the link list")
-        #: per-id bool: both endpoints are switches. ``path_state``-style
-        #: queries use it to drop host access hops without re-consulting the
-        #: topology per call. Indexes built without topology knowledge
-        #: (direct construction in allocator tests) default to all-True.
-        if switch_link_mask is None:
-            switch_link_mask = np.ones(len(self.links), dtype=bool)
-        self.switch_link_mask = np.asarray(switch_link_mask, dtype=bool)
-        if self.switch_link_mask.shape[0] != len(self.links):
             raise SimulationError("LinkIndex arrays must align with the link list")
         self._cable_ids: Dict[CableTable, np.ndarray] = {}
 
@@ -87,16 +76,12 @@ class LinkIndex:
         links: List[LinkId] = []
         caps: List[float] = []
         delays: List[float] = []
-        switchy: List[bool] = []
-        nodes = topology.nodes
         for cable in topology.links():
             u, v = cable.u, cable.v
-            both = nodes[u].kind.is_switch and nodes[v].kind.is_switch
             links += ((u, v), (v, u))
             caps += (cable.bandwidth_bps, cable.bandwidth_bps)
             delays += (cable.delay_s, cable.delay_s)
-            switchy += (both, both)
-        return cls(links, caps, delays, np.asarray(switchy, dtype=bool))
+        return cls(links, caps, delays)
 
     def __len__(self) -> int:
         return len(self.links)

@@ -51,6 +51,14 @@ pass over the dense capacity/elephant/failure arrays, replacing
 per-link :meth:`link_state` loops; DARD's monitors poll it directly on
 every query, with no cache in between.
 
+Settings: a network builds its own :class:`EventEngine` (``network.engine``)
+and takes two options, the elephant age and the detector kind. A path
+switch costs :data:`~repro.simulator.flows.PATH_SWITCH_RETX_BYTES` of
+retransmission unless ``reroute_flow`` waives the penalty. The
+self-checks (:meth:`check_invariants` and the validation battery that
+follows it) expand node paths through :meth:`host_path_at`, which keeps
+each ToR pair's path set for one battery only.
+
 Columnar flow state (see DESIGN.md "Columnar flow state"): hot per-flow
 scalars live in a dense :class:`~repro.simulator.flowstore.FlowStore` —
 SoA numpy columns whose rows ``[0, size)`` are exactly the live flows,
@@ -134,39 +142,27 @@ class Network:
     def __init__(
         self,
         topology: MultiRootedTopology,
-        engine: Optional[EventEngine] = None,
         elephant_age_s: float = ELEPHANT_AGE_S,
-        path_switch_retx_bytes: float = PATH_SWITCH_RETX_BYTES,
         elephant_detector: str = "threshold",
-        detector_params: Optional[dict] = None,
     ) -> None:
         self.topology = topology
-        self.engine = engine if engine is not None else EventEngine()
+        self.engine = EventEngine()
         self.elephant_age_s = elephant_age_s
         #: pluggable elephant detection. ``"threshold"`` (default) is the
         #: paper's age timer, inline in :meth:`start_flow` — the exact
         #: historical event sequence. ``"predictive"`` installs the
         #: EWMA-over-first-RTTs classifier (see ``detectors`` module).
         if elephant_detector == "threshold":
-            if detector_params:
-                raise SimulationError(
-                    "threshold detector takes no detector_params; got "
-                    f"{sorted(detector_params)}"
-                )
             self.elephant_detector = None
         elif elephant_detector == "predictive":
             from repro.simulator.detectors import PredictiveElephantDetector
 
-            self.elephant_detector = PredictiveElephantDetector(
-                **(detector_params or {})
-            )
-            self.elephant_detector.attach(self)
+            self.elephant_detector = PredictiveElephantDetector(self)
         else:
             raise SimulationError(
                 "elephant_detector must be 'threshold' or 'predictive', "
                 f"got {elephant_detector!r}"
             )
-        self.path_switch_retx_bytes = path_switch_retx_bytes
 
         #: the per-network intern table; all per-link arrays align to it.
         self.link_index = LinkIndex.from_topology(topology)
@@ -196,9 +192,10 @@ class Network:
         #: the next dirty refill.
         self._retired_link_ids: List[np.ndarray] = []
 
-        #: extra checks run at the end of :meth:`check_invariants`; the
-        #: validation layer registers its composable invariants here.
-        self.invariant_hooks: List[Callable[["Network"], None]] = []
+        #: ToR pair -> equal-cost path set, kept for one check battery:
+        #: emptied by :meth:`check_invariants`, read by :meth:`host_path_at`.
+        #: Runs that never check keep nothing here.
+        self._check_paths: Dict[Tuple[str, str], EqualCostPaths] = {}
 
         # String-keyed copy of the capacities, for the baselines, the
         # reference allocator and the validation checks.
@@ -343,8 +340,8 @@ class Network:
             flow.path_switches += 1
             if len(flow.components) == 1:
                 flow.path_history.append(flow.components[0].index)
-        if retx_penalty and self.path_switch_retx_bytes > 0:
-            penalty = min(self.path_switch_retx_bytes, flow.remaining_bytes)
+        if retx_penalty:
+            penalty = min(PATH_SWITCH_RETX_BYTES, flow.remaining_bytes)
             flow.retransmitted_bytes += penalty
             flow.remaining_bytes += penalty
         self._request_realloc()
@@ -462,14 +459,20 @@ class Network:
             total_flows=self._components.flow_count(index),
         )
 
-    def _bottleneck(self, hops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row bottleneck of a ``(paths, hops)`` link-id matrix:
-        ``(bandwidth array, chosen link ids)``.
+    def batch_path_state_arrays(self, hops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-path bottleneck ``(bandwidth, elephant count)`` arrays.
 
-        The shared core of :meth:`batch_path_state_arrays` and
-        :meth:`path_state`: ``np.argmin`` picks each row's *first*
-        minimum-BoNF link, as a sequential ``min()`` over the row's
-        :meth:`link_state` values does.
+        ``hops`` is a ``(paths, hops)`` link-id matrix: row ``k`` lists
+        path ``k``'s switch-switch links (a ToR pair's
+        :meth:`~repro.topology.paths.EqualCostPaths.hop_links`; the host
+        access hops are left out, since a flow cannot route around them
+        and DARD excludes them from BoNF, §2.2). Row ``k``'s bottleneck is
+        its *first* minimum-BoNF link — ``np.argmin``'s pick, as a
+        sequential ``min()`` over the row's :meth:`link_state` values
+        makes it; the two returned arrays (float64 bandwidth, int64
+        elephant count) are that link's :meth:`link_state` values, without
+        building any :class:`LinkState` object. Both arrays are fresh on
+        every call.
         """
         if hops.shape[1] == 0:
             raise SimulationError("path-state rows must be non-empty")
@@ -483,40 +486,7 @@ class Network:
         )
         rows = np.arange(hops.shape[0])
         first = np.argmin(bonf, axis=1)
-        return band[rows, first], hops[rows, first]
-
-    def batch_path_state_arrays(self, hops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-path bottleneck ``(bandwidth, elephant count)`` arrays.
-
-        ``hops`` is a ``(paths, hops)`` link-id matrix: row ``k`` lists
-        path ``k``'s switch-switch links (a ToR pair's
-        :meth:`~repro.topology.paths.EqualCostPaths.hop_links`). Row
-        ``k``'s bottleneck is its *first* minimum-BoNF link; the two
-        returned arrays (float64 bandwidth, int64 elephant count) are that
-        link's :meth:`link_state` values, without building any
-        :class:`LinkState` object. Both arrays are fresh on every call.
-        """
-        band, chosen = self._bottleneck(hops)
-        return band, self._eleph_array[chosen]
-
-    def path_state(self, path: Sequence[str]) -> LinkState:
-        """The most-congested-link state along a node path (paper §2.5).
-
-        The host-switch hops are dropped — a flow cannot route around
-        those, so DARD excludes them from BoNF (§2.2). Monitors poll a
-        whole pair through :meth:`batch_path_state_arrays` instead.
-        """
-        ids = self.link_index.index_path(path)
-        ids = ids[self.link_index.switch_link_mask[ids]]
-        if ids.size == 0:
-            raise SimulationError(f"path {path!r} has no switch-switch links")
-        band, chosen = self._bottleneck(ids[None, :])
-        link = int(chosen[0])
-        return LinkState(
-            bandwidth_bps=float(band[0]),
-            elephant_flows=int(self._eleph_array[link]),
-            total_flows=self._components.flow_count(link),
-        )
+        return band[rows, first], eleph[rows, first]
 
     def utilization(self, u: str, v: str) -> float:
         """Most recent allocated utilization of the directed link ``u -> v``."""
@@ -638,6 +608,22 @@ class Network:
         """
         return self._realloc_pending
 
+    def host_path_at(self, src: str, dst: str, index: int) -> Tuple[str, ...]:
+        """:meth:`MultiRootedTopology.host_path_at` for the checks: the node
+        path of ``src``'s ``index``-th equal-cost path to ``dst``.
+
+        Each ToR pair's path set is built once per check battery (the
+        set is dropped at the start of every :meth:`check_invariants`), so
+        the recount, :meth:`live_demand_view` and the forwarding check
+        expand paths without rebuilding a set per component.
+        """
+        tor_of = self.topology.tor_of
+        pair = (tor_of(src), tor_of(dst))
+        paths = self._check_paths.get(pair)
+        if paths is None:
+            paths = self._check_paths[pair] = self.topology.path_tables().paths(*pair)
+        return (src,) + paths[index] + (dst,)
+
     def live_demand_view(self) -> Tuple[List, List[Tuple[Flow, int]]]:
         """String-keyed ``(demands, owners)`` of the current live components.
 
@@ -653,7 +639,7 @@ class Network:
         failed = self.failed_links
         for flow in self.flows.values():
             for idx, component in enumerate(flow.components):
-                path = self.topology.host_path_at(flow.src, flow.dst, component.index)
+                path = self.host_path_at(flow.src, flow.dst, component.index)
                 links = tuple(zip(path, path[1:]))
                 if failed and any(link in failed for link in links):
                     continue
@@ -674,23 +660,25 @@ class Network:
         * per-flow byte accounting is sane,
         * the flow store's rows are exactly the live flows, each flow
           viewing its own row, and the rate column equals each live
-          flow's ``sum(component_rates)``,
+          flow's ``sum(component_rates)``.
 
-        then runs every registered :attr:`invariant_hooks` entry.
         Violations raise :class:`~repro.common.errors.InvariantViolation`
         carrying the offending link / flow id, so the fuzzer and CI can
-        report them structurally.
+        report them structurally. The validation layer's further checks
+        (:mod:`repro.validation.invariants`) run after this one.
 
         The recount re-derives link ids from each component's node path
-        (``topology.host_path_at`` of its index) — it does not trust the
-        rows it is auditing.
+        (:meth:`host_path_at` of its index) — it does not trust the rows
+        it is auditing. A call starts a new check battery: the per-pair
+        path sets of the last one are dropped.
         """
+        self._check_paths.clear()
         num_links = len(self.link_index)
         expected_eleph = np.zeros(num_links, dtype=np.int64)
         load = np.zeros(num_links, dtype=float)
         #: flow id -> unique link ids, recounted from the node paths.
         recount_links: Dict[int, List[int]] = {}
-        host_path_at = self.topology.host_path_at
+        host_path_at = self.host_path_at
         for flow in self.flows.values():
             flow_ids: List[np.ndarray] = []
             for component, rate in zip(flow.components, flow.component_rates):
@@ -778,8 +766,6 @@ class Network:
                     f"sum(component_rates) {want_rate!r}",
                     flow_id=flow.flow_id,
                 )
-        for hook in tuple(self.invariant_hooks):
-            hook(self)
 
     def _audit_component_index(
         self, comps: FlowLinkComponents, recount_links: Dict[int, List[int]]

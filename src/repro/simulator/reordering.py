@@ -25,9 +25,10 @@ The retransmitted fraction is then
 
     f = min(f_max, beta * sum_{i<j} p_i p_j * gap_ij / rtt_base)
 
-``beta`` is a single calibration constant chosen so a 4-way even split over
-moderately loaded 0.1 ms-per-hop paths loses on the order of 10-25% of
-packets — the middle of the paper's measured 0-50% band (Fig. 14).
+``beta`` (:data:`BETA`) is a single calibration constant chosen so a
+4-way even split over moderately loaded 0.1 ms-per-hop paths loses on the
+order of 10-25% of packets — the middle of the paper's measured 0-50%
+band (Fig. 14).
 
 Single-component flows have zero reordering retransmission by construction;
 their only retransmission cost is the per-path-switch window loss applied
@@ -56,7 +57,6 @@ def reordering_retx_fraction_indexed(
     component_link_ids: Sequence[Sequence[int]],
     link_delays: np.ndarray,
     link_utils: np.ndarray,
-    beta: float = BETA,
 ) -> float:
     """Fraction of goodput retransmitted due to cross-path reordering.
 
@@ -93,4 +93,4 @@ def reordering_retx_fraction_indexed(
                 continue
             gap = abs(totals[i] - totals[j]) + 0.5 * (queues[i] + queues[j])
             spread_term += p_i * p_j * gap / rtt_base
-    return min(MAX_RETX_FRACTION, beta * spread_term)
+    return min(MAX_RETX_FRACTION, BETA * spread_term)

@@ -2,10 +2,13 @@
 
 Each check is a plain function raising
 :class:`~repro.common.errors.InvariantViolation` with the offending link
-or flow id on failure; all of them can be registered on
-``Network.invariant_hooks`` (run by ``Network.check_invariants()``) or
-driven continuously through :class:`InvariantChecker`, which hooks the
-event engine and re-checks the world after every N processed events.
+or flow id on failure. :class:`InvariantChecker` drives them
+continuously: it hooks the event engine and, after every N processed
+events, runs one battery — ``Network.check_invariants()``, then each
+callable in its ``checks`` list (:data:`DEFAULT_NETWORK_CHECKS`, plus
+whatever a caller appends), then the fabric checks. The battery's
+recounts expand node paths through ``Network.host_path_at``, which builds
+each ToR pair's path set once per battery.
 
 The invariants are the paper's correctness claims made executable:
 
@@ -252,11 +255,10 @@ def check_static_forwarding(fabric, codec, network: Network) -> None:
     installed once at bring-up must reproduce the path a scheduler chose
     arbitrarily many reroutes later.
     """
-    topology = network.topology
     for flow in network.flows.values():
         if len(flow.components) != 1:
             continue
-        path = topology.host_path_at(flow.src, flow.dst, flow.components[0].index)
+        path = network.host_path_at(flow.src, flow.dst, flow.components[0].index)
         src_addr, dst_addr = codec.encode(flow.src, flow.dst, path[1:-1])
         traced = fabric.forward_trace(flow.src, src_addr, dst_addr)
         if traced != path:
@@ -327,7 +329,8 @@ class InvariantChecker:
     must hold (allocation-optimality checks additionally skip themselves
     while a zero-delay reallocation is pending). Violations propagate as
     :class:`~repro.common.errors.InvariantViolation` out of the engine's
-    ``run_until``, which is how the fuzzer catches them.
+    ``run_until``, which is how the fuzzer catches them. The battery runs
+    :data:`DEFAULT_NETWORK_CHECKS`; append to :attr:`checks` to add more.
     """
 
     #: one fabric (snapshot digest + forwarding trace) check per this many
@@ -340,13 +343,12 @@ class InvariantChecker:
         self,
         network: Network,
         every_n_events: int = 1,
-        checks: Sequence = DEFAULT_NETWORK_CHECKS,
         fabric=None,
         codec=None,
     ) -> None:
         self.network = network
         self.every_n_events = max(1, int(every_n_events))
-        self.checks = list(checks)
+        self.checks = list(DEFAULT_NETWORK_CHECKS)
         self.fabric = fabric
         self.codec = codec
         self.checks_run = 0

@@ -1,10 +1,12 @@
-"""API quality gates: docstring coverage and export hygiene.
+"""API quality gates: docstring coverage, export hygiene and settings.
 
 Every public module, class, and function in the library must carry a
-docstring (deliverable: "doc comments on every public item"), and every
-``__all__`` name must resolve.
+docstring (deliverable: "doc comments on every public item"), every
+``__all__`` name must resolve, and the settable parameters of the main
+entry points are pinned.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -12,6 +14,17 @@ import pkgutil
 import pytest
 
 import repro
+from repro.baselines import (
+    EcmpScheduler,
+    GlobalFirstFitScheduler,
+    HederaScheduler,
+    PeriodicVlbScheduler,
+    TexcpScheduler,
+)
+from repro.core import DardScheduler
+from repro.experiments import ScenarioConfig
+from repro.simulator import Network
+from repro.simulator.detectors import PredictiveElephantDetector
 
 
 def _walk_modules():
@@ -70,3 +83,64 @@ class TestExports:
     def test_top_level_surface_is_importable(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+class TestSettings:
+    #: Every parameter of the main entry points and every ScenarioConfig
+    #: field. A parameter that production always passes one value for is a
+    #: module constant instead; a new option must edit this list and name
+    #: its production caller in DESIGN.md "Settings".
+    PARAMETERS = {
+        "Network": ["topology", "elephant_age_s", "elephant_detector"],
+        "DardScheduler": [
+            "delta_bps",
+            "query_interval_s",
+            "scheduling_interval_s",
+            "jitter_range_s",
+            "synchronized",
+        ],
+        "EcmpScheduler": [],
+        "PeriodicVlbScheduler": [],
+        "HederaScheduler": ["scheduling_interval_s", "annealing_iterations"],
+        "GlobalFirstFitScheduler": ["scheduling_interval_s"],
+        "TexcpScheduler": ["granularity"],
+        "PredictiveElephantDetector": ["network"],
+    }
+    SCENARIO_FIELDS = [
+        "topology",
+        "pattern",
+        "scheduler",
+        "arrival_rate_per_host",
+        "duration_s",
+        "flow_size_bytes",
+        "seed",
+        "topology_params",
+        "pattern_params",
+        "scheduler_params",
+        "network_params",
+        "arrival",
+        "arrival_params",
+        "drain_limit_s",
+        "link_events",
+    ]
+
+    def test_settable_parameters_are_pinned(self):
+        classes = [
+            Network,
+            DardScheduler,
+            EcmpScheduler,
+            PeriodicVlbScheduler,
+            HederaScheduler,
+            GlobalFirstFitScheduler,
+            TexcpScheduler,
+            PredictiveElephantDetector,
+        ]
+        found = {
+            cls.__name__: [
+                name for name in inspect.signature(cls.__init__).parameters if name != "self"
+            ]
+            for cls in classes
+        }
+        assert found == self.PARAMETERS
+        fields = [field.name for field in dataclasses.fields(ScenarioConfig)]
+        assert fields == self.SCENARIO_FIELDS

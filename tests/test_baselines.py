@@ -76,7 +76,7 @@ class TestEcmp:
 class TestPeriodicVlb:
     def test_flows_repick_paths_periodically(self):
         ctx = make_ctx()
-        scheduler = PeriodicVlbScheduler(repick_interval_s=10.0)
+        scheduler = PeriodicVlbScheduler()
         scheduler.attach(ctx)
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 500 * MB)
         ctx.engine.run_until(41.0)
@@ -85,7 +85,7 @@ class TestPeriodicVlb:
 
     def test_same_tor_flows_not_repicked(self):
         ctx = make_ctx()
-        scheduler = PeriodicVlbScheduler(repick_interval_s=5.0)
+        scheduler = PeriodicVlbScheduler()
         scheduler.attach(ctx)
         flow = scheduler.place("h_0_0_0", "h_0_0_1", 500 * MB)
         ctx.engine.run_until(30.0)
@@ -211,23 +211,23 @@ class TestTexcpScheduler:
 
     def test_rebalance_moves_weight_off_hot_paths(self):
         agent = TexcpAgent("t0", "t1", [("t0", "a", "t1"), ("t0", "b", "t1")])
-        agent.rebalance([0.9, 0.1], kappa=0.4)
+        agent.rebalance([0.9, 0.1])
         assert agent.ratios[1] > agent.ratios[0]
         assert sum(agent.ratios) == pytest.approx(1.0)
 
     def test_rebalance_keeps_floor(self):
         agent = TexcpAgent("t0", "t1", [("t0", "a", "t1"), ("t0", "b", "t1")])
         for _ in range(100):
-            agent.rebalance([1.0, 0.0], kappa=0.4)
+            agent.rebalance([1.0, 0.0])
         # The pre-normalization floor is MIN_RATIO=0.02; after renormalizing
-        # against a ratio grown by up to (1 + kappa) the floor dilutes to
+        # against a ratio grown by up to (1 + KAPPA) the floor dilutes to
         # at worst 0.02 / 1.42.
         assert min(agent.ratios) >= 0.02 / 1.42 - 1e-9
         assert sum(agent.ratios) == pytest.approx(1.0)
 
     def test_control_loop_adjusts_live_flows(self):
         ctx = make_ctx(seed=5)
-        scheduler = TexcpScheduler(probe_interval_s=0.05)
+        scheduler = TexcpScheduler()
         scheduler.attach(ctx)
         flow = scheduler.place("h_0_0_0", "h_1_0_0", 200 * MB)
         initial = [c.weight for c in flow.components]

@@ -48,23 +48,6 @@ class TestCliExports:
 
 
 class TestNetworkConfigSwitches:
-    def test_zero_switch_penalty(self):
-        net = Network(
-            FatTree(p=4, link_bandwidth_bps=100 * MBPS), path_switch_retx_bytes=0
-        )
-        topo = net.topology
-        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
-        flow = net.start_flow(
-            "h_0_0_0", "h_1_0_0", 50 * MB,
-            [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
-        )
-        net.engine.run_until(1.0)
-        net.reroute_flow(
-            flow, [net.component("h_0_0_0", "h_1_0_0", paths, 2)]
-        )
-        assert flow.retransmitted_bytes == 0.0
-        assert flow.path_switches == 1
-
     def test_clos_simulation_end_to_end(self):
         """The simulator isn't fat-tree specific: full run on a Clos."""
         topo = ClosNetwork(d_i=4, d_a=4, hosts_per_tor=2, link_bandwidth_bps=100 * MBPS)

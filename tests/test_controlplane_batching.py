@@ -51,7 +51,7 @@ def start_flow_on(net, src, dst, path_index, size=500 * MB):
     )
 
 
-def make_daemon(net, registry=None, delta_bps=10 * MBPS, host="h_0_0_0"):
+def make_daemon(net, delta_bps=10 * MBPS, host="h_0_0_0"):
     codec = PathCodec(HierarchicalAddressing(net.topology))
     return HostDaemon(
         host=host,
@@ -59,7 +59,8 @@ def make_daemon(net, registry=None, delta_bps=10 * MBPS, host="h_0_0_0"):
         codec=codec,
         ledger=MessageLedger(),
         delta_bps=delta_bps,
-        registry=registry,
+        registry=MonitorRegistry(net),
+        shift_log=[],
     )
 
 
@@ -106,7 +107,7 @@ class TestMonitorRegistry:
         net = Network(topology)
         registry = MonitorRegistry(net)
         pair = hosted_pair_with_most_paths(topology)
-        monitor = PathMonitor(net, *pair, MessageLedger(), registry=registry)
+        monitor = PathMonitor(net, *pair, MessageLedger(), registry)
         paths = monitor.paths
         assert len(paths) > 1
         src, dst = (sorted(topology.hosts_of_tor(tor))[0] for tor in pair)
@@ -135,7 +136,7 @@ class TestMonitorRegistry:
         start_on(len(paths) - 1)
         net.engine.run_until(21.0)
         net.fail_link(*paths[-1][-2:])
-        later = PathMonitor(net, *pair, MessageLedger(), registry=registry)
+        later = PathMonitor(net, *pair, MessageLedger(), registry)
         assert later.pair_paths is monitor.pair_paths
         poll_and_check(later)
         poll_and_check(monitor)
@@ -146,8 +147,8 @@ class TestMonitorRegistry:
         net = make_network()
         registry = MonitorRegistry(net)
         ledger = MessageLedger()
-        first = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry=registry)
-        second = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry=registry)
+        first = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry)
+        second = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry)
         start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
         net.engine.run_until(10.5)
         first.refresh()
@@ -282,7 +283,7 @@ class TestExecutionPathEquivalence:
     on real state."""
 
     def _decision(self, net, host, dsts, scalar):
-        daemon = make_daemon(net, registry=MonitorRegistry(net), host=host)
+        daemon = make_daemon(net, host=host)
         flows = [start_flow_on(net, host, dst, 0) for dst in dsts]
         net.engine.run_until(10.5)
         for flow in flows:
@@ -315,7 +316,9 @@ class TestExecutionPathEquivalence:
 class TestTwoSidedOptimisticUpdate:
     def test_note_shift_updates_both_paths(self):
         net = make_network()
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", MessageLedger())
+        monitor = PathMonitor(
+            net, "tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net)
+        )
         monitor.path_states = [PathState(100 * MBPS, 2), PathState(100 * MBPS, 0),
                                PathState(100 * MBPS, 0), PathState(100 * MBPS, 0)]
         monitor.note_shift(0, 2)
@@ -323,14 +326,15 @@ class TestTwoSidedOptimisticUpdate:
 
     def test_note_shift_never_goes_negative(self):
         net = make_network()
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", MessageLedger())
+        monitor = PathMonitor(
+            net, "tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net)
+        )
         monitor.note_shift(0, 1)  # vacated path already at 0
         assert monitor.state_eleph.tolist() == [0, 1, 0, 0]
 
     def test_shift_applies_two_sided_update_and_journals(self):
         net = make_network()
         daemon = make_daemon(net)
-        daemon.shift_log = []
         flow = start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
         net.engine.run_until(10.5)
         daemon.on_elephant(flow)

@@ -5,7 +5,13 @@ import pytest
 
 from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
-from repro.core import DardScheduler, PathMonitor, PathState, switches_to_query
+from repro.core import (
+    DardScheduler,
+    MonitorRegistry,
+    PathMonitor,
+    PathState,
+    switches_to_query,
+)
 from repro.core.daemon import HostDaemon
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import Network
@@ -75,8 +81,9 @@ class TestPathMonitor:
             [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
         )
         net.engine.run_until(10.5)  # promoted at 10 s
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", MessageLedger())
-        states = monitor.query()
+        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", MessageLedger(), scheduler.registry)
+        monitor.refresh()
+        states = monitor.path_states
         assert states[0].flow_numbers == 1
         # Path 1 shares the tor->agg_0_0 uplink with path 0, so its
         # bottleneck also sees the elephant; paths 2/3 (via agg_0_1) don't.
@@ -87,8 +94,8 @@ class TestPathMonitor:
     def test_query_message_accounting(self, fattree4):
         net = Network(fattree4)
         ledger = MessageLedger()
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", ledger)
-        monitor.query()
+        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, MonitorRegistry(net))
+        monitor.refresh()
         n = len(switches_to_query(fattree4, "tor_0_0", "tor_1_0"))
         assert monitor.num_query_switches == n
         assert ledger.bytes_by_kind["dard_query"] == 48 * n
@@ -97,7 +104,9 @@ class TestPathMonitor:
 
     def test_path_index_lookup(self, fattree4):
         net = Network(fattree4)
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", MessageLedger())
+        monitor = PathMonitor(
+            net, "tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net)
+        )
         for i, path in enumerate(monitor.paths):
             assert monitor.path_index(path) == i
         with pytest.raises(KeyError):
@@ -122,6 +131,8 @@ class TestHostDaemonAlgorithm1:
             codec=ctx.codec,
             ledger=MessageLedger(),
             delta_bps=10 * MBPS,
+            registry=MonitorRegistry(ctx.network),
+            shift_log=[],
         )
         return ctx, daemon
 
@@ -180,6 +191,8 @@ class TestHostDaemonAlgorithm1:
             codec=ctx.codec,
             ledger=MessageLedger(),
             delta_bps=200 * MBPS,  # impossible to beat on 100 Mbps links
+            registry=MonitorRegistry(ctx.network),
+            shift_log=[],
         )
         f1 = self._start_elephant(ctx, "h_0_0_0", "h_1_0_0", 0)
         f2 = self._start_elephant(ctx, "h_0_0_0", "h_1_0_1", 0)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
-from repro.core import DardScheduler, PathMonitor, switches_to_query
+from repro.core import DardScheduler, MonitorRegistry, PathMonitor, switches_to_query
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import Network
 from repro.topology import ClosNetwork
@@ -30,7 +30,9 @@ def clos_ctx():
 class TestDardOnClos:
     def test_monitor_covers_all_2da_paths(self, clos_ctx):
         ctx, scheduler = clos_ctx
-        monitor = PathMonitor(ctx.network, "tor_0", "tor_2", MessageLedger())
+        monitor = PathMonitor(
+            ctx.network, "tor_0", "tor_2", MessageLedger(), MonitorRegistry(ctx.network)
+        )
         assert len(monitor.paths) == 8  # 2 * D_A
 
     def test_query_set_covers_paths(self, clos_ctx):

@@ -49,7 +49,7 @@ class TestFlowletTexcp:
     def test_flowlet_redraws_follow_ratios(self):
         """Under asymmetric load the agent's ratios skew, and redraws land
         mostly on the lighter paths."""
-        scheduler = TexcpScheduler(granularity="flowlet", probe_interval_s=0.05)
+        scheduler = TexcpScheduler(granularity="flowlet")
         ctx = make_ctx(scheduler, seed=3)
         # Load one path persistently with a competing single-path elephant.
         paths = ctx.topology.equal_cost_paths("tor_0_1", "tor_1_0")

@@ -17,7 +17,7 @@ import pytest
 from repro.common.errors import InvariantViolation, SimulationError
 from repro.common.units import MB, MBPS
 from repro.simulator import FlowComponent, FlowStore, Network
-from repro.simulator.flows import Flow
+from repro.simulator.flows import PATH_SWITCH_RETX_BYTES, Flow
 from repro.topology import FatTree
 from repro.validation.twins import install_scalar_settle
 
@@ -266,7 +266,7 @@ class TestNetworkIntegration:
         row = flow.store_row
         store = net.flow_store
         # The penalty went through the properties into the columns.
-        assert flow.retransmitted_bytes == net.path_switch_retx_bytes
+        assert flow.retransmitted_bytes == PATH_SWITCH_RETX_BYTES
         assert float(store.retransmitted_bytes[row]) == flow.retransmitted_bytes
         assert float(store.remaining_bytes[row]) == flow.remaining_bytes
         assert flow.path_switches == 1 == int(store.path_switches[row])

@@ -24,7 +24,12 @@ from repro.simulator.components import FlowLinkComponents
 from repro.topology import FatTree
 from repro.validation.fuzz import random_scenario, run_case
 from repro.validation.oracles import check_incremental_against_full
-from repro.validation.twins import FULL_REFILL, install_full_refill, twin_run
+from repro.validation.twins import (
+    FULL_REFILL,
+    install_full_refill,
+    path_state_scalar,
+    twin_run,
+)
 
 BASE = ScenarioConfig(
     topology="fattree",
@@ -311,14 +316,6 @@ def _pair_hops(net, paths):
     return np.array([net.link_index.index_path(path) for path in paths], dtype=np.intp)
 
 
-def _scalar_bottleneck(net, path):
-    """The first minimum-BoNF link of a switch path, one link at a time."""
-    return min(
-        (net.link_state(u, v) for u, v in zip(path, path[1:])),
-        key=lambda state: state.bonf,
-    )
-
-
 class TestBatchPathState:
     def test_batch_matches_scalar_path_state(self):
         # Elephants on two of the paths and a failed cable on a third give
@@ -336,9 +333,8 @@ class TestBatchPathState:
         net.fail_link(*paths[2][1:3])
         band, eleph = net.batch_path_state_arrays(_pair_hops(net, paths))
         for k, path in enumerate(paths):
-            scalar = _scalar_bottleneck(net, path)
-            assert (band[k], eleph[k]) == (scalar.bandwidth_bps, scalar.elephant_flows)
-            assert net.path_state(path) == scalar
+            scalar = path_state_scalar(net, path)
+            assert (band[k], eleph[k]) == (scalar.bandwidth_bps, scalar.flow_numbers)
         assert len(set(zip(band.tolist(), eleph.tolist()))) == 3
 
     def test_tied_bottlenecks_report_the_first_hop(self):
@@ -365,19 +361,10 @@ class TestBatchPathState:
         assert net.link_state(*later).elephant_flows == 2
         band, eleph = net.batch_path_state_arrays(_pair_hops(net, [path]))
         assert (band.tolist(), eleph.tolist()) == ([0.0], [1])
-        assert net.path_state(path) == net.link_state(*first)
-        assert net.path_state(path) == _scalar_bottleneck(net, path)
-
-    def test_switch_link_mask_drops_host_hops(self):
-        net, _ = _stride_network()
-        host_path = net.topology.host_path(
-            "h_0_0_0", "h_1_0_0",
-            net.topology.equal_cost_paths("tor_0_0", "tor_1_0")[0],
-        )
-        ids = net.link_index.index_path(host_path)
-        # Exactly the two host access hops are masked out.
-        mask = net.link_index.switch_link_mask[ids]
-        assert mask.tolist() == [False, True, True, True, True, False]
+        first_state = net.link_state(*first)
+        assert (band[0], eleph[0]) == (first_state.bandwidth_bps, first_state.elephant_flows)
+        scalar = path_state_scalar(net, path)
+        assert (band[0], eleph[0]) == (scalar.bandwidth_bps, scalar.flow_numbers)
 
     def test_empty_rows_are_rejected(self):
         from repro.common.errors import SimulationError

@@ -4,8 +4,10 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.common.units import MB, MBPS
+from repro.core.monitor import index_pair_paths
 from repro.simulator import FlowComponent, Network
 from repro.topology import FatTree
+from repro.validation.twins import path_state_scalar
 
 
 @pytest.fixture
@@ -124,18 +126,20 @@ class TestLinkStateQueries:
         net.start_flow(src, "h_1_0_0", 256 * MB, [component(net, src, "h_1_0_0", 0)])
         net.start_flow(src, "h_2_0_0", 256 * MB, [component(net, src, "h_2_0_0", 2)])
         net.engine.run_until(11.0)
-        topo = net.topology
-        path = topo.equal_cost_paths("tor_0_0", "tor_1_0")[0]
-        full = (src,) + path + ("h_1_0_0",)
-        state = net.path_state(full)
+        pair = index_pair_paths(net, "tor_0_0", "tor_1_0")
+        band, eleph = net.batch_path_state_arrays(pair.hops)
+        scalar = path_state_scalar(net, pair.paths[0])
         # Only one elephant rides this switch path; the shared host link
         # (2 elephants) is excluded per the paper (§2.2).
         assert net.link_state(src, "tor_0_0").elephant_flows == 2
-        assert state.elephant_flows == 1
+        assert (band[0], eleph[0]) == (scalar.bandwidth_bps, scalar.flow_numbers)
+        assert eleph[0] == 1
 
     def test_path_state_needs_switch_links(self, net):
+        # A ToR paired with itself has no switch-switch hop to poll.
+        pair = index_pair_paths(net, "tor_0_0", "tor_0_0")
         with pytest.raises(SimulationError):
-            net.path_state(("h_0_0_0", "tor_0_0"))
+            net.batch_path_state_arrays(pair.hops)
 
 
 class TestReroute:

@@ -124,13 +124,6 @@ class TestLiveNetworkChecks:
         check_network_allocation(net)
         check_network_against_reference(net)
 
-    def test_invariant_hooks_run_from_check_invariants(self):
-        net = two_flow_network()
-        seen = []
-        net.invariant_hooks.append(seen.append)
-        net.check_invariants()
-        assert seen == [net]
-
 
 # ---------------------------------------------------------------------------
 # Static switch tables

@@ -1,17 +1,21 @@
-"""Reallocation benchmark: incremental component-scoped vs full refills.
+"""Reallocation benchmark: bottleneck-region refills vs full refills.
 
 Runs the same seeded DARD scenario twice — once under the
 :data:`~repro.validation.twins.FULL_REFILL` reference twin (every
 membership change triggers a global water-fill) and once in production
-(only dirty flow-link components are re-filled, rates spliced into the
-persistent load array) — and checks three things:
+(each refill re-rates only the bottleneck region the change reaches,
+its boundary pinned, rates spliced into the persistent load and
+saturation arrays) — and checks three things:
 
 * **equivalence**: the two runs produce equal flow records, every
-  field — the component-scoped refill's bit-exactness contract, end to
-  end;
+  field — the region refill's bit-exactness contract, end to end;
 * **locality**: the majority of incremental rounds re-rate fewer flows
   than are live (otherwise the machinery is pure overhead);
 * **speed**: whole-scenario wall time improves by the acceptance factor.
+
+Each row also reports what the regions held: the flows re-rated and
+pinned as boundary (summed over refills, and per refill) and the fills
+rerun because a boundary demand was contradicted.
 
 Output rows land in ``benchmarks/results/perf_realloc.txt`` and, through
 the shared provenance writer (``artifacts.py``), in
@@ -39,7 +43,7 @@ P = int(BUDGET.params["p"])
 DURATION_S = BUDGET.params["duration"]
 RESULT_JSON = RESULTS_DIR / f"BENCH_{BUDGET.name}.json"
 
-#: Whole-scenario speedup the incremental mode must deliver at p=16.
+#: Whole-scenario speedup the region refill must deliver at p=16.
 MIN_SPEEDUP = 1.5
 
 #: Fraction of incremental rounds that must re-rate fewer flows than are live.
@@ -71,20 +75,24 @@ def _run_mode(mode, run):
     wall_s = time.perf_counter() - started
     stats = network.perf_stats()
     incr = int(stats["realloc_incremental"])
+    calls = int(stats["realloc_calls"])
     row = {
         "mode": mode,
         "p": P,
         "duration_s": DURATION_S,
         "wall_s": wall_s,
         "flows_completed": len(result.records),
-        "realloc_calls": int(stats["realloc_calls"]),
+        "realloc_calls": calls,
         "realloc_full": int(stats["realloc_full"]),
         "realloc_incremental": incr,
         "realloc_subset": int(stats["realloc_subset"]),
         "subset_fraction": stats["realloc_subset"] / incr if incr else 0.0,
-        "components_touched": int(stats["components_touched"]),
+        "realloc_reruns": int(stats["realloc_reruns"]),
         "flows_rerated": int(stats["flows_rerated"]),
+        "flows_boundary": int(stats["flows_boundary"]),
         "flows_preserved": int(stats["flows_preserved"]),
+        "region_flows_per_refill": stats["flows_rerated"] / incr if incr else 0.0,
+        "boundary_flows_per_refill": stats["flows_boundary"] / incr if incr else 0.0,
         "realloc_time_s": stats["realloc_time_s"],
     }
     return row, result
@@ -106,14 +114,16 @@ def _run_all():
     write_artifact(BUDGET, rows)
     return ExperimentOutput(
         BUDGET.name,
-        "scenario wall time: incremental component-scoped vs full reallocation",
+        "scenario wall time: bottleneck-region vs full reallocation",
         rows=[
             {
                 "mode": r["mode"],
                 "wall_s": round(r["wall_s"], 2),
                 "realloc_calls": r["realloc_calls"],
                 "subset_fraction": round(r["subset_fraction"], 2),
-                "flows_preserved": r["flows_preserved"],
+                "region_flows": r["flows_rerated"],
+                "boundary_flows": r["flows_boundary"],
+                "reruns": r["realloc_reruns"],
             }
             for r in rows
         ],

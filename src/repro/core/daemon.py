@@ -81,9 +81,7 @@ class HostDaemon:
         self.elephants.setdefault(pair, []).append(flow)
         monitor = self.monitors.get(pair)
         if monitor is None:
-            monitor = PathMonitor(
-                self.network, src_tor, dst_tor, self.ledger, self.registry
-            )
+            monitor = PathMonitor(src_tor, dst_tor, self.ledger, self.registry)
             self.monitors[pair] = monitor
 
     def on_flow_completed(self, flow: Flow) -> None:

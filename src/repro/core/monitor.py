@@ -117,13 +117,13 @@ class PathMonitor:
 
     def __init__(
         self,
-        network: Network,
         src_tor: str,
         dst_tor: str,
         ledger: MessageLedger,
         registry: "MonitorRegistry",
     ) -> None:
-        self.network = network
+        #: the network the registry interned the pair's link ids for.
+        self.network: Network = registry.network
         self.src_tor = src_tor
         self.dst_tor = dst_tor
         self.ledger = ledger

@@ -25,7 +25,7 @@ from repro.lint.engine import Finding, ModuleContext, Rule, register
 _HOT_FUNCTIONS = {
     "_reallocate",
     "_refill_dirty",
-    "_assemble_demands",
+    "_assemble_region",
     "_settle",
     "_schedule_next_completion",
     "_write_rates",

@@ -1,64 +1,54 @@
-"""Connected components of the flow-link incidence graph.
+"""The flow-link incidence index: which live flows cross which links.
 
-Weighted max-min allocation decomposes exactly across the connected
-components of the bipartite incidence graph (flows x the links they
-cross): progressive filling's arithmetic on a link only ever reads and
-writes state of demands crossing that link, so water-filling each
-component in isolation produces bit-identical rates to one global fill
-(see DESIGN.md "Component decomposition"). :class:`FlowLinkComponents`
-indexes that graph online so the network can re-fill **only the
-components a membership change touched**.
-
-The structure is an exact adjacency index over dense link ids (the
-network's :class:`~repro.simulator.linkindex.LinkIndex` universe):
+The network's refill re-rates the bottleneck region a change reaches
+(see DESIGN.md "Incremental bottleneck-region reallocation"): the flows
+whose demands changed, the flows on changed links that were saturated,
+and the boundary — every other flow crossing a link the fill covers.
+:class:`FlowLinkComponents` answers the two questions that region needs,
+exactly and online:
 
 * ``_link_flows`` maps each link carrying at least one live flow to the
   set of those flows (links that carry none have no entry), the one
-  record of which flows cross a link (:meth:`flow_count`);
-* ``_flow_links`` maps each live flow to its unique link ids;
+  record of which flows cross a link (:meth:`flow_count`,
+  :meth:`flows_on`);
+* ``_flow_links`` maps each live flow to its unique link ids
+  (:meth:`links_of`);
 * **attach** (flow start / reroute landing) and **detach** (completion /
-  reroute leaving) add or remove one flow's entries and mark its links
-  dirty; **touch** (cable fail / restore) marks a cable's links dirty
-  and names the links of the flows crossing it;
-* **consume_dirty** walks the index from the dirty links and returns
-  exactly the live flows of the components those links belong to now.
+  reroute leaving) add or remove one flow's entries and return the
+  links whose flow sets they changed (a detach splits them into the
+  links other flows still cross and the links it left empty).
 
-Components are never stored, only walked, so a departure that
-disconnects a component splits it at once: the next walk from either
-side stops at the gap. The walk costs O(links + flows) of the components
-it returns, which the refill of those same flows pays anyway.
+The index keeps no marks of its own: the network records what changed
+since its last fill.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 __all__ = ["FlowLinkComponents"]
 
 
 class FlowLinkComponents:
-    """Exact link -> live-flows index with dirty link marks."""
+    """Exact link -> live-flows and flow -> links index."""
 
-    __slots__ = ("_link_flows", "_flow_links", "_dirty_links")
+    __slots__ = ("_link_flows", "_flow_links")
 
     def __init__(self) -> None:
         #: link id -> ids of the live flows crossing it (no empty entries).
         self._link_flows: Dict[int, Set[int]] = {}
         #: live flow id -> its unique link ids.
         self._flow_links: Dict[int, List[int]] = {}
-        #: links whose flow set changed since the last :meth:`consume_dirty`.
-        self._dirty_links: Set[int] = set()
 
     # -- membership events ---------------------------------------------------
 
-    def attach(self, flow_id: int, link_ids: Any) -> None:
-        """A flow landed on these links; their components become dirty.
+    def attach(self, flow_id: int, link_ids: Any) -> List[int]:
+        """A flow landed on these links; returns them as a list.
 
         ``link_ids`` is the flow's sorted unique link-id array (every
-        component of a striped flow included, so the strands' links join
-        one component — coarser than the demands need, never finer).
+        component of a striped flow included).
         """
-        links = link_ids.tolist()
+        links: List[int] = link_ids.tolist()
         self._flow_links[flow_id] = links
         link_flows = self._link_flows
         for link in links:
@@ -67,87 +57,43 @@ class FlowLinkComponents:
                 link_flows[link] = {flow_id}
             else:
                 members.add(flow_id)
-        self._dirty_links.update(links)
+        return links
 
-    def detach(self, flow_id: int) -> None:
-        """A flow left its links; whatever remains of them becomes dirty."""
-        links = self._flow_links.pop(flow_id)
+    def detach(self, flow_id: int) -> Tuple[List[int], List[int]]:
+        """A flow left its links; returns ``(shared, vacated)``: the links
+        other flows still cross, and the links it left without a flow."""
+        shared: List[int] = []
+        vacated: List[int] = []
         link_flows = self._link_flows
-        for link in links:
+        for link in self._flow_links.pop(flow_id):
             members = link_flows[link]
             members.discard(flow_id)
-            if not members:
+            if members:
+                shared.append(link)
+            else:
                 del link_flows[link]
-        self._dirty_links.update(links)
+                vacated.append(link)
+        return shared, vacated
 
-    def touch(self, link_ids: Sequence[int]) -> List[int]:
-        """These links changed state under their flows; mark them dirty.
+    # -- queries -------------------------------------------------------------
 
-        A cable failure or restore changes which demands of the flows
-        crossing it are dead without changing any flow's links, so the
-        walk from the cable's links re-fills exactly their component.
-        Returns the sorted unique link ids of those flows: the links
-        whose load the dead (or revived) demands leave.
-        """
-        self._dirty_links.update(link_ids)
+    def flows_on(self, links: Iterable[int]) -> Set[int]:
+        """Ids of the live flows crossing any of ``links``."""
         link_flows = self._link_flows
-        crossing: Set[int] = set()
-        for link in link_ids:
+        found: Set[int] = set()
+        for link in links:
             members = link_flows.get(link)
             if members is not None:
-                for flow_id in members:
-                    crossing.update(self._flow_links[flow_id])
-        return sorted(crossing)
+                found.update(members)
+        return found
 
-    # -- component walks -----------------------------------------------------
-
-    def _walk(self, start: int, links: Set[int], flows: Set[int]) -> None:
-        """Add ``start``'s component to ``links`` and ``flows``.
-
-        ``start`` must carry a live flow and must not be in ``links`` yet.
-        """
-        link_flows = self._link_flows
+    def links_of(self, flow_ids: Iterable[int]) -> Set[int]:
+        """The unique link ids the given live flows cross, together."""
         flow_links = self._flow_links
-        links.add(start)
-        reached = [start]
-        visited = 0
-        while visited < len(reached):
-            for flow_id in link_flows[reached[visited]]:
-                if flow_id not in flows:
-                    flows.add(flow_id)
-                    for link in flow_links[flow_id]:
-                        if link not in links:
-                            links.add(link)
-                            reached.append(link)
-            visited += 1
-
-    def consume_dirty(self) -> Tuple[int, List[int]]:
-        """Pop the dirty set: ``(components touched, sorted flow ids)``.
-
-        ``flow ids`` is every live flow of every component a dirty link
-        belongs to, ascending — ascending order matches the network's
-        flow-dict iteration order, so a dirty-only fill's rows keep the
-        full assembly's per-link arithmetic sequence (the bit-exactness
-        requirement). Dirty links that no longer carry a flow contribute
-        nothing and count as no component.
-        """
-        dirty = self._dirty_links
-        self._dirty_links = set()
-        link_flows = self._link_flows
-        links: Set[int] = set()
-        flows: Set[int] = set()
-        touched = 0
-        for link in sorted(dirty):
-            if link not in links and link in link_flows:
-                touched += 1
-                self._walk(link, links, flows)
-        return touched, sorted(flows)
-
-    def discard_dirty(self) -> None:
-        """Forget the dirty marks: a global fill has just re-rated every flow."""
-        self._dirty_links = set()
-
-    # -- introspection (link state, invariant checks, tests) ---------------------
+        found: Set[int] = set()
+        for flow_id in flow_ids:
+            found.update(flow_links[flow_id])
+        return found
 
     def flow_count(self, link: int) -> int:
         """How many live flows cross ``link``."""

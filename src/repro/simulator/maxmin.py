@@ -16,7 +16,10 @@ the simulator's hot loop. Every fill goes through
 link ids over a persistent
 :class:`~repro.simulator.linkindex.LinkIndex`, and one call returns the
 rates together with the new load of every link the rows cross, so the
-network splices loads without a second pass over the demands. The
+network splices loads without a second pass over the demands, and each
+crossed link's saturation share: the level of the round it tied in,
+which the network keeps per link to pin the boundary of its next
+bottleneck-region fill (see :func:`maxmin_allocate_indexed`). The
 string-keyed :func:`maxmin_allocate` signature survives as a thin wrapper
 that interns links per call, and :func:`maxmin_allocate_reference`
 preserves the pre-index implementation verbatim as the
@@ -37,16 +40,17 @@ picks how the fill is compacted and how its loads are summed:
   symmetric tie batch of demands. Once rounds stop batching, the fill
   hands its state to the heap loop. Loads are one ``np.add.at`` scatter.
 * **The lazy heap** (:func:`_progressive_fill_tail`): O(log L) Python
-  work per freeze and no O(L) passes. Small fills — the incremental
-  reallocator's typical dirty component holds a handful of flows — enter
-  it at round 0 (:func:`_heap_fill`): links are renumbered in order of
-  first appearance, one capacity gather is the only numpy call, and
-  loads are summed in Python lists.
+  work per freeze and no O(L) passes. Small fills — the network's
+  typical region fill is a few demands — and every fill with pinned
+  demands enter it at round 0 (:func:`_heap_fill`): links are renumbered
+  in order of first appearance, one capacity gather is the only numpy
+  call, and loads are summed in Python lists.
 
 Both regimes freeze the same exact tie batch per round, members in
 ascending demand order, with the same float operations per link, so the
-start regime changes neither rates nor ``iterations``; both sum each
-link's load in ascending demand order, so loads agree bit for bit too.
+start regime changes neither rates, ``iterations`` nor saturation
+shares; both sum each link's load in ascending demand order, so loads
+agree bit for bit too.
 The choice is a cost model, not a semantic switch. Starting every fill
 on the heap loses on large fills, where one vectorized round freezes
 hundreds of tied demands at once.
@@ -59,7 +63,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +77,7 @@ LinkId = Tuple[str, str]
 Demand = Tuple[Sequence[LinkId], float]
 
 _EPSILON = 1e-9
+_INF = float("inf")
 
 #: Hybrid switch: after this many consecutive filling rounds that each froze
 #: fewer than :data:`_SMALL_ROUND` demands, the vectorized loop hands the
@@ -92,16 +97,25 @@ class Allocation(NamedTuple):
     rates: List[float]
     #: progressive-filling rounds.
     iterations: int
-    #: global id of every link some row crosses, each once.
+    #: global id of every link some row crosses, each once (a numpy
+    #: array from a vectorized fill, a list from the heap).
     links: Sequence[int]
     #: each of those links' summed demand rates, aligned with ``links``.
     loads: Sequence[float]
+    #: each of those links' saturation share, aligned with ``links``: the
+    #: level of the round it tied in, ``inf`` if it never did.
+    saturation: Sequence[float]
+    #: the pinned demands the fill froze at a level other than their pin,
+    #: in freeze order (always empty for a fill without ``levels``).
+    contradicted: Sequence[int] = ()
 
 
 def maxmin_allocate_indexed(
     rows: Sequence[Sequence[int]],
     weights: Sequence[float],
     capacities: np.ndarray,
+    levels: Optional[Sequence[float]] = None,
+    anchored: Sequence[int] = (),
 ) -> Allocation:
     """Progressive filling over demands given as rows of global link ids.
 
@@ -111,24 +125,36 @@ def maxmin_allocate_indexed(
     :class:`Allocation`: the per-demand ``rates`` in bits/s,
     ``iterations`` (filling rounds, one per saturated bottleneck batch —
     the number the network's :meth:`perf_stats` telemetry accumulates),
-    the crossed ``links`` and each one's ``load``. Loads accumulate in
-    ascending demand order, the order :func:`link_loads_indexed` uses, so
-    they equal a from-scratch recount bit for bit.
+    the crossed ``links``, each one's ``load`` and each one's
+    ``saturation`` share. Loads accumulate in ascending demand order, the
+    order :func:`link_loads_indexed` uses, so they equal a from-scratch
+    recount bit for bit.
 
-    Fills of fewer than :data:`_HEAP_START_DEMANDS` demands run on the
-    lazy heap from round 0 in Python lists (:func:`_heap_fill`); larger
-    ones compact to a CSR and start vectorized (:func:`_array_fill`).
-    Both produce bit-identical rates, iteration counts and loads (see the
-    module docstring).
+    ``levels`` pins demands, for the network's bottleneck-region fill:
+    ``levels[j]`` is the level pinned demand ``j`` froze at in the fill
+    that last covered it, and ``inf`` leaves demand ``j`` free. The
+    pinned demands listed in ``anchored`` have a bottleneck outside the
+    rows at that level, so the fill freezes each at its level unless one
+    of its rows' links freezes it first; a pinned demand that is not
+    anchored freezes only where its links saturate. A pinned demand
+    frozen at any other level than its pin is *contradicted*: the fill
+    still runs to the end and lists it in ``contradicted``.
+
+    Fills of fewer than :data:`_HEAP_START_DEMANDS` demands, and every
+    fill with ``levels``, run on the lazy heap from round 0 in Python
+    lists (:func:`_heap_fill`); larger ones compact to a CSR and start
+    vectorized (:func:`_array_fill`). Both produce bit-identical rates,
+    iteration counts, loads and saturation shares (see the module
+    docstring).
 
     Inputs are trusted (the wrapper and the network validate at indexing
     time); an infeasible state still raises :class:`SimulationError`.
     """
     n = len(rows)
     if n == 0:
-        return Allocation([], 0, [], [])
-    if n < _HEAP_START_DEMANDS:
-        return _heap_fill(rows, weights, capacities)
+        return Allocation([], 0, [], [], [])
+    if n < _HEAP_START_DEMANDS or levels is not None:
+        return _heap_fill(rows, weights, capacities, levels, anchored)
     return _array_fill(rows, weights, capacities)
 
 
@@ -136,6 +162,8 @@ def _heap_fill(
     rows: Sequence[Sequence[int]],
     weights: Sequence[float],
     capacities: np.ndarray,
+    levels: Optional[Sequence[float]] = None,
+    anchored: Sequence[int] = (),
 ) -> Allocation:
     """The whole fill on the lazy heap, with its state built in O(nnz).
 
@@ -153,10 +181,10 @@ def _heap_fill(
     links: List[int] = []
     lw: List[float] = []
     members: List[List[int]] = []
-    flat: List[int] = []
-    ptr = [0]
+    crossed: List[List[int]] = []
     for j in range(n):
         wj = weights[j]
+        row = []
         for link in rows[j]:
             k = local.get(link)
             if k is None:
@@ -167,17 +195,15 @@ def _heap_fill(
             else:
                 lw[k] += wj
                 members[k].append(j)
-            flat.append(k)
-        ptr.append(len(flat))
+            row.append(k)
+        crossed.append(row)
     rem = capacities[links].tolist()
-    members_flat: List[int] = []
-    members_ptr = [0]
-    for link_members in members:
-        members_flat.extend(link_members)
-        members_ptr.append(len(members_flat))
     out = [0.0] * n
+    sat = [_INF] * len(links)
+    contradicted: List[int] = []
     iterations = _progressive_fill_tail(
-        rem, lw, flat, ptr, weights, members_flat, members_ptr, [True] * n, out, n, 0
+        rem, lw, crossed, weights, members, [True] * n, out, n, 0,
+        sat, levels, anchored, contradicted,
     )
     loads: List[float] = []
     for link_members in members:
@@ -185,7 +211,7 @@ def _heap_fill(
         for j in link_members:
             load += out[j]
         loads.append(load)
-    return Allocation(out, iterations, links, loads)
+    return Allocation(out, iterations, links, loads, sat, contradicted)
 
 
 def sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -224,12 +250,12 @@ def _array_fill(
     links, indices = np.unique(flat, return_inverse=True)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
-    rates, iterations = _vectorized_fill(
+    rates, iterations, sat = _vectorized_fill(
         indices, indptr, np.asarray(weights, dtype=float), capacities[links]
     )
     loads = np.zeros(links.size, dtype=float)
     np.add.at(loads, indices, np.repeat(rates, lengths))
-    return Allocation(rates.tolist(), iterations, links, loads)
+    return Allocation(rates.tolist(), iterations, links, loads, sat)
 
 
 def _vectorized_fill(
@@ -237,13 +263,13 @@ def _vectorized_fill(
     indptr: np.ndarray,
     weights: np.ndarray,
     capacities: np.ndarray,
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, int, np.ndarray]:
     """Vectorized rounds first, the lazy heap once rounds stop batching.
 
     ``indices``/``indptr`` are a CSR over the compacted link numbering
     (demand ``j`` crosses ``indices[indptr[j]:indptr[j + 1]]``) and
     ``capacities`` is aligned with that numbering. Returns ``(rates,
-    iterations)``.
+    iterations, saturation)``, the last aligned with ``capacities``.
     """
     n = int(indptr.shape[0]) - 1
     num_links = int(capacities.shape[0])
@@ -264,6 +290,7 @@ def _vectorized_fill(
 
     rates = np.zeros(n, dtype=float)
     active = np.ones(n, dtype=bool)
+    sat = np.full(num_links, _INF)
     unfrozen = n
     iterations = 0
     small_rounds = 0
@@ -291,6 +318,7 @@ def _vectorized_fill(
                 raise SimulationError("no bottleneck found with demands outstanding")
             tied = np.nonzero(share == best_share)[0]
             best_share = max(float(best_share), 0.0)
+            sat[tied] = best_share
             if tied.size == 1:
                 # One link's members are ascending and unique already.
                 members = link_members[link_ptr[bottleneck] : link_ptr[bottleneck + 1]]
@@ -325,48 +353,64 @@ def _vectorized_fill(
             small_rounds = small_rounds + 1 if members.size < _SMALL_ROUND else 0
             if small_rounds >= _TAIL_SWITCH_ROUNDS and unfrozen > 0:
                 out = rates.tolist()
+                shares = sat.tolist()
+                left = live_weight.tolist()
+                act = active.tolist()
+                # The tail reads the links of demands still unfrozen and
+                # the members of links still carrying live weight only.
+                flat, ptr = indices.tolist(), indptr.tolist()
+                member_flat, member_ptr = link_members.tolist(), link_ptr.tolist()
+                crossed = [flat[ptr[j] : ptr[j + 1]] if act[j] else [] for j in range(n)]
+                members = [
+                    member_flat[member_ptr[k] : member_ptr[k + 1]] if left[k] > _EPSILON else []
+                    for k in range(num_links)
+                ]
                 iterations = _progressive_fill_tail(
                     remaining.tolist(),
-                    live_weight.tolist(),
-                    indices.tolist(),
-                    indptr.tolist(),
+                    left,
+                    crossed,
                     weights.tolist(),
-                    link_members.tolist(),
-                    link_ptr.tolist(),
-                    active.tolist(),
+                    members,
+                    act,
                     out,
                     unfrozen,
                     iterations,
+                    shares,
                 )
                 rates[:] = out
-                return rates, iterations
+                sat[:] = shares
+                return rates, iterations, sat
 
-    return rates, iterations
+    return rates, iterations, sat
 
 
 def _progressive_fill_tail(
     rem: List[float],
     lw: List[float],
-    flat: List[int],
-    ptr: List[int],
+    crossed: List[List[int]],
     wts: Sequence[float],
-    members_flat: List[int],
-    members_ptr: List[int],
+    members: List[List[int]],
     act: List[bool],
     out: List[float],
     unfrozen: int,
     iterations: int,
+    sat: List[float],
+    levels: Optional[Sequence[float]] = None,
+    anchored: Sequence[int] = (),
+    contradicted: Optional[List[int]] = None,
 ) -> int:
     """Progressive filling with a lazy-deletion min-heap, in place.
 
     The one heap loop, entered at round 0 by :func:`_heap_fill` or
     mid-fill by :func:`_vectorized_fill` once its rounds stop batching.
     State is plain lists: per-link remaining capacity ``rem`` and live
-    weight ``lw``, the demand -> links CSR ``flat``/``ptr``, per-demand
-    weights ``wts``, the link -> member-demands CSR
-    ``members_flat``/``members_ptr`` (ascending demand order per link),
-    and the per-demand ``act`` flags and rates ``out``, which it updates.
-    Returns the running ``iterations`` count.
+    weight ``lw``, each demand's links ``crossed``, per-demand weights
+    ``wts``, each link's member demands ``members`` (in ascending demand
+    order), the per-demand ``act`` flags and rates ``out`` and the per-link
+    saturation shares ``sat``, which it updates. ``levels`` and
+    ``anchored`` pin demands (see :func:`maxmin_allocate_indexed`); each
+    contradicted pinned demand is appended to ``contradicted``. Returns
+    the running ``iterations`` count.
 
     Shares are monotone: freezing a demand never lowers any other link's
     share (share' = s_l + w * (s_l - s) / (lw - w) >= s_l since s is the
@@ -385,34 +429,54 @@ def _progressive_fill_tail(
     same freeze values, and the same subtraction sequence as one round of
     the vectorized loop. That exactness is load-bearing beyond the
     handoff being seamless: it makes the allocation invariant to how
-    demands are grouped into fills (combined, per-dirty-subset, or
-    per-component), because a tie spanning several
-    components resolves to the identical floats no matter which fill
+    demands are grouped into fills (combined, per-component, or one
+    bottleneck region with its boundary pinned), because a tie spanning
+    several groups resolves to the identical floats no matter which fill
     processes each side. Sequential tie handling here — freeze one link,
     subtract, recompute the next tied link's share — perturbs the tied
     partners by an ULP through the recomputed division, and *when* ties
     reach the tail depends on global round structure, so the perturbation
     would differ between a combined fill and its decomposition.
+
+    An anchored demand ``j`` enters the heap as one more entry, keyed by
+    its pinned level and named ``~j`` (negative, so it never collides
+    with a link): the outside link that froze it, which freezes it in the
+    round at that level, in the same tie batch as every fill link that
+    saturates there.
     """
     heap = [(rem[b] / lw[b], b) for b in range(len(lw)) if lw[b] > _EPSILON]
+    if anchored:
+        heap += [(levels[j], ~j) for j in anchored]  # type: ignore[index]
     heapq.heapify(heap)
     while unfrozen > 0:
         if not heap:
             raise SimulationError("no bottleneck found with demands outstanding")
         share, b = heapq.heappop(heap)
-        weight = lw[b]
-        if weight <= _EPSILON:
-            continue  # stale: the link froze (or emptied) since this push
-        current = rem[b] / weight
-        if current > share:
-            heapq.heappush(heap, (current, b))  # stale key; retry with fresh
-            continue
+        if b < 0:
+            if not act[~b]:
+                continue  # a fill link froze the anchored demand first
+            current = share
+            tied: List[int] = []
+            pinned = [~b]
+        else:
+            weight = lw[b]
+            if weight <= _EPSILON:
+                continue  # stale: the link froze (or emptied) since this push
+            current = rem[b] / weight
+            if current > share:
+                heapq.heappush(heap, (current, b))  # stale key; retry with fresh
+                continue
+            tied = [b]
+            pinned = []
         # Drain the exact tie batch: every remaining key <= current is a
         # candidate (true shares never sit below their keys), and the
         # refresh sorts each into "ties exactly" or "actually higher".
-        tied = [b]
         while heap and heap[0][0] <= current:
             _, other = heapq.heappop(heap)
+            if other < 0:
+                if act[~other]:
+                    pinned.append(~other)
+                continue
             if lw[other] <= _EPSILON:
                 continue
             refreshed = rem[other] / lw[other]
@@ -423,28 +487,27 @@ def _progressive_fill_tail(
         if current < 0.0:
             current = 0.0
         iterations += 1
-        if len(tied) > 1:
-            members = sorted(
-                {
-                    j
-                    for link in tied
-                    for j in members_flat[members_ptr[link] : members_ptr[link + 1]]
-                    if act[j]
-                }
+        for link in tied:
+            sat[link] = current
+        if len(tied) + len(pinned) > 1:
+            frozen = sorted(
+                {j for link in tied for j in members[link] if act[j]}.union(pinned)
             )
+        elif tied:
+            frozen = [j for j in members[b] if act[j]]
         else:
-            members = [
-                j
-                for j in members_flat[members_ptr[b] : members_ptr[b + 1]]
-                if act[j]
-            ]
-        for j in members:
+            frozen = pinned
+        for j in frozen:
+            if levels is not None:
+                pin = levels[j]
+                if pin != current and pin < _INF:
+                    contradicted.append(j)  # type: ignore[union-attr]
             wj = wts[j]
             rate = wj * current
             out[j] = rate
             act[j] = False
             unfrozen -= 1
-            for link in flat[ptr[j] : ptr[j + 1]]:
+            for link in crossed[j]:
                 left = rem[link] - rate
                 rem[link] = left if left > 0.0 else 0.0
                 lw[link] -= wj

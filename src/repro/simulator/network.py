@@ -26,23 +26,26 @@ allocator each demand's row as a plain list, so the per-event hot path
 never hashes a ``(str, str)`` link key. :meth:`perf_stats` exposes the
 reallocation telemetry.
 
-Component-scoped reallocation (see DESIGN.md "Component decomposition"):
-max-min allocation decomposes exactly across connected components of the
-flow-link incidence graph, so each coalesced realloc re-water-fills only
-the components invalidated since the last one — found by walking an
-exact link -> live-flows index
-(:class:`~repro.simulator.components.FlowLinkComponents`) from the links
-whose flow sets changed — and splices the new rates and the loads the
-allocator returns into the persistent per-link load array. The first
-fill is the same refill over every attached flow. A cable failure or
-restore dirties the cable's own links, so it re-fills only the component
-of the flows crossing it. Rates, loads, utilizations, FCTs, and the
-event sequence are bit-identical to a global fill over every live
-demand, which :func:`repro.validation.twins.full_refill_reference`
-keeps as a reference twin (its fills are the ones ``perf_stats`` counts
-as ``realloc_full``, 0 in production); only the ``filling_iterations``
-count differs (per-component fills count symmetric cross-component ties
-as separate rounds).
+Bottleneck-region reallocation (see DESIGN.md "Incremental
+bottleneck-region reallocation"): a rate change travels only through
+saturated links, so each coalesced realloc re-water-fills only the
+region a change can reach. The region starts with the flows whose
+demands changed and the flows on each changed link that was saturated;
+an exact link -> live-flows index
+(:class:`~repro.simulator.components.FlowLinkComponents`) names every
+other flow crossing the region's links — the boundary, replayed at its
+stored rates and pinned at its stored levels (the persistent per-link
+saturation shares). A boundary demand the fill contradicts joins the
+region and the fill reruns. The splice writes the new rates, and the
+loads and saturation shares the allocator returns for the covered
+links, into the persistent arrays. A cable failure or restore puts the
+flows crossing the cable in the region. Rates, loads, utilizations,
+saturation shares, FCTs and the event sequence are bit-identical to a
+global fill over every live demand, which
+:func:`repro.validation.twins.full_refill_reference` keeps as a
+reference twin (its fills are the ones ``perf_stats`` counts as
+``realloc_full``, 0 in production); only the ``filling_iterations``
+count differs (region fills count their own rounds and reruns).
 
 Monitoring queries are vectorized the same way:
 :meth:`batch_path_state_arrays` takes a ToR pair's dense ``(paths,
@@ -81,7 +84,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -106,7 +109,9 @@ from repro.simulator.reordering import reordering_retx_fraction_indexed
 _BYTES_EPSILON = 1.0  # flows within one byte of done are done
 
 #: What a fill with no live demand amounts to; the allocator is not called.
-_NO_FILL = Allocation([], 0, [], [])
+_NO_FILL = Allocation([], 0, [], [], [])
+
+_INF = float("inf")
 
 Listener = Callable[[Flow], None]
 
@@ -176,21 +181,27 @@ class Network:
         #: ids of the failed directed links: the refill's dead-demand test
         #: (``isdisjoint`` against a demand's link-id list).
         self._failed_ids: Set[int] = set()
-        #: persistent per-link allocated load (bits/s). Each refill zeroes
-        #: the retired links and writes the allocator's loads on the links
-        #: its rows cross (bit-exact, see maxmin_allocate_indexed).
+        #: persistent per-link allocated load (bits/s). Each refill writes
+        #: the loads of the links it covers (bit-exact, see
+        #: maxmin_allocate_indexed) and zero on those no live demand crosses.
         self._load_array = np.zeros(num_links, dtype=float)
+        #: persistent per-link saturation share: the level at which each
+        #: link saturated in the fill that last covered it, ``inf`` if it
+        #: did not. A pinned boundary demand's level is the minimum over
+        #: its links. A list, since the refill reads it one link at a time.
+        self._sat_levels: List[float] = [_INF] * num_links
 
-        #: live flow-link incidence index; its dirty marks pick what the
-        #: next refill re-fills.
+        #: live flow-link incidence index.
         self._components = FlowLinkComponents()
+        #: links whose flow set changed since the last fill and that
+        #: still carry a flow, and the links left without one.
+        self._changed_links: Set[int] = set()
+        self._vacated_links: Set[int] = set()
+        #: flows whose demands changed since the last fill: arrivals,
+        #: reroutes, and flows under a failed or restored cable.
+        self._changed_flows: Set[int] = set()
         #: the path tables' cable-id rows as int arrays (first :meth:`component`).
         self._cable_rows: Optional[Tuple[List[array], List[array]]] = None
-        #: unique-link-id arrays of flows that departed (completion, or the
-        #: old path at reroute) or whose demands a fail/restore killed or
-        #: revived, since the last fill — their load entries are zeroed by
-        #: the next dirty refill.
-        self._retired_link_ids: List[np.ndarray] = []
 
         #: ToR pair -> equal-cost path set, kept for one check battery:
         #: emptied by :meth:`check_invariants`, read by :meth:`host_path_at`.
@@ -247,8 +258,9 @@ class Network:
         self._stat_realloc_full = 0
         self._stat_realloc_incremental = 0
         self._stat_realloc_subset = 0
-        self._stat_components_touched = 0
+        self._stat_realloc_reruns = 0
         self._stat_flows_rerated = 0
+        self._stat_flows_boundary = 0
         self._stat_flows_preserved = 0
         self._stat_events_rescheduled = 0
         self._stat_events_preserved = 0
@@ -289,7 +301,8 @@ class Network:
         if len(flow.components) == 1:
             flow.path_history.append(flow.components[0].index)
         self.flows[flow.flow_id] = flow
-        self._components.attach(flow.flow_id, flow.unique_link_ids)
+        self._changed_links.update(self._components.attach(flow.flow_id, unique_link_ids))
+        self._changed_flows.add(flow.flow_id)
         self._stat_flows_started += 1
         if self.elephant_detector is None:
             self.engine.schedule_in(
@@ -322,10 +335,7 @@ class Network:
         unique_link_ids = self._unique_link_ids(flow.src, flow.dst, components)
         self._settle()
         self._adjust_link_counts(flow, -1)
-        # The old links' component is dirty (this flow's load leaves it)
-        # and the old link ids must be zeroed out of the load array.
-        self._components.detach(flow.flow_id)
-        self._retired_link_ids.append(flow.unique_link_ids)
+        self._detach(flow)
         flow.components = list(components)
         flow.unique_link_ids = unique_link_ids
         flow.component_rates = [0.0] * len(flow.components)
@@ -333,8 +343,12 @@ class Network:
         # the scalar settle twin and the store pass must agree between
         # the reroute and the coalesced refill that re-rates the flow.
         self.flow_store.rate_bps[flow.store_row] = 0.0
+        if len(flow.components) == 1:
+            # Only a striped flow reorders; the refill refreshes those.
+            flow.reorder_retx_fraction = 0.0
         self._adjust_link_counts(flow, +1)
-        self._components.attach(flow.flow_id, flow.unique_link_ids)
+        self._changed_links.update(self._components.attach(flow.flow_id, unique_link_ids))
+        self._changed_flows.add(flow.flow_id)
         self._stat_reroutes += 1
         if count_switch:
             flow.path_switches += 1
@@ -429,16 +443,24 @@ class Network:
 
         A dead cable must carry nothing from this instant, not from the
         next event-loop turn. The transition changes only which demands
-        of the flows crossing the cable are dead, so the fill is the
-        dirty fill of their component: the cable's links become dirty,
-        and every link of those flows is retired (zeroed before the
-        refill writes the loads of the demands still alive).
+        of the flows crossing the cable are dead, so those flows join the
+        region of the refill, which covers every link they cross.
         """
-        crossing = self._components.touch(ids)
-        if crossing:
-            self._retired_link_ids.append(np.array(crossing, dtype=np.intp))
+        self._touch(ids)
         self._stat_realloc_sync += 1
         self._reallocate()
+
+    def _detach(self, flow: Flow) -> None:
+        """Take a flow off the index and mark the links it left."""
+        shared, vacated = self._components.detach(flow.flow_id)
+        self._changed_links.update(shared)
+        self._vacated_links.update(vacated)
+
+    def _touch(self, link_ids: Sequence[int]) -> None:
+        """These links changed under their flows (a cable failed, came
+        back, or changed capacity): the flows crossing them join the next
+        refill's region."""
+        self._changed_flows.update(self._components.flows_on(link_ids))
 
     # -- switch state query API (what DARD monitors poll) ----------------------
 
@@ -528,28 +550,32 @@ class Network:
         * ``realloc_coalesced`` — requests absorbed into an already-pending
           zero-delay reallocation (the coalescing win);
         * ``realloc_sync`` — synchronous reallocations from fail/restore
-          (refills of the cable's component);
-        * ``realloc_demands`` — total demands handed to the allocator;
-        * ``filling_iterations`` — total progressive-filling rounds;
+          (refills whose region starts with the flows crossing the cable);
+        * ``realloc_demands`` — total demands handed to the allocator,
+          pinned boundary demands and reruns included;
+        * ``filling_iterations`` — total progressive-filling rounds, reruns
+          included;
         * ``realloc_time_s`` — wall time spent inside reallocation;
         * ``flows_started`` / ``flows_completed`` / ``reroutes`` — event
           counts, for cross-checking the counters above;
         * ``num_links`` — size of the link index.
 
-        Component-scoped reallocation keys:
+        Bottleneck-region reallocation keys:
 
-        * ``realloc_incremental`` / ``realloc_full`` — component-scoped
-          refills vs global fills; they sum to ``realloc_calls``. Only
-          the reference twin
-          (:func:`repro.validation.twins.full_refill_reference`) makes
-          global fills, so ``realloc_full`` reads 0 in production (the
-          key stays for the twin's runs and the benchmark reports);
-        * ``realloc_subset`` — component-scoped refills that re-rated
-          fewer flows than were live (the locality win);
-        * ``components_touched`` — exact flow-link components re-filled,
-          summed over component-scoped refills;
-        * ``flows_rerated`` / ``flows_preserved`` — flows re-water-filled
-          vs left untouched, summed over component-scoped refills;
+        * ``realloc_incremental`` / ``realloc_full`` — region refills vs
+          global fills; they sum to ``realloc_calls``. Only the reference
+          twin (:func:`repro.validation.twins.full_refill_reference`)
+          makes global fills, so ``realloc_full`` reads 0 in production
+          (the key stays for the twin's runs and the benchmark reports);
+        * ``realloc_subset`` — region refills that re-rated fewer flows
+          than were live (the locality win);
+        * ``realloc_reruns`` — region fills rerun because a boundary
+          demand was contradicted or could not be replayed;
+        * ``flows_rerated`` / ``flows_preserved`` — region flows
+          re-water-filled vs flows whose rates were left as they were,
+          summed over region refills;
+        * ``flows_boundary`` — boundary flows whose demands the accepted
+          fill pinned at their stored levels, summed over region refills;
         * ``events_rescheduled`` / ``events_preserved`` — completion-event
           updates whose fire time moved vs stayed identical (preserved
           events are still cancel+re-pushed so event ordering stays
@@ -580,8 +606,9 @@ class Network:
             "realloc_full": self._stat_realloc_full,
             "realloc_incremental": self._stat_realloc_incremental,
             "realloc_subset": self._stat_realloc_subset,
-            "components_touched": self._stat_components_touched,
+            "realloc_reruns": self._stat_realloc_reruns,
             "flows_rerated": self._stat_flows_rerated,
+            "flows_boundary": self._stat_flows_boundary,
             "flows_preserved": self._stat_flows_preserved,
             "events_rescheduled": self._stat_events_rescheduled,
             "events_preserved": self._stat_events_preserved,
@@ -880,42 +907,20 @@ class Network:
         self._realloc_pending = True
         self.engine.schedule_in(0.0, self._reallocate)
 
-    def _assemble_demands(
-        self, flows: Sequence[Flow]
-    ) -> Tuple[List[List[int]], List[float], List[Tuple[Flow, int]]]:
-        """Per-component (link-id rows, weights, owners) of live demands.
-
-        Components crossing a failed link are skipped — they carry nothing
-        until rerouted. Shared by the refill, :meth:`demand_rows` and the
-        full-refill reference twin, so the three can never drift apart.
-        Each row is the component's link-id list itself, not a copy.
-        """
-        rows: List[List[int]] = []
-        weights: List[float] = []
-        owners: List[Tuple[Flow, int]] = []
-        failed = self._failed_ids
-        for flow in flows:
-            for idx, component in enumerate(flow.components):
-                ids = component.link_ids
-                if failed and not failed.isdisjoint(ids):
-                    continue  # dead component: carries nothing until rerouted
-                rows.append(ids)
-                weights.append(component.weight)
-                owners.append((flow, idx))
-        return rows, weights, owners
-
     def demand_rows(
         self,
-    ) -> Tuple[List[List[int]], List[float], List[Tuple[Flow, int]]]:
+    ) -> Tuple[List[Sequence[int]], List[float], List[Tuple[Flow, int]]]:
         """``(rows, weights, owners)`` over all live demands.
 
-        Exactly the rows a global fill would run on right now — the
-        incremental-vs-full differential oracle feeds them to
-        ``maxmin_allocate_indexed`` and demands bit-equality with the live
-        ``component_rates``. ``rows[i]`` is the owning component's
-        link-id row: read it, never mutate it.
+        Exactly the rows a global fill would run on right now — a region
+        holding every live flow, with no boundary. The incremental-vs-full
+        differential oracle feeds them to ``maxmin_allocate_indexed`` and
+        demands bit-equality with the live ``component_rates``, as the
+        full-refill twin does with its fill. ``rows[i]`` is the owning
+        component's link-id row: read it, never mutate it.
         """
-        return self._assemble_demands(list(self.flows.values()))
+        rows, weights, _, _, owners, _ = self._assemble_region(list(self.flows), set(), set())
+        return rows, weights, owners
 
     def _reallocate(self) -> None:
         self._realloc_pending = False
@@ -932,17 +937,25 @@ class Network:
         flows: Sequence[Flow],
         owners: Sequence[Tuple[Flow, int]],
         rates: Sequence[float],
+        levels: Optional[Sequence[float]] = None,
     ) -> None:
         """Give every re-rated flow its fill's rates, list and store row.
 
         Each flow in ``flows`` gets a fresh ``component_rates`` list (dead
         components stay 0.0), and its store row one scalar write of that
         list's left-to-right sum: the rate column's bit-exact contract.
+        With ``levels``, only the free demands' rates are written; a pinned
+        boundary demand keeps the rate it has.
         """
         for flow in flows:
             flow.component_rates = [0.0] * len(flow.components)
-        for (flow, idx), rate in zip(owners, rates):
-            flow.component_rates[idx] = rate
+        if levels is None:
+            for (flow, idx), rate in zip(owners, rates):
+                flow.component_rates[idx] = rate
+        else:
+            for (flow, idx), rate, level in zip(owners, rates, levels):
+                if level == _INF:
+                    flow.component_rates[idx] = rate
         rate_col = self.flow_store.rate_bps
         for flow in flows:
             total = 0.0
@@ -950,70 +963,176 @@ class Network:
                 total += rate
             rate_col[flow.store_row] = total
 
-    def _refresh_reordering(
-        self, flows: Sequence[Flow], store_rows: Union[slice, List[int]]
-    ) -> None:
-        """Recompute the re-rated flows' reordering fractions after a splice.
+    def _refresh_reordering(self, flow: Flow) -> None:
+        """Recompute a striped flow's reordering fraction after a splice."""
+        flow.reorder_retx_fraction = reordering_retx_fraction_indexed(
+            flow.component_rates,
+            [component.link_ids for component in flow.components],
+            self._delay_array,
+            self._util_array,
+        )
 
-        ``store_rows`` indexes those flows' store rows. With no striped
-        flow among them (every scheduler but TeXCP) the reset is one
-        column write.
+    def _assemble_region(
+        self, flow_ids: Sequence[int], boundary: Set[int], fill_links: Set[int]
+    ) -> Tuple[
+        List[Sequence[int]],
+        List[float],
+        Optional[List[float]],
+        List[int],
+        List[Tuple[Flow, int]],
+        Set[int],
+    ]:
+        """The rows of a bottleneck-region fill over ``flow_ids`` (ascending).
+
+        A region flow's live demands come whole and free (level ``inf``).
+        A boundary flow's live demands that cross the fill come cut to the
+        fill's links and pinned: each one's level is the least saturation
+        share over all its links, and it is anchored when a link outside
+        the fill holds that share. Returns ``(rows, weights, levels,
+        anchored, owners, late)``; ``levels`` is ``None`` when nothing is
+        pinned, and ``late`` holds the boundary flows with a demand whose
+        rate is not its weight times its level, which the stored state
+        cannot replay.
         """
-        if any(len(flow.components) > 1 for flow in flows):
-            for flow in flows:
-                if len(flow.components) > 1:
-                    flow.reorder_retx_fraction = reordering_retx_fraction_indexed(
-                        flow.component_rates,
-                        [component.link_ids for component in flow.components],
-                        self._delay_array,
-                        self._util_array,
-                    )
-                else:
-                    flow.reorder_retx_fraction = 0.0
-        else:
-            self.flow_store.retx_fraction[store_rows] = 0.0
+        rows: List[Sequence[int]] = []
+        weights: List[float] = []
+        levels: List[float] = []
+        anchored: List[int] = []
+        owners: List[Tuple[Flow, int]] = []
+        late: Set[int] = set()
+        pinned = False
+        failed = self._failed_ids
+        sat = self._sat_levels
+        flows = self.flows
+        for flow_id in flow_ids:
+            flow = flows[flow_id]
+            free = flow_id not in boundary
+            for idx, component in enumerate(flow.components):
+                ids: Sequence[int] = component.link_ids
+                if failed and not failed.isdisjoint(ids):
+                    continue  # dead component: carries nothing until rerouted
+                level = _INF
+                if not free:
+                    inside = []
+                    outside = _INF
+                    for link in ids:
+                        share = sat[link]
+                        if link in fill_links:
+                            inside.append(link)
+                            if share < level:
+                                level = share
+                        elif share < outside:
+                            outside = share
+                    if not inside:
+                        continue
+                    if outside <= level:
+                        level = outside
+                        anchored.append(len(rows))
+                    if flow.component_rates[idx] != component.weight * level:
+                        late.add(flow_id)
+                    ids = inside
+                    pinned = True
+                rows.append(ids)
+                weights.append(component.weight)
+                levels.append(level)
+                owners.append((flow, idx))
+        return rows, weights, levels if pinned else None, anchored, owners, late
 
     def _refill_dirty(self) -> None:
-        """Water-fill only the components invalidated since the last fill.
+        """Re-fill the bottleneck region the changes since the last fill reach.
 
-        Exact by component decomposition (see DESIGN.md): every demand of a
-        dirty component — exactly the live flows connected to a link whose
-        flow set or failure state changed — is re-filled against the links'
-        full capacities, read from ``_cap_array`` on every fill, while
-        untouched components keep their rates, loads, utilizations, and
-        reordering fractions bit-for-bit. The allocator returns the loads
-        of the links the rows cross, so the splice is one pass: zero the
-        retired links, write those loads, refresh util and peak on them.
+        The region starts with the flows whose demands changed and the
+        flows on each changed link that was saturated. The fill covers
+        every link a region flow crosses and every changed link, and each
+        other flow crossing one of those links is the boundary: its
+        demands are pinned at their stored levels (see
+        :meth:`_assemble_region` and :func:`maxmin_allocate_indexed`). A
+        rate change travels only through saturated links, so unless a
+        pinned demand is contradicted the fill reproduces a global fill's
+        rates, loads and saturation shares on the links it covers, read
+        against ``_cap_array`` on every fill. A contradicted demand's flow
+        joins the region and the fill reruns; so does a boundary flow the
+        stored state cannot replay. The splice writes the region's rates,
+        the covered links' loads, utilizations, peaks and saturation
+        shares (zero load and ``inf`` where no live demand is left), and
+        refreshes the reordering fractions of the flows whose links it
+        touched. Everything else keeps its state bit for bit.
         """
-        touched, dirty_flow_ids = self._components.consume_dirty()
+        index = self._components
         flows = self.flows
-        dirty_flows = [flows[flow_id] for flow_id in dirty_flow_ids]
-        rows, weights, owners = self._assemble_demands(dirty_flows)
-        fill = maxmin_allocate_indexed(rows, weights, self._cap_array) if rows else _NO_FILL
-        self._write_rates(dirty_flows, owners, fill.rates)
+        sat = self._sat_levels
+        changed_links, self._changed_links = self._changed_links, set()
+        region, self._changed_flows = self._changed_flows, set()
+        region |= index.flows_on([link for link in changed_links if sat[link] != _INF])
+        fill, levels, owners = _NO_FILL, None, []
+        demands = iterations = 0
+        while True:
+            fill_links = index.links_of(region)
+            fill_links |= changed_links
+            boundary = index.flows_on(fill_links)
+            boundary -= region
+            if not region and not boundary:
+                break  # nothing left to fill
+            rows, weights, levels, anchored, owners, late = self._assemble_region(
+                sorted(region | boundary), boundary, fill_links
+            )
+            if late:
+                region |= late
+            else:
+                fill = (
+                    maxmin_allocate_indexed(rows, weights, self._cap_array, levels, anchored)
+                    if rows
+                    else _NO_FILL
+                )
+                demands += len(rows)
+                iterations += fill.iterations
+                if not fill.contradicted:
+                    break
+                region.update(owners[j][0].flow_id for j in fill.contradicted)
+            self._stat_realloc_reruns += 1
+        # Links a departure left without a flow are covered too: they
+        # read zero load from here on, with no lookup of their flows.
+        fill_links |= self._vacated_links
+        self._vacated_links = set()
+        region_flows = [flows[flow_id] for flow_id in sorted(region)]
+        if region_flows:
+            self._write_rates(region_flows, owners, fill.rates, levels)
         load, util = self._load_array, self._util_array
-        retired = self._retired_link_ids
-        for ids in retired:
-            load[ids] = 0.0
-            util[ids] = 0.0
-        retired.clear()
-        if rows:
-            ids = np.asarray(fill.links, dtype=np.intp)
+        links, shares = fill.links, fill.saturation
+        if isinstance(links, np.ndarray):  # a vectorized fill
+            links, shares = links.tolist(), shares.tolist()
+        if len(links) < len(fill_links):
+            # Covered links that no live demand crosses any more.
+            for link in fill_links.difference(links):
+                load[link] = 0.0
+                util[link] = 0.0
+                sat[link] = _INF
+        if links:
+            ids = np.array(links, dtype=np.intp)
             load[ids] = fill.loads
             fresh = load[ids] / self._cap_array[ids]
             util[ids] = fresh
             peak = self._peak_util_array
             peak[ids] = np.maximum(peak[ids], fresh)
-        self._stat_realloc_demands += len(rows)
-        self._stat_fill_iterations += fill.iterations
-        if dirty_flows:
-            self._refresh_reordering(dirty_flows, [flow.store_row for flow in dirty_flows])
+            for link, share in zip(links, shares):
+                sat[link] = share
+        # A striped flow's reordering fraction reads its links'
+        # utilizations; a single-path flow's is 0 (see reroute_flow).
+        for flow in region_flows:
+            if len(flow.components) > 1:
+                self._refresh_reordering(flow)
+        for flow_id in boundary:
+            flow = flows[flow_id]
+            if len(flow.components) > 1:
+                self._refresh_reordering(flow)
+        self._stat_realloc_demands += demands
+        self._stat_fill_iterations += iterations
         self._stat_realloc_incremental += 1
-        self._stat_components_touched += touched
-        if len(dirty_flows) < len(flows):
+        if len(region) < len(flows):
             self._stat_realloc_subset += 1
-        self._stat_flows_rerated += len(dirty_flows)
-        self._stat_flows_preserved += len(flows) - len(dirty_flows)
+        self._stat_flows_rerated += len(region)
+        self._stat_flows_boundary += len(boundary)
+        self._stat_flows_preserved += len(flows) - len(region)
 
     def _schedule_next_completion(self) -> None:
         old_handle = self._completion_handle
@@ -1072,8 +1191,8 @@ class Network:
         for flow in finished:
             flow.end_time = self.now
             self._adjust_link_counts(flow, -1)
-            self._components.detach(flow.flow_id)
-            self._retired_link_ids.append(flow.unique_link_ids)
+            self._detach(flow)
+            self._changed_flows.discard(flow.flow_id)
             if flow.is_elephant:
                 self._current_elephants -= 1
             del self.flows[flow.flow_id]

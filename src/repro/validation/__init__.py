@@ -9,7 +9,7 @@ Five layers, composable and individually importable:
   engine's after-event hook;
 * :mod:`repro.validation.oracles` — in-run differential oracles: indexed
   vs reference allocator, live network vs reference, the incremental
-  component-scoped reallocator vs a bit-exact full refill, the fluid
+  bottleneck-region reallocator vs a bit-exact full refill, the fluid
   simulator vs the packet-level TCP micro-simulator inside the
   documented 0.81-1.02x FCT agreement band, and the
   :class:`StormOracle` that screens every placement and reroute against

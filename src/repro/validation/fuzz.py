@@ -178,10 +178,10 @@ def inject_capacity_bug(network) -> None:
     tor = network.topology.tor_of(host)
     ids = [network.link_index.id_of(link) for link in ((host, tor), (tor, host))]
     network._cap_array[ids] *= 0.6
-    # Dirty the cable: with nothing dirty the refill would keep the flows
+    # Mark the cable changed: otherwise the refill would keep the flows
     # crossing it at their pre-corruption (still consistent) rates, and
     # the bug would not manifest until some demand joined or left them.
-    network._components.touch(ids)
+    network._touch(ids)
 
 
 def inject_storm_bug(network) -> None:

@@ -12,8 +12,9 @@ plane, scalar settle loops — live in :mod:`repro.validation.twins`):
   component rates against a from-scratch reference allocation over its
   own flow state (catches divergence anywhere in the row assembly /
   caching layer, e.g. a perturbed capacity array entry);
-* **incremental vs full** — the component-scoped refill's live rates and
-  persistent link loads against a from-scratch full fill, bit for bit;
+* **incremental vs full** — the region refill's live rates, persistent
+  link loads and saturation shares against a from-scratch global fill,
+  bit for bit;
 * **fluid vs packet** — the fluid simulator's FCTs against the
   packet-level TCP micro-simulator on the documented validation
   scenarios, enforcing the 0.81-1.02x agreement band from
@@ -176,21 +177,23 @@ def check_network_against_reference(network: Network) -> None:
 
 
 def check_incremental_against_full(network: Network) -> None:
-    """Oracle the incremental reallocator against a from-scratch full fill.
+    """Oracle the region refill against a from-scratch global fill.
 
-    Bit-exactness, not tolerance: component decomposition of max-min
-    fairness is exact, and the dirty refill replays the same float
-    operations in the same order as a global fill restricted to the
-    component, so every live ``component_rates`` entry and every
-    persistent link-load entry must equal the full recomputation
-    *bit-for-bit*. Any epsilon here means the splice logic lost a link,
-    kept a stale rate, or reordered an accumulation — exactly the bugs an
+    Bit-exactness, not tolerance: a rate change travels only through
+    saturated links, and the region fill replays the boundary's freezes
+    in the global fill's order, so every live ``component_rates`` entry,
+    every persistent link-load entry and every persistent saturation
+    share must equal the global recomputation *bit-for-bit*. The
+    boundary replay reads those shares, so they are audited like the
+    loads. Any epsilon here means the splice lost a link, kept a stale
+    rate or share, or reordered an accumulation — exactly the bugs an
     approximate comparison would mask. No-ops while a realloc is pending.
     """
     if network.realloc_pending:
         return
     rows, weights, owners = network.demand_rows()
-    expected = maxmin_allocate_indexed(rows, weights, network._cap_array).rates
+    fill = maxmin_allocate_indexed(rows, weights, network._cap_array)
+    expected = fill.rates
     for (flow, idx), want in zip(owners, expected):
         got = flow.component_rates[idx]
         if got != want:
@@ -209,6 +212,18 @@ def check_incremental_against_full(network: Network) -> None:
             f"persistent load of link {network.link_index.links[bad]} is "
             f"{network._load_array[bad]!r} but a full recount gives "
             f"{expected_load[bad]!r} (bit-exact contract)",
+        )
+    expected_sat = [float("inf")] * len(network.link_index)
+    for link, share in zip(fill.links, fill.saturation):
+        expected_sat[link] = share
+    sat = network._sat_levels
+    if expected_sat != sat:
+        bad = next(link for link, share in enumerate(sat) if share != expected_sat[link])
+        raise OracleViolation(
+            "incremental-vs-full",
+            f"saturation share of link {network.link_index.links[bad]} is "
+            f"{sat[bad]!r} but a full fill gives {expected_sat[bad]!r} "
+            "(bit-exact contract)",
         )
 
 

@@ -10,8 +10,8 @@ through seams that already exist:
 * a per-network install through ``run_scenario(instrument=...)`` —
   :data:`SCALAR_SETTLE` swaps one network's settle / completion-ETA /
   finisher passes for the scalar per-flow loops, and :data:`FULL_REFILL`
-  swaps its component-scoped refill for the global fill over every live
-  demand;
+  swaps its bottleneck-region refill for the global fill over every
+  live demand;
 * a scoped class-level install that puts the original class attributes
   back on exit — :data:`SCALAR_CONTROL_PLANE` puts the original
   per-monitor DARD control plane (path states assembled one
@@ -112,37 +112,43 @@ def install_scalar_settle(network: Network) -> None:
 def full_refill_reference(network: Network) -> None:
     """Global water-fill over every live demand — twin of ``Network._refill_dirty``.
 
-    Re-fills every live flow, not just the dirty components, and splices
-    fabric-wide: every link is retired and the fill's links get their
-    loads back. Rates, loads and utilizations must come out bit-identical
-    to the component-scoped refill; ``filling_iterations`` differs, since
-    one global fill counts a symmetric tie across components as one round.
+    Re-fills every live flow, not just a bottleneck region, and splices
+    fabric-wide: every link loses its load and saturation share, and the
+    fill's links get theirs back. Rates, loads, utilizations and
+    saturation shares must come out bit-identical to the region refill;
+    ``filling_iterations`` differs, since one global fill counts a
+    symmetric tie across the fabric as one round.
     """
     flows = list(network.flows.values())
-    rows, weights, owners = network._assemble_demands(flows)
+    rows, weights, owners = network.demand_rows()
     fill = maxmin_allocate_indexed(rows, weights, network._cap_array) if rows else _NO_FILL
     network._write_rates(flows, owners, fill.rates)
-    # Splice, fabric-wide: every link is retired, and the fill's links
-    # get their loads back.
+    # Splice, fabric-wide.
     load = network._load_array
     load[:] = 0.0
     load[fill.links] = fill.loads
+    sat = np.full(load.size, np.inf)
+    sat[fill.links] = fill.saturation
+    network._sat_levels[:] = sat.tolist()
     np.divide(load, network._cap_array, out=network._util_array)
     np.maximum(network._peak_util_array, network._util_array, out=network._peak_util_array)
     network._stat_realloc_demands += len(rows)
     network._stat_fill_iterations += fill.iterations
-    network._refresh_reordering(flows, slice(0, network.flow_store.size))
+    for flow in flows:
+        if len(flow.components) > 1:
+            network._refresh_reordering(flow)
     network._stat_realloc_full += 1
-    # A full fill leaves nothing dirty.
-    network._components.discard_dirty()
-    network._retired_link_ids.clear()
+    # A full fill leaves nothing changed.
+    network._changed_links.clear()
+    network._vacated_links.clear()
+    network._changed_flows.clear()
 
 
 def install_full_refill(network: Network) -> None:
-    """Swap one network's component-scoped refill for the global fill.
+    """Swap one network's region refill for the global fill.
 
-    The flow-link index still records every attach and detach; the
-    global fill discards its dirty marks instead of walking them.
+    The network still records every change; the global fill drops the
+    marks instead of building a region from them.
     """
     network._refill_dirty = functools.partial(  # type: ignore[method-assign]
         full_refill_reference, network

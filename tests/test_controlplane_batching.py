@@ -107,7 +107,7 @@ class TestMonitorRegistry:
         net = Network(topology)
         registry = MonitorRegistry(net)
         pair = hosted_pair_with_most_paths(topology)
-        monitor = PathMonitor(net, *pair, MessageLedger(), registry)
+        monitor = PathMonitor(*pair, MessageLedger(), registry)
         paths = monitor.paths
         assert len(paths) > 1
         src, dst = (sorted(topology.hosts_of_tor(tor))[0] for tor in pair)
@@ -136,7 +136,7 @@ class TestMonitorRegistry:
         start_on(len(paths) - 1)
         net.engine.run_until(21.0)
         net.fail_link(*paths[-1][-2:])
-        later = PathMonitor(net, *pair, MessageLedger(), registry)
+        later = PathMonitor(*pair, MessageLedger(), registry)
         assert later.pair_paths is monitor.pair_paths
         poll_and_check(later)
         poll_and_check(monitor)
@@ -147,8 +147,8 @@ class TestMonitorRegistry:
         net = make_network()
         registry = MonitorRegistry(net)
         ledger = MessageLedger()
-        first = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry)
-        second = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, registry)
+        first = PathMonitor("tor_0_0", "tor_1_0", ledger, registry)
+        second = PathMonitor("tor_0_0", "tor_1_0", ledger, registry)
         start_flow_on(net, "h_0_0_0", "h_1_0_0", 0)
         net.engine.run_until(10.5)
         first.refresh()
@@ -316,9 +316,7 @@ class TestExecutionPathEquivalence:
 class TestTwoSidedOptimisticUpdate:
     def test_note_shift_updates_both_paths(self):
         net = make_network()
-        monitor = PathMonitor(
-            net, "tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net)
-        )
+        monitor = PathMonitor("tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net))
         monitor.path_states = [PathState(100 * MBPS, 2), PathState(100 * MBPS, 0),
                                PathState(100 * MBPS, 0), PathState(100 * MBPS, 0)]
         monitor.note_shift(0, 2)
@@ -326,9 +324,7 @@ class TestTwoSidedOptimisticUpdate:
 
     def test_note_shift_never_goes_negative(self):
         net = make_network()
-        monitor = PathMonitor(
-            net, "tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net)
-        )
+        monitor = PathMonitor("tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net))
         monitor.note_shift(0, 1)  # vacated path already at 0
         assert monitor.state_eleph.tolist() == [0, 1, 0, 0]
 

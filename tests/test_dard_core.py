@@ -81,7 +81,7 @@ class TestPathMonitor:
             [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
         )
         net.engine.run_until(10.5)  # promoted at 10 s
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", MessageLedger(), scheduler.registry)
+        monitor = PathMonitor("tor_0_0", "tor_1_0", MessageLedger(), scheduler.registry)
         monitor.refresh()
         states = monitor.path_states
         assert states[0].flow_numbers == 1
@@ -94,7 +94,7 @@ class TestPathMonitor:
     def test_query_message_accounting(self, fattree4):
         net = Network(fattree4)
         ledger = MessageLedger()
-        monitor = PathMonitor(net, "tor_0_0", "tor_1_0", ledger, MonitorRegistry(net))
+        monitor = PathMonitor("tor_0_0", "tor_1_0", ledger, MonitorRegistry(net))
         monitor.refresh()
         n = len(switches_to_query(fattree4, "tor_0_0", "tor_1_0"))
         assert monitor.num_query_switches == n
@@ -104,9 +104,7 @@ class TestPathMonitor:
 
     def test_path_index_lookup(self, fattree4):
         net = Network(fattree4)
-        monitor = PathMonitor(
-            net, "tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net)
-        )
+        monitor = PathMonitor("tor_0_0", "tor_1_0", MessageLedger(), MonitorRegistry(net))
         for i, path in enumerate(monitor.paths):
             assert monitor.path_index(path) == i
         with pytest.raises(KeyError):

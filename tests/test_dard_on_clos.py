@@ -30,9 +30,7 @@ def clos_ctx():
 class TestDardOnClos:
     def test_monitor_covers_all_2da_paths(self, clos_ctx):
         ctx, scheduler = clos_ctx
-        monitor = PathMonitor(
-            ctx.network, "tor_0", "tor_2", MessageLedger(), MonitorRegistry(ctx.network)
-        )
+        monitor = PathMonitor("tor_0", "tor_2", MessageLedger(), MonitorRegistry(ctx.network))
         assert len(monitor.paths) == 8  # 2 * D_A
 
     def test_query_set_covers_paths(self, clos_ctx):

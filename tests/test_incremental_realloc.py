@@ -1,13 +1,15 @@
-"""Component-scoped reallocation: equivalence and telemetry.
+"""Bottleneck-region reallocation: equivalence and telemetry.
 
-The contract under test is bit-exactness: the network's component-scoped
-refill must produce exactly the flow records — same ids, same start/end
-times to the last float bit, same path switches — as the same scenario
+The contract under test is bit-exactness: the network's region refill
+must produce exactly the flow records — same ids, same start/end times
+to the last float bit, same path switches — as the same scenario
 re-filled globally on every membership change, which the
 :data:`~repro.validation.twins.FULL_REFILL` twin runs. The fuzz-backed
-cases route every event through the live differential oracle
+cases and the property test route every step through the live
+differential oracle
 (:func:`~repro.validation.oracles.check_incremental_against_full`) as
-well, so a splice bug fails at the event where it happens, not at the end.
+well — rates, loads and saturation shares — so a splice or replay bug
+fails at the step where it happens, not at the end.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from repro.common.units import MB, MBPS
 from repro.experiments.runner import ScenarioConfig
 from repro.simulator import Network
 from repro.simulator.components import FlowLinkComponents
+from repro.simulator.reordering import reordering_retx_fraction_indexed
 from repro.topology import FatTree
 from repro.validation.fuzz import random_scenario, run_case
 from repro.validation.oracles import check_incremental_against_full
@@ -67,16 +70,28 @@ def _stride_network(full_refill=False):
     return net, flows
 
 
-def _component_of(comps, flow_id):
-    """Ids of the live flows connected to ``flow_id`` through shared links."""
-    link_flows, flow_links = comps.link_flows(), comps.flow_links()
-    seen, stack = {flow_id}, [flow_id]
-    while stack:
-        for link in flow_links[stack.pop()]:
-            for other in link_flows[link] - seen:
-                seen.add(other)
-                stack.append(other)
-    return seen
+def _fattree():
+    return Network(FatTree(p=4, link_bandwidth_bps=100 * MBPS))
+
+
+def _via(net, src, dst, core, weight=1.0):
+    """The component from ``src`` to ``dst`` whose path crosses ``core``."""
+    topo = net.topology
+    paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+    index = next(k for k, path in enumerate(paths) if core in path)
+    return net.component(src, dst, paths, index, weight)
+
+
+def _start(net, src, dst, core, size=64e6):
+    return net.start_flow(src, dst, size, [_via(net, src, dst, core)])
+
+
+def _settled(net):
+    """Run the pending zero-delay refill, then audit it against a global fill."""
+    net.engine.run_until(net.now)
+    check_incremental_against_full(net)
+    net.check_invariants()
+    return net.perf_stats()
 
 
 class TestEquivalence:
@@ -118,6 +133,20 @@ class TestEquivalence:
         )
         with pytest.raises(OracleViolation):
             check_incremental_against_full(net)
+
+    def test_oracle_catches_a_stale_saturation_share(self):
+        from repro.common.errors import OracleViolation
+        import math
+
+        net, flows = _stride_network()
+        link = int(flows[0].unique_link_ids[0])
+        share = net._sat_levels[link]
+        assert share < float("inf")
+        net._sat_levels[link] = math.nextafter(share, 0.0)
+        with pytest.raises(OracleViolation, match="saturation share"):
+            check_incremental_against_full(net)
+        net._sat_levels[link] = share
+        check_incremental_against_full(net)
 
 
 class TestTelemetry:
@@ -161,67 +190,21 @@ class TestTelemetry:
 class TestComponentStructure:
     def test_attach_detach_membership(self):
         comps = FlowLinkComponents()
-        comps.attach(1, np.array([0, 1], dtype=np.intp))
+        assert comps.attach(1, np.array([0, 1], dtype=np.intp)) == [0, 1]
         comps.attach(2, np.array([3, 4], dtype=np.intp))
-        assert comps.consume_dirty() == (2, [1, 2])
-        # A flow spanning both joins them into one component.
         comps.attach(3, np.array([1, 3], dtype=np.intp))
-        assert comps.consume_dirty() == (1, [1, 2, 3])
-        # Its departure disconnects them again, at once: the links it left
-        # now belong to two components.
-        comps.detach(3)
-        assert comps.consume_dirty() == (2, [1, 2])
+        assert comps.flows_on([1]) == {1, 3}
+        assert comps.flows_on([0, 4, 9]) == {1, 2}
+        assert comps.links_of([1, 2]) == {0, 1, 3, 4}
+        # A departure returns the links whose flow sets it changed, split
+        # into those other flows still cross and those it left empty, and
+        # leaves no empty entry behind.
+        assert comps.detach(3) == ([1, 3], [])
         assert comps.link_flows() == {0: {1}, 1: {1}, 3: {2}, 4: {2}}
         assert comps.flow_links() == {1: [0, 1], 2: [3, 4]}
-
-    def test_touch_dirties_a_cable_and_names_its_flows_links(self):
-        comps = FlowLinkComponents()
-        comps.attach(1, np.array([0, 1], dtype=np.intp))
-        comps.attach(2, np.array([3, 4], dtype=np.intp))
-        comps.attach(3, np.array([1, 5], dtype=np.intp))
-        comps.consume_dirty()
-        # Link 7 carries no flow: it names nothing and walks nothing.
-        assert comps.touch([0, 7]) == [0, 1]
-        assert comps.consume_dirty() == (1, [1, 3])
-        assert comps.touch([9]) == []
-        assert comps.consume_dirty() == (0, [])
-        # Touching changes no membership.
-        assert comps.flow_links() == {1: [0, 1], 2: [3, 4], 3: [1, 5]}
-
-    def test_consume_dirty_returns_component_flows(self):
-        comps = FlowLinkComponents()
-        comps.attach(7, np.array([0, 1], dtype=np.intp))
-        comps.attach(8, np.array([2, 3], dtype=np.intp))
-        touched, flow_ids = comps.consume_dirty()
-        assert touched == 2 and flow_ids == [7, 8]
-        # Consuming clears the dirty set.
-        assert comps.consume_dirty() == (0, [])
-        # Only the component a change touches comes back.
-        comps.attach(9, np.array([1, 5], dtype=np.intp))
-        assert comps.consume_dirty() == (1, [7, 9])
-        # Links a departure leaves empty name no component.
-        comps.detach(8)
-        assert comps.consume_dirty() == (0, [])
-        assert 2 not in comps.link_flows() and 3 not in comps.link_flows()
-
-    def test_departure_splits_a_live_network_component(self):
-        net, flows = _stride_network()
-        topo = net.topology
-        # A bridge flow shares the first flow's source access link and the
-        # second flow's destination access link, joining them.
-        src, dst = "h_0_0_0", "h_3_0_0"
-        paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
-        bridge = net.start_flow(src, dst, 1e6, [net.component(src, dst, paths, 0)])
-        comps = net._components
-        assert flows[1].flow_id in _component_of(comps, flows[0].flow_id)
-        # The bridge (1 MB) finishes first; its departure splits them, so
-        # the refill it triggers re-rates both halves as two components.
-        touched = net.perf_stats()["components_touched"]
-        net.engine.run_until(net.engine.now + 1.0)
-        assert not bridge.active and flows[0].active and flows[1].active
-        assert flows[1].flow_id not in _component_of(comps, flows[0].flow_id)
-        assert net.perf_stats()["components_touched"] == touched + 1 + 2
-        net.check_invariants()
+        assert (comps.flow_count(1), comps.flow_count(9)) == (1, 0)
+        assert comps.detach(2) == ([], [3, 4])
+        assert comps.link_flows() == {0: {1}, 1: {1}}
 
     def test_invariants_catch_a_stale_index_entry(self):
         from repro.common.errors import InvariantViolation
@@ -229,8 +212,8 @@ class TestComponentStructure:
         net, flows = _stride_network()
         net.check_invariants()
         comps = net._components
-        # A departed flow left on one link: a stale id the walk would
-        # follow into a dead flow.
+        # A departed flow left on one link: a stale id a region would
+        # pull into the boundary.
         link = int(flows[0].unique_link_ids[0])
         comps._link_flows[link].add(99)
         with pytest.raises(InvariantViolation, match="component-index"):
@@ -245,70 +228,176 @@ class TestComponentStructure:
             net.check_invariants()
 
 
-def _brute_force_dirty(live_links, touched):
-    """Components of the live flow-link graph that contain a touched link.
+class TestBottleneckRegion:
+    """Hand-built regions: what a change re-rates, and what reruns it."""
 
-    Merges flow groups sharing any link until nothing changes — a
-    from-scratch fixpoint, independent of the index and its walk.
-    """
-    groups = [({flow_id}, set(links)) for flow_id, links in live_links.items()]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if groups[i][1] & groups[j][1]:
-                    groups[i] = (groups[i][0] | groups[j][0], groups[i][1] | groups[j][1])
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    hit = [flow_ids for flow_ids, links in groups if links & touched]
-    return len(hit), sorted(set().union(*hit))
+    def test_departure_from_unsaturated_core_rerates_nothing_past_saturation(self):
+        net = _fattree()
+        # Five flows from h_0_1_0 hold each other to 20 Mbps at its access
+        # link; one of them, A, shares core_0_0 with D.
+        crowd = [
+            _start(net, "h_0_1_0", dst, core)
+            for dst, core in (
+                ("h_1_1_0", "core_0_0"),
+                ("h_2_0_0", "core_0_1"),
+                ("h_2_1_0", "core_1_0"),
+                ("h_3_0_0", "core_1_1"),
+                ("h_3_1_0", "core_1_0"),
+            )
+        ]
+        a = crowd[0]
+        # D and its host-mate E split h_0_0_0's access link at 50 Mbps;
+        # D is small, so it leaves first. core_0_0 carries 20 + 50 < 100.
+        d = _start(net, "h_0_0_0", "h_1_0_0", "core_0_0", size=1e6)
+        e = _start(net, "h_0_0_0", "h_2_0_1", "core_1_0")
+        _settled(net)
+        core_links = [
+            net.link_index.id_of(link)
+            for link in (("agg_0_0", "core_0_0"), ("core_0_0", "agg_1_0"))
+        ]
+        assert all(net._sat_levels[link] == float("inf") for link in core_links)
+        before = net.perf_stats()
+        kept = {flow.flow_id: flow.component_rates for flow in crowd}
+        net.engine.run_until(net.now + 0.5)
+        after = _settled(net)
+        assert not d.active and e.active
+        # E alone joins the region (D's saturated access link) and rises
+        # to what core_1_0 leaves it beside two crowd flows. A rides the
+        # unsaturated core link D left as pinned boundary, and so do the
+        # crowd flows E meets: no crowd flow is re-rated.
+        assert after["flows_rerated"] - before["flows_rerated"] == 1
+        assert after["realloc_reruns"] == before["realloc_reruns"]
+        assert all(flow.component_rates is kept[flow.flow_id] for flow in crowd)
+        assert e.component_rates == [60e6]
+        assert a.component_rates == [20e6]
+
+    def test_two_hop_cascade_forces_reruns(self):
+        net = _fattree()
+        # X and Z split h_0_0_0's access link at 50 Mbps; X crosses
+        # core_0_0, which nothing else uses yet.
+        x = _start(net, "h_0_0_0", "h_1_0_0", "core_0_0")
+        z = _start(net, "h_0_0_0", "h_2_0_1", "core_1_0")
+        _settled(net)
+        before = net.perf_stats()
+        # Two arrivals on core_0_0 in one refill: the core link now
+        # saturates at 33.3 Mbps, below X's pinned 50 (a rerun with X in
+        # the region), and X's drop leaves Z room on the access link,
+        # above Z's pinned 50 (a second rerun with Z in it).
+        r1 = _start(net, "h_0_1_0", "h_1_1_0", "core_0_0")
+        r2 = _start(net, "h_0_1_1", "h_1_1_1", "core_0_0")
+        after = _settled(net)
+        assert after["realloc_reruns"] - before["realloc_reruns"] == 2
+        assert after["flows_rerated"] - before["flows_rerated"] == 4
+        third = 100e6 / 3
+        assert [f.component_rates[0] for f in (x, r1, r2)] == [third] * 3
+        assert z.component_rates[0] == 100e6 - third
+
+    def test_boundary_freeze_ties_exactly_with_a_region_link(self):
+        net = _fattree()
+        x = _start(net, "h_0_0_0", "h_1_0_0", "core_0_0")
+        _start(net, "h_0_0_0", "h_2_0_1", "core_1_0")
+        _settled(net)
+        before = net.perf_stats()
+        kept = x.component_rates
+        # R shares only core_0_0 with X: the core link saturates at
+        # 100 / 2 = 50 Mbps, exactly X's pinned level, in one round.
+        r = _start(net, "h_0_1_0", "h_1_1_0", "core_0_0")
+        after = _settled(net)
+        assert after["realloc_reruns"] == before["realloc_reruns"]
+        assert after["flows_rerated"] - before["flows_rerated"] == 1
+        assert after["flows_boundary"] - before["flows_boundary"] >= 1
+        assert x.component_rates is kept
+        assert r.component_rates == [50e6]
+        core = net.link_index.id_of(("agg_0_0", "core_0_0"))
+        assert net._sat_levels[core] == 50e6
+
+    def test_weighted_striped_demand_in_the_boundary(self):
+        net = _fattree()
+        # W stripes over core_0_0 (weight 0.25) and core_0_1 (0.75): its
+        # access links freeze both strands at level 100 Mbps.
+        w = net.start_flow(
+            "h_0_0_0",
+            "h_1_0_0",
+            64e6,
+            [
+                _via(net, "h_0_0_0", "h_1_0_0", "core_0_0", 0.25),
+                _via(net, "h_0_0_0", "h_1_0_0", "core_0_1", 0.75),
+            ],
+        )
+        crowd = [
+            _start(net, "h_0_1_0", dst, "core_1_0")
+            for dst in ("h_2_0_0", "h_2_1_0", "h_3_0_0")
+        ]
+        _settled(net)
+        assert w.component_rates == [25e6, 75e6]
+        before = net.perf_stats()
+        kept = w.component_rates
+        # R joins h_0_1_0's crowd at 25 Mbps and crosses core_0_1 with W's
+        # heavy strand: 100 - 25 = 75 Mbps over weight 0.75 ties W's level
+        # 100 exactly, so W stays pinned in the boundary.
+        r = _start(net, "h_0_1_0", "h_1_1_0", "core_0_1")
+        after = _settled(net)
+        assert after["realloc_reruns"] == before["realloc_reruns"]
+        assert w.component_rates is kept
+        assert r.component_rates == [25e6]
+        assert all(flow.component_rates == [25e6] for flow in crowd)
+        # W's reordering fraction reads the utilization R changed.
+        want = reordering_retx_fraction_indexed(
+            w.component_rates,
+            [component.link_ids for component in w.components],
+            net._delay_array,
+            net._util_array,
+        )
+        assert w.reorder_retx_fraction == want
 
 
-_ops = st.lists(
+#: One random step: (kind, a, b), two draws the step interprets.
+_steps = st.lists(
     st.tuples(
-        st.sampled_from(["attach", "detach", "reroute", "consume"]),
-        st.integers(min_value=0, max_value=1_000),
-        st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=4),
+        st.sampled_from(["attach", "attach", "detach", "reroute", "fail", "restore"]),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
     ),
-    max_size=40,
+    max_size=30,
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(_ops)
-def test_consume_dirty_matches_brute_force_search(ops):
-    comps = FlowLinkComponents()
-    live = {}
-    touched = set()
-    next_id = 0
-    for kind, pick, links in ops + [("consume", 0, [0])]:
-        links = sorted(set(links))
-        if kind == "attach" or (kind != "consume" and not live):
-            comps.attach(next_id, np.array(links, dtype=np.intp))
-            live[next_id] = links
-            touched.update(links)
-            next_id += 1
-        elif kind == "consume":
-            assert comps.consume_dirty() == _brute_force_dirty(live, touched)
-            touched = set()
-        else:
-            flow_id = sorted(live)[pick % len(live)]
-            comps.detach(flow_id)
-            touched.update(live.pop(flow_id))
-            if kind == "reroute":
-                comps.attach(flow_id, np.array(links, dtype=np.intp))
-                live[flow_id] = links
-                touched.update(links)
-        expected = {}
-        for flow_id, flow_links in live.items():
-            for link in flow_links:
-                expected.setdefault(link, set()).add(flow_id)
-        assert comps.link_flows() == expected
-        assert comps.flow_links() == live
+@settings(max_examples=80, deadline=None)
+@given(_steps)
+def test_region_refill_matches_a_global_fill(steps):
+    # After every step, rates, loads and saturation shares must equal one
+    # global fill bit for bit (the oracle), and the base invariants hold.
+    net = _fattree()
+    topo = net.topology
+    hosts = sorted(topo.hosts())
+    cables = sorted((link.u, link.v) for link in topo.links())
+    for kind, a, b in steps:
+        live = sorted(net.flows)
+        if kind == "attach":
+            src = hosts[a % len(hosts)]
+            dst = hosts[(a + 1 + b % (len(hosts) - 1)) % len(hosts)]
+            paths = topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst))
+            if b % 3 == 0 and len(paths) > 1:
+                # A TeXCP-style striped flow with unequal weights.
+                components = [
+                    net.component(src, dst, paths, k, weight)
+                    for k, weight in ((a % len(paths), 0.25), ((a + 1) % len(paths), 0.75))
+                ]
+            else:
+                components = [net.component(src, dst, paths, b % len(paths))]
+            net.start_flow(src, dst, 1e6 * (1 + b % 16), components)
+        elif kind == "detach":
+            # Let time pass: whatever completes in it departs.
+            net.engine.run_until(net.now + (1 + b % 50) / 100)
+        elif kind == "reroute" and live:
+            flow = net.flows[live[a % len(live)]]
+            paths = topo.equal_cost_paths(topo.tor_of(flow.src), topo.tor_of(flow.dst))
+            net.reroute_flow(flow, [net.component(flow.src, flow.dst, paths, b % len(paths))])
+        elif kind == "fail":
+            net.fail_link(*cables[a % len(cables)])
+        elif kind == "restore" and net.failed_links:
+            net.restore_link(*sorted(net.failed_links)[a % len(net.failed_links)])
+        _settled(net)
 
 
 def _pair_hops(net, paths):

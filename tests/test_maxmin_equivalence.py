@@ -9,10 +9,12 @@ shares tie exactly, which perturbs nothing beyond floating-point ulps.
 
 The indexed allocator's two start regimes (the lazy heap from round 0
 and vectorized rounds first) are held to a stricter bar: bit-identical
-rates, iteration counts and link loads on the same rows, with the loads
-equal to an independent recount. So is partition invariance: filling
-components in separate calls reproduces one combined fill bit for bit,
-even when symmetric shares tie exactly across components.
+rates, iteration counts, link loads and saturation shares on the same
+rows, with the loads equal to an independent recount. So is partition
+invariance: filling components in separate calls reproduces one
+combined fill bit for bit, even when symmetric shares tie exactly
+across components, and so does filling a random region with every
+other demand on its links pinned at its level in the combined fill.
 """
 
 import math
@@ -201,6 +203,11 @@ def _loads_by_link(fill):
     return dict(zip(np.asarray(fill.links).tolist(), np.asarray(fill.loads).tolist()))
 
 
+def _shares_by_link(fill):
+    """A fill's saturation shares keyed by global link id."""
+    return dict(zip(np.asarray(fill.links).tolist(), np.asarray(fill.saturation).tolist()))
+
+
 def assert_regimes_agree(rows, weights, capacities):
     """Both start regimes and the entry point agree bit for bit on one fill."""
     heap = _heap_fill(rows, weights, capacities)
@@ -208,6 +215,7 @@ def assert_regimes_agree(rows, weights, capacities):
     assert heap.rates == array.rates
     assert heap.iterations == array.iterations
     assert _loads_by_link(heap) == _loads_by_link(array)
+    assert _shares_by_link(heap) == _shares_by_link(array)
     recount = link_loads_indexed(rows, heap.rates, capacities.size)
     np.testing.assert_array_equal(recount[np.asarray(heap.links)], heap.loads)
     assert np.count_nonzero(recount) <= len(heap.links)
@@ -215,6 +223,10 @@ def assert_regimes_agree(rows, weights, capacities):
     assert fill.rates == array.rates
     assert fill.iterations == array.iterations
     assert _loads_by_link(fill) == _loads_by_link(array)
+    # Every demand froze in a round some link of its row tied in.
+    shares = _shares_by_link(fill)
+    for row, weight, rate in zip(rows, weights, fill.rates):
+        assert rate == weight * min(shares[link] for link in row)
 
 
 class TestStartRegimes:
@@ -269,3 +281,57 @@ class TestPartitionInvariance:
             loads.update(_loads_by_link(fill))
         assert rates == combined.rates
         assert loads == _loads_by_link(combined)
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    def test_pinned_boundary_reproduces_the_combined_fill(self, seed, tie_heavy):
+        # The network's region fill: a random region's demands free, every
+        # other demand crossing the region's links cut to those links and
+        # pinned at its level in the combined fill (anchored when a link
+        # outside holds it there). Nothing contradicts a pin taken from
+        # the same fill, and the region's rates and its links' loads and
+        # saturation shares come back bit for bit.
+        rng = random.Random(9000 + seed)
+        rows, weights, capacities = random_rows(rng, rng.randint(2, 120), tie_heavy)
+        combined = maxmin_allocate_indexed(rows, weights, capacities)
+        shares = _shares_by_link(combined)
+        region = set(rng.sample(range(len(rows)), rng.randint(1, max(1, len(rows) // 4))))
+        covered = {link for j in region for link in rows[j]}
+        sub_rows, sub_weights, levels, anchored, picked = [], [], [], [], []
+        for j, row in enumerate(rows):
+            level = float("inf")
+            if j not in region:
+                inside = [link for link in row if link in covered]
+                if not inside:
+                    continue
+                level = min(shares[link] for link in row)
+                assert combined.rates[j] == weights[j] * level
+                outside = [shares[link] for link in row if link not in covered]
+                if min(outside, default=float("inf")) <= level:
+                    anchored.append(len(sub_rows))
+                row = inside
+            sub_rows.append(row)
+            sub_weights.append(weights[j])
+            levels.append(level)
+            picked.append(j)
+        fill = maxmin_allocate_indexed(sub_rows, sub_weights, capacities, levels, anchored)
+        assert list(fill.contradicted) == []
+        assert fill.rates == [combined.rates[j] for j in picked]
+        assert _shares_by_link(fill) == {link: shares[link] for link in covered}
+        loads = _loads_by_link(combined)
+        assert _loads_by_link(fill) == {link: loads[link] for link in covered}
+
+    def test_a_pin_the_fill_cannot_hold_is_contradicted(self):
+        # Demand 1 is pinned at 40 on link 0 alone, but link 0 (capacity
+        # 100, shared with free demand 0) saturates at 50: no link holds
+        # the pin, so the fill reports it. Anchored at 40 instead, it is
+        # held there and demand 0 takes the other 60.
+        rows, weights, capacities = [[0], [0]], [1.0, 1.0], np.array([100.0])
+        fill = maxmin_allocate_indexed(rows, weights, capacities, [float("inf"), 40.0])
+        assert (fill.rates, list(fill.contradicted)) == ([50.0, 50.0], [1])
+        fill = maxmin_allocate_indexed(rows, weights, capacities, [float("inf"), 40.0], [1])
+        assert (fill.rates, list(fill.contradicted)) == ([60.0, 40.0], [])
+        assert fill.saturation == [60.0]
+        # Pinned at 60 and anchored there, link 0 saturates at 50 first.
+        fill = maxmin_allocate_indexed(rows, weights, capacities, [float("inf"), 60.0], [1])
+        assert (fill.rates, list(fill.contradicted)) == ([50.0, 50.0], [1])

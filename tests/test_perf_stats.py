@@ -14,8 +14,8 @@ NETWORK_KEYS = {
     "realloc_calls", "realloc_requests", "realloc_coalesced", "realloc_sync",
     "realloc_demands", "filling_iterations", "realloc_time_s",
     "flows_started", "flows_completed", "reroutes", "num_links",
-    "realloc_full", "realloc_incremental", "realloc_subset",
-    "components_touched", "flows_rerated", "flows_preserved",
+    "realloc_full", "realloc_incremental", "realloc_subset", "realloc_reruns",
+    "flows_rerated", "flows_boundary", "flows_preserved",
     "events_rescheduled", "events_preserved", "settle_batches",
 }
 STORE_KEYS = {"store_acquires", "store_capacity", "store_grows", "store_rows"}

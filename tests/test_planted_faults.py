@@ -1,14 +1,15 @@
 """Planted faults: the invariant battery kills each planted wrong write.
 
 Each fault is a class-level monkeypatch that makes one wrong write.
-Faults (a)-(d) break a component-ownership contract: the control plane
-writing network state it does not own, or the dirty refill writing
-state outside the component it re-fills. Fault (e) leaves a released
-flow-store row's rate in the hole, where the moved last row's flow then
-reads it. Fault (f) leaves a failed cable's dead demands' loads behind.
-Fault (g) makes the refill skip a dirty component, whose flows keep
-stale rates. Fault (h) makes a release move the last row without
-re-pointing that row's flow. On each seed
+Faults (a)-(d) break an ownership contract: the control plane writing
+network state it does not own, or the region refill writing state of a
+flow it did not re-fill. Fault (e) leaves a released flow-store row's
+rate in the hole, where the moved last row's flow then reads it. Fault
+(f) leaves a failed cable's dead demands' loads behind. Fault (g) makes
+the refill replay every boundary demand at its stored level, so one
+whose level no link holds any more keeps a stale rate. Fault (h) makes
+a release move the last row without re-pointing that row's flow. On
+each seed
 :func:`~repro.validation.fuzz.run_case` must raise, naming the
 invariant that caught it. A fault turned into a no-op fails its test,
 so this measures the battery's reach instead of assuming it
@@ -30,7 +31,6 @@ import pytest
 from repro.common.errors import InvariantViolation, OracleViolation
 from repro.core.daemon import HostDaemon
 from repro.experiments.runner import run_scenario
-from repro.simulator.components import FlowLinkComponents
 from repro.simulator.flowstore import FlowStore
 from repro.simulator.network import Network
 from repro.validation import FULL_REFILL, random_scenario, run_case, twin_run
@@ -90,8 +90,8 @@ def rate_halved_by_round(monkeypatch):
 
 
 def load_outside_component(monkeypatch):
-    """(c) The dirty refill adds 1 bps of load on a link of a flow it did
-    not re-fill, so outside the refilled component."""
+    """(c) The region refill adds 1 bps of load on a link of a flow it did
+    not re-fill."""
 
     def corrupt(network, untouched):
         network._load_array[untouched[0].unique_link_ids[0]] += 1.0
@@ -100,7 +100,7 @@ def load_outside_component(monkeypatch):
 
 
 def rate_ulp_outside_component(monkeypatch):
-    """(d) The dirty refill lowers an untouched live flow's rate by one ulp.
+    """(d) The region refill lowers an untouched live flow's rate by one ulp.
 
     The refill is a declared writer of the rate column, so a per-writer
     ownership table cannot see this write; only the bit-exact rate check
@@ -133,39 +133,38 @@ def release_keeps_rate(monkeypatch):
 
 
 def failure_keeps_dead_loads(monkeypatch):
-    """(f) A cable failure dirties the cable's links but does not retire
-    the links of the flows crossing it, so the loads of the demands the
-    failure killed stay in the persistent load array."""
+    """(f) A cable failure re-rates the flows crossing the cable, but its
+    splice leaves the cable's own links alone, so the loads of the
+    demands the failure killed stay in the persistent load array."""
     original = Network._reallocate_cable
 
     def reallocate(self, ids):
         if ids[0] not in self._failed_ids:
             original(self, ids)  # a restore
             return
-        self._components.touch(ids)
-        self._stat_realloc_sync += 1
-        self._reallocate()
+        kept = self._load_array[list(ids)].copy()
+        original(self, ids)
+        self._load_array[list(ids)] = kept
 
     monkeypatch.setattr(Network, "_reallocate_cable", reallocate)
 
 
-def drop_last_dirty_component(monkeypatch):
-    """(g) ``consume_dirty`` drops the last dirty component it walks, so
-    the refill leaves that component's flows at their previous rates."""
+def anchor_every_boundary_demand(monkeypatch):
+    """(g) The region refill anchors every boundary demand at its stored
+    level, as if a link outside the fill still froze it there. A boundary
+    demand whose level no link reproduces any more is accepted instead
+    of rerun, and keeps its old rate."""
+    original = Network._assemble_region
 
-    def consume_dirty(self):
-        dirty, self._dirty_links = self._dirty_links, set()
-        links, flows, last = set(), set(), set()
-        touched = 0
-        for link in sorted(dirty):
-            if link not in links and link in self._link_flows:
-                touched += 1
-                walked = set(flows)
-                self._walk(link, links, flows)
-                last = flows - walked
-        return touched, sorted(flows - last)
+    def assemble(self, flow_ids, boundary, fill_links):
+        rows, weights, levels, anchored, owners, late = original(
+            self, flow_ids, boundary, fill_links
+        )
+        if levels is not None:
+            anchored = [j for j, level in enumerate(levels) if level < float("inf")]
+        return rows, weights, levels, anchored, owners, late
 
-    monkeypatch.setattr(FlowLinkComponents, "consume_dirty", consume_dirty)
+    monkeypatch.setattr(Network, "_assemble_region", assemble)
 
 
 def release_forgets_moved_flow(monkeypatch):
@@ -183,15 +182,16 @@ def release_forgets_moved_flow(monkeypatch):
 
 
 #: (fault, the invariant that must kill it). The KKT certificate is the
-#: battery's first check to see a skipped component: a flow that joined
-#: it still has rate 0 on links with room to spare.
+#: battery's first check to see fault (g): the boundary demand it keeps
+#: at a stale rate has no saturated bottleneck left, while every load
+#: still matches the rates.
 FAULTS = (
     (elephant_count_on_poll, "elephant-counter"),
     (rate_halved_by_round, "flow-store-rate"),
     (load_outside_component, "persistent-load"),
     (rate_ulp_outside_component, "flow-store-rate"),
     (release_keeps_rate, "flow-store-rate"),
-    (drop_last_dirty_component, "maxmin-kkt"),
+    (anchor_every_boundary_demand, "maxmin-kkt"),
     (release_forgets_moved_flow, "flow-store"),
 )
 
@@ -234,8 +234,10 @@ def test_failure_fault_is_killed(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", SHIFTING_DARD_SEEDS)
 def test_skipped_component_is_killed_by_the_oracle(monkeypatch, seed):
-    # run_case's incremental-vs-full oracle on its own, after every event.
-    drop_last_dirty_component(monkeypatch)
+    # Fault (g) skips the rerun a contradicted boundary component needs;
+    # run_case's incremental-vs-full oracle catches it on its own, after
+    # every event.
+    anchor_every_boundary_demand(monkeypatch)
 
     def attach_oracle(network):
         network.engine.add_after_event_hook(lambda: check_incremental_against_full(network))
@@ -247,9 +249,9 @@ def test_skipped_component_is_killed_by_the_oracle(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", SHIFTING_DARD_SEEDS)
 def test_skipped_component_is_killed_by_the_twin(monkeypatch, seed):
-    # The global-fill twin on its own: the twin's network never consumes
-    # dirty marks, so only the production run carries the fault.
-    drop_last_dirty_component(monkeypatch)
+    # The global-fill twin on its own: the twin's network never builds a
+    # region, so only the production run carries the fault.
+    anchor_every_boundary_demand(monkeypatch)
     with pytest.raises(OracleViolation) as caught:
         twin_run(random_scenario(seed), FULL_REFILL)
     assert caught.value.oracle == FULL_REFILL.oracle
@@ -265,7 +267,7 @@ BEHAVIOUR_CHANGING = (
     rate_halved_by_round,
     rate_ulp_outside_component,
     release_keeps_rate,
-    drop_last_dirty_component,
+    anchor_every_boundary_demand,
 )
 
 

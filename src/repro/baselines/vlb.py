@@ -11,7 +11,7 @@ close to ECMP overall (§4.3.2).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.scheduling.base import Scheduler, SchedulerContext
 from repro.simulator.flows import FlowComponent
@@ -30,25 +30,23 @@ class PeriodicVlbScheduler(Scheduler):
         ctx.network.link_failed_listeners.append(self._on_link_failed)
 
     def _on_link_failed(self, u: str, v: str) -> None:
-        rng = self.ctx.rng
-        self.evacuate_failed_link(u, v, lambda alive: alive[int(rng.integers(len(alive)))])
+        self.evacuate_failed_link(u, v, self._random_index)
 
-    def _random_path(self, src: str, dst: str) -> FlowComponent:
-        paths, alive = self.alive_paths(src, dst)
-        index = alive[int(self.ctx.rng.integers(len(alive)))]
-        return self.ctx.network.component(src, dst, paths, index)
+    def _random_index(self, alive: Sequence[int]) -> int:
+        return alive[int(self.ctx.rng.integers(len(alive)))]
 
     def choose_components(self, src: str, dst: str) -> List[FlowComponent]:
-        return [self._random_path(src, dst)]
+        paths, alive = self.alive_paths(src, dst)
+        return [self.ctx.network.component(src, dst, paths, self._random_index(alive))]
 
     def _repick_all(self) -> None:
         """Give every live multi-path flow a fresh random path."""
         network = self.ctx.network
         for flow in network.active_flows():
-            paths = self.paths_between(flow.src, flow.dst)
+            paths, alive = self.alive_paths(flow.src, flow.dst)
             if len(paths) < 2:
                 continue
-            component = self._random_path(flow.src, flow.dst)
-            if component.index == flow.components[0].index:
+            index = self._random_index(alive)
+            if index == flow.components[0].index:
                 continue  # same draw; no actual switch happened
-            network.reroute_flow(flow, [component])
+            network.reroute_flow(flow, [network.component(flow.src, flow.dst, paths, index)])

@@ -95,11 +95,16 @@ class Scheduler(abc.ABC):
         if (src, paths.src_tor) in failed or (paths.dst_tor, dst) in failed:
             return paths, everything
         dead = paths.dead_indices(failed)
-        if not dead.size or dead.size == len(paths):
+        if not dead or len(dead) == len(paths):
             return paths, everything
-        keep = np.ones(len(paths), dtype=bool)
-        keep[dead] = False
-        return paths, np.flatnonzero(keep).tolist()
+        # The survivors are the runs between consecutive dead indices.
+        alive: List[int] = []
+        lo = 0
+        for i in dead:
+            alive += range(lo, i)
+            lo = i + 1
+        alive += range(lo, len(paths))
+        return paths, alive
 
     def evacuate_failed_link(
         self, u: str, v: str, pick: Callable[[Sequence[int]], int]

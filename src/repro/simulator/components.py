@@ -24,7 +24,7 @@ since its last fill.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 __all__ = ["FlowLinkComponents"]
 
@@ -42,13 +42,12 @@ class FlowLinkComponents:
 
     # -- membership events ---------------------------------------------------
 
-    def attach(self, flow_id: int, link_ids: Any) -> List[int]:
-        """A flow landed on these links; returns them as a list.
+    def attach(self, flow_id: int, links: List[int]) -> List[int]:
+        """A flow landed on these links; returns them.
 
-        ``link_ids`` is the flow's sorted unique link-id array (every
-        component of a striped flow included).
+        ``links`` is the flow's sorted unique link ids (every component
+        of a striped flow included); the index keeps the list.
         """
-        links: List[int] = link_ids.tolist()
         self._flow_links[flow_id] = links
         link_flows = self._link_flows
         for link in links:

@@ -102,7 +102,7 @@ class Flow:
         #: switches its paths back and forth").
         self.path_history: List[int] = []
         #: sorted unique link ids across all components (set by the Network).
-        self.unique_link_ids: Optional[object] = None
+        self.unique_link_ids: List[int] = []
         #: the store and row holding the hot attributes. The store
         #: re-points both when it moves the row and when the flow finishes.
         self._store = store

@@ -839,7 +839,7 @@ class Network:
 
     def _unique_link_ids(
         self, src: str, dst: str, components: Sequence[FlowComponent]
-    ) -> np.ndarray:
+    ) -> List[int]:
         """The sorted unique link ids of a flow's components, cached at
         start/reroute. A component whose row does not run from ``src``'s
         access link to ``dst``'s is refused here, before any state changes."""
@@ -850,7 +850,7 @@ class Network:
         rows = [component.link_ids for component in components]
         if any(row[0] != first or row[-1] != last for row in rows):
             raise SimulationError(f"a component does not run from {src!r} to {dst!r}")
-        return np.unique(rows[0] if len(rows) == 1 else np.concatenate(rows))
+        return sorted(set(rows[0]).union(*rows[1:]))
 
     def _adjust_link_counts(self, flow: Flow, delta: int) -> None:
         """Add ``delta`` elephants to an elephant's links (mice count none)."""

@@ -158,11 +158,9 @@ class MultiRootedTopology(Topology):
           wired end to end.
 
         The result is a read-only sequence computed from per-switch tables
-        on each call; nothing is kept per ToR pair.
+        on each call; nothing is kept per ToR pair. A name that is not a
+        ToR raises :class:`TopologyError`.
         """
-        for name in (src_tor, dst_tor):
-            if self.node(name).kind is not NodeKind.TOR:
-                raise TopologyError(f"{name!r} is not a ToR switch")
         return self.path_tables().paths(src_tor, dst_tor)
 
     def host_path(self, src_host: str, dst_host: str, switch_path: SwitchPath) -> Tuple[str, ...]:

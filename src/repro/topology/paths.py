@@ -6,8 +6,23 @@ wired end to end, in a fixed order. :class:`EqualCostPaths` is that set
 as a read-only sequence. Its length, items, ``index()``, the failure
 filter and each path's link ids are computed from two :class:`UplinkTable`
 CSRs, ToR -> aggs and agg -> cores, which hold one entry per switch-switch
-cable. Nothing the sequence computes is kept by the topology, so memory
-does not grow with the number of distinct ToR pairs a workload touches.
+cable, and from two tables memoized per *aggregation set* (the aggs one
+ToR hangs off):
+
+* the *legs* of a set, one per (source agg, core) cable in base order
+  (:class:`Legs`);
+* the *descents* of a set, its (core, destination agg) cables grouped
+  by core (:class:`Descents`).
+
+In a fat-tree every ToR of a pod has the same aggregation set, so there
+is one legs and one descents entry per pod; in any topology there is at
+most one of each per distinct set, never one per ToR pair or pod pair.
+Each is a handful of compact ``array('q')`` columns of one integer per
+cable above the set, plus a name -> position dictionary; at p=32 all 64
+entries together take about 0.6 MB. So memory does not grow with the
+number of distinct ToR pairs a workload touches, and a path set's
+methods do only reads of these tables: scalar reads, one binary search,
+and per failed cable a loop over the fan-out.
 
 Base order, the order ECMP hashes into and DARD's path indices refer to:
 source-side aggregation switch ascending, then core ascending, then
@@ -15,23 +30,19 @@ destination-side aggregation switch ascending (names compare as
 strings). Intra-pod pairs list one 3-switch path per shared aggregation
 switch, ascending; a ToR paired with itself has the single path
 ``(tor,)``.
-
-An inter-pod pair's sequence keeps a few arrays per *leg*, one leg per
-(source agg, core) cable, plus the destination-side descents sorted by
-core. Python work per call grows with switch fan-out; anything
-proportional to the path count is one numpy operation, or happens only
-for the item asked for.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
-from itertools import chain
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import (
     AbstractSet,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -55,24 +66,17 @@ FailedLinks = AbstractSet[Tuple[str, str]]
 #: A :meth:`EqualCostPaths.hop_links` id table as plain rows (lists or int arrays).
 IdTable = Sequence[Sequence[int]]
 
-_NONE = np.empty(0, dtype=np.intp)
-
 
 class UplinkTable:
     """One switch layer's uplinks as a CSR over name-sorted ranks.
 
     Row ``r`` is ``lower[r]``, the ``r``-th switch of the lower layer by
     name; ``parents[indptr[r]:indptr[r + 1]]`` are the ranks in ``upper``
-    of its neighbours one layer up, ascending, and ``rows`` maps each
-    entry back to its row. Entry ``k`` is one cable between
-    ``lower_of[k]`` and ``upper_of[k]``, and :meth:`cables` lists the
-    cables in entry order.
+    of its neighbours one layer up, ascending. Entry ``k`` is one cable,
+    and :meth:`cables` lists the cables in entry order.
     """
 
-    __slots__ = (
-        "lower", "upper", "upper_rank", "indptr", "parents", "rows", "lower_of",
-        "upper_of", "_bounds",
-    )
+    __slots__ = ("lower", "upper", "upper_rank", "indptr", "parents")
 
     def __init__(
         self,
@@ -81,49 +85,95 @@ class UplinkTable:
         upper_rank: Dict[str, int],
         parents_of: Callable[[str], Iterable[str]],
     ) -> None:
-        parents = [sorted(upper_rank[name] for name in parents_of(low)) for low in lower]
-        degrees = np.array([len(row) for row in parents], dtype=np.intp)
         self.lower = lower
         self.upper = upper
         self.upper_rank = upper_rank
-        self.indptr = np.zeros(len(lower) + 1, dtype=np.intp)
-        np.cumsum(degrees, out=self.indptr[1:])
-        self.parents = np.fromiter(
-            chain.from_iterable(parents), dtype=np.intp, count=int(self.indptr[-1])
-        )
-        self.rows = np.arange(len(lower), dtype=np.intp).repeat(degrees)
-        self.lower_of = np.array(lower, dtype=object)[self.rows]
-        self.upper_of = np.array(upper, dtype=object)[self.parents]
-        self._bounds: List[int] = self.indptr.tolist()
-
-    def row(self, r: int) -> Tuple[int, int]:
-        """The entry range ``[lo, hi)`` of row ``r``."""
-        return self._bounds[r], self._bounds[r + 1]
-
-    def entry(self, row: int, parent: int) -> int:
-        """The entry of the cable ``(lower[row], upper[parent])``; -1 if unwired."""
-        lo, hi = self._bounds[row], self._bounds[row + 1]
-        k = lo + int(self.parents[lo:hi].searchsorted(parent))
-        return k if k < hi and self.parents[k] == parent else -1
-
-    def entries(self, rows: List[int]) -> np.ndarray:
-        """The entries of ``rows`` (ascending), concatenated in order."""
-        indptr = self.indptr
-        if rows[-1] - rows[0] + 1 == len(rows):
-            # Consecutive rows, as every fat-tree pod's aggs are: one run.
-            # The general gather below costs about 25 us more per path set
-            # at p=16, and every placement builds a set.
-            return np.arange(indptr[rows[0]], indptr[rows[-1] + 1], dtype=np.intp)
-        lo = indptr[rows]
-        lengths = indptr[np.add(rows, 1)] - lo
-        ends = lengths.cumsum()
-        return np.arange(int(ends[-1]), dtype=np.intp) + (lo - ends + lengths).repeat(
-            lengths
-        )
+        self.parents = array("q")
+        self.indptr = [0]
+        for low in lower:
+            self.parents.extend(sorted(upper_rank[name] for name in parents_of(low)))
+            self.indptr.append(len(self.parents))
 
     def cables(self) -> Iterator[Tuple[str, str]]:
         """Every cable as ``(lower switch, upper switch)``, in entry order."""
-        return zip(self.lower_of.tolist(), self.upper_of.tolist())
+        upper, parents, indptr = self.upper, self.parents, self.indptr
+        for r, name in enumerate(self.lower):
+            for k in range(indptr[r], indptr[r + 1]):
+                yield name, upper[parents[k]]
+
+
+class Legs:
+    """The (agg, core) cables above one aggregation set, in base order.
+
+    Leg ``j`` is the cable ``mid[j]`` (an agg-table entry) from the set's
+    ``at[j]``-th agg up to core ``core[j]``; the legs of the ``k``-th agg
+    are ``first[k]`` up to ``first[k + 1]``, cores ascending. The legs
+    reaching core ``c`` are ``by_core[core_first[c]:core_first[c + 1]]``,
+    ascending. ``pos`` maps each agg's name to its position in the set.
+    """
+
+    __slots__ = ("names", "pos", "mid", "core", "at", "first", "core_first", "by_core")
+
+    def __init__(self, agg: UplinkTable, aggs: Tuple[int, ...]) -> None:
+        indptr, parents = agg.indptr, agg.parents
+        self.names = tuple(agg.lower[a] for a in aggs)
+        self.pos = {name: k for k, name in enumerate(self.names)}
+        self.mid = array("q")
+        self.at = array("q")
+        self.first = array("q", [0])
+        for k, a in enumerate(aggs):
+            lo, hi = indptr[a], indptr[a + 1]
+            self.mid.extend(range(lo, hi))
+            self.at.extend([k] * (hi - lo))
+            self.first.append(len(self.mid))
+        self.core = array("q", [parents[e] for e in self.mid])
+        reaching: List[List[int]] = [[] for _ in agg.upper]
+        for j, c in enumerate(self.core):
+            reaching[c].append(j)
+        self.by_core = array("q")
+        self.core_first = array("q", [0])
+        for legs in reaching:
+            self.by_core.extend(legs)
+            self.core_first.append(len(self.by_core))
+
+
+class Descents:
+    """The (core, agg) cables above one aggregation set, grouped by core.
+
+    Core ``c`` descends through ``mid[start[c]:start[c + 1]]`` (agg-table
+    entries), a run whose ``at`` lists the aggs' positions in the set,
+    ascending. ``uniform`` is the run length when every core's run has
+    the same one (every fat-tree, Clos and 3-tier set), else 0. ``pos``
+    maps each agg's name to its position in the set.
+    """
+
+    __slots__ = ("aggs", "names", "pos", "start", "mid", "at", "uniform")
+
+    def __init__(self, agg: UplinkTable, aggs: Tuple[int, ...]) -> None:
+        indptr, parents = agg.indptr, agg.parents
+        self.aggs = aggs
+        self.names = tuple(agg.lower[a] for a in aggs)
+        self.pos = {name: k for k, name in enumerate(self.names)}
+        runs: List[List[Tuple[int, int]]] = [[] for _ in agg.upper]
+        for k, a in enumerate(aggs):
+            for e in range(indptr[a], indptr[a + 1]):
+                runs[parents[e]].append((e, k))
+        self.mid = array("q")
+        self.at = array("q")
+        self.start = array("q", [0])
+        for run in runs:
+            for e, k in run:
+                self.mid.append(e)
+                self.at.append(k)
+            self.start.append(len(self.mid))
+        lengths = {len(run) for run in runs}
+        self.uniform = lengths.pop() if len(lengths) == 1 else 0
+
+    def find(self, core: int, k: int) -> int:
+        """The descent of core ``core`` through the set's ``k``-th agg; -1 if unwired."""
+        lo, hi = self.start[core], self.start[core + 1]
+        t = bisect_left(self.at, k, lo, hi)
+        return t if t < hi and self.at[t] == k else -1
 
 
 class PathTables:
@@ -132,10 +182,12 @@ class PathTables:
     ``tor`` maps ToRs to aggregation switches and ``agg`` maps
     aggregation switches to cores; ``tor_rank`` is each ToR's row in
     ``tor``. Their size is a few integers per switch-switch cable and one
-    dictionary entry per switch.
+    dictionary entry per switch. Each ToR's aggregation set is interned
+    (``_tor_set``); the :class:`Legs` and :class:`Descents` of a set are
+    built on first use and kept, at most one of each per distinct set.
     """
 
-    __slots__ = ("tor", "agg", "tor_rank")
+    __slots__ = ("tor", "agg", "tor_rank", "_tor_set", "_sets", "_members", "_legs", "_descents")
 
     def __init__(
         self,
@@ -149,20 +201,46 @@ class PathTables:
         self.tor = UplinkTable(tors, aggs, agg_rank, up_neighbors)
         self.agg = UplinkTable(aggs, cores, core_rank, up_neighbors)
         self.tor_rank = {name: r for r, name in enumerate(tors)}
+        interned: Dict[Tuple[int, ...], int] = {}
+        parents, indptr = self.tor.parents, self.tor.indptr
+        #: ToR rank -> id of its aggregation set.
+        self._tor_set = [
+            interned.setdefault(tuple(parents[indptr[r] : indptr[r + 1]]), len(interned))
+            for r in range(len(tors))
+        ]
+        #: set id -> its agg ranks, ascending (a ToR's row in ``tor``).
+        self._sets: List[Tuple[int, ...]] = list(interned)
+        self._members: List[FrozenSet[int]] = [frozenset(s) for s in self._sets]
+        self._legs: Dict[int, Legs] = {}
+        self._descents: Dict[int, Descents] = {}
+
+    def legs(self, s: int) -> Legs:
+        """The legs above aggregation set ``s``, built on first use."""
+        legs = self._legs.get(s)
+        if legs is None:
+            legs = self._legs[s] = Legs(self.agg, self._sets[s])
+        return legs
+
+    def descents(self, s: int) -> Descents:
+        """The descents into aggregation set ``s``, built on first use."""
+        descents = self._descents.get(s)
+        if descents is None:
+            descents = self._descents[s] = Descents(self.agg, self._sets[s])
+        return descents
 
     def paths(self, src_tor: str, dst_tor: str) -> "EqualCostPaths":
-        """The equal-cost paths between two ToRs (both must be ToRs)."""
-        if src_tor == dst_tor:
+        """The equal-cost paths between two ToRs; :class:`TopologyError`
+        if either is not a ToR."""
+        s, d = self.tor_rank.get(src_tor, -1), self.tor_rank.get(dst_tor, -1)
+        if s < 0 or d < 0:
+            raise TopologyError(f"{src_tor if s < 0 else dst_tor!r} is not a ToR switch")
+        if s == d:
             return _SameTor(src_tor)
-        tor = self.tor
-        s0, s1 = tor.row(self.tor_rank[src_tor])
-        d0, d1 = tor.row(self.tor_rank[dst_tor])
-        up = tor.parents[s0:s1].tolist()
-        down = tor.parents[d0:d1].tolist()
-        shared = set(up).intersection(down)
+        up, down = self._tor_set[s], self._tor_set[d]
+        shared = self._members[up] & self._members[down]
         if shared:
-            return _IntraPod(self, src_tor, dst_tor, sorted(shared))
-        return _InterPod(self, src_tor, dst_tor, up, down)
+            return _IntraPod(self, src_tor, dst_tor, s, d, sorted(shared))
+        return _InterPod(self, src_tor, dst_tor, s, d, self.legs(up), self.descents(down))
 
 
 class _Paths(Sequence[SwitchPath]):
@@ -251,14 +329,15 @@ class EqualCostPaths(_Paths):
         id tables as plain rows: a few reads, no numpy gather."""
         return []
 
-    def dead_indices(self, failed: FailedLinks) -> np.ndarray:
+    def dead_indices(self, failed: FailedLinks) -> List[int]:
         """Ascending indices of the paths that cross a cable in ``failed``.
 
-        ``failed`` holds both directions of every failed cable. Only the
-        cables touching this pair's switches are looked at; no path is
-        built or tested one at a time.
+        ``failed`` holds both directions of every failed cable. It is
+        scanned once; each cable on this pair's hops names the paths it
+        cuts from the tables, and no path is built or tested one at a
+        time.
         """
-        return _NONE
+        return []
 
     def hop_links(self, tor_ids: np.ndarray, agg_ids: np.ndarray) -> np.ndarray:
         """``(len, hops)`` link ids of every path, hop by hop.
@@ -291,18 +370,24 @@ class _SameTor(EqualCostPaths):
 class _IntraPod(EqualCostPaths):
     """One 3-switch path per aggregation switch above both ToRs."""
 
-    __slots__ = ("_tables", "_mids")
+    __slots__ = ("_up", "_down", "_mids")
     hops = 2
 
     def __init__(
-        self, tables: PathTables, src_tor: str, dst_tor: str, mids: List[int]
+        self, tables: PathTables, src_tor: str, dst_tor: str, s: int, d: int, mids: List[int]
     ) -> None:
         self.src_tor = src_tor
         self.dst_tor = dst_tor
         self._len = len(mids)
-        self._tables = tables
-        #: the shared aggregation switches, ascending.
-        self._mids = [tables.tor.upper[r] for r in mids]
+        tor, sets, tor_set = tables.tor, tables._sets, tables._tor_set
+        # Each shared agg's ToR-table entry on either side: a ToR's row
+        # lists its aggs as its set does.
+        up, down = sets[tor_set[s]], sets[tor_set[d]]
+        s0, d0 = tor.indptr[s], tor.indptr[d]
+        self._up = [s0 + bisect_left(up, r) for r in mids]
+        self._down = [d0 + bisect_left(down, r) for r in mids]
+        #: the shared aggregation switches' names, ascending.
+        self._mids = [tor.upper[r] for r in mids]
 
     def _item(self, i: int) -> SwitchPath:
         return (self.src_tor, self._mids[i], self.dst_tor)
@@ -319,47 +404,32 @@ class _IntraPod(EqualCostPaths):
         src, dst = self.src_tor, self.dst_tor
         return ((src, mid, dst) for mid in self._mids)
 
-    def dead_indices(self, failed: FailedLinks) -> np.ndarray:
+    def dead_indices(self, failed: FailedLinks) -> List[int]:
         src, dst = self.src_tor, self.dst_tor
-        dead = [
+        return [
             i for i, mid in enumerate(self._mids)
             if (src, mid) in failed or (mid, dst) in failed
         ]
-        return np.array(dead, dtype=np.intp) if dead else _NONE
 
     def hop_row(self, i: int, tor_ids: IdTable, agg_ids: IdTable) -> List[int]:
-        tables = self._tables
-        tor = tables.tor
-        r = tor.upper_rank[self._mids[i]]
-        return [
-            tor_ids[0][tor.entry(tables.tor_rank[self.src_tor], r)],
-            tor_ids[1][tor.entry(tables.tor_rank[self.dst_tor], r)],
-        ]
+        return [tor_ids[0][self._up[i]], tor_ids[1][self._down[i]]]
 
     def hop_links(self, tor_ids: np.ndarray, agg_ids: np.ndarray) -> np.ndarray:
-        tables = self._tables
-        tor = tables.tor
-        s, d = tables.tor_rank[self.src_tor], tables.tor_rank[self.dst_tor]
-        mids = [tor.upper_rank[mid] for mid in self._mids]
-        up = [tor.entry(s, r) for r in mids]
-        down = [tor.entry(d, r) for r in mids]
-        return np.column_stack((tor_ids[0][up], tor_ids[1][down]))
+        return np.column_stack((tor_ids[0][self._up], tor_ids[1][self._down]))
 
 
 class _InterPod(EqualCostPaths):
     """One 5-switch path per (up-agg, core, down-agg) wired end to end.
 
-    Leg ``j`` is the ``j``-th (source agg, core) cable in base order,
-    ``_leg_mid[j]`` its entry in the agg table (ascending in ``j``). The
-    cables from the destination ToR's aggs up to their cores
-    (``_desc_mid``, agg-table entries) are stacked core by core; a core's
-    run lists the down-aggs it can descend through, ascending. Leg ``j``
-    owns the paths ``_ends[j] - n_j`` up to ``_ends[j]``: one per descent
-    in the run of its core, which starts at ``_first[j]`` and is ``n_j``
-    long.
+    Leg ``j`` of the source ToR's :class:`Legs` owns the paths
+    ``_ends[j - 1]`` up to ``_ends[j]``: one per descent in the run of
+    its core in the destination ToR's :class:`Descents`, in run order.
+    When every run has the same length ``n``, ``_ends`` is the range
+    ``n, 2n, ...``; otherwise it is the cumulative run lengths of the
+    legs' cores, one integer per leg.
     """
 
-    __slots__ = ("_tables", "_up", "_down", "_leg_mid", "_first", "_ends", "_desc_mid")
+    __slots__ = ("_tables", "_legs", "_descents", "_ends", "_s0", "_d0")
     hops = 4
 
     def __init__(
@@ -367,159 +437,153 @@ class _InterPod(EqualCostPaths):
         tables: PathTables,
         src_tor: str,
         dst_tor: str,
-        up: List[int],
-        down: List[int],
+        s: int,
+        d: int,
+        legs: Legs,
+        descents: Descents,
     ) -> None:
         self.src_tor = src_tor
         self.dst_tor = dst_tor
         self._tables = tables
-        #: ranks of the source and destination ToRs' aggs, ascending.
-        self._up = up
-        self._down = down
-        agg = tables.agg
-        self._leg_mid = agg.entries(up)
-        desc_mid = agg.entries(down)
-        cores = agg.parents[desc_mid]
-        by_core = cores.argsort(kind="stable")
-        self._desc_mid = desc_mid[by_core]
-        runs = cores[by_core]
-        leg_core = agg.parents[self._leg_mid]
-        self._first = runs.searchsorted(leg_core)
-        self._ends = (runs.searchsorted(leg_core, side="right") - self._first).cumsum()
-        self._len = int(self._ends[-1])
+        self._legs = legs
+        self._descents = descents
+        #: the ToR-table entries of the two ToRs' first aggs: a ToR's row
+        #: lists its aggs as its set does.
+        self._s0 = tables.tor.indptr[s]
+        self._d0 = tables.tor.indptr[d]
+        n = descents.uniform
+        start = descents.start
+        self._ends: Sequence[int] = (
+            range(n, n * len(legs.core) + 1, n) if n
+            else list(accumulate(start[c + 1] - start[c] for c in legs.core))
+        )
+        self._len = self._ends[-1]
         if not self._len:
             raise TopologyError(f"no up-down path between {src_tor!r} and {dst_tor!r}")
 
+    def _start(self, j: int) -> int:
+        """The first path of leg ``j``."""
+        return self._ends[j - 1] if j else 0
+
     def _leg_descent(self, i: int) -> Tuple[int, int]:
-        """Path ``i``'s agg-table entries: its leg and its descent."""
+        """Path ``i``'s leg and its descent."""
         ends = self._ends
-        j = ends.searchsorted(i, "right")
-        k = i - ends[j - 1] if j else i
-        return self._leg_mid[j], self._desc_mid[self._first[j] + k]
+        j = bisect_right(ends, i)
+        return j, self._descents.start[self._legs.core[j]] + i - (ends[j - 1] if j else 0)
 
     def _item(self, i: int) -> SwitchPath:
-        mid, descent = self._leg_descent(i)
-        agg = self._tables.agg
+        # ``_leg_descent`` written out: the checks read every item of
+        # every pair, and the call costs about a tenth of them.
+        ends = self._ends
+        j = bisect_right(ends, i)
+        legs, descents = self._legs, self._descents
+        t = descents.start[legs.core[j]] + i - (ends[j - 1] if j else 0)
         return (
             self.src_tor,
-            agg.lower_of[mid],
-            agg.upper_of[mid],
-            agg.lower_of[descent],
+            legs.names[legs.at[j]],
+            self._tables.agg.upper[legs.core[j]],
+            descents.names[descents.at[t]],
             self.dst_tor,
         )
 
     def hop_row(self, i: int, tor_ids: IdTable, agg_ids: IdTable) -> List[int]:
-        mid, descent = self._leg_descent(i)
-        tables = self._tables
-        tor, rows = tables.tor, tables.agg.rows
-        s0, _ = tor.row(tables.tor_rank[self.src_tor])
-        d0, _ = tor.row(tables.tor_rank[self.dst_tor])
+        j, t = self._leg_descent(i)
+        legs, descents = self._legs, self._descents
         return [
-            tor_ids[0][s0 + bisect_left(self._up, rows[mid])],
-            agg_ids[0][mid],
-            agg_ids[1][descent],
-            tor_ids[1][d0 + bisect_left(self._down, rows[descent])],
+            tor_ids[0][self._s0 + legs.at[j]],
+            agg_ids[0][legs.mid[j]],
+            agg_ids[1][descents.mid[t]],
+            tor_ids[1][self._d0 + descents.at[t]],
         ]
 
     def _position(self, path: SwitchPath) -> int:
         if len(path) != 5 or path[0] != self.src_tor or path[4] != self.dst_tor:
             return -1
-        agg = self._tables.agg
-        agg_rank = self._tables.tor.upper_rank
-        up = agg_rank.get(path[1], -1)
-        core = agg.upper_rank.get(path[2], -1)
-        down = agg_rank.get(path[3], -1)
-        if up < 0 or core < 0 or down < 0:
+        legs, descents = self._legs, self._descents
+        k = legs.pos.get(path[1], -1)
+        c = self._tables.agg.upper_rank.get(path[2], -1)
+        kd = descents.pos.get(path[3], -1)
+        if k < 0 or c < 0 or kd < 0:
             return -1
-        mid = agg.entry(up, core)
-        j = int(self._leg_mid.searchsorted(mid))
-        if mid < 0 or j == self._leg_mid.size or self._leg_mid[j] != mid:
+        hi = legs.first[k + 1]
+        j = bisect_left(legs.core, c, legs.first[k], hi)
+        if j == hi or legs.core[j] != c:
             return -1
-        start = int(self._ends[j - 1]) if j else 0
-        first = int(self._first[j])
-        downs = agg.rows[self._desc_mid[first : first + int(self._ends[j]) - start]].tolist()
-        k = bisect_left(downs, down)
-        if k == len(downs) or downs[k] != down:
-            return -1
-        return start + k
+        t = descents.find(c, kd)
+        return -1 if t < 0 else (self._ends[j - 1] if j else 0) + t - descents.start[c]
 
     def __iter__(self) -> Iterator[SwitchPath]:
         src, dst = self.src_tor, self.dst_tor
-        agg = self._tables.agg
-        ups = agg.lower_of[self._leg_mid].tolist()
-        mids = agg.upper_of[self._leg_mid].tolist()
-        downs = agg.lower_of[self._desc_mid].tolist()
-        start = 0
-        for up, mid, first, end in zip(ups, mids, self._first.tolist(), self._ends.tolist()):
-            for t in range(first, first + end - start):
-                yield (src, up, mid, downs[t], dst)
-            start = end
+        legs, descents = self._legs, self._descents
+        cores, start = self._tables.agg.upper, descents.start
+        downs = [descents.names[k] for k in descents.at]
+        for k, c in zip(legs.at, legs.core):
+            up, core = legs.names[k], cores[c]
+            for t in range(start[c], start[c + 1]):
+                yield (src, up, core, downs[t], dst)
 
-    def _path_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per path: its leg, and its descent in ``_desc_mid``."""
-        counts = np.diff(self._ends, prepend=0)
-        legs = np.arange(counts.size, dtype=np.intp).repeat(counts)
-        descents = np.arange(self._len, dtype=np.intp) + (
-            self._first - self._ends + counts
-        ).repeat(counts)
-        return legs, descents
-
-    def dead_indices(self, failed: FailedLinks) -> np.ndarray:
+    def dead_indices(self, failed: FailedLinks) -> List[int]:
         src, dst = self.src_tor, self.dst_tor
-        agg = self._tables.agg
-        aggs, core_rank = agg.lower, agg.upper_rank
-        up = {aggs[r]: r for r in self._up}
-        down = {aggs[r]: r for r in self._down}
-        # The failed cables on this pair's paths, by hop: source ToR ->
-        # agg and agg -> destination ToR (agg ranks), agg <-> core on
-        # either side (agg-table entries).
-        up_cut: List[int] = []
-        leg_cut: List[int] = []
-        descent_cut: List[int] = []
-        down_cut: List[int] = []
+        legs, descents = self._legs, self._descents
+        up, down = legs.pos, descents.pos
+        core_rank = self._tables.agg.upper_rank
+        dead: List[int] = []
+        # The failed cables on this pair's hops, by hop: source ToR ->
+        # agg and agg -> destination ToR cut every path through the agg,
+        # agg -> core one leg's paths, core -> agg one path per leg
+        # reaching the core (``failed`` holds both directions).
         for u, v in failed:
             if u == src:
-                if v in up:
-                    up_cut.append(up[v])
+                k = up.get(v, -1)
+                if k >= 0:
+                    dead += range(self._start(legs.first[k]), self._start(legs.first[k + 1]))
             elif v == dst:
-                if u in down:
-                    down_cut.append(down[u])
+                kd = down.get(u, -1)
+                if kd >= 0:
+                    agg = self._tables.agg
+                    a = descents.aggs[kd]
+                    for e in range(agg.indptr[a], agg.indptr[a + 1]):
+                        c = agg.parents[e]
+                        dead += self._through(c, descents.find(c, kd))
             elif u in up:
-                if v in core_rank:
-                    leg_cut.append(agg.entry(up[u], core_rank[v]))
-            elif v in down and u in core_rank:
-                descent_cut.append(agg.entry(down[v], core_rank[u]))
-        if not (up_cut or leg_cut or descent_cut or down_cut):
-            return _NONE
-        leg_dead = self._hits(self._leg_mid, up_cut, leg_cut)
-        descent_dead = self._hits(self._desc_mid, down_cut, descent_cut)
-        legs, descents = self._path_rows()
-        return np.flatnonzero(leg_dead[legs] | descent_dead[descents])
+                c = core_rank.get(v, -1)
+                if c >= 0:
+                    k = up[u]
+                    hi = legs.first[k + 1]
+                    j = bisect_left(legs.core, c, legs.first[k], hi)
+                    if j < hi and legs.core[j] == c:
+                        dead += range(self._start(j), self._ends[j])
+            elif v in down:
+                c = core_rank.get(u, -1)
+                if c >= 0:
+                    dead += self._through(c, descents.find(c, down[v]))
+        return sorted(set(dead))
 
-    def _hits(self, mids: np.ndarray, aggs: List[int], cables: List[int]) -> np.ndarray:
-        """Which agg-table entries ``mids`` leave a cut agg or are a cut cable."""
-        hit = np.zeros(mids.size, dtype=bool)
-        if aggs:
-            rows = self._tables.agg.rows[mids]
-            for r in aggs:
-                hit |= rows == r
-        for e in cables:
-            hit |= mids == e
-        return hit
+    def _through(self, c: int, t: int) -> List[int]:
+        """The paths taking descent ``t`` of core ``c``: one per leg
+        reaching the core (none if ``t`` is -1)."""
+        if t < 0:
+            return []
+        legs = self._legs
+        offset = t - self._descents.start[c]
+        return [
+            self._start(j) + offset
+            for j in legs.by_core[legs.core_first[c] : legs.core_first[c + 1]]
+        ]
 
     def hop_links(self, tor_ids: np.ndarray, agg_ids: np.ndarray) -> np.ndarray:
-        tables = self._tables
-        tor, agg = tables.tor, tables.agg
-        s0, _ = tor.row(tables.tor_rank[self.src_tor])
-        d0, _ = tor.row(tables.tor_rank[self.dst_tor])
-        # A ToR's row lists its aggs as ``_up``/``_down`` do, so an agg's
-        # ToR-table entry is the row start plus its position there.
-        up_entry = s0 + np.searchsorted(self._up, agg.rows[self._leg_mid])
-        down_entry = d0 + np.searchsorted(self._down, agg.rows[self._desc_mid])
-        legs, descents = self._path_rows()
+        legs, descents = self._legs, self._descents
+        core = np.frombuffer(legs.core, dtype=np.int64)
+        start = np.frombuffer(descents.start, dtype=np.int64)
+        # Path by path, its leg and its descent: leg ``j`` repeated once
+        # per descent in its core's run, and that run's descents in order.
+        first = start[core]
+        counts = start[core + 1] - first
+        leg = np.arange(core.size).repeat(counts)
+        descent = np.arange(self._len) + (first + counts - counts.cumsum()).repeat(counts)
         return np.column_stack((
-            tor_ids[0][up_entry[legs]],
-            agg_ids[0][self._leg_mid[legs]],
-            agg_ids[1][self._desc_mid[descents]],
-            tor_ids[1][down_entry[descents]],
+            tor_ids[0][self._s0 + np.frombuffer(legs.at, dtype=np.int64)[leg]],
+            agg_ids[0][np.frombuffer(legs.mid, dtype=np.int64)[leg]],
+            agg_ids[1][np.frombuffer(descents.mid, dtype=np.int64)[descent]],
+            tor_ids[1][self._d0 + np.frombuffer(descents.at, dtype=np.int64)[descent]],
         ))

@@ -185,7 +185,7 @@ def test_without_is_a_view_in_base_order(topology):
     for k in range(len(cables)):
         cut = cables[k::3]
         failed = set(cut) | {(v, u) for u, v in cut}
-        dead = paths.dead_indices(failed).tolist()
+        dead = paths.dead_indices(failed)
         assert dead == sorted(set(dead))
         alive = [i for i in range(len(paths)) if i not in dead]
         assert alive == [
@@ -194,3 +194,32 @@ def test_without_is_a_view_in_base_order(topology):
         ]
         assert [paths[i] for i in alive] == [expected[i] for i in alive]
         assert [paths.index(expected[i]) for i in alive] == alive
+
+
+@pytest.mark.parametrize("name", ["clos", "custom", "fattree8", "split"])
+def test_tables_hold_one_entry_per_aggregation_set(name):
+    """Every ToR pair's set built and read in full (items, ``index()``,
+    ``hop_links`` against the interned node paths, ``dead_indices``) leaves at most one legs and one
+    descents entry per distinct aggregation set: nothing is kept per ToR
+    pair or pod pair."""
+    topology = PATH_TOPOLOGIES[name]()
+    network = Network(topology)
+    tables = topology.path_tables()
+    tor_ids = network.link_index.cable_ids(tables.tor)
+    agg_ids = network.link_index.cable_ids(tables.agg)
+    tors = sorted(topology.tors())
+    cables = sorted(link.endpoints() for link in topology.links())[::5]
+    failed = set(cables) | {(v, u) for u, v in cables}
+    for src, dst in itertools.product(tors, tors):
+        paths = topology.equal_cost_paths(src, dst)
+        assert [paths.index(path) for path in paths] == list(range(len(paths)))
+        hops = paths.hop_links(tor_ids, agg_ids)
+        if paths.hops:  # a ToR paired with itself has none: (0, 0)
+            interned = [network.link_index.index_path(path).tolist() for path in paths]
+            assert hops.tolist() == interned
+        assert set(paths.dead_indices(failed)) <= set(range(len(paths)))
+    sets = {tuple(sorted(topology.up_neighbors(tor))) for tor in tors}
+    assert 0 < len(tables._legs) <= len(sets)
+    assert 0 < len(tables._descents) <= len(sets)
+    if name == "fattree8":
+        assert len(tables._legs) == len(tables._descents) == 8  # one per pod

@@ -190,9 +190,9 @@ class TestTelemetry:
 class TestComponentStructure:
     def test_attach_detach_membership(self):
         comps = FlowLinkComponents()
-        assert comps.attach(1, np.array([0, 1], dtype=np.intp)) == [0, 1]
-        comps.attach(2, np.array([3, 4], dtype=np.intp))
-        comps.attach(3, np.array([1, 3], dtype=np.intp))
+        assert comps.attach(1, [0, 1]) == [0, 1]
+        comps.attach(2, [3, 4])
+        comps.attach(3, [1, 3])
         assert comps.flows_on([1]) == {1, 3}
         assert comps.flows_on([0, 4, 9]) == {1, 2}
         assert comps.links_of([1, 2]) == {0, 1, 3, 4}

@@ -1,10 +1,14 @@
 """Tests for the scheduler interface and message accounting."""
 
+import random
+from itertools import chain, combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.ecmp import five_tuple_hash, hash_components
 from repro.common.units import MB, MBPS
 from repro.addressing import HierarchicalAddressing, PathCodec
 from repro.scheduling import MessageLedger, MessageSizes, SchedulerContext
@@ -111,6 +115,103 @@ class TestAliveFilter:
             paths, alive = scheduler.alive_paths(src, dst)
             assert list(alive) == (reference or every)
             assert list(paths) == [topo.host_path_at(src, dst, i)[1:-1] for i in every]
+
+
+#: A failed cable's cut kind: its hop on the pair's host paths.
+CUT_KINDS = (
+    "source access", "ToR -> agg", "agg -> core", "core -> agg", "agg -> ToR",
+    "destination access",
+)
+
+#: The cut kinds of a host path's hops, by its hop count.
+KINDS_BY_HOPS = {
+    6: CUT_KINDS,
+    4: CUT_KINDS[:2] + CUT_KINDS[4:],
+    2: (CUT_KINDS[0], CUT_KINDS[-1]),
+}
+
+
+def pair_cables(topo, src, dst):
+    """The cables on the pair's own host paths, by cut kind (a kind the
+    pair's paths do not have, such as agg -> core within a pod, is left
+    out); each cable as its hop's direction, which ``fail_link`` takes."""
+    by_kind = {}
+    for path in topo.equal_cost_paths(topo.tor_of(src), topo.tor_of(dst)):
+        hops = list(zip((src,) + path, path + (dst,)))
+        for kind, hop in zip(KINDS_BY_HOPS[len(hops)], hops):
+            by_kind.setdefault(kind, set()).add(hop)
+    return {kind: sorted(cables) for kind, cables in by_kind.items()}
+
+
+def check_alive_and_hash(network, topo, src, dst, seed):
+    """``alive_paths`` against ``Network.path_alive`` over every host path,
+    and ECMP placement against a five-tuple of two scalar draws: the
+    same index, and the generator left where those draws leave it."""
+    rng = np.random.default_rng(seed)
+    scheduler = FirstPathScheduler()
+    scheduler.attach(SchedulerContext(network=network, codec=None, rng=rng))
+    every = list(range(len(scheduler.paths_between(src, dst))))
+    reference = [
+        i for i in every if network.path_alive(topo.host_path_at(src, dst, i))
+    ]
+    _, alive = scheduler.alive_paths(src, dst)
+    assert list(alive) == (reference or every)
+    twin = np.random.default_rng(seed)
+    sport, dport = int(twin.integers(1024, 65536)), int(twin.integers(1024, 65536))
+    [component] = hash_components(scheduler, src, dst)
+    assert component.index == alive[five_tuple_hash(src, dst, sport, dport, len(alive))]
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestCutsOnThePairsOwnCables:
+    """Failures drawn from the sampled pair's own cables, at fan-out > 2
+    and on the two custom topologies: every cut kind, alone and together."""
+
+    TOPOS = {name: PATH_TOPOLOGIES[name]() for name in ("custom", "fattree8", "split")}
+    NETWORKS = {name: Network(topo) for name, topo in TOPOS.items()}
+
+    @pytest.mark.parametrize("name", sorted(TOPOS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_cuts_match_path_alive(self, name, data):
+        topo, network = self.TOPOS[name], self.NETWORKS[name]
+        hosts = sorted(topo.hosts())
+        src = data.draw(st.sampled_from(hosts))
+        dst = data.draw(st.sampled_from([h for h in hosts if h != src]))
+        cables = pair_cables(topo, src, dst)
+        kinds = data.draw(st.sets(st.sampled_from(sorted(cables)), min_size=1))
+        cut = set()
+        for kind in sorted(kinds):
+            cut |= data.draw(st.sets(st.sampled_from(cables[kind]), min_size=1, max_size=2))
+        for u, v in cut:
+            network.fail_link(u, v)
+        try:
+            check_alive_and_hash(network, topo, src, dst, data.draw(st.integers(0, 2**32)))
+        finally:
+            for u, v in cut:
+                network.restore_link(u, v)
+
+    @pytest.mark.parametrize("name", sorted(TOPOS))
+    def test_every_cut_kind_alone_and_in_pairs(self, name):
+        topo, network = self.TOPOS[name], self.NETWORKS[name]
+        hosts = sorted(topo.hosts())
+        rng = random.Random(0)
+        pairs = [(s, d) for s in hosts for d in hosts if s != d]
+        covered = set()
+        for src, dst in pairs if len(pairs) <= 20 else rng.sample(pairs, 12):
+            cables = pair_cables(topo, src, dst)
+            kinds = sorted(cables)
+            for combo in chain(combinations(kinds, 1), combinations(kinds, 2)):
+                cut = {rng.choice(cables[kind]) for kind in combo}
+                for u, v in cut:
+                    network.fail_link(u, v)
+                try:
+                    check_alive_and_hash(network, topo, src, dst, rng.randrange(2**32))
+                finally:
+                    for u, v in cut:
+                        network.restore_link(u, v)
+                covered.update(combo)
+        assert covered == set(CUT_KINDS)
 
 
 class TestEncodeAndVerify:

@@ -42,16 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (registry imports us)
     from repro.core.registry import MonitorRegistry
 
 
-def switches_to_query(
-    topology: MultiRootedTopology, src_tor: str, dst_tor: str
-) -> Set[str]:
-    """The switch set a monitor polls (paper §2.4.2).
+def switches_to_query(topology: MultiRootedTopology, paths: EqualCostPaths) -> Set[str]:
+    """The switch set a monitor of ``paths``' ToR pair polls (paper §2.4.2).
 
     For inter-pod pairs this is the paper's four groups. For intra-pod
     pairs the equal-cost paths only cross the shared aggregation switches,
     so only the source ToR and those switches need polling.
     """
-    paths = topology.equal_cost_paths(src_tor, dst_tor)
+    src_tor, dst_tor = paths.src_tor, paths.dst_tor
     if paths.hops == 4:
         switches: Set[str] = {src_tor}
         switches.update(topology.up_neighbors(src_tor))
@@ -77,7 +75,7 @@ class PairPaths:
     """
 
     paths: EqualCostPaths
-    #: ``len(switches_to_query(...))``; the poll only needs the count.
+    #: ``len(switches_to_query(topology, paths))``; the poll only needs the count.
     num_query_switches: int
     #: ``(paths, hops)`` link ids, row ``k`` the hops of ``paths[k]``.
     hops: np.ndarray
@@ -97,7 +95,7 @@ def index_pair_paths(network: Network, src_tor: str, dst_tor: str) -> PairPaths:
     link_index = network.link_index
     return PairPaths(
         paths=paths,
-        num_query_switches=len(switches_to_query(topology, src_tor, dst_tor)),
+        num_query_switches=len(switches_to_query(topology, paths)),
         hops=paths.hop_links(
             link_index.cable_ids(tables.tor), link_index.cable_ids(tables.agg)
         ),

@@ -38,7 +38,7 @@ def bytes_per_monitor_round(
 ) -> float:
     """Probe bytes one monitor generates per query round (query + reply
     per switch in its Path State Assembling set)."""
-    n = len(switches_to_query(topology, src_tor, dst_tor))
+    n = len(switches_to_query(topology, topology.equal_cost_paths(src_tor, dst_tor)))
     return n * (MESSAGE_SIZES.dard_query + MESSAGE_SIZES.dard_reply)
 
 

@@ -30,9 +30,6 @@ _HOT_FUNCTIONS = {
     "_schedule_next_completion",
     "_write_rates",
     "maxmin_allocate_indexed",
-    "_heap_fill",
-    "_array_fill",
-    "_progressive_fill_tail",
     "link_loads_indexed",
 }
 

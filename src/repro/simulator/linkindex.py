@@ -11,6 +11,7 @@ computation is a vectorized gather/scatter instead of a dict walk.
 
 from __future__ import annotations
 
+from array import array
 from typing import (
     Any,
     Dict,
@@ -28,6 +29,9 @@ from repro.common.errors import SimulationError
 
 #: A directed link identifier (u, v) — re-exported by :mod:`maxmin`.
 LinkId = Tuple[str, str]
+
+#: A cable table's ids (:meth:`LinkIndex.cable_ids`): up, then down.
+CableIds = Tuple["array[int]", "array[int]"]
 
 
 class CableTable(Protocol):
@@ -64,7 +68,7 @@ class LinkIndex:
             self.links
         ):
             raise SimulationError("LinkIndex arrays must align with the link list")
-        self._cable_ids: Dict[CableTable, np.ndarray] = {}
+        self._cable_ids: Dict[CableTable, CableIds] = {}
 
     @classmethod
     def from_topology(cls, topology: Any) -> "LinkIndex":
@@ -112,23 +116,22 @@ class LinkIndex:
         """Intern the directed links of a node path to an id array."""
         return self.index_links(zip(path, path[1:]))
 
-    def cable_ids(self, table: CableTable) -> np.ndarray:
-        """``(2, n)`` ids of the ``n`` cables ``table`` lists, memoized per table.
+    def cable_ids(self, table: CableTable) -> CableIds:
+        """The ids of the cables ``table`` lists, memoized per table.
 
-        Row 0 holds each cable in its listed direction ``(u, v)``, row 1
-        the reverse ``(v, u)``. A ToR pair's ``(paths, hops)`` link-id
-        matrix is gathered from these per-switch tables instead of
-        interning every hop of every path.
+        Two ``array('q')`` rows, entry ``k`` of each for the table's
+        ``k``-th cable: the first row in its listed direction ``(u, v)``,
+        the second the reverse ``(v, u)``. A flow component reads single
+        ids from them as plain ints, and a ToR pair's ``(paths, hops)``
+        link-id matrix is gathered through ``np.frombuffer`` views of
+        them, instead of interning every hop of every path.
         """
         ids = self._cable_ids.get(table)
         if ids is None:
             cables = list(table.cables())
-            ids = np.stack(
-                (
-                    self.index_links(cables),
-                    self.index_links([(v, u) for u, v in cables]),
-                )
+            ids = self._cable_ids[table] = (
+                array("q", self.index_links(cables).tolist()),
+                array("q", self.index_links([(v, u) for u, v in cables]).tolist()),
             )
-            self._cable_ids[table] = ids
         return ids
 

@@ -25,35 +25,14 @@ that interns links per call, and :func:`maxmin_allocate_reference`
 preserves the pre-index implementation verbatim as the
 equivalence/benchmark baseline.
 
-Start regime. Progressive filling runs in one of two regimes, and each
-fill picks where it starts by its demand count alone. The regime also
-picks how the fill is compacted and how its loads are summed:
-
-* **Vectorized rounds** (:func:`_array_fill`, fills of
-  :data:`_HEAP_START_DEMANDS` demands or more): the rows are compacted
-  to the links they cross (``np.unique`` and its inverse, which keep the
-  links' relative order) into a CSR, bottleneck search is one
-  ``argmin`` over the link arrays and each round's capacity/weight
-  updates are batched ``np.add.at`` scatters
-  (:func:`_vectorized_fill`). A round costs O(L) numpy work plus ~100 µs
-  of fixed setup per call, which pays off when a round freezes a whole
-  symmetric tie batch of demands. Once rounds stop batching, the fill
-  hands its state to the heap loop. Loads are one ``np.add.at`` scatter.
-* **The lazy heap** (:func:`_progressive_fill_tail`): O(log L) Python
-  work per freeze and no O(L) passes. Small fills — the network's
-  typical region fill is a few demands — and every fill with pinned
-  demands enter it at round 0 (:func:`_heap_fill`): links are renumbered
-  in order of first appearance, one capacity gather is the only numpy
-  call, and loads are summed in Python lists.
-
-Both regimes freeze the same exact tie batch per round, members in
-ascending demand order, with the same float operations per link, so the
-start regime changes neither rates, ``iterations`` nor saturation
-shares; both sum each link's load in ascending demand order, so loads
-agree bit for bit too.
-The choice is a cost model, not a semantic switch. Starting every fill
-on the heap loses on large fills, where one vectorized round freezes
-hundreds of tied demands at once.
+One loop. Every fill runs progressive filling on a lazy-deletion
+min-heap of link shares, in plain Python lists: O(nnz) setup with one
+capacity gather as its only numpy call, then O(log L) work per freeze
+and no O(L) pass per round, which suits the network's typical fill, a
+bottleneck region of a few demands. Rates, loads and saturation shares
+do not depend on how demands are grouped into fills, and the loads
+equal a from-scratch recount (:func:`link_loads_indexed`) bit for bit
+(see :func:`maxmin_allocate_indexed`).
 
 Demands are assumed loop-free (no demand crosses the same directed link
 twice) — true for every path the topology generators emit.
@@ -79,16 +58,6 @@ Demand = Tuple[Sequence[LinkId], float]
 _EPSILON = 1e-9
 _INF = float("inf")
 
-#: Hybrid switch: after this many consecutive filling rounds that each froze
-#: fewer than :data:`_SMALL_ROUND` demands, the vectorized loop hands the
-#: remainder to the lazy-heap tail (see :func:`_progressive_fill_tail`).
-_TAIL_SWITCH_ROUNDS = 4
-_SMALL_ROUND = 8
-
-#: Start-regime switch: fills of fewer demands than this run on the lazy
-#: heap from round 0 (see the module docstring).
-_HEAP_START_DEMANDS = 64
-
 
 class Allocation(NamedTuple):
     """One fill's result (see :func:`maxmin_allocate_indexed`)."""
@@ -97,14 +66,14 @@ class Allocation(NamedTuple):
     rates: List[float]
     #: progressive-filling rounds.
     iterations: int
-    #: global id of every link some row crosses, each once (a numpy
-    #: array from a vectorized fill, a list from the heap).
-    links: Sequence[int]
+    #: global id of every link some row crosses, each once, in order of
+    #: first appearance.
+    links: List[int]
     #: each of those links' summed demand rates, aligned with ``links``.
-    loads: Sequence[float]
+    loads: List[float]
     #: each of those links' saturation share, aligned with ``links``: the
     #: level of the round it tied in, ``inf`` if it never did.
-    saturation: Sequence[float]
+    saturation: List[float]
     #: the pinned demands the fill froze at a level other than their pin,
     #: in freeze order (always empty for a fill without ``levels``).
     contradicted: Sequence[int] = ()
@@ -140,43 +109,40 @@ def maxmin_allocate_indexed(
     frozen at any other level than its pin is *contradicted*: the fill
     still runs to the end and lists it in ``contradicted``.
 
-    Fills of fewer than :data:`_HEAP_START_DEMANDS` demands, and every
-    fill with ``levels``, run on the lazy heap from round 0 in Python
-    lists (:func:`_heap_fill`); larger ones compact to a CSR and start
-    vectorized (:func:`_array_fill`). Both produce bit-identical rates,
-    iteration counts, loads and saturation shares (see the module
-    docstring).
+    The links are renumbered densely in order of first appearance, so a
+    fill over a few links of a large capacity array never walks the rest
+    of it, and the fill runs on a lazy-deletion min-heap of link shares.
+    Shares are monotone: freezing a demand never lowers any other link's
+    share (share' = s_l + w * (s_l - s) / (lw - w) >= s_l since s is the
+    round minimum), so a heap entry's key is always <= the link's current
+    share and a stale pop can simply be re-pushed with the refreshed key.
+
+    Each round pops a verified-fresh bottleneck, then drains every other
+    link whose *refreshed* share ties it exactly (a popped key <= the
+    round share is only a lower bound; the refresh either proves the tie
+    or re-pushes). The whole tie batch freezes before any capacity is
+    subtracted, members in ascending demand order. That makes the
+    allocation invariant to how demands are grouped into fills
+    (combined, per-component, or one bottleneck region with its boundary
+    pinned), because a tie spanning several groups resolves to the
+    identical floats no matter which fill processes each side.
+    Sequential tie handling — freeze one link, subtract, recompute the
+    next tied link's share — perturbs the tied partners by an ULP
+    through the recomputed division, and the perturbation would differ
+    between a combined fill and its decomposition.
+
+    An anchored demand ``j`` enters the heap as one more entry, keyed by
+    its pinned level and named ``~j`` (negative, so it never collides
+    with a link): the outside link that froze it, which freezes it in the
+    round at that level, in the same tie batch as every fill link that
+    saturates there.
 
     Inputs are trusted (the wrapper and the network validate at indexing
     time); an infeasible state still raises :class:`SimulationError`.
     """
     n = len(rows)
-    if n == 0:
-        return Allocation([], 0, [], [], [])
-    if n < _HEAP_START_DEMANDS or levels is not None:
-        return _heap_fill(rows, weights, capacities, levels, anchored)
-    return _array_fill(rows, weights, capacities)
-
-
-def _heap_fill(
-    rows: Sequence[Sequence[int]],
-    weights: Sequence[float],
-    capacities: np.ndarray,
-    levels: Optional[Sequence[float]] = None,
-    anchored: Sequence[int] = (),
-) -> Allocation:
-    """The whole fill on the lazy heap, with its state built in O(nnz).
-
-    Links are renumbered densely in order of first appearance, so a fill
-    over a few links of a large capacity array never walks the rest of
-    it. The heap loop is indifferent to link numbering: a round freezes
-    its whole tie batch, members in ascending demand order, whichever
-    tied link pops first. Each link's live weight accumulates in
-    ascending demand order, the order ``np.add.at`` uses in
-    :func:`_vectorized_fill`, and so does each link's load (a link's
-    member list is in ascending demand order).
-    """
-    n = len(rows)
+    # Each link's live weight and member list accumulate in ascending
+    # demand order, and so does its load below.
     local: Dict[int, int] = {}
     links: List[int] = []
     lw: List[float] = []
@@ -199,251 +165,11 @@ def _heap_fill(
         crossed.append(row)
     rem = capacities[links].tolist()
     out = [0.0] * n
+    act = [True] * n
     sat = [_INF] * len(links)
     contradicted: List[int] = []
-    iterations = _progressive_fill_tail(
-        rem, lw, crossed, weights, members, [True] * n, out, n, 0,
-        sat, levels, anchored, contradicted,
-    )
-    loads: List[float] = []
-    for link_members in members:
-        load = 0.0
-        for j in link_members:
-            load += out[j]
-        loads.append(load)
-    return Allocation(out, iterations, links, loads, sat, contradicted)
-
-
-def sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """The ascending distinct values of an integer array: ``np.unique``.
-
-    A bare ``np.unique`` on integers takes numpy's hash path, which at a
-    few hundred ids or more costs several times a sort plus a neighbour
-    mask; this takes the sort path and returns the same array.
-    """
-    ordered = np.sort(ids)
-    keep = np.empty(ordered.shape[0], dtype=bool)
-    keep[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
-def _array_fill(
-    rows: Sequence[Sequence[int]],
-    weights: Sequence[float],
-    capacities: np.ndarray,
-) -> Allocation:
-    """Compact the rows to the links they cross, then :func:`_vectorized_fill`.
-
-    ``np.unique`` sorts the crossed links, so the compacted numbering
-    keeps their relative order and bottleneck selection and heap
-    tie-breaking pick the same links as over the whole array. Loads are
-    one ``np.add.at`` scatter, which accumulates repeated links in
-    ascending demand order.
-    """
-    n = len(rows)
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
-    # The inverse is ``searchsorted(links, flat)``. Asking for it also puts
-    # ``np.unique`` on its sort path, several times faster here than the
-    # hash path a bare ``np.unique`` takes on integers.
-    links, indices = np.unique(flat, return_inverse=True)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(lengths, out=indptr[1:])
-    rates, iterations, sat = _vectorized_fill(
-        indices, indptr, np.asarray(weights, dtype=float), capacities[links]
-    )
-    loads = np.zeros(links.size, dtype=float)
-    np.add.at(loads, indices, np.repeat(rates, lengths))
-    return Allocation(rates.tolist(), iterations, links, loads, sat)
-
-
-def _vectorized_fill(
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    weights: np.ndarray,
-    capacities: np.ndarray,
-) -> Tuple[np.ndarray, int, np.ndarray]:
-    """Vectorized rounds first, the lazy heap once rounds stop batching.
-
-    ``indices``/``indptr`` are a CSR over the compacted link numbering
-    (demand ``j`` crosses ``indices[indptr[j]:indptr[j + 1]]``) and
-    ``capacities`` is aligned with that numbering. Returns ``(rates,
-    iterations, saturation)``, the last aligned with ``capacities``.
-    """
-    n = int(indptr.shape[0]) - 1
-    num_links = int(capacities.shape[0])
-
-    # Demand owning each nonzero, and the link -> member-demands CSR
-    # transpose. The stable sort keeps members in ascending demand order,
-    # which keeps the freeze-update arithmetic in the same sequence as the
-    # reference implementation (bit-for-bit equal subtraction order).
-    demand_of = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-    order = np.argsort(indices, kind="stable")
-    link_members = demand_of[order]
-    link_ptr = np.zeros(num_links + 1, dtype=np.intp)
-    np.cumsum(np.bincount(indices, minlength=num_links), out=link_ptr[1:])
-
-    remaining = capacities.astype(float, copy=True)
-    live_weight = np.zeros(num_links, dtype=float)
-    np.add.at(live_weight, indices, weights[demand_of])
-
-    rates = np.zeros(n, dtype=float)
-    active = np.ones(n, dtype=bool)
-    sat = np.full(num_links, _INF)
     unfrozen = n
     iterations = 0
-    small_rounds = 0
-
-    # Progressive filling, in two regimes. The vectorized loop below does an
-    # O(L) numpy bottleneck search per round and freezes *every* link tied at
-    # the minimum share in one batch. Ties are exact in exact arithmetic
-    # (removing a frozen demand from a tied link leaves its share unchanged:
-    # rem - w*s over lw - w equals s when rem = s*lw), so batching is
-    # faithful to sequential filling — and in symmetric fabrics it collapses
-    # hundreds of one-bottleneck rounds into a handful. Once the symmetric
-    # waves are exhausted the remaining bottlenecks have distinct shares and
-    # each round freezes one or two demands, so per-round numpy dispatch
-    # overhead dominates; after _TAIL_SWITCH_ROUNDS such rounds the loop
-    # hands the remainder to the lazy-heap tail, which does O(log L) work
-    # per event with no O(L) passes. Each demand is frozen exactly once, so
-    # the update work totals O(nnz) across the whole call either way.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while unfrozen > 0:
-            iterations += 1
-            share = np.where(live_weight > _EPSILON, remaining / live_weight, np.inf)
-            bottleneck = int(np.argmin(share))
-            best_share = share[bottleneck]
-            if not np.isfinite(best_share):
-                raise SimulationError("no bottleneck found with demands outstanding")
-            tied = np.nonzero(share == best_share)[0]
-            best_share = max(float(best_share), 0.0)
-            sat[tied] = best_share
-            if tied.size == 1:
-                # One link's members are ascending and unique already.
-                members = link_members[link_ptr[bottleneck] : link_ptr[bottleneck + 1]]
-                members = members[active[members]]
-            else:
-                members = np.concatenate(
-                    [link_members[link_ptr[b] : link_ptr[b + 1]] for b in tied]
-                )
-                members = sorted_unique(members[active[members]])
-            if members.size:
-                frozen = weights[members] * best_share
-                rates[members] = frozen
-                active[members] = False
-                unfrozen -= int(members.size)
-                # Gather every nonzero position of the frozen demands (in
-                # ascending demand order) and scatter the updates in one shot.
-                starts = indptr[members]
-                lens = indptr[members + 1] - starts
-                total = int(lens.sum())
-                offsets = np.cumsum(lens) - lens
-                positions = (
-                    np.arange(total, dtype=np.intp)
-                    - np.repeat(offsets, lens)
-                    + np.repeat(starts, lens)
-                )
-                touched = indices[positions]
-                np.add.at(remaining, touched, -np.repeat(frozen, lens))
-                np.add.at(live_weight, touched, -np.repeat(weights[members], lens))
-            remaining[tied] = 0.0
-            live_weight[tied] = 0.0
-            np.maximum(remaining, 0.0, out=remaining)
-            small_rounds = small_rounds + 1 if members.size < _SMALL_ROUND else 0
-            if small_rounds >= _TAIL_SWITCH_ROUNDS and unfrozen > 0:
-                out = rates.tolist()
-                shares = sat.tolist()
-                left = live_weight.tolist()
-                act = active.tolist()
-                # The tail reads the links of demands still unfrozen and
-                # the members of links still carrying live weight only.
-                flat, ptr = indices.tolist(), indptr.tolist()
-                member_flat, member_ptr = link_members.tolist(), link_ptr.tolist()
-                crossed = [flat[ptr[j] : ptr[j + 1]] if act[j] else [] for j in range(n)]
-                members = [
-                    member_flat[member_ptr[k] : member_ptr[k + 1]] if left[k] > _EPSILON else []
-                    for k in range(num_links)
-                ]
-                iterations = _progressive_fill_tail(
-                    remaining.tolist(),
-                    left,
-                    crossed,
-                    weights.tolist(),
-                    members,
-                    act,
-                    out,
-                    unfrozen,
-                    iterations,
-                    shares,
-                )
-                rates[:] = out
-                sat[:] = shares
-                return rates, iterations, sat
-
-    return rates, iterations, sat
-
-
-def _progressive_fill_tail(
-    rem: List[float],
-    lw: List[float],
-    crossed: List[List[int]],
-    wts: Sequence[float],
-    members: List[List[int]],
-    act: List[bool],
-    out: List[float],
-    unfrozen: int,
-    iterations: int,
-    sat: List[float],
-    levels: Optional[Sequence[float]] = None,
-    anchored: Sequence[int] = (),
-    contradicted: Optional[List[int]] = None,
-) -> int:
-    """Progressive filling with a lazy-deletion min-heap, in place.
-
-    The one heap loop, entered at round 0 by :func:`_heap_fill` or
-    mid-fill by :func:`_vectorized_fill` once its rounds stop batching.
-    State is plain lists: per-link remaining capacity ``rem`` and live
-    weight ``lw``, each demand's links ``crossed``, per-demand weights
-    ``wts``, each link's member demands ``members`` (in ascending demand
-    order), the per-demand ``act`` flags and rates ``out`` and the per-link
-    saturation shares ``sat``, which it updates. ``levels`` and
-    ``anchored`` pin demands (see :func:`maxmin_allocate_indexed`); each
-    contradicted pinned demand is appended to ``contradicted``. Returns
-    the running ``iterations`` count.
-
-    Shares are monotone: freezing a demand never lowers any other link's
-    share (share' = s_l + w * (s_l - s) / (lw - w) >= s_l since s is the
-    round minimum), so a heap entry's key is always <= the link's current
-    share and a stale pop can simply be re-pushed with the refreshed key.
-    Each pop/freeze touches O(path length * log L) Python-level work with
-    no O(L) array passes — cheaper than numpy dispatch when rounds freeze
-    one or two demands each, or when the whole fill is a handful of
-    demands.
-
-    Each round pops a verified-fresh bottleneck, then drains every other
-    link whose *refreshed* share ties it exactly (a popped key <= the
-    round share is only a lower bound; the refresh either proves the tie
-    or re-pushes). The whole tie batch freezes before any capacity is
-    subtracted, members in ascending demand order — the same tie set, the
-    same freeze values, and the same subtraction sequence as one round of
-    the vectorized loop. That exactness is load-bearing beyond the
-    handoff being seamless: it makes the allocation invariant to how
-    demands are grouped into fills (combined, per-component, or one
-    bottleneck region with its boundary pinned), because a tie spanning
-    several groups resolves to the identical floats no matter which fill
-    processes each side. Sequential tie handling here — freeze one link,
-    subtract, recompute the next tied link's share — perturbs the tied
-    partners by an ULP through the recomputed division, and *when* ties
-    reach the tail depends on global round structure, so the perturbation
-    would differ between a combined fill and its decomposition.
-
-    An anchored demand ``j`` enters the heap as one more entry, keyed by
-    its pinned level and named ``~j`` (negative, so it never collides
-    with a link): the outside link that froze it, which freezes it in the
-    round at that level, in the same tie batch as every fill link that
-    saturates there.
-    """
     heap = [(rem[b] / lw[b], b) for b in range(len(lw)) if lw[b] > _EPSILON]
     if anchored:
         heap += [(levels[j], ~j) for j in anchored]  # type: ignore[index]
@@ -501,8 +227,8 @@ def _progressive_fill_tail(
             if levels is not None:
                 pin = levels[j]
                 if pin != current and pin < _INF:
-                    contradicted.append(j)  # type: ignore[union-attr]
-            wj = wts[j]
+                    contradicted.append(j)
+            wj = weights[j]
             rate = wj * current
             out[j] = rate
             act[j] = False
@@ -514,7 +240,13 @@ def _progressive_fill_tail(
         for link in tied:
             rem[link] = 0.0
             lw[link] = 0.0
-    return iterations
+    loads: List[float] = []
+    for link_members in members:
+        load = 0.0
+        for j in link_members:
+            load += out[j]
+        loads.append(load)
+    return Allocation(out, iterations, links, loads, sat, contradicted)
 
 
 def _intern_demands(

@@ -81,7 +81,6 @@ records (golden traces and fuzzer dual-runs).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -200,8 +199,6 @@ class Network:
         #: flows whose demands changed since the last fill: arrivals,
         #: reroutes, and flows under a failed or restored cable.
         self._changed_flows: Set[int] = set()
-        #: the path tables' cable-id rows as int arrays (first :meth:`component`).
-        self._cable_rows: Optional[Tuple[List[array], List[array]]] = None
 
         #: ToR pair -> equal-cost path set, kept for one check battery:
         #: emptied by :meth:`check_invariants`, read by :meth:`host_path_at`.
@@ -368,15 +365,10 @@ class Network:
         links around the hops read from the cable-id tables, no node path."""
         if not 0 <= index < len(paths):
             raise IndexError(f"path index {index} out of range for {len(paths)} paths")
-        if self._cable_rows is None:
-            ids, tables = self.link_index.cable_ids, self.topology.path_tables()
-            self._cable_rows = (
-                [array("q", row.tolist()) for row in ids(tables.tor)],
-                [array("q", row.tolist()) for row in ids(tables.agg)],
-            )
-        id_of = self.link_index.id_of
+        link_index, tables = self.link_index, self.topology.path_tables()
+        id_of, cable_ids = link_index.id_of, link_index.cable_ids
         row = [id_of((src, paths.src_tor))]
-        row += paths.hop_row(index, *self._cable_rows)
+        row += paths.hop_row(index, cable_ids(tables.tor), cable_ids(tables.agg))
         row.append(id_of((paths.dst_tor, dst)))
         return FlowComponent(index, row, weight)
 
@@ -1098,9 +1090,7 @@ class Network:
         if region_flows:
             self._write_rates(region_flows, owners, fill.rates, levels)
         load, util = self._load_array, self._util_array
-        links, shares = fill.links, fill.saturation
-        if isinstance(links, np.ndarray):  # a vectorized fill
-            links, shares = links.tolist(), shares.tolist()
+        links = fill.links
         if len(links) < len(fill_links):
             # Covered links that no live demand crosses any more.
             for link in fill_links.difference(links):
@@ -1114,7 +1104,7 @@ class Network:
             util[ids] = fresh
             peak = self._peak_util_array
             peak[ids] = np.maximum(peak[ids], fresh)
-            for link, share in zip(links, shares):
+            for link, share in zip(links, fill.saturation):
                 sat[link] = share
         # A striped flow's reordering fraction reads its links'
         # utilizations; a single-path flow's is 0 (see reroute_flow).

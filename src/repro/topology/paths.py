@@ -63,8 +63,15 @@ SwitchPath = Tuple[str, ...]
 #: A failed-cable set as the network keeps it: both directions of a cable.
 FailedLinks = AbstractSet[Tuple[str, str]]
 
-#: A :meth:`EqualCostPaths.hop_links` id table as plain rows (lists or int arrays).
-IdTable = Sequence[Sequence[int]]
+#: An :class:`UplinkTable`'s cable ids as ``LinkIndex.cable_ids`` keeps
+#: them: two ``array('q')`` rows, the upward and the downward direction
+#: of each entry's cable.
+IdTable = Tuple["array[int]", "array[int]"]
+
+
+def _view(row: "array[int]") -> np.ndarray:
+    """An ``array('q')`` as an int64 numpy array, without a copy."""
+    return np.frombuffer(row, dtype=np.int64)
 
 
 class UplinkTable:
@@ -326,7 +333,7 @@ class EqualCostPaths(_Paths):
 
     def hop_row(self, i: int, tor_ids: IdTable, agg_ids: IdTable) -> List[int]:
         """Row ``i`` of :meth:`hop_links` (``0 <= i < len``), from the same
-        id tables as plain rows: a few reads, no numpy gather."""
+        id tables: a few reads of plain ints, no numpy gather."""
         return []
 
     def dead_indices(self, failed: FailedLinks) -> List[int]:
@@ -339,13 +346,13 @@ class EqualCostPaths(_Paths):
         """
         return []
 
-    def hop_links(self, tor_ids: np.ndarray, agg_ids: np.ndarray) -> np.ndarray:
+    def hop_links(self, tor_ids: IdTable, agg_ids: IdTable) -> np.ndarray:
         """``(len, hops)`` link ids of every path, hop by hop.
 
-        ``tor_ids``/``agg_ids`` are the ``(2, cables)`` id tables of the
-        ToR and aggregation :class:`UplinkTable`: row 0 the upward
-        direction of each entry's cable, row 1 the downward one. A ToR
-        paired with itself has no switch-switch hop to monitor: ``(0, 0)``.
+        ``tor_ids``/``agg_ids`` are the id tables of the ToR and
+        aggregation :class:`UplinkTable`, gathered through numpy views.
+        A ToR paired with itself has no switch-switch hop to monitor:
+        ``(0, 0)``.
         """
         return np.empty((0, 0), dtype=np.intp)
 
@@ -414,8 +421,8 @@ class _IntraPod(EqualCostPaths):
     def hop_row(self, i: int, tor_ids: IdTable, agg_ids: IdTable) -> List[int]:
         return [tor_ids[0][self._up[i]], tor_ids[1][self._down[i]]]
 
-    def hop_links(self, tor_ids: np.ndarray, agg_ids: np.ndarray) -> np.ndarray:
-        return np.column_stack((tor_ids[0][self._up], tor_ids[1][self._down]))
+    def hop_links(self, tor_ids: IdTable, agg_ids: IdTable) -> np.ndarray:
+        return np.column_stack((_view(tor_ids[0])[self._up], _view(tor_ids[1])[self._down]))
 
 
 class _InterPod(EqualCostPaths):
@@ -571,10 +578,10 @@ class _InterPod(EqualCostPaths):
             for j in legs.by_core[legs.core_first[c] : legs.core_first[c + 1]]
         ]
 
-    def hop_links(self, tor_ids: np.ndarray, agg_ids: np.ndarray) -> np.ndarray:
+    def hop_links(self, tor_ids: IdTable, agg_ids: IdTable) -> np.ndarray:
         legs, descents = self._legs, self._descents
-        core = np.frombuffer(legs.core, dtype=np.int64)
-        start = np.frombuffer(descents.start, dtype=np.int64)
+        core = _view(legs.core)
+        start = _view(descents.start)
         # Path by path, its leg and its descent: leg ``j`` repeated once
         # per descent in its core's run, and that run's descents in order.
         first = start[core]
@@ -582,8 +589,8 @@ class _InterPod(EqualCostPaths):
         leg = np.arange(core.size).repeat(counts)
         descent = np.arange(self._len) + (first + counts - counts.cumsum()).repeat(counts)
         return np.column_stack((
-            tor_ids[0][self._s0 + np.frombuffer(legs.at, dtype=np.int64)[leg]],
-            agg_ids[0][np.frombuffer(legs.mid, dtype=np.int64)[leg]],
-            agg_ids[1][np.frombuffer(descents.mid, dtype=np.int64)[descent]],
-            tor_ids[1][self._d0 + np.frombuffer(descents.at, dtype=np.int64)[descent]],
+            _view(tor_ids[0])[self._s0 + _view(legs.at)[leg]],
+            _view(agg_ids[0])[_view(legs.mid)[leg]],
+            _view(agg_ids[1])[_view(descents.mid)[descent]],
+            _view(tor_ids[1])[self._d0 + _view(descents.at)[descent]],
         ))

@@ -192,9 +192,7 @@ class TestPairInterning:
         paths, hops = per_path_hops(net, src_tor, dst_tor)
         assert list(pp.paths) == list(paths)
         assert [pp.paths.index(path) for path in paths] == list(range(len(paths)))
-        assert pp.num_query_switches == len(
-            switches_to_query(topology, src_tor, dst_tor)
-        )
+        assert pp.num_query_switches == len(switches_to_query(topology, paths))
         assert pp.hops.shape == hops.shape
         np.testing.assert_array_equal(pp.hops, hops)
         assert pp.hops.dtype == np.intp

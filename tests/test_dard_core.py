@@ -52,7 +52,7 @@ class TestPathState:
 class TestSwitchesToQuery:
     def test_inter_pod_groups(self, fattree4):
         """Paper §2.4.2: source ToR + its aggs + all cores + dest aggs."""
-        switches = switches_to_query(fattree4, "tor_0_0", "tor_1_0")
+        switches = switches_to_query(fattree4, fattree4.equal_cost_paths("tor_0_0", "tor_1_0"))
         assert "tor_0_0" in switches
         assert {"agg_0_0", "agg_0_1"} <= switches
         assert set(fattree4.cores()) <= switches
@@ -60,12 +60,13 @@ class TestSwitchesToQuery:
         assert len(switches) == 1 + 2 + 4 + 2
 
     def test_intra_pod_smaller_set(self, fattree4):
-        switches = switches_to_query(fattree4, "tor_0_0", "tor_0_1")
+        switches = switches_to_query(fattree4, fattree4.equal_cost_paths("tor_0_0", "tor_0_1"))
         assert switches == {"tor_0_0", "agg_0_0", "agg_0_1"}
 
     def test_covers_every_path(self, fattree4):
-        switches = switches_to_query(fattree4, "tor_0_0", "tor_2_1")
-        for path in fattree4.equal_cost_paths("tor_0_0", "tor_2_1"):
+        paths = fattree4.equal_cost_paths("tor_0_0", "tor_2_1")
+        switches = switches_to_query(fattree4, paths)
+        for path in paths:
             # Every switch-switch link has its egress switch in the set.
             for u, _ in zip(path, path[1:]):
                 assert u in switches
@@ -96,7 +97,7 @@ class TestPathMonitor:
         ledger = MessageLedger()
         monitor = PathMonitor("tor_0_0", "tor_1_0", ledger, MonitorRegistry(net))
         monitor.refresh()
-        n = len(switches_to_query(fattree4, "tor_0_0", "tor_1_0"))
+        n = len(switches_to_query(fattree4, fattree4.equal_cost_paths("tor_0_0", "tor_1_0")))
         assert monitor.num_query_switches == n
         assert ledger.bytes_by_kind["dard_query"] == 48 * n
         assert ledger.bytes_by_kind["dard_reply"] == 32 * n

@@ -35,8 +35,9 @@ class TestDardOnClos:
 
     def test_query_set_covers_paths(self, clos_ctx):
         ctx, _ = clos_ctx
-        switches = switches_to_query(ctx.topology, "tor_0", "tor_2")
-        for path in ctx.topology.equal_cost_paths("tor_0", "tor_2"):
+        paths = ctx.topology.equal_cost_paths("tor_0", "tor_2")
+        switches = switches_to_query(ctx.topology, paths)
+        for path in paths:
             for u, _ in zip(path, path[1:]):
                 assert u in switches
 

@@ -7,12 +7,11 @@ weights, and failure sets. "Same" means within 1e-9 relative tolerance —
 the two paths may pick saturated bottlenecks in a different order when
 shares tie exactly, which perturbs nothing beyond floating-point ulps.
 
-The indexed allocator's two start regimes (the lazy heap from round 0
-and vectorized rounds first) are held to a stricter bar: bit-identical
-rates, iteration counts, link loads and saturation shares on the same
-rows, with the loads equal to an independent recount. So is partition
-invariance: filling components in separate calls reproduces one
-combined fill bit for bit, even when symmetric shares tie exactly
+One indexed fill is also held to a stricter bar on its own rows: its
+link loads equal an independent recount bit for bit, and every rate is
+its weight times the least saturation share on its row. So is
+partition invariance: filling components in separate calls reproduces
+one combined fill bit for bit, even when symmetric shares tie exactly
 across components, and so does filling a random region with every
 other demand on its links pinned at its level in the combined fill.
 """
@@ -26,9 +25,6 @@ import pytest
 from repro.common.units import MB, MBPS
 from repro.simulator import Network
 from repro.simulator.maxmin import (
-    _HEAP_START_DEMANDS,
-    _array_fill,
-    _heap_fill,
     link_loads_indexed,
     maxmin_allocate,
     maxmin_allocate_indexed,
@@ -158,12 +154,17 @@ class TestRandomizedEquivalence:
             net.check_invariants()
 
 
+#: Fill sizes on both sides of this count once took different code
+#: paths (vectorized rounds from here up); the sizes drawn span both.
+LARGE_FILL = 64
+
+
 def random_rows(rng, num_demands, tie_heavy):
     """Random demand rows; ``tie_heavy`` draws from few capacities/weights.
 
     Few distinct capacities and weights (every weight a small dyadic
     multiple, some != 1) make exact share ties common, the case where
-    the two start regimes must agree on whole tie batches.
+    a round must freeze its whole tie batch at once.
     """
     num_links = rng.randint(2, 48)
     rows, weights = [], []
@@ -184,8 +185,8 @@ def _replicated_rows(components=6, demands_per=9, links_per=3):
 
     Identical structure means every component produces the same share
     sequence, so the combined fill is saturated with *exact* cross-
-    component ties — the regime where the progressive tail's tie
-    handling must stay batch-exact for per-component fills to reproduce it.
+    component ties — the case where the fill's tie handling must stay
+    batch-exact for per-component fills to reproduce it.
     """
     rows, weights = [], []
     for c in range(components):
@@ -199,63 +200,55 @@ def _replicated_rows(components=6, demands_per=9, links_per=3):
 
 
 def _loads_by_link(fill):
-    """A fill's loads keyed by global link id (the regimes number links apart)."""
-    return dict(zip(np.asarray(fill.links).tolist(), np.asarray(fill.loads).tolist()))
+    """A fill's loads keyed by global link id."""
+    return dict(zip(fill.links, fill.loads))
 
 
 def _shares_by_link(fill):
     """A fill's saturation shares keyed by global link id."""
-    return dict(zip(np.asarray(fill.links).tolist(), np.asarray(fill.saturation).tolist()))
+    return dict(zip(fill.links, fill.saturation))
 
 
-def assert_regimes_agree(rows, weights, capacities):
-    """Both start regimes and the entry point agree bit for bit on one fill."""
-    heap = _heap_fill(rows, weights, capacities)
-    array = _array_fill(rows, weights, capacities)
-    assert heap.rates == array.rates
-    assert heap.iterations == array.iterations
-    assert _loads_by_link(heap) == _loads_by_link(array)
-    assert _shares_by_link(heap) == _shares_by_link(array)
-    recount = link_loads_indexed(rows, heap.rates, capacities.size)
-    np.testing.assert_array_equal(recount[np.asarray(heap.links)], heap.loads)
-    assert np.count_nonzero(recount) <= len(heap.links)
+def assert_one_fill_holds(rows, weights, capacities):
+    """One fill's loads, shares and rates against a recount and the oracle."""
     fill = maxmin_allocate_indexed(rows, weights, capacities)
-    assert fill.rates == array.rates
-    assert fill.iterations == array.iterations
-    assert _loads_by_link(fill) == _loads_by_link(array)
+    assert 1 <= fill.iterations <= len(rows)
+    assert sorted(fill.links) == sorted({link for row in rows for link in row})
+    recount = link_loads_indexed(rows, fill.rates, capacities.size)
+    assert recount[fill.links].tolist() == fill.loads
     # Every demand froze in a round some link of its row tied in.
     shares = _shares_by_link(fill)
     for row, weight, rate in zip(rows, weights, fill.rates):
         assert rate == weight * min(shares[link] for link in row)
+    demands = [(tuple((f"l{link}", "x") for link in row), w) for row, w in zip(rows, weights)]
+    caps = {(f"l{link}", "x"): float(cap) for link, cap in enumerate(capacities)}
+    assert_rates_equal(fill.rates, maxmin_allocate_reference(demands, caps))
 
 
 class TestStartRegimes:
-    """The round-0 heap entry and the vectorized-first entry agree bit for bit."""
+    """One fill on small and large, random and tie-heavy rows."""
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("tie_heavy", [False, True])
     def test_random_csrs_on_both_sides_of_threshold(self, seed, tie_heavy):
-        # Random demand rows on both sides of the start-regime threshold.
         rng = random.Random(4000 + seed)
         for num_demands in (
             1,
-            rng.randint(2, _HEAP_START_DEMANDS - 1),
-            _HEAP_START_DEMANDS,
-            rng.randint(_HEAP_START_DEMANDS + 1, 3 * _HEAP_START_DEMANDS),
+            rng.randint(2, LARGE_FILL - 1),
+            LARGE_FILL,
+            rng.randint(LARGE_FILL + 1, 3 * LARGE_FILL),
         ):
-            assert_regimes_agree(*random_rows(rng, num_demands, tie_heavy))
+            assert_one_fill_holds(*random_rows(rng, num_demands, tie_heavy))
 
     @pytest.mark.parametrize("components", [1, 3, 8])
     def test_symmetric_components_tie_exactly(self, components):
         # Identical components over disjoint links: every share ties
         # across components, and weights 1/2/3 tie within them.
-        assert_regimes_agree(*_replicated_rows(components=components)[:3])
+        assert_one_fill_holds(*_replicated_rows(components=components)[:3])
 
     def test_empty_fill(self):
         fill = maxmin_allocate_indexed([], [], np.ones(4))
-        assert (fill.rates, fill.iterations, list(fill.links), list(fill.loads)) == (
-            [], 0, [], []
-        )
+        assert (fill.rates, fill.iterations, fill.links, fill.loads) == ([], 0, [], [])
 
 
 class TestPartitionInvariance:

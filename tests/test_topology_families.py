@@ -79,22 +79,35 @@ class TestFatTreePaths:
             fattree4.equal_cost_paths("agg_0_0", "tor_1_0")
 
     def test_path_sets_store_nothing_per_pair(self):
-        """Paths are computed from O(switch links) tables: 2,000 random
-        p=32 ToR pairs (256 paths each between pods) must stay far below
-        the ~42 MB that caching every pair's tuple list costs."""
+        """Paths are computed from O(switch links) tables, built once per
+        pod: building all of them stays under 2 MB, and afterwards 2,000
+        random p=32 ToR pairs (256 paths each between pods) leave under
+        64 KB traced, about 32 bytes a pair. Caching every pair's tuple
+        list costs ~42 MB, and even a memo of the path set objects alone
+        several hundred KB."""
         topology = FatTree(p=32)
         tors = sorted(topology.tors())
+        one_per_pod = sorted({topology.pod_of(tor): tor for tor in tors}.values())
         rng = random.Random(0)
         pairs = [rng.sample(tors, 2) for _ in range(2000)]
         tracemalloc.start()
         try:
+            # Each pod once as the source and once as the destination.
+            for src, dst in zip(one_per_pod, one_per_pod[1:] + one_per_pod[:1]):
+                assert topology.equal_cost_paths(src, dst)[0][0] == src
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
             for i, (src, dst) in enumerate(pairs):
                 paths = topology.equal_cost_paths(src, dst)
                 assert paths[i % len(paths)][0] == src
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        tables = topology.path_tables()
+        assert len(tables._legs) == len(tables._descents) == len(one_per_pod) == 32
+        assert build_peak < 2 * 2**20, f"table build peak {build_peak / 2**20:.2f} MB"
+        assert peak - before < 64 * 2**10, f"per-pair growth {(peak - before) / 2**10:.1f} KB"
 
 
 class TestClosStructure:

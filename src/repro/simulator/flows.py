@@ -183,7 +183,8 @@ class Flow:
         """Aggregate allocated rate across components.
 
         The network's refills keep the rate column bit-equal to
-        ``sum(component_rates)``; ``check_invariants`` audits that.
+        ``sum(component_rates)``;
+        :func:`repro.validation.invariants.check_flowstore_rows` audits that.
         """
         return float(self._store.rate_bps[self._row])
 

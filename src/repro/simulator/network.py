@@ -57,10 +57,13 @@ every query, with no cache in between.
 Settings: a network builds its own :class:`EventEngine` (``network.engine``)
 and takes two options, the elephant age and the detector kind. A path
 switch costs :data:`~repro.simulator.flows.PATH_SWITCH_RETX_BYTES` of
-retransmission unless ``reroute_flow`` waives the penalty. The
-self-checks (:meth:`check_invariants` and the validation battery that
-follows it) expand node paths through :meth:`host_path_at`, which keeps
-each ToR pair's path set for one battery only.
+retransmission unless ``reroute_flow`` waives the penalty.
+
+The network holds no self-check. The invariant battery
+(:meth:`repro.validation.invariants.InvariantChecker.run_checks`) audits
+its state from outside: it recounts the elephant counters, loads and the
+link -> flows index from node paths it expands itself, and reads the
+private arrays and counters it audits directly.
 
 Columnar flow state (see DESIGN.md "Columnar flow state"): hot per-flow
 scalars live in a dense :class:`~repro.simulator.flowstore.FlowStore` —
@@ -87,7 +90,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.common.errors import InvariantViolation, SimulationError
+from repro.common.errors import SimulationError
 from repro.common.logging import get_logger
 from repro.topology.multirooted import MultiRootedTopology
 from repro.topology.paths import EqualCostPaths
@@ -200,11 +203,6 @@ class Network:
         #: reroutes, and flows under a failed or restored cable.
         self._changed_flows: Set[int] = set()
 
-        #: ToR pair -> equal-cost path set, kept for one check battery:
-        #: emptied by :meth:`check_invariants`, read by :meth:`host_path_at`.
-        #: Runs that never check keep nothing here.
-        self._check_paths: Dict[Tuple[str, str], EqualCostPaths] = {}
-
         # String-keyed copy of the capacities, for the baselines, the
         # reference allocator and the validation checks.
         self.capacities: Dict[LinkId, float] = {
@@ -219,6 +217,8 @@ class Network:
         self.records: List[FlowRecord] = []
         self._next_flow_id = 0
         self._last_settle = 0.0
+        #: a coalesced zero-delay refill is queued: rates are stale until it
+        #: runs, so the checks that need settled rates skip meanwhile.
         self._realloc_pending = False
         self._completion_handle: Optional[EventHandle] = None
 
@@ -252,7 +252,6 @@ class Network:
         self._stat_flows_completed = 0
         self._stat_reroutes = 0
         # Incremental-reallocation telemetry (see perf_stats).
-        self._stat_realloc_full = 0
         self._stat_realloc_incremental = 0
         self._stat_realloc_subset = 0
         self._stat_realloc_reruns = 0
@@ -509,27 +508,6 @@ class Network:
             return 0.0
         return float(self._util_array[index])
 
-    def peak_utilization(self, u: str, v: str) -> float:
-        """Highest allocated utilization ``u -> v`` ever reached this run."""
-        index = self.link_index.ids.get((u, v))
-        if index is None:
-            return 0.0
-        return float(self._peak_util_array[index])
-
-    def peak_utilization_summary(self) -> Dict[str, float]:
-        """Fabric-wide peak-utilization digest (golden-trace material).
-
-        ``max`` is the hottest instantaneous link utilization of the run;
-        ``mean`` averages each link's peak over all links; ``saturated``
-        counts links that ever reached >= 99% utilization.
-        """
-        peaks = self._peak_util_array
-        return {
-            "max": float(peaks.max(initial=0.0)),
-            "mean": float(peaks.mean()) if peaks.size else 0.0,
-            "saturated": int(np.count_nonzero(peaks >= 0.99)),
-        }
-
     # -- telemetry ---------------------------------------------------------------
 
     def perf_stats(self) -> Dict[str, float]:
@@ -554,11 +532,12 @@ class Network:
 
         Bottleneck-region reallocation keys:
 
-        * ``realloc_incremental`` / ``realloc_full`` — region refills vs
-          global fills; they sum to ``realloc_calls``. Only the reference
-          twin (:func:`repro.validation.twins.full_refill_reference`)
-          makes global fills, so ``realloc_full`` reads 0 in production
-          (the key stays for the twin's runs and the benchmark reports);
+        * ``realloc_incremental`` — region refills; ``realloc_full`` —
+          every other fill, i.e. ``realloc_calls`` minus the region
+          refills. Only the reference twin
+          (:func:`repro.validation.twins.full_refill_reference`) fills
+          globally, so ``realloc_full`` reads 0 in production (the key
+          stays for the twin's runs and the benchmark reports);
         * ``realloc_subset`` — region refills that re-rated fewer flows
           than were live (the locality win);
         * ``realloc_reruns`` — region fills rerun because a boundary
@@ -595,7 +574,7 @@ class Network:
             "flows_completed": self._stat_flows_completed,
             "reroutes": self._stat_reroutes,
             "num_links": len(self.link_index),
-            "realloc_full": self._stat_realloc_full,
+            "realloc_full": self._stat_realloc_calls - self._stat_realloc_incremental,
             "realloc_incremental": self._stat_realloc_incremental,
             "realloc_subset": self._stat_realloc_subset,
             "realloc_reruns": self._stat_realloc_reruns,
@@ -612,220 +591,6 @@ class Network:
         for provider in self.controlplane_stats_providers:
             stats.update(provider())
         return stats
-
-    # -- self-checks --------------------------------------------------------------
-
-    @property
-    def realloc_pending(self) -> bool:
-        """Whether a coalesced zero-delay reallocation is still queued.
-
-        While pending, component rates are stale relative to flow
-        membership — allocation-optimality certificates (the validation
-        layer's KKT check) only hold at quiescent points where this is
-        False. The base invariants checked by :meth:`check_invariants`
-        hold regardless.
-        """
-        return self._realloc_pending
-
-    def host_path_at(self, src: str, dst: str, index: int) -> Tuple[str, ...]:
-        """:meth:`MultiRootedTopology.host_path_at` for the checks: the node
-        path of ``src``'s ``index``-th equal-cost path to ``dst``.
-
-        Each ToR pair's path set is built once per check battery (the
-        set is dropped at the start of every :meth:`check_invariants`), so
-        the recount, :meth:`live_demand_view` and the forwarding check
-        expand paths without rebuilding a set per component.
-        """
-        tor_of = self.topology.tor_of
-        pair = (tor_of(src), tor_of(dst))
-        paths = self._check_paths.get(pair)
-        if paths is None:
-            paths = self._check_paths[pair] = self.topology.path_tables().paths(*pair)
-        return (src,) + paths[index] + (dst,)
-
-    def live_demand_view(self) -> Tuple[List, List[Tuple[Flow, int]]]:
-        """String-keyed ``(demands, owners)`` of the current live components.
-
-        Mirrors exactly what :meth:`_reallocate` hands the allocator —
-        components crossing a failed link are skipped — but in the
-        string-keyed ``(links, weight)`` form the reference allocator and
-        the differential oracles consume, from node paths, not rows.
-        ``owners[i]`` is the
-        ``(flow, component_index)`` that demand ``i`` belongs to.
-        """
-        demands = []
-        owners: List[Tuple[Flow, int]] = []
-        failed = self.failed_links
-        for flow in self.flows.values():
-            for idx, component in enumerate(flow.components):
-                path = self.host_path_at(flow.src, flow.dst, component.index)
-                links = tuple(zip(path, path[1:]))
-                if failed and any(link in failed for link in links):
-                    continue
-                demands.append((links, component.weight))
-                owners.append((flow, idx))
-        return demands, owners
-
-    def check_invariants(self) -> None:
-        """Check the simulation's global invariants; raises on violation.
-
-        Intended for debugging user extensions (custom schedulers,
-        handwritten event sequences) and for the validation layer's
-        continuous checking: call at any quiescent point. Checks
-
-        * link elephant counters match a from-scratch recount,
-        * no link is allocated beyond capacity,
-        * failed links carry no allocated rate,
-        * per-flow byte accounting is sane,
-        * the flow store's rows are exactly the live flows, each flow
-          viewing its own row, and the rate column equals each live
-          flow's ``sum(component_rates)``.
-
-        Violations raise :class:`~repro.common.errors.InvariantViolation`
-        carrying the offending link / flow id, so the fuzzer and CI can
-        report them structurally. The validation layer's further checks
-        (:mod:`repro.validation.invariants`) run after this one.
-
-        The recount re-derives link ids from each component's node path
-        (:meth:`host_path_at` of its index) — it does not trust the rows
-        it is auditing. A call starts a new check battery: the per-pair
-        path sets of the last one are dropped.
-        """
-        self._check_paths.clear()
-        num_links = len(self.link_index)
-        expected_eleph = np.zeros(num_links, dtype=np.int64)
-        load = np.zeros(num_links, dtype=float)
-        #: flow id -> unique link ids, recounted from the node paths.
-        recount_links: Dict[int, List[int]] = {}
-        host_path_at = self.host_path_at
-        for flow in self.flows.values():
-            flow_ids: List[np.ndarray] = []
-            for component, rate in zip(flow.components, flow.component_rates):
-                path = host_path_at(flow.src, flow.dst, component.index)
-                ids = self.link_index.index_path(path)
-                flow_ids.append(ids)
-                load[ids] += rate
-            unique = np.unique(np.concatenate(flow_ids)) if flow_ids else np.empty(0, np.intp)
-            recount_links[flow.flow_id] = unique.tolist()
-            if flow.is_elephant:
-                expected_eleph[unique] += 1
-        bad = np.nonzero(self._eleph_array != expected_eleph)[0]
-        if bad.size:
-            raise InvariantViolation(
-                "elephant-counter",
-                f"counter {int(self._eleph_array[bad[0]])} != recount "
-                f"{int(expected_eleph[bad[0]])}",
-                link=self.link_index.links[int(bad[0])],
-            )
-        over = np.nonzero(load > self._cap_array * (1 + 1e-6))[0]
-        if over.size:
-            link = self.link_index.links[int(over[0])]
-            raise InvariantViolation(
-                "link-capacity",
-                f"allocated {load[over[0]]} over capacity {self.capacities[link]}",
-                link=link,
-            )
-        dead_loaded = np.nonzero(self._failed_mask & (load > 0))[0]
-        if dead_loaded.size:
-            link = self.link_index.links[int(dead_loaded[0])]
-            raise InvariantViolation(
-                "dead-link-load",
-                f"failed link carries rate {load[dead_loaded[0]]}",
-                link=link,
-            )
-        # The persistent load array must match the recount whenever rates
-        # are settled (while a realloc is pending, rates are stale by design).
-        if not self._realloc_pending and not np.allclose(
-            load, self._load_array, rtol=1e-9, atol=1e-6
-        ):
-            bad = int(np.nonzero(~np.isclose(load, self._load_array, rtol=1e-9, atol=1e-6))[0][0])
-            raise InvariantViolation(
-                "persistent-load",
-                f"load array {self._load_array[bad]!r} != recount {load[bad]!r}",
-                link=self.link_index.links[bad],
-            )
-        self._audit_component_index(self._components, recount_links)
-        for flow in self.flows.values():
-            if flow.remaining_bytes < 0:
-                raise InvariantViolation(
-                    "byte-accounting",
-                    f"negative remaining bytes {flow.remaining_bytes}",
-                    flow_id=flow.flow_id,
-                )
-            if flow.remaining_bytes > flow.size_bytes + flow.retransmitted_bytes + 1.0:
-                raise InvariantViolation(
-                    "byte-accounting",
-                    f"remaining {flow.remaining_bytes} exceeds size+retx "
-                    f"{flow.size_bytes + flow.retransmitted_bytes}",
-                    flow_id=flow.flow_id,
-                )
-        store = self.flow_store
-        if store.size != len(self.flows):
-            raise InvariantViolation(
-                "flow-store",
-                f"store holds {store.size} rows for {len(self.flows)} live flows",
-            )
-        for flow in self.flows.values():
-            row = flow.store_row
-            if not 0 <= row < store.size or int(store.flow_id[row]) != flow.flow_id:
-                raise InvariantViolation(
-                    "flow-store",
-                    f"flow views row {row}, which the store's {store.size} "
-                    "live rows do not hold for it",
-                    flow_id=flow.flow_id,
-                )
-            # The refill write contract: the rate column is *bit-equal*
-            # to the left-to-right component-rate sum, always — both are
-            # rewritten together at every membership change and refill.
-            want_rate = sum(flow.component_rates)
-            if float(store.rate_bps[row]) != want_rate:
-                raise InvariantViolation(
-                    "flow-store-rate",
-                    f"rate column {float(store.rate_bps[row])!r} != "
-                    f"sum(component_rates) {want_rate!r}",
-                    flow_id=flow.flow_id,
-                )
-
-    def _audit_component_index(
-        self, comps: FlowLinkComponents, recount_links: Dict[int, List[int]]
-    ) -> None:
-        """Check the link -> flows index against a recount of the live flows.
-
-        ``recount_links`` maps each live flow to its unique link ids,
-        re-derived from its component paths. Each live flow must be listed
-        on exactly those links, with no stale flow ids and no empty link
-        entries, and the index's own flow -> links map must agree.
-        """
-        expected: Dict[int, Set[int]] = {}
-        for flow_id, links in recount_links.items():
-            for link in links:
-                expected.setdefault(link, set()).add(flow_id)
-        indexed = comps.link_flows()
-        if indexed != expected:
-            link = min(
-                lid for lid in expected.keys() | indexed.keys()
-                if indexed.get(lid) != expected.get(lid)
-            )
-            got, want = indexed.get(link, set()), expected.get(link, set())
-            raise InvariantViolation(
-                "component-index",
-                f"index lists flows {sorted(got)[:5]} where the live flows are "
-                f"{sorted(want)[:5]} (stale {sorted(got - want)[:5]}, "
-                f"missing {sorted(want - got)[:5]})",
-                link=self.link_index.links[link],
-            )
-        flow_links = comps.flow_links()
-        if flow_links != recount_links:
-            flow_id = min(
-                fid for fid in flow_links.keys() | recount_links.keys()
-                if flow_links.get(fid) != recount_links.get(fid)
-            )
-            raise InvariantViolation(
-                "component-index",
-                f"indexed links {flow_links.get(flow_id)} != recount "
-                f"{recount_links.get(flow_id)}",
-                flow_id=flow_id,
-            )
 
     # -- internals --------------------------------------------------------------
 
@@ -898,21 +663,6 @@ class Network:
             return
         self._realloc_pending = True
         self.engine.schedule_in(0.0, self._reallocate)
-
-    def demand_rows(
-        self,
-    ) -> Tuple[List[Sequence[int]], List[float], List[Tuple[Flow, int]]]:
-        """``(rows, weights, owners)`` over all live demands.
-
-        Exactly the rows a global fill would run on right now — a region
-        holding every live flow, with no boundary. The incremental-vs-full
-        differential oracle feeds them to ``maxmin_allocate_indexed`` and
-        demands bit-equality with the live ``component_rates``, as the
-        full-refill twin does with its fill. ``rows[i]`` is the owning
-        component's link-id row: read it, never mutate it.
-        """
-        rows, weights, _, _, owners, _ = self._assemble_region(list(self.flows), set(), set())
-        return rows, weights, owners
 
     def _reallocate(self) -> None:
         self._realloc_pending = False

@@ -2,11 +2,15 @@
 
 Five layers, composable and individually importable:
 
-* :mod:`repro.validation.invariants` — runtime invariant checks (capacity
-  conservation, the max-min KKT certificate, Theorem-1's BoNF bound,
-  static-switch-table preservation, Theorem-2 BoNF monotonicity) plus the
-  :class:`InvariantChecker` that re-runs them continuously off the event
-  engine's after-event hook;
+* :mod:`repro.validation.invariants` — runtime invariant checks, one
+  function per check family (the recounts of the network's counters,
+  loads, link -> flows index, bytes and flow-store rows; the max-min KKT
+  certificate, Theorem-1's BoNF bound, static-switch-table preservation,
+  Theorem-2 BoNF monotonicity) plus the :class:`InvariantChecker` whose
+  one battery runs them, with the in-run oracles below, continuously off
+  the event engine's after-event hook. A battery expands the live flows'
+  node paths once (:func:`live_view`) and hands that view to the
+  families; ``Network`` itself holds no check;
 * :mod:`repro.validation.oracles` — in-run differential oracles: indexed
   vs reference allocator, live network vs reference, the incremental
   bottleneck-region reallocator vs a bit-exact full refill, the fluid
@@ -30,8 +34,8 @@ and documented in TESTING.md.
 """
 
 from repro.validation.invariants import (
-    DEFAULT_NETWORK_CHECKS,
     InvariantChecker,
+    LiveView,
     SwitchTableSnapshot,
     check_dynamics_monotone,
     check_flowstore_balance,
@@ -39,6 +43,7 @@ from repro.validation.invariants import (
     check_network_allocation,
     check_static_forwarding,
     check_theorem1_bound_live,
+    live_view,
 )
 from repro.validation.oracles import (
     FCT_AGREEMENT_BAND,
@@ -81,7 +86,6 @@ from repro.validation.snapshot import (
 
 __all__ = [
     "DEFAULT_GOLDEN_PATH",
-    "DEFAULT_NETWORK_CHECKS",
     "FCT_AGREEMENT_BAND",
     "FLUID_VS_PACKET_SCENARIOS",
     "FULL_REFILL",
@@ -90,6 +94,7 @@ __all__ = [
     "GOLDEN_SCENARIOS",
     "GOLDEN_TWINS",
     "InvariantChecker",
+    "LiveView",
     "SCALAR_CONTROL_PLANE",
     "SCALAR_SETTLE",
     "StormOracle",
@@ -110,6 +115,7 @@ __all__ = [
     "compare_runs",
     "inject_capacity_bug",
     "inject_storm_bug",
+    "live_view",
     "random_scenario",
     "replay_goldens",
     "run_case",

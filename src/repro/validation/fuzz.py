@@ -211,12 +211,13 @@ def run_case(
     """Run one scenario under the full validation battery.
 
     Attaches an :class:`~repro.validation.invariants.InvariantChecker`
-    (base invariants + KKT certificate + Theorem-1 bound + static-table
-    preservation) plus the network-vs-reference and incremental-vs-full
-    differential oracles to the engine,
-    checking every ``every_n_events`` processed events and once
-    more after the run drains. ``corrupt`` (used by ``--inject-bug``)
-    runs against the freshly built network before any traffic starts.
+    to the engine: its battery (the recounts, the KKT certificate, the
+    Theorem-1 bound, the network-vs-reference and incremental-vs-full
+    differential oracles, flow-store balance and, every tenth battery,
+    static-table preservation) runs every ``every_n_events`` processed
+    events and once more after the run drains. ``corrupt`` (used by
+    ``--inject-bug``) runs against the freshly built network before any
+    traffic starts.
 
     A :class:`~repro.validation.oracles.StormOracle` shadows the run:
     every placement and reroute is screened against the failed-link set,
@@ -232,12 +233,8 @@ def run_case(
     """
     from repro.addressing import HierarchicalAddressing, PathCodec
     from repro.switches import SwitchFabric
-    from repro.validation.invariants import InvariantChecker, check_flowstore_balance
-    from repro.validation.oracles import (
-        StormOracle,
-        check_incremental_against_full,
-        check_network_against_reference,
-    )
+    from repro.validation.invariants import InvariantChecker
+    from repro.validation.oracles import StormOracle
     from repro.validation.twins import SCALAR_CONTROL_PLANE, SCALAR_SETTLE, twin_run
 
     checker_box: List[InvariantChecker] = []
@@ -253,9 +250,6 @@ def run_case(
             fabric=SwitchFabric(addressing),
             codec=PathCodec(addressing),
         )
-        checker.checks.append(check_network_against_reference)
-        checker.checks.append(check_incremental_against_full)
-        checker.checks.append(check_flowstore_balance)
         checker.attach()
         checker_box.append(checker)
         storm_oracle.attach(network)

@@ -45,6 +45,8 @@ from repro.simulator.maxmin import (
 )
 from repro.simulator.network import Network
 from repro.validation.invariants import (
+    InvariantChecker,
+    LiveView,
     check_flowstore_balance,
     check_maxmin_certificate,
 )
@@ -149,23 +151,20 @@ def allocator_equivalence_suite(cases: int = 50, seed: int = 0) -> int:
     return cases
 
 
-def check_network_against_reference(network: Network) -> None:
+def check_network_against_reference(network: Network, view: LiveView) -> None:
     """Oracle the live network's settled rates against the reference allocator.
 
-    Rebuilds the string-keyed demand set from the network's own flow
-    state and the *capacities dict captured at construction time*, so any
-    silent drift in the indexed layer — stale link-id caches, a corrupted
-    capacity array entry, wrong owner bookkeeping — shows up as a
-    divergence. Skips itself while a reallocation is pending (rates are
-    stale by design at those instants).
+    Allocates the battery's string-keyed demand set (``view``, rebuilt
+    from node paths) over the *capacities dict captured at construction
+    time*, so any silent drift in the indexed layer — stale link-id
+    caches, a corrupted capacity array entry, wrong owner bookkeeping —
+    shows up as a divergence. Skips itself while a reallocation is
+    pending (rates are stale by design at those instants).
     """
-    if network.realloc_pending:
+    if network._realloc_pending or not view.demands:
         return
-    demands, owners = network.live_demand_view()
-    if not demands:
-        return
-    expected = maxmin_allocate_reference(demands, network.capacities)
-    for (flow, idx), want in zip(owners, expected):
+    expected = maxmin_allocate_reference(view.demands, network.capacities)
+    for (flow, idx), want in zip(view.owners, expected):
         got = flow.component_rates[idx]
         if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-6):
             raise OracleViolation(
@@ -189,9 +188,11 @@ def check_incremental_against_full(network: Network) -> None:
     rate or share, or reordered an accumulation — exactly the bugs an
     approximate comparison would mask. No-ops while a realloc is pending.
     """
-    if network.realloc_pending:
+    if network._realloc_pending:
         return
-    rows, weights, owners = network.demand_rows()
+    # Every live flow in the region and none on the boundary: the rows a
+    # global fill runs on.
+    rows, weights, _, _, owners, _ = network._assemble_region(list(network.flows), set(), set())
     fill = maxmin_allocate_indexed(rows, weights, network._cap_array)
     expected = fill.rates
     for (flow, idx), want in zip(owners, expected):
@@ -264,7 +265,7 @@ def run_fluid_vs_packet(
                 src, dst, size_bytes, [fluid_net.component(src, dst, paths, index)]
             )
         fluid_net.engine.run_until_idle()
-        fluid_net.check_invariants()
+        InvariantChecker(fluid_net).run_checks()
         fluid_mean = sum(r.fct for r in fluid_net.records) / len(placements)
 
         ratio = packet_mean / fluid_mean

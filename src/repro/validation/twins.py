@@ -117,10 +117,12 @@ def full_refill_reference(network: Network) -> None:
     fill's links get theirs back. Rates, loads, utilizations and
     saturation shares must come out bit-identical to the region refill;
     ``filling_iterations`` differs, since one global fill counts a
-    symmetric tie across the fabric as one round.
+    symmetric tie across the fabric as one round. ``perf_stats`` counts
+    these fills as ``realloc_full``: the fills that are not region refills.
     """
     flows = list(network.flows.values())
-    rows, weights, owners = network.demand_rows()
+    # A region of every live flow with no boundary: the global fill's rows.
+    rows, weights, _, _, owners, _ = network._assemble_region(list(network.flows), set(), set())
     fill = maxmin_allocate_indexed(rows, weights, network._cap_array) if rows else _NO_FILL
     network._write_rates(flows, owners, fill.rates)
     # Splice, fabric-wide.
@@ -137,7 +139,6 @@ def full_refill_reference(network: Network) -> None:
     for flow in flows:
         if len(flow.components) > 1:
             network._refresh_reordering(flow)
-    network._stat_realloc_full += 1
     # A full fill leaves nothing changed.
     network._changed_links.clear()
     network._vacated_links.clear()

@@ -11,6 +11,7 @@ from repro.experiments import ScenarioConfig, run_scenario
 from repro.scheduling import Scheduler, SchedulerContext
 from repro.simulator import Network
 from repro.topology import FatTree
+from repro.validation import InvariantChecker
 from repro.workloads import CompositePattern, make_pattern
 
 from tests.conftest import flow_path
@@ -124,4 +125,4 @@ class TestCustomSchedulerPlugin:
         ).start()
         ctx.engine.run_until(60.0)
         assert ctx.network.records
-        ctx.network.check_invariants()
+        InvariantChecker(ctx.network).run_checks()

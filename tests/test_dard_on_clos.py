@@ -12,6 +12,7 @@ from repro.core import DardScheduler, MonitorRegistry, PathMonitor, switches_to_
 from repro.scheduling import MessageLedger, SchedulerContext
 from repro.simulator import Network
 from repro.topology import ClosNetwork
+from repro.validation import InvariantChecker
 
 
 @pytest.fixture
@@ -84,6 +85,6 @@ class TestDardOnClos:
             src, dst = rng.choice(hosts, size=2, replace=False)
             scheduler.place(str(src), str(dst), 300 * MB)
         ctx.engine.run_until(90.0)
-        ctx.network.check_invariants()
+        InvariantChecker(ctx.network).run_checks()
         finished = ctx.network.records
         assert all(r.path_switches <= 8 for r in finished)

@@ -9,6 +9,7 @@ from repro.simulator.flows import Flow, FlowComponent, FlowRecord
 from repro.simulator.flowstore import FlowStore
 from repro.simulator.network import Network
 from repro.topology import FatTree
+from repro.validation import InvariantChecker
 from repro.simulator.reordering import (
     MAX_RETX_FRACTION,
     reordering_retx_fraction_indexed,
@@ -79,7 +80,7 @@ class TestFlow:
             with pytest.raises(SimulationError):
                 net.reroute_flow(flow, [component])
         assert flow.components[0].index == 0 and flow.path_switches == 0
-        net.check_invariants()
+        InvariantChecker(net).run_checks()
 
     def test_rate_aggregates_components(self):
         # A refill writes the components' sum into the flow's row, and

@@ -19,6 +19,7 @@ from repro.common.units import MB, MBPS
 from repro.simulator import FlowComponent, FlowStore, Network
 from repro.simulator.flows import PATH_SWITCH_RETX_BYTES, Flow
 from repro.topology import FatTree
+from repro.validation import InvariantChecker
 from repro.validation.twins import install_scalar_settle
 
 
@@ -256,7 +257,7 @@ class TestNetworkIntegration:
         net.engine.run_until(0.1)
         row = flow.store_row
         assert float(net.flow_store.rate_bps[row]) == sum(flow.component_rates)
-        net.check_invariants()
+        InvariantChecker(net).run_checks()
 
     def test_view_identity_after_reroute_and_retx_penalty(self, net):
         src, dst = "h_0_0_0", "h_1_0_0"
@@ -273,7 +274,7 @@ class TestNetworkIntegration:
         # Rates are zeroed in both views until the coalesced refill.
         assert float(store.rate_bps[row]) == sum(flow.component_rates) == 0.0
         net.engine.run_until_idle()
-        net.check_invariants()
+        InvariantChecker(net).run_checks()
 
     def test_completion_releases_rows_and_revives_them(self, net):
         src = "h_0_0_0"
@@ -320,7 +321,7 @@ class TestNetworkIntegration:
                 0.3, lambda: net.reroute_flow(flows[1], [component(net, src, "h_2_0_0", 1)])
             )
             net.engine.run_until_idle()
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
             return net.records
 
         store_records = run(scalar=False)
@@ -336,7 +337,7 @@ class TestNetworkIntegration:
             float(net.flow_store.rate_bps[flow.store_row]), math.inf
         )
         with pytest.raises(InvariantViolation):
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
 
     def test_invariants_catch_a_flow_viewing_the_wrong_row(self, net):
         src = "h_0_0_0"
@@ -345,14 +346,14 @@ class TestNetworkIntegration:
             for dst in ("h_1_0_0", "h_2_0_0")
         ]
         net.engine.run_until(0.1)
-        net.check_invariants()
+        InvariantChecker(net).run_checks()
         flows[1]._row = 2  # past the live rows, as if a move forgot it
         with pytest.raises(InvariantViolation) as caught:
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
         assert caught.value.invariant == "flow-store"
         flows[1]._row = 0  # a live row, but another flow's
         with pytest.raises(InvariantViolation) as caught:
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
         assert caught.value.invariant == "flow-store"
 
     def test_perf_stats_exposes_store_and_settle_keys(self, net):
@@ -384,9 +385,9 @@ class TestStoreScale:
                 net.start_flow(src, dst, 0.2 * MB, [component(net, src, dst)])
             net.engine.run_until(net.now + 0.5)
             assert net.flow_store.size == len(net.flows)
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
             net.engine.run_until_idle()
         assert net.flow_store.size == 0
         assert len(net.records) == 160
         assert net.flow_store.capacity <= 64
-        net.check_invariants()
+        InvariantChecker(net).run_checks()

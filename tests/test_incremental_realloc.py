@@ -25,6 +25,7 @@ from repro.simulator import Network
 from repro.simulator.components import FlowLinkComponents
 from repro.simulator.reordering import reordering_retx_fraction_indexed
 from repro.topology import FatTree
+from repro.validation import InvariantChecker
 from repro.validation.fuzz import random_scenario, run_case
 from repro.validation.oracles import check_incremental_against_full
 from repro.validation.twins import (
@@ -87,10 +88,10 @@ def _start(net, src, dst, core, size=64e6):
 
 
 def _settled(net):
-    """Run the pending zero-delay refill, then audit it against a global fill."""
+    """Run the pending zero-delay refill, then the invariant battery, which
+    audits it against a global fill."""
     net.engine.run_until(net.now)
-    check_incremental_against_full(net)
-    net.check_invariants()
+    InvariantChecker(net).run_checks()
     return net.perf_stats()
 
 
@@ -115,7 +116,7 @@ class TestEquivalence:
         assert twin_run(config, FULL_REFILL).records
 
     def test_fuzz_cases_pass_live_oracle(self):
-        # run_case attaches check_incremental_against_full to the
+        # run_case's battery runs check_incremental_against_full off the
         # after-event hook; seed 1 is failure-free, seed 0 schedules
         # fail/restore events (guarded by the assertion below).
         for seed in (1, 0):
@@ -160,7 +161,7 @@ class TestTelemetry:
         assert stats["realloc_incremental"] > 0
         assert stats["realloc_subset"] > base_subset
         assert stats["flows_preserved"] > 0
-        assert stats["realloc_full"] + stats["realloc_incremental"] == stats["realloc_calls"]
+        assert stats["realloc_full"] == 0  # production makes no global fill
 
     def test_failure_refills_only_the_failed_cables_component(self):
         net, flows = _stride_network()
@@ -210,22 +211,22 @@ class TestComponentStructure:
         from repro.common.errors import InvariantViolation
 
         net, flows = _stride_network()
-        net.check_invariants()
+        InvariantChecker(net).run_checks()
         comps = net._components
         # A departed flow left on one link: a stale id a region would
         # pull into the boundary.
         link = int(flows[0].unique_link_ids[0])
         comps._link_flows[link].add(99)
         with pytest.raises(InvariantViolation, match="component-index"):
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
         comps._link_flows[link].discard(99)
-        net.check_invariants()
+        InvariantChecker(net).run_checks()
         # An empty entry left behind by a detach.
         used = {int(link) for flow in flows for link in flow.unique_link_ids}
         idle = next(link for link in range(len(net.link_index)) if link not in used)
         comps._link_flows[idle] = set()
         with pytest.raises(InvariantViolation, match="component-index"):
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
 
 
 class TestBottleneckRegion:

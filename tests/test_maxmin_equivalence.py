@@ -31,6 +31,7 @@ from repro.simulator.maxmin import (
     maxmin_allocate_reference,
 )
 from repro.topology import FatTree
+from repro.validation import InvariantChecker
 
 
 def assert_rates_equal(actual, expected):
@@ -151,7 +152,7 @@ class TestRandomizedEquivalence:
             expected = maxmin_allocate_reference(demands, net.capacities)
             actual = [flow.component_rates[idx] for flow, idx in owners]
             assert_rates_equal(actual, expected)
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
 
 
 #: Fill sizes on both sides of this count once took different code

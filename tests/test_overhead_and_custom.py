@@ -1,4 +1,4 @@
-"""Tests for the analytic overhead models, Network.check_invariants, and
+"""Tests for the analytic overhead models, the invariant battery, and
 custom topologies built from specs."""
 
 import pytest
@@ -16,6 +16,7 @@ from repro.experiments import ScenarioConfig, run_scenario
 from repro.simulator import Network
 from repro.switches import SwitchFabric
 from repro.topology import FatTree, TopologySpec, build_custom
+from repro.validation import InvariantChecker
 
 
 class TestOverheadModel:
@@ -84,7 +85,7 @@ class TestCheckInvariants:
             "h_0_0_0", "h_1_0_0", 50 * MB, [net.component("h_0_0_0", "h_1_0_0", paths, 0)]
         )
         net.engine.run_until(1.0)
-        net.check_invariants()  # must not raise
+        InvariantChecker(net).run_checks()  # must not raise
 
     def test_corrupted_counter_detected(self, fattree4):
         net = Network(fattree4)
@@ -96,7 +97,7 @@ class TestCheckInvariants:
         # Sabotage a counter the way a buggy scheduler extension might.
         net._eleph_array[0] += 1
         with pytest.raises(SimulationError, match="elephant-counter"):
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
 
     def test_negative_bytes_detected(self, fattree4):
         net = Network(fattree4)
@@ -106,7 +107,7 @@ class TestCheckInvariants:
         )
         flow.remaining_bytes = -5.0
         with pytest.raises(SimulationError):
-            net.check_invariants()
+            InvariantChecker(net).run_checks()
 
 
 def two_agg_spec(**overrides):

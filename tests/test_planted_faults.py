@@ -8,8 +8,9 @@ rate in the hole, where the moved last row's flow then reads it. Fault
 (f) leaves a failed cable's dead demands' loads behind. Fault (g) makes
 the refill replay every boundary demand at its stored level, so one
 whose level no link holds any more keeps a stale rate. Fault (h) makes
-a release move the last row without re-pointing that row's flow. On
-each seed
+a release move the last row without re-pointing that row's flow. Fault
+(i) gives a component's row the reverse id of one of its cables, which
+only a recount that derives links from node paths can see. On each seed
 :func:`~repro.validation.fuzz.run_case` must raise, naming the
 invariant that caught it. A fault turned into a no-op fails its test,
 so this measures the battery's reach instead of assuming it
@@ -23,6 +24,8 @@ Faults (a)-(e), (g) and (h) run on DARD fuzz cases whose drawn regime
 promotes elephants and shifts flows: without a running control plane,
 the faults planted in the daemon round and the monitor poll never
 execute. Fault (f) runs on DARD fuzz cases that draw a failure storm.
+Fault (i) runs on every scheduler's placements, so two VLB cases join
+the DARD ones.
 """
 
 import numpy as np
@@ -31,6 +34,7 @@ import pytest
 from repro.common.errors import InvariantViolation, OracleViolation
 from repro.core.daemon import HostDaemon
 from repro.experiments.runner import run_scenario
+from repro.simulator.flows import FlowComponent
 from repro.simulator.flowstore import FlowStore
 from repro.simulator.network import Network
 from repro.validation import FULL_REFILL, random_scenario, run_case, twin_run
@@ -42,6 +46,14 @@ SHIFTING_DARD_SEEDS = (12, 45, 160, 174)
 #: DARD fuzz seeds (from the extended 500-559 sweep) that draw link
 #: failures under live traffic.
 STORM_DARD_SEEDS = (504, 516, 532, 548)
+
+#: Fault (i)'s seeds: the shifting DARD seeds, and two VLB seeds on which
+#: a recount that read the rows it audits would miss the fault outright.
+REVERSED_HOP_SEEDS = SHIFTING_DARD_SEEDS + (0, 2)
+
+#: The recount families that see a flow's links where its node paths put
+#: them: counters, loads and index entries all land on the wrong link.
+RECOUNT_INVARIANTS = ("elephant-counter", "persistent-load", "component-index")
 
 
 def _patch_refill(monkeypatch, corrupt):
@@ -181,6 +193,24 @@ def release_forgets_moved_flow(monkeypatch):
     monkeypatch.setattr(FlowStore, "release", release)
 
 
+def reversed_uplink_id(monkeypatch):
+    """(i) ``Network.component`` gives the row's ToR -> agg hop the id of
+    the same cable's agg -> ToR direction. The row still runs from the
+    source's access link to the destination's, so ``start_flow`` and
+    ``reroute_flow`` accept it."""
+    original = Network.component
+
+    def component(self, src, dst, paths, index, weight=1.0):
+        made = original(self, src, dst, paths, index, weight)
+        row = list(made.link_ids)
+        if len(row) > 2:  # a same-ToR row has no ToR -> agg hop
+            u, v = self.link_index.links[row[1]]
+            row[1] = self.link_index.id_of((v, u))
+        return FlowComponent(made.index, row, made.weight)
+
+    monkeypatch.setattr(Network, "component", component)
+
+
 #: (fault, the invariant that must kill it). The KKT certificate is the
 #: battery's first check to see fault (g): the boundary demand it keeps
 #: at a stale rate has no saturated bottleneck left, while every load
@@ -230,6 +260,16 @@ def test_failure_fault_is_killed(monkeypatch, seed):
     with pytest.raises(InvariantViolation) as caught:
         run_case(random_scenario(seed))
     assert caught.value.invariant == "persistent-load"
+
+
+@pytest.mark.parametrize("seed", REVERSED_HOP_SEEDS)
+def test_reversed_hop_is_killed_by_a_recount(monkeypatch, seed):
+    # The recount expands each component's node path itself; had it read
+    # the component's row, it would agree with every wrong write.
+    reversed_uplink_id(monkeypatch)
+    with pytest.raises(InvariantViolation) as caught:
+        run_case(random_scenario(seed))
+    assert caught.value.invariant in RECOUNT_INVARIANTS
 
 
 @pytest.mark.parametrize("seed", SHIFTING_DARD_SEEDS)

@@ -25,6 +25,7 @@ from repro.simulator.maxmin import (
 )
 from repro.switches import SwitchFabric
 from repro.topology import FatTree
+from repro.validation import InvariantChecker
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,6 @@ class TestAllocatorOnDegradedNetworks:
     def test_live_rates_match_reference_after_failures(self, case):
         from repro.common.units import MBPS
         from repro.simulator.network import Network
-        from repro.validation import check_network_against_reference
 
         pair_count, fail_count, restore_count, seed = case
         rng = np.random.default_rng(seed)
@@ -232,8 +232,8 @@ class TestAllocatorOnDegradedNetworks:
         for u, v in failed[:restore_count]:
             net.restore_link(u, v)
         net.engine.run_until(net.engine.now + 0.001)  # settle the realloc
-        net.check_invariants()
-        check_network_against_reference(net)
+        # The battery includes the network-vs-reference oracle.
+        InvariantChecker(net).run_checks()
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=50, deadline=None)

@@ -30,6 +30,7 @@ from repro.validation import (
     check_theorem1_bound_live,
     compare_goldens,
     inject_capacity_bug,
+    live_view,
     random_scenario,
     run_case,
     run_fluid_vs_packet,
@@ -96,33 +97,37 @@ class TestMaxminCertificate:
 class TestLiveNetworkChecks:
     def test_clean_network_passes_everything(self):
         net = two_flow_network()
-        check_network_allocation(net)
-        check_theorem1_bound_live(net)
-        check_network_against_reference(net)
+        view = live_view(net)
+        check_network_allocation(net, view)
+        check_theorem1_bound_live(net, view)
+        check_network_against_reference(net, view)
 
     def test_corrupted_capacity_is_caught(self):
         net = two_flow_network()
         inject_capacity_bug(net)
         net._request_realloc()
         net.engine.run_until(net.engine.now + 0.001)
+        view = live_view(net)
         with pytest.raises((InvariantViolation, OracleViolation)):
-            check_network_allocation(net)
-            check_network_against_reference(net)
+            check_network_allocation(net, view)
+            check_network_against_reference(net, view)
 
     def test_checks_skip_while_realloc_pending(self):
         net = two_flow_network()
         inject_capacity_bug(net)
         net._request_realloc()  # rates now stale AND the bug is armed...
-        assert net.realloc_pending
-        check_network_allocation(net)  # ...but pending => both checks no-op
-        check_network_against_reference(net)
+        assert net._realloc_pending
+        view = live_view(net)
+        check_network_allocation(net, view)  # ...but pending => both checks no-op
+        check_network_against_reference(net, view)
 
     def test_survives_failed_link(self):
         net = two_flow_network()
         net.fail_link("agg_0_0", "core_0_0")
         net.engine.run_until(net.engine.now + 0.001)
-        check_network_allocation(net)
-        check_network_against_reference(net)
+        view = live_view(net)
+        check_network_allocation(net, view)
+        check_network_against_reference(net, view)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +150,7 @@ class TestStaticTables:
         assert snapshot.num_entries > 0
         net = two_flow_network()
         snapshot.verify(fabric)
-        check_static_forwarding(fabric, codec, net)
+        check_static_forwarding(fabric, codec, net, live_view(net))
 
     def test_snapshot_detects_table_mutation(self, fabric_stack):
         fabric, _ = fabric_stack
@@ -445,6 +450,5 @@ class TestInvariantChecker:
         net._request_realloc()
         with pytest.raises((InvariantViolation, OracleViolation)):
             # Ensure at least one event (the realloc) is processed.
-            checker.checks.append(check_network_against_reference)
             net.engine.run_until(net.engine.now + 1.0)
         checker.detach()

@@ -232,24 +232,6 @@ class HederaScheduler(Scheduler):
             return paths, flow.components[0].index
         return paths, selector.apply(paths, alive)
 
-    def _energy(
-        self,
-        elephants: Sequence[Flow],
-        demand_bps: Sequence[float],
-        assignment: Dict[str, PathSelector],
-    ) -> float:
-        """Max expected switch-link utilization under an assignment."""
-        network = self.ctx.network
-        load: Dict[Tuple[str, str], float] = {}
-        for flow, demand in zip(elephants, demand_bps):
-            paths, index = self._flow_path(flow, assignment)
-            path = paths[index]
-            for link in zip(path, path[1:]):
-                load[link] = load.get(link, 0.0) + demand
-        if not load:
-            return 0.0
-        return max(total / network.capacities[link] for link, total in load.items())
-
     def _random_selector(self) -> PathSelector:
         rng = self.ctx.rng
         return PathSelector(

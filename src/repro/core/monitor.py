@@ -133,7 +133,6 @@ class PathMonitor:
         #: like the old ``PathState(0, 0)`` initialization.
         self.state_band = np.zeros(len(self.paths), dtype=float)
         self.state_eleph = np.zeros(len(self.paths), dtype=np.int64)
-        self.queries_sent = 0
 
     def refresh(self) -> None:
         """One polling round: query switches, assemble per-path states.
@@ -145,7 +144,6 @@ class PathMonitor:
         n = self.num_query_switches
         self.ledger.record("dard_query", MESSAGE_SIZES.dard_query, n)
         self.ledger.record("dard_reply", MESSAGE_SIZES.dard_reply, n)
-        self.queries_sent += n
         self.state_band, self.state_eleph = self.network.batch_path_state_arrays(
             self.hops
         )

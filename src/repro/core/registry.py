@@ -32,8 +32,6 @@ class MonitorRegistry:
         #: pair -> interned immutable description (kept forever; it is
         #: topology-static, so re-registration never recomputes it).
         self._interned: Dict[PairKey, PairPaths] = {}
-        #: telemetry (surfaced through DardScheduler.controlplane_stats).
-        self.stat_registrations = 0
 
     def register(self, src_tor: str, dst_tor: str) -> PairPaths:
         """A monitor for this pair came up; returns its interned paths."""
@@ -42,12 +40,4 @@ class MonitorRegistry:
         if pair_paths is None:
             pair_paths = index_pair_paths(self.network, src_tor, dst_tor)
             self._interned[pair] = pair_paths
-        self.stat_registrations += 1
         return pair_paths
-
-    def stats(self) -> Dict[str, float]:
-        """Registry telemetry, merged into ``Network.perf_stats()``."""
-        return {
-            "cp_registry_pairs": float(len(self._interned)),
-            "cp_registry_registrations": float(self.stat_registrations),
-        }

@@ -17,9 +17,9 @@ The scheduler owns a fleet-wide
 :class:`~repro.core.registry.MonitorRegistry`, which interns each
 (src ToR, dst ToR) pair's paths and link-id matrix once; every monitor
 poll reads the network directly (see DESIGN.md "Control-plane
-batching"). The ``cp_*`` counters reach ``Network.perf_stats()``;
-control-plane wall time is measured from outside, around
-:meth:`HostDaemon.query_monitors` and
+batching"). The ``cp_query_rounds`` counter reaches
+``Network.perf_stats()``; control-plane wall time is measured from
+outside, around :meth:`HostDaemon.query_monitors` and
 :meth:`HostDaemon.run_scheduling_round` (perfbench's ``core.query`` and
 ``core.round`` layers). The original scalar control plane (per-monitor
 :class:`~repro.core.bonf.PathState` objects, tuple-keyed FV) is the
@@ -140,14 +140,6 @@ class DardScheduler(Scheduler):
         return sum(d.shifts_performed for d in self.daemons.values())
 
     def controlplane_stats(self) -> Dict[str, float]:
-        """The ``cp_*`` telemetry merged into ``Network.perf_stats()``."""
-        daemons = self.daemons.values()
-        stats = {
-            "cp_daemons": float(len(self.daemons)),
-            "cp_monitors_live": float(sum(len(d.monitors) for d in daemons)),
-            "cp_query_rounds": float(self._stat_query_rounds),
-            "cp_shifts": float(self.total_shifts()),
-        }
-        if self.registry is not None:
-            stats.update(self.registry.stats())
-        return stats
+        """``cp_query_rounds``, merged into ``Network.perf_stats()``:
+        perfbench checks it against its wrapped ``core.query`` calls."""
+        return {"cp_query_rounds": float(self._stat_query_rounds)}

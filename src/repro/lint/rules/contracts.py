@@ -106,9 +106,9 @@ class EventHeapBypass(Rule):
 
     Same-time events order by the engine's monotonic sequence numbers;
     pushing onto (or inspecting) ``engine._heap`` directly desynchronizes
-    that sequence between otherwise identical runs — the exact bug class
-    ``EventEngine.reschedule`` exists to prevent. Schedule through
-    ``schedule_at``/``schedule_in``/``reschedule`` only.
+    that sequence between otherwise identical runs. Schedule through
+    ``schedule_at``/``schedule_in`` and cancel through the returned
+    handle only: cancelling draws no sequence number.
     """
 
     code = "API002"
@@ -126,6 +126,6 @@ class EventHeapBypass(Rule):
                     node,
                     self.code,
                     f"direct access to EventEngine.{node.attr}; use "
-                    "schedule_at/schedule_in/reschedule so sequence numbers "
+                    "schedule_at/schedule_in so sequence numbers "
                     "stay deterministic",
                 )

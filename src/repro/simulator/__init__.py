@@ -26,7 +26,6 @@ from repro.simulator.linkindex import LinkIndex
 from repro.simulator.maxmin import (
     Allocation,
     link_loads_indexed,
-    link_utilizations,
     maxmin_allocate,
     maxmin_allocate_indexed,
     maxmin_allocate_reference,
@@ -45,7 +44,6 @@ __all__ = [
     "LinkState",
     "Network",
     "link_loads_indexed",
-    "link_utilizations",
     "maxmin_allocate",
     "maxmin_allocate_indexed",
     "maxmin_allocate_reference",

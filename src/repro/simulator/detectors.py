@@ -75,8 +75,6 @@ class PredictiveElephantDetector:
     def __init__(self, network: "Network") -> None:
         self.network = network
         self._tracked: Dict[int, _TrackState] = {}
-        self._stat_flows_seen = 0
-        self._stat_samples = 0
         self._stat_early = 0
         self._stat_fallback = 0
         self._detection_age_sum_s = 0.0
@@ -84,7 +82,6 @@ class PredictiveElephantDetector:
     def on_flow_started(self, flow: "Flow") -> None:
         """Arm sampling and the age fallback for a freshly started flow."""
         engine = self.network.engine
-        self._stat_flows_seen += 1
         self._tracked[flow.flow_id] = _TrackState()
         engine.schedule_in(SAMPLE_INTERVAL_S, lambda fid=flow.flow_id: self._sample(fid))
         engine.schedule_in(
@@ -113,7 +110,6 @@ class PredictiveElephantDetector:
                 EWMA_ALPHA * observed_bps + (1.0 - EWMA_ALPHA) * state.ewma_bps
             )
         state.samples += 1
-        self._stat_samples += 1
         if (
             state.samples >= MIN_SAMPLES
             and self._projected_lifetime_s(flow, state.ewma_bps)
@@ -162,9 +158,6 @@ class PredictiveElephantDetector:
         """
         promoted = self._stat_early + self._stat_fallback
         return {
-            "det_predictive": 1.0,
-            "det_flows_seen": float(self._stat_flows_seen),
-            "det_samples": float(self._stat_samples),
             "det_early_promotions": float(self._stat_early),
             "det_fallback_promotions": float(self._stat_fallback),
             "det_mean_detection_age_s": (

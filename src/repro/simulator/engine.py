@@ -80,31 +80,6 @@ class EventEngine:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self.now + delay, callback)
 
-    def reschedule(
-        self,
-        handle: Optional[EventHandle],
-        delay: float,
-        callback: Callable[[], None],
-    ) -> Tuple[EventHandle, bool]:
-        """Replace ``handle`` with a fresh event ``delay`` from now.
-
-        Returns ``(new_handle, preserved)`` where ``preserved`` is True
-        when the replacement fires at exactly the old handle's time — the
-        network's events-preserved/rescheduled telemetry. The old entry is
-        always cancelled and a new one always pushed (never reused in
-        place), so the tie-breaking sequence numbers advance identically
-        whether or not the fire time moved — same-time event ordering, and
-        therefore whole-run determinism, cannot depend on how often the
-        recomputed time happens to coincide with the old one.
-        """
-        new = self.schedule_in(delay, callback)
-        preserved = (
-            handle is not None and not handle.cancelled and handle.time == new.time
-        )
-        if handle is not None:
-            handle.cancel()
-        return new, preserved
-
     def schedule_every(
         self,
         interval: float,

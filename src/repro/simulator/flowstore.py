@@ -24,7 +24,7 @@ dict; flow ids stay monotonic and are never reused, only rows are.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ _COLUMNS: Tuple[str, ...] = tuple(name for name, _, _ in _COLUMN_SPECS)
 class FlowStore:
     """Dense SoA flow-state columns: row ``i`` belongs to ``_views[i]``."""
 
-    __slots__ = _COLUMNS + ("_size", "_views", "_stat_acquires", "_stat_grows")
+    __slots__ = _COLUMNS + ("_size", "_views")
 
     # Column annotations (assigned in __init__ from _COLUMN_SPECS).
     flow_id: np.ndarray
@@ -76,8 +76,6 @@ class FlowStore:
         self._size = 0
         #: the flow viewing each live row, parallel to rows ``[0, _size)``.
         self._views: List["Flow"] = []
-        self._stat_acquires = 0
-        self._stat_grows = 0
 
     # -- introspection ----------------------------------------------------------
 
@@ -108,7 +106,6 @@ class FlowStore:
         self.flow_id[row] = flow.flow_id
         self._views.append(flow)
         self._size = row + 1
-        self._stat_acquires += 1
         return row
 
     def release(self, row: int) -> None:
@@ -157,15 +154,3 @@ class FlowStore:
             fresh = np.full(new_capacity, fill, dtype=dtype)
             fresh[: old.shape[0]] = old
             setattr(self, name, fresh)
-        self._stat_grows += 1
-
-    # -- telemetry ---------------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        """Store telemetry, merged into ``Network.perf_stats()``."""
-        return {
-            "store_rows": float(self._size),
-            "store_capacity": float(self.capacity),
-            "store_acquires": float(self._stat_acquires),
-            "store_grows": float(self._stat_grows),
-        }

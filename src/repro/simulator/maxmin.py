@@ -395,9 +395,7 @@ def link_loads_indexed(
     ``np.add.at`` scatter accumulates repeated ids in array order, which
     is ascending demand order — the order :func:`maxmin_allocate_indexed`
     sums its loads in, so the two agree bit for bit. The
-    incremental-vs-full oracle uses this as its independent recount, and
-    the string-keyed :func:`link_utilizations` wraps it for external
-    callers.
+    incremental-vs-full oracle uses this as its independent recount.
     """
     load = np.zeros(num_links, dtype=float)
     if len(rows):
@@ -405,28 +403,3 @@ def link_loads_indexed(
         flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
         np.add.at(load, flat, np.repeat(np.asarray(rates, dtype=float), lengths))
     return load
-
-
-def link_utilizations(
-    demands: Sequence[Demand],
-    rates: Sequence[float],
-    capacities: Dict[LinkId, float],
-) -> Dict[LinkId, float]:
-    """Per-link utilization in [0, 1] given an allocation.
-
-    String-keyed wrapper over :func:`link_loads_indexed`; every link
-    crossed by any demand appears in the result (zero-load links at 0.0),
-    matching the historical contract.
-    """
-    if not demands:
-        return {}
-    used_links: Dict[LinkId, int] = {}
-    rows = [
-        [used_links.setdefault(link, len(used_links)) for link in links]
-        for links, _ in demands
-    ]
-    load = link_loads_indexed(rows, rates, len(used_links))
-    return {
-        link: float(load[index]) / capacities[link]
-        for link, index in used_links.items()
-    }

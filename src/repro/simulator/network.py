@@ -7,8 +7,9 @@ through four surfaces:
   they chose;
 * **re-routing** — :meth:`reroute_flow` (DARD's address-pair swap, VLB's
   periodic re-pick, Hedera's table update all reduce to this);
-* **notifications** — ``on_flow_started`` / ``on_elephant_promoted`` /
-  ``on_flow_completed`` listener hooks;
+* **notifications** — the ``elephant_listeners`` /
+  ``flow_completed_listeners`` hooks (and the cable failed / restored
+  ones);
 * **state queries** — :meth:`link_state`, the OpenFlow aggregate-statistics
   API DARD's monitors poll (bandwidth and elephant count per egress port).
 
@@ -18,8 +19,8 @@ zero-delay event) and the next completion event is rescheduled.
 
 Performance architecture (see DESIGN.md): every directed link is interned
 to a dense integer id by a :class:`~repro.simulator.linkindex.LinkIndex`
-built once per network. Capacities, delays, failure state, elephant counters,
-and utilizations live in numpy arrays indexed by link id; a flow
+built once per network. Capacities, delays, failure state, elephant counters
+and allocated loads live in numpy arrays indexed by link id; a flow
 component carries its path's link-id row, which counter updates,
 reallocation and reordering estimates reuse. The reallocator hands the
 allocator each demand's row as a plain list, so the per-event hot path
@@ -39,7 +40,7 @@ saturation shares). A boundary demand the fill contradicts joins the
 region and the fill reruns. The splice writes the new rates, and the
 loads and saturation shares the allocator returns for the covered
 links, into the persistent arrays. A cable failure or restore puts the
-flows crossing the cable in the region. Rates, loads, utilizations,
+flows crossing the cable in the region. Rates, loads, peak utilizations,
 saturation shares, FCTs and the event sequence are bit-identical to a
 global fill over every live demand, which
 :func:`repro.validation.twins.full_refill_reference` keeps as a
@@ -177,7 +178,6 @@ class Network:
         self._delay_array = self.link_index.delays
         num_links = len(self.link_index)
         self._eleph_array = np.zeros(num_links, dtype=np.int64)
-        self._util_array = np.zeros(num_links, dtype=float)
         self._peak_util_array = np.zeros(num_links, dtype=float)
         self._failed_mask = np.zeros(num_links, dtype=bool)
         #: ids of the failed directed links: the refill's dead-demand test
@@ -186,6 +186,8 @@ class Network:
         #: persistent per-link allocated load (bits/s). Each refill writes
         #: the loads of the links it covers (bit-exact, see
         #: maxmin_allocate_indexed) and zero on those no live demand crosses.
+        #: A link's utilization is its load over its capacity, read where
+        #: it is needed.
         self._load_array = np.zeros(num_links, dtype=float)
         #: persistent per-link saturation share: the level at which each
         #: link saturated in the fill that last covered it, ``inf`` if it
@@ -222,7 +224,6 @@ class Network:
         self._realloc_pending = False
         self._completion_handle: Optional[EventHandle] = None
 
-        self.flow_started_listeners: List[Listener] = []
         self.elephant_listeners: List[Listener] = []
         self.flow_completed_listeners: List[Listener] = []
 
@@ -237,18 +238,16 @@ class Network:
         self.link_restored_listeners: List[Callable[[str, str], None]] = []
 
         #: extra ``perf_stats()`` key providers (the DARD control plane
-        #: merges its ``cp_*`` telemetry through this seam).
+        #: merges its ``cp_query_rounds`` through this seam).
         self.controlplane_stats_providers: List[Callable[[], Dict[str, float]]] = []
 
         # Reallocation / event telemetry (see perf_stats).
         self._stat_realloc_calls = 0
-        self._stat_realloc_requests = 0
-        self._stat_realloc_coalesced = 0
-        self._stat_realloc_sync = 0
-        self._stat_realloc_demands = 0
         self._stat_fill_iterations = 0
         self._stat_realloc_time_s = 0.0
         self._stat_flows_started = 0
+        #: read with ``_stat_flows_started`` by the battery's flow-store
+        #: balance check; not reported.
         self._stat_flows_completed = 0
         self._stat_reroutes = 0
         # Incremental-reallocation telemetry (see perf_stats).
@@ -258,9 +257,6 @@ class Network:
         self._stat_flows_rerated = 0
         self._stat_flows_boundary = 0
         self._stat_flows_preserved = 0
-        self._stat_events_rescheduled = 0
-        self._stat_events_preserved = 0
-        self._stat_settle_batches = 0
 
     # -- time ---------------------------------------------------------------
 
@@ -307,8 +303,6 @@ class Network:
             )
         else:
             self.elephant_detector.on_flow_started(flow)
-        for listener in self.flow_started_listeners:
-            listener(flow)
         self._request_realloc()
         return flow
 
@@ -438,7 +432,6 @@ class Network:
         region of the refill, which covers every link they cross.
         """
         self._touch(ids)
-        self._stat_realloc_sync += 1
         self._reallocate()
 
     def _detach(self, flow: Flow) -> None:
@@ -506,38 +499,29 @@ class Network:
         index = self.link_index.ids.get((u, v))
         if index is None:
             return 0.0
-        return float(self._util_array[index])
+        return float(self._load_array[index] / self._cap_array[index])
 
     # -- telemetry ---------------------------------------------------------------
 
     def perf_stats(self) -> Dict[str, float]:
         """Reallocation and event telemetry for this network's lifetime.
 
-        Keys:
+        Every key has a reader outside the tests: perfbench's traced run
+        (layers and seam cross-checks), ``bench_perf_realloc``, the
+        golden digest and ``bench_ext_scenarios``. Keys on every network:
 
-        * ``realloc_calls`` — times the allocator actually ran;
-        * ``realloc_requests`` — membership changes that asked for one;
-        * ``realloc_coalesced`` — requests absorbed into an already-pending
-          zero-delay reallocation (the coalescing win);
-        * ``realloc_sync`` — synchronous reallocations from fail/restore
-          (refills whose region starts with the flows crossing the cable);
-        * ``realloc_demands`` — total demands handed to the allocator,
-          pinned boundary demands and reruns included;
+        * ``realloc_calls`` — refills run (coalesced same-instant
+          requests run once; a cable failure or restore runs one at once);
         * ``filling_iterations`` — total progressive-filling rounds, reruns
           included;
         * ``realloc_time_s`` — wall time spent inside reallocation;
-        * ``flows_started`` / ``flows_completed`` / ``reroutes`` — event
-          counts, for cross-checking the counters above;
-        * ``num_links`` — size of the link index.
-
-        Bottleneck-region reallocation keys:
-
+        * ``flows_started`` / ``reroutes`` — event counts, cross-checked
+          against perfbench's wrapped seams;
         * ``realloc_incremental`` — region refills; ``realloc_full`` —
           every other fill, i.e. ``realloc_calls`` minus the region
           refills. Only the reference twin
           (:func:`repro.validation.twins.full_refill_reference`) fills
-          globally, so ``realloc_full`` reads 0 in production (the key
-          stays for the twin's runs and the benchmark reports);
+          globally, so ``realloc_full`` reads 0 in production;
         * ``realloc_subset`` — region refills that re-rated fewer flows
           than were live (the locality win);
         * ``realloc_reruns`` — region fills rerun because a boundary
@@ -546,34 +530,19 @@ class Network:
           re-water-filled vs flows whose rates were left as they were,
           summed over region refills;
         * ``flows_boundary`` — boundary flows whose demands the accepted
-          fill pinned at their stored levels, summed over region refills;
-        * ``events_rescheduled`` / ``events_preserved`` — completion-event
-          updates whose fire time moved vs stayed identical (preserved
-          events are still cancel+re-pushed so event ordering stays
-          deterministic; see ``EventEngine.reschedule``).
+          fill pinned at their stored levels, summed over region refills.
 
-        Columnar flow-state keys: ``settle_batches`` — settle passes
-        that actually advanced time over live flows; plus the ``store_*``
-        keys from :meth:`FlowStore.stats` (live rows, capacity, acquires,
-        grows).
-
-        Registered ``controlplane_stats_providers`` (the DARD scheduler's
-        ``cp_*`` keys — daemons, live monitors, query rounds, shifts and
-        interned pairs; see DESIGN.md "Control-plane batching") are merged
-        into the returned dict after the base keys.
+        The predictive detector adds ``det_early_promotions``,
+        ``det_fallback_promotions`` and ``det_mean_detection_age_s``, and
+        the DARD scheduler adds ``cp_query_rounds`` through
+        ``controlplane_stats_providers``.
         """
         stats: Dict[str, float] = {
             "realloc_calls": self._stat_realloc_calls,
-            "realloc_requests": self._stat_realloc_requests,
-            "realloc_coalesced": self._stat_realloc_coalesced,
-            "realloc_sync": self._stat_realloc_sync,
-            "realloc_demands": self._stat_realloc_demands,
             "filling_iterations": self._stat_fill_iterations,
             "realloc_time_s": self._stat_realloc_time_s,
             "flows_started": self._stat_flows_started,
-            "flows_completed": self._stat_flows_completed,
             "reroutes": self._stat_reroutes,
-            "num_links": len(self.link_index),
             "realloc_full": self._stat_realloc_calls - self._stat_realloc_incremental,
             "realloc_incremental": self._stat_realloc_incremental,
             "realloc_subset": self._stat_realloc_subset,
@@ -581,11 +550,7 @@ class Network:
             "flows_rerated": self._stat_flows_rerated,
             "flows_boundary": self._stat_flows_boundary,
             "flows_preserved": self._stat_flows_preserved,
-            "events_rescheduled": self._stat_events_rescheduled,
-            "events_preserved": self._stat_events_preserved,
-            "settle_batches": self._stat_settle_batches,
         }
-        stats.update(self.flow_store.stats())
         if self.elephant_detector is not None:
             stats.update(self.elephant_detector.stats())
         for provider in self.controlplane_stats_providers:
@@ -632,7 +597,6 @@ class Network:
             raise SimulationError("time went backwards")
         if dt > 0 and self.flows:
             self._settle_store(dt)
-            self._stat_settle_batches += 1
         self._last_settle = self.now
 
     def _settle_store(self, dt: float) -> None:
@@ -657,12 +621,9 @@ class Network:
         store.retransmitted_bytes[rows] += wasted
 
     def _request_realloc(self) -> None:
-        self._stat_realloc_requests += 1
-        if self._realloc_pending:
-            self._stat_realloc_coalesced += 1
-            return
-        self._realloc_pending = True
-        self.engine.schedule_in(0.0, self._reallocate)
+        if not self._realloc_pending:
+            self._realloc_pending = True
+            self.engine.schedule_in(0.0, self._reallocate)
 
     def _reallocate(self) -> None:
         self._realloc_pending = False
@@ -711,7 +672,8 @@ class Network:
             flow.component_rates,
             [component.link_ids for component in flow.components],
             self._delay_array,
-            self._util_array,
+            self._load_array,
+            self._cap_array,
         )
 
     def _assemble_region(
@@ -795,7 +757,7 @@ class Network:
         against ``_cap_array`` on every fill. A contradicted demand's flow
         joins the region and the fill reruns; so does a boundary flow the
         stored state cannot replay. The splice writes the region's rates,
-        the covered links' loads, utilizations, peaks and saturation
+        the covered links' loads, peak utilizations and saturation
         shares (zero load and ``inf`` where no live demand is left), and
         refreshes the reordering fractions of the flows whose links it
         touched. Everything else keeps its state bit for bit.
@@ -807,7 +769,7 @@ class Network:
         region, self._changed_flows = self._changed_flows, set()
         region |= index.flows_on([link for link in changed_links if sat[link] != _INF])
         fill, levels, owners = _NO_FILL, None, []
-        demands = iterations = 0
+        iterations = 0
         while True:
             fill_links = index.links_of(region)
             fill_links |= changed_links
@@ -826,7 +788,6 @@ class Network:
                     if rows
                     else _NO_FILL
                 )
-                demands += len(rows)
                 iterations += fill.iterations
                 if not fill.contradicted:
                     break
@@ -839,25 +800,23 @@ class Network:
         region_flows = [flows[flow_id] for flow_id in sorted(region)]
         if region_flows:
             self._write_rates(region_flows, owners, fill.rates, levels)
-        load, util = self._load_array, self._util_array
+        load = self._load_array
         links = fill.links
         if len(links) < len(fill_links):
             # Covered links that no live demand crosses any more.
             for link in fill_links.difference(links):
                 load[link] = 0.0
-                util[link] = 0.0
                 sat[link] = _INF
         if links:
             ids = np.array(links, dtype=np.intp)
             load[ids] = fill.loads
             fresh = load[ids] / self._cap_array[ids]
-            util[ids] = fresh
             peak = self._peak_util_array
             peak[ids] = np.maximum(peak[ids], fresh)
             for link, share in zip(links, fill.saturation):
                 sat[link] = share
-        # A striped flow's reordering fraction reads its links'
-        # utilizations; a single-path flow's is 0 (see reroute_flow).
+        # A striped flow's reordering fraction reads its links' loads;
+        # a single-path flow's is 0 (see reroute_flow).
         for flow in region_flows:
             if len(flow.components) > 1:
                 self._refresh_reordering(flow)
@@ -865,7 +824,6 @@ class Network:
             flow = flows[flow_id]
             if len(flow.components) > 1:
                 self._refresh_reordering(flow)
-        self._stat_realloc_demands += demands
         self._stat_fill_iterations += iterations
         self._stat_realloc_incremental += 1
         if len(region) < len(flows):
@@ -875,19 +833,21 @@ class Network:
         self._stat_flows_preserved += len(flows) - len(region)
 
     def _schedule_next_completion(self) -> None:
-        old_handle = self._completion_handle
-        self._completion_handle = None
+        """Replace the pending completion event with one at the next ETA.
+
+        The old event is always cancelled and a new one pushed, even when
+        the fire time did not move: cancelling draws no sequence number,
+        so same-time event order cannot depend on how often the
+        recomputed time coincides with the old one.
+        """
+        if self._completion_handle is not None:
+            self._completion_handle.cancel()
+            self._completion_handle = None
         soonest = self._next_completion_eta_store()
         if soonest < float("inf"):
-            self._completion_handle, preserved = self.engine.reschedule(
-                old_handle, max(soonest, 0.0), self._on_completion_event
+            self._completion_handle = self.engine.schedule_in(
+                max(soonest, 0.0), self._on_completion_event
             )
-            if preserved:
-                self._stat_events_preserved += 1
-            else:
-                self._stat_events_rescheduled += 1
-        elif old_handle is not None:
-            old_handle.cancel()
 
     def _next_completion_eta_store(self) -> float:
         """Masked min over ``remaining * 8 / goodput`` across the store.

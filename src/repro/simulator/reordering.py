@@ -56,13 +56,15 @@ def reordering_retx_fraction_indexed(
     rates: Sequence[float],
     component_link_ids: Sequence[Sequence[int]],
     link_delays: np.ndarray,
-    link_utils: np.ndarray,
+    link_loads: np.ndarray,
+    link_capacities: np.ndarray,
 ) -> float:
     """Fraction of goodput retransmitted due to cross-path reordering.
 
     Takes the flow's component link-id rows plus the network's dense
-    per-link delay and utilization arrays; per-path delay estimates are
-    vectorized gathers.
+    per-link delay, load and capacity arrays; per-path delay estimates
+    are vectorized gathers, and a link's utilization is its load over
+    its capacity.
     """
     if len(component_link_ids) < 2:
         return 0.0
@@ -73,7 +75,7 @@ def reordering_retx_fraction_indexed(
     queues: List[float] = []
     for ids in component_link_ids:
         prop = link_delays[ids]
-        util = np.minimum(link_utils[ids], 0.99)
+        util = np.minimum(link_loads[ids] / link_capacities[ids], 0.99)
         queue = prop * np.minimum(QUEUE_DELAY_CAP_FACTOR, util / (1.0 - util))
         prop_total = float(prop.sum())
         queue_total = float(queue.sum())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import RoutingError
 from repro.addressing.prefix import Prefix
@@ -22,12 +22,13 @@ class FlowTable:
 
     Entries are grouped by prefix length so a lookup probes at most one
     candidate per distinct length, longest first — adequate for the handful
-    of lengths a DARD fabric ever installs.
+    of lengths a DARD fabric ever installs. Those buckets are the only copy
+    of the rules: :meth:`rules`, :meth:`entries` and ``len`` read them too.
     """
 
     def __init__(self) -> None:
+        #: prefix length -> {prefix value: egress port}.
         self._by_length: Dict[int, Dict[int, int]] = {}
-        self._entries: List[TableEntry] = []
         #: (mask, bucket) probe order, longest prefix first — rebuilt only
         #: when a new length appears, so lookup (the packet-level hot path)
         #: never re-sorts or recomputes masks.
@@ -50,7 +51,6 @@ class FlowTable:
                 )
             return
         bucket[prefix.value] = port
-        self._entries.append(TableEntry(prefix, port))
 
     def lookup(self, addr: int) -> Optional[int]:
         """The egress port for ``addr``, or ``None`` if nothing matches."""
@@ -60,12 +60,20 @@ class FlowTable:
                 return port
         return None
 
+    def rules(self) -> List[Tuple[int, int, int]]:
+        """All rules as ``(value, length, port)``, sorted by (length desc, value)."""
+        return [
+            (value, length, port)
+            for length, bucket in sorted(self._by_length.items(), reverse=True)
+            for value, port in sorted(bucket.items())
+        ]
+
     def entries(self) -> List[TableEntry]:
         """All rules, sorted by (length desc, value) for stable rendering."""
-        return sorted(self._entries, key=lambda e: (-e.prefix.length, e.prefix.value))
+        return [TableEntry(Prefix(value, length), port) for value, length, port in self.rules()]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._by_length.values()))
 
     def __contains__(self, prefix: Prefix) -> bool:
         return self._by_length.get(prefix.length, {}).get(prefix.value) is not None

@@ -423,7 +423,9 @@ class SwitchTableSnapshot:
 
     DARD's central data-plane property is that re-routing never touches
     switch state (§2.3): capture a snapshot at fabric bring-up, then
-    :meth:`verify` after any amount of traffic and path shifting.
+    :meth:`verify` after any amount of traffic and path shifting. The
+    digest covers each table's :meth:`~repro.switches.flowtable.FlowTable.rules`,
+    the ``(value, length, port)`` integers of the buckets lookup reads.
     """
 
     digest: str
@@ -436,12 +438,9 @@ class SwitchTableSnapshot:
         for name in sorted(fabric.switches):
             switch = fabric.switches[name]
             for table_name in ("downhill", "uphill"):
-                table = getattr(switch, table_name)
-                for entry in table.entries():
-                    hasher.update(
-                        f"{name}:{table_name}:{entry.prefix}:{entry.port}\n".encode()
-                    )
-                    entries += 1
+                rules = getattr(switch, table_name).rules()
+                hasher.update(f"{name}:{table_name}:{rules}\n".encode())
+                entries += len(rules)
         return cls(digest=hasher.hexdigest(), num_entries=entries)
 
     def verify(self, fabric) -> None:

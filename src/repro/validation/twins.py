@@ -114,7 +114,7 @@ def full_refill_reference(network: Network) -> None:
 
     Re-fills every live flow, not just a bottleneck region, and splices
     fabric-wide: every link loses its load and saturation share, and the
-    fill's links get theirs back. Rates, loads, utilizations and
+    fill's links get theirs back. Rates, loads, peak utilizations and
     saturation shares must come out bit-identical to the region refill;
     ``filling_iterations`` differs, since one global fill counts a
     symmetric tie across the fabric as one round. ``perf_stats`` counts
@@ -132,9 +132,8 @@ def full_refill_reference(network: Network) -> None:
     sat = np.full(load.size, np.inf)
     sat[fill.links] = fill.saturation
     network._sat_levels[:] = sat.tolist()
-    np.divide(load, network._cap_array, out=network._util_array)
-    np.maximum(network._peak_util_array, network._util_array, out=network._peak_util_array)
-    network._stat_realloc_demands += len(rows)
+    peak = network._peak_util_array
+    np.maximum(peak, load / network._cap_array, out=peak)
     network._stat_fill_iterations += fill.iterations
     for flow in flows:
         if len(flow.components) > 1:

@@ -70,32 +70,3 @@ class TestNetworkConfigSwitches:
         net.engine.schedule_every(1.0, lambda: None)
         net.engine.run_until_idle(hard_limit=10.0)
         assert net.engine.now == pytest.approx(10.0)
-
-
-class TestHederaInternals:
-    def test_legacy_energy_helper(self):
-        """The full-recompute energy helper agrees with a hand count."""
-        import numpy as np
-        from repro.addressing import HierarchicalAddressing, PathCodec
-        from repro.baselines import HederaScheduler
-        from repro.baselines.hedera import PathSelector
-        from repro.scheduling import SchedulerContext
-
-        topo = FatTree(p=4, link_bandwidth_bps=100 * MBPS)
-        net = Network(topo)
-        ctx = SchedulerContext(
-            network=net,
-            codec=PathCodec(HierarchicalAddressing(topo)),
-            rng=np.random.default_rng(0),
-        )
-        scheduler = HederaScheduler()
-        scheduler.attach(ctx)
-        paths = topo.equal_cost_paths("tor_0_0", "tor_1_0")
-        flow = net.start_flow(
-            "h_0_0_0", "h_1_0_0", 500 * MB,
-            [net.component("h_0_0_0", "h_1_0_0", paths, 0)],
-        )
-        assignment = {"h_1_0_0": PathSelector(core=0)}
-        energy = scheduler._energy([flow], [50 * MBPS], assignment)
-        # One 50 Mbps demand on 100 Mbps links -> max utilization 0.5.
-        assert energy == pytest.approx(0.5)

@@ -91,12 +91,10 @@ class TestMonitorRegistry:
         registry = MonitorRegistry(net)
         pp1 = registry.register("tor_0_0", "tor_1_0")
         pp2 = registry.register("tor_0_0", "tor_1_0")
-        registry.register("tor_0_0", "tor_0_1")
+        other = registry.register("tor_0_0", "tor_0_1")
         assert pp1 is pp2  # interned, computed once
-        assert registry.stats() == {
-            "cp_registry_pairs": 2.0,
-            "cp_registry_registrations": 3.0,
-        }
+        assert other is not pp1
+        assert registry.register("tor_0_0", "tor_0_1") is other
 
     @pytest.mark.parametrize("name", ["clos", "custom", "fattree4", "threetier"])
     def test_cached_rows_track_network_state(self, name):
@@ -373,12 +371,8 @@ class TestPerfStatsSurface:
         scheduler.place("h_0_0_0", "h_1_0_0", 500 * MB)
         net.engine.run_until(12.0)
         stats = net.perf_stats()
-        assert {key for key in stats if key.startswith("cp_")} == {
-            "cp_daemons", "cp_monitors_live", "cp_query_rounds", "cp_shifts",
-            "cp_registry_pairs", "cp_registry_registrations",
-        }
-        assert stats["cp_daemons"] >= 1.0
-        assert stats["cp_registry_registrations"] >= stats["cp_registry_pairs"] >= 1.0
+        assert {key for key in stats if key.startswith("cp_")} == {"cp_query_rounds"}
+        assert stats["cp_query_rounds"] >= 1.0
 
 
 SMALL_DARD = ScenarioConfig(

@@ -101,7 +101,7 @@ class TestPathMonitor:
         assert monitor.num_query_switches == n
         assert ledger.bytes_by_kind["dard_query"] == 48 * n
         assert ledger.bytes_by_kind["dard_reply"] == 32 * n
-        assert monitor.queries_sent == n
+        assert ledger.count_by_kind["dard_query"] == n
 
     def test_path_index_lookup(self, fattree4):
         net = Network(fattree4)

@@ -119,6 +119,8 @@ class TestReorderingModel:
 
     delays = np.full(4, 0.0001)
     idle = np.zeros(4)
+    #: unit capacities, so a link's load is its utilization.
+    capacities = np.ones(4)
     paths = [[0, 1], [2, 3]]
 
     @staticmethod
@@ -128,7 +130,7 @@ class TestReorderingModel:
 
     def fraction(self, rates, utils, paths=None):
         return reordering_retx_fraction_indexed(
-            rates, self.paths if paths is None else paths, self.delays, utils
+            rates, self.paths if paths is None else paths, self.delays, utils, self.capacities
         )
 
     def test_single_path_never_reorders(self):

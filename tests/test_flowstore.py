@@ -63,7 +63,8 @@ class TestRowLifecycle:
         assert make_flow(store, flow_id=100).store_row == 3
         assert make_flow(store, flow_id=101).store_row == 4
         assert store.size == 5
-        assert store.stats()["store_acquires"] == 7.0
+        # Each release moved the last row into its hole.
+        assert store.flow_id[:5].tolist() == [0, 4, 2, 100, 101]
 
     def test_revived_row_is_reset_to_fill_values(self):
         store = FlowStore()
@@ -97,8 +98,7 @@ class TestRowLifecycle:
         store = FlowStore(capacity=2)
         flows = make_flows(store, range(5))
         assert store.size == 5
-        assert store.capacity >= 5
-        assert store.stats()["store_grows"] >= 1.0
+        assert store.capacity == 8  # 2 -> 4 -> 8
         # Data survives the reallocation, and the views still read it.
         assert store.flow_id[:5].tolist() == [0, 1, 2, 3, 4]
         assert [flow.remaining_bytes for flow in flows] == [1000.0] * 5
@@ -286,7 +286,7 @@ class TestNetworkIntegration:
         # New flows reuse the released rows instead of extending the span.
         flow = net.start_flow(src, "h_3_0_0", MB, [component(net, src, "h_3_0_0")])
         assert flow.store_row == 0
-        assert net.flow_store.stats()["store_rows"] == 1.0
+        assert net.flow_store.size == 1
 
     def test_record_reads_after_completion_are_stable(self, net):
         done = []
@@ -355,19 +355,6 @@ class TestNetworkIntegration:
         with pytest.raises(InvariantViolation) as caught:
             InvariantChecker(net).run_checks()
         assert caught.value.invariant == "flow-store"
-
-    def test_perf_stats_exposes_store_and_settle_keys(self, net):
-        net.start_flow(
-            "h_0_0_0", "h_1_0_0", 10 * MB, [component(net, "h_0_0_0", "h_1_0_0")]
-        )
-        net.engine.run_until_idle()
-        stats = net.perf_stats()
-        for key in ("store_rows", "store_capacity", "store_acquires",
-                    "store_grows", "settle_batches"):
-            assert key in stats, key
-        assert stats["store_acquires"] == 1.0
-        assert stats["store_rows"] == 0.0
-        assert stats["settle_batches"] >= 1
 
 
 class TestStoreScale:

@@ -347,7 +347,8 @@ class TestBottleneckRegion:
             w.component_rates,
             [component.link_ids for component in w.components],
             net._delay_array,
-            net._util_array,
+            net._load_array,
+            net._cap_array,
         )
         assert w.reorder_retx_fraction == want
 

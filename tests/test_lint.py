@@ -6,6 +6,7 @@ module name (scope rules apply) without being importable from the
 repository root.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -236,6 +237,26 @@ class TestSelfCheck:
         det002 = [f for f in findings if f.code == "DET002"]
         assert det002 == [], [f.render() for f in det002]
         assert files_scanned == len(modules)
+
+    def test_listed_functions_are_defined(self):
+        """Every function a rule names is defined under src/repro, so a
+        rename cannot leave a rule checking nothing."""
+        from repro.lint.rules import contracts, hotpath
+
+        defined = {
+            node.name
+            for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        lists = {
+            "_HOT_FUNCTIONS": hotpath._HOT_FUNCTIONS,
+            "_EVENT_FUNCTIONS": hotpath._EVENT_FUNCTIONS,
+            "_INTERNING_METHODS": hotpath._INTERNING_METHODS,
+            "_LOAD_ARRAY_OWNERS": contracts._LOAD_ARRAY_OWNERS,
+        }
+        missing = {name: sorted(names - defined) for name, names in lists.items()}
+        assert missing == {name: [] for name in lists}
 
     def test_cli_lint_src_exits_zero(self, capsys):
         assert main(["lint", str(REPO_ROOT / "src" / "repro")]) == 0

@@ -3,11 +3,20 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simulator.maxmin import link_utilizations, maxmin_allocate
+from repro.simulator.maxmin import maxmin_allocate
 
 
 def links(*names):
     return tuple((n, n + "'") for n in names)
+
+
+def utilizations(demands, rates, capacities):
+    """Each crossed link's load over its capacity, the rates summed per link."""
+    load = {}
+    for (route, _), rate in zip(demands, rates):
+        for link in route:
+            load[link] = load.get(link, 0.0) + rate
+    return {link: total / capacities[link] for link, total in load.items()}
 
 
 class TestBasicAllocation:
@@ -70,7 +79,7 @@ class TestInvariantsAndErrors:
             (links("b"), 1.0),
         ]
         rates = maxmin_allocate(demands, cap)
-        utils = link_utilizations(demands, rates, cap)
+        utils = utilizations(demands, rates, cap)
         assert all(u <= 1.0 + 1e-9 for u in utils.values())
 
     def test_all_rates_positive(self):
@@ -100,7 +109,7 @@ class TestInvariantsAndErrors:
         cap = {("a", "a'"): 40.0, ("b", "b'"): 90.0}
         demands = [(links("a"), 1.0), (links("a", "b"), 1.0), (links("b"), 1.0)]
         rates = maxmin_allocate(demands, cap)
-        utils = link_utilizations(demands, rates, cap)
+        utils = utilizations(demands, rates, cap)
         for (route, _), rate in zip(demands, rates):
             assert any(utils[link] >= 1.0 - 1e-9 for link in route)
 

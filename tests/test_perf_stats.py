@@ -6,27 +6,30 @@ from repro.common.units import MB, MBPS
 from repro.simulator import Network
 from repro.topology import FatTree
 
-#: The complete ``perf_stats()`` surface, asserted in one place so the
-#: docstring, the stats dict, and every ``stats.update(...)`` source
-#: (flow store, detector, control-plane providers) cannot drift apart
-#: silently again.
+#: The complete ``perf_stats()`` surface, each key beside the reader
+#: outside ``tests/`` that it exists for. A key nothing reads does not
+#: belong here, nor in ``perf_stats()``.
 NETWORK_KEYS = {
-    "realloc_calls", "realloc_requests", "realloc_coalesced", "realloc_sync",
-    "realloc_demands", "filling_iterations", "realloc_time_s",
-    "flows_started", "flows_completed", "reroutes", "num_links",
-    "realloc_full", "realloc_incremental", "realloc_subset", "realloc_reruns",
-    "flows_rerated", "flows_boundary", "flows_preserved",
-    "events_rescheduled", "events_preserved", "settle_batches",
-}
-STORE_KEYS = {"store_acquires", "store_capacity", "store_grows", "store_rows"}
-DET_KEYS = {
-    "det_predictive", "det_flows_seen", "det_samples",
-    "det_early_promotions", "det_fallback_promotions",
-    "det_mean_detection_age_s",
+    "realloc_calls": "perfbench simulator.realloc_calls, golden digest",
+    "filling_iterations": "golden digest",
+    "realloc_time_s": "perfbench simulator.realloc_s, bench_perf_realloc",
+    "flows_started": "perfbench start_flow seam check",
+    "reroutes": "perfbench reroute seam check",
+    "realloc_full": "perfbench simulator.realloc_full, bench_perf_realloc",
+    "realloc_incremental": "perfbench simulator.realloc_incremental, bench_perf_realloc",
+    "realloc_subset": "bench_perf_realloc",
+    "realloc_reruns": "bench_perf_realloc",
+    "flows_rerated": "perfbench simulator.rerated_share, bench_perf_realloc",
+    "flows_boundary": "bench_perf_realloc",
+    "flows_preserved": "perfbench simulator.rerated_share, bench_perf_realloc",
 }
 CP_KEYS = {
-    "cp_daemons", "cp_monitors_live", "cp_query_rounds", "cp_shifts",
-    "cp_registry_pairs", "cp_registry_registrations",
+    "cp_query_rounds": "perfbench core.query seam check",
+}
+DET_KEYS = {
+    "det_early_promotions": "bench_ext_scenarios",
+    "det_fallback_promotions": "bench_ext_scenarios",
+    "det_mean_detection_age_s": "bench_ext_scenarios",
 }
 
 
@@ -61,28 +64,20 @@ class TestPerfStats:
             for link in topo.links()
             if topo.node(link.u).kind.is_switch and topo.node(link.v).kind.is_switch
         )
-        net.fail_link(*cable)
-        net.restore_link(*cable)
+        # A cable failure or restore refills before it returns.
+        for transition in (net.fail_link, net.restore_link):
+            calls = net.perf_stats()["realloc_calls"]
+            transition(*cable)
+            assert net.perf_stats()["realloc_calls"] == calls + 1
         net.engine.run_until(500.0)  # long enough for everything to finish
 
         stats = net.perf_stats()
         assert stats["flows_started"] == len(pairs)
-        assert stats["flows_completed"] == len(pairs)
+        assert len(net.records) == len(pairs)
         assert stats["reroutes"] == 1
-        assert stats["realloc_sync"] == 2  # one fail + one restore
-        # Every executed reallocation is either a drained scheduled request
-        # or a synchronous fail/restore call; coalesced requests never run.
-        assert (
-            stats["realloc_calls"]
-            == stats["realloc_requests"] - stats["realloc_coalesced"] + stats["realloc_sync"]
-        )
-        # Starts, the reroute, and per-flow completions each filed a request.
-        assert stats["realloc_requests"] >= len(pairs) + 1
         assert stats["realloc_calls"] >= 1
-        assert stats["realloc_demands"] >= len(pairs)
         assert stats["filling_iterations"] >= 1
         assert stats["realloc_time_s"] > 0.0
-        assert stats["num_links"] == len(net.link_index)
 
     def test_coalescing_counts_same_instant_requests(self, topo):
         """Several starts at the same instant fold into one reallocation."""
@@ -92,8 +87,7 @@ class TestPerfStats:
             net.start_flow(src, dst, 10 * MB, [_component(net, src, dst, i)])
         net.engine.run_until(0.0)
         stats = net.perf_stats()
-        assert stats["realloc_requests"] == 5
-        assert stats["realloc_coalesced"] == 4
+        assert stats["flows_started"] == 5
         assert stats["realloc_calls"] == 1
 
     def test_stats_start_at_zero(self, topo):
@@ -108,12 +102,11 @@ class TestKeyInventory:
     """The exact ``perf_stats()`` key surface, per configuration."""
 
     def test_base_network(self, topo):
-        keys = set(Network(topo).perf_stats())
-        assert keys == NETWORK_KEYS | STORE_KEYS
+        assert set(Network(topo).perf_stats()) == set(NETWORK_KEYS)
 
     def test_predictive_detector_adds_det_keys(self, topo):
         net = Network(topo, elephant_detector="predictive")
-        assert set(net.perf_stats()) == NETWORK_KEYS | STORE_KEYS | DET_KEYS
+        assert set(net.perf_stats()) == set(NETWORK_KEYS) | set(DET_KEYS)
 
     def test_dard_scenario_adds_cp_keys(self):
         from repro.experiments.runner import ScenarioConfig, run_scenario
@@ -132,4 +125,4 @@ class TestKeyInventory:
             ),
             instrument=captured.append,
         )
-        assert set(captured[0].perf_stats()) == NETWORK_KEYS | STORE_KEYS | CP_KEYS
+        assert set(captured[0].perf_stats()) == set(NETWORK_KEYS) | set(CP_KEYS)

@@ -6,26 +6,30 @@ module:
 * :func:`read_budget` reads a bench's budget; each knob can be
   overridden from the environment as ``BENCH_<EXPERIMENT>_<KNOB>``;
 * :func:`write_artifact` writes ``results/BENCH_<name>.json``: the rows,
-  the process's peak RSS, the budget and the run's provenance (commit,
-  CPU count, Python and numpy versions, the environment overrides);
+  a peak RSS, the budget and the run's provenance (commit, CPU count,
+  Python and numpy versions, the environment overrides);
 * :func:`run_pair` runs ECMP and then DARD once on one large stride
-  fat-tree and returns one row each, with the scheduler's wall time (the
-  ``bench_scale_p*.py`` scale benches).
+  fat-tree, in a spawned child process, and returns one row each, with
+  the scheduler's wall time, and the child's peak RSS (the
+  ``bench_scale_p*.py`` scale benches, whose gates read that peak).
 
 A run off the full budget is a smoke run: its artifacts are named
 ``<experiment>.smoke`` so that it never overwrites the committed
-full-budget result. Run each bench in its own process, because the
-peak RSS is the whole process's.
+full-budget result. The scale benches' peak RSS is their own child's,
+so it does not depend on what else ran in the pytest process; a bench
+that passes no peak to :func:`write_artifact` records the whole
+process's.
 """
 
 import json
+import multiprocessing
 import os
 import pathlib
 import platform
 import resource
 import subprocess
 import time
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,8 +65,37 @@ def read_budget(experiment: str, **defaults: float) -> Budget:
     return Budget(name, params, overrides, full)
 
 
-def run_pair(p: int, **config) -> List[dict]:
-    """Run ECMP, then DARD, on a p-pod stride fat-tree; one row each."""
+def run_pair(p: int, **config) -> Tuple[List[dict], float]:
+    """Run ECMP, then DARD, on a p-pod stride fat-tree; one row each.
+
+    Both run in one spawned child process, a fresh interpreter, so the
+    returned peak RSS (MB) is the pair's own: what ran earlier in this
+    process does not raise it.
+    """
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(_pair_in_this_process, (p,), config)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak RSS so far, in MB.
+
+    Linux's ``VmHWM``: the high-water mark of this process image alone.
+    ``ru_maxrss`` also counts the RSS the process had before its
+    ``exec``, and a spawned child is forked from this whole pytest
+    process before it execs. Elsewhere, ``ru_maxrss``.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _pair_in_this_process(p: int, **config) -> Tuple[List[dict], float]:
+    """:func:`run_pair`'s work: the rows, then this process's peak RSS."""
     rows = []
     for scheduler in ("ecmp", "dard"):
         started = time.perf_counter()
@@ -90,7 +123,7 @@ def run_pair(p: int, **config) -> List[dict]:
                 "wall_s": round(wall_s, 2),
             }
         )
-    return rows
+    return rows, _peak_rss_mb()
 
 
 def _commit() -> str:
@@ -108,9 +141,16 @@ def _commit() -> str:
         return "unknown"
 
 
-def write_artifact(budget: Budget, rows: List[dict]) -> float:
-    """Write ``results/BENCH_<budget.name>.json``; returns the peak RSS in MB."""
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+def write_artifact(
+    budget: Budget, rows: List[dict], peak_rss_mb: Optional[float] = None
+) -> float:
+    """Write ``results/BENCH_<budget.name>.json``; returns the peak RSS in MB.
+
+    ``peak_rss_mb`` is the peak of the process that ran the rows (a
+    :func:`run_pair` child); without it, this process's peak is recorded.
+    """
+    if peak_rss_mb is None:
+        peak_rss_mb = _peak_rss_mb()
     document = {
         "experiment": budget.name,
         "budget": "full" if budget.full else "smoke",

@@ -6,7 +6,8 @@ beats ECMP under stride while its per-flow stability bound holds, and the
 whole simulation (including 1000+ host daemons polling monitors) completes
 in seconds. It always runs its full budget: its gain gate does not hold
 on a truncated run. Raw rows, each with the scheduler's wall time, the
-process's peak RSS and the run's provenance land in
+peak RSS of the child process that ran the pair (``run_pair``) and the
+run's provenance land in
 ``benchmarks/results/BENCH_scale_p16.json`` (see ``artifacts.py``). The peak
 RSS must stay under :data:`PEAK_RSS_CEILING_MB`, so a memory regression
 fails the bench instead of growing quietly.
@@ -23,12 +24,12 @@ PEAK_RSS_CEILING_MB = 83.0
 
 
 def _run_pair():
-    rows = run_pair(
+    rows, peak_rss_mb = run_pair(
         16,
         arrival_rate_per_host=BUDGET.params["rate"],
         duration_s=BUDGET.params["duration"],
     )
-    peak_rss_mb = write_artifact(BUDGET, rows)
+    write_artifact(BUDGET, rows, peak_rss_mb)
     ecmp, dard = rows
     output = ExperimentOutput(
         BUDGET.name,

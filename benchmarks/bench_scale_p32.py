@@ -12,8 +12,8 @@ Every knob is env-overridable for CI's short budget:
 (arrivals/host/s) and ``BENCH_SCALE_P32_DRAIN`` (post-arrival drain cap).
 The DARD-vs-ECMP gain gate, the stability gate and the
 :data:`PEAK_RSS_CEILING_MB` memory gate hold at any budget. Raw rows,
-each with the scheduler's wall time, the process's peak RSS and the
-run's provenance land in ``benchmarks/results/BENCH_scale_p32.json``; a
+each with the scheduler's wall time, the peak RSS of the child process
+that ran the pair (``run_pair``) and the run's provenance land in ``benchmarks/results/BENCH_scale_p32.json``; a
 run off the default budget writes ``BENCH_scale_p32.smoke.json`` and
 ``scale_p32.smoke.txt`` instead, so it never overwrites the committed
 full-budget result (see ``artifacts.py``).
@@ -31,13 +31,13 @@ PEAK_RSS_CEILING_MB = 145.0
 
 def _run_pair():
     params = BUDGET.params
-    rows = run_pair(
+    rows, peak_rss_mb = run_pair(
         32,
         arrival_rate_per_host=params["rate"],
         duration_s=params["duration"],
         drain_limit_s=params["drain"],
     )
-    peak_rss_mb = write_artifact(BUDGET, rows)
+    write_artifact(BUDGET, rows, peak_rss_mb)
     ecmp, dard = rows
     output = ExperimentOutput(
         BUDGET.name,

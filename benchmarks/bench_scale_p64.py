@@ -16,7 +16,8 @@ Both schedulers must complete flows and report a positive mean FCT at
 any budget; the DARD-vs-ECMP improvement is reported in the notes rather
 than gated — at short CI budgets the drain cap can truncate either
 side's tail. Raw rows, each with the scheduler's wall time, the
-process's peak RSS and the run's provenance land in
+peak RSS of the child process that ran the pair (``run_pair``) and the
+run's provenance land in
 ``benchmarks/results/BENCH_scale_p64.json``; a run off the default
 budget writes ``BENCH_scale_p64.smoke.json`` and ``scale_p64.smoke.txt``
 instead, so it never overwrites the committed full-budget result (see
@@ -37,13 +38,13 @@ PEAK_RSS_CEILING_MB = 594.0
 
 def _run_pair():
     params = BUDGET.params
-    rows = run_pair(
+    rows, peak_rss_mb = run_pair(
         64,
         arrival_rate_per_host=params["rate"],
         duration_s=params["duration"],
         drain_limit_s=params["drain"],
     )
-    peak_rss_mb = write_artifact(BUDGET, rows)
+    write_artifact(BUDGET, rows, peak_rss_mb)
     ecmp, dard = rows
     output = ExperimentOutput(
         BUDGET.name,

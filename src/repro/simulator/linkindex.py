@@ -54,16 +54,16 @@ class LinkIndex:
 
     def __init__(
         self,
-        links: Sequence[LinkId],
-        capacities: Iterable[float],
-        delays: Iterable[float],
+        links: Iterable[LinkId],
+        capacities: np.ndarray,
+        delays: np.ndarray,
     ) -> None:
         self.links: List[LinkId] = list(links)
-        self.ids: Dict[LinkId, int] = {link: i for i, link in enumerate(self.links)}
+        self.ids: Dict[LinkId, int] = dict(zip(self.links, range(len(self.links))))
         if len(self.ids) != len(self.links):
             raise SimulationError("duplicate directed link in LinkIndex")
-        self.capacities = np.asarray(list(capacities), dtype=float)
-        self.delays = np.asarray(list(delays), dtype=float)
+        self.capacities = np.asarray(capacities, dtype=float)
+        self.delays = np.asarray(delays, dtype=float)
         if self.capacities.shape[0] != len(self.links) or self.delays.shape[0] != len(
             self.links
         ):
@@ -74,18 +74,14 @@ class LinkIndex:
     def from_topology(cls, topology: Any) -> "LinkIndex":
         """Intern every directed link of a topology, in its link order.
 
-        One pass over the cables: each emits ``(u, v)`` then ``(v, u)``,
-        the order of ``topology.directed_links()``.
+        Each cable emits ``(u, v)`` then ``(v, u)``, the order of
+        ``topology.directed_links()``; both directions carry the cable's
+        bandwidth and delay.
         """
-        links: List[LinkId] = []
-        caps: List[float] = []
-        delays: List[float] = []
-        for cable in topology.links():
-            u, v = cable.u, cable.v
-            links += ((u, v), (v, u))
-            caps += (cable.bandwidth_bps, cable.bandwidth_bps)
-            delays += (cable.delay_s, cable.delay_s)
-        return cls(links, caps, delays)
+        cables = list(topology.links())
+        caps = np.repeat(np.fromiter((cable.bandwidth_bps for cable in cables), float), 2)
+        delays = np.repeat(np.fromiter((cable.delay_s for cable in cables), float), 2)
+        return cls(topology.directed_links(), caps, delays)
 
     def __len__(self) -> int:
         return len(self.links)
@@ -129,9 +125,14 @@ class LinkIndex:
         ids = self._cable_ids.get(table)
         if ids is None:
             cables = list(table.cables())
-            ids = self._cable_ids[table] = (
-                array("q", self.index_links(cables).tolist()),
-                array("q", self.index_links([(v, u) for u, v in cables]).tolist()),
-            )
+            reverse = [(v, u) for u, v in cables]
+            id_of = self.ids
+            try:
+                ids = (array("q", map(id_of.__getitem__, cables)),
+                       array("q", map(id_of.__getitem__, reverse)))
+            except KeyError:
+                self.index_links(cables + reverse)  # raises, naming the link
+                raise
+            self._cable_ids[table] = ids
         return ids
 

@@ -207,10 +207,9 @@ class Network:
 
         # String-keyed copy of the capacities, for the baselines, the
         # reference allocator and the validation checks.
-        self.capacities: Dict[LinkId, float] = {
-            link: float(cap)
-            for link, cap in zip(self.link_index.links, self._cap_array)
-        }
+        self.capacities: Dict[LinkId, float] = dict(
+            zip(self.link_index.links, self._cap_array.tolist())
+        )
 
         self.flows: Dict[int, Flow] = {}
         #: columnar hot flow state: one row per flow in ``flows``, held

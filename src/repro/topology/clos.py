@@ -77,13 +77,16 @@ class ClosNetwork(MultiRootedTopology):
         return 2 * self.d_a
 
     def _build(self, delay: float) -> None:
-        for i in range(self.num_intermediates):
-            self.add_node(Node(f"core_{i}", NodeKind.CORE, pod=None, index=i))
+        link_bw, host_bw = self.link_bandwidth_bps, self.host_bandwidth_bps
+        cores = [f"core_{i}" for i in range(self.num_intermediates)]
+        aggs = [f"agg_{i}" for i in range(self.num_aggs)]
+        for i, core in enumerate(cores):
+            self.add_node(Node(core, NodeKind.CORE, pod=None, index=i))
+        cables = []
         # Aggregation switches are paired: pair k = (agg_{2k}, agg_{2k+1}).
-        for i in range(self.num_aggs):
-            self.add_node(Node(f"agg_{i}", NodeKind.AGG, pod=i // 2, index=i))
-            for c in range(self.num_intermediates):
-                self.add_link(f"agg_{i}", f"core_{c}", self.link_bandwidth_bps, delay)
+        for i, agg in enumerate(aggs):
+            self.add_node(Node(agg, NodeKind.AGG, pod=i // 2, index=i))
+            cables += [(agg, core, link_bw, delay) for core in cores]
         # Each aggregation pair serves d_a/2 ToRs, dual-homed to both members.
         tors_per_pair = self.d_a // 2
         tor_id = 0
@@ -91,13 +94,16 @@ class ClosNetwork(MultiRootedTopology):
             for _ in range(tors_per_pair):
                 tor = f"tor_{tor_id}"
                 self.add_node(Node(tor, NodeKind.TOR, pod=pair, index=tor_id))
-                self.add_link(tor, f"agg_{2 * pair}", self.link_bandwidth_bps, delay)
-                self.add_link(tor, f"agg_{2 * pair + 1}", self.link_bandwidth_bps, delay)
+                cables += [
+                    (tor, aggs[2 * pair], link_bw, delay),
+                    (tor, aggs[2 * pair + 1], link_bw, delay),
+                ]
                 for k in range(self.hosts_per_tor):
                     host = f"h_{tor_id}_{k}"
                     self.add_node(Node(host, NodeKind.HOST, pod=pair, index=k))
-                    self.add_link(host, tor, self.host_bandwidth_bps, delay)
+                    cables.append((host, tor, host_bw, delay))
                 tor_id += 1
+        self.add_links(cables)
 
     def __repr__(self) -> str:
         return f"ClosNetwork(d_i={self.d_i}, d_a={self.d_a}, hosts={len(self.hosts())})"

@@ -88,29 +88,31 @@ class CustomTopology(MultiRootedTopology):
             pod = spec.tors[tor]
             self.add_node(Node(host, NodeKind.HOST, pod=pod, index=index))
 
+        # One batch per layer: a layer's spec check runs after the layers
+        # before it went in, so a fault in an earlier layer is the one
+        # reported.
+        delay = spec.link_delay_s
+        cables = []
         for core, agg in spec.core_agg_links:
             if core not in spec.cores or agg not in spec.aggs:
                 raise TopologyError(f"core-agg link ({core!r}, {agg!r}) names unknown nodes")
-            self.add_link(
-                core, agg,
-                self._bandwidth(core, agg, spec.link_bandwidth_bps),
-                spec.link_delay_s,
-            )
+            cables.append((core, agg, self._bandwidth(core, agg, spec.link_bandwidth_bps), delay))
+        self.add_links(cables)
+        cables = []
         for agg, tor in spec.agg_tor_links:
             if agg not in spec.aggs or tor not in spec.tors:
                 raise TopologyError(f"agg-tor link ({agg!r}, {tor!r}) names unknown nodes")
-            self.add_link(
-                agg, tor,
-                self._bandwidth(agg, tor, spec.link_bandwidth_bps),
-                spec.link_delay_s,
-            )
+            cables.append((agg, tor, self._bandwidth(agg, tor, spec.link_bandwidth_bps), delay))
+        self.add_links(cables)
         host_bw = (
             spec.host_bandwidth_bps
             if spec.host_bandwidth_bps is not None
             else spec.link_bandwidth_bps
         )
-        for host, tor in spec.hosts.items():
-            self.add_link(host, tor, self._bandwidth(host, tor, host_bw), spec.link_delay_s)
+        self.add_links(
+            (host, tor, self._bandwidth(host, tor, host_bw), delay)
+            for host, tor in spec.hosts.items()
+        )
 
     def __repr__(self) -> str:
         return (

@@ -16,9 +16,11 @@ Node naming: ``core_{i}_{j}``, ``agg_{pod}_{i}``, ``tor_{pod}_{i}``,
 
 from __future__ import annotations
 
+from typing import Iterator, List, Tuple
+
 from repro.common.errors import TopologyError
 from repro.common.units import GBPS
-from repro.topology.graph import Node, NodeKind
+from repro.topology.graph import CableRow, Node, NodeKind
 from repro.topology.multirooted import MultiRootedTopology
 
 
@@ -54,25 +56,48 @@ class FatTree(MultiRootedTopology):
 
     def _build(self, delay: float) -> None:
         half = self.p // 2
-        for i in range(half):
-            for j in range(half):
-                self.add_node(Node(f"core_{i}_{j}", NodeKind.CORE, pod=None, index=i * half + j))
-        for pod in range(self.p):
+        cores = [[f"core_{i}_{j}" for j in range(half)] for i in range(half)]
+        pods = [
+            (
+                [f"agg_{pod}_{i}" for i in range(half)],
+                [f"tor_{pod}_{i}" for i in range(half)],
+                [[f"h_{pod}_{t}_{k}" for k in range(half)] for t in range(half)],
+            )
+            for pod in range(self.p)
+        ]
+        for i, row in enumerate(cores):
+            for j, core in enumerate(row):
+                self.add_node(Node(core, NodeKind.CORE, None, i * half + j))
+        for pod, (aggs, tors, racks) in enumerate(pods):
             for i in range(half):
-                self.add_node(Node(f"agg_{pod}_{i}", NodeKind.AGG, pod=pod, index=i))
-                self.add_node(Node(f"tor_{pod}_{i}", NodeKind.TOR, pod=pod, index=i))
-            for i in range(half):
-                for j in range(half):
-                    self.add_link(f"agg_{pod}_{i}", f"tor_{pod}_{j}", self.link_bandwidth_bps, delay)
-            for t in range(half):
-                for k in range(half):
-                    host = f"h_{pod}_{t}_{k}"
-                    self.add_node(Node(host, NodeKind.HOST, pod=pod, index=t * half + k))
-                    self.add_link(host, f"tor_{pod}_{t}", self.host_bandwidth_bps, delay)
-        for i in range(half):
-            for j in range(half):
-                for pod in range(self.p):
-                    self.add_link(f"core_{i}_{j}", f"agg_{pod}_{i}", self.link_bandwidth_bps, delay)
+                self.add_node(Node(aggs[i], NodeKind.AGG, pod, i))
+                self.add_node(Node(tors[i], NodeKind.TOR, pod, i))
+            for t, rack in enumerate(racks):
+                for k, host in enumerate(rack):
+                    self.add_node(Node(host, NodeKind.HOST, pod, t * half + k))
+        self.add_links(self._cables(cores, pods, delay))
+
+    def _cables(
+        self,
+        cores: List[List[str]],
+        pods: List[Tuple[List[str], List[str], List[List[str]]]],
+        delay: float,
+    ) -> Iterator[CableRow]:
+        """Every cable, in build order: per pod its agg-ToR then host-ToR
+        cables, then each core's cable to every pod. A generator, so no
+        row outlives its ``add_links`` step."""
+        link_bw, host_bw = self.link_bandwidth_bps, self.host_bandwidth_bps
+        for aggs, tors, racks in pods:
+            for agg in aggs:
+                for tor in tors:
+                    yield (agg, tor, link_bw, delay)
+            for tor, rack in zip(tors, racks):
+                for host in rack:
+                    yield (host, tor, host_bw, delay)
+        for i, row in enumerate(cores):
+            for core in row:
+                for aggs, _, _ in pods:
+                    yield (core, aggs[i], link_bw, delay)
 
     def __repr__(self) -> str:
         return f"FatTree(p={self.p}, hosts={len(self.hosts())})"

@@ -3,13 +3,20 @@
 Links are physical full-duplex cables; the simulator treats each direction
 as an independent capacity, so :meth:`Topology.directed_links` enumerates
 both ``(u, v)`` and ``(v, u)`` for every cable.
+
+Nodes and cables are immutable records (named tuples: no per-instance
+``__dict__``), and cables enter a topology through one bulk path,
+:meth:`Topology.add_links`. The order nodes and cables go in is part of
+the simulation's input: the cable order fixes every directed link's id,
+and each node's neighbour order (cable order) fixes the order of the
+equal-cost paths a scheduler picks from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import TopologyError
 
@@ -29,11 +36,14 @@ class NodeKind(Enum):
     @property
     def layer(self) -> int:
         """Height in the tree: hosts are 0, cores are 3."""
-        return {NodeKind.HOST: 0, NodeKind.TOR: 1, NodeKind.AGG: 2, NodeKind.CORE: 3}[self]
+        return _LAYER_OF[self._value_]
 
 
-@dataclass(frozen=True)
-class Node:
+#: NodeKind value -> layer.
+_LAYER_OF = {"host": 0, "tor": 1, "agg": 2, "core": 3}
+
+
+class Node(NamedTuple):
     """A host or switch.
 
     ``pod`` is ``None`` for cores and for topologies without pods; ``index``
@@ -46,8 +56,7 @@ class Node:
     index: int = 0
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """A full-duplex cable between two nodes with per-direction bandwidth.
 
     ``bandwidth_bps`` applies independently to each direction. ``delay_s``
@@ -62,6 +71,10 @@ class Link:
     def endpoints(self) -> Tuple[str, str]:
         """The (u, v) node pair this cable joins."""
         return (self.u, self.v)
+
+
+#: One cable to add: ``(u, v, bandwidth_bps, delay_s)``.
+CableRow = Tuple[str, str, float, float]
 
 
 @dataclass
@@ -89,17 +102,37 @@ class Topology:
 
     def add_link(self, u: str, v: str, bandwidth_bps: float, delay_s: float = 0.0001) -> None:
         """Add a full-duplex cable between existing nodes ``u`` and ``v``."""
-        for name in (u, v):
-            if name not in self.nodes:
-                raise TopologyError(f"link endpoint {name!r} is not a node")
-        if u == v:
-            raise TopologyError(f"self-loop on {u!r}")
-        key = self._key(u, v)
-        if key in self._links:
-            raise TopologyError(f"duplicate link {u!r}-{v!r}")
-        self._links[key] = Link(key[0], key[1], bandwidth_bps, delay_s)
-        self._adj[u].append(v)
-        self._adj[v].append(u)
+        self.add_links(((u, v, bandwidth_bps, delay_s),))
+
+    def add_links(self, cables: Iterable[CableRow]) -> None:
+        """Add full-duplex cables ``(u, v, bandwidth_bps, delay_s)``, in order.
+
+        The one path cables enter a topology by. The batch is checked
+        whole before anything is added, so a refused batch leaves the
+        topology as it was. It is refused at its first cable with an
+        endpoint that is not a node, a self-loop, or a cable already
+        present in either direction, in the topology or earlier in the
+        batch. Each cable is stored under its sorted endpoint pair, and
+        each endpoint's neighbour list grows in cable order.
+        """
+        nodes = self.nodes
+        links = self._links
+        new: Dict[Tuple[str, str], Link] = {}
+        for u, v, bandwidth_bps, delay_s in cables:
+            if u not in nodes or v not in nodes:
+                missing = u if u not in nodes else v
+                raise TopologyError(f"link endpoint {missing!r} is not a node")
+            if u == v:
+                raise TopologyError(f"self-loop on {u!r}")
+            key = (u, v) if u <= v else (v, u)  # _key, inline in this loop
+            if key in links or key in new:
+                raise TopologyError(f"duplicate link {u!r}-{v!r}")
+            new[key] = Link(key[0], key[1], bandwidth_bps, delay_s)
+        links.update(new)
+        adj = self._adj
+        for u, v in new:
+            adj[u].append(v)
+            adj[v].append(u)
 
     @staticmethod
     def _key(u: str, v: str) -> Tuple[str, str]:
@@ -136,10 +169,11 @@ class Topology:
         return iter(self._links.values())
 
     def directed_links(self) -> Iterator[Tuple[str, str]]:
-        """All (u, v) ordered pairs, one per direction per cable."""
-        for link in self._links.values():
-            yield (link.u, link.v)
-            yield (link.v, link.u)
+        """All (u, v) ordered pairs, one per direction per cable, in cable
+        order: the cable's own ``(u, v)`` pair, then ``(v, u)``."""
+        for pair in self._links:
+            yield pair
+            yield (pair[1], pair[0])
 
     def nodes_of_kind(self, kind: NodeKind) -> List[str]:
         """Names of all nodes of one kind (memoized; returns a copy)."""

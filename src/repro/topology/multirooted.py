@@ -42,10 +42,11 @@ class MultiRootedTopology(Topology):
         self._tor_cache: Dict[str, str] = {}
         # Adjacency is immutable once a topology is built (failures are
         # modeled in the Network, never by graph surgery), so layer-filtered
-        # neighbor tuples can be memoized. The control plane asks for them
-        # per scheduling round per daemon — a hot path at scale. Tuples of
-        # names drop out of the garbage collector's tracking, lists would
-        # not (one per host and switch).
+        # neighbor tuples can be memoized; validate() fills them for every
+        # node. The control plane asks for them per scheduling round per
+        # daemon — a hot path at scale. Tuples of names drop out of the
+        # garbage collector's tracking, lists would not (one per host and
+        # switch).
         self._up_cache: Dict[str, Tuple[str, ...]] = {}
         self._down_cache: Dict[str, Tuple[str, ...]] = {}
 
@@ -79,7 +80,7 @@ class MultiRootedTopology(Topology):
         if cached is None:
             kind = _KIND_AT_LAYER.get(self.node(name).kind.layer + step)
             nodes = self.nodes
-            cached = tuple(n for n in self.neighbors(name) if nodes[n].kind is kind)
+            cached = tuple(n for n in self._adj[name] if nodes[n].kind is kind)
             cache[name] = cached
         return cached
 
@@ -188,21 +189,51 @@ class MultiRootedTopology(Topology):
     # -- sanity ---------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check structural invariants every multi-rooted tree must satisfy."""
-        if not self.cores():
+        """Check structural invariants every multi-rooted tree must satisfy.
+
+        One walk over the adjacency sorts each node's neighbours into the
+        layer above and the layer below, in neighbour order, and fills the
+        up/down neighbour memos and the host -> ToR memo from it. The
+        checks then read the memos, in a fixed order: no cores, no hosts,
+        then per host, ToR, aggregation switch and core, each in node
+        order.
+        """
+        adj = self._adj
+        up = self._up_cache
+        down = self._down_cache
+        height = {name: node.kind.layer for name, node in self.nodes.items()}
+        for name, layer in height.items():
+            above: List[str] = []
+            below: List[str] = []
+            for neighbor in adj[name]:
+                step = height[neighbor] - layer
+                if step == 1:
+                    above.append(neighbor)
+                elif step == -1:
+                    below.append(neighbor)
+            up[name] = tuple(above)
+            down[name] = tuple(below)
+
+        cores = self.cores()
+        hosts = self.hosts()
+        if not cores:
             raise TopologyError("topology has no core switches")
-        if not self.hosts():
+        if not hosts:
             raise TopologyError("topology has no hosts")
-        for host in self.hosts():
-            self.tor_of(host)  # raises if not single-homed
+        tor_cache = self._tor_cache
+        for host in hosts:
+            tors = up[host]
+            if len(tors) != 1:
+                raise TopologyError(f"host {host!r} has {len(tors)} ToR uplinks, expected 1")
+            tor_cache[host] = tors[0]
         for tor in self.tors():
-            if not self.up_neighbors(tor):
+            if not up[tor]:
                 raise TopologyError(f"ToR {tor!r} has no aggregation uplink")
         for agg in self.aggs():
-            if not self.up_neighbors(agg):
+            if not up[agg]:
                 raise TopologyError(f"aggregation switch {agg!r} has no core uplink")
-            if not self.down_neighbors(agg):
+            if not down[agg]:
                 raise TopologyError(f"aggregation switch {agg!r} has no ToR downlink")
-        for core in self.cores():
-            if not self.down_neighbors(core):
+        for core in cores:
+            if not down[core]:
                 raise TopologyError(f"core {core!r} has no downlinks")

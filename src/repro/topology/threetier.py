@@ -69,23 +69,25 @@ class ThreeTier(MultiRootedTopology):
         return down / up
 
     def _build(self, delay: float) -> None:
-        for c in range(self.num_cores):
-            self.add_node(Node(f"core_{c}", NodeKind.CORE, pod=None, index=c))
+        link_bw, host_bw = self.link_bandwidth_bps, self.host_bandwidth_bps
+        cores = [f"core_{c}" for c in range(self.num_cores)]
+        for c, core in enumerate(cores):
+            self.add_node(Node(core, NodeKind.CORE, pod=None, index=c))
+        cables = []
         for pod in range(self.num_pods):
-            for a in range(self.aggs_per_pod):
-                agg = f"agg_{pod}_{a}"
+            aggs = [f"agg_{pod}_{a}" for a in range(self.aggs_per_pod)]
+            for a, agg in enumerate(aggs):
                 self.add_node(Node(agg, NodeKind.AGG, pod=pod, index=a))
-                for c in range(self.num_cores):
-                    self.add_link(agg, f"core_{c}", self.link_bandwidth_bps, delay)
+                cables += [(agg, core, link_bw, delay) for core in cores]
             for t in range(self.access_per_pod):
                 tor = f"tor_{pod}_{t}"
                 self.add_node(Node(tor, NodeKind.TOR, pod=pod, index=t))
-                for a in range(self.aggs_per_pod):
-                    self.add_link(tor, f"agg_{pod}_{a}", self.link_bandwidth_bps, delay)
+                cables += [(tor, agg, link_bw, delay) for agg in aggs]
                 for k in range(self.hosts_per_access):
                     host = f"h_{pod}_{t}_{k}"
                     self.add_node(Node(host, NodeKind.HOST, pod=pod, index=k))
-                    self.add_link(host, tor, self.host_bandwidth_bps, delay)
+                    cables.append((host, tor, host_bw, delay))
+        self.add_links(cables)
 
     def __repr__(self) -> str:
         return (

@@ -323,12 +323,6 @@ class StormOracle:
 
     def __init__(self) -> None:
         self.network: Optional[Network] = None
-        self.placements_checked = 0
-        self.reroutes_checked = 0
-        self.stalled_placements = 0
-        self.failures_seen = 0
-        self.restores_seen = 0
-        self.balance_checks = 0
         self._orig_start = None
         self._orig_reroute = None
 
@@ -361,12 +355,10 @@ class StormOracle:
     # -- interception -----------------------------------------------------------
 
     def _start_flow(self, src, dst, size_bytes, components):
-        self.placements_checked += 1
         self._check_components(src, dst, components, "placement")
         return self._orig_start(src, dst, size_bytes, components)
 
     def _reroute_flow(self, flow, components, count_switch=True, retx_penalty=True):
-        self.reroutes_checked += 1
         self._check_components(flow.src, flow.dst, components, "reroute")
         return self._orig_reroute(
             flow, components, count_switch=count_switch, retx_penalty=retx_penalty
@@ -394,35 +386,20 @@ class StormOracle:
                 f"failed link on path {dead[0]} {paths[dead[0]]!r} while "
                 f"{len(alive)} alive equal-cost path(s) existed",
             )
-        self.stalled_placements += 1
 
     def _on_failed(self, u: str, v: str) -> None:
-        self.failures_seen += 1
         self._check_balance()
 
     def _on_restored(self, u: str, v: str) -> None:
-        self.restores_seen += 1
         self._check_balance()
 
     def _check_balance(self) -> None:
-        self.balance_checks += 1
         check_flowstore_balance(self.network)
 
-    # -- reporting --------------------------------------------------------------
+    # -- final audit ------------------------------------------------------------
 
     def final_check(self) -> None:
         """Audit the books once more; call after the run drains."""
         if self.network is None:
             raise ValueError("StormOracle is not attached")
         self._check_balance()
-
-    def stats(self) -> Dict[str, float]:
-        """Interception counters, for reports and coverage assertions."""
-        return {
-            "storm_placements_checked": float(self.placements_checked),
-            "storm_reroutes_checked": float(self.reroutes_checked),
-            "storm_stalled_placements": float(self.stalled_placements),
-            "storm_failures_seen": float(self.failures_seen),
-            "storm_restores_seen": float(self.restores_seen),
-            "storm_balance_checks": float(self.balance_checks),
-        }

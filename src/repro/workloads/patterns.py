@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import abc
+from itertools import chain, islice
+from operator import ne
 from typing import Dict, List
 
 import numpy as np
@@ -118,13 +120,11 @@ class StridePattern(TrafficPattern):
         }
 
     def _auto_step(self) -> int:
-        topo = self.topology
-        n = len(self.hosts)
-        for step in range(1, n):
-            if all(
-                topo.pod_of(self.hosts[i]) != topo.pod_of(self.hosts[(i + step) % n])
-                for i in range(n)
-            ):
+        nodes = self.topology.nodes
+        pods = [nodes[host].pod for host in self.hosts]
+        for step in range(1, len(pods)):
+            # pods[i] != pods[(i + step) % n] for every i.
+            if all(map(ne, pods, chain(islice(pods, step, None), pods))):
                 return step
         raise ConfigurationError("no stride step puts all pairs in different pods")
 

@@ -17,7 +17,7 @@ from repro.experiments import ScenarioConfig
 from repro.simulator.engine import EventEngine
 from repro.simulator.network import Network
 from repro.topology import FatTree, build_topology
-from repro.validation import StormOracle, inject_storm_bug, run_case, shrink_config
+from repro.validation import StormOracle, inject_storm_bug, oracles, run_case, shrink_config
 from repro.validation.fuzz import _case_fails
 from repro.validation.invariants import check_flowstore_balance
 from repro.workloads import (
@@ -418,6 +418,19 @@ def _component(network, src, dst, index):
     return network.component(src, dst, paths, index), paths[index]
 
 
+def _spy_checks(monkeypatch, oracle):
+    """The kinds (placement or reroute) of the routing checks the oracle runs."""
+    kinds = []
+    check = oracle._check_components
+
+    def spy(src, dst, components, kind):
+        kinds.append(kind)
+        return check(src, dst, components, kind)
+
+    monkeypatch.setattr(oracle, "_check_components", spy)
+    return kinds
+
+
 class TestStormOracle:
     def test_placement_on_dead_path_with_alive_alternative_raises(self):
         network, oracle = _oracle_network()
@@ -438,37 +451,51 @@ class TestStormOracle:
         with pytest.raises(OracleViolation) as info:
             network.reroute_flow(flow, [dead_component])
         assert info.value.oracle == "storm-routing"
-        assert oracle.reroutes_checked == 1
+        # Refused before it reached the network: the flow keeps its path.
+        assert [c.index for c in flow.components] == [1]
+        assert flow.path_switches == 0
 
-    def test_stall_carveout_when_no_alive_path_exists(self):
+    def test_stall_carveout_when_no_alive_path_exists(self, monkeypatch):
         network, oracle = _oracle_network()
+        checked = _spy_checks(monkeypatch, oracle)
         topo = network.topology
         component, _ = _component(network, "h_0_0_0", "h_1_0_0", 0)
         # Killing the source's access cable deadens *every* equal-cost
         # path: placing (and stalling) is the documented semantics.
         network.fail_link("h_0_0_0", topo.tor_of("h_0_0_0"))
-        network.start_flow("h_0_0_0", "h_1_0_0", 8 * MB, [component])
-        assert oracle.stalled_placements == 1
-        assert oracle.placements_checked == 1
+        flow = network.start_flow("h_0_0_0", "h_1_0_0", 8 * MB, [component])
+        assert checked == ["placement"]
+        network.engine.run_until(1.0)
+        assert flow.flow_id in network.flows
+        assert flow.rate_bps == 0.0
 
-    def test_clean_placements_pass_and_are_counted(self):
+    def test_clean_placements_pass_and_are_counted(self, monkeypatch):
         network, oracle = _oracle_network()
+        checked = _spy_checks(monkeypatch, oracle)
         component, _ = _component(network, "h_0_0_0", "h_2_0_0", 1)
-        network.start_flow("h_0_0_0", "h_2_0_0", 8 * MB, [component])
-        assert oracle.placements_checked == 1
-        assert oracle.stalled_placements == 0
+        flow = network.start_flow("h_0_0_0", "h_2_0_0", 8 * MB, [component])
+        assert checked == ["placement"]
+        network.engine.run_until(0.01)
+        assert flow.rate_bps > 0.0
 
-    def test_balance_audited_at_every_failure_edge(self):
+    def test_balance_audited_at_every_failure_edge(self, monkeypatch):
         network, oracle = _oracle_network()
+        audits = []
+
+        def audit(net):
+            audits.append(len(net.failed_links))
+            check_flowstore_balance(net)
+
+        monkeypatch.setattr(oracles, "check_flowstore_balance", audit)
         component, _ = _component(network, "h_0_0_0", "h_1_0_0", 2)
         network.start_flow("h_0_0_0", "h_1_0_0", 8 * MB, [component])
+        assert audits == []
         network.fail_link("agg_0_0", "core_0_0")
         network.restore_link("agg_0_0", "core_0_0")
         oracle.final_check()
-        stats = oracle.stats()
-        assert stats["storm_failures_seen"] == 1.0
-        assert stats["storm_restores_seen"] == 1.0
-        assert stats["storm_balance_checks"] == 3.0
+        # One audit with the cable down (both directions), one after its
+        # restore, one at the final check.
+        assert audits == [2, 0, 0]
 
     def test_corrupted_ledger_caught_on_failure_edge(self):
         network, oracle = _oracle_network()

@@ -25,11 +25,11 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import TopologyError
 from repro.common.units import GBPS
-from repro.topology.graph import Node, NodeKind
+from repro.topology.graph import CableRow, Node, NodeKind
 from repro.topology.multirooted import MultiRootedTopology
 
 
@@ -88,31 +88,28 @@ class CustomTopology(MultiRootedTopology):
             pod = spec.tors[tor]
             self.add_node(Node(host, NodeKind.HOST, pod=pod, index=index))
 
-        # One batch per layer: a layer's spec check runs after the layers
-        # before it went in, so a fault in an earlier layer is the one
-        # reported.
+        self.add_links(self._cables())
+
+    def _cables(self) -> Iterator[CableRow]:
+        """Every cable the spec names, layer by layer, each checked against
+        the spec as it is read."""
+        spec = self.spec
         delay = spec.link_delay_s
-        cables = []
         for core, agg in spec.core_agg_links:
             if core not in spec.cores or agg not in spec.aggs:
                 raise TopologyError(f"core-agg link ({core!r}, {agg!r}) names unknown nodes")
-            cables.append((core, agg, self._bandwidth(core, agg, spec.link_bandwidth_bps), delay))
-        self.add_links(cables)
-        cables = []
+            yield core, agg, self._bandwidth(core, agg, spec.link_bandwidth_bps), delay
         for agg, tor in spec.agg_tor_links:
             if agg not in spec.aggs or tor not in spec.tors:
                 raise TopologyError(f"agg-tor link ({agg!r}, {tor!r}) names unknown nodes")
-            cables.append((agg, tor, self._bandwidth(agg, tor, spec.link_bandwidth_bps), delay))
-        self.add_links(cables)
+            yield agg, tor, self._bandwidth(agg, tor, spec.link_bandwidth_bps), delay
         host_bw = (
             spec.host_bandwidth_bps
             if spec.host_bandwidth_bps is not None
             else spec.link_bandwidth_bps
         )
-        self.add_links(
-            (host, tor, self._bandwidth(host, tor, host_bw), delay)
-            for host, tor in spec.hosts.items()
-        )
+        for host, tor in spec.hosts.items():
+            yield host, tor, self._bandwidth(host, tor, host_bw), delay
 
     def __repr__(self) -> str:
         return (

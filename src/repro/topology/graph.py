@@ -107,17 +107,16 @@ class Topology:
     def add_links(self, cables: Iterable[CableRow]) -> None:
         """Add full-duplex cables ``(u, v, bandwidth_bps, delay_s)``, in order.
 
-        The one path cables enter a topology by. The batch is checked
-        whole before anything is added, so a refused batch leaves the
-        topology as it was. It is refused at its first cable with an
-        endpoint that is not a node, a self-loop, or a cable already
-        present in either direction, in the topology or earlier in the
-        batch. Each cable is stored under its sorted endpoint pair, and
-        each endpoint's neighbour list grows in cable order.
+        The one path cables enter a topology by. Each cable is checked and
+        added before the next is read: a cable with an endpoint that is not
+        a node, a self-loop, or a cable already present in either direction
+        (earlier in the same call included) is refused. Each cable is
+        stored under its sorted endpoint pair, and each endpoint's
+        neighbour list grows in cable order.
         """
         nodes = self.nodes
         links = self._links
-        new: Dict[Tuple[str, str], Link] = {}
+        adj = self._adj
         for u, v, bandwidth_bps, delay_s in cables:
             if u not in nodes or v not in nodes:
                 missing = u if u not in nodes else v
@@ -125,12 +124,9 @@ class Topology:
             if u == v:
                 raise TopologyError(f"self-loop on {u!r}")
             key = (u, v) if u <= v else (v, u)  # _key, inline in this loop
-            if key in links or key in new:
+            if key in links:
                 raise TopologyError(f"duplicate link {u!r}-{v!r}")
-            new[key] = Link(key[0], key[1], bandwidth_bps, delay_s)
-        links.update(new)
-        adj = self._adj
-        for u, v in new:
+            links[key] = Link(key[0], key[1], bandwidth_bps, delay_s)
             adj[u].append(v)
             adj[v].append(u)
 

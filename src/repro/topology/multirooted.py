@@ -29,9 +29,6 @@ from repro.topology.paths import EqualCostPaths, PathTables, SwitchPath
 #: A downhill chain (core, agg, tor) along which prefixes are allocated.
 Chain = Tuple[str, str, str]
 
-#: layer (hosts 0 .. cores 3) -> the node kind living there.
-_KIND_AT_LAYER = {kind.layer: kind for kind in NodeKind}
-
 
 class MultiRootedTopology(Topology):
     """Base class for fat-tree, Clos, and 3-tier topologies."""
@@ -42,11 +39,11 @@ class MultiRootedTopology(Topology):
         self._tor_cache: Dict[str, str] = {}
         # Adjacency is immutable once a topology is built (failures are
         # modeled in the Network, never by graph surgery), so layer-filtered
-        # neighbor tuples can be memoized; validate() fills them for every
-        # node. The control plane asks for them per scheduling round per
-        # daemon — a hot path at scale. Tuples of names drop out of the
-        # garbage collector's tracking, lists would not (one per host and
-        # switch).
+        # neighbor tuples can be memoized, for every node in one walk
+        # (_fill_layer_memos, which validate() runs). The control plane asks
+        # for them per scheduling round per daemon — a hot path at scale.
+        # Tuples of names drop out of the garbage collector's tracking,
+        # lists would not (one per host and switch).
         self._up_cache: Dict[str, Tuple[str, ...]] = {}
         self._down_cache: Dict[str, Tuple[str, ...]] = {}
 
@@ -66,23 +63,41 @@ class MultiRootedTopology(Topology):
 
     def up_neighbors(self, name: str) -> List[str]:
         """Neighbors one layer above ``name`` (memoized; returns a copy)."""
-        return list(self._layer_neighbors(name, +1, self._up_cache))
+        return list(self._layer_neighbors(name, self._up_cache))
 
     def down_neighbors(self, name: str) -> List[str]:
         """Neighbors one layer below ``name`` (memoized; returns a copy)."""
-        return list(self._layer_neighbors(name, -1, self._down_cache))
+        return list(self._layer_neighbors(name, self._down_cache))
 
-    def _layer_neighbors(
-        self, name: str, step: int, cache: Dict[str, Tuple[str, ...]]
-    ) -> Tuple[str, ...]:
-        """The memoized neighbor tuple itself."""
+    def _layer_neighbors(self, name: str, cache: Dict[str, Tuple[str, ...]]) -> Tuple[str, ...]:
+        """The memoized neighbor tuple itself (``cache`` is the up or the
+        down memo)."""
         cached = cache.get(name)
         if cached is None:
-            kind = _KIND_AT_LAYER.get(self.node(name).kind.layer + step)
-            nodes = self.nodes
-            cached = tuple(n for n in self._adj[name] if nodes[n].kind is kind)
-            cache[name] = cached
+            self.node(name)  # raises for a name that is not a node
+            self._fill_layer_memos()
+            cached = cache[name]
         return cached
+
+    def _fill_layer_memos(self) -> None:
+        """Fill the up/down neighbor memos for every node in one walk over
+        the adjacency: each node's neighbors one layer above and one layer
+        below, in neighbor order."""
+        adj = self._adj
+        up = self._up_cache
+        down = self._down_cache
+        height = {name: node.kind.layer for name, node in self.nodes.items()}
+        for name, layer in height.items():
+            above: List[str] = []
+            below: List[str] = []
+            for neighbor in adj[name]:
+                step = height[neighbor] - layer
+                if step == 1:
+                    above.append(neighbor)
+                elif step == -1:
+                    below.append(neighbor)
+            up[name] = tuple(above)
+            down[name] = tuple(below)
 
     def tor_of(self, host: str) -> str:
         """The ToR switch a host hangs off (hosts are single-homed)."""
@@ -92,7 +107,7 @@ class MultiRootedTopology(Topology):
         node = self.node(host)
         if node.kind is not NodeKind.HOST:
             raise TopologyError(f"{host!r} is not a host")
-        ups = self.up_neighbors(host)
+        ups = self._layer_neighbors(host, self._up_cache)
         if len(ups) != 1:
             raise TopologyError(f"host {host!r} has {len(ups)} ToR uplinks, expected 1")
         self._tor_cache[host] = ups[0]
@@ -145,7 +160,7 @@ class MultiRootedTopology(Topology):
                 sorted(self.tors()),
                 sorted(self.aggs()),
                 sorted(self.cores()),
-                lambda name: self._layer_neighbors(name, +1, up),
+                lambda name: self._layer_neighbors(name, up),
             )
         return self._path_tables
 
@@ -191,41 +206,23 @@ class MultiRootedTopology(Topology):
     def validate(self) -> None:
         """Check structural invariants every multi-rooted tree must satisfy.
 
-        One walk over the adjacency sorts each node's neighbours into the
-        layer above and the layer below, in neighbour order, and fills the
-        up/down neighbour memos and the host -> ToR memo from it. The
-        checks then read the memos, in a fixed order: no cores, no hosts,
-        then per host, ToR, aggregation switch and core, each in node
-        order.
+        One walk over the adjacency fills the up/down neighbor memos; the
+        checks then read them, in a fixed order: no cores, no hosts, then
+        per host (filling the host -> ToR memo), ToR, aggregation switch
+        and core, each in node order.
         """
-        adj = self._adj
-        up = self._up_cache
-        down = self._down_cache
-        height = {name: node.kind.layer for name, node in self.nodes.items()}
-        for name, layer in height.items():
-            above: List[str] = []
-            below: List[str] = []
-            for neighbor in adj[name]:
-                step = height[neighbor] - layer
-                if step == 1:
-                    above.append(neighbor)
-                elif step == -1:
-                    below.append(neighbor)
-            up[name] = tuple(above)
-            down[name] = tuple(below)
-
+        self._fill_layer_memos()
         cores = self.cores()
         hosts = self.hosts()
         if not cores:
             raise TopologyError("topology has no core switches")
         if not hosts:
             raise TopologyError("topology has no hosts")
-        tor_cache = self._tor_cache
+        tor_of = self.tor_of
         for host in hosts:
-            tors = up[host]
-            if len(tors) != 1:
-                raise TopologyError(f"host {host!r} has {len(tors)} ToR uplinks, expected 1")
-            tor_cache[host] = tors[0]
+            tor_of(host)  # raises if not single-homed
+        up = self._up_cache
+        down = self._down_cache
         for tor in self.tors():
             if not up[tor]:
                 raise TopologyError(f"ToR {tor!r} has no aggregation uplink")

@@ -337,8 +337,8 @@ class StormOracle:
         self._orig_reroute = network.reroute_flow
         network.start_flow = self._start_flow  # type: ignore[method-assign]
         network.reroute_flow = self._reroute_flow  # type: ignore[method-assign]
-        network.link_failed_listeners.append(self._on_failed)
-        network.link_restored_listeners.append(self._on_restored)
+        network.link_failed_listeners.append(self._audit)
+        network.link_restored_listeners.append(self._audit)
         return self
 
     def detach(self) -> None:
@@ -348,8 +348,8 @@ class StormOracle:
             return
         network.start_flow = self._orig_start  # type: ignore[method-assign]
         network.reroute_flow = self._orig_reroute  # type: ignore[method-assign]
-        network.link_failed_listeners.remove(self._on_failed)
-        network.link_restored_listeners.remove(self._on_restored)
+        network.link_failed_listeners.remove(self._audit)
+        network.link_restored_listeners.remove(self._audit)
         self.network = None
 
     # -- interception -----------------------------------------------------------
@@ -387,13 +387,8 @@ class StormOracle:
                 f"{len(alive)} alive equal-cost path(s) existed",
             )
 
-    def _on_failed(self, u: str, v: str) -> None:
-        self._check_balance()
-
-    def _on_restored(self, u: str, v: str) -> None:
-        self._check_balance()
-
-    def _check_balance(self) -> None:
+    def _audit(self, *_: object) -> None:
+        """Audit the FlowStore books (a failure or restore listener)."""
         check_flowstore_balance(self.network)
 
     # -- final audit ------------------------------------------------------------
@@ -402,4 +397,4 @@ class StormOracle:
         """Audit the books once more; call after the run drains."""
         if self.network is None:
             raise ValueError("StormOracle is not attached")
-        self._check_balance()
+        self._audit()

@@ -156,6 +156,19 @@ class TestCustomTopology:
             build_custom(two_agg_spec(core_agg_links=[("c0", "ghost")]))
         with pytest.raises(TopologyError):
             build_custom(two_agg_spec(hosts={"h0": "ghost"}))
+        # The first fault in spec order is the one reported, whether the
+        # spec check or the cable check finds it.
+        for wiring, message in [
+            (dict(core_agg_links=[("c0", "a0"), ("c0", "a0"), ("c0", "ghost")]),
+             "duplicate link 'c0'-'a0'"),
+            (dict(core_agg_links=[("c0", "a0"), ("c0", "ghost"), ("c0", "a0")]),
+             "core-agg link ('c0', 'ghost') names unknown nodes"),
+            (dict(core_agg_links=[("c0", "ghost")], agg_tor_links=[("a0", "t0")] * 2),
+             "core-agg link ('c0', 'ghost') names unknown nodes"),
+        ]:
+            with pytest.raises(TopologyError) as refused:
+                build_custom(two_agg_spec(**wiring))
+            assert str(refused.value) == message
 
     def test_disconnected_layer_rejected(self):
         # a1 has no ToR links -> validate() fails.
